@@ -23,9 +23,9 @@
    shard silently and records its rows in the --bench-out file for a
    later [merge].
 
-   Every experiment run also appends wall-clock + registry metrics to
-   the --bench-out file in the working directory (schema-3 perf
-   trajectory record; stdout is unaffected). *)
+   With --bench-out FILE, the run also records wall-clock + registry
+   metrics per campaign in FILE (schema-3 perf trajectory record;
+   stdout is unaffected). Without it, nothing is written. *)
 
 let section = Harness.Campaign.section
 
@@ -33,7 +33,7 @@ let section = Harness.Campaign.section
 
 let mem_stats_enabled = ref false
 let effectiveness_budget = ref None
-let bench_out = ref "BENCH_pr10.json"
+let bench_out : string option ref = ref None
 
 (* loadbench knobs (see the `loadbench` campaign) *)
 let load_connections = ref 64
@@ -85,15 +85,15 @@ let record ?context ?cells ~name ~wall_s metrics =
     :: !campaign_records
 
 let write_bench_json ~jobs =
-  match List.rev !campaign_records with
-  | [] -> ()
-  | campaigns ->
+  match (!bench_out, List.rev !campaign_records) with
+  | None, _ | _, [] -> ()
+  | Some file, campaigns ->
     let shards, shard =
       match !shard_spec with
       | Some (k, n) -> (n, Some k)
       | None -> (!shards, None)
     in
-    Util.Benchfile.write !bench_out
+    Util.Benchfile.write file
       (Util.Benchfile.make ~shards ?shard ~pr:10 ~jobs
          ~compile_tier:(Vm64.Compile.tier ()) campaigns)
 
@@ -238,10 +238,13 @@ let run_merge ~config files =
           metrics)
       first.Util.Benchfile.campaigns
   in
-  Util.Benchfile.write !bench_out
-    (Util.Benchfile.make ~shards:n ~merged_from:files
-       ~pr:first.Util.Benchfile.pr ~jobs:first.Util.Benchfile.jobs
-       ~compile_tier:first.Util.Benchfile.compile_tier merged)
+  Option.iter
+    (fun file ->
+      Util.Benchfile.write file
+        (Util.Benchfile.make ~shards:n ~merged_from:files
+           ~pr:first.Util.Benchfile.pr ~jobs:first.Util.Benchfile.jobs
+           ~compile_tier:first.Util.Benchfile.compile_tier merged))
+    !bench_out
 
 (* ---- Bechamel micro-suite: one Test.make per table ----------------------- *)
 
@@ -598,8 +601,8 @@ let () =
            every tier."
         Vm64.Compile.set_tier;
       Harness.Cli.string_value ~name:"--bench-out" ~docv:"FILE"
-        ~doc:"where to write the perf trajectory record (default BENCH_pr10.json)"
-        (fun f -> bench_out := f);
+        ~doc:"write the perf trajectory record to FILE (without it, none is written)"
+        (fun f -> bench_out := Some f);
     ]
     @ Harness.Cli.telemetry_specs telem
   in
@@ -613,6 +616,10 @@ let () =
   in
   if !shard_spec <> None && !shards <> 1 then begin
     Printf.eprintf "--shard and --shards are mutually exclusive\n";
+    exit 1
+  end;
+  if !shard_spec <> None && !bench_out = None then begin
+    Printf.eprintf "--shard K/N needs --bench-out FILE to record the shard's rows\n";
     exit 1
   end;
   let jobs = if !jobs = 0 then Harness.Pool.default_jobs () else !jobs in

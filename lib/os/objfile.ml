@@ -140,6 +140,21 @@ let read data =
       scheme_tag;
     }
   in
+  (* every extent Kernel.spawn maps (text at least one byte, data at
+     least one page, extra when present) must lie inside the layout *)
+  let check_extent what base len =
+    if
+      Int64.unsigned_compare base Vm64.Layout.address_limit >= 0
+      || Int64.unsigned_compare (Int64.of_int len)
+           (Int64.sub Vm64.Layout.address_limit base)
+         > 0
+    then
+      fail "%s section [0x%Lx, +%d) outside the guest layout [0, 0x%Lx)" what base len
+        Vm64.Layout.address_limit
+  in
+  check_extent "text" text_base (max 1 (Bytes.length text));
+  check_extent "data" data_base (max 4096 (Bytes.length data_sec));
+  if Bytes.length extra > 0 then check_extent "extra" extra_base (Bytes.length extra);
   (* sanity: the entry must fall in a section *)
   if
     Bytes.length image.Image.text > 0

@@ -13,7 +13,9 @@ val version : int
 val write : Image.t -> bytes
 val read : bytes -> Image.t
 (** Raises {!Format_error} on anything malformed: bad magic, unknown
-    version, truncation, or inconsistent section lengths. *)
+    version, truncation, inconsistent section lengths, or a section
+    that [Kernel.spawn] would map at or above
+    [Vm64.Layout.address_limit], the end of the guest layout. *)
 
 val save : Image.t -> string -> unit
 (** Write to a file path. *)

@@ -46,6 +46,8 @@ type link = {
   mutable l_epoch : int;
   mutable l_addr : int64;  (* entry rip the target translates *)
   mutable l_target : code option;
+  mutable l_mem : Memory.t option;  (* space of the last full anchor check *)
+  mutable l_gen : int;  (* its payload generation at that check *)
 }
 
 and code = {
@@ -1455,7 +1457,8 @@ let emit3 ~is_builtin (ir : Ir.t) ~(ops : op array) ~(addrs : int64 array)
 
 (* ---- Block translation: lift -> normalize -> emit -------------------- *)
 
-let fresh_link () = { l_space = None; l_epoch = 0; l_addr = 0L; l_target = None }
+let fresh_link () =
+  { l_space = None; l_epoch = 0; l_addr = 0L; l_target = None; l_mem = None; l_gen = 0 }
 
 let emit ~is_builtin ~inline (ir : Ir.t) : code =
   let steps = ir.Ir.steps in
@@ -1606,7 +1609,22 @@ let slot_current (c : code) =
      signal for [patch_text]'s in-place mutation of a private page,
      which anchors cannot see;
    - [slot_current] + anchors + [key]: the target is this space's live,
-     decode-consistent translation for the right environment. *)
+     decode-consistent translation for the right environment.
+   A passing anchor check is remembered as ([l_mem], [l_gen]) and not
+   repeated while the same space keeps the same payload generation: no
+   page slot has changed payload since, so every anchor still matches.
+   [install_link] forgets it, because the check was of the old target. *)
+let anchors_current (l : link) mem c =
+  (match l.l_mem with
+  | Some m -> m == mem && l.l_gen = Memory.generation mem
+  | None -> false)
+  || code_anchors_ok mem c
+     && begin
+       l.l_mem <- Some mem;
+       l.l_gen <- Memory.generation mem;
+       true
+     end
+
 let link_live tc mem (l : link) rip key =
   match l.l_target with
   | None -> None
@@ -1617,7 +1635,7 @@ let link_live tc mem (l : link) rip key =
       && l.l_epoch = Tcache.epoch tc
       && c.key == key
       && slot_current c
-      && code_anchors_ok mem c
+      && anchors_current l mem c
     then Some c
     else None
 
@@ -1632,6 +1650,7 @@ let install_link tc (l : link) rip target =
   l.l_epoch <- Tcache.epoch tc;
   l.l_addr <- rip;
   l.l_target <- Some target;
+  l.l_mem <- None;
   Tcache.note_chain tc
 
 (* Resolve the translation for [rip] in this space, compiling the

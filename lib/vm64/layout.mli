@@ -76,3 +76,8 @@ val global_canary_buffer_base : int64
     with the rest of the address space. *)
 
 val global_canary_buffer_size : int
+
+val address_limit : int64
+(** End of the guest layout (128 MiB; the wasm spill region above
+    {!stack_top} ends here). Every mapping lies below it: {!Memory}'s
+    page table covers nothing higher. *)

@@ -1,32 +1,6 @@
 let page_size = 4096
 let page_bits = 12
 
-(* Copy-on-write page store over a chunked flat table.
-
-   Pages live in fixed 64-page chunks; a space holds an array of chunk
-   records, so address translation is two array loads (no hashing) and
-   [clone] — the fork primitive — is O(chunks): copy the top-level
-   array and clear both sides' chunk-ownership bytes. Page *records*
-   (per-space payload + privacy flag) are then materialised per chunk,
-   lazily, on the first mutating access after a clone; until a space
-   owns a chunk it only reads through the records, which relatives may
-   share. Payloads themselves stay copy-on-write exactly as before: a
-   write to a page whose payload may be aliased first replaces it with
-   a private copy.
-
-   Invariants:
-   - A record reachable through an unowned chunk is never mutated (not
-     its payload bytes, not its fields) — every write path calls
-     [own_chunk] first, which gives this space fresh records whose
-     [private_] flags are cleared (a clone happened since the chunk was
-     last owned, so every payload in it is aliased by construction).
-   - [no_page] and [empty_chunk] are immutable sentinels, shared by all
-     spaces and domains. *)
-type page = {
-  mutable data : bytes;
-  mutable private_ : bool;  (* sole owner of [data]; safe to write in place *)
-}
-
 (* Fork-path telemetry, shared by every space in one clone family so the
    numbers survive children being reaped. *)
 type family_stats = {
@@ -76,20 +50,47 @@ let () =
       (metric_cow_breaks, fun () -> (fold_families ()).cow_breaks);
     ]
 
-let chunk_bits = 6
+(* Copy-on-write page store over a fixed two-level table.
+
+   256 chunks of 128 pages cover exactly the 128 MiB guest layout
+   ([0, 0x0800_0000): stack_top plus the wasm spill region ends there),
+   so address translation is two array loads and [clone] — the fork
+   primitive — copies two 256-entry directories: 256 words is OCaml's
+   minor-heap object limit, so the clone allocates only in the minor
+   heap. A chunk is a
+   payload array plus one privacy byte per page ('\001': sole owner of
+   the payload, safe to write in place). After a clone neither side
+   owns any chunk; the first mutating access to a chunk copies its
+   payload array whole and starts it with every privacy byte clear.
+   Payloads stay copy-on-write: a write to a page whose payload may be
+   aliased first replaces it with a private copy.
+
+   Invariants:
+   - A payload array or privacy string reachable through an unowned
+     chunk is never mutated — every write path calls [own_chunk] first
+     (a clone happened since the chunk was last owned, so every payload
+     in it is aliased by construction).
+   - An aliased payload is never written in place, so payload identity
+     implies byte identity (block anchors depend on it).
+   - [generation] rises whenever a page slot's payload changes (map or
+     CoW break): an unchanged generation means every page still holds
+     the payload object it held before.
+   - [no_page], [empty_chunk] and [no_privs] are immutable sentinels,
+     shared by all spaces and domains. *)
+let chunk_bits = 7
 let chunk_pages = 1 lsl chunk_bits (* pages per chunk *)
+let chunks = Int64.to_int Layout.address_limit / (chunk_pages * page_size) (* 256 *)
 
-(* 512 chunks cover the whole fixed guest layout (stack_top is page
-   0x7FF0); [map] grows the table if something ever sits higher. *)
-let initial_chunks = 512
-
-let no_page = { data = Bytes.create 0; private_ = true }
-let empty_chunk : page array = Array.make chunk_pages no_page
+let no_page = Bytes.create 0
+let empty_chunk : bytes array = Array.make chunk_pages no_page
+let no_privs = Bytes.make chunk_pages '\000'
 
 type t = {
-  mutable top : page array array;  (* chunk index -> page records *)
-  mutable owned : Bytes.t;  (* '\001' per chunk: records are private to us *)
+  top : bytes array array;  (* chunk -> page payloads, [no_page] if unmapped *)
+  privs : Bytes.t array;  (* chunk -> privacy byte per page *)
+  owned : Bytes.t;  (* '\001' per chunk: its payload array and privacy bytes are ours *)
   mutable mapped_pages : int;
+  mutable generation : int;
   family : family_stats;
 }
 
@@ -99,97 +100,81 @@ let create () =
   registry := family :: !registry;
   Mutex.unlock registry_mu;
   {
-    top = Array.make initial_chunks empty_chunk;
-    owned = Bytes.make initial_chunks '\001';
+    top = Array.make chunks empty_chunk;
+    privs = Array.make chunks no_privs;
+    owned = Bytes.make chunks '\001';
     mapped_pages = 0;
+    generation = 0;
     family;
   }
 
 let page_of addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
 let offset_of addr = Int64.to_int (Int64.logand addr 0xFFFL)
 
-(* Give this space its own records for chunk [c]. The fresh records
-   alias the payloads with [private_] cleared: this only runs when the
-   chunk is unowned, i.e. after a clone, when every payload in it is
-   shared by construction. The old records are left untouched for
-   whatever relatives still read through them. *)
+(* Give this space its own copy of chunk [c]: the same payloads, every
+   privacy byte clear (an unowned chunk is aliased by construction; an
+   empty one has no pages). Relatives keep reading the old arrays. *)
 let own_chunk t c =
   let ch = Array.unsafe_get t.top c in
-  if ch == empty_chunk then t.top.(c) <- Array.make chunk_pages no_page
-  else begin
-    let fresh = Array.make chunk_pages no_page in
-    for i = 0 to chunk_pages - 1 do
-      let p = Array.unsafe_get ch i in
-      if p != no_page then
-        Array.unsafe_set fresh i { data = p.data; private_ = false }
-    done;
-    t.top.(c) <- fresh
-  end;
+  t.top.(c) <- (if ch == empty_chunk then Array.make chunk_pages no_page else Array.copy ch);
+  t.privs.(c) <- Bytes.make chunk_pages '\000';
   Bytes.unsafe_set t.owned c '\001'
-
-let grow t chunks_needed =
-  let old = Array.length t.top in
-  let n = max chunks_needed (2 * old) in
-  let top = Array.make n empty_chunk in
-  Array.blit t.top 0 top 0 old;
-  let owned = Bytes.make n '\001' in
-  Bytes.blit t.owned 0 owned 0 old;
-  t.top <- top;
-  t.owned <- owned
 
 let map t ~addr ~len =
   if len <= 0 then invalid_arg "Memory.map: nonpositive length";
   let first = page_of addr in
   let last = page_of (Int64.add addr (Int64.of_int (len - 1))) in
+  if first >= chunks * chunk_pages || last >= chunks * chunk_pages then
+    invalid_arg "Memory.map: outside the 128 MiB guest layout";
   for idx = first to last do
     let c = idx lsr chunk_bits in
-    if c >= Array.length t.top then grow t (c + 1);
-    if Bytes.unsafe_get t.owned c <> '\001' then own_chunk t c
-    else if Array.unsafe_get t.top c == empty_chunk then
-      t.top.(c) <- Array.make chunk_pages no_page;
+    if Bytes.unsafe_get t.owned c <> '\001' || Array.unsafe_get t.top c == empty_chunk
+    then own_chunk t c;
     let ch = Array.unsafe_get t.top c in
     let s = idx land (chunk_pages - 1) in
     if Array.unsafe_get ch s == no_page then begin
-      Array.unsafe_set ch s { data = Bytes.make page_size '\000'; private_ = true };
-      t.mapped_pages <- t.mapped_pages + 1
+      Array.unsafe_set ch s (Bytes.make page_size '\000');
+      Bytes.unsafe_set (Array.unsafe_get t.privs c) s '\001';
+      t.mapped_pages <- t.mapped_pages + 1;
+      t.generation <- t.generation + 1
     end
   done
 
-(* Record under [addr], or [no_page] if unmapped — never raises. *)
+(* Payload under [addr], or [no_page] if unmapped — never raises. *)
 let page_at t addr =
   let idx = page_of addr in
   let c = idx lsr chunk_bits in
-  if c >= Array.length t.top || c < 0 then no_page
-  else
-    Array.unsafe_get (Array.unsafe_get t.top c) (idx land (chunk_pages - 1))
+  if c >= chunks then no_page
+  else Array.unsafe_get (Array.unsafe_get t.top c) (idx land (chunk_pages - 1))
 
 let is_mapped t addr = page_at t addr != no_page
 
-let page_exn t addr =
+(* Read path: the payload as-is, shared or not. *)
+let ro_page t addr =
   let p = page_at t addr in
   if p == no_page then raise (Fault.Trap (Fault.Segfault addr));
   p
 
-(* Read path: the payload as-is, shared or not. *)
-let ro_page t addr = (page_exn t addr).data
-
-(* Write path: own the chunk's records, then break payload sharing with
-   a private copy on first dirty. An unmapped address faults before any
-   sharing is broken (chunk materialisation is invisible: no payload is
-   copied and no counter moves). *)
+(* Write path: own the chunk, then break payload sharing with a private
+   copy on first dirty. An unmapped address faults before any sharing
+   is broken (owning a chunk is invisible: no payload is copied and no
+   counter moves). *)
 let rw_page t addr =
   let idx = page_of addr in
   let c = idx lsr chunk_bits in
-  if c >= Array.length t.top || c < 0 then
-    raise (Fault.Trap (Fault.Segfault addr));
+  if c >= chunks then raise (Fault.Trap (Fault.Segfault addr));
   if Bytes.unsafe_get t.owned c <> '\001' then own_chunk t c;
-  let p = Array.unsafe_get (Array.unsafe_get t.top c) (idx land (chunk_pages - 1)) in
+  let ch = Array.unsafe_get t.top c in
+  let s = idx land (chunk_pages - 1) in
+  let p = Array.unsafe_get ch s in
   if p == no_page then raise (Fault.Trap (Fault.Segfault addr));
-  if p.private_ then p.data
+  let privs = Array.unsafe_get t.privs c in
+  if Bytes.unsafe_get privs s = '\001' then p
   else begin
-    let d = Bytes.copy p.data in
-    p.data <- d;
-    p.private_ <- true;
+    let d = Bytes.copy p in
+    Array.unsafe_set ch s d;
+    Bytes.unsafe_set privs s '\001';
+    t.generation <- t.generation + 1;
     t.family.cow_breaks <- t.family.cow_breaks + 1;
     d
   end
@@ -201,19 +186,18 @@ let rw_page t addr =
    it would bypass CoW. *)
 let code_window t addr =
   let p = page_at t addr in
-  if p == no_page then None else Some (p.data, offset_of addr)
+  if p == no_page then None else Some (p, offset_of addr)
 
 (* The page's payload may be aliased by a fork relative: either the
-   whole chunk is still unowned (shared records, shared payloads), or
-   our own record has not privatised its payload. *)
+   whole chunk is still unowned, or its privacy byte is clear. *)
 let payload_shared t addr =
   let idx = page_of addr in
   let c = idx lsr chunk_bits in
-  if c >= Array.length t.top || c < 0 then false
-  else begin
-    let p = Array.unsafe_get (Array.unsafe_get t.top c) (idx land (chunk_pages - 1)) in
-    p != no_page && (Bytes.unsafe_get t.owned c <> '\001' || not p.private_)
-  end
+  let s = idx land (chunk_pages - 1) in
+  c < chunks
+  && Array.unsafe_get (Array.unsafe_get t.top c) s != no_page
+  && (Bytes.unsafe_get t.owned c <> '\001'
+     || Bytes.unsafe_get (Array.unsafe_get t.privs c) s <> '\001')
 
 let read_u8 t addr = Char.code (Bytes.get (ro_page t addr) (offset_of addr))
 
@@ -304,30 +288,35 @@ let cstr_len t addr =
   in
   scan addr 0
 
-(* O(chunks), not O(pages): the child aliases our chunk records and
-   both sides drop ownership, so record (and payload) copies happen
-   lazily, per chunk, on first write in either space. *)
+(* A fork copies the 256-word directories, never a chunk or a page:
+   both sides drop ownership, so chunk and payload copies happen
+   lazily on first write in either space. *)
 let clone t =
   let n = t.mapped_pages in
-  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
+  Bytes.fill t.owned 0 chunks '\000';
   t.family.clones <- t.family.clones + 1;
   t.family.pages_aliased <- t.family.pages_aliased + n;
   {
     top = Array.copy t.top;
-    owned = Bytes.make (Array.length t.top) '\000';
+    privs = Array.copy t.privs;
+    owned = Bytes.make chunks '\000';
     mapped_pages = n;
+    generation = 0;
     family = t.family;
   }
 
+let generation t = t.generation
 let mapped_bytes t = t.mapped_pages * page_size
 
 let resident_bytes t =
   let acc = ref 0 in
-  Array.iteri
-    (fun c ch ->
-      if Bytes.get t.owned c = '\001' && ch != empty_chunk then
-        Array.iter (fun p -> if p != no_page && p.private_ then acc := !acc + page_size) ch)
-    t.top;
+  for c = 0 to chunks - 1 do
+    if Bytes.get t.owned c = '\001' then
+      Array.iteri
+        (fun s p ->
+          if p != no_page && Bytes.get t.privs.(c) s = '\001' then acc := !acc + page_size)
+        t.top.(c)
+  done;
   !acc
 
 let shared_bytes t = mapped_bytes t - resident_bytes t

@@ -6,13 +6,14 @@
     [Fault.Trap (Segfault _)] — which is precisely the signal the
     byte-by-byte attacker observes as a child crash.
 
-    {!clone} (the [fork] primitive) is O(chunk table), not O(pages or
-    bytes): pages live in fixed 64-page chunks of a flat array, the
-    child aliases the parent's chunk records wholesale, and per-page
-    records are re-materialised lazily, chunk at a time, on the first
-    write in either space. The first write to a page whose payload may
-    be aliased then breaks the sharing with a private copy (see
-    DESIGN.md §5 for the invariants). Reads never copy. *)
+    Pages live in a fixed two-level table: 256 chunks of 128 pages,
+    exactly the 128 MiB guest layout below [0x0800_0000]. {!clone} (the
+    [fork] primitive) copies only the 256-entry chunk directory, small
+    enough for OCaml's minor heap: the child aliases the parent's
+    chunks, and each side copies a chunk's payload array on its first
+    write there. The first write to a page whose payload may be aliased
+    then breaks the sharing with a private copy (see DESIGN.md §5 for
+    the invariants). Reads never copy. *)
 
 type t
 
@@ -22,7 +23,10 @@ val page_size : int
 
 val map : t -> addr:int64 -> len:int -> unit
 (** Map (zero-filled) all pages covering [addr, addr+len). Already
-    mapped pages are left untouched. *)
+    mapped pages are left untouched. Raises
+    [Invalid_argument "Memory.map: outside the 128 MiB guest layout"]
+    (mapping nothing) when any of those pages lies at or above
+    [0x0800_0000]. *)
 
 val is_mapped : t -> int64 -> bool
 
@@ -63,10 +67,18 @@ val payload_shared : t -> int64 -> bool
 
 val clone : t -> t
 (** The [fork] primitive's address-space clone. Copy-on-write at two
-    levels: the child aliases the parent's chunk records (O(chunks)
-    work), and page payloads stay shared until first write in either
-    space. Observable behaviour is identical to a deep copy — writes in
-    either space never become visible in the other. *)
+    levels: the child aliases the parent's chunks (one 256-entry
+    directory copied, no page touched), and page payloads stay shared
+    until first write in either space. Observable behaviour is
+    identical to a deep copy — writes in either space never become
+    visible in the other. *)
+
+val generation : t -> int
+(** Payload generation of this space: it rises whenever a page slot's
+    payload object changes (a new mapping or a copy-on-write break).
+    While it is unchanged, every page of the space holds the same
+    payload object as before, so a {!code_window} identity check made
+    earlier still holds. Compare only values read from the same space. *)
 
 val mapped_bytes : t -> int
 (** Total bytes of mapped address space (resident + shared), for the

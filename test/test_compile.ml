@@ -516,6 +516,57 @@ let test_superblock_across_fork () =
   run_to_halt cpu mem;
   check_reg "parent unaffected by CoW divergence" Reg.RBX 2L cpu
 
+(* A chain link remembers the space and payload generation of its last
+   full anchor check and skips the check while both match. A CoW break
+   with no invalidation — the child writes one byte into a chained
+   successor's fork-shared text page — moves the child's generation, so
+   its next hop re-checks the successor's anchor, finds it stale and
+   bounces to the dispatcher, which decodes the new bytes. The successor
+   sits on its own page: the dispatcher's head-anchor check cannot see
+   the write, only the link can. *)
+let test_chain_link_generation () =
+  with_fuse_threshold 1_000_000 @@ fun () ->
+  let succ = Int64.add text_base 0x1000L in
+  let cpu, mem = fresh () in
+  Memory.map mem ~addr:succ ~len:4096;
+  load_program mem
+    [ Insn.Bin (Insn.Add, Operand.reg Reg.RCX, Operand.imm 1L); Insn.Jmp (Insn.Abs succ) ];
+  let tail v =
+    Encode.list_to_bytes
+      [
+        Insn.Mov (Operand.reg Reg.RBX, Operand.imm v);
+        Insn.Bin (Insn.Cmp, Operand.reg Reg.RCX, Operand.imm 8L);
+        Insn.Jcc (Insn.L, Insn.Abs text_base);
+        Insn.Hlt;
+      ]
+  in
+  Memory.write_bytes mem succ (tail 2L);
+  let loop cpu mem =
+    Cpu.set cpu Reg.RCX 0L;
+    run_to_halt cpu mem
+  in
+  loop cpu mem;
+  check_reg "parent loop" Reg.RBX 2L cpu;
+  let ccpu = Cpu.clone cpu in
+  let cmem = Memory.clone mem in
+  let stats () = Tcache.exec_stats ccpu.Cpu.tcache in
+  let hops = (stats ()).Tcache.chain_hops in
+  loop ccpu cmem;
+  check_reg "child loop" Reg.RBX 2L ccpu;
+  Alcotest.(check bool) "child hopped through its own links" true
+    ((stats ()).Tcache.chain_hops > hops + 8);
+  let old_b = tail 2L and new_b = tail 9L in
+  let i = ref 0 in
+  while Bytes.get old_b !i = Bytes.get new_b !i do incr i done;
+  let gen = Memory.generation cmem and invalidated = (stats ()).Tcache.invalidated in
+  Memory.write_u8 cmem (Int64.add succ (Int64.of_int !i)) (Char.code (Bytes.get new_b !i));
+  Alcotest.(check bool) "CoW break moved the generation" true (Memory.generation cmem > gen);
+  Alcotest.(check int) "no invalidation" invalidated (stats ()).Tcache.invalidated;
+  loop ccpu cmem;
+  check_reg "child's next hop runs the new bytes" Reg.RBX 9L ccpu;
+  loop cpu mem;
+  check_reg "parent keeps the old bytes" Reg.RBX 2L cpu
+
 (* Superblock fusion must not perturb profiler attribution: the fused
    closure retires a whole chain in one sweep, yet its per-constituent
    self-notes must reproduce the per-block rows byte for byte —
@@ -788,6 +839,8 @@ let () =
             `Quick test_superblock_constituent_patch;
           Alcotest.test_case "superblock invalidation across CoW fork" `Quick
             test_superblock_across_fork;
+          Alcotest.test_case "CoW break re-checks a chain link's successor" `Quick
+            test_chain_link_generation;
           Alcotest.test_case "profile attribution identical under fusion"
             `Quick test_superblock_profile_attribution;
         ] );

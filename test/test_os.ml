@@ -577,6 +577,36 @@ let test_objfile_rejects_garbage () =
   check_fails (Bytes.sub good 0 (Bytes.length good - 3));
   check_fails (Bytes.sub good 0 20)
 
+(* An object file may name any section base; one outside the guest
+   layout must be refused at load time rather than reach Kernel.spawn,
+   whose page table covers only [0, Layout.address_limit). *)
+let test_objfile_rejects_out_of_layout () =
+  let image = compile "int main() { return 0; }" in
+  let high = 0x7FFF_0000_0000_0000L in
+  let crafted =
+    {
+      image with
+      Os.Image.text_base = high;
+      entry = Int64.add high (Int64.sub image.Os.Image.entry image.Os.Image.text_base);
+    }
+  in
+  (match Os.Objfile.read (Os.Objfile.write crafted) with
+  | exception Os.Objfile.Format_error msg ->
+    Alcotest.(check string) "pinned error"
+      (Printf.sprintf
+         "text section [0x7fff000000000000, +%d) outside the guest layout [0, 0x8000000)"
+         (Bytes.length image.Os.Image.text))
+      msg
+  | _ -> Alcotest.fail "out-of-layout text accepted");
+  Alcotest.check_raises "spawn refuses it too"
+    (Invalid_argument "Memory.map: outside the 128 MiB guest layout") (fun () ->
+      ignore (Os.Kernel.spawn (Os.Kernel.create ()) crafted));
+  (* data is mapped at least one page: a base in the last page overflows *)
+  let edge = { image with Os.Image.data_base = Int64.sub Vm64.Layout.address_limit 16L } in
+  match Os.Objfile.read (Os.Objfile.write edge) with
+  | exception Os.Objfile.Format_error _ -> ()
+  | _ -> Alcotest.fail "data page past the layout accepted"
+
 let test_objfile_save_load () =
   let image = compile "int main() { print_str(\"persisted\"); return 0; }" in
   let path = Filename.temp_file "pssp" ".bin" in
@@ -657,6 +687,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_objfile_roundtrip;
           Alcotest.test_case "rewritten roundtrip" `Quick test_objfile_rewritten_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_objfile_rejects_garbage;
+          Alcotest.test_case "rejects out-of-layout sections" `Quick
+            test_objfile_rejects_out_of_layout;
           Alcotest.test_case "save/load" `Quick test_objfile_save_load;
         ] );
     ]

@@ -186,6 +186,221 @@ let prop_mem_roundtrip =
       Memory.write_u64 m (Int64.of_int off) v;
       Memory.read_u64 m (Int64.of_int off) = v)
 
+let test_map_outside_layout () =
+  let m = Memory.create () in
+  let outside = Invalid_argument "Memory.map: outside the 128 MiB guest layout" in
+  Alcotest.check_raises "at the limit" outside (fun () ->
+      Memory.map m ~addr:Layout.address_limit ~len:1);
+  Alcotest.check_raises "straddling the limit" outside (fun () ->
+      Memory.map m ~addr:(Int64.sub Layout.address_limit 4096L) ~len:8192);
+  Alcotest.check_raises "far above" outside (fun () ->
+      Memory.map m ~addr:0x7FFF_0000_0000_0000L ~len:4096);
+  Alcotest.(check int) "nothing mapped by a refused map" 0 (Memory.mapped_bytes m);
+  Memory.map m ~addr:(Int64.sub Layout.address_limit 4096L) ~len:4096;
+  Memory.write_u8 m (Int64.sub Layout.address_limit 1L) 7;
+  Alcotest.(check int) "last page usable" 7
+    (Memory.read_u8 m (Int64.sub Layout.address_limit 1L))
+
+(* ---- page table vs a deep-copy reference model ----------------------------- *)
+
+(* A family of up to 4 spaces runs random map / write / read / clone
+   sequences; a model that deep-copies on clone runs the same ops. Every
+   result and fault address must agree, and so must the accounting
+   (mapped/resident/shared, payload_shared, CoW breaks) and the
+   generation contract: while a space's generation is unchanged, every
+   page keeps its payload object. Addresses cluster around the chunk
+   boundary at page 128 and the top of the layout, at page ends. *)
+type mem_op =
+  | Map of int * int64 * int
+  | W8 of int * int64 * int
+  | W64 of int * int64 * int64
+  | R8 of int * int64
+  | R64 of int * int64
+  | Clone of int * int  (* source, slot to replace when the family is full *)
+
+let show_mem_op = function
+  | Map (s, a, n) -> Printf.sprintf "map %d 0x%Lx+%d" s a n
+  | W8 (s, a, v) -> Printf.sprintf "w8 %d 0x%Lx %d" s a v
+  | W64 (s, a, v) -> Printf.sprintf "w64 %d 0x%Lx 0x%Lx" s a v
+  | R8 (s, a) -> Printf.sprintf "r8 %d 0x%Lx" s a
+  | R64 (s, a) -> Printf.sprintf "r64 %d 0x%Lx" s a
+  | Clone (s, d) -> Printf.sprintf "clone %d->%d" s d
+
+let model_pages = [ 126; 127; 128; 129; 130; 32766; 32767 ]
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let addr =
+    map3
+      (fun p near_end o -> Int64.of_int ((p * 4096) + if near_end then 4096 - o else o))
+      (oneofl model_pages) bool (int_range 1 9)
+  in
+  let space = int_bound 3 in
+  frequency
+    [
+      (2, map3 (fun s a n -> Map (s, a, n)) space addr (int_range 1 9000));
+      (4, map3 (fun s a v -> W8 (s, a, v)) space addr (int_bound 255));
+      (4, map3 (fun s a v -> W64 (s, a, v)) space addr ui64);
+      (3, map2 (fun s a -> R8 (s, a)) space addr);
+      (3, map2 (fun s a -> R64 (s, a)) space addr);
+      (2, map2 (fun s d -> Clone (s, d)) space space);
+    ]
+
+type model_space = { pages : (int, Bytes.t) Hashtbl.t; priv : (int, unit) Hashtbl.t }
+
+type mem_result = Value of int64 | Fault_at of int64 | Refused
+
+let prop_page_table_model =
+  QCheck.Test.make ~name:"page table matches a deep-copy model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_mem_op))
+    (fun ops ->
+      let pg a = Int64.to_int (Int64.shift_right_logical a 12) in
+      let off a = Int64.to_int (Int64.logand a 0xFFFL) in
+      let breaks = ref 0 in
+      let m_read8 s a =
+        match Hashtbl.find_opt s.pages (pg a) with
+        | Some p -> Char.code (Bytes.get p (off a))
+        | None -> raise (Fault.Trap (Fault.Segfault a))
+      in
+      let m_write8 s a v =
+        match Hashtbl.find_opt s.pages (pg a) with
+        | None -> raise (Fault.Trap (Fault.Segfault a))
+        | Some p ->
+          if not (Hashtbl.mem s.priv (pg a)) then begin
+            incr breaks;
+            Hashtbl.replace s.priv (pg a) ()
+          end;
+          Bytes.set p (off a) (Char.chr (v land 0xFF))
+      in
+      let byte v i = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
+      let model_op s = function
+        | Map (_, a, n) ->
+          let first = pg a and last = pg (Int64.add a (Int64.of_int (n - 1))) in
+          if last >= Int64.to_int Layout.address_limit / 4096 then Refused
+          else begin
+            for p = first to last do
+              if not (Hashtbl.mem s.pages p) then begin
+                Hashtbl.replace s.pages p (Bytes.make 4096 '\000');
+                Hashtbl.replace s.priv p ()
+              end
+            done;
+            Value 0L
+          end
+        | W8 (_, a, v) ->
+          m_write8 s a v;
+          Value 0L
+        | W64 (_, a, v) ->
+          (* byte order: a spanning write leaves the prefix before a fault *)
+          for i = 0 to 7 do m_write8 s (Int64.add a (Int64.of_int i)) (byte v i) done;
+          Value 0L
+        | R8 (_, a) -> Value (Int64.of_int (m_read8 s a))
+        | R64 (_, a) ->
+          (* an in-page load faults at its address, a spanning one at
+             its highest unmapped byte (the slow path reads high to low) *)
+          if off a + 8 <= 4096 && not (Hashtbl.mem s.pages (pg a)) then
+            raise (Fault.Trap (Fault.Segfault a));
+          let v = ref 0L in
+          for i = 7 downto 0 do
+            let b = m_read8 s (Int64.add a (Int64.of_int i)) in
+            v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+          done;
+          Value !v
+        | Clone _ -> Value 0L
+      in
+      let real_op m = function
+        | Map (_, a, n) -> (
+          match Memory.map m ~addr:a ~len:n with
+          | () -> Value 0L
+          | exception Invalid_argument _ -> Refused)
+        | W8 (_, a, v) ->
+          Memory.write_u8 m a v;
+          Value 0L
+        | W64 (_, a, v) ->
+          Memory.write_u64 m a v;
+          Value 0L
+        | R8 (_, a) -> Value (Int64.of_int (Memory.read_u8 m a))
+        | R64 (_, a) -> Value (Memory.read_u64 m a)
+        | Clone _ -> Value 0L
+      in
+      let catch f = try f () with Fault.Trap (Fault.Segfault a) -> Fault_at a in
+      let cow_total () = Telemetry.Registry.read_int Memory.metric_cow_breaks in
+      let cow_before = cow_total () in
+      let real = ref [| Memory.create () |] in
+      let model = ref [| { pages = Hashtbl.create 8; priv = Hashtbl.create 8 } |] in
+      let check_pages i m s =
+        Memory.mapped_bytes m = 4096 * Hashtbl.length s.pages
+        && Memory.resident_bytes m = 4096 * Hashtbl.length s.priv
+        && Memory.mapped_bytes m = Memory.resident_bytes m + Memory.shared_bytes m
+        && List.for_all
+             (fun p ->
+               let a = Int64.of_int (p * 4096) in
+               Memory.is_mapped m a = Hashtbl.mem s.pages p
+               && Memory.payload_shared m a
+                  = (Hashtbl.mem s.pages p && not (Hashtbl.mem s.priv p)))
+             model_pages
+        || QCheck.Test.fail_reportf "accounting of space %d" i
+      in
+      let windows m =
+        List.map (fun p -> Memory.code_window m (Int64.of_int (p * 4096))) model_pages
+      in
+      let same_payloads w w' =
+        List.for_all2
+          (fun a b ->
+            match (a, b) with
+            | Some (x, _), Some (y, _) -> x == y
+            | None, None -> true
+            | _ -> false)
+          w w'
+      in
+      List.for_all
+        (fun op ->
+          let n = Array.length !real in
+          let before = Array.map (fun m -> (m, Memory.generation m, windows m)) !real in
+          let ok =
+            match op with
+            | Clone (src, dst) ->
+              let src = src mod n in
+              let c = Memory.clone !real.(src) in
+              let mc =
+                let s = !model.(src) in
+                Hashtbl.reset s.priv;
+                let pages = Hashtbl.create 8 in
+                Hashtbl.iter (fun p b -> Hashtbl.replace pages p (Bytes.copy b)) s.pages;
+                { pages; priv = Hashtbl.create 8 }
+              in
+              if n < 4 then begin
+                real := Array.append !real [| c |];
+                model := Array.append !model [| mc |]
+              end
+              else begin
+                !real.(dst) <- c;
+                !model.(dst) <- mc
+              end;
+              true
+            | Map (s, _, _) | W8 (s, _, _) | W64 (s, _, _) | R8 (s, _) | R64 (s, _) ->
+              let i = s mod n in
+              let r = catch (fun () -> real_op !real.(i) op) in
+              let e = catch (fun () -> model_op !model.(i) op) in
+              r = e
+              || QCheck.Test.fail_reportf "%s: results differ" (show_mem_op op)
+          in
+          ok
+          && Array.for_all Fun.id (Array.mapi (fun i m -> check_pages i m !model.(i)) !real)
+          && Array.for_all
+               (fun (m, g, w) ->
+                 (not (Array.exists (fun m' -> m' == m) !real))
+                 || Memory.generation m <> g
+                 || same_payloads w (windows m)
+                 || QCheck.Test.fail_reportf "%s: payload moved, generation did not"
+                      (show_mem_op op))
+               before
+          && (cow_total () - cow_before = !breaks
+             || QCheck.Test.fail_reportf "%s: vm.mem.cow_breaks +%d, model %d"
+                  (show_mem_op op) (cow_total () - cow_before) !breaks))
+        ops)
+
 (* ---- execution harness ----------------------------------------------------- *)
 
 let env = Exec.create_env ~is_builtin:(fun a -> if a = 0x100L then Some "fake" else None) ()
@@ -797,7 +1012,9 @@ let () =
             test_mem_cross_page_fault_partial;
           Alcotest.test_case "mapped bytes" `Quick test_mapped_bytes;
           Alcotest.test_case "cstr_len" `Quick test_cstr_len;
+          Alcotest.test_case "map outside the layout" `Quick test_map_outside_layout;
           qc prop_mem_roundtrip;
+          qc prop_page_table_model;
         ] );
       ( "cow",
         [
