@@ -341,7 +341,7 @@ let run_micro () =
 
 let run_tierbench () =
   section
-    "Tier A/B - interpreter vs closures vs chained/fused vs register caching";
+    "Tier A/B - interpreter vs closures vs chained/fused vs threaded chain";
   (* best-of-3 to shrug off GC and scheduler noise; the first run
      doubles as warm-up for the host *)
   let best_of_3 f =
@@ -405,7 +405,7 @@ let run_tierbench () =
       tier2_s tier1_s;
     exit 1
   end;
-  (* gate 3 (PR 8): register caching beats the plain chained tier on the
+  (* gate 3: the threaded chain beats the per-step chained tier on the
      same serial table5 workload *)
   let tier3_s = time_tier ~workload:"table5" 3 table5 in
   Printf.printf
@@ -413,7 +413,7 @@ let run_tierbench () =
     tier2_s tier3_s (tier2_s /. tier3_s);
   if tier3_s >= tier2_s then begin
     Printf.eprintf
-      "tierbench: register-caching tier (%.3fs) is not faster than the \
+      "tierbench: threaded-chain tier (%.3fs) is not faster than the \
        chained tier (%.3fs)\n"
       tier3_s tier2_s;
     exit 1
@@ -596,7 +596,7 @@ let () =
       Harness.Cli.tier_value ~name:"--compile-tier"
         ~doc:
           "execution tier: off = interpreter, 1 = per-block closures,\n\
-           2 = chained/fused superblocks, 3 = register caching\n\
+           2 = chained/fused superblocks, 3 = threaded chain\n\
            (default; on = 3). Campaign output is byte-identical for\n\
            every tier."
         Vm64.Compile.set_tier;

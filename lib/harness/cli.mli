@@ -29,7 +29,7 @@ val on_off : name:string -> doc:string -> (bool -> unit) -> spec
 
 val tier_value : name:string -> doc:string -> (int -> unit) -> spec
 (** Execution-tier selector: accepts [off|0] (interpreter), [1]
-    (per-block closures), [2] (chained/fused), [3] (register caching),
+    (per-block closures), [2] (chained/fused), [3] (threaded chain),
     and the legacy alias [on] (= 3, the highest tier). Rejects with
     ["NAME expects off, 1, 2, 3 or on, got X"]. *)
 

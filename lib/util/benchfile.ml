@@ -27,7 +27,7 @@ type t = {
   jobs : int;
   compile_tier : int;
       (* 0 = interpreter, 1 = closures, 2 = chained/fused,
-         3 = chained/fused + register caching *)
+         3 = chained/fused + threaded chain *)
   shards : int;  (* total shard count; 1 = unsharded *)
   shard : int option;  (* Some k on a shard file (0-based, of [shards]) *)
   merged_from : string list;  (* shard files a `bench merge` combined *)

@@ -39,7 +39,7 @@ type t = {
   jobs : int;
   compile_tier : int;
       (** 0 = interpreter, 1 = per-block closures, 2 = chained/fused,
-          3 = chained/fused + register caching. PR <= 6 records stored
+          3 = chained/fused + threaded chain. PR <= 6 records stored
           a boolean; the reader maps it to 0/1. *)
   shards : int;  (** total shard count; 1 = unsharded *)
   shard : int option;

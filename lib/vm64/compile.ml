@@ -2,11 +2,16 @@
    {!Ir} in passes (lift -> normalize -> fuse -> emit): every decision
    that depends only on the instruction encoding — operand shape,
    immediate values, addressing mode, builtin resolution for direct
-   calls — is taken once here, so the retire loop left in [run_code] is
-   an array walk over pre-specialized closures. Cycle charging and rip
-   updates are deferred to block exit (see the protocol notes on
-   [run_code]); both were per-instruction allocations in the interpreter
-   (boxed Int64 for [Cpu.add_cycles], caml_modify for rip).
+   calls — is taken once here. Cycle charging and rip updates are
+   deferred to block exit (see the protocol notes on [charge_exit]).
+
+   Every instruction is lowered once, by [lower], into a step: a
+   one-argument closure over the machine ([mach]) that updates the
+   register file in place and tail-calls its continuation. Tiers 1 and
+   2 run each step against a continuation that just reports [Running]
+   ([run_steps], one step per loop turn, exact fuel limits); tier 3
+   runs the threaded chain, every step tail-calling the next, for a
+   whole translation at once ([run_chain]).
 
    Tier 2 ([run_tier2]) additionally chains compiled blocks through
    their exits — a taken/fall-through/return transfer jumps straight
@@ -14,14 +19,7 @@
    [Exec.step_block]'s dispatch loop — and fuses hot unconditional
    chains into superblock translations. See the link-validity notes on
    [link_live] for how invalidation and CoW forks unlink stale
-   successors.
-
-   Tier 3 ([emit3]) caches the translation's hottest guest registers in
-   closure "locals" — arguments threaded through a continuation chain —
-   so their reads and writes stop going through the [Cpu.gprs] array
-   (and its caml_modify write barrier) at every access. The spill
-   protocol notes on [emit3] explain why faults still observe exact
-   architectural state. *)
+   successors. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -33,9 +31,26 @@ type outcome = Compiled.outcome =
   | Halted
   | Faulted of Fault.t
 
-type op = Cpu.t -> Memory.t -> outcome
-
 type builtin_fn = Cpu.t -> Memory.t -> int64
+
+(* The one value a step takes: the CPU plus its address space, with the
+   register file and flags one load away. [at] is the index of the step
+   that stopped the run: a step sets it before anything that can raise
+   or end the run, so a fault needs no more than rip set to that step's
+   address. *)
+type mach = {
+  cpu : Cpu.t;
+  mem : Memory.t;
+  regs : Bytes.t;
+  flags : Cpu.flags;
+  tmp : Bytes.t;  (* 8 bytes: where a slow 8-byte load leaves its value *)
+  mutable at : int;
+}
+
+type step = mach -> outcome
+
+let mach cpu mem =
+  { cpu; mem; regs = cpu.Cpu.gprs; flags = cpu.Cpu.flags; tmp = Bytes.create 8; at = 0 }
 
 (* A patched exit: the successor translation this code may enter
    directly, valid only for the address space and invalidation epoch it
@@ -51,13 +66,14 @@ type link = {
 }
 
 and code = {
-  ops : op array;
+  ops : step array;  (* step i against a [Running] continuation *)
+  chain : step;  (* the threaded chain: all steps, then [Running] *)
   addrs : int64 array;  (* address of each instruction *)
   nexts : int64 array;  (* fall-through rip of each instruction *)
   csum : int array;  (* csum.(k) = static cycles of the first k insns *)
   crsum : int array;  (* crsum.(k) = call/ret insns among the first k *)
   sets_rip : bool array;
-      (* closure writes rip when returning Running — terminators, which
+      (* step writes rip when returning Running — terminators, which
          superblock fusion can place mid-array *)
   exit_ : Ir.exit_shape;
   blocks : Tcache.block array;  (* constituent blocks, head first *)
@@ -69,20 +85,14 @@ and code = {
   mutable fuse_tried : bool;
   link_a : link;  (* taken / unconditional / dynamic target cache *)
   link_b : link;  (* fall-through side of a two-way branch *)
-  cached : int array;  (* tier-3 cached gpr indices, [||] when t3 = None *)
-  t3 : (Cpu.t -> Memory.t -> outcome * int) option;
-      (* tier-3 register-caching chain: runs the whole translation (no
-         fuel boundary inside, so only entered with fuel >= length),
-         returning [run_code]'s (outcome, retired) — the caller settles
-         cycles with [charge_exit] exactly like [run_code]'s finish *)
 }
 
-type Compiled.slot += Code of code | Uncompilable
+type Compiled.slot += Code of code
 
 (* Tier switch, read once per block dispatch. Atomic so bench/tests can
    force a tier while campaign domains are quiescent.
-   0 = interpreter, 1 = per-block closures (PR 3), 2 = chained/fused
-   (PR 7), 3 = chained/fused with register caching (default). *)
+   0 = interpreter, 1 = per-block closures, 2 = chained/fused,
+   3 = chained/fused running the threaded chain (default). *)
 let tier_flag = Atomic.make 3
 
 let set_tier n =
@@ -90,7 +100,6 @@ let set_tier n =
   Atomic.set tier_flag n
 
 let tier () = Atomic.get tier_flag
-let set_enabled b = set_tier (if b then 3 else 0)
 let enabled () = tier () > 0
 
 (* Entries before a code becomes a superblock-formation candidate.
@@ -101,30 +110,32 @@ let set_fuse_threshold n = Atomic.set fuse_threshold (Stdlib.max 1 n)
 let get_fuse_threshold () = Atomic.get fuse_threshold
 
 (* ---- Semantics helpers shared with the interpreter tier ------------ *)
-(* [Exec] aliases these; keeping one definition means the two tiers
-   cannot drift on flag arithmetic or stack discipline. *)
+(* [Exec] aliases these; keeping one definition means the interpreter
+   and the compiled steps cannot drift on flag arithmetic or condition
+   tests. Inlined into the steps, so their int64 arguments are never
+   boxed. *)
 
-let set_logic_flags (f : Cpu.flags) r =
+let[@inline] set_logic_flags (f : Cpu.flags) r =
   f.zf <- Int64.equal r 0L;
   f.sf <- Int64.compare r 0L < 0;
   f.cf <- false;
   f.of_ <- false
 
-let set_add_flags (f : Cpu.flags) a b r =
+let[@inline] set_add_flags (f : Cpu.flags) a b r =
   f.zf <- Int64.equal r 0L;
   f.sf <- Int64.compare r 0L < 0;
   f.cf <- Int64.unsigned_compare r a < 0;
   f.of_ <- Int64.compare a 0L < 0 = (Int64.compare b 0L < 0)
            && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
 
-let set_sub_flags (f : Cpu.flags) a b r =
+let[@inline] set_sub_flags (f : Cpu.flags) a b r =
   f.zf <- Int64.equal r 0L;
   f.sf <- Int64.compare r 0L < 0;
   f.cf <- Int64.unsigned_compare a b < 0;
   f.of_ <- Int64.compare a 0L < 0 <> (Int64.compare b 0L < 0)
            && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
 
-let cond_holds (f : Cpu.flags) = function
+let[@inline] cond_holds (f : Cpu.flags) = function
   | I.E -> f.zf
   | NE -> not f.zf
   | L -> f.sf <> f.of_
@@ -157,1356 +168,670 @@ let xmm_to_bytes (lo, hi) =
 
 let xmm_of_bytes b = (Bytes.get_int64_le b 0, Bytes.get_int64_le b 8)
 
-(* ---- Operand specialization ---------------------------------------- *)
+(* ---- Register file and guest memory -------------------------------- *)
 
-let rsp_i = Isa.Reg.index Isa.Reg.RSP
-let rbp_i = Isa.Reg.index Isa.Reg.RBP
-let rax_i = Isa.Reg.index Isa.Reg.RAX
-let rdx_i = Isa.Reg.index Isa.Reg.RDX
+(* Register-file byte offset of a gpr. *)
+let ro r = Isa.Reg.index r lsl 3
 
-(* Effective address, one closure per addressing mode. Int64 addition is
-   associative modulo 2^64, so the specialized sums equal the
-   interpreter's seg + base + (index*scale + disp). *)
-let rec ea_of (m : O.mem) : Cpu.t -> int64 =
-  match (m.O.seg_fs, m.O.base, m.O.index) with
-  | true, None, None ->
-    let d = m.O.disp in
-    fun cpu -> Int64.add cpu.Cpu.fs_base d
-  | true, _, _ ->
-    let inner = ea_of { m with O.seg_fs = false } in
-    fun cpu -> Int64.add cpu.Cpu.fs_base (inner cpu)
-  | false, None, None ->
-    let d = m.O.disp in
-    fun _ -> d
-  | false, Some b, None ->
-    let b = Isa.Reg.index b and d = m.O.disp in
-    fun cpu -> Int64.add (Array.unsafe_get cpu.Cpu.gprs b) d
-  | false, None, Some (x, s) ->
-    let x = Isa.Reg.index x in
-    let s = Int64.of_int (O.scale_factor s) and d = m.O.disp in
-    fun cpu -> Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d
-  | false, Some b, Some (x, s) ->
-    let b = Isa.Reg.index b and x = Isa.Reg.index x in
-    let s = Int64.of_int (O.scale_factor s) and d = m.O.disp in
-    fun cpu ->
-      Int64.add
-        (Array.unsafe_get cpu.Cpu.gprs b)
-        (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d)
+let rsp_o = ro Isa.Reg.RSP
+let rbp_o = ro Isa.Reg.RBP
+let rax_o = ro Isa.Reg.RAX
+let rdx_o = ro Isa.Reg.RDX
+
+let[@inline] rget m o = Cpu.get64u m.regs o
+let[@inline] rset m o v = Cpu.set64u m.regs o v
+
+(* 8-byte guest accesses. One that lies inside the 128 MiB layout and
+   inside one page goes through a page window straight to the payload:
+   an int address in, the payload out, nothing boxed. Every other access
+   takes Memory.read_u64/write_u64, and so does every access on a
+   big-endian host (the payload primitives are native-endian, guest
+   memory is little-endian). Both paths fault at the same address.
+
+   The layout test is unsigned: [Layout.address_limit] is a power of
+   two, so an address lies inside it exactly when none of the bits at
+   and above the limit is set. That also rejects addresses whose top bit
+   [Int64.to_int] would drop, so the int address is the guest address. *)
+let above_layout = Int64.neg Layout.address_limit
+let () = assert (Int64.logand Layout.address_limit (Int64.pred Layout.address_limit) = 0L)
+let page_mask = Memory.page_size - 1
+let last_off = Memory.page_size - 8
+
+let[@inline] in_window a =
+  (not Sys.big_endian)
+  && Int64.logand a above_layout = 0L
+  && Int64.to_int a land page_mask <= last_off
+
+(* The slow load passes its value through [m.tmp], so both arms of
+   [load] end in the same unboxed read: an arm returning read_u64's box
+   would make the compiler box the window arm's value too. *)
+let[@inline never] load_slow m a = Cpu.set64u m.tmp 0 (Memory.read_u64 m.mem a)
+
+let[@inline] load m a =
+  if in_window a then
+    let ai = Int64.to_int a in
+    Cpu.get64u (Memory.load_page m.mem ai) (ai land page_mask)
+  else begin
+    load_slow m a;
+    Cpu.get64u m.tmp 0
+  end
+
+let[@inline] store m a v =
+  if in_window a then
+    let ai = Int64.to_int a in
+    Cpu.set64u (Memory.store_page m.mem ai) (ai land page_mask) v
+  else Memory.write_u64 m.mem a v
+
+(* Stack discipline of the interpreter's [push]/[pop]: rsp moves before
+   the store (a faulting push leaves it decremented) and after the load
+   (a faulting pop leaves it unchanged). *)
+let[@inline] push_m m v =
+  let rsp = Int64.sub (rget m rsp_o) 8L in
+  rset m rsp_o rsp;
+  store m rsp v
+
+let[@inline] pop_m m =
+  let rsp = rget m rsp_o in
+  let v = load m rsp in
+  rset m rsp_o (Int64.add rsp 8L);
+  v
+
+(* ---- Operands ------------------------------------------------------- *)
+
+(* An effective address as captured values, evaluated in line at each
+   use so the sum stays an unboxed int64: [b]/[x] are register-file
+   offsets, -1 when absent. Int64 addition is associative modulo 2^64,
+   so the sum equals the interpreter's seg + base + (index*scale + disp). *)
+type ea = { fs : bool; b : int; x : int; s : int64; d : int64 }
+
+let ea_of (m : O.mem) =
+  let b = match m.O.base with Some r -> ro r | None -> -1 in
+  let x, s =
+    match m.O.index with
+    | Some (r, s) -> (ro r, Int64.of_int (O.scale_factor s))
+    | None -> (-1, 0L)
+  in
+  { fs = m.O.seg_fs; b; x; s; d = m.O.disp }
+
+let[@inline] ea_val m e =
+  let a = if e.b < 0 then e.d else Int64.add (rget m e.b) e.d in
+  let a = if e.x < 0 then a else Int64.add a (Int64.mul (rget m e.x) e.s) in
+  if e.fs then Int64.add m.cpu.Cpu.fs_base a else a
+
+type opnd = R of int | K of int64 | M of ea
+
+let opnd = function O.Reg r -> R (ro r) | O.Imm v -> K v | O.Mem m -> M (ea_of m)
 
 let store_to_imm addr = Fault.Trap (Fault.Bad_instruction (addr, "store to immediate"))
 
-let read64_of : O.t -> Cpu.t -> Memory.t -> int64 = function
-  | O.Reg r ->
-    let i = Isa.Reg.index r in
-    fun cpu _ -> Array.unsafe_get cpu.Cpu.gprs i
-  | O.Imm v -> fun _ _ -> v
-  | O.Mem m ->
-    let ea = ea_of m in
-    fun cpu mem -> Memory.read_u64 mem (ea cpu)
+let[@inline] read m = function
+  | R o -> rget m o
+  | K v -> v
+  | M e -> load m (ea_val m e)
 
-let write64_of addr : O.t -> Cpu.t -> Memory.t -> int64 -> unit = function
-  | O.Reg r ->
-    let i = Isa.Reg.index r in
-    fun cpu _ v -> Array.unsafe_set cpu.Cpu.gprs i v
-  | O.Mem m ->
-    let ea = ea_of m in
-    fun cpu mem v -> Memory.write_u64 mem (ea cpu) v
-  | O.Imm _ -> fun _ _ _ -> raise (store_to_imm addr)
+let[@inline] write m addr o v =
+  match o with
+  | R o -> rset m o v
+  | M e -> store m (ea_val m e) v
+  | K _ -> raise (store_to_imm addr)
 
-let read8_of : O.t -> Cpu.t -> Memory.t -> int = function
-  | O.Reg r ->
-    let i = Isa.Reg.index r in
-    fun cpu _ -> Int64.to_int (Int64.logand (Array.unsafe_get cpu.Cpu.gprs i) 0xFFL)
-  | O.Imm v ->
-    let v = Int64.to_int (Int64.logand v 0xFFL) in
-    fun _ _ -> v
-  | O.Mem m ->
-    let ea = ea_of m in
-    fun cpu mem -> Memory.read_u8 mem (ea cpu)
+let[@inline] read8 m = function
+  | R o -> Int64.to_int (rget m o) land 0xFF
+  | K v -> Int64.to_int v land 0xFF
+  | M e -> Memory.read_u8 m.mem (ea_val m e)
 
-let write8_of addr : O.t -> Cpu.t -> Memory.t -> int -> unit = function
-  | O.Reg r ->
-    let i = Isa.Reg.index r in
-    fun cpu _ v ->
-      (* Low-byte merge, like real mov to an 8-bit subregister. *)
-      let old = Array.unsafe_get cpu.Cpu.gprs i in
-      Array.unsafe_set cpu.Cpu.gprs i
-        (Int64.logor (Int64.logand old (-256L)) (Int64.of_int (v land 0xFF)))
-  | O.Mem m ->
-    let ea = ea_of m in
-    fun cpu mem v -> Memory.write_u8 mem (ea cpu) v
-  | O.Imm _ -> fun _ _ _ -> raise (store_to_imm addr)
+let[@inline] write8 m addr o v =
+  match o with
+  | R o ->
+    (* low-byte merge, like real mov to an 8-bit subregister *)
+    rset m o (Int64.logor (Int64.logand (rget m o) (-256L)) (Int64.of_int (v land 0xFF)))
+  | M e -> Memory.write_u8 m.mem (ea_val m e) v
+  | K _ -> raise (store_to_imm addr)
 
-let read32_of : O.t -> Cpu.t -> Memory.t -> int64 = function
-  | O.Reg r ->
-    let i = Isa.Reg.index r in
-    fun cpu _ -> Int64.logand (Array.unsafe_get cpu.Cpu.gprs i) 0xFFFFFFFFL
-  | O.Imm v ->
-    let v = Int64.logand v 0xFFFFFFFFL in
-    fun _ _ -> v
-  | O.Mem m ->
-    let ea = ea_of m in
-    fun cpu mem -> Memory.read_u32 mem (ea cpu)
+let[@inline] read32 m = function
+  | R o -> Int64.logand (rget m o) 0xFFFFFFFFL
+  | K v -> Int64.logand v 0xFFFFFFFFL
+  | M e -> Memory.read_u32 m.mem (ea_val m e)
 
-let write32_of addr : O.t -> Cpu.t -> Memory.t -> int64 -> unit = function
-  | O.Reg r ->
-    let i = Isa.Reg.index r in
-    fun cpu _ v -> Array.unsafe_set cpu.Cpu.gprs i (Int64.logand v 0xFFFFFFFFL)
-  | O.Mem m ->
-    let ea = ea_of m in
-    fun cpu mem v -> Memory.write_u32 mem (ea cpu) v
-  | O.Imm _ -> fun _ _ _ -> raise (store_to_imm addr)
+let[@inline] write32 m addr o v =
+  match o with
+  | R o -> rset m o (Int64.logand v 0xFFFFFFFFL)
+  | M e -> Memory.write_u32 m.mem (ea_val m e) v
+  | K _ -> raise (store_to_imm addr)
 
-let cond_test : I.cond -> Cpu.flags -> bool = function
-  | I.E -> fun f -> f.Cpu.zf
-  | I.NE -> fun f -> not f.Cpu.zf
-  | I.L -> fun f -> f.Cpu.sf <> f.Cpu.of_
-  | I.LE -> fun f -> f.Cpu.zf || f.Cpu.sf <> f.Cpu.of_
-  | I.G -> fun f -> (not f.Cpu.zf) && f.Cpu.sf = f.Cpu.of_
-  | I.GE -> fun f -> f.Cpu.sf = f.Cpu.of_
-  | I.B -> fun f -> f.Cpu.cf
-  | I.BE -> fun f -> f.Cpu.cf || f.Cpu.zf
-  | I.A -> fun f -> (not f.Cpu.cf) && not f.Cpu.zf
-  | I.AE -> fun f -> not f.Cpu.cf
-  | I.S -> fun f -> f.Cpu.sf
-  | I.NS -> fun f -> not f.Cpu.sf
+let[@inline] logic f r =
+  set_logic_flags f r;
+  r
 
-(* ---- Per-instruction translation ----------------------------------- *)
+let[@inline] check_div addr a b =
+  if Int64.equal b 0L then
+    raise (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
+  (* x86 #DE also covers INT64_MIN / -1 *)
+  if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
+    raise (Fault.Trap (Fault.Bad_instruction (addr, "division overflow")))
 
-(* [addr] is the instruction's own address (what cpu.rip reads during
-   its interpretation — rip itself is stale while compiled code runs),
-   [next] its fall-through rip. Each closure must mutate state in the
-   interpreter's order so a fault mid-instruction leaves identical
-   partial state; comments call out the spots where that order is
-   load-bearing. *)
-let insn_op ~is_builtin ~inline ~addr ~next (insn : I.t) : op =
-  match insn with
-  | I.Nop -> fun _ _ -> Running
-  (* mov, fused operand shapes first *)
-  | I.Mov (O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs d v;
-      Running
-  | I.Mov (O.Reg d, O.Reg s) ->
-    let d = Isa.Reg.index d and s = Isa.Reg.index s in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs d (Array.unsafe_get cpu.Cpu.gprs s);
-      Running
-  | I.Mov (O.Reg d, O.Mem m) ->
-    let d = Isa.Reg.index d and ea = ea_of m in
-    fun cpu mem ->
-      Array.unsafe_set cpu.Cpu.gprs d (Memory.read_u64 mem (ea cpu));
-      Running
-  | I.Mov (O.Mem m, O.Reg s) ->
-    let ea = ea_of m and s = Isa.Reg.index s in
-    fun cpu mem ->
-      Memory.write_u64 mem (ea cpu) (Array.unsafe_get cpu.Cpu.gprs s);
-      Running
-  | I.Mov (O.Mem m, O.Imm v) ->
-    let ea = ea_of m in
-    fun cpu mem ->
-      Memory.write_u64 mem (ea cpu) v;
-      Running
-  | I.Mov (dst, src) ->
-    let rd = read64_of src and wr = write64_of addr dst in
-    fun cpu mem ->
-      (* source read faults before a store-to-immediate traps *)
-      let v = rd cpu mem in
-      wr cpu mem v;
-      Running
-  | I.Movb (dst, src) ->
-    let rd = read8_of src and wr = write8_of addr dst in
-    fun cpu mem ->
-      let v = rd cpu mem in
-      wr cpu mem v;
-      Running
-  | I.Movl (dst, src) ->
-    let rd = read32_of src and wr = write32_of addr dst in
-    fun cpu mem ->
-      let v = rd cpu mem in
-      wr cpu mem v;
-      Running
-  | I.Lea (r, m) ->
-    let r = Isa.Reg.index r and ea = ea_of m in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs r (ea cpu);
-      Running
-  | I.Push (O.Reg s) ->
-    let s = Isa.Reg.index s in
-    fun cpu mem ->
-      (* value read before rsp moves: push rsp stores the old rsp *)
-      let v = Array.unsafe_get cpu.Cpu.gprs s in
-      let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs rsp_i) 8L in
-      Array.unsafe_set cpu.Cpu.gprs rsp_i rsp;
-      Memory.write_u64 mem rsp v;
-      Running
-  | I.Push (O.Imm v) ->
-    fun cpu mem ->
-      let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs rsp_i) 8L in
-      Array.unsafe_set cpu.Cpu.gprs rsp_i rsp;
-      Memory.write_u64 mem rsp v;
-      Running
-  | I.Push op ->
-    let rd = read64_of op in
-    fun cpu mem ->
-      let v = rd cpu mem in
-      push cpu mem v;
-      Running
-  | I.Pop (O.Reg d) ->
-    let d = Isa.Reg.index d in
-    fun cpu mem ->
-      let rsp = Array.unsafe_get cpu.Cpu.gprs rsp_i in
-      let v = Memory.read_u64 mem rsp in
-      (* rsp bump before the destination write: pop rsp ends at v *)
-      Array.unsafe_set cpu.Cpu.gprs rsp_i (Int64.add rsp 8L);
-      Array.unsafe_set cpu.Cpu.gprs d v;
-      Running
-  | I.Pop op ->
-    let wr = write64_of addr op in
-    fun cpu mem ->
-      let v = pop cpu mem in
-      wr cpu mem v;
-      Running
-  (* binops, fused shapes for the compiler's stack/compare idioms *)
-  | I.Bin (I.Add, O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      let r = Int64.add a v in
-      set_add_flags cpu.Cpu.flags a v r;
-      Array.unsafe_set cpu.Cpu.gprs d r;
-      Running
-  | I.Bin (I.Sub, O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      let r = Int64.sub a v in
-      set_sub_flags cpu.Cpu.flags a v r;
-      Array.unsafe_set cpu.Cpu.gprs d r;
-      Running
-  | I.Bin (I.Cmp, O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      set_sub_flags cpu.Cpu.flags a v (Int64.sub a v);
-      Running
-  | I.Bin (I.Cmp, O.Reg d, O.Reg s) ->
-    let d = Isa.Reg.index d and s = Isa.Reg.index s in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      let b = Array.unsafe_get cpu.Cpu.gprs s in
-      set_sub_flags cpu.Cpu.flags a b (Int64.sub a b);
-      Running
-  | I.Bin (bop, dst, src) -> (
-    let rd_d = read64_of dst and rd_s = read64_of src in
-    match bop with
-    | I.Add ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        let r = Int64.add a b in
-        (* flags settle before the destination write, so a faulting
-           mem-dst store still leaves them updated (as interpreted) *)
-        set_add_flags cpu.Cpu.flags a b r;
-        wr cpu mem r;
-        Running
-    | I.Sub ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        let r = Int64.sub a b in
-        set_sub_flags cpu.Cpu.flags a b r;
-        wr cpu mem r;
-        Running
-    | I.Xor ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        let r = Int64.logxor a b in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running
-    | I.And ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        let r = Int64.logand a b in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running
-    | I.Or ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        let r = Int64.logor a b in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running
-    | I.Cmp ->
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        set_sub_flags cpu.Cpu.flags a b (Int64.sub a b);
-        Running
-    | I.Test ->
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        set_logic_flags cpu.Cpu.flags (Int64.logand a b);
-        Running
-    | I.Imul ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        let r = Int64.mul a b in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running
-    | I.Idiv ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        if Int64.equal b 0L then
-          raise (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
-        if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-          raise (Fault.Trap (Fault.Bad_instruction (addr, "division overflow")));
-        let r = Int64.div a b in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running
-    | I.Irem ->
-      let wr = write64_of addr dst in
-      fun cpu mem ->
-        let a = rd_d cpu mem in
-        let b = rd_s cpu mem in
-        if Int64.equal b 0L then
-          raise (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
-        if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-          raise (Fault.Trap (Fault.Bad_instruction (addr, "division overflow")));
-        let r = Int64.rem a b in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running)
-  | I.Shift (sop, dst, k) -> (
-    match k land 63 with
-    (* masked count 0: no read, no flag or destination change *)
-    | 0 -> fun _ _ -> Running
-    | k ->
-      let rd = read64_of dst and wr = write64_of addr dst in
-      let shift =
-        match sop with
-        | I.Shl -> fun a -> Int64.shift_left a k
-        | I.Shr -> fun a -> Int64.shift_right_logical a k
-        | I.Sar -> fun a -> Int64.shift_right a k
-      in
-      fun cpu mem ->
-        let r = shift (rd cpu mem) in
-        set_logic_flags cpu.Cpu.flags r;
-        wr cpu mem r;
-        Running)
-  | I.Neg op ->
-    let rd = read64_of op and wr = write64_of addr op in
-    fun cpu mem ->
-      let a = rd cpu mem in
-      let r = Int64.neg a in
-      let flags = cpu.Cpu.flags in
-      set_logic_flags flags r;
-      flags.Cpu.cf <- not (Int64.equal a 0L);
-      flags.Cpu.of_ <- Int64.equal a Int64.min_int;
-      wr cpu mem r;
-      Running
-  | I.Not op ->
-    let rd = read64_of op and wr = write64_of addr op in
-    fun cpu mem ->
-      let v = Int64.lognot (rd cpu mem) in
-      wr cpu mem v;
-      Running
-  | I.Setcc (c, r) ->
-    let test = cond_test c and r = Isa.Reg.index r in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs r (if test cpu.Cpu.flags then 1L else 0L);
-      Running
-  (* control transfers: the only closures that write rip *)
-  | I.Jmp (I.Abs a) ->
-    fun cpu _ ->
-      cpu.Cpu.rip <- a;
-      Running
-  | I.Jmp (I.Sym s) -> fun _ _ -> raise (Isa.Encode.Unresolved_symbol s)
-  | I.Jcc (c, I.Abs a) ->
-    let test = cond_test c in
-    fun cpu _ ->
-      cpu.Cpu.rip <- (if test cpu.Cpu.flags then a else next);
-      Running
-  | I.Jcc (c, I.Sym s) ->
-    let test = cond_test c in
-    fun cpu _ ->
-      (* symbolic target only resolves (and faults) when taken *)
-      if test cpu.Cpu.flags then raise (Isa.Encode.Unresolved_symbol s)
-      else begin
-        cpu.Cpu.rip <- next;
-        Running
-      end
-  | I.Call (I.Sym s) -> fun _ _ -> raise (Isa.Encode.Unresolved_symbol s)
-  | I.Call (I.Abs a) -> (
-    (* direct calls resolve the builtin table once, here; [code.key]
-       guards against running under a different environment *)
-    match is_builtin a with
-    | Some name -> (
-      match inline name with
-      | Some f ->
-        (* builtin inlining: the pure core runs inside the block and
-           control falls through, so chains and superblocks continue
-           straight across the call. Protocol match with the OS path:
-           rip advances past the call before the body runs (the kernel
-           dispatches after the call retired), the return value lands
-           in rax, and a fault inside the body kills with rip already
-           past the call — which is why the Trap is consumed here and
-           not left to [run_code]'s handler (that would rewind rip to
-           the call itself). Cycle charges happen inside [f], exactly
-           as the OS dispatch would have charged them. *)
-        fun cpu mem ->
-          cpu.Cpu.rip <- next;
-          (match f cpu mem with
-          | v ->
-            Array.unsafe_set cpu.Cpu.gprs rax_i v;
-            Running
-          | exception Fault.Trap fault -> Faulted fault)
-      | None ->
-        fun cpu _ ->
-          cpu.Cpu.rip <- next;
-          Builtin name)
-    | None ->
-      fun cpu mem ->
-        push cpu mem next;
-        cpu.Cpu.rip <- a;
-        Running)
-  | I.Call_ind op ->
-    let rd = read64_of op in
-    fun cpu mem ->
-      let a = rd cpu mem in
-      (match is_builtin a with
-      | Some name ->
-        cpu.Cpu.rip <- next;
-        Builtin name
-      | None ->
-        push cpu mem next;
-        cpu.Cpu.rip <- a;
-        Running)
-  | I.Ret ->
-    fun cpu mem ->
-      let a = pop cpu mem in
-      cpu.Cpu.rip <- a;
-      Running
-  | I.Leave ->
-    fun cpu mem ->
-      Array.unsafe_set cpu.Cpu.gprs rsp_i (Array.unsafe_get cpu.Cpu.gprs rbp_i);
-      let rbp = pop cpu mem in
-      Array.unsafe_set cpu.Cpu.gprs rbp_i rbp;
-      Running
-  | I.Rdrand r ->
-    let r = Isa.Reg.index r in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs r (Util.Prng.next64 cpu.Cpu.rng);
-      let flags = cpu.Cpu.flags in
-      flags.Cpu.cf <- true;
-      flags.Cpu.zf <- false;
-      Running
-  | I.Pac (d, m) ->
-    let d = Isa.Reg.index d and m = Isa.Reg.index m in
-    fun cpu _ ->
-      let value = Array.unsafe_get cpu.Cpu.gprs d in
-      let modifier = Array.unsafe_get cpu.Cpu.gprs m in
-      Array.unsafe_set cpu.Cpu.gprs d (Cpu.pac_sign cpu ~value ~modifier);
-      Running
-  | I.Aut (d, m) ->
-    let d = Isa.Reg.index d and m = Isa.Reg.index m in
-    fun cpu _ ->
-      let value = Array.unsafe_get cpu.Cpu.gprs d in
-      let modifier = Array.unsafe_get cpu.Cpu.gprs m in
-      let flags = cpu.Cpu.flags in
-      flags.Cpu.zf <- Cpu.pac_auth cpu ~value ~modifier;
-      flags.Cpu.sf <- false;
-      flags.Cpu.cf <- false;
-      flags.Cpu.of_ <- false;
-      Array.unsafe_set cpu.Cpu.gprs d (Cpu.pac_strip value);
-      Running
-  | I.Rdtsc ->
-    (* reads cpu.cycles mid-block, which deferred charging leaves at the
-       block-entry value; [emit] intercepts it with a closure that adds
-       the retired prefix's static charge (it needs the prefix sums this
-       per-insn lowering does not see) *)
-    assert false
-  | I.Syscall ->
-    fun cpu _ ->
-      cpu.Cpu.rip <- next;
-      Syscall_trap
-  | I.Hlt ->
-    fun cpu _ ->
-      (* the interpreter leaves rip at the hlt itself *)
-      cpu.Cpu.rip <- addr;
-      Halted
-  | I.Movq_to_xmm (x, r) ->
-    let x = Isa.Reg.Xmm.index x and r = Isa.Reg.index r in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.xmms x (Array.unsafe_get cpu.Cpu.gprs r, 0L);
-      Running
-  | I.Movq_from_xmm (r, x) ->
-    let r = Isa.Reg.index r and x = Isa.Reg.Xmm.index x in
-    fun cpu _ ->
-      let lo, _ = Array.unsafe_get cpu.Cpu.xmms x in
-      Array.unsafe_set cpu.Cpu.gprs r lo;
-      Running
-  | I.Pinsrq_high (x, r) ->
-    let x = Isa.Reg.Xmm.index x and r = Isa.Reg.index r in
-    fun cpu _ ->
-      let lo, _ = Array.unsafe_get cpu.Cpu.xmms x in
-      Array.unsafe_set cpu.Cpu.xmms x (lo, Array.unsafe_get cpu.Cpu.gprs r);
-      Running
-  | I.Movhps_load (x, m) ->
-    let x = Isa.Reg.Xmm.index x and ea = ea_of m in
-    fun cpu mem ->
-      let lo, _ = Array.unsafe_get cpu.Cpu.xmms x in
-      let hi = Memory.read_u64 mem (ea cpu) in
-      Array.unsafe_set cpu.Cpu.xmms x (lo, hi);
-      Running
-  | I.Movq_store (m, x) ->
-    let ea = ea_of m and x = Isa.Reg.Xmm.index x in
-    fun cpu mem ->
-      let lo, _ = Array.unsafe_get cpu.Cpu.xmms x in
-      Memory.write_u64 mem (ea cpu) lo;
-      Running
-  | I.Movdqu_load (x, m) ->
-    let x = Isa.Reg.Xmm.index x and ea = ea_of m in
-    fun cpu mem ->
-      let a = ea cpu in
-      (* high qword first, matching the interpreter's read order, so a
-         half-unmapped access faults at the same address *)
-      let hi = Memory.read_u64 mem (Int64.add a 8L) in
-      let lo = Memory.read_u64 mem a in
-      Array.unsafe_set cpu.Cpu.xmms x (lo, hi);
-      Running
-  | I.Movdqu_store (m, x) ->
-    let ea = ea_of m and x = Isa.Reg.Xmm.index x in
-    fun cpu mem ->
-      let a = ea cpu in
-      let lo, hi = Array.unsafe_get cpu.Cpu.xmms x in
-      Memory.write_u64 mem a lo;
-      Memory.write_u64 mem (Int64.add a 8L) hi;
-      Running
-  | I.Aesenc (dst, src) ->
-    let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
-    fun cpu _ ->
-      let state = xmm_to_bytes (Array.unsafe_get cpu.Cpu.xmms d) in
-      let round_key = xmm_to_bytes (Array.unsafe_get cpu.Cpu.xmms s) in
-      Array.unsafe_set cpu.Cpu.xmms d
-        (xmm_of_bytes (Crypto.Aes128.aesenc ~state ~round_key));
-      Running
-  | I.Aesenclast (dst, src) ->
-    let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
-    fun cpu _ ->
-      let state = xmm_to_bytes (Array.unsafe_get cpu.Cpu.xmms d) in
-      let round_key = xmm_to_bytes (Array.unsafe_get cpu.Cpu.xmms s) in
-      Array.unsafe_set cpu.Cpu.xmms d
-        (xmm_of_bytes (Crypto.Aes128.aesenclast ~state ~round_key));
-      Running
-  | I.Pcmpeq128 (x, m) ->
-    let x = Isa.Reg.Xmm.index x and ea = ea_of m in
-    fun cpu mem ->
-      let lo, hi = Array.unsafe_get cpu.Cpu.xmms x in
-      let a = ea cpu in
-      let mlo = Memory.read_u64 mem a in
-      let mhi = Memory.read_u64 mem (Int64.add a 8L) in
-      let flags = cpu.Cpu.flags in
-      flags.Cpu.zf <- Int64.equal lo mlo && Int64.equal hi mhi;
-      flags.Cpu.sf <- false;
-      flags.Cpu.cf <- false;
-      flags.Cpu.of_ <- false;
-      Running
+(* Result of a writing binop, flags settled. Cmp/Test only set flags
+   and are lowered apart. *)
+let[@inline] alu f addr bop a b =
+  match bop with
+  | I.Add ->
+    let r = Int64.add a b in
+    set_add_flags f a b r;
+    r
+  | I.Sub ->
+    let r = Int64.sub a b in
+    set_sub_flags f a b r;
+    r
+  | I.Xor -> logic f (Int64.logxor a b)
+  | I.And -> logic f (Int64.logand a b)
+  | I.Or -> logic f (Int64.logor a b)
+  | I.Imul -> logic f (Int64.mul a b)
+  | I.Idiv ->
+    check_div addr a b;
+    logic f (Int64.div a b)
+  | I.Irem ->
+    check_div addr a b;
+    logic f (Int64.rem a b)
+  | I.Cmp | I.Test -> assert false
 
-(* ---- Uop lowering ---------------------------------------------------- *)
+let[@inline] zero_flags (f : Cpu.flags) =
+  f.zf <- true;
+  f.sf <- false;
+  f.cf <- false;
+  f.of_ <- false
 
-let nop_op : op = fun _ _ -> Running
+(* ---- Lowering: one step per instruction ----------------------------- *)
 
-let uop_op ~is_builtin ~inline ~addr ~next (u : Ir.uop) : op =
-  match u with
+type env = {
+  is_builtin : int64 -> string option;
+  inline : string -> builtin_fn option;
+  csum : int array;
+  crsum : int array;
+}
+
+(* Step [i] of a translation, continuing into [k]. [addr] is the
+   instruction's own address (what cpu.rip reads during its
+   interpretation — rip itself is stale while compiled code runs),
+   [next] its fall-through rip. Each step mutates state in the
+   interpreter's order — value reads before rsp moves, flags before the
+   destination write, register writes before a store that can fault —
+   so a fault mid-instruction leaves identical partial state. A step
+   that can raise or end the run sets [m.at <- i] first. *)
+let lower env ~i (st : Ir.step) (k : step) : step =
+  let addr = st.Ir.addr and next = st.Ir.next in
+  match st.Ir.uop with
+  | Ir.Nop_cost -> k
   | Ir.Zero r ->
     (* normalized [xor r, r]: no operand reads, constant flag settle *)
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs r 0L;
-      let f = cpu.Cpu.flags in
-      f.Cpu.zf <- true;
-      f.Cpu.sf <- false;
-      f.Cpu.cf <- false;
-      f.Cpu.of_ <- false;
-      Running
-  | Ir.Nop_cost -> nop_op
-  | Ir.Exec insn -> insn_op ~is_builtin ~inline ~addr ~next insn
-
-(* ---- Tier 3: guest-register caching in closure locals ---------------- *)
-
-(* Tier 3 threads the translation's hottest guest registers (picked by
-   [Ir.cache_plan]) through the emitted code as plain int64 arguments
-   instead of routing every access through the [Cpu.gprs] array. OCaml
-   has no mutable locals that survive closure boundaries without
-   boxing, so the "locals" are the arguments of a continuation chain:
-   step [i]'s closure computes its effect on the cached values and
-   tail-calls step [i+1] with the results. Exact-arity indirect tail
-   calls keep the chain flat on the stack, and an unchanged boxed-int64
-   argument is a pointer pass — no re-boxing and no caml_modify write
-   barrier, the costs this tier removes.
-
-   Spill protocol (the correctness core): [Cpu.gprs] is stale for the
-   cached registers while the chain runs, so every point where the
-   architectural state becomes observable must first write the cached
-   values back:
-
-   - faults: each specialized step with a fault point carries its own
-     handler that spills, settles rip to the step's address and returns
-     [Faulted] — with the values architecturally current at that fault
-     point (a push that faults on its store spills the
-     already-decremented rsp, exactly the interpreter's partial state);
-   - exits and chain transfers: the exit continuation spills before
-     control returns to [run_tier2] or the dispatcher;
-   - kernel-visible outcomes (syscall, hlt, non-inlined builtin calls)
-     and steps the emitter does not specialize (xmm traffic, byte/word
-     moves, division, inlined builtin bodies, dynamic calls): a generic
-     wrapper spills, runs the tier-1 closure — which reads and writes
-     [Cpu.gprs] directly, so [Os.Glibc] and builtin cores see exact
-     registers — and reloads the cached values on the way back in.
-
-   Spilling every slot unconditionally (clean or dirty) keeps the
-   protocol one plain store per slot; clean spills rewrite the same
-   value. The plan is a heuristic only: registers outside it simply
-   stay in [Cpu.gprs], and unspecialized shapes run through the generic
-   wrapper, so plan quality affects speed, never semantics. *)
-
-(* Kept registered for metric-schema continuity: since rdtsc became
-   emittable (the last uncompilable shape), nothing increments it. *)
-let (_ : Telemetry.Registry.counter) =
-  Telemetry.Registry.counter "vm.compile.uncompilable"
-
-(* Emit-time tier-3 telemetry: registers cached per translation, and
-   static spill/reload sites emitted (fault handlers, generic-wrapper
-   crossings, chain entry/exit). *)
-let g_regs_cached = Telemetry.Registry.counter "vm.compile.regs_cached"
-let g_spills = Telemetry.Registry.counter "vm.compile.spills"
-let g_reloads = Telemetry.Registry.counter "vm.compile.reloads"
-
-type k3 = Cpu.t -> Memory.t -> int64 -> int64 -> outcome * int
-
-(* Where a register lives during the chain: slot A / slot B (the two
-   threaded arguments) or its [Cpu.gprs] cell. *)
-type slot = SA | SB | SN of int
-
-let emit3 ~is_builtin (ir : Ir.t) ~(ops : op array) ~(addrs : int64 array)
-    ~(nexts : int64 array) ~(sets_rip : bool array) :
-    (int array * (Cpu.t -> Memory.t -> outcome * int)) option =
-  let plan = Ir.cache_plan ir in
-  if Array.length plan = 0 then None
-  else begin
-    let steps = ir.Ir.steps in
-    let n = Array.length steps in
-    let ra = plan.(0) in
-    let rb = if Array.length plan > 1 then plan.(1) else -1 in
-    let sloti i = if i = ra then SA else if i = rb then SB else SN i in
-    let slot r = sloti (Isa.Reg.index r) in
-    (* static spill/reload sites, counted as they are emitted *)
-    let spills = ref 0 and reloads = ref 0 in
-    let spill cpu va vb =
-      Array.unsafe_set cpu.Cpu.gprs ra va;
-      if rb >= 0 then Array.unsafe_set cpu.Cpu.gprs rb vb
-    in
-    (* fault exit for step [i]: flush, rip at the faulting instruction *)
-    let faulted i =
-      incr spills;
-      fun f cpu va vb ->
-        spill cpu va vb;
-        cpu.Cpu.rip <- Array.unsafe_get addrs i;
-        (Faulted f, i + 1)
-    in
-    (* universal fallback: flush, run the tier-1 closure against
-       [Cpu.gprs], reload on the way back in *)
-    let generic i (k : k3) : k3 =
-      incr spills;
-      incr reloads;
-      let op = Array.unsafe_get ops i in
-      let addr = Array.unsafe_get addrs i in
-      fun cpu mem va vb ->
-        spill cpu va vb;
-        (match op cpu mem with
-        | Running ->
-          let va' = Array.unsafe_get cpu.Cpu.gprs ra in
-          let vb' = if rb >= 0 then Array.unsafe_get cpu.Cpu.gprs rb else vb in
-          k cpu mem va' vb'
-        | outcome -> (outcome, i + 1)
-        | exception Fault.Trap f ->
-          cpu.Cpu.rip <- addr;
-          (Faulted f, i + 1)
-        | exception Isa.Encode.Unresolved_symbol s ->
-          cpu.Cpu.rip <- addr;
-          (Faulted (Fault.Bad_instruction (addr, "unresolved symbol " ^ s)), i + 1))
-    in
-    (* effective address against the cached values. [None] bounces the
-       step to the generic wrapper — only fs-segment or scaled-index
-       uses of a *cached* register are left unspecialized. *)
-    let ea3 (m : O.mem) : (Cpu.t -> int64 -> int64 -> int64) option =
-      let is_cached r = match slot r with SN _ -> false | _ -> true in
-      let base_cached =
-        match m.O.base with Some r -> is_cached r | None -> false
-      in
-      let index_cached =
-        match m.O.index with Some (r, _) -> is_cached r | None -> false
-      in
-      if not (base_cached || index_cached) then
-        let ea = ea_of m in
-        Some (fun cpu _ _ -> ea cpu)
-      else if m.O.seg_fs || index_cached then None
-      else
-        match (m.O.base, m.O.index) with
-        | Some b, None -> (
-          let d = m.O.disp in
-          match slot b with
-          | SA -> Some (fun _ va _ -> Int64.add va d)
-          | SB -> Some (fun _ _ vb -> Int64.add vb d)
-          | SN _ -> None)
-        | Some b, Some (x, s) -> (
-          let x = Isa.Reg.index x in
-          let s = Int64.of_int (O.scale_factor s) and d = m.O.disp in
-          match slot b with
-          | SA ->
-            Some
-              (fun cpu va _ ->
-                Int64.add va
-                  (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d))
-          | SB ->
-            Some
-              (fun cpu _ vb ->
-                Int64.add vb
-                  (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d))
-          | SN _ -> None)
-        | None, _ -> None
-    in
-    (* a 64-bit source read against the cached values *)
-    let src64 : O.t -> (Cpu.t -> Memory.t -> int64 -> int64 -> int64) option =
-      function
-      | O.Reg r -> (
-        match slot r with
-        | SA -> Some (fun _ _ va _ -> va)
-        | SB -> Some (fun _ _ _ vb -> vb)
-        | SN j -> Some (fun cpu _ _ _ -> Array.unsafe_get cpu.Cpu.gprs j))
-      | O.Imm v -> Some (fun _ _ _ _ -> v)
-      | O.Mem m -> (
-        match ea3 m with
-        | None -> None
-        | Some ea ->
-          Some (fun cpu mem va vb -> Memory.read_u64 mem (ea cpu va vb)))
-    in
-    (* chain exit: flush, settle rip like [run_code]'s fuel-boundary
-       stop, bounce to the chain/dispatch logic *)
-    let exit_k : k3 =
-      incr spills;
-      let last_sets = Array.unsafe_get sets_rip (n - 1) in
-      let fall = Array.unsafe_get nexts (n - 1) in
-      fun cpu _ va vb ->
-        spill cpu va vb;
-        if not last_sets then cpu.Cpu.rip <- fall;
-        (Running, n)
-    in
-    (* Per-step specialization. Every arm mutates state in the
-       interpreter's order (value reads before rsp moves, flags before
-       destination writes, register writes before the store that can
-       fault), so the spilled state at any fault point is exactly the
-       interpreted partial state. *)
-    let step3 i (k : k3) : k3 =
-      match (Array.unsafe_get steps i).Ir.uop with
-      | Ir.Nop_cost | Ir.Exec I.Nop -> k
-      | Ir.Zero r -> (
-        let set0 (f : Cpu.flags) =
-          f.Cpu.zf <- true;
-          f.Cpu.sf <- false;
-          f.Cpu.cf <- false;
-          f.Cpu.of_ <- false
-        in
-        match sloti r with
-        | SA ->
-          fun cpu mem _ vb ->
-            set0 cpu.Cpu.flags;
-            k cpu mem 0L vb
-        | SB ->
-          fun cpu mem va _ ->
-            set0 cpu.Cpu.flags;
-            k cpu mem va 0L
-        | SN j ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j 0L;
-            set0 cpu.Cpu.flags;
-            k cpu mem va vb)
-      | Ir.Exec (I.Mov (O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA -> fun cpu mem _ vb -> k cpu mem v vb
-        | SB -> fun cpu mem va _ -> k cpu mem va v
-        | SN j ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j v;
-            k cpu mem va vb)
-      | Ir.Exec (I.Mov (O.Reg d, O.Reg sr)) -> (
-        match (slot d, slot sr) with
-        | SA, SA | SB, SB -> k
-        | SA, SB -> fun cpu mem _ vb -> k cpu mem vb vb
-        | SB, SA -> fun cpu mem va _ -> k cpu mem va va
-        | SA, SN j ->
-          fun cpu mem _ vb -> k cpu mem (Array.unsafe_get cpu.Cpu.gprs j) vb
-        | SB, SN j ->
-          fun cpu mem va _ -> k cpu mem va (Array.unsafe_get cpu.Cpu.gprs j)
-        | SN j, SA ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j va;
-            k cpu mem va vb
-        | SN j, SB ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j vb;
-            k cpu mem va vb
-        | SN j, SN j' ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j (Array.unsafe_get cpu.Cpu.gprs j');
-            k cpu mem va vb)
-      | Ir.Exec (I.Mov (O.Reg d, O.Mem m)) -> (
-        match ea3 m with
-        | None -> generic i k
-        | Some ea -> (
-          let fault = faulted i in
-          match slot d with
-          | SA -> (
-            fun cpu mem va vb ->
-              match Memory.read_u64 mem (ea cpu va vb) with
-              | v -> k cpu mem v vb
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SB -> (
-            fun cpu mem va vb ->
-              match Memory.read_u64 mem (ea cpu va vb) with
-              | v -> k cpu mem va v
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SN j -> (
-            fun cpu mem va vb ->
-              match Memory.read_u64 mem (ea cpu va vb) with
-              | v ->
-                Array.unsafe_set cpu.Cpu.gprs j v;
-                k cpu mem va vb
-              | exception Fault.Trap f -> fault f cpu va vb)))
-      | Ir.Exec (I.Mov (O.Mem m, ((O.Reg _ | O.Imm _) as src))) -> (
-        match (ea3 m, src64 src) with
-        | Some ea, Some rd -> (
-          let fault = faulted i in
-          fun cpu mem va vb ->
-            let v = rd cpu mem va vb in
-            match Memory.write_u64 mem (ea cpu va vb) v with
-            | () -> k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | _ -> generic i k)
-      | Ir.Exec (I.Lea (r, m)) -> (
-        match ea3 m with
-        | None -> generic i k
-        | Some ea -> (
-          match slot r with
-          | SA -> fun cpu mem va vb -> k cpu mem (ea cpu va vb) vb
-          | SB -> fun cpu mem va vb -> k cpu mem va (ea cpu va vb)
-          | SN j ->
-            fun cpu mem va vb ->
-              Array.unsafe_set cpu.Cpu.gprs j (ea cpu va vb);
-              k cpu mem va vb))
-      | Ir.Exec (I.Push ((O.Reg _ | O.Imm _) as src)) -> (
-        match src64 src with
-        | None -> generic i k
-        | Some rd -> (
-          let fault = faulted i in
-          match sloti rsp_i with
-          | SA -> (
-            fun cpu mem va vb ->
-              (* value read before rsp moves: push rsp stores old rsp *)
-              let v = rd cpu mem va vb in
-              let rsp = Int64.sub va 8L in
-              match Memory.write_u64 mem rsp v with
-              | () -> k cpu mem rsp vb
-              | exception Fault.Trap f -> fault f cpu rsp vb)
-          | SB -> (
-            fun cpu mem va vb ->
-              let v = rd cpu mem va vb in
-              let rsp = Int64.sub vb 8L in
-              match Memory.write_u64 mem rsp v with
-              | () -> k cpu mem va rsp
-              | exception Fault.Trap f -> fault f cpu va rsp)
-          | SN j -> (
-            fun cpu mem va vb ->
-              let v = rd cpu mem va vb in
-              let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs j) 8L in
-              Array.unsafe_set cpu.Cpu.gprs j rsp;
-              match Memory.write_u64 mem rsp v with
-              | () -> k cpu mem va vb
-              | exception Fault.Trap f -> fault f cpu va vb)))
-      | Ir.Exec (I.Pop (O.Reg d)) -> (
-        let fault = faulted i in
+    let r = r lsl 3 in
+    fun m ->
+      rset m r 0L;
+      zero_flags m.flags;
+      k m
+  | Ir.Exec insn -> (
+    match insn with
+    | I.Nop -> k
+    (* mov, the stack machine's shapes first *)
+    | I.Mov (O.Reg d, O.Imm v) ->
+      let d = ro d in
+      fun m ->
+        rset m d v;
+        k m
+    | I.Mov (O.Reg d, O.Reg s) ->
+      let d = ro d and s = ro s in
+      fun m ->
+        rset m d (rget m s);
+        k m
+    | I.Mov (O.Reg d, O.Mem { O.seg_fs = false; base = Some b; index = None; disp }) ->
+      let d = ro d and b = ro b in
+      fun m ->
+        m.at <- i;
+        rset m d (load m (Int64.add (rget m b) disp));
+        k m
+    | I.Mov (O.Mem { O.seg_fs = false; base = Some b; index = None; disp }, O.Reg s) ->
+      let b = ro b and s = ro s in
+      fun m ->
+        m.at <- i;
+        store m (Int64.add (rget m b) disp) (rget m s);
+        k m
+    | I.Mov (dst, src) ->
+      let dst = opnd dst and src = opnd src in
+      fun m ->
+        m.at <- i;
+        (* source read faults before a store-to-immediate traps *)
+        let v = read m src in
+        write m addr dst v;
+        k m
+    | I.Movb (dst, src) ->
+      let dst = opnd dst and src = opnd src in
+      fun m ->
+        m.at <- i;
+        let v = read8 m src in
+        write8 m addr dst v;
+        k m
+    | I.Movl (dst, src) ->
+      let dst = opnd dst and src = opnd src in
+      fun m ->
+        m.at <- i;
+        let v = read32 m src in
+        write32 m addr dst v;
+        k m
+    | I.Lea (r, e) ->
+      let r = ro r and e = ea_of e in
+      fun m ->
+        rset m r (ea_val m e);
+        k m
+    | I.Push (O.Reg s) ->
+      let s = ro s in
+      fun m ->
+        m.at <- i;
+        (* value read before rsp moves: push rsp stores the old rsp *)
+        push_m m (rget m s);
+        k m
+    | I.Push src ->
+      let src = opnd src in
+      fun m ->
+        m.at <- i;
+        push_m m (read m src);
+        k m
+    | I.Pop (O.Reg d) ->
+      let d = ro d in
+      fun m ->
+        m.at <- i;
         (* rsp bump before the destination write: pop rsp ends at v *)
-        match (sloti rsp_i, slot d) with
-        | SA, SA -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | v -> k cpu mem v vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SA, SB -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | v -> k cpu mem (Int64.add va 8L) v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SA, SN j -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem (Int64.add va 8L) vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SB, SA -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
-            | v -> k cpu mem v (Int64.add vb 8L)
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SB, SB -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
-            | v -> k cpu mem va v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SB, SN j -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem va (Int64.add vb 8L)
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SA -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              k cpu mem v vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SB -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              k cpu mem va v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SN j' -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              Array.unsafe_set cpu.Cpu.gprs j' v;
-              k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb))
-      | Ir.Exec (I.Bin (I.Add, O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            let r = Int64.add va v in
-            set_add_flags cpu.Cpu.flags va v r;
-            k cpu mem r vb
-        | SB ->
-          fun cpu mem va vb ->
-            let r = Int64.add vb v in
-            set_add_flags cpu.Cpu.flags vb v r;
-            k cpu mem va r
-        | SN j ->
-          fun cpu mem va vb ->
-            let a = Array.unsafe_get cpu.Cpu.gprs j in
-            let r = Int64.add a v in
-            set_add_flags cpu.Cpu.flags a v r;
-            Array.unsafe_set cpu.Cpu.gprs j r;
-            k cpu mem va vb)
-      | Ir.Exec (I.Bin (I.Sub, O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            let r = Int64.sub va v in
-            set_sub_flags cpu.Cpu.flags va v r;
-            k cpu mem r vb
-        | SB ->
-          fun cpu mem va vb ->
-            let r = Int64.sub vb v in
-            set_sub_flags cpu.Cpu.flags vb v r;
-            k cpu mem va r
-        | SN j ->
-          fun cpu mem va vb ->
-            let a = Array.unsafe_get cpu.Cpu.gprs j in
-            let r = Int64.sub a v in
-            set_sub_flags cpu.Cpu.flags a v r;
-            Array.unsafe_set cpu.Cpu.gprs j r;
-            k cpu mem va vb)
-      | Ir.Exec (I.Bin (I.Cmp, O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            set_sub_flags cpu.Cpu.flags va v (Int64.sub va v);
-            k cpu mem va vb
-        | SB ->
-          fun cpu mem va vb ->
-            set_sub_flags cpu.Cpu.flags vb v (Int64.sub vb v);
-            k cpu mem va vb
-        | SN j ->
-          fun cpu mem va vb ->
-            let a = Array.unsafe_get cpu.Cpu.gprs j in
-            set_sub_flags cpu.Cpu.flags a v (Int64.sub a v);
-            k cpu mem va vb)
-      | Ir.Exec (I.Bin ((I.Cmp | I.Test) as bop, d, s)) -> (
-        match (src64 d, src64 s) with
-        | Some rd, Some rs -> (
-          let fault = faulted i in
-          let setf =
-            match bop with
-            | I.Cmp ->
-              fun f a b -> set_sub_flags f a b (Int64.sub a b)
-            | _ -> fun f a b -> set_logic_flags f (Int64.logand a b)
+        let v = pop_m m in
+        rset m d v;
+        k m
+    | I.Pop dst ->
+      let dst = opnd dst in
+      fun m ->
+        m.at <- i;
+        let v = pop_m m in
+        write m addr dst v;
+        k m
+    (* binops: the compare idioms, then the general shape *)
+    | I.Bin (I.Add, O.Reg d, O.Imm v) ->
+      let d = ro d in
+      fun m ->
+        let a = rget m d in
+        let r = Int64.add a v in
+        set_add_flags m.flags a v r;
+        rset m d r;
+        k m
+    | I.Bin (I.Sub, O.Reg d, O.Imm v) ->
+      let d = ro d in
+      fun m ->
+        let a = rget m d in
+        let r = Int64.sub a v in
+        set_sub_flags m.flags a v r;
+        rset m d r;
+        k m
+    | I.Bin (I.Cmp, O.Reg d, O.Imm v) ->
+      let d = ro d in
+      fun m ->
+        let a = rget m d in
+        set_sub_flags m.flags a v (Int64.sub a v);
+        k m
+    | I.Bin (I.Cmp, O.Reg d, O.Reg s) ->
+      let d = ro d and s = ro s in
+      fun m ->
+        let a = rget m d and b = rget m s in
+        set_sub_flags m.flags a b (Int64.sub a b);
+        k m
+    | I.Bin (I.Cmp, dst, src) ->
+      let dst = opnd dst and src = opnd src in
+      fun m ->
+        m.at <- i;
+        let a = read m dst in
+        let b = read m src in
+        set_sub_flags m.flags a b (Int64.sub a b);
+        k m
+    | I.Bin (I.Test, dst, src) ->
+      let dst = opnd dst and src = opnd src in
+      fun m ->
+        m.at <- i;
+        let a = read m dst in
+        let b = read m src in
+        set_logic_flags m.flags (Int64.logand a b);
+        k m
+    | I.Bin (bop, dst, src) ->
+      let dst = opnd dst and src = opnd src in
+      fun m ->
+        m.at <- i;
+        let a = read m dst in
+        let b = read m src in
+        (* flags settle before the destination write, so a faulting
+           mem-dst store still leaves them updated (as interpreted) *)
+        let r = alu m.flags addr bop a b in
+        write m addr dst r;
+        k m
+    | I.Shift (sop, dst, n) -> (
+      match n land 63 with
+      (* masked count 0: no read, no flag or destination change *)
+      | 0 -> k
+      | n ->
+        let dst = opnd dst in
+        fun m ->
+          m.at <- i;
+          let a = read m dst in
+          let r =
+            match sop with
+            | I.Shl -> Int64.shift_left a n
+            | I.Shr -> Int64.shift_right_logical a n
+            | I.Sar -> Int64.shift_right a n
           in
-          fun cpu mem va vb ->
-            match
-              let a = rd cpu mem va vb in
-              let b = rs cpu mem va vb in
-              setf cpu.Cpu.flags a b
-            with
-            | () -> k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | _ -> generic i k)
-      | Ir.Exec (I.Bin (bop, O.Reg d, s)) -> (
-        match src64 s with
-        | None -> generic i k
-        | Some rs -> (
-          let addr = Array.unsafe_get addrs i in
-          let apply =
-            match bop with
-            | I.Add ->
-              fun f a b ->
-                let r = Int64.add a b in
-                set_add_flags f a b r;
-                r
-            | I.Sub ->
-              fun f a b ->
-                let r = Int64.sub a b in
-                set_sub_flags f a b r;
-                r
-            | I.Xor ->
-              fun f a b ->
-                let r = Int64.logxor a b in
-                set_logic_flags f r;
-                r
-            | I.And ->
-              fun f a b ->
-                let r = Int64.logand a b in
-                set_logic_flags f r;
-                r
-            | I.Or ->
-              fun f a b ->
-                let r = Int64.logor a b in
-                set_logic_flags f r;
-                r
-            | I.Imul ->
-              fun f a b ->
-                let r = Int64.mul a b in
-                set_logic_flags f r;
-                r
-            | I.Idiv ->
-              fun f a b ->
-                if Int64.equal b 0L then
-                  raise
-                    (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
-                if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-                  raise
-                    (Fault.Trap
-                       (Fault.Bad_instruction (addr, "division overflow")));
-                let r = Int64.div a b in
-                set_logic_flags f r;
-                r
-            | I.Irem ->
-              fun f a b ->
-                if Int64.equal b 0L then
-                  raise
-                    (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
-                if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-                  raise
-                    (Fault.Trap
-                       (Fault.Bad_instruction (addr, "division overflow")));
-                let r = Int64.rem a b in
-                set_logic_flags f r;
-                r
-            | I.Cmp | I.Test -> assert false (* matched above *)
-          in
-          let fault = faulted i in
-          match slot d with
-          | SA -> (
-            fun cpu mem va vb ->
-              match
-                let b = rs cpu mem va vb in
-                apply cpu.Cpu.flags va b
-              with
-              | r -> k cpu mem r vb
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SB -> (
-            fun cpu mem va vb ->
-              match
-                let b = rs cpu mem va vb in
-                apply cpu.Cpu.flags vb b
-              with
-              | r -> k cpu mem va r
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SN j -> (
-            fun cpu mem va vb ->
-              match
-                let a = Array.unsafe_get cpu.Cpu.gprs j in
-                let b = rs cpu mem va vb in
-                apply cpu.Cpu.flags a b
-              with
-              | r ->
-                Array.unsafe_set cpu.Cpu.gprs j r;
-                k cpu mem va vb
-              | exception Fault.Trap f -> fault f cpu va vb)))
-      | Ir.Exec (I.Shift (sop, O.Reg d, kk)) when kk land 63 <> 0 -> (
-        let kk = kk land 63 in
-        let sh =
-          match sop with
-          | I.Shl -> fun a -> Int64.shift_left a kk
-          | I.Shr -> fun a -> Int64.shift_right_logical a kk
-          | I.Sar -> fun a -> Int64.shift_right a kk
+          set_logic_flags m.flags r;
+          write m addr dst r;
+          k m)
+    | I.Neg op ->
+      let op = opnd op in
+      fun m ->
+        m.at <- i;
+        let a = read m op in
+        let r = Int64.neg a in
+        let f = m.flags in
+        set_logic_flags f r;
+        f.cf <- not (Int64.equal a 0L);
+        f.of_ <- Int64.equal a Int64.min_int;
+        write m addr op r;
+        k m
+    | I.Not op ->
+      let op = opnd op in
+      fun m ->
+        m.at <- i;
+        let v = Int64.lognot (read m op) in
+        write m addr op v;
+        k m
+    | I.Setcc (c, r) ->
+      let r = ro r in
+      fun m ->
+        rset m r (if cond_holds m.flags c then 1L else 0L);
+        k m
+    (* control transfers: the only steps that write rip *)
+    | I.Jmp (I.Abs a) ->
+      fun m ->
+        m.cpu.Cpu.rip <- a;
+        k m
+    | I.Jcc (c, I.Abs a) ->
+      fun m ->
+        m.cpu.Cpu.rip <- (if cond_holds m.flags c then a else next);
+        k m
+    | I.Jcc (c, I.Sym s) ->
+      fun m ->
+        (* symbolic target only resolves (and faults) when taken *)
+        if cond_holds m.flags c then begin
+          m.at <- i;
+          raise (Isa.Encode.Unresolved_symbol s)
+        end
+        else begin
+          m.cpu.Cpu.rip <- next;
+          k m
+        end
+    | I.Jmp (I.Sym s) | I.Call (I.Sym s) ->
+      fun m ->
+        m.at <- i;
+        raise (Isa.Encode.Unresolved_symbol s)
+    | I.Call (I.Abs a) -> (
+      (* direct calls resolve the builtin table once, here; [code.key]
+         guards against running under a different environment *)
+      match env.is_builtin a with
+      | Some name -> (
+        match env.inline name with
+        | Some f -> (
+          (* builtin inlining: the pure core runs inside the block and
+             control falls through, so chains and superblocks continue
+             straight across the call. Protocol match with the OS path:
+             rip advances past the call before the body runs (the kernel
+             dispatches after the call retired), the return value lands
+             in rax, and a fault inside the body kills with rip already
+             past the call — which is why the Trap is consumed here, not
+             left to the runner (that would rewind rip to the call
+             itself). Cycle charges happen inside [f], exactly as the OS
+             dispatch would have charged them. *)
+          fun m ->
+            m.cpu.Cpu.rip <- next;
+            match f m.cpu m.mem with
+            | v ->
+              rset m rax_o v;
+              k m
+            | exception Fault.Trap fault ->
+              m.at <- i;
+              Faulted fault)
+        | None ->
+          fun m ->
+            m.cpu.Cpu.rip <- next;
+            m.at <- i;
+            Builtin name)
+      | None ->
+        fun m ->
+          m.at <- i;
+          push_m m next;
+          m.cpu.Cpu.rip <- a;
+          k m)
+    | I.Call_ind op ->
+      let op = opnd op and is_builtin = env.is_builtin in
+      fun m -> (
+        m.at <- i;
+        let a = read m op in
+        match is_builtin a with
+        | Some name ->
+          m.cpu.Cpu.rip <- next;
+          Builtin name
+        | None ->
+          push_m m next;
+          m.cpu.Cpu.rip <- a;
+          k m)
+    | I.Ret ->
+      fun m ->
+        m.at <- i;
+        let a = pop_m m in
+        m.cpu.Cpu.rip <- a;
+        k m
+    | I.Leave ->
+      fun m ->
+        m.at <- i;
+        (* rsp := rbp first, so a faulting pop leaves rsp = rbp *)
+        rset m rsp_o (rget m rbp_o);
+        let v = pop_m m in
+        rset m rbp_o v;
+        k m
+    | I.Rdrand r ->
+      let r = ro r in
+      fun m ->
+        rset m r (Util.Prng.next64 m.cpu.Cpu.rng);
+        m.flags.Cpu.cf <- true;
+        m.flags.Cpu.zf <- false;
+        k m
+    | I.Pac (d, md) ->
+      let d = ro d and md = ro md in
+      fun m ->
+        let value = rget m d and modifier = rget m md in
+        rset m d (Cpu.pac_sign m.cpu ~value ~modifier);
+        k m
+    | I.Aut (d, md) ->
+      let d = ro d and md = ro md in
+      fun m ->
+        let value = rget m d and modifier = rget m md in
+        let f = m.flags in
+        f.zf <- Cpu.pac_auth m.cpu ~value ~modifier;
+        f.sf <- false;
+        f.cf <- false;
+        f.of_ <- false;
+        rset m d (Cpu.pac_strip value);
+        k m
+    | I.Rdtsc ->
+      (* Deferred charging leaves cpu.cycles at the translation-entry
+         value while compiled code runs, but the interpreter charges
+         instruction [i] before executing it — so the tsc it would read
+         here is the entry cycles plus the retired prefix's static
+         charge, all known at translation time. *)
+      let static = env.csum.(i + 1) and calls = env.crsum.(i + 1) and retired = i + 1 in
+      fun m ->
+        let cpu = m.cpu in
+        let tsc =
+          Int64.add cpu.Cpu.cycles
+            (Int64.of_int
+               (static + (retired * cpu.Cpu.insn_tax) + (calls * cpu.Cpu.call_tax)))
         in
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            let r = sh va in
-            set_logic_flags cpu.Cpu.flags r;
-            k cpu mem r vb
-        | SB ->
-          fun cpu mem va vb ->
-            let r = sh vb in
-            set_logic_flags cpu.Cpu.flags r;
-            k cpu mem va r
-        | SN j ->
-          fun cpu mem va vb ->
-            let r = sh (Array.unsafe_get cpu.Cpu.gprs j) in
-            set_logic_flags cpu.Cpu.flags r;
-            Array.unsafe_set cpu.Cpu.gprs j r;
-            k cpu mem va vb)
-      | Ir.Exec (I.Setcc (c, r)) -> (
-        let test = cond_test c in
-        match slot r with
-        | SA ->
-          fun cpu mem _ vb ->
-            k cpu mem (if test cpu.Cpu.flags then 1L else 0L) vb
-        | SB ->
-          fun cpu mem va _ ->
-            k cpu mem va (if test cpu.Cpu.flags then 1L else 0L)
-        | SN j ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j
-              (if test cpu.Cpu.flags then 1L else 0L);
-            k cpu mem va vb)
-      | Ir.Exec (I.Jmp (I.Abs tgt)) ->
-        fun cpu mem va vb ->
-          cpu.Cpu.rip <- tgt;
-          k cpu mem va vb
-      | Ir.Exec (I.Jcc (c, I.Abs tgt)) ->
-        let test = cond_test c in
-        let next = Array.unsafe_get nexts i in
-        fun cpu mem va vb ->
-          cpu.Cpu.rip <- (if test cpu.Cpu.flags then tgt else next);
-          k cpu mem va vb
-      | Ir.Exec (I.Call (I.Abs tgt)) when Option.is_none (is_builtin tgt) -> (
-        let next = Array.unsafe_get nexts i in
-        let fault = faulted i in
-        match sloti rsp_i with
-        | SA -> (
-          fun cpu mem va vb ->
-            let rsp = Int64.sub va 8L in
-            match Memory.write_u64 mem rsp next with
-            | () ->
-              cpu.Cpu.rip <- tgt;
-              k cpu mem rsp vb
-            | exception Fault.Trap f -> fault f cpu rsp vb)
-        | SB -> (
-          fun cpu mem va vb ->
-            let rsp = Int64.sub vb 8L in
-            match Memory.write_u64 mem rsp next with
-            | () ->
-              cpu.Cpu.rip <- tgt;
-              k cpu mem va rsp
-            | exception Fault.Trap f -> fault f cpu va rsp)
-        | SN j -> (
-          fun cpu mem va vb ->
-            let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs j) 8L in
-            Array.unsafe_set cpu.Cpu.gprs j rsp;
-            match Memory.write_u64 mem rsp next with
-            | () ->
-              cpu.Cpu.rip <- tgt;
-              k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb))
-      | Ir.Exec I.Ret -> (
-        let fault = faulted i in
-        match sloti rsp_i with
-        | SA -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | a ->
-              cpu.Cpu.rip <- a;
-              k cpu mem (Int64.add va 8L) vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SB -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
-            | a ->
-              cpu.Cpu.rip <- a;
-              k cpu mem va (Int64.add vb 8L)
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | a ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              cpu.Cpu.rip <- a;
-              k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb))
-      | Ir.Exec I.Leave -> (
-        (* rsp := rbp first, so a faulting pop spills rsp = rbp *)
-        let fault = faulted i in
-        match (sloti rsp_i, sloti rbp_i) with
-        | SA, SB -> (
-          fun cpu mem _ vb ->
-            match Memory.read_u64 mem vb with
-            | v -> k cpu mem (Int64.add vb 8L) v
-            | exception Fault.Trap f -> fault f cpu vb vb)
-        | SB, SA -> (
-          fun cpu mem va _ ->
-            match Memory.read_u64 mem va with
-            | v -> k cpu mem v (Int64.add va 8L)
-            | exception Fault.Trap f -> fault f cpu va va)
-        | SA, SN j -> (
-          fun cpu mem _ vb ->
-            let rbp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rbp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem (Int64.add rbp 8L) vb
-            | exception Fault.Trap f -> fault f cpu rbp vb)
-        | SB, SN j -> (
-          fun cpu mem va _ ->
-            let rbp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rbp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem va (Int64.add rbp 8L)
-            | exception Fault.Trap f -> fault f cpu va rbp)
-        | SN j, SA -> (
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j va;
-            match Memory.read_u64 mem va with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add va 8L);
-              k cpu mem v vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SB -> (
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j vb;
-            match Memory.read_u64 mem vb with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add vb 8L);
-              k cpu mem va v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SN j' -> (
-          fun cpu mem va vb ->
-            let rbp = Array.unsafe_get cpu.Cpu.gprs j' in
-            Array.unsafe_set cpu.Cpu.gprs j rbp;
-            match Memory.read_u64 mem rbp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rbp 8L);
-              Array.unsafe_set cpu.Cpu.gprs j' v;
-              k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | (SA, SA | SB, SB) -> generic i k (* rsp and rbp are distinct *))
-      | _ -> generic i k
-    in
-    let rec build i = if i >= n then exit_k else step3 i (build (i + 1)) in
-    let chain = build 0 in
-    incr reloads;
-    let entry cpu mem =
-      let va = Array.unsafe_get cpu.Cpu.gprs ra in
-      let vb = if rb >= 0 then Array.unsafe_get cpu.Cpu.gprs rb else 0L in
-      chain cpu mem va vb
-    in
-    Telemetry.Registry.add g_regs_cached (Array.length plan);
-    Telemetry.Registry.add g_spills !spills;
-    Telemetry.Registry.add g_reloads !reloads;
-    Some (plan, entry)
-  end
+        rset m rax_o (Int64.logand tsc 0xFFFFFFFFL);
+        rset m rdx_o (Int64.shift_right_logical tsc 32);
+        k m
+    | I.Syscall ->
+      fun m ->
+        m.cpu.Cpu.rip <- next;
+        m.at <- i;
+        Syscall_trap
+    | I.Hlt ->
+      fun m ->
+        (* the interpreter leaves rip at the hlt itself *)
+        m.cpu.Cpu.rip <- addr;
+        m.at <- i;
+        Halted
+    | I.Movq_to_xmm (x, r) ->
+      let x = Isa.Reg.Xmm.index x and r = ro r in
+      fun m ->
+        Array.unsafe_set m.cpu.Cpu.xmms x (rget m r, 0L);
+        k m
+    | I.Movq_from_xmm (r, x) ->
+      let r = ro r and x = Isa.Reg.Xmm.index x in
+      fun m ->
+        let lo, _ = Array.unsafe_get m.cpu.Cpu.xmms x in
+        rset m r lo;
+        k m
+    | I.Pinsrq_high (x, r) ->
+      let x = Isa.Reg.Xmm.index x and r = ro r in
+      fun m ->
+        let xmms = m.cpu.Cpu.xmms in
+        let lo, _ = Array.unsafe_get xmms x in
+        Array.unsafe_set xmms x (lo, rget m r);
+        k m
+    | I.Movhps_load (x, e) ->
+      let x = Isa.Reg.Xmm.index x and e = ea_of e in
+      fun m ->
+        m.at <- i;
+        let xmms = m.cpu.Cpu.xmms in
+        let lo, _ = Array.unsafe_get xmms x in
+        let hi = load m (ea_val m e) in
+        Array.unsafe_set xmms x (lo, hi);
+        k m
+    | I.Movq_store (e, x) ->
+      let e = ea_of e and x = Isa.Reg.Xmm.index x in
+      fun m ->
+        m.at <- i;
+        let lo, _ = Array.unsafe_get m.cpu.Cpu.xmms x in
+        store m (ea_val m e) lo;
+        k m
+    | I.Movdqu_load (x, e) ->
+      let x = Isa.Reg.Xmm.index x and e = ea_of e in
+      fun m ->
+        m.at <- i;
+        let a = ea_val m e in
+        (* high qword first, matching the interpreter's read order, so a
+           half-unmapped access faults at the same address *)
+        let hi = load m (Int64.add a 8L) in
+        let lo = load m a in
+        Array.unsafe_set m.cpu.Cpu.xmms x (lo, hi);
+        k m
+    | I.Movdqu_store (e, x) ->
+      let e = ea_of e and x = Isa.Reg.Xmm.index x in
+      fun m ->
+        m.at <- i;
+        let a = ea_val m e in
+        let lo, hi = Array.unsafe_get m.cpu.Cpu.xmms x in
+        store m a lo;
+        store m (Int64.add a 8L) hi;
+        k m
+    | I.Aesenc (dst, src) ->
+      let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
+      fun m ->
+        let xmms = m.cpu.Cpu.xmms in
+        let state = xmm_to_bytes (Array.unsafe_get xmms d) in
+        let round_key = xmm_to_bytes (Array.unsafe_get xmms s) in
+        Array.unsafe_set xmms d (xmm_of_bytes (Crypto.Aes128.aesenc ~state ~round_key));
+        k m
+    | I.Aesenclast (dst, src) ->
+      let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
+      fun m ->
+        let xmms = m.cpu.Cpu.xmms in
+        let state = xmm_to_bytes (Array.unsafe_get xmms d) in
+        let round_key = xmm_to_bytes (Array.unsafe_get xmms s) in
+        Array.unsafe_set xmms d
+          (xmm_of_bytes (Crypto.Aes128.aesenclast ~state ~round_key));
+        k m
+    | I.Pcmpeq128 (x, e) ->
+      let x = Isa.Reg.Xmm.index x and e = ea_of e in
+      fun m ->
+        m.at <- i;
+        let lo, hi = Array.unsafe_get m.cpu.Cpu.xmms x in
+        let a = ea_val m e in
+        let mlo = load m a in
+        let mhi = load m (Int64.add a 8L) in
+        let f = m.flags in
+        f.zf <- Int64.equal lo mlo && Int64.equal hi mhi;
+        f.sf <- false;
+        f.cf <- false;
+        f.of_ <- false;
+        k m)
 
 (* ---- Block translation: lift -> normalize -> emit -------------------- *)
+
+let running : step = fun _ -> Running
 
 let fresh_link () =
   { l_space = None; l_epoch = 0; l_addr = 0L; l_target = None; l_mem = None; l_gen = 0 }
 
+(* The threaded chain: step [i] tail-calls step [i+1] through that
+   closure's own code pointer (a one-argument application needs no
+   caml_applyN trampoline), and the last one continues into the exit,
+   which settles rip like [run_steps]'s stop at the translation end.
+   Inside the chain a jmp's or direct call's rip write is dead — every
+   later way out (a fault, a kernel-visible stop, the exit) writes rip
+   itself — so the chain drops the jmp and keeps only the call's push. *)
+let emit_chain env (steps : Ir.step array) =
+  let n = Array.length steps in
+  let last = steps.(n - 1) in
+  let exit_ : step =
+    if last.Ir.sets_rip then fun m ->
+      m.at <- n - 1;
+      Running
+    else
+      let fall = last.Ir.next in
+      fun m ->
+        m.cpu.Cpu.rip <- fall;
+        m.at <- n - 1;
+        Running
+  in
+  let inner (st : Ir.step) =
+    match st.Ir.uop with
+    | Ir.Exec (I.Jmp (I.Abs _)) -> { st with Ir.uop = Ir.Nop_cost }
+    | Ir.Exec (I.Call (I.Abs a)) when Option.is_none (env.is_builtin a) ->
+      { st with Ir.uop = Ir.Exec (I.Push (O.Imm st.Ir.next)) }
+    | _ -> st
+  in
+  let rec build i =
+    if i = n - 1 then lower env ~i last exit_
+    else lower env ~i (inner steps.(i)) (build (i + 1))
+  in
+  build 0
+
 let emit ~is_builtin ~inline (ir : Ir.t) : code =
   let steps = ir.Ir.steps in
   let n = Array.length steps in
-  let addrs = Array.map (fun (s : Ir.step) -> s.Ir.addr) steps in
-  let nexts = Array.map (fun (s : Ir.step) -> s.Ir.next) steps in
-  let sets_rip = Array.map (fun (s : Ir.step) -> s.Ir.sets_rip) steps in
   let csum = Array.make (n + 1) 0 in
   let crsum = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     csum.(i + 1) <- csum.(i) + steps.(i).Ir.cost;
     crsum.(i + 1) <- crsum.(i) + Bool.to_int steps.(i).Ir.callret
   done;
-  let ops =
-    Array.init n (fun i ->
-        match steps.(i).Ir.uop with
-        | Ir.Exec I.Rdtsc ->
-          (* Deferred charging leaves cpu.cycles at the block-entry value
-             while compiled code runs, but the interpreter charges
-             instruction [i] before executing it — so the tsc it would
-             read here is the entry cycles plus the retired prefix's
-             static charge, all known at translation time. *)
-          let static = csum.(i + 1) and calls = crsum.(i + 1) in
-          let retired = i + 1 in
-          fun cpu _ ->
-            let tsc =
-              Int64.add cpu.Cpu.cycles
-                (Int64.of_int
-                   (static + (retired * cpu.Cpu.insn_tax)
-                   + (calls * cpu.Cpu.call_tax)))
-            in
-            Array.unsafe_set cpu.Cpu.gprs rax_i (Int64.logand tsc 0xFFFFFFFFL);
-            Array.unsafe_set cpu.Cpu.gprs rdx_i (Int64.shift_right_logical tsc 32);
-            Running
-        | u -> uop_op ~is_builtin ~inline ~addr:addrs.(i) ~next:nexts.(i) u)
-  in
-  let cached, t3 =
-    match emit3 ~is_builtin ir ~ops ~addrs ~nexts ~sets_rip with
-    | Some (plan, f) -> (plan, Some f)
-    | None -> ([||], None)
-  in
+  let env = { is_builtin; inline; csum; crsum } in
   {
-    ops;
-    addrs;
-    nexts;
+    ops = Array.mapi (fun i st -> lower env ~i st running) steps;
+    chain = emit_chain env steps;
+    addrs = Array.map (fun (s : Ir.step) -> s.Ir.addr) steps;
+    nexts = Array.map (fun (s : Ir.step) -> s.Ir.next) steps;
     csum;
     crsum;
-    sets_rip;
+    sets_rip = Array.map (fun (s : Ir.step) -> s.Ir.sets_rip) steps;
     exit_ = ir.Ir.exit_;
     blocks = Array.map (fun (p : Ir.part) -> p.Ir.block) ir.Ir.parts;
     starts = Array.map (fun (p : Ir.part) -> p.Ir.start) ir.Ir.parts;
@@ -1515,8 +840,6 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
     fuse_tried = Array.length ir.Ir.parts > 1;
     link_a = fresh_link ();
     link_b = fresh_link ();
-    cached;
-    t3;
   }
 
 let no_inline : string -> builtin_fn option = fun _ -> None
@@ -1525,55 +848,74 @@ let block_ir ~is_builtin ~inline (b : Tcache.block) =
   let inlinable name = Option.is_some (inline name) in
   Ir.normalize (Ir.lift ~is_builtin ~inlinable b)
 
-let compile ?(inline = no_inline) ~is_builtin (b : Tcache.block) : Compiled.slot =
-  Code (emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b))
+let compile ?(inline = no_inline) ~is_builtin (b : Tcache.block) =
+  emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b)
 
 let key (c : code) = c.key
-let cached_regs (c : code) = Array.copy c.cached
 
 (* ---- Execution ------------------------------------------------------ *)
 
-(* Protocol: while compiled code runs, cpu.rip is stale (still the block
-   entry). Straight-line closures never touch it; control closures set
-   it before returning; every exit path below settles it to exactly what
+(* Protocol: while compiled code runs, cpu.rip is stale (still the
+   translation entry). Straight-line steps never touch it; control steps
+   set it before continuing; every way out settles it to exactly what
    the interpreter would have left. Cycles (static cost + insn tax +
    call tax) are settled once per exit from the prefix sums — the
-   interpreter charges instruction [i] before executing it, so a block
-   that retires k instructions has charged the first k either way. *)
+   interpreter charges instruction [i] before executing it, so a
+   translation that retires k instructions has charged the first k
+   either way. Both runners leave the stopping step in [m.at], so k is
+   [m.at + 1]. *)
 let charge_exit (code : code) cpu k =
   Cpu.add_cycles cpu
     (Array.unsafe_get code.csum k
     + (k * cpu.Cpu.insn_tax)
     + (Array.unsafe_get code.crsum k * cpu.Cpu.call_tax))
 
+(* A step raised: the interpreter leaves rip at the faulting
+   instruction. *)
+let fault_exit (code : code) m i e =
+  let a = Array.unsafe_get code.addrs i in
+  m.at <- i;
+  m.cpu.Cpu.rip <- a;
+  match e with
+  | Fault.Trap f -> Faulted f
+  | Isa.Encode.Unresolved_symbol s ->
+    Faulted (Fault.Bad_instruction (a, "unresolved symbol " ^ s))
+  | e -> raise e
+
+(* Tiers 1 and 2: one step per turn, stopping after [limit]. *)
+let rec steps_from (code : code) m i limit =
+  match (Array.unsafe_get code.ops i) m with
+  | Running when i + 1 < limit -> steps_from code m (i + 1) limit
+  | Running ->
+    (* stop here (terminator or fuel boundary): settle rip to the
+       fall-through unless this step already wrote it — in a
+       superblock, jmp/call steps sit mid-array too *)
+    if not (Array.unsafe_get code.sets_rip i) then
+      m.cpu.Cpu.rip <- Array.unsafe_get code.nexts i;
+    m.at <- i;
+    Running
+  | outcome ->
+    m.at <- i;
+    outcome
+  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit code m i e
+
+let run_steps (code : code) m ~limit =
+  let n = Array.length code.ops in
+  steps_from code m 0 (if limit < n then limit else n)
+
+(* Tier 3: the whole translation in one chain run. *)
+let run_chain (code : code) m =
+  match code.chain m with
+  | outcome -> outcome
+  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) ->
+    fault_exit code m m.at e
+
 let run_code (code : code) cpu mem ~limit =
-  let ops = code.ops in
-  let n = Array.length ops in
-  let limit = if limit < n then limit else n in
-  let finish outcome k =
-    charge_exit code cpu k;
-    (outcome, k)
-  in
-  let rec go i =
-    match (Array.unsafe_get ops i) cpu mem with
-    | Running when i + 1 < limit -> go (i + 1)
-    | Running ->
-      (* stop here (terminator or fuel boundary): settle rip to the
-         fall-through unless this closure already wrote it — in a
-         superblock, jmp/call closures sit mid-array too *)
-      if not (Array.unsafe_get code.sets_rip i) then
-        cpu.Cpu.rip <- Array.unsafe_get code.nexts i;
-      finish Running (i + 1)
-    | outcome -> finish outcome (i + 1)
-    | exception Fault.Trap fault ->
-      cpu.Cpu.rip <- Array.unsafe_get code.addrs i;
-      finish (Faulted fault) (i + 1)
-    | exception Isa.Encode.Unresolved_symbol s ->
-      let a = Array.unsafe_get code.addrs i in
-      cpu.Cpu.rip <- a;
-      finish (Faulted (Fault.Bad_instruction (a, "unresolved symbol " ^ s))) (i + 1)
-  in
-  go 0
+  let m = mach cpu mem in
+  let outcome = run_steps code m ~limit in
+  let k = m.at + 1 in
+  charge_exit code cpu k;
+  (outcome, k)
 
 (* ---- Tier 2: chaining, superblocks, profiling attribution ----------- *)
 
@@ -1625,19 +967,13 @@ let anchors_current (l : link) mem c =
        true
      end
 
-let link_live tc mem (l : link) rip key =
-  match l.l_target with
-  | None -> None
-  | Some c ->
-    if
-      Int64.equal l.l_addr rip
-      && (match l.l_space with Some s -> s == tc | None -> false)
-      && l.l_epoch = Tcache.epoch tc
-      && c.key == key
-      && slot_current c
-      && anchors_current l mem c
-    then Some c
-    else None
+let link_live tc mem (l : link) (c : code) rip key =
+  Int64.equal l.l_addr rip
+  && (match l.l_space with Some s -> s == tc | None -> false)
+  && l.l_epoch = Tcache.epoch tc
+  && c.key == key
+  && slot_current c
+  && anchors_current l mem c
 
 let link_for (c : code) rip =
   match c.exit_ with
@@ -1655,22 +991,17 @@ let install_link tc (l : link) rip target =
 
 (* Resolve the translation for [rip] in this space, compiling the
    cached block if needed. [None] bounces to the dispatcher (block not
-   cached / stale / uncompilable), which decodes and accounts the miss. *)
+   cached or stale), which decodes and accounts the miss. *)
 let resolve tc mem ~is_builtin ~inline rip =
   match Tcache.find tc rip with
   | Some b when Tcache.anchor_valid mem b -> (
     match b.Tcache.compiled with
     | Code c when c.key == is_builtin -> Some c
-    | Uncompilable -> None
-    | _ -> (
-      match compile ~inline ~is_builtin b with
-      | Code c as slot ->
-        b.Tcache.compiled <- slot;
-        Tcache.note_compile tc;
-        Some c
-      | slot ->
-        b.Tcache.compiled <- slot;
-        None))
+    | _ ->
+      let c = compile ~inline ~is_builtin b in
+      b.Tcache.compiled <- Code c;
+      Tcache.note_compile tc;
+      Some c)
   | _ -> None
 
 (* Superblock caps: enough to swallow a guarded call's prologue + body
@@ -1727,10 +1058,10 @@ let try_fuse tc mem ~is_builtin ~inline (c : code) =
   end
 
 (* Per-constituent cycle attribution for the profiler: the same static
-   prefix-sum formula [run_code]'s finish charges with, split at
-   constituent boundaries, clamped to the retired prefix. Note order
-   inside a dispatch is irrelevant (the profiler aggregates by
-   address), so fused output is byte-identical to the per-block tiers. *)
+   prefix-sum formula [charge_exit] charges with, split at constituent
+   boundaries, clamped to the retired prefix. Note order inside a
+   dispatch is irrelevant (the profiler aggregates by address), so
+   fused output is byte-identical to the per-block tiers. *)
 let note_profile (c : code) cpu k =
   let parts = Array.length c.starts in
   let n = Array.length c.ops in
@@ -1750,10 +1081,11 @@ let note_profile (c : code) cpu k =
    through live (or freshly patched) chain links until fuel runs out,
    a non-[Running] outcome exits to the OS, or the successor is not
    resolvable in-cache (bounce to the dispatcher, which decodes it).
-   Fuel, cycle and fault accounting are exactly the per-block tier's:
-   each hop retires through [run_code] with the remaining fuel. *)
+   Fuel, cycle and fault accounting are exactly the per-block tier's.
+   One [mach] serves every hop. *)
 let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
   let tc = cpu.Cpu.tcache in
+  let m = mach cpu mem in
   let profiling = Telemetry.Profile.enabled () in
   let threshold = Atomic.get fuse_threshold in
   let tier3 = Atomic.get tier_flag >= 3 in
@@ -1763,17 +1095,15 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
       else match try_fuse tc mem ~is_builtin ~inline c with Some sc -> sc | None -> c
     in
     c.hot <- c.hot + 1;
-    let outcome, k =
-      (* The register-caching chain has no fuel boundary inside it, so
-         it only runs when fuel covers the whole translation; otherwise
-         (and at tier 2) the per-step loop retires with exact limits. *)
-      match c.t3 with
-      | Some run3 when tier3 && fuel >= Array.length c.ops ->
-        let ((_, k) as r) = run3 cpu mem in
-        charge_exit c cpu k;
-        r
-      | _ -> run_code c cpu mem ~limit:fuel
+    let outcome =
+      (* The chain has no fuel boundary inside it, so it only runs when
+         fuel covers the whole translation; otherwise (and at tier 2)
+         the per-step loop retires with exact limits. *)
+      if tier3 && fuel >= Array.length c.ops then run_chain c m
+      else run_steps c m ~limit:fuel
     in
+    let k = m.at + 1 in
+    charge_exit c cpu k;
     if profiling then note_profile c cpu k;
     let acc = acc + k and fuel = fuel - k in
     match outcome with
@@ -1782,11 +1112,11 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
   and follow c fuel acc =
     let rip = cpu.Cpu.rip in
     let l = link_for c rip in
-    match link_live tc mem l rip is_builtin with
-    | Some target ->
+    match l.l_target with
+    | Some target when link_live tc mem l target rip is_builtin ->
       Tcache.note_chain_hop tc;
       enter target fuel acc
-    | None -> (
+    | _ -> (
       match c.exit_ with
       | Ir.Stop -> (Running, acc)
       | _ -> (
@@ -1804,12 +1134,10 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
     if Array.length c0.blocks > 1 && not (code_anchors_ok mem c0) then begin
       let head = Array.unsafe_get c0.blocks 0 in
       head.Tcache.fused_ranges <- [||];
-      match compile ~inline ~is_builtin head with
-      | Code c as slot ->
-        head.Tcache.compiled <- slot;
-        Tcache.note_compile tc;
-        c
-      | _ -> assert false (* compile always returns Code *)
+      let c = compile ~inline ~is_builtin head in
+      head.Tcache.compiled <- Code c;
+      Tcache.note_compile tc;
+      c
     end
     else c0
   in

@@ -2,34 +2,32 @@
     execution stack.
 
     [compile] lowers a decoded block through the explicit {!Ir}
-    (lift -> normalize -> emit) into an array of closures with
+    (lift -> normalize -> emit) into one step per instruction, with
     everything resolvable at translation time already resolved: operand
-    shapes specialized (no [read64]/[write64]/effective-address
-    matching at retire time), immediates captured, FS-segment and
-    missing-index addressing split into dedicated closures, direct-call
-    builtin targets resolved against the environment's table, and
-    straight-line cycle costs pre-summed so {!Cpu.add_cycles} runs once
-    per block exit.
+    shapes and addressing modes specialized, immediates captured,
+    direct-call builtin targets resolved against the environment's
+    table, and straight-line cycle costs pre-summed so
+    {!Cpu.add_cycles} runs once per block exit. A step is a
+    one-argument closure over the machine (the {!Cpu.t} plus its
+    {!Memory.t}): it updates the register file in place and tail-calls
+    its continuation, and it allocates nothing on its common path — the
+    register file is read and written through {!Cpu.get64u}/
+    {!Cpu.set64u}, and 8-byte guest accesses inside the layout and
+    inside one page go through {!Memory.load_page}/{!Memory.store_page}.
 
-    Tier 2 ([run_tier2]) executes the same translations but keeps
-    control inside compiled code across block boundaries: each code
-    carries chain links that are patched to the successor's translation
-    the first time an exit resolves, hot codes are fused forward along
-    unconditional static exits into superblock translations, and small
-    pure glibc builtins can be emitted in line at their call sites
-    ([compile ~inline]). Links are validated per traversal against the
-    address space's identity and invalidation epoch, the target's slot
-    and decode anchors, and the environment key — see the notes in the
-    implementation for why each check exists (fork relatives,
-    [patch_text] on private pages, superblock replacement).
-
-    Tier 3 additionally caches the translation's hottest guest
-    registers (picked by {!Ir.cache_plan}) in closure "locals" —
-    arguments threaded through a continuation chain — writing them back
-    to {!Cpu.t} gprs only at exits, chain transfers, kernel-visible
-    outcomes and faults. The spill protocol notes in the implementation
-    ([emit3]) explain why every fault still observes exact architectural
-    register state.
+    Tier 1 ([run_code]) runs the steps of one block, one per loop turn.
+    Tier 2 ([run_tier2]) keeps control inside compiled code across block
+    boundaries: each code carries chain links that are patched to the
+    successor's translation the first time an exit resolves, hot codes
+    are fused forward along unconditional static exits into superblock
+    translations, and small pure glibc builtins can be emitted in line
+    at their call sites ([compile ~inline]). Links are validated per
+    traversal against the address space's identity and invalidation
+    epoch, the target's slot and decode anchors, and the environment key
+    — see the notes in the implementation for why each check exists
+    (fork relatives, [patch_text] on private pages, superblock
+    replacement). Tier 3 runs each hop as the threaded chain: every step
+    tail-calls the next, for the whole translation at once.
 
     All tiers are semantically invisible: faults (identity and partial
     state), fuel accounting, builtin trapping, rdrand draws and the
@@ -58,10 +56,7 @@ type outcome = Compiled.outcome =
 
 type code
 
-type Compiled.slot += Code of code | Uncompilable
-
-(** [Uncompilable] is retained for slot compatibility; since [rdtsc]
-    became emittable, {!compile} always returns [Code _]. *)
+type Compiled.slot += Code of code
 
 type builtin_fn = Cpu.t -> Memory.t -> int64
 (** An inlinable builtin core: reads its arguments from the calling
@@ -72,9 +67,9 @@ val compile :
   ?inline:(string -> builtin_fn option) ->
   is_builtin:(int64 -> string option) ->
   Tcache.block ->
-  Compiled.slot
-(** Always returns [Code _]. [inline] (default: none)
-    lets direct calls to resolved builtins execute in line — the emitted
+  code
+(** The block's translation; store it as [Code _]. [inline] (default:
+    none) lets direct calls to resolved builtins execute in line — the emitted
     closure advances rip past the call, runs the core, writes rax and
     continues, instead of exiting to the OS dispatcher. Faults raised by
     the core surface as [Faulted] with rip at the return point, exactly
@@ -83,11 +78,6 @@ val compile :
 val key : code -> int64 -> string option
 (** The [is_builtin] the code was specialized against. Stale if not
     physically equal to the current environment's resolver. *)
-
-val cached_regs : code -> int array
-(** The gpr indices the tier-3 chain caches in closure locals (a copy;
-    empty when the translation has no register-caching chain — no
-    register passed {!Ir.cache_plan}'s profitability bar). *)
 
 val run_code : code -> Cpu.t -> Memory.t -> limit:int -> outcome * int
 (** Retire up to [limit] instructions from the code's start, returning
@@ -108,24 +98,20 @@ val run_tier2 :
     non-[Running] outcome must surface to the OS, or the successor is
     not resolvable from the cache — in which case [(Running, retired)]
     bounces control back to {!Exec.step_block}'s dispatcher, which
-    decodes it. At tier 3 each hop runs the register-caching chain
-    instead of the per-step loop whenever remaining fuel covers the
-    whole translation. Also attributes per-constituent cycles to
+    decodes it. At tier 3 each hop runs the threaded chain instead of
+    the per-step loop whenever remaining fuel covers the whole
+    translation. Also attributes per-constituent cycles to
     {!Telemetry.Profile} when profiling is on (the caller must not note
     again). *)
 
 val set_tier : int -> unit
 (** Process-wide tier switch: 0 = interpreter, 1 = per-block closures,
-    2 = chained/fused, 3 = chained/fused with register caching
+    2 = chained/fused, 3 = chained/fused running the threaded chain
     (default). Flip only while no simulated cpu is mid-run — the bench
     driver's [--compile-tier] and tests. Raises [Invalid_argument]
     outside [0..3]. *)
 
 val tier : unit -> int
-
-val set_enabled : bool -> unit
-(** [set_enabled b] = [set_tier (if b then 3 else 0)] — legacy on/off
-    switch. *)
 
 val enabled : unit -> bool
 (** Some compile tier is active ([tier () > 0]). *)

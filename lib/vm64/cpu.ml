@@ -6,7 +6,7 @@ type flags = {
 }
 
 type t = {
-  gprs : int64 array;
+  gprs : Bytes.t;
   xmms : (int64 * int64) array;
   mutable rip : int64;
   flags : flags;
@@ -21,7 +21,7 @@ type t = {
 
 let create ?(seed = 0x5EEDL) () =
   {
-    gprs = Array.make 16 0L;
+    gprs = Bytes.make 128 '\000';
     xmms = Array.make 16 (0L, 0L);
     rip = 0L;
     flags = { zf = false; sf = false; cf = false; of_ = false };
@@ -34,15 +34,18 @@ let create ?(seed = 0x5EEDL) () =
     tcache = Tcache.create ();
   }
 
-let get t r = t.gprs.(Isa.Reg.index r)
-let set t r v = t.gprs.(Isa.Reg.index r) <- v
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let get t r = get64u t.gprs (Isa.Reg.index r lsl 3)
+let set t r v = set64u t.gprs (Isa.Reg.index r lsl 3) v
 
 let get_xmm t x = t.xmms.(Isa.Reg.Xmm.index x)
 let set_xmm t x v = t.xmms.(Isa.Reg.Xmm.index x) <- v
 
 let clone t =
   {
-    gprs = Array.copy t.gprs;
+    gprs = Bytes.copy t.gprs;
     xmms = Array.copy t.xmms;
     rip = t.rip;
     flags =
@@ -65,7 +68,7 @@ let clone t =
 
 let snapshot t =
   {
-    gprs = Array.copy t.gprs;
+    gprs = Bytes.copy t.gprs;
     xmms = Array.copy t.xmms;
     rip = t.rip;
     flags =

@@ -8,7 +8,12 @@ type flags = {
 }
 
 type t = {
-  gprs : int64 array;  (** 16 general-purpose registers, by {!Isa.Reg.index} *)
+  gprs : Bytes.t;
+      (** The register file: 16 general-purpose registers, 8 bytes each,
+          register [i] (by {!Isa.Reg.index}) at byte offset [8 * i].
+          Access it with {!get}/{!set}, or with {!get64u}/{!set64u} at
+          [8 * i]. Bytes rather than an [int64 array], so a register
+          write is a plain store: no boxed int64 and no write barrier. *)
   xmms : (int64 * int64) array;  (** 16 XMM registers as (lo, hi) qwords *)
   mutable rip : int64;
   flags : flags;
@@ -37,6 +42,19 @@ val create : ?seed:int64 -> unit -> t
 
 val get : t -> Isa.Reg.t -> int64
 val set : t -> Isa.Reg.t -> int64 -> unit
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+(** [get64u b off] is the native-endian int64 at byte offset [off] of
+    [b], unchecked: the caller guarantees
+    [0 <= off <= Bytes.length b - 8]. A compiler primitive, so it is
+    inlined at every call site, even across [-opaque] module
+    boundaries, and its result stays unboxed when int64 arithmetic or
+    {!set64u} consumes it. The compiled tiers read the register file
+    ([get64u cpu.gprs (8 * i)]) and guest page payloads with it. *)
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+(** [set64u b off v] stores [v] native-endian at byte offset [off] of
+    [b]; unchecked and inlined like {!get64u}. *)
 
 val get_xmm : t -> Isa.Reg.Xmm.t -> int64 * int64
 val set_xmm : t -> Isa.Reg.Xmm.t -> int64 * int64 -> unit

@@ -478,8 +478,8 @@ let profiled cpu addr f =
    result immutable. Under tiers 2 and 3 the translation additionally
    runs through the chain runner, which keeps control inside compiled
    code across block exits until fuel runs out or a successor misses
-   the cache (tier 3 further swaps each hop to the register-caching
-   chain when fuel covers it). A fetch fault retires nothing. *)
+   the cache (tier 3 further runs each hop as the threaded chain when
+   fuel covers it). A fetch fault retires nothing. *)
 let dispatch_block env cpu mem b ~max_insns =
   let addr = b.Tcache.bb_start in
   let interp () = profiled cpu addr (fun () -> interp_block env cpu mem b ~max_insns) in
@@ -498,24 +498,18 @@ let dispatch_block env cpu mem b ~max_insns =
       in
       match b.Tcache.compiled with
       | Compile.Code c when Compile.key c == env.is_builtin -> run c
-      | Compile.Uncompilable -> interp ()
-      | _ -> (
+      | _ ->
         (* not yet compiled, or compiled against another environment.
            Tier 1 compiles without inlining, preserving its exact
            per-block dispatch protocol (builtin calls exit to the OS). *)
-        let slot =
+        let c =
           if chained then
             Compile.compile ~inline:env.inline_builtin ~is_builtin:env.is_builtin b
           else Compile.compile ~is_builtin:env.is_builtin b
         in
-        match slot with
-        | Compile.Code c ->
-          b.Tcache.compiled <- slot;
-          Tcache.note_compile cpu.Cpu.tcache;
-          run c
-        | _ ->
-          b.Tcache.compiled <- slot;
-          interp ())))
+        b.Tcache.compiled <- Compile.Code c;
+        Tcache.note_compile cpu.Cpu.tcache;
+        run c))
 
 let step_block env cpu mem ~max_insns =
   match fetch_block cpu mem with

@@ -6,8 +6,8 @@
 
     Untraced runs execute through the {!Compile} closure tier whenever
     the current block has a translation (building one on first
-    execution); traced runs ([on_retire]) and blocks the tier rejects
-    fall back to per-instruction interpretation. The two tiers are
+    execution); traced runs ([on_retire]) fall back to per-instruction
+    interpretation. The two tiers are
     observationally identical — registers, flags, memory, cycle counts,
     RNG draws, fault identity and fuel accounting — so which one ran is
     invisible to everything above {!Exec}. *)

@@ -114,90 +114,6 @@ let normalize_step s =
 
 let normalize t = { t with steps = Array.map normalize_step t.steps }
 
-(* ---- def-use: which gprs a step touches, and which run hot ---------- *)
-
-(* Per-step (reads, writes) over gpr indices, from the operand roles of
-   the instruction. This drives tier 3's register-caching *heuristic*
-   only: correctness there never depends on these sets being tight
-   (a step the emitter cannot specialize runs through a spill/reload
-   wrapper), so conservative over-approximation is fine — e.g. [Movb]
-   register destinations count as read+write (low-byte merge), and
-   kernel-visible steps (syscall, builtin calls) contribute nothing
-   because the emitter spills everything around them anyway. *)
-let step_gprs (s : step) : int list * int list =
-  let ri r = Isa.Reg.index r in
-  let mem_reads (m : O.mem) =
-    let b = match m.O.base with Some r -> [ ri r ] | None -> [] in
-    match m.O.index with Some (r, _) -> ri r :: b | None -> b
-  in
-  let src = function
-    | O.Reg r -> [ ri r ]
-    | O.Imm _ -> []
-    | O.Mem m -> mem_reads m
-  in
-  (* address registers a destination operand reads / the gpr it writes *)
-  let dst_reads = function O.Mem m -> mem_reads m | _ -> [] in
-  let dst_writes = function O.Reg r -> [ ri r ] | _ -> [] in
-  let rsp = ri Isa.Reg.RSP and rbp = ri Isa.Reg.RBP in
-  let rax = ri Isa.Reg.RAX and rdx = ri Isa.Reg.RDX in
-  match s.uop with
-  | Zero r -> ([], [ r ])
-  | Nop_cost -> ([], [])
-  | Exec i -> (
-    match i with
-    | I.Nop | I.Jmp _ | I.Jcc _ | I.Syscall | I.Hlt -> ([], [])
-    | I.Rdtsc -> ([], [ rax; rdx ])
-    | I.Mov (d, s) | I.Movl (d, s) -> (src s @ dst_reads d, dst_writes d)
-    | I.Movb (d, s) ->
-      (* reg destination merges the low byte: read-modify-write *)
-      (src s @ dst_reads d @ dst_writes d, dst_writes d)
-    | I.Lea (r, m) -> (mem_reads m, [ ri r ])
-    | I.Push o -> (rsp :: src o, [ rsp ])
-    | I.Pop o -> (rsp :: dst_reads o, rsp :: dst_writes o)
-    | I.Bin ((I.Cmp | I.Test), d, s) -> (src d @ src s @ dst_reads d, [])
-    | I.Bin (_, d, s) -> (src d @ src s @ dst_reads d, dst_writes d)
-    | I.Shift (_, o, _) | I.Neg o | I.Not o ->
-      (src o @ dst_reads o, dst_writes o)
-    | I.Call _ -> ([ rsp ], [ rsp ])
-    | I.Call_ind o -> (rsp :: src o, [ rsp ])
-    | I.Ret -> ([ rsp ], [ rsp ])
-    | I.Leave -> ([ rbp ], [ rsp; rbp ])
-    | I.Setcc (_, r) -> ([], [ ri r ])
-    | I.Rdrand r -> ([], [ ri r ])
-    | I.Pac (d, m) | I.Aut (d, m) -> ([ ri d; ri m ], [ ri d ])
-    | I.Movq_to_xmm (_, r) | I.Pinsrq_high (_, r) -> ([ ri r ], [])
-    | I.Movq_from_xmm (r, _) -> ([], [ ri r ])
-    | I.Movhps_load (_, m) | I.Movdqu_load (_, m) | I.Pcmpeq128 (_, m) ->
-      (mem_reads m, [])
-    | I.Movq_store (m, _) | I.Movdqu_store (m, _) -> (mem_reads m, [])
-    | I.Aesenc _ | I.Aesenclast _ -> ([], []))
-
-(* The translation's hot gprs, most-accessed first, capped at [limit].
-   A register only earns a slot when caching pays: entry reload + exit
-   spill cost two array accesses, so it must be touched at least three
-   times. Ties break toward the lower register index, so the plan is a
-   pure function of the steps (determinism across runs and domains). *)
-let cache_plan ?(limit = 2) t : int array =
-  let counts = Array.make 16 0 in
-  Array.iter
-    (fun s ->
-      let reads, writes = step_gprs s in
-      List.iter (fun r -> counts.(r) <- counts.(r) + 1) reads;
-      List.iter (fun r -> counts.(r) <- counts.(r) + 1) writes)
-    t.steps;
-  let ranked =
-    List.init 16 (fun r -> r)
-    |> List.filter (fun r -> counts.(r) >= 3)
-    |> List.sort (fun a b ->
-           if counts.(a) <> counts.(b) then compare counts.(b) counts.(a)
-           else compare a b)
-  in
-  let rec take k = function
-    | r :: tl when k > 0 -> r :: take (k - 1) tl
-    | _ -> []
-  in
-  Array.of_list (take limit ranked)
-
 (* ---- fuse: superblock concatenation --------------------------------- *)
 
 let jump_target t = match t.exit_ with Jump a -> Some a | _ -> None

@@ -55,17 +55,6 @@ val normalize : t -> t
 (** Per-step strength reduction (zero idiom, dead shifts, self-moves);
     each rewrite is observationally identical per retired instruction. *)
 
-val step_gprs : step -> int list * int list
-(** [(reads, writes)] over gpr indices, from the instruction's operand
-    roles. Drives tier 3's caching heuristic only — conservative
-    over-approximation is fine, correctness never depends on it. *)
-
-val cache_plan : ?limit:int -> t -> int array
-(** The translation's hot gprs, most-accessed first, at most [limit]
-    (default 2). Only registers touched at least three times qualify
-    (entry reload + exit spill must pay for themselves); ties break
-    toward the lower index so the plan is deterministic. *)
-
 val jump_target : t -> int64 option
 (** The unconditional static successor, if the exit has one. *)
 

@@ -108,8 +108,8 @@ let create () =
     family;
   }
 
-let page_of addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
-let offset_of addr = Int64.to_int (Int64.logand addr 0xFFFL)
+let[@inline] page_of addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
+let[@inline] offset_of addr = Int64.to_int (Int64.logand addr 0xFFFL)
 
 (* Give this space its own copy of chunk [c]: the same payloads, every
    privacy byte clear (an unowned chunk is aliased by construction; an
@@ -140,44 +140,65 @@ let map t ~addr ~len =
     end
   done
 
-(* Payload under [addr], or [no_page] if unmapped — never raises. *)
-let page_at t addr =
-  let idx = page_of addr in
+(* Payload of page number [idx] (any nonnegative int), or [no_page] if
+   unmapped or above the layout — never raises. *)
+let[@inline] page_at t idx =
   let c = idx lsr chunk_bits in
   if c >= chunks then no_page
   else Array.unsafe_get (Array.unsafe_get t.top c) (idx land (chunk_pages - 1))
 
-let is_mapped t addr = page_at t addr != no_page
+let is_mapped t addr = page_at t (page_of addr) != no_page
+
+let segfault addr = Fault.Trap (Fault.Segfault addr)
 
 (* Read path: the payload as-is, shared or not. *)
-let ro_page t addr =
-  let p = page_at t addr in
-  if p == no_page then raise (Fault.Trap (Fault.Segfault addr));
+let[@inline] ro_page t addr =
+  let p = page_at t (page_of addr) in
+  if p == no_page then raise (segfault addr);
   p
 
-(* Write path: own the chunk, then break payload sharing with a private
-   copy on first dirty. An unmapped address faults before any sharing
-   is broken (owning a chunk is invisible: no payload is copied and no
-   counter moves). *)
-let rw_page t addr =
-  let idx = page_of addr in
+(* First write to a page whose payload may be aliased: replace it with a
+   private copy. Out of line, off the hot write path. *)
+let break_cow t c s p =
+  let d = Bytes.copy p in
+  Array.unsafe_set (Array.unsafe_get t.top c) s d;
+  Bytes.unsafe_set (Array.unsafe_get t.privs c) s '\001';
+  t.generation <- t.generation + 1;
+  t.family.cow_breaks <- t.family.cow_breaks + 1;
+  d
+
+(* Write path on page number [idx]: own the chunk, then break payload
+   sharing on first dirty; [no_page] when unmapped. An unmapped page
+   yields [no_page] before any sharing is broken (owning a chunk is
+   invisible: no payload is copied and no counter moves). *)
+let[@inline] rw_page_at t idx =
   let c = idx lsr chunk_bits in
-  if c >= chunks then raise (Fault.Trap (Fault.Segfault addr));
-  if Bytes.unsafe_get t.owned c <> '\001' then own_chunk t c;
-  let ch = Array.unsafe_get t.top c in
-  let s = idx land (chunk_pages - 1) in
-  let p = Array.unsafe_get ch s in
-  if p == no_page then raise (Fault.Trap (Fault.Segfault addr));
-  let privs = Array.unsafe_get t.privs c in
-  if Bytes.unsafe_get privs s = '\001' then p
+  if c >= chunks then no_page
   else begin
-    let d = Bytes.copy p in
-    Array.unsafe_set ch s d;
-    Bytes.unsafe_set privs s '\001';
-    t.generation <- t.generation + 1;
-    t.family.cow_breaks <- t.family.cow_breaks + 1;
-    d
+    if Bytes.unsafe_get t.owned c <> '\001' then own_chunk t c;
+    let s = idx land (chunk_pages - 1) in
+    let p = Array.unsafe_get (Array.unsafe_get t.top c) s in
+    if p == no_page || Bytes.unsafe_get (Array.unsafe_get t.privs c) s = '\001' then p
+    else break_cow t c s p
   end
+
+let[@inline] rw_page t addr =
+  let p = rw_page_at t (page_of addr) in
+  if p == no_page then raise (segfault addr);
+  p
+
+(* Page windows: the int-address forms of [ro_page]/[rw_page]. A
+   negative [a] maps to a page number far above the layout, so it faults
+   like any address outside it. *)
+let load_page t a =
+  let p = page_at t (a lsr page_bits) in
+  if p == no_page then raise (segfault (Int64.of_int a));
+  p
+
+let store_page t a =
+  let p = rw_page_at t (a lsr page_bits) in
+  if p == no_page then raise (segfault (Int64.of_int a));
+  p
 
 (* Decode-path window: the page payload under [addr] plus the offset
    into it, without raising. The caller must treat the payload as
@@ -185,7 +206,7 @@ let rw_page t addr =
    what makes zero-copy instruction fetch possible; any write through
    it would bypass CoW. *)
 let code_window t addr =
-  let p = page_at t addr in
+  let p = page_at t (page_of addr) in
   if p == no_page then None else Some (p, offset_of addr)
 
 (* The page's payload may be aliased by a fork relative: either the

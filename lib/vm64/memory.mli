@@ -38,6 +38,29 @@ val read_u64 : t -> int64 -> int64
 
 val write_u64 : t -> int64 -> int64 -> unit
 
+(** {2 Page windows}
+
+    The compiled tiers' allocation-free path for 8-byte accesses. They
+    take the address as an [int], so no boxed int64 crosses the call,
+    and return the live payload of the page holding it. The caller then
+    accesses the payload at [a land (page_size - 1)] itself. Callers use
+    them only for an [a] with [0 <= a < 0x0800_0000] whose 8 bytes stay
+    inside one page; any other access goes through {!read_u64} and
+    {!write_u64}. For such an [a], a window access is indistinguishable
+    from [read_u64]/[write_u64] at [Int64.of_int a]: same bytes, same
+    fault, same copy-on-write break, same counters. *)
+
+val load_page : t -> int -> bytes
+(** The payload under [a], possibly CoW-shared: read it, never write
+    through it. Raises [Fault.Trap (Segfault (Int64.of_int a))] when the
+    page is unmapped. *)
+
+val store_page : t -> int -> bytes
+(** The payload under [a], made private first: the chunk is owned and a
+    shared payload is replaced by a copy, exactly as {!write_u64} does,
+    so writes through it stay in this space. Valid until the next
+    {!clone}. Raises like {!load_page}, before breaking any sharing. *)
+
 val read_u32 : t -> int64 -> int64
 (** Zero-extended 32-bit load. *)
 

@@ -7,8 +7,8 @@
    encodable instruction sequences, run each four times from identical
    initial state — interpreter, tier 1 (per-block closures), tier 2
    (chained/fused, with the fuse threshold forced to 1 so superblocks
-   actually form), tier 3 (register caching, exercising the spill
-   protocol at every fault and kernel boundary) — and compare the
+   actually form), tier 3 (the threaded chain, which faults out of the
+   middle of a translation with no per-step handler) — and compare the
    complete machine state. *)
 
 open Isa
@@ -178,6 +178,8 @@ type snapshot = {
   s_stack : bytes;
 }
 
+let gprs cpu = Array.init 16 (fun i -> Cpu.get cpu (Reg.of_index_exn i))
+
 let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
     ~data ~code =
   Compile.set_tier tier;
@@ -191,7 +193,7 @@ let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
   Memory.map mem ~addr:stack_base ~len:stack_len;
   Memory.write_bytes mem data_base data;
   Memory.write_bytes mem text_base code;
-  Array.blit init_gprs 0 cpu.Cpu.gprs 0 16;
+  Array.iteri (fun i v -> Cpu.set cpu (Reg.of_index_exn i) v) init_gprs;
   Array.iteri (fun i v -> cpu.Cpu.xmms.(i) <- v) init_xmms;
   Cpu.set cpu Reg.RSP 0x71800L;
   Cpu.set cpu Reg.R15 data_base;
@@ -204,7 +206,7 @@ let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
   Compile.set_tier 3;
   {
     s_result = result;
-    s_gprs = Array.copy cpu.Cpu.gprs;
+    s_gprs = gprs cpu;
     s_xmms = Array.copy cpu.Cpu.xmms;
     s_rip = cpu.Cpu.rip;
     s_flags =
@@ -568,11 +570,11 @@ let test_chain_link_generation () =
   check_reg "parent keeps the old bytes" Reg.RBX 2L cpu
 
 (* Superblock fusion must not perturb profiler attribution: the fused
-   closure retires a whole chain in one sweep, yet its per-constituent
-   self-notes must reproduce the per-block rows byte for byte —
-   including the insn/call tax terms. RAX is hammered in every block so
-   the tier-3 run genuinely caches it: the register-caching chain must
-   attribute through the same prefix-sum notes as the per-step loop. *)
+   translation retires a whole chain in one sweep, yet its
+   per-constituent self-notes must reproduce the per-block rows byte for
+   byte — including the insn/call tax terms. The tier-3 run goes through
+   the threaded chain, which must attribute through the same prefix-sum
+   notes as the per-step loop. *)
 let test_superblock_profile_attribution () =
   with_fuse_threshold 1 @@ fun () ->
   let profile_rows ~tier =
@@ -627,7 +629,7 @@ let test_superblock_profile_attribution () =
   check_same "tier 2" rows2;
   check_same "tier 3" rows3
 
-(* ---- tier-3 register caching ----------------------------------------------- *)
+(* ---- tier 3: the threaded chain -------------------------------------------- *)
 
 let mk_block ~start insns =
   Tcache.make_block ~start
@@ -658,47 +660,46 @@ let test_normalize_self_move () =
   Alcotest.(check int) "self-move keeps the move's decoded cost"
     ir.Ir.steps.(1).Ir.cost ir.Ir.steps.(0).Ir.cost
 
-(* The caching heuristic is deterministic: most-accessed register first,
-   only registers worth an entry reload + exit spill qualify, and a
-   block containing rdtsc still translates (against the static prefix
-   charge) rather than falling back to the interpreter. *)
-let test_cache_plan_and_rdtsc_compiles () =
-  let b =
-    mk_block ~start:text_base
-      [
-        Insn.Bin (Insn.Add, Operand.reg Reg.RBX, Operand.imm 1L);
-        Insn.Bin (Insn.Add, Operand.reg Reg.RBX, Operand.reg Reg.RCX);
-        Insn.Bin (Insn.Add, Operand.reg Reg.RCX, Operand.imm 2L);
-        Insn.Mov (Operand.reg Reg.RCX, Operand.reg Reg.RBX);
-        Insn.Rdtsc;
-        Insn.Hlt;
-      ]
-  in
-  (match Compile.compile ~is_builtin:no_builtin b with
-  | Compile.Code c ->
-    Alcotest.(check (array int))
-      "plan picks the hot gprs, hottest first"
-      [| Reg.index Reg.RBX; Reg.index Reg.RCX |]
-      (Compile.cached_regs c)
-  | _ -> Alcotest.fail "rdtsc block must still compile");
-  (* rax/rdx are written once each by rdtsc: below the profitability
-     bar, so they must not appear in the plan *)
-  let cold =
-    mk_block ~start:text_base [ Insn.Rdtsc; Insn.Hlt ]
-  in
-  match Compile.compile ~is_builtin:no_builtin cold with
-  | Compile.Code c ->
-    Alcotest.(check (array int)) "cold block caches nothing" [||]
-      (Compile.cached_regs c)
-  | _ -> Alcotest.fail "cold rdtsc block must still compile"
-
 let int64_t = Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal
 
-(* Fault-exact spills: trap mid-superblock on a store page-fault while a
-   cached register is live (modified since entry) in a closure local.
-   Every interpreter-visible fact — gprs, flags, rip, cycles, fault
-   identity — must match a tier-1 replay of the same machine. *)
-let test_spill_exactness_on_fault () =
+(* rdtsc compiles: mid-block, the compiled tiers read the counter as
+   entry cycles plus the retired prefix's static charge, taxes included,
+   which is what the interpreter charged before executing it. *)
+let test_rdtsc_compiles () =
+  let tsc ~tier =
+    Compile.set_tier tier;
+    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+    let cpu, mem = fresh () in
+    load_program mem
+      [
+        Insn.Bin (Insn.Add, Operand.reg Reg.RBX, Operand.imm 1L);
+        Insn.Call (Insn.Abs (Int64.add text_base 0x40L));
+      ];
+    Memory.write_bytes mem (Int64.add text_base 0x40L)
+      (Encode.list_to_bytes [ Insn.Rdtsc; Insn.Hlt ]);
+    cpu.Cpu.insn_tax <- 2;
+    cpu.Cpu.call_tax <- 7;
+    cpu.Cpu.cycles <- 0x1_0000_0000L;
+    run_to_halt cpu mem;
+    (Cpu.get cpu Reg.RAX, Cpu.get cpu Reg.RDX, cpu.Cpu.cycles)
+  in
+  let ((rax0, rdx0, _) as interp) = tsc ~tier:0 in
+  Alcotest.(check bool) "rdtsc saw the retired prefix" true
+    (Int64.logor (Int64.shift_left rdx0 32) rax0 > 0x1_0000_0000L);
+  List.iter
+    (fun tier ->
+      let rax, rdx, cycles = tsc ~tier in
+      let _, _, cycles0 = interp in
+      Alcotest.check int64_t (Printf.sprintf "tier %d rax" tier) rax0 rax;
+      Alcotest.check int64_t (Printf.sprintf "tier %d rdx" tier) rdx0 rdx;
+      Alcotest.check int64_t (Printf.sprintf "tier %d cycles" tier) cycles0 cycles)
+    [ 1; 2; 3 ]
+
+(* Faults are exact mid-superblock: trap on a store page-fault in the
+   middle of a fused chain, with a register modified since entry. Every
+   interpreter-visible fact — gprs, flags, rip, cycles, fault identity —
+   must match a tier-1 replay of the same machine. *)
+let test_fault_exact_mid_superblock () =
   with_fuse_threshold 1 @@ fun () ->
   let run_at tier =
     Compile.set_tier tier;
@@ -722,30 +723,21 @@ let test_spill_exactness_on_fault () =
     cpu.Cpu.insn_tax <- 2;
     cpu.Cpu.call_tax <- 7;
     (* warm up with the store aimed at mapped data: two halting runs
-       form the superblock, whose fused IR caches rbx *)
+       form the superblock *)
     Cpu.set cpu Reg.R13 data_base;
     run_to_halt cpu mem;
     run_to_halt cpu mem;
-    if tier = 3 then begin
+    if tier = 3 then
       Alcotest.(check bool) "superblock formed" true
         ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks >= 1);
-      match Tcache.find cpu.Cpu.tcache text_base with
-      | Some blk -> (
-        match blk.Tcache.compiled with
-        | Compile.Code c ->
-          Alcotest.(check (array int)) "rbx is cached in the fused chain"
-            [| Reg.index Reg.RBX |] (Compile.cached_regs c)
-        | _ -> Alcotest.fail "fused head has no compiled slot")
-      | None -> Alcotest.fail "fused head record missing"
-    end;
-    (* aim the store at unmapped space: the chain faults with rbx live
-       in a closure local, two adds retired, the +100 not *)
+    (* aim the store at unmapped space: the chain faults in its middle,
+       two adds and the push retired, the +100 not *)
     Cpu.set cpu Reg.R13 0x9000000L;
     Cpu.set cpu Reg.RBX 0L;
     cpu.Cpu.rip <- text_base;
     let result = Exec.run env cpu mem in
     ( result,
-      Array.copy cpu.Cpu.gprs,
+      gprs cpu,
       ( cpu.Cpu.flags.Cpu.zf,
         cpu.Cpu.flags.Cpu.sf,
         cpu.Cpu.flags.Cpu.cf,
@@ -768,13 +760,12 @@ let test_spill_exactness_on_fault () =
   Alcotest.(check bool) "flags at fault" true (f1 = f3);
   Alcotest.check int64_t "rip points at the faulting store" rip1 rip3;
   Alcotest.check int64_t "cycles at fault" c1 c3;
-  (* the spilled value is the architecturally current one *)
   Alcotest.check int64_t "rbx shows exactly the retired adds" 6L
     g3.(Reg.index Reg.RBX)
 
-(* patch_text inside the cached region at tier 3: invalidating an
-   interior constituent must take the register-caching chain down with
-   the superblock, and the patched bytes must retranslate. *)
+(* patch_text inside a superblock at tier 3: invalidating an interior
+   constituent must take the fused chain down with the superblock, and
+   the patched bytes must retranslate. *)
 let test_tier3_patch_in_cached_region () =
   with_fuse_threshold 1 @@ fun () ->
   Compile.set_tier 3;
@@ -794,23 +785,194 @@ let test_tier3_patch_in_cached_region () =
   run_to_halt cpu mem;
   Alcotest.(check bool) "superblock formed" true
     ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks >= 1);
-  (match Tcache.find cpu.Cpu.tcache text_base with
-  | Some blk -> (
-    match blk.Tcache.compiled with
-    | Compile.Code c ->
-      Alcotest.(check (array int)) "rbx cached in the superblock"
-        [| Reg.index Reg.RBX |] (Compile.cached_regs c)
-    | _ -> Alcotest.fail "head has no compiled slot")
-  | None -> Alcotest.fail "head record missing");
   Cpu.set cpu Reg.RBX 0L;
   run_to_halt cpu mem;
-  check_reg "fused run through the cached chain" Reg.RBX 7L cpu;
+  check_reg "fused run through the chain" Reg.RBX 7L cpu;
+  let compiles = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles in
   Memory.write_bytes mem block_b (b_bytes 40L);
   Cpu.invalidate_decode cpu ~addr:block_b ~len:16;
   Cpu.set cpu Reg.RBX 0L;
   run_to_halt cpu mem;
-  check_reg "patched constituent executed, stale cached chain dropped"
-    Reg.RBX 43L cpu
+  check_reg "patched constituent executed, stale fused chain dropped"
+    Reg.RBX 43L cpu;
+  Alcotest.(check bool) "patched bytes retranslated" true
+    ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles > compiles)
+
+(* Minor-heap words per retired instruction of a loop run to its hlt,
+   after a warm-up run of the same code has translated and fused it. *)
+let words_per_insn cpu mem ~warm_up ~measure =
+  warm_up ();
+  run_to_halt cpu mem;
+  measure ();
+  cpu.Cpu.rip <- text_base;
+  let w0 = Gc.minor_words () in
+  let rec go retired =
+    match Exec.step_block env cpu mem ~max_insns:1_000_000 with
+    | Exec.Running, k -> go (retired + k)
+    | Exec.Halted, k -> retired + k
+    | _ -> Alcotest.fail "loop did not halt"
+  in
+  let retired = go 0 in
+  (Gc.minor_words () -. w0) /. float_of_int retired
+
+(* The page windows: every 8-byte access shape, at addresses on both
+   sides of each guard — the last offsets of a mapped page followed by
+   an unmapped one, the top of the 128 MiB layout (its last page
+   mapped), addresses whose top bit [Int64.to_int] drops (one aliases
+   the mapped text page) and plain junk — must leave the interpreter's
+   full machine state, memory, fault and cycles at every compiled tier.
+   An in-page access at the last window offset must also stay on the
+   allocation-free path. *)
+let test_page_window_guard () =
+  let page = data_base and top = Int64.sub Layout.address_limit 4096L in
+  let addrs =
+    List.init 8 (fun j -> Int64.add page (Int64.of_int (4088 + j)))
+    @ List.init 8 (fun j -> Int64.sub Layout.address_limit (Int64.of_int (8 - j)))
+    @ [ -8L; Int64.logor Int64.min_int text_base; 0x4141414141414141L ]
+  in
+  let callee = Int64.add text_base 0x40L in
+  let at_rbx = Operand.mem ~base:Reg.RBX 0L in
+  (* (name, program, register setup for address a) *)
+  let shapes =
+    [
+      ("mov load", [ Insn.Mov (Operand.reg Reg.RAX, at_rbx) ], fun a -> [ (Reg.RBX, a) ]);
+      ("mov store", [ Insn.Mov (at_rbx, Operand.reg Reg.RCX) ], fun a -> [ (Reg.RBX, a) ]);
+      ("add load", [ Insn.Bin (Insn.Add, Operand.reg Reg.RAX, at_rbx) ], fun a -> [ (Reg.RBX, a) ]);
+      ("push", [ Insn.Push (Operand.reg Reg.RCX) ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
+      ("pop", [ Insn.Pop (Operand.reg Reg.RAX) ], fun a -> [ (Reg.RSP, a) ]);
+      ("call", [ Insn.Call (Insn.Abs callee) ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
+      ("ret", [ Insn.Ret ], fun a -> [ (Reg.RSP, a) ]);
+      ("leave", [ Insn.Leave ], fun a -> [ (Reg.RBP, a) ]);
+    ]
+  in
+  let fill = Util.Prng.bytes (Util.Prng.create 0x9A6EL) 4096 in
+  let run ~tier prog regs =
+    Compile.set_tier tier;
+    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+    let cpu, mem = fresh () in
+    Memory.map mem ~addr:page ~len:4096;
+    Memory.map mem ~addr:top ~len:4096;
+    Memory.write_bytes mem page fill;
+    Memory.write_bytes mem top fill;
+    load_program mem (prog @ [ Insn.Hlt ]);
+    Memory.write_bytes mem callee (Encode.list_to_bytes [ Insn.Hlt ]);
+    Cpu.set cpu Reg.RCX 0x1122334455667788L;
+    List.iter (fun (r, v) -> Cpu.set cpu r v) regs;
+    let result = Exec.run ~max_insns:10 env cpu mem in
+    {
+      s_result = result;
+      s_gprs = gprs cpu;
+      s_xmms = Array.copy cpu.Cpu.xmms;
+      s_rip = cpu.Cpu.rip;
+      s_flags =
+        ( cpu.Cpu.flags.Cpu.zf,
+          cpu.Cpu.flags.Cpu.sf,
+          cpu.Cpu.flags.Cpu.cf,
+          cpu.Cpu.flags.Cpu.of_ );
+      s_cycles = cpu.Cpu.cycles;
+      s_text = Memory.read_bytes mem text_base 4096;
+      s_data = Bytes.cat (Memory.read_bytes mem page 4096) (Memory.read_bytes mem top 4096);
+      s_stack = Memory.read_bytes mem stack_base stack_len;
+    }
+  in
+  let trial = ref 0 in
+  List.iter
+    (fun (name, prog, regs) ->
+      List.iter
+        (fun a ->
+          let interp = run ~tier:0 prog (regs a) in
+          List.iter
+            (fun tier ->
+              compare_snapshots ~trial:!trial
+                ~what:(Printf.sprintf "tier %d (%s at 0x%Lx)" tier name a)
+                interp (run ~tier prog (regs a)))
+            [ 1; 2; 3 ];
+          incr trial)
+        addrs)
+    shapes;
+  (* the last window offset is in the window: 16 loads and stores there
+     per turn stay allocation-free *)
+  Compile.set_tier 3;
+  let cpu, mem = fresh () in
+  Memory.map mem ~addr:page ~len:4096;
+  let body =
+    List.concat
+      (List.init 16 (fun _ ->
+           [ Insn.Mov (Operand.reg Reg.RAX, at_rbx); Insn.Mov (at_rbx, Operand.reg Reg.RAX) ]))
+  in
+  load_program mem
+    (body
+    @ [
+        Insn.Bin (Insn.Sub, Operand.reg Reg.RCX, Operand.imm 1L);
+        Insn.Jcc (Insn.NE, Insn.Abs text_base);
+        Insn.Hlt;
+      ]);
+  let set_up n () =
+    Cpu.set cpu Reg.RBX (Int64.add page 4088L);
+    Cpu.set cpu Reg.RCX n
+  in
+  let w = words_per_insn cpu mem ~warm_up:(set_up 4L) ~measure:(set_up 1000L) in
+  if w >= 0.5 then
+    Alcotest.failf "loads and stores at page offset 4088 allocate %.2f words per insn" w
+
+(* The chain allocates nothing per instruction: a loop of the shape the
+   Mini-C compiler emits (rbp-relative locals, push/pop operand
+   shuffling, imul/irem hashing, cmp/setl/je loop test, jmp back) runs
+   10,000 iterations at tier 3 with fewer than 0.5 minor-heap words per
+   retired instruction. What remains is per hop, not per instruction:
+   the boxed cycle counter settled at each translation exit. *)
+let test_chain_allocation () =
+  Compile.set_tier 3;
+  let cpu, mem = fresh () in
+  let local d = Operand.mem ~base:Reg.RBP (Int64.of_int d) in
+  let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX in
+  let top = text_base in
+  let load_rax d = Insn.Mov (rax, local d) in
+  let stack_op bop k =
+    [ Insn.Push rax; Insn.Mov (rax, Operand.imm k); Insn.Pop rcx; Insn.Bin (bop, rcx, rax); Insn.Mov (rax, rcx) ]
+  in
+  let loop_test =
+    [
+      load_rax (-8);
+      Insn.Push rax;
+      load_rax (-24);
+      Insn.Pop rcx;
+      Insn.Bin (Insn.Cmp, rcx, rax);
+      Insn.Setcc (Insn.L, Reg.RAX);
+      Insn.Bin (Insn.Cmp, rax, Operand.imm 0L);
+    ]
+  in
+  let test_len =
+    Bytes.length (Encode.list_to_bytes (loop_test @ [ Insn.Jcc (Insn.E, Insn.Abs 0L) ]))
+  in
+  let body =
+    [ load_rax (-16) ]
+    @ stack_op Insn.Imul 31L
+    @ [ Insn.Push rax; load_rax (-8); Insn.Pop rcx; Insn.Bin (Insn.Add, rcx, rax); Insn.Mov (rax, rcx) ]
+    @ stack_op Insn.Irem 1000003L
+    @ [
+        Insn.Mov (local (-16), rax);
+        load_rax (-8);
+        Insn.Bin (Insn.Add, rax, Operand.imm 1L);
+        Insn.Mov (local (-8), rax);
+        Insn.Jmp (Insn.Abs top);
+      ]
+  in
+  let body_len = Bytes.length (Encode.list_to_bytes body) in
+  let exit_ = Int64.add top (Int64.of_int (test_len + body_len)) in
+  load_program mem (loop_test @ [ Insn.Jcc (Insn.E, Insn.Abs exit_) ] @ body @ [ Insn.Hlt ]);
+  let rbp = 0x71000L in
+  let set_up n () =
+    Cpu.set cpu Reg.RBP rbp;
+    Memory.write_u64 mem (Int64.sub rbp 8L) 0L;
+    Memory.write_u64 mem (Int64.sub rbp 16L) 7L;
+    Memory.write_u64 mem (Int64.sub rbp 24L) n
+  in
+  let w = words_per_insn cpu mem ~warm_up:(set_up 20L) ~measure:(set_up 10_000L) in
+  Alcotest.(check int64_t) "all iterations retired" 10_000L
+    (Memory.read_u64 mem (Int64.sub rbp 8L));
+  if w >= 0.5 then
+    Alcotest.failf "the tier-3 chain allocates %.2f minor words per retired instruction" w
 
 let () =
   Alcotest.run "compile"
@@ -848,11 +1010,14 @@ let () =
         [
           Alcotest.test_case "normalize rewrites mov r,r to Nop_cost" `Quick
             test_normalize_self_move;
-          Alcotest.test_case "cache plan is deterministic; rdtsc compiles"
-            `Quick test_cache_plan_and_rdtsc_compiles;
-          Alcotest.test_case "spills are fault-exact mid-superblock" `Quick
-            test_spill_exactness_on_fault;
+          Alcotest.test_case "rdtsc compiles mid-block" `Quick test_rdtsc_compiles;
+          Alcotest.test_case "faults are exact mid-superblock" `Quick
+            test_fault_exact_mid_superblock;
           Alcotest.test_case "patching inside the cached region retranslates"
             `Quick test_tier3_patch_in_cached_region;
+          Alcotest.test_case "page windows match the interpreter" `Quick
+            test_page_window_guard;
+          Alcotest.test_case "chain allocates < 0.5 words/insn" `Quick
+            test_chain_allocation;
         ] );
     ]
