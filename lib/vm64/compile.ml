@@ -897,7 +897,8 @@ let rec steps_from (code : code) m i limit =
   | outcome ->
     m.at <- i;
     outcome
-  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit code m i e
+  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) ->
+    fault_exit code m i e
 
 let run_steps (code : code) m ~limit =
   let n = Array.length code.ops in

@@ -837,7 +837,9 @@ let test_page_window_guard () =
     [
       ("mov load", [ Insn.Mov (Operand.reg Reg.RAX, at_rbx) ], fun a -> [ (Reg.RBX, a) ]);
       ("mov store", [ Insn.Mov (at_rbx, Operand.reg Reg.RCX) ], fun a -> [ (Reg.RBX, a) ]);
-      ("add load", [ Insn.Bin (Insn.Add, Operand.reg Reg.RAX, at_rbx) ], fun a -> [ (Reg.RBX, a) ]);
+      ( "add load",
+        [ Insn.Bin (Insn.Add, Operand.reg Reg.RAX, at_rbx) ],
+        fun a -> [ (Reg.RBX, a) ] );
       ("push", [ Insn.Push (Operand.reg Reg.RCX) ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
       ("pop", [ Insn.Pop (Operand.reg Reg.RAX) ], fun a -> [ (Reg.RSP, a) ]);
       ("call", [ Insn.Call (Insn.Abs callee) ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
@@ -898,7 +900,10 @@ let test_page_window_guard () =
   let body =
     List.concat
       (List.init 16 (fun _ ->
-           [ Insn.Mov (Operand.reg Reg.RAX, at_rbx); Insn.Mov (at_rbx, Operand.reg Reg.RAX) ]))
+           [
+             Insn.Mov (Operand.reg Reg.RAX, at_rbx);
+             Insn.Mov (at_rbx, Operand.reg Reg.RAX);
+           ]))
   in
   load_program mem
     (body
@@ -929,7 +934,13 @@ let test_chain_allocation () =
   let top = text_base in
   let load_rax d = Insn.Mov (rax, local d) in
   let stack_op bop k =
-    [ Insn.Push rax; Insn.Mov (rax, Operand.imm k); Insn.Pop rcx; Insn.Bin (bop, rcx, rax); Insn.Mov (rax, rcx) ]
+    [
+      Insn.Push rax;
+      Insn.Mov (rax, Operand.imm k);
+      Insn.Pop rcx;
+      Insn.Bin (bop, rcx, rax);
+      Insn.Mov (rax, rcx);
+    ]
   in
   let loop_test =
     [
@@ -948,7 +959,13 @@ let test_chain_allocation () =
   let body =
     [ load_rax (-16) ]
     @ stack_op Insn.Imul 31L
-    @ [ Insn.Push rax; load_rax (-8); Insn.Pop rcx; Insn.Bin (Insn.Add, rcx, rax); Insn.Mov (rax, rcx) ]
+    @ [
+        Insn.Push rax;
+        load_rax (-8);
+        Insn.Pop rcx;
+        Insn.Bin (Insn.Add, rcx, rax);
+        Insn.Mov (rax, rcx);
+      ]
     @ stack_op Insn.Irem 1000003L
     @ [
         Insn.Mov (local (-16), rax);
