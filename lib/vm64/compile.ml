@@ -11,7 +11,11 @@
    2 run each step against a continuation that just reports [Running]
    ([run_steps], one step per loop turn, exact fuel limits); tier 3
    runs the threaded chain, every step tail-calling the next, for a
-   whole translation at once ([run_chain]).
+   whole translation at once ([run_chain]). The chain also runs mcc's
+   four-instruction operand shuffle as one step ([shuffle]). A step's
+   own cost is kept small: each flag is one int64 compare, and an
+   8-byte guest access inside one page reads the page table in place
+   ([load]/[store]) rather than calling into [Memory].
 
    Tier 2 ([run_tier2]) additionally chains compiled blocks through
    their exits — a taken/fall-through/return transfer jumps straight
@@ -113,27 +117,33 @@ let get_fuse_threshold () = Atomic.get fuse_threshold
 (* [Exec] aliases these; keeping one definition means the interpreter
    and the compiled steps cannot drift on flag arithmetic or condition
    tests. Inlined into the steps, so their int64 arguments are never
-   boxed. *)
+   boxed. Each flag is one compare on annotated int64 (never
+   [Int64.compare], which builds a three-way result and compares it
+   again): unsigned order is signed order with the sign bit flipped,
+   and overflow is the sign of a xor mask — an add overflows when both
+   operands differ in sign from the result, a sub when the operands
+   differ in sign and the result's sign is not the minuend's. *)
 
-let[@inline] set_logic_flags (f : Cpu.flags) r =
-  f.zf <- Int64.equal r 0L;
-  f.sf <- Int64.compare r 0L < 0;
+let[@inline] ult (a : int64) (b : int64) =
+  Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int
+
+let[@inline] set_logic_flags (f : Cpu.flags) (r : int64) =
+  f.zf <- r = 0L;
+  f.sf <- r < 0L;
   f.cf <- false;
   f.of_ <- false
 
-let[@inline] set_add_flags (f : Cpu.flags) a b r =
-  f.zf <- Int64.equal r 0L;
-  f.sf <- Int64.compare r 0L < 0;
-  f.cf <- Int64.unsigned_compare r a < 0;
-  f.of_ <- Int64.compare a 0L < 0 = (Int64.compare b 0L < 0)
-           && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
+let[@inline] set_add_flags (f : Cpu.flags) (a : int64) (b : int64) (r : int64) =
+  f.zf <- r = 0L;
+  f.sf <- r < 0L;
+  f.cf <- ult r a;
+  f.of_ <- Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L
 
-let[@inline] set_sub_flags (f : Cpu.flags) a b r =
-  f.zf <- Int64.equal r 0L;
-  f.sf <- Int64.compare r 0L < 0;
-  f.cf <- Int64.unsigned_compare a b < 0;
-  f.of_ <- Int64.compare a 0L < 0 <> (Int64.compare b 0L < 0)
-           && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
+let[@inline] set_sub_flags (f : Cpu.flags) (a : int64) (b : int64) (r : int64) =
+  f.zf <- r = 0L;
+  f.sf <- r < 0L;
+  f.cf <- ult a b;
+  f.of_ <- Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L
 
 let[@inline] cond_holds (f : Cpu.flags) = function
   | I.E -> f.zf
@@ -182,20 +192,36 @@ let[@inline] rget m o = Cpu.get64u m.regs o
 let[@inline] rset m o v = Cpu.set64u m.regs o v
 
 (* 8-byte guest accesses. One that lies inside the 128 MiB layout and
-   inside one page goes through a page window straight to the payload:
-   an int address in, the payload out, nothing boxed. Every other access
-   takes Memory.read_u64/write_u64, and so does every access on a
-   big-endian host (the payload primitives are native-endian, guest
-   memory is little-endian). Both paths fault at the same address.
+   inside one page reads the page table in place: an int address in,
+   two array loads to the payload, nothing boxed and no call. A load
+   then reads the payload, mapped or shared. A store writes it in place
+   only when the chunk is owned and the page's privacy byte is set —
+   the page is mapped and this space is its only owner (see
+   {!Memory.t}) — and otherwise asks [Memory.store_page] for a private
+   payload, which owns the chunk and breaks copy-on-write as
+   [write_u64] would. Every other access takes Memory.read_u64/
+   write_u64, and so does every access on a big-endian host (the
+   payload primitives are native-endian, guest memory is little-endian)
+   and a load from an unmapped page. Both paths fault at the same
+   address. All page-table mutation stays inside [Memory].
 
    The layout test is unsigned: [Layout.address_limit] is a power of
    two, so an address lies inside it exactly when none of the bits at
    and above the limit is set. That also rejects addresses whose top bit
-   [Int64.to_int] would drop, so the int address is the guest address. *)
+   [Int64.to_int] would drop, so the int address is the guest address,
+   and its chunk index is below 256. The page-table geometry is written
+   as literals (page shift 12, chunk shift 19, slot mask 127), which a
+   dune dev build's [-opaque] would otherwise turn into loads; the
+   asserts below tie them to [Memory]'s. *)
 let above_layout = Int64.neg Layout.address_limit
 let () = assert (Int64.logand Layout.address_limit (Int64.pred Layout.address_limit) = 0L)
 let page_mask = Memory.page_size - 1
 let last_off = Memory.page_size - 8
+
+let () =
+  assert (Memory.page_size = 1 lsl 12);
+  assert (Memory.chunk_pages = 1 lsl (19 - 12));
+  assert (Memory.chunk_pages - 1 = 127)
 
 let[@inline] in_window a =
   (not Sys.big_endian)
@@ -208,18 +234,32 @@ let[@inline] in_window a =
 let[@inline never] load_slow m a = Cpu.set64u m.tmp 0 (Memory.read_u64 m.mem a)
 
 let[@inline] load m a =
-  if in_window a then
-    let ai = Int64.to_int a in
-    Cpu.get64u (Memory.load_page m.mem ai) (ai land page_mask)
+  let p =
+    if in_window a then
+      let ai = Int64.to_int a in
+      Array.unsafe_get (Array.unsafe_get m.mem.Memory.top (ai lsr 19)) ((ai lsr 12) land 127)
+    else Memory.no_page
+  in
+  if p != Memory.no_page then Cpu.get64u p (Int64.to_int a land page_mask)
   else begin
     load_slow m a;
     Cpu.get64u m.tmp 0
   end
 
 let[@inline] store m a v =
-  if in_window a then
+  if in_window a then begin
     let ai = Int64.to_int a in
-    Cpu.set64u (Memory.store_page m.mem ai) (ai land page_mask) v
+    let mem = m.mem in
+    let c = ai lsr 19 and s = (ai lsr 12) land 127 in
+    let p =
+      if
+        Bytes.unsafe_get mem.Memory.owned c = '\001'
+        && Bytes.unsafe_get (Array.unsafe_get mem.Memory.privs c) s = '\001'
+      then Array.unsafe_get (Array.unsafe_get mem.Memory.top c) s
+      else Memory.store_page mem ai
+    in
+    Cpu.set64u p (ai land page_mask) v
+  end
   else Memory.write_u64 m.mem a v
 
 (* Stack discipline of the interpreter's [push]/[pop]: rsp moves before
@@ -780,14 +820,83 @@ let running : step = fun _ -> Running
 let fresh_link () =
   { l_space = None; l_epoch = 0; l_addr = 0L; l_target = None; l_mem = None; l_gen = 0 }
 
+(* mcc's operand shuffle, [push a; mov a, S; mov b, a; pop a], which
+   moves S into b around a scratch stack slot, as one chain step at
+   steps [i..i+3]: it stores a at rsp - 8 and sets b to S, and leaves a,
+   rsp and the flags as they were. The pop would reload the value just
+   stored and nothing in between writes memory, so a keeps its own
+   value. The store comes first with rsp lowered and names the push; S
+   is read with rsp still lowered and names the mov; so a fault in
+   either leaves the interpreter's partial state and retire count. The
+   mov b, a and the pop cannot fault. *)
+let shuffle_window (ir : Ir.t) i =
+  let st = ir.Ir.steps in
+  let n = Array.length st in
+  let reg = Isa.Reg.equal in
+  let starts_inside (p : Ir.part) = p.Ir.start > i && p.Ir.start <= i + 3 in
+  (* the pop is not the last step, and no constituent starts inside *)
+  if i + 3 >= n - 1 || Array.exists starts_inside ir.Ir.parts then None
+  else
+    match (st.(i).Ir.uop, st.(i + 1).Ir.uop, st.(i + 2).Ir.uop, st.(i + 3).Ir.uop) with
+    | ( Ir.Exec (I.Push (O.Reg a)),
+        Ir.Exec (I.Mov (O.Reg a1, src)),
+        Ir.Exec (I.Mov (O.Reg b, O.Reg a2)),
+        Ir.Exec (I.Pop (O.Reg a3)) )
+      when reg a1 a && reg a2 a && reg a3 a && (not (reg b a))
+           && (not (reg a Isa.Reg.RSP)) && not (reg b Isa.Reg.RSP) ->
+      Some (a, b, src)
+    | _ -> None
+
+(* The shuffle's push: a stored at rsp - 8 with rsp lowered, as step
+   [i]. Returns the rsp to restore. *)
+let[@inline] shuffle_push m i a =
+  m.at <- i;
+  let rsp = rget m rsp_o in
+  let sp = Int64.sub rsp 8L in
+  rset m rsp_o sp;
+  store m sp (rget m a);
+  rsp
+
+(* mcc's right operands are constants and locals, so those two shapes
+   get their own closures. *)
+let shuffle ~i a b src (k : step) : step =
+  let a = ro a and b = ro b in
+  match src with
+  | O.Imm v ->
+    fun m ->
+      let rsp = shuffle_push m i a in
+      rset m b v;
+      rset m rsp_o rsp;
+      k m
+  | O.Mem { O.seg_fs = false; base = Some r; index = None; disp } ->
+    let r = ro r in
+    fun m ->
+      let rsp = shuffle_push m i a in
+      m.at <- i + 1;
+      rset m b (load m (Int64.add (rget m r) disp));
+      rset m rsp_o rsp;
+      k m
+  | src ->
+    let src = opnd src in
+    fun m ->
+      let rsp = shuffle_push m i a in
+      m.at <- i + 1;
+      rset m b (read m src);
+      rset m rsp_o rsp;
+      k m
+
 (* The threaded chain: step [i] tail-calls step [i+1] through that
    closure's own code pointer (a one-argument application needs no
    caml_applyN trampoline), and the last one continues into the exit,
    which settles rip like [run_steps]'s stop at the translation end.
    Inside the chain a jmp's or direct call's rip write is dead — every
    later way out (a fault, a kernel-visible stop, the exit) writes rip
-   itself — so the chain drops the jmp and keeps only the call's push. *)
-let emit_chain env (steps : Ir.step array) =
+   itself — so the chain drops the jmp and keeps only the call's push.
+   An operand shuffle becomes one step ([shuffle]). Both are emission
+   details of the chain: the IR keeps one step per instruction, and so
+   do the per-step [ops] of tiers 1 and 2. *)
+let emit_chain env (ir : Ir.t) =
+  let steps = ir.Ir.steps in
   let n = Array.length steps in
   let last = steps.(n - 1) in
   let exit_ : step =
@@ -810,7 +919,10 @@ let emit_chain env (steps : Ir.step array) =
   in
   let rec build i =
     if i = n - 1 then lower env ~i last exit_
-    else lower env ~i (inner steps.(i)) (build (i + 1))
+    else
+      match shuffle_window ir i with
+      | Some (a, b, src) -> shuffle ~i a b src (build (i + 4))
+      | None -> lower env ~i (inner steps.(i)) (build (i + 1))
   in
   build 0
 
@@ -826,7 +938,7 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
   let env = { is_builtin; inline; csum; crsum } in
   {
     ops = Array.mapi (fun i st -> lower env ~i st running) steps;
-    chain = emit_chain env steps;
+    chain = emit_chain env ir;
     addrs = Array.map (fun (s : Ir.step) -> s.Ir.addr) steps;
     nexts = Array.map (fun (s : Ir.step) -> s.Ir.next) steps;
     csum;

@@ -12,8 +12,10 @@
     {!Memory.t}): it updates the register file in place and tail-calls
     its continuation, and it allocates nothing on its common path — the
     register file is read and written through {!Cpu.get64u}/
-    {!Cpu.set64u}, and 8-byte guest accesses inside the layout and
-    inside one page go through {!Memory.load_page}/{!Memory.store_page}.
+    {!Cpu.set64u}, and an 8-byte guest access inside the layout and
+    inside one page reads {!Memory.t}'s page table in place: a load
+    reads the payload, a store writes it in place when this space is
+    the page's only owner and otherwise through {!Memory.store_page}.
 
     Tier 1 ([run_code]) runs the steps of one block, one per loop turn.
     Tier 2 ([run_tier2]) keeps control inside compiled code across block
@@ -27,7 +29,9 @@
     — see the notes in the implementation for why each check exists
     (fork relatives, [patch_text] on private pages, superblock
     replacement). Tier 3 runs each hop as the threaded chain: every step
-    tail-calls the next, for the whole translation at once.
+    tail-calls the next, for the whole translation at once, and mcc's
+    operand shuffle [push a; mov a, S; mov b, a; pop a] runs as one
+    step.
 
     All tiers are semantically invisible: faults (identity and partial
     state), fuel accounting, builtin trapping, rdrand draws and the

@@ -72,6 +72,11 @@ let () =
      in it is aliased by construction).
    - An aliased payload is never written in place, so payload identity
      implies byte identity (block anchors depend on it).
+   - In an owned chunk, a '\001' privacy byte means the page is mapped
+     and this space alone holds its payload: only [map] and [break_cow]
+     set the byte, both on a page they just gave a fresh payload, and
+     [own_chunk] starts every byte clear. [Compile.store] writes such a
+     page in place without calling in here.
    - [generation] rises whenever a page slot's payload changes (map or
      CoW break): an unchanged generation means every page still holds
      the payload object it held before.
@@ -187,14 +192,9 @@ let[@inline] rw_page t addr =
   if p == no_page then raise (segfault addr);
   p
 
-(* Page windows: the int-address forms of [ro_page]/[rw_page]. A
-   negative [a] maps to a page number far above the layout, so it faults
-   like any address outside it. *)
-let load_page t a =
-  let p = page_at t (a lsr page_bits) in
-  if p == no_page then raise (segfault (Int64.of_int a));
-  p
-
+(* Page window: the int-address form of [rw_page]. A negative [a] maps
+   to a page number far above the layout, so it faults like any address
+   outside it. *)
 let store_page t a =
   let p = rw_page_at t (a lsr page_bits) in
   if p == no_page then raise (segfault (Int64.of_int a));

@@ -15,7 +15,37 @@
     then breaks the sharing with a private copy (see DESIGN.md §5 for
     the invariants). Reads never copy. *)
 
-type t
+(** Fork-path telemetry. *)
+type family_stats = {
+  mutable clones : int;  (** {!clone} calls *)
+  mutable pages_aliased : int;  (** pages shared instead of copied at clone *)
+  mutable cow_breaks : int;  (** shared pages privatised by a first write *)
+}
+
+(** The page table, readable in place and mutable only through this
+    module. Page [s] of chunk [c] is the page at address
+    [(c * chunk_pages + s) * page_size].
+
+    The fact {!Compile} relies on: a ['\001'] privacy byte in an owned
+    chunk means the page is mapped and this space is its payload's only
+    owner, so writing that payload in place is exactly what
+    {!write_u64} would do. Under any other combination the payload may
+    be a relative's too, and a write must go through {!store_page} or
+    {!write_u64}. Reads may use [top] whatever the bytes say. *)
+type t = private {
+  top : bytes array array;  (** chunk -> page payloads, {!no_page} if unmapped *)
+  privs : Bytes.t array;  (** chunk -> one privacy byte per page *)
+  owned : Bytes.t;  (** one ownership byte per chunk, ['\001'] if owned *)
+  mutable mapped_pages : int;
+  mutable generation : int;  (** see {!generation} *)
+  family : family_stats;
+}
+
+val no_page : bytes
+(** The payload of every unmapped page slot: compare with [(==)]. *)
+
+val chunk_pages : int
+(** Pages per chunk of the directory (128). *)
 
 val create : unit -> t
 
@@ -38,28 +68,23 @@ val read_u64 : t -> int64 -> int64
 
 val write_u64 : t -> int64 -> int64 -> unit
 
-(** {2 Page windows}
+(** {2 Page window}
 
-    The compiled tiers' allocation-free path for 8-byte accesses. They
-    take the address as an [int], so no boxed int64 crosses the call,
-    and return the live payload of the page holding it. The caller then
-    accesses the payload at [a land (page_size - 1)] itself. Callers use
-    them only for an [a] with [0 <= a < 0x0800_0000] whose 8 bytes stay
-    inside one page; any other access goes through {!read_u64} and
-    {!write_u64}. For such an [a], a window access is indistinguishable
-    from [read_u64]/[write_u64] at [Int64.of_int a]: same bytes, same
-    fault, same copy-on-write break, same counters. *)
-
-val load_page : t -> int -> bytes
-(** The payload under [a], possibly CoW-shared: read it, never write
-    through it. Raises [Fault.Trap (Segfault (Int64.of_int a))] when the
-    page is unmapped. *)
+    The compiled tiers' slow path for an 8-byte store whose page the
+    caller cannot write in place (see {!t}). It takes the address as an
+    [int], so no boxed int64 crosses the call. Callers use it only for
+    an [a] with [0 <= a < 0x0800_0000] whose 8 bytes stay inside one
+    page; any other access goes through {!write_u64}. For such an [a],
+    a store through the window is indistinguishable from [write_u64] at
+    [Int64.of_int a]: same bytes, same fault, same copy-on-write break,
+    same counters. *)
 
 val store_page : t -> int -> bytes
 (** The payload under [a], made private first: the chunk is owned and a
     shared payload is replaced by a copy, exactly as {!write_u64} does,
     so writes through it stay in this space. Valid until the next
-    {!clone}. Raises like {!load_page}, before breaking any sharing. *)
+    {!clone}. Raises [Fault.Trap (Segfault (Int64.of_int a))] when the
+    page is unmapped, before breaking any sharing. *)
 
 val read_u32 : t -> int64 -> int64
 (** Zero-extended 32-bit load. *)
@@ -115,13 +140,6 @@ val resident_bytes : t -> int
 val shared_bytes : t -> int
 (** Bytes whose page payload may be aliased by a relative
     ([mapped_bytes t = resident_bytes t + shared_bytes t]). *)
-
-(** Fork-path telemetry. *)
-type family_stats = {
-  mutable clones : int;  (** {!clone} calls *)
-  mutable pages_aliased : int;  (** pages shared instead of copied at clone *)
-  mutable cow_breaks : int;  (** shared pages privatised by a first write *)
-}
 
 val family_stats : t -> family_stats
 (** Counters for this space's clone family (shared by parent and all

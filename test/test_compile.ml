@@ -180,6 +180,22 @@ type snapshot = {
 
 let gprs cpu = Array.init 16 (fun i -> Cpu.get cpu (Reg.of_index_exn i))
 
+(* The machine after a run; [data] is whatever data region the test
+   compares. *)
+let capture result cpu mem ~data =
+  {
+    s_result = result;
+    s_gprs = gprs cpu;
+    s_xmms = Array.copy cpu.Cpu.xmms;
+    s_rip = cpu.Cpu.rip;
+    s_flags =
+      (cpu.Cpu.flags.Cpu.zf, cpu.Cpu.flags.Cpu.sf, cpu.Cpu.flags.Cpu.cf, cpu.Cpu.flags.Cpu.of_);
+    s_cycles = cpu.Cpu.cycles;
+    s_text = Memory.read_bytes mem text_base 4096;
+    s_data = data;
+    s_stack = Memory.read_bytes mem stack_base stack_len;
+  }
+
 let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
     ~data ~code =
   Compile.set_tier tier;
@@ -204,21 +220,7 @@ let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
   cpu.Cpu.rip <- text_base;
   let result = Exec.run ~max_insns:200 env cpu mem in
   Compile.set_tier 3;
-  {
-    s_result = result;
-    s_gprs = gprs cpu;
-    s_xmms = Array.copy cpu.Cpu.xmms;
-    s_rip = cpu.Cpu.rip;
-    s_flags =
-      ( cpu.Cpu.flags.Cpu.zf,
-        cpu.Cpu.flags.Cpu.sf,
-        cpu.Cpu.flags.Cpu.cf,
-        cpu.Cpu.flags.Cpu.of_ );
-    s_cycles = cpu.Cpu.cycles;
-    s_text = Memory.read_bytes mem text_base 4096;
-    s_data = Memory.read_bytes mem data_base data_len;
-    s_stack = Memory.read_bytes mem stack_base stack_len;
-  }
+  capture result cpu mem ~data:(Memory.read_bytes mem data_base data_len)
 
 let result_to_string = function
   | Exec.Out_of_fuel -> "out-of-fuel"
@@ -298,6 +300,66 @@ let test_differential_fuzz () =
   Alcotest.(check bool) "saw faults" true (!faulted > 50);
   Alcotest.(check bool) "saw fuel exhaustion" true (!fuel > 10);
   Alcotest.(check bool) "saw builtin/syscall exits" true (!other > 10)
+
+(* ---- flag setters against a reference -------------------------------------- *)
+
+(* The interpreter and every compiled tier share the flag setters, so the
+   fuzz above compares a setter with itself and cannot catch a wrong
+   formula. These are the setters as first written, with three-way
+   compares; the single-compare forms must set the same four flags. *)
+let ref_logic_flags (f : Cpu.flags) r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- Int64.compare r 0L < 0;
+  f.cf <- false;
+  f.of_ <- false
+
+let ref_add_flags (f : Cpu.flags) a b r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- Int64.compare r 0L < 0;
+  f.cf <- Int64.unsigned_compare r a < 0;
+  f.of_ <- Int64.compare a 0L < 0 = (Int64.compare b 0L < 0)
+           && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
+
+let ref_sub_flags (f : Cpu.flags) a b r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- Int64.compare r 0L < 0;
+  f.cf <- Int64.unsigned_compare a b < 0;
+  f.of_ <- Int64.compare a 0L < 0 <> (Int64.compare b 0L < 0)
+           && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
+
+(* Carries and overflows flip at the edges of the range and at powers
+   of two, so two draws in three come from there. *)
+let edge_operands =
+  [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; Int64.succ Int64.min_int;
+    Int64.pred Int64.max_int ]
+  @ List.concat_map
+      (fun k -> let v = Int64.shift_left 1L k in [ v; Int64.neg v ])
+      (List.init 64 Fun.id)
+
+let gen_operand = QCheck.Gen.(frequency [ (2, oneofl edge_operands); (1, int64) ])
+
+let prop_flag_setters =
+  QCheck.Test.make ~name:"flag setters match the three-way-compare reference"
+    ~count:20_000
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "a = 0x%Lx, b = 0x%Lx" a b)
+       QCheck.Gen.(pair gen_operand gen_operand))
+    (fun (a, b) ->
+      (* start the two records apart, so a flag left unset shows too *)
+      let agree set reference =
+        let f = { Cpu.zf = true; sf = true; cf = true; of_ = true } in
+        let g = { Cpu.zf = false; sf = false; cf = false; of_ = false } in
+        set f;
+        reference g;
+        f = g
+      in
+      let logic r =
+        agree (fun f -> Compile.set_logic_flags f r) (fun g -> ref_logic_flags g r)
+      in
+      let add = Int64.add a b and sub = Int64.sub a b in
+      logic a && logic (Int64.logand a b) && logic (Int64.logxor a b)
+      && agree (fun f -> Compile.set_add_flags f a b add) (fun g -> ref_add_flags g a b add)
+      && agree (fun f -> Compile.set_sub_flags f a b sub) (fun g -> ref_sub_flags g a b sub))
 
 (* ---- targeted compiled-tier tests ----------------------------------------- *)
 
@@ -821,8 +883,14 @@ let words_per_insn cpu mem ~warm_up ~measure =
    mapped), addresses whose top bit [Int64.to_int] drops (one aliases
    the mapped text page) and plain junk — must leave the interpreter's
    full machine state, memory, fault and cycles at every compiled tier.
-   An in-page access at the last window offset must also stay on the
-   allocation-free path. *)
+   Each runs in three states of the address space: fresh, where every
+   chunk is owned and every page private; right after [Memory.clone],
+   where no chunk is owned; and on owned chunks whose pages are still
+   shared with the relative (a write to another page of the chunk owned
+   it). A compiled store must break copy-on-write exactly as the
+   interpreter does — the same cow_breaks delta and generation rise —
+   and never reach the relative's bytes. An in-page access at the last
+   window offset must also stay on the allocation-free path. *)
 let test_page_window_guard () =
   let page = data_base and top = Int64.sub Layout.address_limit 4096L in
   let addrs =
@@ -848,50 +916,67 @@ let test_page_window_guard () =
     ]
   in
   let fill = Util.Prng.bytes (Util.Prng.create 0x9A6EL) 4096 in
-  let run ~tier prog regs =
+  (* one more page in each chunk the shapes touch (0 and 255): a write
+     there owns the chunk and leaves the other pages shared *)
+  let scratch = [ 0x30000L; Int64.sub top 4096L ] in
+  let run ~tier ~state prog regs =
     Compile.set_tier tier;
     Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
     let cpu, mem = fresh () in
     Memory.map mem ~addr:page ~len:4096;
     Memory.map mem ~addr:top ~len:4096;
+    List.iter (fun a -> Memory.map mem ~addr:a ~len:4096) scratch;
     Memory.write_bytes mem page fill;
     Memory.write_bytes mem top fill;
     load_program mem (prog @ [ Insn.Hlt ]);
     Memory.write_bytes mem callee (Encode.list_to_bytes [ Insn.Hlt ]);
+    let regions m =
+      List.map (fun a -> Memory.read_bytes m a 4096) [ text_base; page; top ]
+      @ [ Memory.read_bytes m stack_base stack_len ]
+    in
+    let relative, mem =
+      match state with
+      | `Fresh -> (None, mem)
+      | `Cloned -> (Some mem, Memory.clone mem)
+      | `Owned_shared ->
+        let child = Memory.clone mem in
+        List.iter (fun a -> Memory.write_u8 child a 0x5A) scratch;
+        (Some mem, child)
+    in
+    let before = Option.map regions relative in
     Cpu.set cpu Reg.RCX 0x1122334455667788L;
     List.iter (fun (r, v) -> Cpu.set cpu r v) regs;
+    let cow () = (Memory.family_stats mem).Memory.cow_breaks in
+    let cow0 = cow () and gen0 = Memory.generation mem in
     let result = Exec.run ~max_insns:10 env cpu mem in
-    {
-      s_result = result;
-      s_gprs = gprs cpu;
-      s_xmms = Array.copy cpu.Cpu.xmms;
-      s_rip = cpu.Cpu.rip;
-      s_flags =
-        ( cpu.Cpu.flags.Cpu.zf,
-          cpu.Cpu.flags.Cpu.sf,
-          cpu.Cpu.flags.Cpu.cf,
-          cpu.Cpu.flags.Cpu.of_ );
-      s_cycles = cpu.Cpu.cycles;
-      s_text = Memory.read_bytes mem text_base 4096;
-      s_data = Bytes.cat (Memory.read_bytes mem page 4096) (Memory.read_bytes mem top 4096);
-      s_stack = Memory.read_bytes mem stack_base stack_len;
-    }
+    let moved = (cow () - cow0, Memory.generation mem - gen0) in
+    if Option.map regions relative <> before then
+      Alcotest.failf "tier %d wrote through to the fork relative's bytes" tier;
+    let data = Bytes.cat (Memory.read_bytes mem page 4096) (Memory.read_bytes mem top 4096) in
+    (capture result cpu mem ~data, moved)
   in
   let trial = ref 0 in
   List.iter
-    (fun (name, prog, regs) ->
+    (fun (state, state_name) ->
       List.iter
-        (fun a ->
-          let interp = run ~tier:0 prog (regs a) in
+        (fun (name, prog, regs) ->
           List.iter
-            (fun tier ->
-              compare_snapshots ~trial:!trial
-                ~what:(Printf.sprintf "tier %d (%s at 0x%Lx)" tier name a)
-                interp (run ~tier prog (regs a)))
-            [ 1; 2; 3 ];
-          incr trial)
-        addrs)
-    shapes;
+            (fun a ->
+              let interp, moved0 = run ~tier:0 ~state prog (regs a) in
+              List.iter
+                (fun tier ->
+                  let what = Printf.sprintf "tier %d (%s at 0x%Lx, %s)" tier name a state_name in
+                  let got, moved = run ~tier ~state prog (regs a) in
+                  compare_snapshots ~trial:!trial ~what interp got;
+                  if moved <> moved0 then
+                    Alcotest.failf
+                      "%s: cow_breaks +%d, generation +%d; the interpreter: +%d, +%d" what
+                      (fst moved) (snd moved) (fst moved0) (snd moved0))
+                [ 1; 2; 3 ];
+              incr trial)
+            addrs)
+        shapes)
+    [ (`Fresh, "fresh"); (`Cloned, "after clone"); (`Owned_shared, "owned chunk, shared page") ];
   (* the last window offset is in the window: 16 loads and stores there
      per turn stay allocation-free *)
   Compile.set_tier 3;
@@ -991,6 +1076,123 @@ let test_chain_allocation () =
   if w >= 0.5 then
     Alcotest.failf "the tier-3 chain allocates %.2f minor words per retired instruction" w
 
+(* ---- the fused operand shuffle --------------------------------------------- *)
+
+(* Run from text_base until a non-running outcome or [max_insns]
+   retires, counting the retires. *)
+let run_counted cpu mem ~max_insns =
+  cpu.Cpu.rip <- text_base;
+  let rec go left retired =
+    if left <= 0 then (Exec.Out_of_fuel, retired)
+    else
+      match Exec.step_block env cpu mem ~max_insns:left with
+      | Exec.Running, k -> go (left - k) (retired + k)
+      | outcome, k -> (Exec.Stopped outcome, retired + k)
+  in
+  go max_insns 0
+
+(* mcc wraps a binary operator's one-instruction right operand S in
+   [push a; mov a, S; mov b, a; pop a], and the tier-3 chain runs that
+   window as one step. Every S shape, pushes that fault or straddle a
+   page, and windows that must not fuse run at each compiled tier and
+   must leave the interpreter's full state, memory, fault, cycles and
+   retire count. The stack is filled with a pattern, so S = [rsp]
+   (the pushed value) tells a store made after S is read; S unmapped
+   tells a fault charged to the push instead of the mov. *)
+let test_fused_shuffle () =
+  let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX and rsp = Operand.reg Reg.RSP in
+  let window ?(a = Reg.RAX) ?(b = Reg.RCX) ?(third = fun a b -> Insn.Mov (b, a)) s =
+    let a = Operand.reg a and b = Operand.reg b in
+    [ Insn.Push a; Insn.Mov (a, s); third a b; Insn.Pop a ]
+  in
+  let after = [ Insn.Bin (Insn.Add, rcx, Operand.imm 3L) ] in
+  let nops k = List.init k (fun _ -> Insn.Nop) in
+  let stack_top = Int64.add stack_base (Int64.of_int stack_len) in
+  let fused s = window s @ after in
+  (* (name, program, rsp, runs) *)
+  let cases =
+    [
+      ("S = imm", fused (Operand.imm 0x1234_5678_9ABCL), 0x71800L, 1);
+      ("S = a (mov a, a: not fused)", fused rax, 0x71800L, 1);
+      ("S = b", fused rcx, 0x71800L, 1);
+      ("S = rsp", fused rsp, 0x71800L, 1);
+      ("S = [rbp+d]", fused (Operand.mem ~base:Reg.RBP (-16L)), 0x71800L, 1);
+      ("S = [rsp-8]", fused (Operand.mem ~base:Reg.RSP (-8L)), 0x71800L, 1);
+      ("S = [rsp] (the pushed value)", fused (Operand.mem ~base:Reg.RSP 0L), 0x71800L, 1);
+      ("S = absolute", fused (Operand.mem (Int64.add data_base 0x40L)), 0x71800L, 1);
+      ( "S = indexed",
+        fused (Operand.mem ~base:Reg.R15 ~index:(Reg.R14, Operand.S8) 16L),
+        0x71800L,
+        1 );
+      ("S = unmapped", fused (Operand.mem 0x9000000L), 0x71800L, 1);
+      ("push store faults", fused (Operand.imm 5L), stack_base, 1);
+      ("push straddles two mapped pages", fused (Operand.imm 5L), 0x71004L, 1);
+      ("push straddles into an unmapped page", fused (Operand.imm 5L), Int64.add stack_top 4L, 1);
+      ("push straddles from an unmapped page", fused (Operand.imm 5L), Int64.add stack_base 4L, 1);
+      ( "other registers",
+        window ~a:Reg.RDX ~b:Reg.RBX (Operand.mem ~base:Reg.RBP (-24L)) @ after,
+        0x71800L,
+        1 );
+      (* near-misses *)
+      ("a = rsp", window ~a:Reg.RSP (Operand.imm 0x71400L) @ after, 0x71800L, 1);
+      ("b = rsp", window ~b:Reg.RSP (Operand.imm 0x71400L) @ after, 0x71800L, 1);
+      ("a = b", window ~b:Reg.RAX (Operand.imm 9L) @ after, 0x71800L, 1);
+      ( "third move is not mov b, a",
+        window ~third:(fun _ b -> Insn.Mov (b, b)) (Operand.imm 9L) @ after,
+        0x71800L,
+        1 );
+      (* 60 nops + the window fill a block: the pop is its last step *)
+      ("pop is the last step", nops 60 @ fused (Operand.imm 7L), 0x71800L, 1);
+      (* the block cap splits the window; the third run enters the
+         superblock that fuses the two halves *)
+      ("window across superblock constituents", nops 62 @ fused (Operand.imm 7L), 0x71800L, 3);
+    ]
+  in
+  let fill = Util.Prng.bytes (Util.Prng.create 0x5A0FL) stack_len in
+  let data = Util.Prng.bytes (Util.Prng.create 0xDA7AL) 4096 in
+  let run ~tier prog ~rsp ~runs =
+    Compile.set_tier tier;
+    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+    let cpu, mem = fresh () in
+    Memory.map mem ~addr:data_base ~len:4096;
+    Memory.write_bytes mem data_base data;
+    Memory.write_bytes mem stack_base fill;
+    load_program mem (prog @ [ Insn.Hlt ]);
+    cpu.Cpu.insn_tax <- 2;
+    cpu.Cpu.call_tax <- 7;
+    let result = ref (Exec.Out_of_fuel, 0) in
+    for _ = 1 to runs do
+      List.iteri
+        (fun i r -> Cpu.set cpu (Reg.of_index_exn i) r)
+        (List.init 16 (fun i -> Int64.mul 0x0101_0101_0101_0101L (Int64.of_int (i + 1))));
+      Cpu.set cpu Reg.RSP rsp;
+      Cpu.set cpu Reg.RBP 0x71000L;
+      Cpu.set cpu Reg.R15 data_base;
+      Cpu.set cpu Reg.R14 3L;
+      cpu.Cpu.flags.Cpu.cf <- true;
+      cpu.Cpu.flags.Cpu.of_ <- true;
+      result := run_counted cpu mem ~max_insns:200
+    done;
+    let result, retired = !result in
+    ( capture result cpu mem ~data:(Memory.read_bytes mem data_base 4096),
+      retired,
+      (Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks )
+  in
+  with_fuse_threshold 1 @@ fun () ->
+  List.iteri
+    (fun trial (name, prog, rsp, runs) ->
+      let interp, retired0, _ = run ~tier:0 prog ~rsp ~runs in
+      List.iter
+        (fun tier ->
+          let what = Printf.sprintf "tier %d (%s)" tier name in
+          let got, retired, superblocks = run ~tier prog ~rsp ~runs in
+          compare_snapshots ~trial ~what interp got;
+          Alcotest.(check int) (what ^ ": retired") retired0 retired;
+          if runs > 1 && tier = 3 then
+            Alcotest.(check bool) (what ^ ": superblock formed") true (superblocks >= 1))
+        [ 1; 2; 3 ])
+    cases
+
 let () =
   Alcotest.run "compile"
     [
@@ -1000,6 +1202,12 @@ let () =
             (Printf.sprintf "interpreter vs compiled tier, %d random programs"
                trials)
             `Slow test_differential_fuzz;
+        ] );
+      ( "flags",
+        [
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 0xF1A65 |])
+            prop_flag_setters;
         ] );
       ( "targeted",
         [
@@ -1036,5 +1244,7 @@ let () =
             test_page_window_guard;
           Alcotest.test_case "chain allocates < 0.5 words/insn" `Quick
             test_chain_allocation;
+          Alcotest.test_case "fused operand shuffle matches the interpreter" `Quick
+            test_fused_shuffle;
         ] );
     ]
