@@ -1,12 +1,10 @@
 (* Benchmark driver: regenerates every table and figure of the paper's
-   evaluation (SVI) from the simulator, plus a Bechamel micro-suite
-   measuring the host-side cost of each experiment's unit of work.
+   evaluation (SVI) from the simulator.
 
    Usage:
      bench/main.exe [OPTIONS]             run every experiment
      bench/main.exe [OPTIONS] <exp> [...] run selected experiments
-     bench/main.exe micro                 run the Bechamel micro-benchmarks
-     bench/main.exe tierbench             compiled tier vs interpreter A/B
+     bench/main.exe tierbench             compiled vs interpreter A/B
      bench/main.exe zygotebench           cold-boot vs zygote-resume A/B
      bench/main.exe validate FILE [...]   check telemetry JSON files
      bench/main.exe merge FILE [...]      combine --shard output files
@@ -95,7 +93,8 @@ let write_bench_json ~jobs =
     in
     Util.Benchfile.write file
       (Util.Benchfile.make ~shards ?shard ~pr:10 ~jobs
-         ~compile_tier:(Vm64.Compile.tier ()) campaigns)
+         ~compile_tier:(if Vm64.Compile.enabled () then 3 else 0)
+         campaigns)
 
 (* One campaign under the dispatcher. In shard mode compute this
    shard's rows silently and carry them to the merge step through the
@@ -122,7 +121,7 @@ let run_campaign ~jobs (c : Harness.Campaign.t) =
 
 (* `validate FILE...`: re-read telemetry JSON through the Benchfile
    reader (campaign record first, bare metrics snapshot second) so CI
-   catches writer/reader drift. Accepts schema 2 and 3. *)
+   catches writer/reader drift. *)
 let run_validate files =
   List.iter
     (fun file ->
@@ -246,102 +245,10 @@ let run_merge ~config files =
            ~compile_tier:first.Util.Benchfile.compile_tier merged))
     !bench_out
 
-(* ---- Bechamel micro-suite: one Test.make per table ----------------------- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let bench_once =
-    (* fig5's unit of work: one benchmark under one deployment *)
-    let bench = Option.get (Workload.Spec.find "gobmk") in
-    Test.make ~name:"fig5: one SPEC run (compiler P-SSP)"
-      (Staged.stage (fun () ->
-           ignore
-             (Harness.Runner.run_bench (Harness.Runner.Compiler Pssp.Scheme.Pssp)
-                bench)))
-  in
-  let brop_trial =
-    (* table1/effectiveness unit: one oracle query *)
-    let image =
-      Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp
-        (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
-    in
-    let oracle = Attack.Oracle.create ~preload:Os.Preload.Pssp_wide image in
-    Test.make ~name:"table1: one byte-by-byte oracle query"
-      (Staged.stage (fun () ->
-           ignore (Attack.Oracle.query oracle (Bytes.make 17 'A'))))
-  in
-  let expansion =
-    Test.make ~name:"table2: compile + instrument one binary"
-      (Staged.stage (fun () ->
-           let ssp =
-             Mcc.Driver.compile ~scheme:Pssp.Scheme.Ssp
-               (Minic.Parser.parse (Workload.Vuln.echo_once ~buffer_size:16))
-           in
-           ignore (Rewriter.Driver.instrument ssp)))
-  in
-  let request =
-    let profile = Workload.Servers.nginx in
-    let image =
-      Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp
-        (Minic.Parser.parse profile.Workload.Servers.source)
-    in
-    let kernel = Os.Kernel.create () in
-    let server = Os.Kernel.spawn kernel ~preload:Os.Preload.Pssp_wide image in
-    Os.Kernel.enqueue kernel server;
-    Os.Kernel.schedule kernel;
-    Test.make ~name:"table3/4: one served request (Nginx profile)"
-      (Staged.stage (fun () ->
-           Os.Kernel.deliver_request kernel server (Bytes.of_string "GET /");
-           Os.Kernel.schedule kernel;
-           Os.Kernel.reap_zombies kernel server;
-           ignore (Os.Kernel.stop_of server)))
-  in
-  let prologue =
-    Test.make ~name:"table5: 3k guarded calls (P-SSP-NT)"
-      (Staged.stage (fun () ->
-           ignore
-             (Harness.Table5.measure_scheme ~calls:3000 Pssp.Scheme.Pssp_nt
-                ~criticals:0)))
-  in
-  let rerandomize =
-    let rng = Util.Prng.create 1L in
-    Test.make ~name:"theorem1: one Re-Randomize (Algorithm 1)"
-      (Staged.stage (fun () -> ignore (Pssp.Canary.re_randomize rng 0xFEEDL)))
-  in
-  [ bench_once; brop_trial; expansion; request; prologue; rerandomize ]
-
-let run_micro () =
-  let open Bechamel in
-  section "Bechamel micro-benchmarks (host cost of each experiment's unit)";
-  let benchmark test =
-    let quota = Time.second 0.5 in
-    Benchmark.all
-      (Benchmark.cfg ~limit:200 ~quota ~kde:(Some 10) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      test
-  in
-  let analyze results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let stats = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-48s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "%-48s (no estimate)\n" name)
-        stats)
-    (micro_tests ())
-
-(* ---- tier A/B: same workload, compiled tier forced off then on ----------- *)
+(* ---- tier A/B: same workload, compiled execution off then on ---------- *)
 
 let run_tierbench () =
-  section
-    "Tier A/B - interpreter vs closures vs chained/fused vs threaded chain";
+  section "Tier A/B - interpreter vs compiled (threaded chain)";
   (* best-of-3 to shrug off GC and scheduler noise; the first run
      doubles as warm-up for the host *)
   let best_of_3 f =
@@ -355,20 +262,21 @@ let run_tierbench () =
     !best
   in
   (* each timed cell also lands in the --bench-out record as its own
-     campaign (one entry per tier), so the perf trajectory file carries
-     the tier deltas alongside the campaign walls *)
-  let time_tier ~workload tier f =
-    Vm64.Compile.set_tier tier;
+     campaign, named by the record's compile_tier value (0 off, 3 on),
+     so the perf trajectory file carries the delta alongside the
+     campaign walls *)
+  let time_mode ~workload on f =
+    Vm64.Compile.set_enabled on;
     Telemetry.Registry.reset_all ();
     let dt = best_of_3 f in
     record
-      ~name:(Printf.sprintf "tierbench/%s@tier%d" workload tier)
+      ~name:(Printf.sprintf "tierbench/%s@tier%d" workload (if on then 3 else 0))
       ~wall_s:dt
       (Telemetry.Registry.snapshot ());
-    Vm64.Compile.set_tier 3;
+    Vm64.Compile.set_enabled true;
     dt
   in
-  (* gate 1 (PR 3): compiled execution beats the interpreter on the
+  (* the gate: compiled execution beats the interpreter on the
      forking-server workload *)
   let profile = Workload.Servers.nginx in
   let requests = 2000 in
@@ -377,45 +285,17 @@ let run_tierbench () =
       (Harness.Runner.run_server (Harness.Runner.Compiler Pssp.Scheme.Pssp)
          profile ~requests)
   in
-  let interp_s = time_tier ~workload:"nginx" 0 serve in
-  let compiled_s = time_tier ~workload:"nginx" 3 serve in
+  let interp_s = time_mode ~workload:"nginx" false serve in
+  let compiled_s = time_mode ~workload:"nginx" true serve in
   Printf.printf
     "TIERBENCH profile=%s requests=%d interp_s=%.3f compiled_s=%.3f speedup=%.2fx\n"
     profile.Workload.Servers.profile_name requests interp_s compiled_s
     (interp_s /. compiled_s);
   if compiled_s >= interp_s then begin
     Printf.eprintf
-      "tierbench: compiled tier (%.3fs) is not faster than the interpreter \
-       (%.3fs)\n"
+      "tierbench: compiled execution (%.3fs) is not faster than the \
+       interpreter (%.3fs)\n"
       compiled_s interp_s;
-    exit 1
-  end;
-  (* gate 2 (PR 7): chaining + superblocks beat the per-block closure
-     tier on table5, serial (BENCH_pr3 baseline: 0.63s) *)
-  let table5 () = ignore (Harness.Table5.run ~jobs:1 ()) in
-  let tier1_s = time_tier ~workload:"table5" 1 table5 in
-  let tier2_s = time_tier ~workload:"table5" 2 table5 in
-  Printf.printf
-    "TIERBENCH2 experiment=table5 jobs=1 tier1_s=%.3f tier2_s=%.3f speedup=%.2fx\n"
-    tier1_s tier2_s (tier1_s /. tier2_s);
-  if tier2_s >= tier1_s then begin
-    Printf.eprintf
-      "tierbench: chained tier (%.3fs) is not faster than per-block closures \
-       (%.3fs)\n"
-      tier2_s tier1_s;
-    exit 1
-  end;
-  (* gate 3: the threaded chain beats the per-step chained tier on the
-     same serial table5 workload *)
-  let tier3_s = time_tier ~workload:"table5" 3 table5 in
-  Printf.printf
-    "TIERBENCH3 experiment=table5 jobs=1 tier2_s=%.3f tier3_s=%.3f speedup=%.2fx\n"
-    tier2_s tier3_s (tier2_s /. tier3_s);
-  if tier3_s >= tier2_s then begin
-    Printf.eprintf
-      "tierbench: threaded-chain tier (%.3fs) is not faster than the \
-       chained tier (%.3fs)\n"
-      tier3_s tier2_s;
     exit 1
   end
 
@@ -590,16 +470,16 @@ let () =
         ~doc:
           "print a deterministic fork-path + translation-cache telemetry\n\
            line after each campaign. NOTE: the tcache counters depend on\n\
-           the tier (compiles is 0 when off; chained execution bypasses\n\
-           hit accounting), so tier A/B output diffs must not enable it."
+           --compile-tier (compiles is 0 when off; chained execution\n\
+           bypasses hit accounting), so off/on output diffs must not\n\
+           enable it."
         (fun () -> mem_stats_enabled := true);
-      Harness.Cli.tier_value ~name:"--compile-tier"
+      Harness.Cli.on_off ~name:"--compile-tier"
         ~doc:
-          "execution tier: off = interpreter, 1 = per-block closures,\n\
-           2 = chained/fused superblocks, 3 = threaded chain\n\
-           (default; on = 3). Campaign output is byte-identical for\n\
-           every tier."
-        Vm64.Compile.set_tier;
+          "on (default): run translations as the threaded chain; off:\n\
+           interpret every instruction. Campaign output is\n\
+           byte-identical either way."
+        Vm64.Compile.set_enabled;
       Harness.Cli.string_value ~name:"--bench-out" ~docv:"FILE"
         ~doc:"write the perf trajectory record to FILE (without it, none is written)"
         (fun f -> bench_out := Some f);
@@ -609,7 +489,7 @@ let () =
   let args =
     Harness.Cli.parse_or_exit ~prog:"bench/main.exe"
       ~positional:
-        "[micro | tierbench | zygotebench | validate FILE... | merge FILE... \
+        "[tierbench | zygotebench | validate FILE... | merge FILE... \
          | <experiment>...]"
       specs
       (List.tl (Array.to_list Sys.argv))
@@ -636,7 +516,6 @@ let () =
   in
   Harness.Cli.telemetry_start telem;
   (match args with
-  | [ "micro" ] -> run_micro ()
   | [ "tierbench" ] -> run_tierbench ()
   | [ "zygotebench" ] -> run_zygotebench ~jobs ()
   | "validate" :: files -> run_validate files
@@ -658,7 +537,7 @@ let () =
         with
         | Some c -> run_campaign ~jobs c
         | None ->
-          Printf.eprintf "unknown experiment %s (have: %s, micro, tierbench)\n"
+          Printf.eprintf "unknown experiment %s (have: %s, tierbench)\n"
             name
             (String.concat " " (Harness.Campaigns.names config));
           exit 1)

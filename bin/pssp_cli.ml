@@ -58,7 +58,7 @@ let telemetry_term =
       value
       & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the final registry snapshot as schema-2 metrics JSON.")
+          ~doc:"Write the final registry snapshot as schema-3 metrics JSON.")
   in
   let trace_out_arg =
     Arg.(

@@ -36,18 +36,6 @@ let on_off ~name ~doc set =
       | "off" -> set false; Ok ()
       | _ -> Error (expects ~name ~what:"on or off" s))
 
-(* Compile-tier selector: numeric tiers plus the historical on/off
-   aliases ("on" = the highest tier, "off" = interpreter), so scripts
-   written against the PR 3 boolean flag keep working. *)
-let tier_value ~name ~doc set =
-  value ~name ~docv:"off|1|2|3|on" ~doc (fun s ->
-      match s with
-      | "off" | "0" -> set 0; Ok ()
-      | "1" -> set 1; Ok ()
-      | "2" -> set 2; Ok ()
-      | "3" | "on" -> set 3; Ok ()
-      | _ -> Error (expects ~name ~what:"off, 1, 2, 3 or on" s))
-
 let string_value ~name ~docv ~doc set =
   value ~name ~docv ~doc (fun s -> set s; Ok ())
 
@@ -139,7 +127,7 @@ let parse_profile_top s =
 let telemetry_specs opts =
   [
     string_value ~name:"--metrics-out" ~docv:"FILE"
-      ~doc:"write the final registry snapshot as schema-2 metrics JSON"
+      ~doc:"write the final registry snapshot as schema-3 metrics JSON"
       (fun f -> opts.metrics_out <- Some f);
     string_value ~name:"--trace-out" ~docv:"FILE"
       ~doc:"stream trace spans (JSONL, one object per line) to FILE"

@@ -27,12 +27,6 @@ val pos_int : name:string -> docv:string -> doc:string -> (int -> unit) -> spec
 val on_off : name:string -> doc:string -> (bool -> unit) -> spec
 (** Rejects with ["NAME expects on or off, got X"]. *)
 
-val tier_value : name:string -> doc:string -> (int -> unit) -> spec
-(** Execution-tier selector: accepts [off|0] (interpreter), [1]
-    (per-block closures), [2] (chained/fused), [3] (threaded chain),
-    and the legacy alias [on] (= 3, the highest tier). Rejects with
-    ["NAME expects off, 1, 2, 3 or on, got X"]. *)
-
 val string_value : name:string -> docv:string -> doc:string -> (string -> unit) -> spec
 
 val scheme_value : name:string -> doc:string -> (Pssp.Scheme.t -> unit) -> spec

@@ -327,7 +327,7 @@ let read_cstring mem addr =
 
 (* The builtins whose whole effect is a function of (cpu, mem) — no
    [io], no kernel control transfer, no PRNG. Factored out as
-   {!Compile.builtin_fn} cores so the OS dispatch below and tier-2
+   {!Compile.builtin_fn} cores so the OS dispatch below and compiled
    call-site inlining ({!inline_core}) execute the {e same} closure:
    byte writes, cycle charges, fault addresses and the rax value cannot
    drift between the two paths. *)
@@ -442,7 +442,7 @@ let stack_chk_fail_pssp cpu mem =
 
 let dispatch ~name cpu mem ~pid io =
   match inline_core name with
-  | Some core -> Ret (core cpu mem)  (* pure cores, shared with tier-2 inlining *)
+  | Some core -> Ret (core cpu mem)  (* pure cores, shared with inlining *)
   | None -> (
   match name with
   | "exit" ->

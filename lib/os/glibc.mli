@@ -125,7 +125,7 @@ val inline_core : string -> Vm64.Compile.builtin_fn option
 (** The pure cores — builtins whose entire effect is a function of
     (cpu, mem): the mem*/str* family and [AES_ENCRYPT_128]. [dispatch]
     executes exactly these closures for those names, so handing the
-    table to {!Vm64.Exec.create_env}'s [inline_builtin] lets tier 2 run
+    table to {!Vm64.Exec.create_env}'s [inline_builtin] lets compiled code run
     them in line at direct call sites with identical memory effects,
     cycle charges, fault addresses and rax. [None] for every builtin
     that touches [io] or needs kernel control (and for

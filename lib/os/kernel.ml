@@ -125,7 +125,7 @@ let ctor_trampoline_addr = Int64.add Layout.glibc_base 0x1900L
 
 let create ?(seed = 0xC0FFEEL) ?on_retire () =
   let is_builtin addr = Glibc.name_of_addr addr in
-  (* Tier-2 builtin inlining: the pure glibc cores (mem*/str*, AES) are
+  (* Builtin inlining: the pure glibc cores (mem*/str*, AES) are
      exactly what [handle_builtin] would run for those names — Preload's
      per-process remapping only touches __stack_chk_fail, which
      [inline_core] excludes — so direct calls to them may execute in

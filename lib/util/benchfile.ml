@@ -1,13 +1,12 @@
 (* Versioned on-disk schema for the perf trajectory record
    (--bench-out), the metrics snapshot (--metrics-out), and shard
-   files. Schema 2 replaced the hand-rolled per-counter fields of
-   BENCH_pr2/pr3.json with a generic registry snapshot: every campaign
-   carries a {"metric-name": int} object. Schema 3 adds shard
-   provenance — shard index/count on files written by `--shard K/N`,
-   merged-from on files produced by `bench merge` — and optional
-   per-campaign cell rows (hex-encoded marshalled cells a shard file
-   carries so the merge step can render the combined body). Readers
-   accept both versions. *)
+   files. Every campaign carries a generic registry snapshot, a
+   {"metric-name": int} object. Schema 3 records shard provenance —
+   shard index/count on files written by `--shard K/N`, merged-from on
+   files produced by `bench merge` — and optional per-campaign cell
+   rows (hex-encoded marshalled cells a shard file carries so the merge
+   step can render the combined body). The reader accepts schema 3
+   only. *)
 
 let schema_version = 3
 
@@ -26,8 +25,8 @@ type t = {
   pr : int;
   jobs : int;
   compile_tier : int;
-      (* 0 = interpreter, 1 = closures, 2 = chained/fused,
-         3 = chained/fused + threaded chain *)
+      (* 0 = interpreter, 3 = compiled (threaded chain); older records
+         carry 1 and 2 for execution modes since removed *)
   shards : int;  (* total shard count; 1 = unsharded *)
   shard : int option;  (* Some k on a shard file (0-based, of [shards]) *)
   merged_from : string list;  (* shard files a `bench merge` combined *)
@@ -93,8 +92,8 @@ let require what = function Some v -> Ok v | None -> Error ("missing or ill-type
 
 let check_schema j =
   let* v = require "\"schema\"" (Option.bind (Json.member "schema" j) Json.to_int_opt) in
-  if v <> 2 && v <> schema_version then
-    Error (Printf.sprintf "unsupported schema %d (want 2 or %d)" v schema_version)
+  if v <> schema_version then
+    Error (Printf.sprintf "unsupported schema %d (want %d)" v schema_version)
   else Ok ()
 
 let metrics_of_json what j =
@@ -149,19 +148,9 @@ let of_json j =
   let* pr = require "\"pr\"" (Option.bind (Json.member "pr" j) Json.to_int_opt) in
   let* jobs = require "\"jobs\"" (Option.bind (Json.member "jobs" j) Json.to_int_opt) in
   let* compile_tier =
-    (* PR <= 6 records carry the boolean tier switch; read it as 0/1 *)
-    let field = Json.member "compile_tier" j in
-    match Option.bind field Json.to_int_opt with
-    | Some n -> Ok n
-    | None -> (
-      match Option.bind field Json.to_bool_opt with
-      | Some b -> Ok (if b then 1 else 0)
-      | None -> Error "missing or ill-typed \"compile_tier\"")
+    require "\"compile_tier\"" (Option.bind (Json.member "compile_tier" j) Json.to_int_opt)
   in
-  (* schema-2 files carry no shard provenance: an unsharded record *)
-  let shards =
-    Option.value ~default:1 (Option.bind (Json.member "shards" j) Json.to_int_opt)
-  in
+  let* shards = require "\"shards\"" (Option.bind (Json.member "shards" j) Json.to_int_opt) in
   let shard = Option.bind (Json.member "shard" j) Json.to_int_opt in
   let merged_from =
     match Option.bind (Json.member "merged_from" j) Json.to_list_opt with

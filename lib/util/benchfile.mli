@@ -10,9 +10,10 @@
     - the bare metrics snapshot ([--metrics-out]):
       [{"schema": 3, "metrics": {..}}]
 
-    Schema 3 adds shard provenance (shard index/count, merged-from)
-    and optional per-campaign cell rows; readers accept schema 2 files
-    (which read back as unsharded records) as well. Metrics objects
+    Schema 3 carries shard provenance (shard index/count, merged-from)
+    and optional per-campaign cell rows; the readers accept schema 3
+    only (the schema-2 records BENCH_pr5, pr7 and pr8 were rewritten
+    as schema 3). Metrics objects
     map registry metric names to integers (histograms are
     pre-flattened into per-bucket entries by the registry snapshot).
     [read (write x) = Ok x] up to float representation — the CI perf
@@ -38,9 +39,9 @@ type t = {
   pr : int;
   jobs : int;
   compile_tier : int;
-      (** 0 = interpreter, 1 = per-block closures, 2 = chained/fused,
-          3 = chained/fused + threaded chain. PR <= 6 records stored
-          a boolean; the reader maps it to 0/1. *)
+      (** 0 = interpreter, 3 = compiled (the threaded chain). Older
+          records also carry 1 and 2, for execution modes since
+          removed. *)
   shards : int;  (** total shard count; 1 = unsharded *)
   shard : int option;
       (** [Some k] on a file written by [--shard K/N] (0-based) *)

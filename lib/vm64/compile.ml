@@ -7,23 +7,23 @@
 
    Every instruction is lowered once, by [lower], into a step: a
    one-argument closure over the machine ([mach]) that updates the
-   register file in place and tail-calls its continuation. Tiers 1 and
-   2 run each step against a continuation that just reports [Running]
-   ([run_steps], one step per loop turn, exact fuel limits); tier 3
-   runs the threaded chain, every step tail-calling the next, for a
-   whole translation at once ([run_chain]). The chain also runs mcc's
-   four-instruction operand shuffle as one step ([shuffle]). A step's
+   register file in place and tail-calls its continuation. A
+   translation runs as the threaded chain, every step tail-calling the
+   next ([run_chain]), which also runs mcc's four-instruction operand
+   shuffle as one step ([shuffle]). The chain has no fuel boundary
+   inside it, so a translation longer than the fuel left — the fuel
+   tail — runs the same steps one per loop turn against a continuation
+   that just reports [Running] ([run_steps], exact limits). A step's
    own cost is kept small: each flag is one int64 compare, and an
    8-byte guest access inside one page reads the page table in place
    ([load]/[store]) rather than calling into [Memory].
 
-   Tier 2 ([run_tier2]) additionally chains compiled blocks through
-   their exits — a taken/fall-through/return transfer jumps straight
-   into the successor's translation instead of returning to
-   [Exec.step_block]'s dispatch loop — and fuses hot unconditional
-   chains into superblock translations. See the link-validity notes on
-   [link_live] for how invalidation and CoW forks unlink stale
-   successors. *)
+   [run] also chains compiled blocks through their exits — a
+   taken/fall-through/return transfer jumps straight into the
+   successor's translation instead of returning to [Exec.step_block]'s
+   dispatch loop — and fuses hot unconditional chains into superblock
+   translations. See the link-validity notes on [link_live] for how
+   invalidation and CoW forks unlink stale successors. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -70,22 +70,22 @@ type link = {
 }
 
 and code = {
-  ops : step array;  (* step i against a [Running] continuation *)
+  ops : step array;  (* step i against a [Running] continuation: the fuel tail *)
   chain : step;  (* the threaded chain: all steps, then [Running] *)
   addrs : int64 array;  (* address of each instruction *)
-  nexts : int64 array;  (* fall-through rip of each instruction *)
+  nexts : int64 array;  (* fall-through rip of each insn, for the fuel tail *)
   csum : int array;  (* csum.(k) = static cycles of the first k insns *)
   crsum : int array;  (* crsum.(k) = call/ret insns among the first k *)
   sets_rip : bool array;
       (* step writes rip when returning Running — terminators, which
-         superblock fusion can place mid-array *)
+         superblock fusion can place mid-array; read by the fuel tail *)
   exit_ : Ir.exit_shape;
   blocks : Tcache.block array;  (* constituent blocks, head first *)
   starts : int array;  (* first instruction index of each constituent *)
   key : int64 -> string option;
       (* the [is_builtin] the code was specialized against; compare with
          (==) — code compiled for another environment must be rebuilt *)
-  mutable hot : int;  (* tier-2 entry count, drives superblock formation *)
+  mutable hot : int;  (* entry count, drives superblock formation *)
   mutable fuse_tried : bool;
   link_a : link;  (* taken / unconditional / dynamic target cache *)
   link_b : link;  (* fall-through side of a two-way branch *)
@@ -93,18 +93,13 @@ and code = {
 
 type Compiled.slot += Code of code
 
-(* Tier switch, read once per block dispatch. Atomic so bench/tests can
-   force a tier while campaign domains are quiescent.
-   0 = interpreter, 1 = per-block closures, 2 = chained/fused,
-   3 = chained/fused running the threaded chain (default). *)
-let tier_flag = Atomic.make 3
+(* Compiled execution on (default) or off, read once per block
+   dispatch. Atomic so bench/tests can switch it while campaign domains
+   are quiescent. *)
+let enabled_flag = Atomic.make true
 
-let set_tier n =
-  if n < 0 || n > 3 then invalid_arg "Compile.set_tier: expected 0, 1, 2 or 3";
-  Atomic.set tier_flag n
-
-let tier () = Atomic.get tier_flag
-let enabled () = tier () > 0
+let set_enabled on = Atomic.set enabled_flag on
+let enabled () = Atomic.get enabled_flag
 
 (* Entries before a code becomes a superblock-formation candidate.
    Tests force 1 to fuse immediately; the default keeps cold paths out
@@ -113,10 +108,10 @@ let fuse_threshold = Atomic.make 16
 let set_fuse_threshold n = Atomic.set fuse_threshold (Stdlib.max 1 n)
 let get_fuse_threshold () = Atomic.get fuse_threshold
 
-(* ---- Semantics helpers shared with the interpreter tier ------------ *)
-(* [Exec] aliases these; keeping one definition means the interpreter
-   and the compiled steps cannot drift on flag arithmetic or condition
-   tests. Inlined into the steps, so their int64 arguments are never
+(* ---- Flag arithmetic and condition tests ---------------------------- *)
+(* The steps' own writings; the interpreter keeps plain ones
+   ([Exec.set_sub_flags] and the rest), the reference these are tested
+   against. Inlined into the steps, so their int64 arguments are never
    boxed. Each flag is one compare on annotated int64 (never
    [Int64.compare], which builds a three-way result and compares it
    again): unsigned order is signed order with the sign bit flipped,
@@ -158,17 +153,6 @@ let[@inline] cond_holds (f : Cpu.flags) = function
   | AE -> not f.cf
   | S -> f.sf
   | NS -> not f.sf
-
-let push cpu mem v =
-  let rsp = Int64.sub (Cpu.get cpu Isa.Reg.RSP) 8L in
-  Cpu.set cpu Isa.Reg.RSP rsp;
-  Memory.write_u64 mem rsp v
-
-let pop cpu mem =
-  let rsp = Cpu.get cpu Isa.Reg.RSP in
-  let v = Memory.read_u64 mem rsp in
-  Cpu.set cpu Isa.Reg.RSP (Int64.add rsp 8L);
-  v
 
 let xmm_to_bytes (lo, hi) =
   let b = Bytes.create 16 in
@@ -894,7 +878,7 @@ let shuffle ~i a b src (k : step) : step =
    itself — so the chain drops the jmp and keeps only the call's push.
    An operand shuffle becomes one step ([shuffle]). Both are emission
    details of the chain: the IR keeps one step per instruction, and so
-   do the per-step [ops] of tiers 1 and 2. *)
+   do the fuel tail's per-step [ops]. *)
 let emit_chain env (ir : Ir.t) =
   let steps = ir.Ir.steps in
   let n = Array.length steps in
@@ -954,13 +938,11 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
     link_b = fresh_link ();
   }
 
-let no_inline : string -> builtin_fn option = fun _ -> None
-
 let block_ir ~is_builtin ~inline (b : Tcache.block) =
   let inlinable name = Option.is_some (inline name) in
   Ir.normalize (Ir.lift ~is_builtin ~inlinable b)
 
-let compile ?(inline = no_inline) ~is_builtin (b : Tcache.block) =
+let compile ~inline ~is_builtin (b : Tcache.block) =
   emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b)
 
 let key (c : code) = c.key
@@ -994,7 +976,7 @@ let fault_exit (code : code) m i e =
     Faulted (Fault.Bad_instruction (a, "unresolved symbol " ^ s))
   | e -> raise e
 
-(* Tiers 1 and 2: one step per turn, stopping after [limit]. *)
+(* The fuel tail: one step per turn, stopping after [limit]. *)
 let rec steps_from (code : code) m i limit =
   match (Array.unsafe_get code.ops i) m with
   | Running when i + 1 < limit -> steps_from code m (i + 1) limit
@@ -1016,21 +998,14 @@ let run_steps (code : code) m ~limit =
   let n = Array.length code.ops in
   steps_from code m 0 (if limit < n then limit else n)
 
-(* Tier 3: the whole translation in one chain run. *)
+(* The whole translation in one chain run. *)
 let run_chain (code : code) m =
   match code.chain m with
   | outcome -> outcome
   | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) ->
     fault_exit code m m.at e
 
-let run_code (code : code) cpu mem ~limit =
-  let m = mach cpu mem in
-  let outcome = run_steps code m ~limit in
-  let k = m.at + 1 in
-  charge_exit code cpu k;
-  (outcome, k)
-
-(* ---- Tier 2: chaining, superblocks, profiling attribution ----------- *)
+(* ---- Chaining, superblocks, profiling attribution ------------------- *)
 
 (* Every constituent is still decodable-as-cached in this space. The
    dispatcher's fetch validated the head block only; a superblock's
@@ -1174,7 +1149,7 @@ let try_fuse tc mem ~is_builtin ~inline (c : code) =
    prefix-sum formula [charge_exit] charges with, split at constituent
    boundaries, clamped to the retired prefix. Note order inside a
    dispatch is irrelevant (the profiler aggregates by address), so
-   fused output is byte-identical to the per-block tiers. *)
+   fused output is byte-identical to the interpreter's per-block notes. *)
 let note_profile (c : code) cpu k =
   let parts = Array.length c.starts in
   let n = Array.length c.ops in
@@ -1190,18 +1165,17 @@ let note_profile (c : code) cpu k =
     incr j
   done
 
-(* The tier-2 block runner: execute [c0], then keep transferring
-   through live (or freshly patched) chain links until fuel runs out,
-   a non-[Running] outcome exits to the OS, or the successor is not
+(* The block runner: execute [c0], then keep transferring through
+   live (or freshly patched) chain links until fuel runs out, a
+   non-[Running] outcome exits to the OS, or the successor is not
    resolvable in-cache (bounce to the dispatcher, which decodes it).
-   Fuel, cycle and fault accounting are exactly the per-block tier's.
-   One [mach] serves every hop. *)
-let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
+   Fuel, cycle and fault accounting are exactly the interpreter's. One
+   [mach] serves every hop. *)
+let run cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
   let tc = cpu.Cpu.tcache in
   let m = mach cpu mem in
   let profiling = Telemetry.Profile.enabled () in
   let threshold = Atomic.get fuse_threshold in
-  let tier3 = Atomic.get tier_flag >= 3 in
   let rec enter (c : code) fuel acc =
     let c =
       if c.fuse_tried || c.hot < threshold then c
@@ -1210,9 +1184,9 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
     c.hot <- c.hot + 1;
     let outcome =
       (* The chain has no fuel boundary inside it, so it only runs when
-         fuel covers the whole translation; otherwise (and at tier 2)
-         the per-step loop retires with exact limits. *)
-      if tier3 && fuel >= Array.length c.ops then run_chain c m
+         fuel covers the whole translation; the fuel tail retires step
+         by step with an exact limit. *)
+      if fuel >= Array.length c.ops then run_chain c m
       else run_steps c m ~limit:fuel
     in
     let k = m.at + 1 in

@@ -1,10 +1,10 @@
-(** The compile-tier attachment point, kept free of dependencies so the
+(** The compiled-code attachment point, kept free of dependencies so the
     translation cache can hold compiled code without a module cycle.
 
     {!Tcache.block} stores a [slot]; {!Compile} (which must sit above
     {!Cpu} in the dependency order, while [Tcache] sits below it)
     extends [slot] with its actual code representation. [outcome] is the
-    interpreter's exit status, defined here so both the closure tier and
+    interpreter's exit status, defined here so both {!Compile} and
     {!Exec} share one type ([Exec.outcome] re-exports it). *)
 
 type outcome =
@@ -16,4 +16,4 @@ type outcome =
 
 type slot = ..
 
-type slot += Not_compiled  (** block not yet considered by the compile tier *)
+type slot += Not_compiled  (** block not yet compiled *)

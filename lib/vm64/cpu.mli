@@ -49,7 +49,7 @@ external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
     [0 <= off <= Bytes.length b - 8]. A compiler primitive, so it is
     inlined at every call site, even across [-opaque] module
     boundaries, and its result stays unboxed when int64 arithmetic or
-    {!set64u} consumes it. The compiled tiers read the register file
+    {!set64u} consumes it. Compiled code reads the register file
     ([get64u cpu.gprs (8 * i)]) and guest page payloads with it. *)
 
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"

@@ -8,7 +8,7 @@ type outcome = Compiled.outcome =
 type env = {
   is_builtin : int64 -> string option;
   inline_builtin : string -> Compile.builtin_fn option;
-      (* tier-2 builtin inlining: cores a direct call may run in line
+      (* builtin inlining: cores a direct call may run in line
          instead of exiting to the OS dispatcher. Default: none — only
          environments whose dispatcher semantics the inline cores
          reproduce exactly (the kernel's) opt in. *)
@@ -107,12 +107,6 @@ let decode_block mem rip =
     in
     Ok (Tcache.make_block ~anchor ~start:rip (Array.of_list (List.rev !rev)))
 
-(* The cached block is only valid for THIS address space while every
-   page it was decoded from still holds the same payload object — the
-   check lives in {!Tcache.anchor_valid} so the tier-2 chain runner
-   applies the identical predicate before jumping into a successor. *)
-let anchor_valid mem (b : Tcache.block) = Tcache.anchor_valid mem b
-
 (* A freshly decoded block may be published into the fork-shared table
    (no private materialisation) when every anchored payload is still
    CoW-aliased — relatives currently read the very bytes it encodes,
@@ -131,7 +125,7 @@ let publishable mem (b : Tcache.block) =
 let fetch_block cpu mem =
   let tc = cpu.Cpu.tcache in
   match Tcache.find tc cpu.Cpu.rip with
-  | Some b when anchor_valid mem b ->
+  | Some b when Tcache.anchor_valid mem b ->
     Tcache.note_hit tc;
     Ok b
   | _ -> (
@@ -192,14 +186,66 @@ let write32 cpu mem op v =
   | Isa.Operand.Imm _ ->
     raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "store to immediate")))
 
-(* Flag arithmetic, stack discipline and condition tests are shared with
-   the closure tier — one definition, no drift. *)
-let set_logic_flags = Compile.set_logic_flags
-let set_add_flags = Compile.set_add_flags
-let set_sub_flags = Compile.set_sub_flags
-let cond_holds = Compile.cond_holds
-let push = Compile.push
-let pop = Compile.pop
+(* ---- Reference semantics -------------------------------------------- *)
+(* Flag arithmetic, condition tests and stack discipline, written out
+   plainly and apart from [Compile]'s single-compare steps, so the two
+   semantics are independent writings that the differential tests can
+   hold against each other. *)
+
+let negative r = Int64.compare r 0L < 0
+
+let set_logic_flags (f : Cpu.flags) r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- negative r;
+  f.cf <- false;
+  f.of_ <- false
+
+(* An add overflows when both operands have one sign and the result
+   the other; a sub when the operands differ in sign and the result's
+   sign is not the minuend's. *)
+let set_add_flags (f : Cpu.flags) a b r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- negative r;
+  f.cf <- Int64.unsigned_compare r a < 0;
+  f.of_ <- negative a = negative b && negative r <> negative a
+
+let set_sub_flags (f : Cpu.flags) a b r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- negative r;
+  f.cf <- Int64.unsigned_compare a b < 0;
+  f.of_ <- negative a <> negative b && negative r <> negative a
+
+(* Signed order reads "less" off sf <> of, unsigned order "below" off
+   cf; each condition and its negation come in pairs. *)
+let cond_holds (f : Cpu.flags) (c : Isa.Insn.cond) =
+  let less = f.sf <> f.of_ and below = f.cf in
+  match c with
+  | E -> f.zf
+  | NE -> not f.zf
+  | L -> less
+  | GE -> not less
+  | LE -> less || f.zf
+  | G -> not (less || f.zf)
+  | B -> below
+  | AE -> not below
+  | BE -> below || f.zf
+  | A -> not (below || f.zf)
+  | S -> f.sf
+  | NS -> not f.sf
+
+(* rsp moves before the store, so a faulting push leaves it lowered;
+   after the load, so a faulting pop leaves it unchanged. *)
+let push cpu mem v =
+  let rsp = Int64.sub (Cpu.get cpu Isa.Reg.RSP) 8L in
+  Cpu.set cpu Isa.Reg.RSP rsp;
+  Memory.write_u64 mem rsp v
+
+let pop cpu mem =
+  let rsp = Cpu.get cpu Isa.Reg.RSP in
+  let v = Memory.read_u64 mem rsp in
+  Cpu.set cpu Isa.Reg.RSP (Int64.add rsp 8L);
+  v
+
 let xmm_to_bytes = Compile.xmm_to_bytes
 let xmm_of_bytes = Compile.xmm_of_bytes
 
@@ -270,7 +316,7 @@ let execute env cpu mem insn next_rip =
       let r = Int64.mul a b in
       set_logic_flags flags r;
       write64 cpu mem dst r
-    | Idiv ->
+    | Idiv | Irem ->
       if Int64.equal b 0L then
         raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "division by zero")));
       (* x86 #DE also covers INT64_MIN / -1, whose quotient is
@@ -278,16 +324,7 @@ let execute env cpu mem insn next_rip =
       if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
         raise
           (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "division overflow")));
-      let r = Int64.div a b in
-      set_logic_flags flags r;
-      write64 cpu mem dst r
-    | Irem ->
-      if Int64.equal b 0L then
-        raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "division by zero")));
-      if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-        raise
-          (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "division overflow")));
-      let r = Int64.rem a b in
+      let r = if bop = Idiv then Int64.div a b else Int64.rem a b in
       set_logic_flags flags r;
       write64 cpu mem dst r);
     continue_at cpu next_rip
@@ -401,7 +438,7 @@ let execute env cpu mem insn next_rip =
   | Movdqu_load (x, m) ->
     let ea = effective_address cpu m in
     (* explicit high-then-low read order (what the right-to-left tuple
-       evaluation always compiled to), pinned so the closure tier can
+       evaluation always compiled to), pinned so the compiled steps can
        mirror the fault address of a half-unmapped access *)
     let hi = Memory.read_u64 mem (Int64.add ea 8L) in
     let lo = Memory.read_u64 mem ea in
@@ -434,7 +471,7 @@ let execute env cpu mem insn next_rip =
     flags.of_ <- false;
     continue_at cpu next_rip
 
-(* The interpreter tier: retire up to [max_insns] instructions from
+(* The interpreter: retire up to [max_insns] instructions from
    block [b], charging cycles and running the [on_retire] probe per
    instruction. Instructions before the block's terminator are
    straight-line by construction, so as long as [execute] returns
@@ -455,61 +492,38 @@ let interp_block env cpu mem b ~max_insns =
   in
   go 0
 
-(* Per-block exit accounting for the cycle profiler: everything the
-   dispatch charged (pre-summed straight-line costs in the compiled
-   tier, per-insn adds in the interpreter) is attributed to the block's
-   start address in one note. The tier-2 chain runner attributes its
-   own per-constituent cycles instead (see [Compile.run_tier2]) — its
-   dispatches must NOT pass through here, or blocks would be charged
-   twice. *)
-let profiled cpu addr f =
-  if not (Telemetry.Profile.enabled ()) then f ()
-  else begin
+(* Dispatch. Traced runs and runs with compiled execution off interpret
+   (the probe observes every retire), and the cycle profiler gets one
+   note per interpreted block: all it charged, at its start address.
+   Otherwise a block is translated once per environment and the
+   translation is reused — including by fork relatives sharing the
+   block record, since compilation is deterministic and the result
+   immutable — and [Compile.run] keeps control inside compiled code
+   across block exits until fuel runs out or a successor misses the
+   cache, noting per-constituent cycles itself. A fetch fault retires
+   nothing. *)
+let dispatch_block env cpu mem b ~max_insns =
+  if Option.is_some env.on_retire || not (Compile.enabled ()) then begin
     let c0 = cpu.Cpu.cycles in
-    let r = f () in
-    Telemetry.Profile.note ~addr ~cycles:(Int64.to_int (Int64.sub cpu.Cpu.cycles c0));
+    let r = interp_block env cpu mem b ~max_insns in
+    if Telemetry.Profile.enabled () then
+      Telemetry.Profile.note ~addr:b.Tcache.bb_start
+        ~cycles:(Int64.to_int (Int64.sub cpu.Cpu.cycles c0));
     r
   end
-
-(* Tier dispatch. Traced runs always interpret (the probe observes
-   every retire); otherwise a block is translated once per environment
-   and the closure array is reused — including by fork relatives
-   sharing the block record, since compilation is deterministic and the
-   result immutable. Under tiers 2 and 3 the translation additionally
-   runs through the chain runner, which keeps control inside compiled
-   code across block exits until fuel runs out or a successor misses
-   the cache (tier 3 further runs each hop as the threaded chain when
-   fuel covers it). A fetch fault retires nothing. *)
-let dispatch_block env cpu mem b ~max_insns =
-  let addr = b.Tcache.bb_start in
-  let interp () = profiled cpu addr (fun () -> interp_block env cpu mem b ~max_insns) in
-  match env.on_retire with
-  | Some _ -> interp ()
-  | None -> (
-    match Compile.tier () with
-    | 0 -> interp ()
-    | tier -> (
-      let chained = tier >= 2 in
-      let run c =
-        if chained then
-          Compile.run_tier2 cpu mem ~is_builtin:env.is_builtin
-            ~inline:env.inline_builtin c ~fuel:max_insns
-        else profiled cpu addr (fun () -> Compile.run_code c cpu mem ~limit:max_insns)
-      in
+  else
+    let c =
       match b.Tcache.compiled with
-      | Compile.Code c when Compile.key c == env.is_builtin -> run c
+      | Compile.Code c when Compile.key c == env.is_builtin -> c
       | _ ->
-        (* not yet compiled, or compiled against another environment.
-           Tier 1 compiles without inlining, preserving its exact
-           per-block dispatch protocol (builtin calls exit to the OS). *)
-        let c =
-          if chained then
-            Compile.compile ~inline:env.inline_builtin ~is_builtin:env.is_builtin b
-          else Compile.compile ~is_builtin:env.is_builtin b
-        in
+        (* not yet compiled, or compiled against another environment *)
+        let c = Compile.compile ~inline:env.inline_builtin ~is_builtin:env.is_builtin b in
         b.Tcache.compiled <- Compile.Code c;
         Tcache.note_compile cpu.Cpu.tcache;
-        run c))
+        c
+    in
+    Compile.run cpu mem ~is_builtin:env.is_builtin ~inline:env.inline_builtin c
+      ~fuel:max_insns
 
 let step_block env cpu mem ~max_insns =
   match fetch_block cpu mem with

@@ -1,16 +1,18 @@
-(** The instruction interpreter and tier dispatcher.
+(** The instruction interpreter — the reference semantics — and the
+    dispatcher.
 
     [step] retires exactly one instruction. Control leaves the
     interpreter in four ways, which the OS layer dispatches on:
     glibc-builtin calls, syscall traps, [hlt], and hardware faults.
 
-    Untraced runs execute through the {!Compile} closure tier whenever
-    the current block has a translation (building one on first
-    execution); traced runs ([on_retire]) fall back to per-instruction
-    interpretation. The two tiers are
-    observationally identical — registers, flags, memory, cycle counts,
-    RNG draws, fault identity and fuel accounting — so which one ran is
-    invisible to everything above {!Exec}. *)
+    Untraced runs execute through {!Compile} while it is enabled (the
+    default), translating each block on first execution; traced runs
+    ([on_retire]) and runs with it off interpret instruction by
+    instruction. The two semantics are written apart — the interpreter
+    has its own flag arithmetic, condition tests and stack discipline,
+    below — and are observationally identical: registers, flags,
+    memory, cycle counts, RNG draws, fault identity and fuel accounting.
+    Which one ran is invisible to everything above {!Exec}. *)
 
 type outcome = Compiled.outcome =
   | Running  (** instruction retired; rip advanced *)
@@ -41,8 +43,8 @@ val create_env :
     before it executes — the hook behind execution tracing. Supplying it
     pins execution to the interpreter tier.
 
-    [inline_builtin] (default: none) gives tier 2 permission to run the
-    named builtin cores in line at direct call sites instead of exiting
+    [inline_builtin] (default: none) gives compiled code permission to
+    run the named builtin cores in line at direct call sites instead of exiting
     with [Builtin]. Only supply cores whose effects — memory writes,
     cycle charges, rax, fault behaviour — are exactly what the OS
     dispatcher would have produced; with inlining on, a [Stopped
@@ -68,3 +70,16 @@ type run_result =
 val run : ?max_insns:int -> env -> Cpu.t -> Memory.t -> run_result
 (** Step until something interesting happens. [max_insns] defaults to
     100 million — a runaway-loop backstop, not a tuning knob. *)
+
+(** {2 Reference semantics}
+
+    The interpreter's own flag arithmetic ([set_add_flags f a b r] for
+    [r = a + b]), condition tests and stack discipline, which
+    {!Compile}'s steps are tested against. *)
+
+val set_logic_flags : Cpu.flags -> int64 -> unit
+val set_add_flags : Cpu.flags -> int64 -> int64 -> int64 -> unit
+val set_sub_flags : Cpu.flags -> int64 -> int64 -> int64 -> unit
+val cond_holds : Cpu.flags -> Isa.Insn.cond -> bool
+val push : Cpu.t -> Memory.t -> int64 -> unit
+val pop : Cpu.t -> Memory.t -> int64

@@ -1,4 +1,4 @@
-(** Explicit IR of decoded blocks — the data the compile tiers lower.
+(** Explicit IR of decoded blocks — the data {!Compile} lowers.
 
     Produced from a {!Tcache.block} by {!lift}, refined by
     {!normalize}, and concatenated into superblocks by {!fuse}; emitted

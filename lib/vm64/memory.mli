@@ -70,7 +70,7 @@ val write_u64 : t -> int64 -> int64 -> unit
 
 (** {2 Page window}
 
-    The compiled tiers' slow path for an 8-byte store whose page the
+    Compiled code's slow path for an 8-byte store whose page the
     caller cannot write in place (see {!t}). It takes the address as an
     [int], so no boxed int64 crosses the call. Callers use it only for
     an [a] with [0 <= a < 0x0800_0000] whose 8 bytes stay inside one

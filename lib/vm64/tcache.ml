@@ -16,7 +16,7 @@ type block = {
   mutable compiled : Compiled.slot;
   mutable fused_ranges : (int64 * int) array;
       (* extra [addr, addr+len) text extents covered by a superblock
-         stored in [compiled] (tier 2 fuses successor blocks into the
+         stored in [compiled] (Compile fuses successor blocks into the
          head block's slot). Invalidation treats them like the block's
          own bytes: patching ANY constituent must drop the head entry,
          or a private-page in-place patch would leave a stale fused
@@ -61,7 +61,7 @@ let make_block ?(anchor = [||]) ~start pairs =
    never mutates an aliased payload in place, so physical identity
    implies byte identity. This is what lets fork relatives share one
    table even as each publishes new decodes into it, and what lets
-   tier-2 chain links jump straight into a successor's translation. *)
+   chain links jump straight into a successor's translation. *)
 let anchor_valid mem b =
   let a = b.anchor in
   let n = Array.length a in
@@ -89,9 +89,9 @@ let anchor_valid mem b =
 type exec_stats = {
   mutable hits : int;  (* block lookups served from the cache *)
   mutable misses : int;  (* lookups that forced a decode *)
-  mutable compiles : int;  (* blocks translated by the closure tier *)
+  mutable compiles : int;  (* blocks translated by Compile *)
   mutable invalidated : int;  (* cached blocks dropped by invalidation *)
-  mutable chains : int;  (* tier-2 exit links patched to a successor *)
+  mutable chains : int;  (* exit links patched to a successor *)
   mutable superblocks : int;  (* hot chains fused into one translation *)
   mutable chain_hops : int;  (* dispatcher returns avoided via a link *)
 }

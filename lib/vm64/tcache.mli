@@ -40,11 +40,11 @@ type block = {
           blocks into a fork-shared table sound. Empty = always valid
           (test-built blocks). *)
   mutable compiled : Compiled.slot;
-      (** closure-tier translation, written by {!Exec}/{!Compile};
+      (** compiled translation, written by {!Exec}/{!Compile};
           deterministic, so clones aliasing this record share compiled
           code for free. Starts [Not_compiled]; dropping the block drops
-          the translation, which is how invalidation reaches the compile
-          tier. Tier 2 may later replace a [Code] slot with a superblock
+          the translation, which is how invalidation reaches compiled
+          code. {!Compile} may later replace a [Code] slot with a superblock
           that subsumes it (same entry semantics, more instructions). *)
   mutable fused_ranges : (int64 * int) array;
       (** extra [(addr, len)] text extents covered by a superblock
@@ -61,7 +61,7 @@ val anchor_valid : Memory.t -> block -> bool
     covered page holds the same payload {e object} it was decoded from
     (physical equality — CoW never mutates an aliased payload in
     place). Empty anchor (test-built blocks) is always valid. Checked by
-    {!Exec.fetch_block} on every hit and by tier-2 chain links before
+    {!Exec.fetch_block} on every hit and by compiled chain links before
     jumping into a successor's translation. *)
 
 val make_block : ?anchor:bytes array -> start:int64 -> (Isa.Insn.t * int) array -> block
@@ -92,10 +92,10 @@ val note_miss : t -> unit
 (** Record one lookup that forced a decode (absent or stale entry). *)
 
 val note_compile : t -> unit
-(** Record one closure-tier block translation. *)
+(** Record one compiled block translation. *)
 
 val note_chain : t -> unit
-(** Record one tier-2 exit link patched to a successor's translation. *)
+(** Record one exit link patched to a successor's translation. *)
 
 val note_superblock : t -> unit
 (** Record one hot chain fused into a superblock translation. *)
@@ -140,20 +140,20 @@ val metric_invalidated : string
 val metric_chains : string
 val metric_superblocks : string
 val metric_chain_hops : string
-(** Names under which the process-wide tcache/compile-tier totals are
+(** Names under which the process-wide tcache/compiled-execution totals are
     published to {!Telemetry.Registry}. clones/blocks_shared/
     tables_materialised are plain counters; the rest form one
     fold-metric group (resetting any resets all). Read process-wide
     totals with [Telemetry.Registry.read_int] on these names. *)
 
-(** Execution-path telemetry (lookups, decodes, compile-tier activity),
+(** Execution-path telemetry (lookups, decodes, compiled-execution activity),
     [Memory.family_stats]-style. *)
 type exec_stats = {
   mutable hits : int;  (** block lookups served from the cache *)
   mutable misses : int;  (** lookups that forced a decode *)
-  mutable compiles : int;  (** blocks translated by the closure tier *)
+  mutable compiles : int;  (** blocks translated by {!Compile} *)
   mutable invalidated : int;  (** cached blocks dropped by invalidation *)
-  mutable chains : int;  (** tier-2 exit links patched to a successor *)
+  mutable chains : int;  (** exit links patched to a successor *)
   mutable superblocks : int;  (** hot chains fused into one translation *)
   mutable chain_hops : int;  (** dispatcher returns avoided via a link *)
 }

@@ -1,15 +1,22 @@
-(* Differential oracle for the compiled execution tiers.
+(* Differential oracle for compiled execution.
 
-   Every compiled tier must be observationally identical to the
+   Compiled execution must be observationally identical to the
    interpreter: same registers, flags, xmm state, memory, cycle counter,
-   RNG draws and fault identity after every run. Rather than trusting
-   each specialized closure individually, we fuzz: generate random
-   encodable instruction sequences, run each four times from identical
-   initial state — interpreter, tier 1 (per-block closures), tier 2
-   (chained/fused, with the fuse threshold forced to 1 so superblocks
-   actually form), tier 3 (the threaded chain, which faults out of the
-   middle of a translation with no per-step handler) — and compare the
-   complete machine state. *)
+   RNG draws and fault identity after every run. The two are
+   independent writings — the interpreter keeps its own flag setters,
+   condition tests and stack discipline — so a wrong formula in either
+   can show up as a divergence. Rather than trusting each specialized
+   closure individually, we fuzz: generate random encodable instruction
+   sequences, run each twice from identical initial state — interpreted,
+   then compiled (chained and fused, with the fuse threshold forced to 1
+   so superblocks actually form, running the threaded chain, which
+   faults out of the middle of a translation with no per-step handler,
+   and the fuel tail's step loop) — and compare the complete machine
+   state.
+
+   The "tier-2" and "tier-3" groups keep the names of the execution
+   modes their tests were written for: chaining and superblocks, and the
+   threaded chain. Both are parts of the one compiled mode now. *)
 
 open Isa
 open Vm64
@@ -39,7 +46,7 @@ let rand_cond p =
 
 (* Memory operands concentrate on the data region (so loads see real
    bytes and stores land on mapped pages) but also probe the mapping
-   edge and plainly unmapped space, so both tiers' fault paths and
+   edge and plainly unmapped space, so both sides' fault paths and
    partial cross-page writes get compared. *)
 let rand_mem_record p =
   let mk ?seg_fs ?base ?index disp =
@@ -90,7 +97,7 @@ let rand_dst p =
 (* Control transfers target the first bytes of the text page: backward
    targets create loops (cut by [max_insns], comparing fuel accounting),
    and targets landing mid-instruction exercise garbage decode in both
-   tiers identically. *)
+   both sides identically. *)
 let rand_target p = Insn.Abs (Int64.add text_base (Int64.of_int (Util.Prng.int p 96)))
 
 let rand_insn p =
@@ -196,11 +203,16 @@ let capture result cpu mem ~data =
     s_stack = Memory.read_bytes mem stack_base stack_len;
   }
 
-let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
+(* Run [f] with compiled execution on or off, restoring the default. *)
+let with_compiled on f =
+  Compile.set_enabled on;
+  Fun.protect ~finally:(fun () -> Compile.set_enabled true) f
+
+let run_one ~compiled ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
     ~data ~code =
-  Compile.set_tier tier;
+  with_compiled compiled @@ fun () ->
   let cpu = Cpu.create ~seed:trial_seed () in
-  (* keyed MAC for Pac/Aut: same derivation in every tier, so signed
+  (* keyed MAC for Pac/Aut: same derivation on both sides, so signed
      values and authentication verdicts must agree bit-for-bit *)
   cpu.Cpu.pac_key <- Int64.logxor trial_seed 0x9E3779B97F4A7C15L;
   let mem = Memory.create () in
@@ -219,7 +231,6 @@ let run_one ~tier ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_xmms
   cpu.Cpu.call_tax <- call_tax;
   cpu.Cpu.rip <- text_base;
   let result = Exec.run ~max_insns:200 env cpu mem in
-  Compile.set_tier 3;
   capture result cpu mem ~data:(Memory.read_bytes mem data_base data_len)
 
 let result_to_string = function
@@ -278,16 +289,11 @@ let test_differential_fuzz () =
       else (0, 0)
     in
     let trial_seed = Util.Prng.next64 p in
-    let args ~tier =
-      run_one ~tier ~trial_seed ~taxes ~init_gprs ~init_xmms ~data ~code
+    let args ~compiled =
+      run_one ~compiled ~trial_seed ~taxes ~init_gprs ~init_xmms ~data ~code
     in
-    let interp = args ~tier:0 in
-    let tier1 = args ~tier:1 in
-    let tier2 = args ~tier:2 in
-    let tier3 = args ~tier:3 in
-    compare_snapshots ~trial ~what:"tier 1" interp tier1;
-    compare_snapshots ~trial ~what:"tier 2" interp tier2;
-    compare_snapshots ~trial ~what:"tier 3" interp tier3;
+    let interp = args ~compiled:false in
+    compare_snapshots ~trial ~what:"compiled" interp (args ~compiled:true);
     (match interp.s_result with
     | Exec.Stopped Exec.Halted -> incr halted
     | Exec.Stopped (Exec.Faulted _) -> incr faulted
@@ -301,32 +307,12 @@ let test_differential_fuzz () =
   Alcotest.(check bool) "saw fuel exhaustion" true (!fuel > 10);
   Alcotest.(check bool) "saw builtin/syscall exits" true (!other > 10)
 
-(* ---- flag setters against a reference -------------------------------------- *)
+(* ---- flag setters and condition tests against the reference ---------------- *)
 
-(* The interpreter and every compiled tier share the flag setters, so the
-   fuzz above compares a setter with itself and cannot catch a wrong
-   formula. These are the setters as first written, with three-way
-   compares; the single-compare forms must set the same four flags. *)
-let ref_logic_flags (f : Cpu.flags) r =
-  f.zf <- Int64.equal r 0L;
-  f.sf <- Int64.compare r 0L < 0;
-  f.cf <- false;
-  f.of_ <- false
-
-let ref_add_flags (f : Cpu.flags) a b r =
-  f.zf <- Int64.equal r 0L;
-  f.sf <- Int64.compare r 0L < 0;
-  f.cf <- Int64.unsigned_compare r a < 0;
-  f.of_ <- Int64.compare a 0L < 0 = (Int64.compare b 0L < 0)
-           && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
-
-let ref_sub_flags (f : Cpu.flags) a b r =
-  f.zf <- Int64.equal r 0L;
-  f.sf <- Int64.compare r 0L < 0;
-  f.cf <- Int64.unsigned_compare a b < 0;
-  f.of_ <- Int64.compare a 0L < 0 <> (Int64.compare b 0L < 0)
-           && Int64.compare r 0L < 0 <> (Int64.compare a 0L < 0)
-
+(* The interpreter's setters ([Exec.set_*_flags]) are written with
+   three-way compares; the compiled steps' single-compare forms must set
+   the same four flags. The fuzz reaches them only through the flags a
+   program happens to read; this property hits the edges directly. *)
 (* Carries and overflows flip at the edges of the range and at powers
    of two, so two draws in three come from there. *)
 let edge_operands =
@@ -354,14 +340,35 @@ let prop_flag_setters =
         f = g
       in
       let logic r =
-        agree (fun f -> Compile.set_logic_flags f r) (fun g -> ref_logic_flags g r)
+        agree (fun f -> Compile.set_logic_flags f r) (fun g -> Exec.set_logic_flags g r)
       in
       let add = Int64.add a b and sub = Int64.sub a b in
       logic a && logic (Int64.logand a b) && logic (Int64.logxor a b)
-      && agree (fun f -> Compile.set_add_flags f a b add) (fun g -> ref_add_flags g a b add)
-      && agree (fun f -> Compile.set_sub_flags f a b sub) (fun g -> ref_sub_flags g a b sub))
+      && agree
+           (fun f -> Compile.set_add_flags f a b add)
+           (fun g -> Exec.set_add_flags g a b add)
+      && agree
+           (fun f -> Compile.set_sub_flags f a b sub)
+           (fun g -> Exec.set_sub_flags g a b sub))
 
-(* ---- targeted compiled-tier tests ----------------------------------------- *)
+(* Every condition in every one of the 16 flag states: the compiled
+   steps' [cond_holds] must agree with the interpreter's. *)
+let test_cond_holds_exhaustive () =
+  for bits = 0 to 15 do
+    let f =
+      { Cpu.zf = bits land 1 <> 0; sf = bits land 2 <> 0; cf = bits land 4 <> 0;
+        of_ = bits land 8 <> 0 }
+    in
+    for i = 0 to 11 do
+      let c = Option.get (Insn.cond_of_index i) in
+      if Compile.cond_holds f c <> Exec.cond_holds f c then
+        Alcotest.failf "condition %d with zf=%b sf=%b cf=%b of=%b: compiled %b, interpreter %b"
+          i f.Cpu.zf f.Cpu.sf f.Cpu.cf f.Cpu.of_ (Compile.cond_holds f c)
+          (Exec.cond_holds f c)
+    done
+  done
+
+(* ---- targeted compiled-execution tests ------------------------------------ *)
 
 let load_program mem insns = Memory.write_bytes mem text_base (Encode.list_to_bytes insns)
 
@@ -380,11 +387,11 @@ let run_to_halt cpu mem =
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("expected hlt, got " ^ result_to_string r)
 
-(* Patching text must reach the compiled tier through invalidation: the
+(* Patching text must reach compiled execution through invalidation: the
    stale closures are dropped with the block and the patched bytes are
    re-decoded and re-compiled. *)
 let test_patch_invalidates_compiled () =
-  Alcotest.(check bool) "tier on" true (Compile.enabled ());
+  Alcotest.(check bool) "compiled execution on" true (Compile.enabled ());
   let cpu, mem = fresh () in
   load_program mem [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 1L); Insn.Hlt ];
   run_to_halt cpu mem;
@@ -481,7 +488,7 @@ let test_published_block_and_anchor () =
   Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal)
     "child still runs original bytes" 2L (Cpu.get ccpu Reg.RAX)
 
-(* ---- tier-2 chaining / superblock tests ------------------------------------ *)
+(* ---- chaining / superblock tests ------------------------------------------- *)
 
 let block_b = Int64.add text_base 0x80L
 let block_c = Int64.add text_base 0x100L
@@ -633,14 +640,12 @@ let test_chain_link_generation () =
 
 (* Superblock fusion must not perturb profiler attribution: the fused
    translation retires a whole chain in one sweep, yet its
-   per-constituent self-notes must reproduce the per-block rows byte for
-   byte — including the insn/call tax terms. The tier-3 run goes through
-   the threaded chain, which must attribute through the same prefix-sum
-   notes as the per-step loop. *)
+   per-constituent self-notes must reproduce the interpreter's per-block
+   rows byte for byte, including the insn/call tax terms. *)
 let test_superblock_profile_attribution () =
   with_fuse_threshold 1 @@ fun () ->
-  let profile_rows ~tier =
-    Compile.set_tier tier;
+  let profile_rows ~compiled =
+    with_compiled compiled @@ fun () ->
     Telemetry.Profile.reset ();
     Telemetry.Profile.set_enabled true;
     let cpu, mem = fresh () in
@@ -666,15 +671,12 @@ let test_superblock_profile_attribution () =
     Telemetry.Profile.set_enabled false;
     let rows = Telemetry.Profile.dump () in
     Telemetry.Profile.reset ();
-    Compile.set_tier 3;
     (rows, Tcache.exec_stats cpu.Cpu.tcache)
   in
-  let rows1, _ = profile_rows ~tier:1 in
-  let rows2, stats2 = profile_rows ~tier:2 in
-  let rows3, stats3 = profile_rows ~tier:3 in
-  Alcotest.(check bool) "tier-2 run actually fused" true (stats2.Tcache.superblocks >= 1);
-  Alcotest.(check bool) "tier-3 run actually fused" true (stats3.Tcache.superblocks >= 1);
-  Alcotest.(check bool) "profile saw the blocks" true (List.length rows1 >= 3);
+  let reference, _ = profile_rows ~compiled:false in
+  let rows, stats = profile_rows ~compiled:true in
+  Alcotest.(check bool) "compiled run actually fused" true (stats.Tcache.superblocks >= 1);
+  Alcotest.(check bool) "profile saw the blocks" true (List.length reference >= 3);
   let show rows =
     String.concat "; "
       (List.map
@@ -683,15 +685,11 @@ let test_superblock_profile_attribution () =
              r.Telemetry.Profile.cycles r.Telemetry.Profile.blocks)
          rows)
   in
-  let check_same what rows =
-    if rows1 <> rows then
-      Alcotest.failf "attribution diverges under fusion:\n  tier 1: %s\n  %s: %s"
-        (show rows1) what (show rows)
-  in
-  check_same "tier 2" rows2;
-  check_same "tier 3" rows3
+  if reference <> rows then
+    Alcotest.failf "attribution diverges under fusion:\n  interpreter: %s\n  compiled: %s"
+      (show reference) (show rows)
 
-(* ---- tier 3: the threaded chain -------------------------------------------- *)
+(* ---- the threaded chain ------------------------------------------------------ *)
 
 let mk_block ~start insns =
   Tcache.make_block ~start
@@ -724,13 +722,12 @@ let test_normalize_self_move () =
 
 let int64_t = Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal
 
-(* rdtsc compiles: mid-block, the compiled tiers read the counter as
+(* rdtsc compiles: mid-block, compiled code reads the counter as
    entry cycles plus the retired prefix's static charge, taxes included,
    which is what the interpreter charged before executing it. *)
 let test_rdtsc_compiles () =
-  let tsc ~tier =
-    Compile.set_tier tier;
-    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+  let tsc ~compiled =
+    with_compiled compiled @@ fun () ->
     let cpu, mem = fresh () in
     load_program mem
       [
@@ -745,27 +742,22 @@ let test_rdtsc_compiles () =
     run_to_halt cpu mem;
     (Cpu.get cpu Reg.RAX, Cpu.get cpu Reg.RDX, cpu.Cpu.cycles)
   in
-  let ((rax0, rdx0, _) as interp) = tsc ~tier:0 in
+  let rax0, rdx0, cycles0 = tsc ~compiled:false in
   Alcotest.(check bool) "rdtsc saw the retired prefix" true
     (Int64.logor (Int64.shift_left rdx0 32) rax0 > 0x1_0000_0000L);
-  List.iter
-    (fun tier ->
-      let rax, rdx, cycles = tsc ~tier in
-      let _, _, cycles0 = interp in
-      Alcotest.check int64_t (Printf.sprintf "tier %d rax" tier) rax0 rax;
-      Alcotest.check int64_t (Printf.sprintf "tier %d rdx" tier) rdx0 rdx;
-      Alcotest.check int64_t (Printf.sprintf "tier %d cycles" tier) cycles0 cycles)
-    [ 1; 2; 3 ]
+  let rax, rdx, cycles = tsc ~compiled:true in
+  Alcotest.check int64_t "compiled rax" rax0 rax;
+  Alcotest.check int64_t "compiled rdx" rdx0 rdx;
+  Alcotest.check int64_t "compiled cycles" cycles0 cycles
 
 (* Faults are exact mid-superblock: trap on a store page-fault in the
    middle of a fused chain, with a register modified since entry. Every
    interpreter-visible fact — gprs, flags, rip, cycles, fault identity —
-   must match a tier-1 replay of the same machine. *)
+   must match an interpreted replay of the same machine. *)
 let test_fault_exact_mid_superblock () =
   with_fuse_threshold 1 @@ fun () ->
-  let run_at tier =
-    Compile.set_tier tier;
-    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+  let run_at ~compiled =
+    with_compiled compiled @@ fun () ->
     let cpu, mem = fresh () in
     Memory.map mem ~addr:data_base ~len:data_len;
     load_program mem
@@ -789,7 +781,7 @@ let test_fault_exact_mid_superblock () =
     Cpu.set cpu Reg.R13 data_base;
     run_to_halt cpu mem;
     run_to_halt cpu mem;
-    if tier = 3 then
+    if compiled then
       Alcotest.(check bool) "superblock formed" true
         ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks >= 1);
     (* aim the store at unmapped space: the chain faults in its middle,
@@ -807,30 +799,29 @@ let test_fault_exact_mid_superblock () =
       cpu.Cpu.rip,
       cpu.Cpu.cycles )
   in
-  let r1, g1, f1, rip1, c1 = run_at 1 in
-  let r3, g3, f3, rip3, c3 = run_at 3 in
-  (match r3 with
+  let r0, g0, f0, rip0, c0 = run_at ~compiled:false in
+  let r, g, f, rip, c = run_at ~compiled:true in
+  (match r with
   | Exec.Stopped (Exec.Faulted _) -> ()
   | r -> Alcotest.fail ("expected a page fault, got " ^ result_to_string r));
-  Alcotest.(check string) "fault identity matches tier 1"
-    (result_to_string r1) (result_to_string r3);
+  Alcotest.(check string) "fault identity matches the interpreter"
+    (result_to_string r0) (result_to_string r);
   for i = 0 to 15 do
     Alcotest.check int64_t
       (Printf.sprintf "gpr %s at fault" (Reg.name (Reg.of_index_exn i)))
-      g1.(i) g3.(i)
+      g0.(i) g.(i)
   done;
-  Alcotest.(check bool) "flags at fault" true (f1 = f3);
-  Alcotest.check int64_t "rip points at the faulting store" rip1 rip3;
-  Alcotest.check int64_t "cycles at fault" c1 c3;
+  Alcotest.(check bool) "flags at fault" true (f0 = f);
+  Alcotest.check int64_t "rip points at the faulting store" rip0 rip;
+  Alcotest.check int64_t "cycles at fault" c0 c;
   Alcotest.check int64_t "rbx shows exactly the retired adds" 6L
-    g3.(Reg.index Reg.RBX)
+    g.(Reg.index Reg.RBX)
 
-(* patch_text inside a superblock at tier 3: invalidating an interior
-   constituent must take the fused chain down with the superblock, and
-   the patched bytes must retranslate. *)
-let test_tier3_patch_in_cached_region () =
+(* patch_text inside a superblock: invalidating an interior constituent
+   must take the fused chain down with the superblock, and the patched
+   bytes must retranslate. *)
+let test_patch_in_cached_region () =
   with_fuse_threshold 1 @@ fun () ->
-  Compile.set_tier 3;
   let cpu, mem = fresh () in
   load_program mem
     [
@@ -882,7 +873,7 @@ let words_per_insn cpu mem ~warm_up ~measure =
    an unmapped one, the top of the 128 MiB layout (its last page
    mapped), addresses whose top bit [Int64.to_int] drops (one aliases
    the mapped text page) and plain junk — must leave the interpreter's
-   full machine state, memory, fault and cycles at every compiled tier.
+   full machine state, memory, fault and cycles when compiled.
    Each runs in three states of the address space: fresh, where every
    chunk is owned and every page private; right after [Memory.clone],
    where no chunk is owned; and on owned chunks whose pages are still
@@ -919,9 +910,8 @@ let test_page_window_guard () =
   (* one more page in each chunk the shapes touch (0 and 255): a write
      there owns the chunk and leaves the other pages shared *)
   let scratch = [ 0x30000L; Int64.sub top 4096L ] in
-  let run ~tier ~state prog regs =
-    Compile.set_tier tier;
-    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+  let run ~compiled ~state prog regs =
+    with_compiled compiled @@ fun () ->
     let cpu, mem = fresh () in
     Memory.map mem ~addr:page ~len:4096;
     Memory.map mem ~addr:top ~len:4096;
@@ -951,7 +941,7 @@ let test_page_window_guard () =
     let result = Exec.run ~max_insns:10 env cpu mem in
     let moved = (cow () - cow0, Memory.generation mem - gen0) in
     if Option.map regions relative <> before then
-      Alcotest.failf "tier %d wrote through to the fork relative's bytes" tier;
+      Alcotest.failf "compiled=%b wrote through to the fork relative's bytes" compiled;
     let data = Bytes.cat (Memory.read_bytes mem page 4096) (Memory.read_bytes mem top 4096) in
     (capture result cpu mem ~data, moved)
   in
@@ -962,24 +952,20 @@ let test_page_window_guard () =
         (fun (name, prog, regs) ->
           List.iter
             (fun a ->
-              let interp, moved0 = run ~tier:0 ~state prog (regs a) in
-              List.iter
-                (fun tier ->
-                  let what = Printf.sprintf "tier %d (%s at 0x%Lx, %s)" tier name a state_name in
-                  let got, moved = run ~tier ~state prog (regs a) in
-                  compare_snapshots ~trial:!trial ~what interp got;
-                  if moved <> moved0 then
-                    Alcotest.failf
-                      "%s: cow_breaks +%d, generation +%d; the interpreter: +%d, +%d" what
-                      (fst moved) (snd moved) (fst moved0) (snd moved0))
-                [ 1; 2; 3 ];
+              let interp, moved0 = run ~compiled:false ~state prog (regs a) in
+              let what = Printf.sprintf "compiled (%s at 0x%Lx, %s)" name a state_name in
+              let got, moved = run ~compiled:true ~state prog (regs a) in
+              compare_snapshots ~trial:!trial ~what interp got;
+              if moved <> moved0 then
+                Alcotest.failf
+                  "%s: cow_breaks +%d, generation +%d; the interpreter: +%d, +%d" what
+                  (fst moved) (snd moved) (fst moved0) (snd moved0);
               incr trial)
             addrs)
         shapes)
     [ (`Fresh, "fresh"); (`Cloned, "after clone"); (`Owned_shared, "owned chunk, shared page") ];
   (* the last window offset is in the window: 16 loads and stores there
      per turn stay allocation-free *)
-  Compile.set_tier 3;
   let cpu, mem = fresh () in
   Memory.map mem ~addr:page ~len:4096;
   let body =
@@ -1008,11 +994,10 @@ let test_page_window_guard () =
 (* The chain allocates nothing per instruction: a loop of the shape the
    Mini-C compiler emits (rbp-relative locals, push/pop operand
    shuffling, imul/irem hashing, cmp/setl/je loop test, jmp back) runs
-   10,000 iterations at tier 3 with fewer than 0.5 minor-heap words per
-   retired instruction. What remains is per hop, not per instruction:
-   the boxed cycle counter settled at each translation exit. *)
+   10,000 iterations with fewer than 0.5 minor-heap words per retired
+   instruction. What remains is per hop, not per instruction: the boxed
+   cycle counter settled at each translation exit. *)
 let test_chain_allocation () =
-  Compile.set_tier 3;
   let cpu, mem = fresh () in
   let local d = Operand.mem ~base:Reg.RBP (Int64.of_int d) in
   let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX in
@@ -1074,7 +1059,7 @@ let test_chain_allocation () =
   Alcotest.(check int64_t) "all iterations retired" 10_000L
     (Memory.read_u64 mem (Int64.sub rbp 8L));
   if w >= 0.5 then
-    Alcotest.failf "the tier-3 chain allocates %.2f minor words per retired instruction" w
+    Alcotest.failf "the threaded chain allocates %.2f minor words per retired instruction" w
 
 (* ---- the fused operand shuffle --------------------------------------------- *)
 
@@ -1092,9 +1077,9 @@ let run_counted cpu mem ~max_insns =
   go max_insns 0
 
 (* mcc wraps a binary operator's one-instruction right operand S in
-   [push a; mov a, S; mov b, a; pop a], and the tier-3 chain runs that
-   window as one step. Every S shape, pushes that fault or straddle a
-   page, and windows that must not fuse run at each compiled tier and
+   [push a; mov a, S; mov b, a; pop a], and the threaded chain runs
+   that window as one step. Every S shape, pushes that fault or
+   straddle a page, and windows that must not fuse run compiled and
    must leave the interpreter's full state, memory, fault, cycles and
    retire count. The stack is filled with a pattern, so S = [rsp]
    (the pushed value) tells a store made after S is read; S unmapped
@@ -1150,9 +1135,8 @@ let test_fused_shuffle () =
   in
   let fill = Util.Prng.bytes (Util.Prng.create 0x5A0FL) stack_len in
   let data = Util.Prng.bytes (Util.Prng.create 0xDA7AL) 4096 in
-  let run ~tier prog ~rsp ~runs =
-    Compile.set_tier tier;
-    Fun.protect ~finally:(fun () -> Compile.set_tier 3) @@ fun () ->
+  let run ~compiled prog ~rsp ~runs =
+    with_compiled compiled @@ fun () ->
     let cpu, mem = fresh () in
     Memory.map mem ~addr:data_base ~len:4096;
     Memory.write_bytes mem data_base data;
@@ -1181,17 +1165,103 @@ let test_fused_shuffle () =
   with_fuse_threshold 1 @@ fun () ->
   List.iteri
     (fun trial (name, prog, rsp, runs) ->
-      let interp, retired0, _ = run ~tier:0 prog ~rsp ~runs in
-      List.iter
-        (fun tier ->
-          let what = Printf.sprintf "tier %d (%s)" tier name in
-          let got, retired, superblocks = run ~tier prog ~rsp ~runs in
-          compare_snapshots ~trial ~what interp got;
-          Alcotest.(check int) (what ^ ": retired") retired0 retired;
-          if runs > 1 && tier = 3 then
-            Alcotest.(check bool) (what ^ ": superblock formed") true (superblocks >= 1))
-        [ 1; 2; 3 ])
+      let interp, retired0, _ = run ~compiled:false prog ~rsp ~runs in
+      let what = Printf.sprintf "compiled (%s)" name in
+      let got, retired, superblocks = run ~compiled:true prog ~rsp ~runs in
+      compare_snapshots ~trial ~what interp got;
+      Alcotest.(check int) (what ^ ": retired") retired0 retired;
+      if runs > 1 then
+        Alcotest.(check bool) (what ^ ": superblock formed") true (superblocks >= 1))
     cases
+
+(* ---- the fuel tail ----------------------------------------------------------- *)
+
+(* The threaded chain has no fuel boundary inside it, so a translation
+   longer than the fuel left runs step by step ([Compile.run_steps]).
+   A superblock of three constituents — A with an operand-shuffle
+   window and a jmp, B ending in a direct call, C ending in ret — runs
+   from its head once for every fuel f shorter than it, and must retire
+   exactly f instructions and leave the state the interpreter leaves
+   after f. Every cut point is covered: inside the unfused shuffle,
+   right after the jmp and the call (steps that set rip mid-superblock),
+   and at each constituent boundary. *)
+let test_fuel_tail () =
+  let rax = Operand.reg Reg.RAX and rbx = Operand.reg Reg.RBX
+  and rcx = Operand.reg Reg.RCX and rdx = Operand.reg Reg.RDX in
+  let local d = Operand.mem ~base:Reg.RBP (Int64.of_int d) in
+  let a =
+    [
+      Insn.Mov (rax, Operand.imm 5L);
+      Insn.Push rax;
+      Insn.Mov (rax, local (-16));
+      Insn.Mov (rcx, rax);
+      Insn.Pop rax;
+      Insn.Bin (Insn.Add, rcx, rax);
+      Insn.Jmp (Insn.Abs block_b);
+    ]
+  and b =
+    [
+      Insn.Bin (Insn.Sub, rbx, Operand.imm 1L);
+      Insn.Mov (local (-8), rcx);
+      Insn.Call (Insn.Abs block_c);
+    ]
+  and c =
+    [
+      Insn.Bin (Insn.Imul, rcx, Operand.imm 3L);
+      Insn.Mov (rdx, Operand.mem ~base:Reg.RSP 0L);
+      Insn.Ret;
+    ]
+  in
+  let n = List.length a + List.length b + List.length c in
+  let fill = Util.Prng.bytes (Util.Prng.create 0xF0E1L) stack_len in
+  (* A fresh machine, run to its hlt twice so the superblock forms, then
+     set back to the head. The call returns to a hlt after B. *)
+  let machine ~compiled =
+    let cpu, mem = fresh () in
+    load_program mem a;
+    Memory.write_bytes mem block_b (Encode.list_to_bytes (b @ [ Insn.Hlt ]));
+    Memory.write_bytes mem block_c (Encode.list_to_bytes c);
+    cpu.Cpu.insn_tax <- 2;
+    cpu.Cpu.call_tax <- 7;
+    let reset () =
+      List.iteri
+        (fun i v -> Cpu.set cpu (Reg.of_index_exn i) v)
+        (List.init 16 (fun i -> Int64.mul 0x0303_0303_0303_0303L (Int64.of_int (i + 1))));
+      Cpu.set cpu Reg.RSP 0x71800L;
+      Cpu.set cpu Reg.RBP 0x71000L;
+      Memory.write_bytes mem stack_base fill;
+      cpu.Cpu.rip <- text_base
+    in
+    with_compiled compiled (fun () ->
+        reset ();
+        run_to_halt cpu mem;
+        reset ();
+        run_to_halt cpu mem);
+    reset ();
+    (cpu, mem)
+  in
+  with_fuse_threshold 1 @@ fun () ->
+  (let cpu, _ = machine ~compiled:true in
+   match Tcache.find cpu.Cpu.tcache text_base with
+   | Some head ->
+     Alcotest.(check int) "the head's superblock fuses B and C" 2
+       (Array.length head.Tcache.fused_ranges)
+   | None -> Alcotest.fail "head block not cached");
+  for f = 1 to n - 1 do
+    let what = Printf.sprintf "the fuel tail at f = %d" f in
+    let cpu, mem = machine ~compiled:true in
+    let outcome, retired = Exec.step_block env cpu mem ~max_insns:f in
+    if outcome <> Exec.Running then Alcotest.failf "%s: stopped early" what;
+    Alcotest.(check int) (what ^ ": retired") f retired;
+    let got = capture Exec.Out_of_fuel cpu mem ~data:Bytes.empty in
+    let cpu, mem = machine ~compiled:false in
+    let result, retired =
+      with_compiled false (fun () -> run_counted cpu mem ~max_insns:f)
+    in
+    Alcotest.(check int) (what ^ ": retired, interpreted") f retired;
+    let want = capture result cpu mem ~data:Bytes.empty in
+    compare_snapshots ~trial:f ~what want got
+  done
 
 let () =
   Alcotest.run "compile"
@@ -1208,6 +1278,8 @@ let () =
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 0xF1A65 |])
             prop_flag_setters;
+          Alcotest.test_case "cond_holds matches the interpreter in all 16 flag states"
+            `Quick test_cond_holds_exhaustive;
         ] );
       ( "targeted",
         [
@@ -1239,12 +1311,17 @@ let () =
           Alcotest.test_case "faults are exact mid-superblock" `Quick
             test_fault_exact_mid_superblock;
           Alcotest.test_case "patching inside the cached region retranslates"
-            `Quick test_tier3_patch_in_cached_region;
+            `Quick test_patch_in_cached_region;
           Alcotest.test_case "page windows match the interpreter" `Quick
             test_page_window_guard;
           Alcotest.test_case "chain allocates < 0.5 words/insn" `Quick
             test_chain_allocation;
           Alcotest.test_case "fused operand shuffle matches the interpreter" `Quick
             test_fused_shuffle;
+        ] );
+      ( "fuel tail",
+        [
+          Alcotest.test_case "every fuel cut of a superblock matches the interpreter"
+            `Quick test_fuel_tail;
         ] );
     ]

@@ -128,9 +128,9 @@ let test_capture_rejects_dead_process () =
 let test_compiled_blocks_survive_resume () =
   (* warm the translation cache before capture; the thawed copy reuses
      the compiled blocks (no recompilation) and still runs correctly *)
-  let prev = Vm64.Compile.tier () in
-  Vm64.Compile.set_tier 3;
-  Fun.protect ~finally:(fun () -> Vm64.Compile.set_tier prev) @@ fun () ->
+  let prev = Vm64.Compile.enabled () in
+  Vm64.Compile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Vm64.Compile.set_enabled prev) @@ fun () ->
   let image = compile ~scheme:Pssp.Scheme.Pssp server_src in
   let k, p = boot image in
   serve k p "warm";

@@ -1,6 +1,6 @@
 (* Telemetry subsystem: registry semantics under concurrency, trace span
    nesting, profiler attribution, registry reads over a real workload,
-   the schema-2 JSON files, and the shared CLI specs. *)
+   the schema-3 JSON files, and the shared CLI specs. *)
 
 let reg_int = Telemetry.Registry.read_int
 
@@ -268,13 +268,40 @@ let test_benchfile_rejects_wrong_schema () =
   | Error _ -> ());
   Sys.remove file
 
+(* Schema 2 is no longer read: a record in its shape is refused by the
+   schema check, and relabelled as schema 3, its boolean compile_tier
+   and its missing shard count are each refused too. *)
+let test_benchfile_rejects_schema_2 () =
+  let read ~schema ~header =
+    let file = Filename.temp_file "schema2" ".json" in
+    let oc = open_out file in
+    Printf.fprintf oc
+      "{\"schema\": %d, \"pr\": 5, \"jobs\": 1, %s, \"campaigns\": \
+       [{\"name\": \"table5\", \"wall_s\": 0.5, \"metrics\": {\"a.count\": 1}}]}"
+      schema header;
+    close_out oc;
+    let r = Util.Benchfile.read file in
+    Sys.remove file;
+    r
+  in
+  List.iter
+    (fun (schema, header, expected) ->
+      match read ~schema ~header with
+      | Ok _ -> Alcotest.failf "schema %d with %s must be rejected" schema header
+      | Error msg -> Alcotest.(check string) "error" expected msg)
+    [
+      (2, "\"compile_tier\": true", "unsupported schema 2 (want 3)");
+      (3, "\"compile_tier\": true, \"shards\": 1", "missing or ill-typed \"compile_tier\"");
+      (3, "\"compile_tier\": 1", "missing or ill-typed \"shards\"");
+    ]
+
 (* ---- Harness.Cli ---------------------------------------------------------- *)
 
-let specs_for jobs budget tier =
+let specs_for jobs budget compiled =
   [
     Harness.Cli.nonneg_int ~name:"--jobs" ~docv:"N" ~doc:"jobs" (fun v -> jobs := v);
     Harness.Cli.pos_int ~name:"--budget" ~docv:"N" ~doc:"budget" (fun v -> budget := v);
-    Harness.Cli.tier_value ~name:"--compile-tier" ~doc:"tier" (fun v -> tier := v);
+    Harness.Cli.on_off ~name:"--compile-tier" ~doc:"compiled" (fun v -> compiled := v);
   ]
 
 let check_bad specs args expected =
@@ -284,28 +311,20 @@ let check_bad specs args expected =
   | Harness.Cli.Help -> Alcotest.fail "unexpected help"
 
 let test_cli_parse () =
-  let jobs = ref 1 and budget = ref 0 and tier = ref 2 in
-  let specs = specs_for jobs budget tier in
+  let jobs = ref 1 and budget = ref 0 and compiled = ref true in
+  let specs = specs_for jobs budget compiled in
   (match
      Harness.Cli.parse specs
-       [ "table5"; "--jobs"; "4"; "--budget"; "500"; "--compile-tier"; "off"; "micro" ]
+       [ "table5"; "--jobs"; "4"; "--budget"; "500"; "--compile-tier"; "off"; "fig5" ]
    with
   | Harness.Cli.Positionals p ->
-    Alcotest.(check (list string)) "positionals in order" [ "table5"; "micro" ] p;
+    Alcotest.(check (list string)) "positionals in order" [ "table5"; "fig5" ] p;
     Alcotest.(check int) "--jobs applied" 4 !jobs;
     Alcotest.(check int) "--budget applied" 500 !budget;
-    Alcotest.(check int) "--compile-tier applied" 0 !tier;
-    (match Harness.Cli.parse specs [ "--compile-tier"; "1" ] with
-    | Harness.Cli.Positionals [] ->
-      Alcotest.(check int) "--compile-tier 1 applied" 1 !tier
-    | _ -> Alcotest.fail "--compile-tier 1 must parse");
-    (match Harness.Cli.parse specs [ "--compile-tier"; "2" ] with
-    | Harness.Cli.Positionals [] ->
-      Alcotest.(check int) "--compile-tier 2 applied" 2 !tier
-    | _ -> Alcotest.fail "--compile-tier 2 must parse");
+    Alcotest.(check bool) "--compile-tier off applied" false !compiled;
     (match Harness.Cli.parse specs [ "--compile-tier"; "on" ] with
     | Harness.Cli.Positionals [] ->
-      Alcotest.(check int) "--compile-tier on means 3" 3 !tier
+      Alcotest.(check bool) "--compile-tier on applied" true !compiled
     | _ -> Alcotest.fail "--compile-tier on must parse")
   | _ -> Alcotest.fail "mixed flags + positionals must parse");
   match Harness.Cli.parse specs [ "--help" ] with
@@ -316,16 +335,20 @@ let test_cli_parse () =
    historical stderr contract, and [parse_or_exit] turns each into a
    non-zero exit. *)
 let test_cli_errors () =
-  let jobs = ref 1 and budget = ref 0 and tier = ref 2 in
-  let specs = specs_for jobs budget tier in
+  let jobs = ref 1 and budget = ref 0 and compiled = ref true in
+  let specs = specs_for jobs budget compiled in
   check_bad specs [ "--jobs"; "x" ] "--jobs expects a non-negative integer, got x";
   check_bad specs [ "--jobs"; "-2" ] "--jobs expects a non-negative integer, got -2";
   check_bad specs [ "--jobs" ] "--jobs expects an argument";
   check_bad specs [ "--budget"; "0" ] "--budget expects a positive integer, got 0";
   check_bad specs [ "--budget" ] "--budget expects an argument";
-  check_bad specs
-    [ "--compile-tier"; "maybe" ]
-    "--compile-tier expects off, 1, 2, 3 or on, got maybe"
+  check_bad specs [ "--compile-tier"; "maybe" ] "--compile-tier expects on or off, got maybe";
+  (* numeric values are rejected: compiled execution is on or off *)
+  List.iter
+    (fun n ->
+      check_bad specs [ "--compile-tier"; n ]
+        ("--compile-tier expects on or off, got " ^ n))
+    [ "0"; "1"; "2"; "3" ]
 
 let test_cli_profile_top () =
   (match Harness.Cli.parse_profile_top "top=10" with
@@ -344,12 +367,12 @@ let test_cli_profile_top () =
 let test_cli_usage () =
   let usage =
     Harness.Cli.usage ~prog:"bench/main.exe" ~positional:"[<experiment>...]"
-      (specs_for (ref 0) (ref 0) (ref 2))
+      (specs_for (ref 0) (ref 0) (ref true))
   in
   Alcotest.(check bool) "usage lists --jobs" true
     (Astring.String.is_infix ~affix:"--jobs N" usage);
-  Alcotest.(check bool) "usage lists tier docv" true
-    (Astring.String.is_infix ~affix:"--compile-tier off|1|2|3|on" usage)
+  Alcotest.(check bool) "usage lists --compile-tier docv" true
+    (Astring.String.is_infix ~affix:"--compile-tier on|off" usage)
 
 let () =
   Alcotest.run "telemetry"
@@ -381,6 +404,8 @@ let () =
           Alcotest.test_case "Benchfile round-trip" `Quick test_benchfile_roundtrip;
           Alcotest.test_case "wrong schema rejected" `Quick
             test_benchfile_rejects_wrong_schema;
+          Alcotest.test_case "schema-2 record rejected" `Quick
+            test_benchfile_rejects_schema_2;
         ] );
       ( "cli",
         [
