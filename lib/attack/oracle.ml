@@ -76,6 +76,7 @@ let restart_victim t =
   match t.respawn with
   | No_respawn -> false
   | Cold | Zygote ->
+    Os.Kernel.shutdown t.kernel;
     let kernel, server =
       match t.snapshot with
       | None -> boot ~seed:t.seed ~preload:t.preload ~insn_tax:t.insn_tax t.image

@@ -595,7 +595,12 @@ let park_poll t (p : Process.t) ~dst ~cap =
       | None -> ())
     (Glibc.open_fds io)
 
+let release (p : Process.t) = Memory.release p.Process.mem
+
+(* The previous [last_reaped] stops being exposed here, so its private
+   frames go back to the free list. *)
 let do_reap t (child : Process.t) =
+  Option.iter release t.last_reaped;
   t.last_reaped <- Some child;
   Hashtbl.remove t.procs child.Process.pid
 
@@ -990,6 +995,12 @@ let deliver_request t (p : Process.t) request =
 
 let last_reaped t = t.last_reaped
 let fork_count t = t.forks
+
+let shutdown t =
+  Option.iter release t.last_reaped;
+  t.last_reaped <- None;
+  Hashtbl.iter (fun _ p -> release p) t.procs;
+  Hashtbl.reset t.procs
 
 let run_to_exit ?fuel t p =
   enqueue t p;

@@ -113,7 +113,14 @@ val reap_zombies : t -> Process.t -> unit
 
 val last_reaped : t -> Process.t option
 (** The most recent child reaped — by a guest [waitpid]/[waitpid_nb] or
-    by {!reap_zombies}. The attack oracle reads the child's fate here. *)
+    by {!reap_zombies}. The attack oracle reads the child's fate here.
+    Its memory stays readable until the next reap, which releases it
+    ({!Vm64.Memory.release}): from then on its written pages fault. *)
+
+val shutdown : t -> unit
+(** The kernel is being discarded: release the memory of every process
+    it holds and of {!last_reaped}, returning their private frames to
+    the free list. Nothing of the kernel may run or be read after. *)
 
 val fork_count : t -> int
 (** Forks (and thread spawns, which clone an address space) this kernel

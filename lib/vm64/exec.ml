@@ -102,7 +102,9 @@ let decode_block mem rip =
       Array.init npages (fun i ->
           let a = Int64.add rip (Int64.of_int (i * Memory.page_size)) in
           match Memory.code_window mem a with
-          | Some (payload, _) -> payload
+          | Some (payload, _) ->
+            Memory.note_decoded mem a;
+            payload
           | None -> assert false)
     in
     Ok (Tcache.make_block ~anchor ~start:rip (Array.of_list (List.rev !rev)))

@@ -6,7 +6,7 @@ let page_bits = 12
 type family_stats = {
   mutable clones : int;  (* Memory.clone calls in this family *)
   mutable pages_aliased : int;  (* pages shared (not copied) at clone time *)
-  mutable cow_breaks : int;  (* shared pages privatised by a write *)
+  mutable cow_breaks : int;  (* frames copied from a relative: CoW breaks, fork pre-copies *)
 }
 
 (* Process-wide totals fold over a registry of family records instead
@@ -60,10 +60,22 @@ let () =
    heap. A chunk is a
    payload array plus one privacy byte per page ('\001': sole owner of
    the payload, safe to write in place). After a clone neither side
-   owns any chunk; the first mutating access to a chunk copies its
-   payload array whole and starts it with every privacy byte clear.
-   Payloads stay copy-on-write: a write to a page whose payload may be
-   aliased first replaces it with a private copy.
+   owns any chunk, except those holding the parent's hot pages (below);
+   the first mutating access to a chunk copies its payload array whole
+   and starts it with every privacy byte clear. Payloads stay
+   copy-on-write: a write to a page whose payload may be aliased first
+   replaces it with a private copy.
+
+   Frames (page payloads) have a lifecycle. [map] installs the shared,
+   never-written [zero_frame]; the first write copies it like any CoW
+   break, uncounted since no relative's data moves. Every frame copy
+   takes a frame from this domain's free list when it has one.
+   [release] hands a dead space's private frames back, except those a
+   block was decoded from while private ([note_decoded]): a block
+   anchor may still name them. A page a space CoW-breaks after its
+   first clone is hot: each later clone copies it into the child up
+   front, and the parent keeps it private, so neither side breaks
+   sharing on it and no frame is orphaned.
 
    Invariants:
    - A payload array or privacy string reachable through an unowned
@@ -73,22 +85,50 @@ let () =
    - An aliased payload is never written in place, so payload identity
      implies byte identity (block anchors depend on it).
    - In an owned chunk, a '\001' privacy byte means the page is mapped
-     and this space alone holds its payload: only [map] and [break_cow]
-     set the byte, both on a page they just gave a fresh payload, and
-     [own_chunk] starts every byte clear. [Compile.store] writes such a
-     page in place without calling in here.
-   - [generation] rises whenever a page slot's payload changes (map or
-     CoW break): an unchanged generation means every page still holds
-     the payload object it held before.
-   - [no_page], [empty_chunk] and [no_privs] are immutable sentinels,
-     shared by all spaces and domains. *)
+     and this space alone holds its payload: only [break_cow] and a
+     hot-page copy in [clone] set the byte, each on a page it just gave
+     a fresh frame, [own_chunk] starts every byte clear and [release]
+     clears the bytes of the slots it empties. [Compile.store] writes
+     such a page in place without calling in here. The zero frame is
+     never private, so it is never written or released.
+   - A free-list frame is reachable from no space and no block anchor.
+   - [generation] rises whenever a page slot's payload changes (map,
+     CoW break or release): an unchanged generation means every page
+     still holds the payload object it held before.
+   - [no_page], [zero_frame], [empty_chunk] and [no_privs] are
+     immutable sentinels, shared by all spaces and domains. *)
 let chunk_bits = 7
 let chunk_pages = 1 lsl chunk_bits (* pages per chunk *)
 let chunks = Int64.to_int Layout.address_limit / (chunk_pages * page_size) (* 256 *)
 
 let no_page = Bytes.create 0
+let zero_frame = Bytes.make page_size '\000'
 let empty_chunk : bytes array = Array.make chunk_pages no_page
 let no_privs = Bytes.make chunk_pages '\000'
+
+(* Per-domain free list: 256 frames is 1 MiB a domain. *)
+let free_cap = 256
+
+type free_list = { frames : bytes array; mutable n : int }
+
+let free_list =
+  Domain.DLS.new_key (fun () -> { frames = Array.make free_cap no_page; n = 0 })
+
+(* A private copy of [src], in a recycled frame when there is one. *)
+let copy_frame src =
+  let fl = Domain.DLS.get free_list in
+  if fl.n = 0 then Bytes.copy src
+  else begin
+    fl.n <- fl.n - 1;
+    let d = Array.unsafe_get fl.frames fl.n in
+    Array.unsafe_set fl.frames fl.n no_page;
+    Bytes.blit src 0 d 0 page_size;
+    d
+  end
+
+let free_frames () =
+  let fl = Domain.DLS.get free_list in
+  Array.to_list (Array.sub fl.frames 0 fl.n)
 
 type t = {
   top : bytes array array;  (* chunk -> page payloads, [no_page] if unmapped *)
@@ -97,6 +137,9 @@ type t = {
   mutable mapped_pages : int;
   mutable generation : int;
   family : family_stats;
+  mutable forked : bool;  (* cloned at least once: CoW breaks mark pages hot *)
+  mutable hot : int list;  (* page numbers CoW-broken since the first clone *)
+  mutable decoded : bytes list;  (* private frames a block was decoded from *)
 }
 
 let create () =
@@ -111,6 +154,9 @@ let create () =
     mapped_pages = 0;
     generation = 0;
     family;
+    forked = false;
+    hot = [];
+    decoded = [];
   }
 
 let[@inline] page_of addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
@@ -138,8 +184,7 @@ let map t ~addr ~len =
     let ch = Array.unsafe_get t.top c in
     let s = idx land (chunk_pages - 1) in
     if Array.unsafe_get ch s == no_page then begin
-      Array.unsafe_set ch s (Bytes.make page_size '\000');
-      Bytes.unsafe_set (Array.unsafe_get t.privs c) s '\001';
+      Array.unsafe_set ch s zero_frame;
       t.mapped_pages <- t.mapped_pages + 1;
       t.generation <- t.generation + 1
     end
@@ -163,13 +208,16 @@ let[@inline] ro_page t addr =
   p
 
 (* First write to a page whose payload may be aliased: replace it with a
-   private copy. Out of line, off the hot write path. *)
+   private copy. Out of line, off the hot write path. A page stays
+   private from here until [release] (a clone keeps hot pages private),
+   so it joins [hot] at most once. *)
 let break_cow t c s p =
-  let d = Bytes.copy p in
+  let d = copy_frame p in
   Array.unsafe_set (Array.unsafe_get t.top c) s d;
   Bytes.unsafe_set (Array.unsafe_get t.privs c) s '\001';
   t.generation <- t.generation + 1;
-  t.family.cow_breaks <- t.family.cow_breaks + 1;
+  if p != zero_frame then t.family.cow_breaks <- t.family.cow_breaks + 1;
+  if t.forked then t.hot <- (c lsl chunk_bits) lor s :: t.hot;
   d
 
 (* Write path on page number [idx]: own the chunk, then break payload
@@ -309,36 +357,93 @@ let cstr_len t addr =
   in
   scan addr 0
 
-(* A fork copies the 256-word directories, never a chunk or a page:
-   both sides drop ownership, so chunk and payload copies happen
-   lazily on first write in either space. *)
+(* A fork copies the 256-word directories and drops both sides'
+   ownership, so chunk and payload copies happen lazily on first write
+   in either space. Hot pages the parent still holds privately are the
+   exception: the child gets its own copy now, and the parent keeps
+   those pages private and their chunks owned. *)
 let clone t =
   let n = t.mapped_pages in
-  Bytes.fill t.owned 0 chunks '\000';
+  t.forked <- true;
   t.family.clones <- t.family.clones + 1;
   t.family.pages_aliased <- t.family.pages_aliased + n;
-  {
-    top = Array.copy t.top;
-    privs = Array.copy t.privs;
-    owned = Bytes.make chunks '\000';
-    mapped_pages = n;
-    generation = 0;
-    family = t.family;
-  }
+  let child =
+    {
+      top = Array.copy t.top;
+      privs = Array.copy t.privs;
+      owned = Bytes.make chunks '\000';
+      mapped_pages = n;
+      generation = 0;
+      family = t.family;
+      forked = false;
+      hot = [];
+      decoded = [];
+    }
+  in
+  let kept = ref [] in
+  List.iter
+    (fun idx ->
+      let c = idx lsr chunk_bits and s = idx land (chunk_pages - 1) in
+      if Bytes.get t.owned c = '\001' && Bytes.get t.privs.(c) s = '\001' then begin
+        if Bytes.get child.owned c <> '\001' then begin
+          child.top.(c) <- Array.copy t.top.(c);
+          child.privs.(c) <- Bytes.make chunk_pages '\000';
+          Bytes.set child.owned c '\001';
+          kept := c :: !kept
+        end;
+        child.top.(c).(s) <- copy_frame t.top.(c).(s);
+        Bytes.set child.privs.(c) s '\001';
+        t.family.cow_breaks <- t.family.cow_breaks + 1
+      end)
+    t.hot;
+  (* every other page is now shared: in the chunks the parent keeps,
+     its privacy bytes become the child's *)
+  Bytes.fill t.owned 0 chunks '\000';
+  List.iter
+    (fun c ->
+      Bytes.set t.owned c '\001';
+      Bytes.blit child.privs.(c) 0 t.privs.(c) 0 chunk_pages)
+    !kept;
+  child
+
+let note_decoded t addr =
+  if not (payload_shared t addr) then begin
+    let p = page_at t (page_of addr) in
+    if p != no_page && not (List.memq p t.decoded) then t.decoded <- p :: t.decoded
+  end
+
+(* [f i] for each set byte ('\001') of [b], testing eight bytes at a
+   time: few ownership or privacy bytes are set. *)
+let iter_set b f =
+  for w = 0 to (Bytes.length b / 8) - 1 do
+    if Bytes.get_int64_ne b (8 * w) <> 0L then
+      for i = 8 * w to (8 * w) + 7 do
+        if Bytes.get b i = '\001' then f i
+      done
+  done
+
+let release t =
+  let fl = Domain.DLS.get free_list in
+  iter_set t.owned (fun c ->
+      let ch = t.top.(c) and pv = t.privs.(c) in
+      iter_set pv (fun s ->
+          let p = ch.(s) in
+          ch.(s) <- no_page;
+          Bytes.set pv s '\000';
+          t.mapped_pages <- t.mapped_pages - 1;
+          if fl.n < free_cap && not (List.memq p t.decoded) then begin
+            fl.frames.(fl.n) <- p;
+            fl.n <- fl.n + 1
+          end));
+  t.generation <- t.generation + 1
 
 let generation t = t.generation
 let mapped_bytes t = t.mapped_pages * page_size
 
 let resident_bytes t =
-  let acc = ref 0 in
-  for c = 0 to chunks - 1 do
-    if Bytes.get t.owned c = '\001' then
-      Array.iteri
-        (fun s p ->
-          if p != no_page && Bytes.get t.privs.(c) s = '\001' then acc := !acc + page_size)
-        t.top.(c)
-  done;
-  !acc
+  let n = ref 0 in
+  iter_set t.owned (fun c -> iter_set t.privs.(c) (fun _ -> incr n));
+  !n * page_size
 
 let shared_bytes t = mapped_bytes t - resident_bytes t
 

@@ -13,13 +13,31 @@
     chunks, and each side copies a chunk's payload array on its first
     write there. The first write to a page whose payload may be aliased
     then breaks the sharing with a private copy (see DESIGN.md §5 for
-    the invariants). Reads never copy. *)
+    the invariants). Reads never copy.
+
+    Frames, a page's 4 KiB payload, have a lifecycle. {!map} installs
+    one shared, never-written zero frame, and a page gets its own frame
+    on its first write. Every frame copy (a CoW break, a zero fill, a
+    fork pre-copy) reuses a frame from a per-domain free list of at
+    most 256 when it can. {!release} hands a dead space's private
+    frames back to that list. A page a space CoW-breaks after its first
+    {!clone} is {e hot}: every later clone copies it into the child up
+    front while the parent keeps it private, so a fork server's
+    rewritten stack page is copied once per fork instead of broken on
+    both sides, and the pre-fork frame is never orphaned. Writes made
+    before the first clone (loading text and data at spawn) are never
+    hot: counting them copied text into every child. The invariants:
+    a frame private to one space is reachable from no other space; a
+    free-list frame is reachable from no space and no block anchor; the
+    zero frame is never private. DESIGN.md §5 gives the measurements. *)
 
 (** Fork-path telemetry. *)
 type family_stats = {
   mutable clones : int;  (** {!clone} calls *)
   mutable pages_aliased : int;  (** pages shared instead of copied at clone *)
-  mutable cow_breaks : int;  (** shared pages privatised by a first write *)
+  mutable cow_breaks : int;
+      (** frames copied from a relative's data: CoW breaks and fork
+          pre-copies (not zero fills) *)
 }
 
 (** The page table, readable in place and mutable only through this
@@ -39,6 +57,9 @@ type t = private {
   mutable mapped_pages : int;
   mutable generation : int;  (** see {!generation} *)
   family : family_stats;
+  mutable forked : bool;  (** cloned at least once: CoW breaks mark pages hot *)
+  mutable hot : int list;  (** page numbers CoW-broken since the first clone *)
+  mutable decoded : bytes list;  (** private frames a block was decoded from *)
 }
 
 val no_page : bytes
@@ -52,7 +73,9 @@ val create : unit -> t
 val page_size : int
 
 val map : t -> addr:int64 -> len:int -> unit
-(** Map (zero-filled) all pages covering [addr, addr+len). Already
+(** Map all pages covering [addr, addr+len) to the shared zero frame,
+    privacy byte clear: they read as zeros, and the first write gives
+    a page its own frame without counting a CoW break. Already
     mapped pages are left untouched. Raises
     [Invalid_argument "Memory.map: outside the 128 MiB guest layout"]
     (mapping nothing) when any of those pages lies at or above
@@ -117,13 +140,30 @@ val clone : t -> t
 (** The [fork] primitive's address-space clone. Copy-on-write at two
     levels: the child aliases the parent's chunks (one 256-entry
     directory copied, no page touched), and page payloads stay shared
-    until first write in either space. Observable behaviour is
-    identical to a deep copy — writes in either space never become
-    visible in the other. *)
+    until first write in either space. Hot pages the parent still holds
+    privately are copied into the child now (each counted as a CoW
+    break); the parent keeps them private and their chunks owned.
+    Observable behaviour is identical to a deep copy — writes in either
+    space never become visible in the other. *)
+
+val note_decoded : t -> int64 -> unit
+(** A block was decoded from the page under the address: if its frame
+    is private, {!release} never recycles it, since the block's anchor
+    names it. {!Exec} calls this for each page it anchors. *)
+
+val release : t -> unit
+(** The space is dead: return its private frames to this domain's free
+    list, except those passed to {!note_decoded}, and empty their
+    slots, so a later access to them through [t] faults. Shared pages
+    (and the zero frame) stay mapped and untouched. *)
+
+val free_frames : unit -> bytes list
+(** This domain's free list, for tests. *)
 
 val generation : t -> int
 (** Payload generation of this space: it rises whenever a page slot's
-    payload object changes (a new mapping or a copy-on-write break).
+    payload object changes (a new mapping, a copy-on-write break or a
+    {!release}).
     While it is unchanged, every page of the space holds the same
     payload object as before, so a {!code_window} identity check made
     earlier still holds. Compare only values read from the same space. *)
@@ -133,7 +173,9 @@ val mapped_bytes : t -> int
     memory-usage columns of Table IV. *)
 
 val resident_bytes : t -> int
-(** Bytes whose page payload this space privately owns. Summing
+(** Bytes whose page payload this space privately owns: written pages
+    only, as RSS counts them (a never-written page holds the shared
+    zero frame). Summing
     [mapped_bytes] over a fork family double-counts aliased pages;
     parent [mapped_bytes] + children [resident_bytes] does not. *)
 

@@ -546,6 +546,69 @@ let test_byte_by_byte_over_conn_fails_pssp () =
     Alcotest.failf "P-SSP broken over conn: %s"
       (Attack.Byte_by_byte.outcome_to_string other)
 
+(* ---- page frames on the fork victim ---------------------------------------------- *)
+
+(* One attack trial against the parked P-SSP net fork server: connect,
+   send a wrong first canary byte (16 filler bytes, then the guess),
+   FIN, run the kernel, reap the child. *)
+let pssp_trial k p =
+  match Os.Kernel.connect k p with
+  | None -> Alcotest.fail "connect refused"
+  | Some c -> (
+    ignore (Net.Conn.client_send c ~now:(Os.Kernel.now k) (String.make 17 'A'));
+    Net.Conn.client_shutdown c ~now:(Os.Kernel.now k);
+    Os.Kernel.schedule k;
+    match Os.Kernel.stop_of p with
+    | Os.Kernel.Stop_accept -> Os.Kernel.reap_zombies k p
+    | other -> Alcotest.failf "server died: %s" (Os.Kernel.stop_to_string other))
+
+let fork_victim () =
+  let k, p = spawn_server (Workload.Vuln.fork_server_net ~buffer_size:16) in
+  for _ = 1 to 20 do pssp_trial k p done;
+  (k, p)
+
+let test_victim_two_copies_per_trial () =
+  (* steady state: the fork pre-copies the parent's hot stack page and
+     the child breaks sharing on its TLS page, nothing else *)
+  let k, p = fork_victim () in
+  let cow () = (Vm64.Memory.family_stats p.Os.Process.mem).Vm64.Memory.cow_breaks in
+  let misses () = (Vm64.Tcache.exec_stats p.Os.Process.cpu.Vm64.Cpu.tcache).Vm64.Tcache.misses in
+  let cow0 = cow () and misses0 = misses () in
+  for _ = 1 to 100 do pssp_trial k p done;
+  Alcotest.(check int) "no tcache misses" 0 (misses () - misses0);
+  Alcotest.(check int) "two counted copies a trial" 200 (cow () - cow0)
+
+let test_last_reaped_readable_until_next_reap () =
+  let k, p = fork_victim () in
+  let fs_base = p.Os.Process.cpu.Vm64.Cpu.fs_base in
+  let c1 = Option.get (Os.Kernel.last_reaped k) in
+  Alcotest.(check int64) "last reaped child's TLS canary readable"
+    (Pssp.Tls.canary p.Os.Process.mem ~fs_base)
+    (Pssp.Tls.canary c1.Os.Process.mem ~fs_base);
+  pssp_trial k p;
+  let c2 = Option.get (Os.Kernel.last_reaped k) in
+  Alcotest.(check bool) "a new child was reaped" true (c2 != c1);
+  Alcotest.(check int) "released child keeps no written page" 0
+    (Vm64.Memory.resident_bytes c1.Os.Process.mem);
+  (match Pssp.Tls.canary c1.Os.Process.mem ~fs_base with
+  | exception Vm64.Fault.Trap (Vm64.Fault.Segfault _) -> ()
+  | _ -> Alcotest.fail "released child's TLS page must fault");
+  Alcotest.(check int64) "the new last reaped child stays readable"
+    (Pssp.Tls.canary p.Os.Process.mem ~fs_base)
+    (Pssp.Tls.canary c2.Os.Process.mem ~fs_base)
+
+let test_victim_major_heap_quiet () =
+  (* recycled frames: a steady-state trial allocates almost nothing in
+     the major heap (a fresh 4 KiB frame for each of three copies adds
+     about 1,500 words a trial) *)
+  let k, p = fork_victim () in
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to 1000 do pssp_trial k p done;
+  let per_trial = ((Gc.quick_stat ()).Gc.major_words -. w0) /. 1000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major-heap words a trial, under 100" per_trial)
+    true (per_trial < 100.)
+
 (* ---- typed resume error --------------------------------------------------------- *)
 
 let test_not_blocked_in_accept () =
@@ -603,5 +666,14 @@ let () =
             test_byte_by_byte_over_conn_breaks_ssp;
           Alcotest.test_case "byte-by-byte fails on P-SSP" `Slow
             test_byte_by_byte_over_conn_fails_pssp;
+        ] );
+      ( "frames",
+        [
+          Alcotest.test_case "fork victim copies two frames a trial" `Quick
+            test_victim_two_copies_per_trial;
+          Alcotest.test_case "last reaped readable until the next reap" `Quick
+            test_last_reaped_readable_until_next_reap;
+          Alcotest.test_case "fork victim major heap quiet" `Quick
+            test_victim_major_heap_quiet;
         ] );
     ]

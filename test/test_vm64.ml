@@ -136,15 +136,19 @@ let test_cow_memoized_page_write_through () =
     (Memory.read_u8 m 4097L)
 
 let test_cow_accounting () =
+  (* a page is resident once written: mapping gives shared zero pages *)
   let m = Memory.create () in
   Memory.map m ~addr:0L ~len:(3 * 4096);
-  Alcotest.(check int) "resident pre-fork" (3 * 4096) (Memory.resident_bytes m);
-  Alcotest.(check int) "shared pre-fork" 0 (Memory.shared_bytes m);
+  Alcotest.(check int) "mapped, none written" 0 (Memory.resident_bytes m);
+  Alcotest.(check int) "zero pages are shared" (3 * 4096) (Memory.shared_bytes m);
+  Memory.write_u8 m 4096L 1;
+  Memory.write_u8 m 8192L 1;
+  Alcotest.(check int) "resident once written" (2 * 4096) (Memory.resident_bytes m);
   let c = Memory.clone m in
   Alcotest.(check int) "mapped unchanged by fork" (3 * 4096) (Memory.mapped_bytes m);
   Alcotest.(check int) "parent fully shared after fork" 0 (Memory.resident_bytes m);
   Alcotest.(check int) "child fully shared after fork" 0 (Memory.resident_bytes c);
-  Memory.write_u8 m 0L 1;
+  Memory.write_u8 m 4096L 2;
   Alcotest.(check int) "one page privatised by the write" 4096
     (Memory.resident_bytes m);
   Alcotest.(check int) "rest still shared" (2 * 4096) (Memory.shared_bytes m);
@@ -153,9 +157,22 @@ let test_cow_accounting () =
   let st = Memory.family_stats m in
   Alcotest.(check int) "clones" 1 st.Memory.clones;
   Alcotest.(check int) "pages aliased at clone" 3 st.Memory.pages_aliased;
-  Alcotest.(check int) "cow breaks" 1 st.Memory.cow_breaks;
+  Alcotest.(check int) "cow breaks (zero fills uncounted)" 1 st.Memory.cow_breaks;
   Alcotest.(check int) "telemetry shared with the child" 1
-    (Memory.family_stats c).Memory.clones
+    (Memory.family_stats c).Memory.clones;
+  (* page 1, broken after the first fork, is hot: the next fork copies
+     it into the child and the parent keeps it *)
+  let c2 = Memory.clone m in
+  Alcotest.(check int) "parent keeps its hot page" 4096 (Memory.resident_bytes m);
+  Alcotest.(check int) "child starts with a copy of it" 4096 (Memory.resident_bytes c2);
+  Alcotest.(check int) "the pre-copy is counted" 2 (Memory.family_stats m).Memory.cow_breaks;
+  Memory.write_u8 m 4097L 3;
+  Memory.write_u8 c2 4097L 4;
+  Alcotest.(check int) "neither side breaks sharing on it" 2
+    (Memory.family_stats m).Memory.cow_breaks;
+  Alcotest.(check int) "parent's write stays in the parent" 3 (Memory.read_u8 m 4097L);
+  Alcotest.(check int) "child's write stays in the child" 4 (Memory.read_u8 c2 4097L);
+  Alcotest.(check int) "fork-time byte in the child" 2 (Memory.read_u8 c2 4096L)
 
 let test_cstr_len () =
   let m = Memory.create () in
@@ -203,13 +220,25 @@ let test_map_outside_layout () =
 
 (* ---- page table vs a deep-copy reference model ----------------------------- *)
 
-(* A family of up to 4 spaces runs random map / write / read / clone
-   sequences; a model that deep-copies on clone runs the same ops. Every
-   result and fault address must agree, and so must the accounting
-   (mapped/resident/shared, payload_shared, CoW breaks) and the
-   generation contract: while a space's generation is unchanged, every
-   page keeps its payload object. Addresses cluster around the chunk
-   boundary at page 128 and the top of the layout, at page ends. *)
+(* A family of up to 4 spaces runs random map / write / read / clone /
+   decode / release sequences; a model that deep-copies on clone runs
+   the same ops. Every result and fault address must agree, and so must
+   the page contents and the accounting (mapped/resident/shared,
+   payload_shared, counted CoW breaks) under the frame lifecycle:
+   - [map] gives shared zero pages, and a first write privatises a page
+     without a counted break;
+   - a page written after its space's first clone is hot: each later
+     clone copies it into the child (a counted break) and the parent
+     keeps it private, while every other page becomes shared;
+   - [Release i] kills space i: its private pages fault from then on.
+   After every op three frame invariants hold: no frame private to one
+   live space is reachable from another; no free-list frame is
+   reachable from a live space or a block anchor ([Decode] records
+   one, as [Exec] does); the zero frame is never private. The
+   generation contract holds too: while a space's generation is
+   unchanged, every page keeps its payload object. Addresses cluster
+   around the chunk boundary at page 128 and the top of the layout, at
+   page ends. *)
 type mem_op =
   | Map of int * int64 * int
   | W8 of int * int64 * int
@@ -217,6 +246,8 @@ type mem_op =
   | R8 of int * int64
   | R64 of int * int64
   | Clone of int * int  (* source, slot to replace when the family is full *)
+  | Decode of int * int64
+  | Release of int
 
 let show_mem_op = function
   | Map (s, a, n) -> Printf.sprintf "map %d 0x%Lx+%d" s a n
@@ -225,6 +256,8 @@ let show_mem_op = function
   | R8 (s, a) -> Printf.sprintf "r8 %d 0x%Lx" s a
   | R64 (s, a) -> Printf.sprintf "r64 %d 0x%Lx" s a
   | Clone (s, d) -> Printf.sprintf "clone %d->%d" s d
+  | Decode (s, a) -> Printf.sprintf "decode %d 0x%Lx" s a
+  | Release s -> Printf.sprintf "release %d" s
 
 let model_pages = [ 126; 127; 128; 129; 130; 32766; 32767 ]
 
@@ -244,11 +277,35 @@ let gen_mem_op =
       (3, map2 (fun s a -> R8 (s, a)) space addr);
       (3, map2 (fun s a -> R64 (s, a)) space addr);
       (2, map2 (fun s d -> Clone (s, d)) space space);
+      (1, map2 (fun s a -> Decode (s, a)) space addr);
+      (1, map (fun s -> Release s) space);
     ]
 
-type model_space = { pages : (int, Bytes.t) Hashtbl.t; priv : (int, unit) Hashtbl.t }
+type model_space = {
+  pages : (int, Bytes.t) Hashtbl.t;
+  priv : (int, unit) Hashtbl.t;  (* pages holding a frame of their own *)
+  zero : (int, unit) Hashtbl.t;  (* pages still on the shared zero frame *)
+  hot : (int, unit) Hashtbl.t;  (* pages written since the first clone *)
+  mutable forked : bool;
+  mutable alive : bool;
+}
+
+let fresh_model () =
+  {
+    pages = Hashtbl.create 8;
+    priv = Hashtbl.create 8;
+    zero = Hashtbl.create 8;
+    hot = Hashtbl.create 8;
+    forked = false;
+    alive = true;
+  }
 
 type mem_result = Value of int64 | Fault_at of int64 | Refused
+
+let zero_frame =
+  let m = Memory.create () in
+  Memory.map m ~addr:0L ~len:1;
+  fst (Option.get (Memory.code_window m 0L))
 
 let prop_page_table_model =
   QCheck.Test.make ~name:"page table matches a deep-copy model" ~count:300
@@ -259,6 +316,7 @@ let prop_page_table_model =
       let pg a = Int64.to_int (Int64.shift_right_logical a 12) in
       let off a = Int64.to_int (Int64.logand a 0xFFFL) in
       let breaks = ref 0 in
+      let anchors = ref [] in
       let m_read8 s a =
         match Hashtbl.find_opt s.pages (pg a) with
         | Some p -> Char.code (Bytes.get p (off a))
@@ -269,8 +327,9 @@ let prop_page_table_model =
         | None -> raise (Fault.Trap (Fault.Segfault a))
         | Some p ->
           if not (Hashtbl.mem s.priv (pg a)) then begin
-            incr breaks;
-            Hashtbl.replace s.priv (pg a) ()
+            if Hashtbl.mem s.zero (pg a) then Hashtbl.remove s.zero (pg a) else incr breaks;
+            Hashtbl.replace s.priv (pg a) ();
+            if s.forked then Hashtbl.replace s.hot (pg a) ()
           end;
           Bytes.set p (off a) (Char.chr (v land 0xFF))
       in
@@ -283,7 +342,7 @@ let prop_page_table_model =
             for p = first to last do
               if not (Hashtbl.mem s.pages p) then begin
                 Hashtbl.replace s.pages p (Bytes.make 4096 '\000');
-                Hashtbl.replace s.priv p ()
+                Hashtbl.replace s.zero p ()
               end
             done;
             Value 0L
@@ -307,7 +366,7 @@ let prop_page_table_model =
             v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
           done;
           Value !v
-        | Clone _ -> Value 0L
+        | Clone _ | Decode _ | Release _ -> Value 0L
       in
       let real_op m = function
         | Map (_, a, n) -> (
@@ -322,25 +381,62 @@ let prop_page_table_model =
           Value 0L
         | R8 (_, a) -> Value (Int64.of_int (Memory.read_u8 m a))
         | R64 (_, a) -> Value (Memory.read_u64 m a)
-        | Clone _ -> Value 0L
+        | Clone _ | Decode _ | Release _ -> Value 0L
       in
       let catch f = try f () with Fault.Trap (Fault.Segfault a) -> Fault_at a in
       let cow_total () = Telemetry.Registry.read_int Memory.metric_cow_breaks in
       let cow_before = cow_total () in
       let real = ref [| Memory.create () |] in
-      let model = ref [| { pages = Hashtbl.create 8; priv = Hashtbl.create 8 } |] in
+      let model = ref [| fresh_model () |] in
+      let frame m p =
+        Option.map fst (Memory.code_window m (Int64.of_int (p * 4096)))
+      in
       let check_pages i m s =
-        Memory.mapped_bytes m = 4096 * Hashtbl.length s.pages
-        && Memory.resident_bytes m = 4096 * Hashtbl.length s.priv
-        && Memory.mapped_bytes m = Memory.resident_bytes m + Memory.shared_bytes m
-        && List.for_all
-             (fun p ->
-               let a = Int64.of_int (p * 4096) in
-               Memory.is_mapped m a = Hashtbl.mem s.pages p
-               && Memory.payload_shared m a
-                  = (Hashtbl.mem s.pages p && not (Hashtbl.mem s.priv p)))
-             model_pages
-        || QCheck.Test.fail_reportf "accounting of space %d" i
+        (not s.alive)
+        || Memory.mapped_bytes m = 4096 * Hashtbl.length s.pages
+           && Memory.resident_bytes m = 4096 * Hashtbl.length s.priv
+           && Memory.mapped_bytes m = Memory.resident_bytes m + Memory.shared_bytes m
+           && List.for_all
+                (fun p ->
+                  let a = Int64.of_int (p * 4096) in
+                  Memory.is_mapped m a = Hashtbl.mem s.pages p
+                  && Memory.payload_shared m a
+                     = (Hashtbl.mem s.pages p && not (Hashtbl.mem s.priv p))
+                  &&
+                  match (frame m p, Hashtbl.find_opt s.pages p) with
+                  | Some f, Some b ->
+                    Bytes.equal f b && f == zero_frame = Hashtbl.mem s.zero p
+                  | None, None -> true
+                  | _ -> false)
+                model_pages
+        || QCheck.Test.fail_reportf "contents or accounting of space %d" i
+      in
+      (* the frames a live space holds privately, and all it reaches *)
+      let live () =
+        List.filter (fun i -> !model.(i).alive) (List.init (Array.length !real) Fun.id)
+      in
+      let private_frames i =
+        List.filter_map
+          (fun p ->
+            if Memory.payload_shared !real.(i) (Int64.of_int (p * 4096)) then None
+            else frame !real.(i) p)
+          model_pages
+      in
+      let reachable i = List.filter_map (frame !real.(i)) model_pages in
+      let frame_invariants op =
+        let free = Memory.free_frames () in
+        List.for_all
+          (fun i ->
+            let mine = private_frames i in
+            (not (List.memq zero_frame mine))
+            && List.for_all
+                 (fun j ->
+                   i = j || not (List.exists (fun f -> List.memq f mine) (reachable j)))
+                 (live ())
+            && not (List.exists (fun f -> List.memq f free) (reachable i)))
+          (live ())
+        && (not (List.exists (fun f -> List.memq f free) !anchors))
+        || QCheck.Test.fail_reportf "%s: frame invariant broken" (show_mem_op op)
       in
       let windows m =
         List.map (fun p -> Memory.code_window m (Int64.of_int (p * 4096))) model_pages
@@ -360,15 +456,23 @@ let prop_page_table_model =
           let before = Array.map (fun m -> (m, Memory.generation m, windows m)) !real in
           let ok =
             match op with
+            | Clone (src, _) when not !model.(src mod n).alive -> true
             | Clone (src, dst) ->
               let src = src mod n in
               let c = Memory.clone !real.(src) in
               let mc =
                 let s = !model.(src) in
+                let pre = Hashtbl.create 8 in
+                Hashtbl.iter
+                  (fun p () -> if Hashtbl.mem s.priv p then Hashtbl.replace pre p ())
+                  s.hot;
+                breaks := !breaks + Hashtbl.length pre;
                 Hashtbl.reset s.priv;
+                Hashtbl.iter (fun p () -> Hashtbl.replace s.priv p ()) pre;
+                s.forked <- true;
                 let pages = Hashtbl.create 8 in
                 Hashtbl.iter (fun p b -> Hashtbl.replace pages p (Bytes.copy b)) s.pages;
-                { pages; priv = Hashtbl.create 8 }
+                { (fresh_model ()) with pages; priv = Hashtbl.copy pre; zero = Hashtbl.copy s.zero }
               in
               if n < 4 then begin
                 real := Array.append !real [| c |];
@@ -379,15 +483,41 @@ let prop_page_table_model =
                 !model.(dst) <- mc
               end;
               true
+            | Release s ->
+              let i = s mod n in
+              let ms = !model.(i) in
+              if ms.alive then begin
+                Memory.release !real.(i);
+                ms.alive <- false;
+                (* written pages fault from now on; shared ones stay *)
+                List.for_all
+                  (fun p ->
+                    Memory.is_mapped !real.(i) (Int64.of_int (p * 4096))
+                    = (Hashtbl.mem ms.pages p && not (Hashtbl.mem ms.priv p)))
+                  model_pages
+                || QCheck.Test.fail_reportf "%s: released pages still mapped" (show_mem_op op)
+              end
+              else true
+            | Decode (s, a) ->
+              let i = s mod n in
+              (if !model.(i).alive then
+                 match Memory.code_window !real.(i) a with
+                 | Some (f, _) ->
+                   Memory.note_decoded !real.(i) a;
+                   anchors := f :: !anchors
+                 | None -> ());
+              true
             | Map (s, _, _) | W8 (s, _, _) | W64 (s, _, _) | R8 (s, _) | R64 (s, _) ->
               let i = s mod n in
+              (not !model.(i).alive)
+              ||
               let r = catch (fun () -> real_op !real.(i) op) in
               let e = catch (fun () -> model_op !model.(i) op) in
-              r = e
-              || QCheck.Test.fail_reportf "%s: results differ" (show_mem_op op)
+              r = e || QCheck.Test.fail_reportf "%s: results differ" (show_mem_op op)
           in
           ok
           && Array.for_all Fun.id (Array.mapi (fun i m -> check_pages i m !model.(i)) !real)
+          && frame_invariants op
           && Array.for_all
                (fun (m, g, w) ->
                  (not (Array.exists (fun m' -> m' == m) !real))
@@ -887,6 +1017,45 @@ let test_decode_cache_clone_isolated () =
   Alcotest.check i64 "child re-decodes the patched text" 9L
     (Cpu.get child Reg.RAX)
 
+let test_decoded_frame_not_recycled () =
+  (* a block decoded from a private frame names it in its anchor:
+     releasing the space must never hand that frame out again, or a
+     later space that got it at the same address with other code would
+     pass the stale block's anchor check *)
+  let code v = Encode.list_to_bytes [ Insn.Mov (rax, Operand.imm v); Insn.Hlt ] in
+  let cpu = Cpu.create () in
+  let mem = Memory.create () in
+  Memory.map mem ~addr:0x1000L ~len:4096;
+  Memory.write_bytes mem 0x1000L (code 1L);
+  cpu.Cpu.rip <- 0x1000L;
+  run_to_halt cpu mem;
+  let b = Option.get (Tcache.find cpu.Cpu.tcache 0x1000L) in
+  let frame = fst (Option.get (Memory.code_window mem 0x1000L)) in
+  Memory.release mem;
+  Alcotest.(check bool) "released page faults" false (Memory.is_mapped mem 0x1000L);
+  Alcotest.(check bool) "anchored frame kept off the free list" false
+    (List.memq frame (Memory.free_frames ()));
+  let other = Memory.create () in
+  Memory.map other ~addr:0x1000L ~len:4096;
+  Memory.write_bytes other 0x1000L (code 9L);
+  Alcotest.(check bool) "the stale block does not validate" false
+    (Tcache.anchor_valid other b);
+  (* a frame no block names is recycled, once the list has room *)
+  let sink = Memory.create () in
+  List.iteri
+    (fun i _ ->
+      let a = Int64.of_int (i * 4096) in
+      Memory.map sink ~addr:a ~len:1;
+      Memory.write_u8 sink a 1)
+    (Memory.free_frames ());
+  let data = Memory.create () in
+  Memory.map data ~addr:0x1000L ~len:4096;
+  Memory.write_u8 data 0x1000L 1;
+  let dframe = fst (Option.get (Memory.code_window data 0x1000L)) in
+  Memory.release data;
+  Alcotest.(check bool) "unanchored frame recycled" true
+    (List.memq dframe (Memory.free_frames ()))
+
 let test_decode_cache_lazy_clone () =
   let cpu = Cpu.create () in
   let mem = Memory.create () in
@@ -1082,5 +1251,7 @@ let () =
             test_cow_patch_text_isolation;
           Alcotest.test_case "hit/miss/compile/invalidate telemetry" `Quick
             test_exec_telemetry;
+          Alcotest.test_case "decoded-from frame never recycled" `Quick
+            test_decoded_frame_not_recycled;
         ] );
     ]
