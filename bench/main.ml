@@ -305,7 +305,7 @@ let run_zygotebench ~jobs () =
   section "Zygote A/B - cold-boot vs snapshot-resume victim respawn";
   let image =
     Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp
-      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+      (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size:16))
   in
   (* gate (PR 9): thawing the warm snapshot beats re-running boot in an
      empty translation cache. The respawn loop is the unit an attack's

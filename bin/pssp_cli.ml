@@ -281,7 +281,7 @@ let trace_cmd =
 let attack_cmd =
   let action scheme budget buffer =
     wrap (fun () ->
-        let src = Workload.Vuln.fork_server ~buffer_size:buffer in
+        let src = Workload.Vuln.fork_server_net ~buffer_size:buffer in
         let image = Mcc.Driver.compile ~scheme (Minic.Parser.parse src) in
         let oracle =
           Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image

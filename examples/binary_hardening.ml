@@ -3,7 +3,7 @@
 
      dune exec examples/binary_hardening.exe *)
 
-let source = Workload.Vuln.fork_server ~buffer_size:16
+let source = Workload.Vuln.fork_server_net ~buffer_size:16
 
 let show_handler title image =
   Printf.printf "%s\n" title;

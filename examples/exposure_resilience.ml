@@ -2,9 +2,10 @@
 
      dune exec examples/exposure_resilience.exe
 
-   The victim has two handlers: one leaks its own stack (an OOB read,
-   standing in for a format-string bug), the other has the classic
-   unbounded overflow. Leaking frame A's canary under P-SSP reveals
+   The victim's handler serves two requests: 'L' leaks its own stack
+   (an OOB read, standing in for a format-string bug), anything else
+   takes the classic unbounded overflow. Each request runs in a fresh
+   forked child. Leaking frame A's canary under P-SSP reveals
    C = C0 xor C1, which forges canaries for EVERY frame. Under
    P-SSP-OWF the leak is a MAC bound to frame A's return address and
    transfers nowhere. *)

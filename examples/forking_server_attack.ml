@@ -12,7 +12,7 @@ let buffer_size = 16
 
 let campaign scheme ~budget =
   Printf.printf "== %s ==\n%!" (Pssp.Scheme.title scheme);
-  let source = Workload.Vuln.fork_server ~buffer_size in
+  let source = Workload.Vuln.fork_server_net ~buffer_size in
   let image = Mcc.Driver.compile ~scheme (Minic.Parser.parse source) in
   let oracle =
     Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image

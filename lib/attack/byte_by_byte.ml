@@ -86,10 +86,8 @@ let run ?(verify = Hijack) oracle ~layout ~max_trials =
     let verified =
       match verify with
       | Hijack -> Payload.hijacked (query (Payload.hijack layout ~canary))
-      | Stealth -> (
-        match query (Payload.stealth_corruption layout ~canary) with
-        | Oracle.Survived _ -> true
-        | Oracle.Crashed _ | Oracle.Server_down _ -> false)
+      | Stealth ->
+        Payload.stealth_landed (query (Payload.stealth_corruption layout ~canary))
     in
     if verified then Broken { canary; trials = Oracle.queries oracle }
     else begin

@@ -20,10 +20,12 @@ val outcome_to_string : outcome -> string
 type verify_mode =
   | Hijack  (** overwrite the return address; verify the jump landed *)
   | Stealth
-      (** leave the return address alone; verify the child survives a
-          corruption of the saved-rbp word beyond the canary. Needed
-          against return-address-bound canaries (P-SSP-OWF), where a
-          hijack payload invalidates the very canary being replayed. *)
+      (** leave the return address alone; verify a corruption of the
+          saved-rbp word beyond the canary went undetected
+          ({!Payload.stealth_landed}: the child survives, or faults on
+          the planted frame pointer). Needed against
+          return-address-bound canaries (P-SSP-OWF), where a hijack
+          payload invalidates the very canary being replayed. *)
 
 val run :
   ?verify:verify_mode ->

@@ -1,5 +1,3 @@
-type transport = Magic | Net_conn
-
 (* What happens to the victim when the attack declares a restart (a
    full byte-sweep failed — the canary moved under the attacker) or
    loses the server: keep hammering the same long-lived parent (the
@@ -13,7 +11,6 @@ type respawn = No_respawn | Cold | Zygote
 type t = {
   mutable kernel : Os.Kernel.t;
   mutable server : Os.Process.t;
-  transport : transport;
   mutable queries : int;
   mutable alive : bool;
   (* the respawn recipe *)
@@ -44,14 +41,6 @@ let boot ~seed ~preload ~insn_tax image =
 let create ?(seed = 0xA77ACCL) ?(preload = Os.Preload.No_preload)
     ?(insn_tax = 0) ?(respawn = No_respawn) image =
   let kernel, server = boot ~seed ~preload ~insn_tax image in
-  (* A server that bound a listening socket on its way to accept is
-     probed over real connections; the legacy victims keep the magic
-     request channel. *)
-  let transport =
-    match Os.Glibc.listener_of server.Os.Process.io with
-    | Some _ -> Net_conn
-    | None -> Magic
-  in
   let snapshot =
     match respawn with
     | Zygote -> Some (Os.Snapshot.capture kernel server)
@@ -60,7 +49,6 @@ let create ?(seed = 0xA77ACCL) ?(preload = Os.Preload.No_preload)
   {
     kernel;
     server;
-    transport;
     queries = 0;
     alive = true;
     seed;
@@ -97,15 +85,6 @@ type response =
   | Crashed of Os.Process.signal * string
   | Server_down of string
 
-let child_fate t ~drain =
-  match Os.Kernel.last_reaped t.kernel with
-  | Some child -> (
-    match child.Os.Process.status with
-    | Os.Process.Exited _ -> Survived (drain child)
-    | Os.Process.Killed (signal, msg) -> Crashed (signal, msg)
-    | _ -> Server_down "child in impossible state")
-  | None -> Server_down "no child reaped"
-
 (* Pull the response off a cleanly-closed connection: exit FINs the
    conn, so buffered bytes drain before the EOF. Only consulted for
    surviving children — a crashed child's conn was reset, and RST
@@ -122,42 +101,30 @@ let drain_conn conn =
   go ();
   Buffer.contents buf
 
-let query_net t payload =
-  match Os.Kernel.connect t.kernel t.server with
-  | None -> Server_down "connection refused"
-  | Some conn -> (
-    let now = Os.Kernel.now t.kernel in
-    ignore (Net.Conn.client_send conn ~now (Bytes.to_string payload));
-    Net.Conn.client_shutdown conn ~now;
-    Os.Kernel.schedule t.kernel;
-    match Os.Kernel.stop_of t.server with
-    | Os.Kernel.Stop_accept ->
-      Os.Kernel.reap_zombies t.kernel t.server;
-      child_fate t ~drain:(fun _ -> drain_conn conn)
-    | other ->
-      t.alive <- false;
-      Server_down (Os.Kernel.stop_to_string other))
-
-let query_magic t payload =
-  Os.Kernel.deliver_request t.kernel t.server payload;
-  Os.Kernel.schedule t.kernel;
-  Os.Kernel.reap_zombies t.kernel t.server;
-  match Os.Kernel.stop_of t.server with
-  | Os.Kernel.Stop_accept -> child_fate t ~drain:Os.Process.stdout
-  | other ->
-    t.alive <- false;
-    Server_down (Os.Kernel.stop_to_string other)
+let child_fate t conn =
+  match Os.Kernel.last_reaped t.kernel with
+  | Some child -> (
+    match child.Os.Process.status with
+    | Os.Process.Exited _ -> Survived (drain_conn conn)
+    | Os.Process.Killed (signal, msg) -> Crashed (signal, msg)
+    | _ -> Server_down "child in impossible state")
+  | None -> Server_down "no child reaped"
 
 let query t payload =
   if not t.alive then Server_down "server already down"
   else begin
     t.queries <- t.queries + 1;
-    match t.transport with
-    | Net_conn -> query_net t payload
-    | Magic -> query_magic t payload
+    let conn = Os.Kernel.deliver_request t.kernel t.server payload in
+    Os.Kernel.schedule t.kernel;
+    match Os.Kernel.stop_of t.server with
+    | Os.Kernel.Stop_accept ->
+      Os.Kernel.reap_zombies t.kernel t.server;
+      child_fate t conn
+    | other ->
+      t.alive <- false;
+      Server_down (Os.Kernel.stop_to_string other)
   end
 
-let transport t = t.transport
 let queries t = t.queries
 let server_alive t = t.alive
 let respawns t = t.respawns

@@ -1,21 +1,14 @@
 (** The attacker's oracle: a forking network server under test.
 
-    One long-lived parent process accepts requests; each request is
-    handled by a forked child that reads attacker-controlled input into
-    a stack buffer. The parent reaps crashed children and keeps serving
-    — exactly the worker-pool pattern the byte-by-byte attack of §II-B
-    exploits. The attacker learns one bit (and the crash signature) per
-    request: did the child survive? *)
+    One long-lived parent process listens on a socket; each request is
+    a connection (payload, then FIN) handled by a forked child that
+    reads attacker-controlled bytes into a stack buffer (e.g.
+    {!Workload.Vuln.fork_server_net}). The parent reaps crashed
+    children and keeps serving — exactly the worker-pool pattern the
+    byte-by-byte attack of §II-B exploits. The attacker learns one bit
+    (and the crash signature) per request: did the child survive? *)
 
 type t
-
-type transport =
-  | Magic  (** legacy request channel: payload becomes the child's input *)
-  | Net_conn
-      (** probes travel over a {!Net.Conn}: connect, send payload, FIN,
-          observe the child's fate (and response bytes) through the
-          socket layer — chosen automatically when the server binds a
-          listening socket (e.g. {!Workload.Vuln.fork_server_net}) *)
 
 (** Victim lifecycle across attack restarts (a restart = a full
     byte-sweep failed, or the parent died). [No_respawn] keeps
@@ -48,17 +41,16 @@ val restart_victim : t -> bool
 val respawns : t -> int
 (** Victim replacements served by {!restart_victim} so far. *)
 
-val transport : t -> transport
-
 type response =
   | Survived of string
-      (** child exited normally; its stdout (magic) or its connection
-          response (net) *)
+      (** child exited normally; the bytes it sent on the connection *)
   | Crashed of Os.Process.signal * string  (** signal and fault message *)
   | Server_down of string  (** the parent itself died — oracle gone *)
 
 val query : t -> bytes -> response
-(** Deliver one request and observe the child's fate. *)
+(** Deliver one request as a connection ({!Os.Kernel.deliver_request}),
+    run the kernel until the parent is back in [accept], and observe
+    the child's fate. *)
 
 val queries : t -> int
 (** Number of requests made so far (the attack's trial counter). *)

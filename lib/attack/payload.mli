@@ -35,7 +35,15 @@ val hijacked : Oracle.response -> bool
 
 val stealth_corruption : layout -> canary:bytes -> bytes
 (** Exploit variant that leaves the return address intact: fill, write
-    the (believed) canary, clobber only the saved rbp word. Surviving
-    this payload proves undetected corruption beyond the canary — the
-    success criterion when the canary is bound to the return address
-    (P-SSP-OWF), where {!hijack} would self-invalidate. *)
+    the (believed) canary, clobber only the saved rbp word with
+    [0x4242424242424242]. Landing it (see {!stealth_landed}) proves
+    undetected corruption beyond the canary — the success criterion
+    when the canary is bound to the return address (P-SSP-OWF), where
+    {!hijack} would self-invalidate. *)
+
+val stealth_landed : Oracle.response -> bool
+(** Did a {!stealth_corruption} get past the canary check? True when
+    the child survived, or took SIGSEGV within a page of the planted
+    rbp — the caller touching its frame through it after the handler
+    returned. A wrong canary aborts (SIGABRT) in the epilogue, before
+    the planted rbp is ever loaded. *)

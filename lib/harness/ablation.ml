@@ -8,7 +8,7 @@ let nonce_schemes = [ Pssp.Scheme.Pssp_owf; Pssp.Scheme.Pssp_owf_weak ]
 
 let nonce_cell ~budget scheme =
   let buffer_size = 16 in
-  let program = Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size) in
+  let program = Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size) in
   let image = Mcc.Driver.compile ~scheme program in
   let oracle =
     Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image
@@ -200,7 +200,7 @@ type gb_compiled = {
 
 let run_global_buffer_compiled ?(budget = 12_000) () =
   let buffer_size = 16 in
-  let program = Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size) in
+  let program = Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size) in
   let image = Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp_gb program in
   let oracle = Attack.Oracle.create image in
   let layout = Layouts.compiler_layout Pssp.Scheme.Pssp_gb ~buffer_size in
@@ -259,7 +259,7 @@ type family_row = {
    word; wasm-ssp keeps the SSP layout and falls the same way. *)
 let family_cell ?(budget = 12_000) scheme =
   let buffer_size = 16 in
-  let program = Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size) in
+  let program = Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size) in
   let image = Mcc.Driver.compile ~scheme program in
   let oracle =
     Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image

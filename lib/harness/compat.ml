@@ -89,7 +89,7 @@ let pssp_calls_ssp_library () =
 let instrumented_fork_stability () =
   let ssp =
     Mcc.Driver.compile ~scheme:Pssp.Scheme.Ssp
-      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+      (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size:16))
   in
   let image, _ = Rewriter.Driver.instrument ssp in
   let oracle =

@@ -15,7 +15,7 @@ type row = {
 type result = { rows : row list }
 
 let build_target target ~buffer_size =
-  let program = Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size) in
+  let program = Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size) in
   match target with
   | Scheme scheme ->
     let image = Mcc.Driver.compile ~scheme program in

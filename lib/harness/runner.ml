@@ -145,7 +145,7 @@ let run_server ?(seed = 0x5E44EL) deployment (profile : Workload.Servers.profile
   for i = 0 to requests - 1 do
     let request = Bytes.of_string mix.(i mod Array.length mix) in
     let before = Os.Process.cycles server in
-    Os.Kernel.deliver_request kernel server request;
+    ignore (Os.Kernel.deliver_request kernel server request);
     Os.Kernel.schedule kernel;
     Os.Kernel.reap_zombies kernel server;
     (match Os.Kernel.stop_of server with

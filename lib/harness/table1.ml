@@ -19,7 +19,7 @@ let buffer_size = 16
 let brop_campaign scheme ~budget =
   let image =
     Mcc.Driver.compile ~scheme
-      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size))
+      (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size))
   in
   let oracle = Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image in
   let layout = Layouts.compiler_layout scheme ~buffer_size in

@@ -87,7 +87,7 @@ type machine_result = {
 let run_machine ?(children = 2000) ?(seed = 0x7E02L) () =
   let image =
     Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp
-      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+      (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size:16))
   in
   let kernel = Os.Kernel.create ~seed () in
   let server = Os.Kernel.spawn kernel ~preload:Os.Preload.Pssp_wide image in
@@ -103,7 +103,7 @@ let run_machine ?(children = 2000) ?(seed = 0x7E02L) () =
   let c_stable = ref true in
   let byte0 = Array.make 256 0 in
   for _ = 1 to children do
-    Os.Kernel.deliver_request kernel server (Bytes.of_string "ping");
+    ignore (Os.Kernel.deliver_request kernel server (Bytes.of_string "ping"));
     Os.Kernel.schedule kernel;
     Os.Kernel.reap_zombies kernel server;
     (match Os.Kernel.stop_of server with

@@ -23,8 +23,9 @@ val can_push : t -> bool
 
 val push : t -> Conn.t -> unit
 (** Queue a connection (unchecked — callers test {!can_push} first;
-    the harness's compat shim pushes driver-delivered requests past the
-    check on purpose). Wakes at most one parked accept waiter. *)
+    the kernel's request delivery to a server parked in [accept] pushes
+    past the check on purpose). Wakes at most one parked accept
+    waiter. *)
 
 val add_accept_waiter : t -> key:int -> (unit -> unit) -> unit
 (** Park a one-shot accept waiter. {!push} wakes waiters one at a time

@@ -37,9 +37,9 @@ type io = {
   mutable listener_fd : int;  (* fd of [listener], -1 when none *)
 }
 
-let make_io () =
+let make_io ~input =
   {
-    input = Bytes.create 0;
+    input = Bytes.copy input;
     input_pos = 0;
     output = Buffer.create 64;
     errout = Buffer.create 64;
@@ -229,10 +229,6 @@ let close_all io ~now ~graceful =
   io.free_fds <- [];
   io.listener <- None;
   io.listener_fd <- -1
-
-let set_input io data =
-  io.input <- Bytes.copy data;
-  io.input_pos <- 0
 
 let names =
   [
@@ -510,16 +506,7 @@ let dispatch ~name cpu mem ~pid io =
     charge cpu Cost.syscall_cycles;
     match conn_of_fd io fd with
     | Some _ -> Control (Sock_read { fd; dst; cap })
-    | None ->
-      (* no connection behind this fd: serve from stdin-style input so
-         fd-oriented handlers also run under the single-shot harness *)
-      let avail = Bytes.length io.input - io.input_pos in
-      let n = Stdlib.max 0 (Stdlib.min cap avail) in
-      charge_bytes cpu n;
-      if n > 0 then
-        Memory.write_bytes mem dst (Bytes.sub io.input io.input_pos n);
-      io.input_pos <- io.input_pos + n;
-      Ret (Int64.of_int n))
+    | None -> Ret (-1L))
   | "write" -> (
     let fd = Int64.to_int (arg cpu 0)
     and src = arg cpu 1
@@ -528,27 +515,21 @@ let dispatch ~name cpu mem ~pid io =
     let data = if n > 0 then Memory.read_bytes mem src n else Bytes.create 0 in
     match conn_of_fd io fd with
     | Some _ -> Control (Sock_write { fd; data })
-    | None ->
-      Buffer.add_bytes io.output data;
-      Ret (Int64.of_int n))
+    | None -> Ret (-1L))
   | "write_str" -> (
     let fd = Int64.to_int (arg cpu 0) in
     let s = read_cstring mem (arg cpu 1) in
     charge_bytes cpu (String.length s);
     match conn_of_fd io fd with
     | Some _ -> Control (Sock_write { fd; data = Bytes.of_string s })
-    | None ->
-      Buffer.add_string io.output s;
-      Ret (Int64.of_int (String.length s)))
+    | None -> Ret (-1L))
   | "write_int" -> (
     let fd = Int64.to_int (arg cpu 0) in
     let s = Int64.to_string (arg cpu 1) in
     charge cpu (Cost.builtin_base_cycles + 16);
     match conn_of_fd io fd with
     | Some _ -> Control (Sock_write { fd; data = Bytes.of_string s })
-    | None ->
-      Buffer.add_string io.output s;
-      Ret 0L)
+    | None -> Ret (-1L))
   | "__stack_chk_fail" ->
     Buffer.add_string io.errout "*** stack smashing detected ***: terminated\n";
     Control (Abort "*** stack smashing detected ***: terminated")

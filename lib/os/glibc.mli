@@ -9,7 +9,10 @@
 
     Builtins that need kernel services (fork, exit, waitpid, accept,
     and the fd operations that may block on a {!Net.Conn}) return a
-    [Control] value that {!Kernel} interprets. *)
+    [Control] value that {!Kernel} interprets. [read], [write],
+    [write_str] and [write_int] serve connection fds only and return -1
+    on any other fd; a program's stdin and stdout are [read_input],
+    [read_n] and the [print_*] family. *)
 
 type control =
   | Exit of int
@@ -18,7 +21,9 @@ type control =
   | Spawn_thread of { start : int64; arg : int64 }
   | Wait_child  (** blocking waitpid: parks until a pending child dies *)
   | Wait_child_nb  (** WNOHANG-style reap of one dead child, never parks *)
-  | Accept  (** block for the next pending connection (or driver request) *)
+  | Accept
+      (** block for the next pending connection on the process's
+          listening socket; fails with -1 at once without one *)
   | Listen of { fd : int; backlog : int }
       (** kernel-served so every listener lands in the kernel's
           port-sharding table (SO_REUSEPORT semantics) *)
@@ -64,7 +69,8 @@ type io = {
   mutable listener_fd : int;  (** fd of [listener], -1 when none *)
 }
 
-val make_io : unit -> io
+val make_io : input:bytes -> io
+(** A fresh process's io: [input] is its stdin, the fd table empty. *)
 
 val clone_io : io -> io
 (** Fork/pthread semantics: stdio buffers are fresh, pending input is
@@ -79,9 +85,6 @@ val snapshot_io : io -> io
     the copy aliases no live kernel object. Raises [Invalid_argument]
     if any connection fd is open: snapshots are taken of quiescent
     processes parked in [accept]/[epoll_wait]. *)
-
-val set_input : io -> bytes -> unit
-(** Replace the pending input (rewinds the read cursor). *)
 
 val fd_obj_of : io -> int -> fd_obj option
 val conn_of_fd : io -> int -> Net.Conn.t option

@@ -259,8 +259,7 @@ let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
          ]);
     cpu.Cpu.rip <- ctor_trampoline_addr
   | None -> cpu.Cpu.rip <- image.Image.entry);
-  let io = Glibc.make_io () in
-  Glibc.set_input io input;
+  let io = Glibc.make_io ~input in
   let proc =
     {
       Process.pid = fresh_pid t;
@@ -494,16 +493,26 @@ let try_write t (p : Process.t) ~fd ~data ~written =
     in
     push written
 
-let try_accept t (p : Process.t) =
+(* accept() takes no fd: it serves the process's listening socket, and
+   without one it fails at once (EINVAL), so a process parked in accept
+   always has a socket to wait on. *)
+let accept_socket (p : Process.t) =
   match Glibc.listener_of p.Process.io with
-  | None -> None (* legacy magic accept: the driver resumes us *)
+  | Some sock when Net.Socket.listening sock -> Some sock
+  | Some _ | None -> None
+
+(* [`Done rax]: the next queued connection as a new fd, or -1 with no
+   listening socket. [`Blocked sock]: nothing queued on [sock] yet. *)
+let try_accept t (p : Process.t) =
+  match accept_socket p with
+  | None -> `Done (-1L)
   | Some sock -> (
     match Net.Socket.accept_opt sock with
     | Some conn ->
       let fd = Glibc.install_conn p.Process.io conn in
       Net.Conn.touch conn ~now:t.now;
-      Some (Int64.of_int fd)
-    | None -> None)
+      `Done (Int64.of_int fd)
+    | None -> `Blocked sock)
 
 (* Level-triggered readiness scan over the whole fd table, ascending fd
    order: a listener is ready when connections are queued, a conn when
@@ -569,13 +578,10 @@ let park_write t (p : Process.t) ~fd ~data ~written =
     Net.Conn.add_tx_waiter conn ~key:p.Process.pid (fun () -> mark_ready t p);
     note_io_deadline t conn
 
-let park_accept t (p : Process.t) =
+let park_accept t (p : Process.t) sock =
   p.Process.status <- Process.Blocked_accept;
-  match Glibc.listener_of p.Process.io with
-  | None -> () (* legacy magic accept: the driver resumes us *)
-  | Some sock ->
-    Net.Socket.add_accept_waiter sock ~key:p.Process.pid (fun () ->
-        mark_ready t p)
+  Net.Socket.add_accept_waiter sock ~key:p.Process.pid (fun () ->
+      mark_ready t p)
 
 (* epoll parks on everything at once: any conn turning readable (or any
    queued connect) re-queues the process for a fresh scan. Connection
@@ -670,17 +676,17 @@ let handle_control t (p : Process.t) control =
     true
   | Glibc.Accept -> (
     match try_accept t p with
-    | Some rax ->
+    | `Done rax ->
       set_rax p rax;
       true
-    | None ->
+    | `Blocked sock ->
       if Glibc.fd_nonblock p.Process.io (Glibc.listener_fd p.Process.io)
       then begin
         set_rax p Glibc.eagain;
         true
       end
       else begin
-        park_accept t p;
+        park_accept t p sock;
         false
       end)
   | Glibc.Listen { fd; backlog } ->
@@ -803,8 +809,8 @@ let retry_blocked t (p : Process.t) =
   match p.Process.status with
   | Process.Blocked_accept -> (
     match try_accept t p with
-    | Some rax -> wake t p rax
-    | None -> park_accept t p)
+    | `Done rax -> wake t p rax
+    | `Blocked sock -> park_accept t p sock)
   | Process.Blocked_read { fd; dst; cap } -> (
     match try_read t p ~fd ~dst ~cap with
     | exception Fault.Trap fault ->
@@ -974,24 +980,17 @@ let enqueue t (p : Process.t) =
     invalid_arg "Kernel.enqueue: process already dead";
   enqueue t p
 
+(* The request arrives as a one-shot conn (send + FIN) pushed straight
+   onto the accept backlog. *)
 let deliver_request t (p : Process.t) request =
-  (match p.Process.status with
-  | Process.Blocked_accept -> ()
-  | status -> raise (Not_blocked_in_accept { pid = p.Process.pid; status }));
-  match Glibc.listener_of p.Process.io with
-  | Some sock when Net.Socket.listening sock ->
-    (* connection-oriented server: deliver the request as a one-shot
-       conn (send + FIN) pushed straight onto the accept backlog *)
+  match (p.Process.status, accept_socket p) with
+  | Process.Blocked_accept, Some sock ->
     let conn = fresh_conn t in
     ignore (Net.Conn.client_send conn ~now:t.now (Bytes.to_string request));
     Net.Conn.client_shutdown conn ~now:t.now;
-    Net.Socket.push sock conn
-  | _ ->
-    (* legacy magic delivery: request becomes the process's input *)
-    Glibc.set_input p.Process.io request;
-    set_rax p 0L;
-    p.Process.status <- Process.Runnable;
-    enqueue t p
+    Net.Socket.push sock conn;
+    conn
+  | status, _ -> raise (Not_blocked_in_accept { pid = p.Process.pid; status })
 
 let last_reaped t = t.last_reaped
 let fork_count t = t.forks
@@ -1083,13 +1082,15 @@ let resume_snapshot t snap =
         register_port t s
       | _ -> ())
     (Glibc.open_fds io);
-  (* re-create the frozen park, re-arming the one-shot waiters the
+  (* re-create the frozen park (accept or epoll_wait, the only ones
+     capture_snapshot admits): the rebuilt sockets hold nothing yet, so
+     the retry parks again and re-arms the one-shot waiters the
      original held at capture *)
   (match snap.snap_status with
   | Process.Runnable -> enqueue t proc
-  | Process.Blocked_accept -> park_accept t proc
-  | Process.Blocked_poll { dst; cap } -> park_poll t proc ~dst ~cap
-  | _ -> assert false (* capture_snapshot rejects everything else *));
+  | status ->
+    proc.Process.status <- status;
+    retry_blocked t proc);
   (* a resumed process has already retired its warmup cycles *)
   advance_to t snap.snap_now;
   proc

@@ -39,7 +39,10 @@ val spawn :
   Process.t
 (** Load an image into a fresh process: map text/data/stack/TLS, install
     a fresh TLS canary, run the preload constructor, point rip at the
-    entry symbol. [insn_tax] models dynamic-binary-translation overhead
+    entry symbol. [input] is the process's stdin (what [read_input] and
+    [read_n] consume; default empty), for single-shot programs — a
+    server's requests arrive as connections ({!deliver_request},
+    {!connect}). [insn_tax] models dynamic-binary-translation overhead
     (cycles added to every instruction). *)
 
 val find : t -> int -> Process.t option
@@ -72,15 +75,16 @@ val schedule : ?fuel:int -> t -> unit
 val stop_of : Process.t -> stop
 (** The process's current state as a scheduler stop reason. *)
 
-val deliver_request : t -> Process.t -> bytes -> unit
+val deliver_request : t -> Process.t -> bytes -> Net.Conn.t
 (** Deliver a request to a process blocked in [accept] {e without}
-    running the scheduler. If the process listens on a {!Net.Socket},
-    the request arrives as a one-shot connection (payload + FIN) pushed
-    onto the accept backlog; otherwise it is delivered magically as the
-    process's input (the legacy protocol) and the process is enqueued.
-    Follow with {!schedule} (and {!reap_zombies} if {!last_reaped}
-    should name the child that served the request). Raises
-    {!Not_blocked_in_accept} if the process is parked elsewhere. *)
+    running the scheduler: a one-shot connection (payload + FIN) pushed
+    onto its listening socket's backlog, past the backlog check.
+    Returns the client end, whose receive side holds the response once
+    the handler has run. Follow with {!schedule} (and {!reap_zombies}
+    if {!last_reaped} should name the child that served the request).
+    Raises {!Not_blocked_in_accept} if the process is parked elsewhere.
+    ([accept] without a listening socket returns -1 at once, so a
+    process blocked in it always has one.) *)
 
 val connect : ?tx_capacity:int -> t -> Process.t -> Net.Conn.t option
 (** Client-side connect: to the process's own listening socket if it

@@ -1,44 +1,7 @@
-let serve_skeleton =
-  {|
-int serve() {
-  int pid;
-  while (1) {
-    if (accept() < 0) {
-      break;
-    }
-    pid = fork();
-    if (pid == 0) {
-      handle();
-      exit(0);
-    }
-    waitpid();
-  }
-  return 0;
-}
-
-int main() {
-  serve();
-  return 0;
-}
-|}
-
-let fork_server ~buffer_size =
-  Printf.sprintf
-    {|
-int handle() {
-  char buf[%d];
-  read_input(buf);
-  print_str("OK\n");
-  return 0;
-}
-|}
-    buffer_size
-  ^ serve_skeleton
-
-(* Connection-oriented variant of the serve loop: requests arrive over
-   a {!Net.Conn} fd instead of the magic input channel. The blocking
+(* The forking serve loop: each request arrives as a connection on the
+   listening socket and a forked child handles its fd. The blocking
    waitpid keeps per-probe child attribution exact for the oracle. *)
-let serve_skeleton_net =
+let serve_skeleton =
   {|
 int serve() {
   int lfd;
@@ -81,7 +44,7 @@ int handle(int fd) {
 }
 |}
     buffer_size
-  ^ serve_skeleton_net
+  ^ serve_skeleton
 
 let echo_once ~buffer_size =
   Printf.sprintf
@@ -135,20 +98,17 @@ let leaky_overflow_distance = 24
 
 let leaky_server =
   {|
-int handle() {
+int handle(int fd) {
   char cmd[8];
   char buf[16];
   int n;
-  int k;
-  n = read_n(cmd, 1);
+  n = read(fd, cmd, 1);
   if (n > 0 && cmd[0] == 'L') {
-    for (k = 0; k < 64; k++) {
-      putchar(buf[k]);
-    }
+    write(fd, buf, 64);
     return 0;
   }
-  read_input(buf);
-  print_str("OK\n");
+  read(fd, buf, 1024);
+  write_str(fd, "OK\n");
   return 0;
 }
 |}

@@ -1,17 +1,13 @@
 (** Deliberately vulnerable victim programs for the security
     experiments. *)
 
-val fork_server : buffer_size:int -> string
-(** The §II-B victim: a forking server whose child handler reads the
-    whole request into a fixed stack buffer with no bounds check.
+val fork_server_net : buffer_size:int -> string
+(** The §II-B victim: a forking server that listens on a socket and
+    forks a child per connection. The child handler [read]s up to 1024
+    bytes of the connection's payload into a fixed stack buffer in one
+    unchecked call, then replies ["OK\n"] on the connection.
     [buffer_size] should be a multiple of 8 so the overflow distance to
     the canary is exactly [buffer_size]. *)
-
-val fork_server_net : buffer_size:int -> string
-(** {!fork_server} over a real {!Net.Conn} file descriptor: the child
-    handler [read]s up to 1024 bytes of connection payload into its
-    fixed stack buffer in one unchecked call — the same overflow, but
-    reachable by a remote client through the socket layer. *)
 
 val echo_once : buffer_size:int -> string
 (** Single-shot vulnerable program (spawn, feed input, observe). *)
@@ -24,17 +20,19 @@ val raf_correctness_probe : string
     code 7. *)
 
 val leaky_server : string
-(** Exposure-resilience victim (§IV-C). Two distinct handlers: a first
-    byte of ['L'] routes to [leak_info], which discloses 64 bytes
-    starting at its own 16-byte buffer via an out-of-bounds read
-    (covering its canary region); any other first byte is consumed and
-    the remaining input goes down [process_input]'s unbounded-overflow
-    path. Leak and overflow live in different functions, so a forged
-    canary must transfer across frames to win. *)
+(** Exposure-resilience victim (§IV-C), on {!fork_server_net}'s forking
+    serve loop. Its [handle(fd)] reads one command byte from the
+    connection. On ['L'] it [write]s the 64 bytes starting at its
+    16-byte buffer back to the client, an out-of-bounds read that
+    covers its canary region. On any other byte it [read]s the rest of
+    the request into that buffer with no bounds check. Leak and
+    overflow happen in different requests, each in a fresh child's
+    frame, so a forged canary must transfer across frames to win. *)
 
 val leaky_overflow_distance : int
-(** Bytes from the vulnerable buffer's start to the canary region in
-    both handler frames (the buffer is the only local array). *)
+(** Bytes from the vulnerable buffer's start to the canary region in the
+    handler frame: the 16-byte buffer, then the 8-byte command array
+    above it. *)
 
 val lv_stealth_victim : string
 (** P-SSP-LV demonstration: a [critical] buffer sits above a plain

@@ -5,7 +5,7 @@ let compile ?(scheme = Pssp.Scheme.Ssp) src =
   Mcc.Driver.compile ~scheme (Minic.Parser.parse src)
 
 let oracle ?(scheme = Pssp.Scheme.Ssp) ?(buffer_size = 16) () =
-  let image = compile ~scheme (Workload.Vuln.fork_server ~buffer_size) in
+  let image = compile ~scheme (Workload.Vuln.fork_server_net ~buffer_size) in
   Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image
 
 let layout ?(scheme = Pssp.Scheme.Ssp) ?(buffer_size = 16) () =
@@ -85,6 +85,24 @@ let test_hijacked_detection () =
   Alcotest.(check bool) "survival is not hijack" false
     (Attack.Payload.hijacked (Attack.Oracle.Survived "0xdead0000"))
 
+let test_stealth_landed_detection () =
+  let segv addr =
+    Attack.Oracle.Crashed
+      (Os.Process.Sigsegv, Printf.sprintf "segmentation fault at 0x%Lx" addr)
+  in
+  Alcotest.(check bool) "survival lands" true
+    (Attack.Payload.stealth_landed (Attack.Oracle.Survived ""));
+  Alcotest.(check bool) "segv through the planted rbp lands" true
+    (Attack.Payload.stealth_landed (segv 0x4242424242424232L));
+  Alcotest.(check bool) "canary abort does not land" false
+    (Attack.Payload.stealth_landed
+       (Attack.Oracle.Crashed
+          (Os.Process.Sigabrt, "*** stack smashing detected ***: terminated")));
+  Alcotest.(check bool) "segv at magic_ret does not land" false
+    (Attack.Payload.stealth_landed (segv Attack.Payload.magic_ret));
+  Alcotest.(check bool) "unrelated segv does not land" false
+    (Attack.Payload.stealth_landed (segv 0x7fff0000L))
+
 (* ---- campaigns -------------------------------------------------------------------- *)
 
 let test_byte_by_byte_breaks_ssp () =
@@ -98,7 +116,7 @@ let test_byte_by_byte_breaks_ssp () =
 
 let test_recovered_canary_is_the_real_one () =
   (* the recovered canary must equal the TLS canary of the victim *)
-  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let kernel_seed = 0xA77ACCL in
   let o = Attack.Oracle.create ~seed:kernel_seed image in
   match Attack.Byte_by_byte.run o ~layout:(layout ()) ~max_trials:4000 with
@@ -181,6 +199,7 @@ let () =
           Alcotest.test_case "hijack" `Quick test_hijack_shape;
           Alcotest.test_case "stealth" `Quick test_stealth_shape;
           Alcotest.test_case "hijack detection" `Quick test_hijacked_detection;
+          Alcotest.test_case "stealth detection" `Quick test_stealth_landed_detection;
         ] );
       ( "campaigns",
         [

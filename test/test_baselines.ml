@@ -7,8 +7,8 @@ let i64 = Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal
 let compile ?(scheme = Pssp.Scheme.Dynaguard) src =
   Mcc.Driver.compile ~scheme (Minic.Parser.parse src)
 
-(* A program that pauses (blocks in accept) with three guarded frames
-   live on the stack: main -> outer -> inner -> accept. *)
+(* A program that listens, then pauses (blocks in accept) with three
+   guarded frames live on the stack: main -> outer -> inner -> accept. *)
 let nested_pause_src =
   {|
 int inner() {
@@ -26,6 +26,10 @@ int outer() {
 
 int main() {
   char mbuf[8];
+  int lfd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 16);
   mbuf[0] = 'm';
   return outer() + mbuf[0];
 }
@@ -39,7 +43,7 @@ let kernel_run k p =
 
 (* deliver + schedule + reap: the old resume-with-request composite *)
 let kernel_resume k p req =
-  Os.Kernel.deliver_request k p req;
+  ignore (Os.Kernel.deliver_request k p req);
   Os.Kernel.schedule k;
   Os.Kernel.reap_zombies k p;
   Os.Kernel.stop_of p

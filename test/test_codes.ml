@@ -187,7 +187,13 @@ int f() {
   return b[0];
 }
 
-int main() { return f(); }
+int main() {
+  int lfd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 16);
+  return f();
+}
 |}
   in
   let image = Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp_owf (Minic.Parser.parse src) in

@@ -137,7 +137,7 @@ let test_wasm_ssp_detects_only_at_epilogue () =
   let crash scheme =
     let image =
       Mcc.Driver.compile ~scheme
-        (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+        (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size:16))
     in
     let oracle =
       Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) image
@@ -171,24 +171,32 @@ let test_threaded_server_attack () =
      preload wraps pthread_create too, SV-A) *)
   let victim =
     {|
-int handle() {
+int handle(int fd) {
   char buf[16];
-  read_input(buf);
-  print_str("OK\n");
+  read(fd, buf, 1024);
+  write_str(fd, "OK\n");
   return 0;
 }
 
-int conn_worker(int arg) {
-  handle();
+int conn_worker(int fd) {
+  handle(fd);
+  close(fd);
   return 0;
 }
 
 int main() {
+  int lfd;
+  int fd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 16);
   while (1) {
-    if (accept() < 0) {
+    fd = accept();
+    if (fd < 0) {
       break;
     }
-    pthread_create(&conn_worker, 0);
+    pthread_create(&conn_worker, fd);
+    close(fd);
     waitpid();
   }
   return 0;

@@ -152,7 +152,7 @@ let test_pretty_roundtrip_corpus () =
   let sources =
     List.map (fun b -> b.Workload.Spec.source) Workload.Spec.all
     @ [
-        Workload.Vuln.fork_server ~buffer_size:16;
+        Workload.Vuln.fork_server_net ~buffer_size:16;
         Workload.Vuln.raf_correctness_probe;
         Workload.Vuln.leaky_server;
         Workload.Vuln.lv_stealth_victim;

@@ -1,7 +1,7 @@
 (* lib/net integration: connection stream semantics, accept-backlog
    limits, keep-alive across forked children, connection timeouts, the
    seeded load generator, and the byte-by-byte attack carried over a
-   real connection instead of the legacy magic request channel. *)
+   real connection. *)
 
 let compile ?(scheme = Pssp.Scheme.Pssp) src =
   Mcc.Driver.compile ~scheme (Minic.Parser.parse src)
@@ -520,10 +520,8 @@ let layout scheme =
     canary_len = 8 * Pssp.Scheme.stack_words scheme;
   }
 
-let test_net_oracle_transport () =
+let test_net_oracle_reply () =
   let o = net_oracle Pssp.Scheme.Ssp in
-  Alcotest.(check bool) "net transport selected" true
-    (Attack.Oracle.transport o = Attack.Oracle.Net_conn);
   match Attack.Oracle.query o (Bytes.of_string "hello") with
   | Attack.Oracle.Survived out -> Alcotest.(check string) "child replied" "OK\n" out
   | _ -> Alcotest.fail "benign request crashed"
@@ -609,6 +607,30 @@ let test_victim_major_heap_quiet () =
     (Printf.sprintf "%.1f major-heap words a trial, under 100" per_trial)
     true (per_trial < 100.)
 
+(* ---- accept without a listener --------------------------------------------------- *)
+
+let test_accept_without_listener () =
+  (* accept() serves a listening socket; with none (no socket, or one
+     never listen()ed) it fails at once instead of parking *)
+  let image =
+    compile ~scheme:Pssp.Scheme.None_
+      {|
+int main() {
+  int lfd;
+  print_int(accept());
+  lfd = socket();
+  bind(lfd, 8080);
+  print_int(accept());
+  return 0;
+}
+|}
+  in
+  let k = Os.Kernel.create () in
+  let p = Os.Kernel.spawn k image in
+  Alcotest.(check string) "ran to exit" "exited 0"
+    (Os.Kernel.stop_to_string (kernel_run k p));
+  Alcotest.(check string) "both accepts -1" "-1-1" (Os.Process.stdout p)
+
 (* ---- typed resume error --------------------------------------------------------- *)
 
 let test_not_blocked_in_accept () =
@@ -620,7 +642,7 @@ let test_not_blocked_in_accept () =
   let p = Os.Kernel.spawn k ~preload:Os.Preload.No_preload image in
   ignore (Os.Kernel.run_to_exit k p);
   match Os.Kernel.deliver_request k p (Bytes.of_string "x") with
-  | () -> Alcotest.fail "delivery to an exited process must raise"
+  | _ -> Alcotest.fail "delivery to an exited process must raise"
   | exception Os.Kernel.Not_blocked_in_accept { pid; status } ->
     Alcotest.(check int) "pid" p.Os.Process.pid pid;
     Alcotest.(check bool) "status carried" true (status = Os.Process.Exited 0)
@@ -641,6 +663,8 @@ let () =
           Alcotest.test_case "keep-alive across forked child" `Slow test_keepalive_across_child;
           Alcotest.test_case "slow sender times out" `Slow test_slow_sender_times_out;
           Alcotest.test_case "typed resume error" `Quick test_not_blocked_in_accept;
+          Alcotest.test_case "accept without a listener fails" `Quick
+            test_accept_without_listener;
         ] );
       ( "event tier",
         [
@@ -661,7 +685,7 @@ let () =
         [ Alcotest.test_case "deterministic campaign" `Slow test_load_deterministic ] );
       ( "attack over conn",
         [
-          Alcotest.test_case "oracle picks net transport" `Slow test_net_oracle_transport;
+          Alcotest.test_case "oracle relays the child's reply" `Slow test_net_oracle_reply;
           Alcotest.test_case "byte-by-byte breaks SSP" `Slow
             test_byte_by_byte_over_conn_breaks_ssp;
           Alcotest.test_case "byte-by-byte fails on P-SSP" `Slow

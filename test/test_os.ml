@@ -13,7 +13,7 @@ let kernel_run k p =
 
 (* deliver + schedule + reap: the old resume-with-request composite *)
 let kernel_resume k p req =
-  Os.Kernel.deliver_request k p req;
+  ignore (Os.Kernel.deliver_request k p req);
   Os.Kernel.schedule k;
   Os.Kernel.reap_zombies k p;
   Os.Kernel.stop_of p
@@ -192,6 +192,29 @@ int main() {
   (* crashed children report 256 lor signal; the memset runs off the
      top of the stack mapping, so this is 256 lor SIGSEGV(11) = 267 *)
   Alcotest.(check string) "wait status" "267" (Os.Process.stdout p)
+
+let test_fd_ops_need_a_conn () =
+  (* stdin and stdout are not connections: the fd builtins fail on them
+     (and on a listener) instead of touching the process's stdio *)
+  let _, p, stop =
+    run ~input:(Bytes.of_string "abcdefgh")
+      {|
+int main() {
+  char buf[8];
+  int lfd;
+  lfd = socket();
+  print_int(read(0, buf, 8));
+  print_int(read(lfd, buf, 8));
+  print_int(write(1, buf, 8));
+  print_int(write_str(1, "x"));
+  print_int(write_int(1, 7));
+  return 0;
+}
+|}
+  in
+  Alcotest.(check string) "exit" "exited 0" (Os.Kernel.stop_to_string stop);
+  Alcotest.(check string) "every call -1, stdout untouched" "-1-1-1-1-1"
+    (Os.Process.stdout p)
 
 let test_waitpid_without_children () =
   let _, p, _ = run "int main() { print_int(waitpid()); return 0; }" in
@@ -377,9 +400,16 @@ let test_patch_text_invalidates () =
     {|
 int helper() { return 1; }
 int main() {
+  int lfd;
+  int fd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 16);
   while (1) {
-    if (accept() < 0) { break; }
+    fd = accept();
+    if (fd < 0) { break; }
     print_int(helper());
+    close(fd);
   }
   return 0;
 }
@@ -533,7 +563,7 @@ let test_objfile_roundtrip () =
     (fun (scheme, linkage) ->
       let image =
         Mcc.Driver.compile ~scheme ~linkage
-          (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+          (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size:16))
       in
       let back = Os.Objfile.read (Os.Objfile.write image) in
       Alcotest.(check bool) "text" true (Bytes.equal back.Os.Image.text image.Os.Image.text);
@@ -638,6 +668,7 @@ let () =
           Alcotest.test_case "rand reproducible" `Quick test_rand_deterministic_per_seed;
           Alcotest.test_case "getpid" `Quick test_getpid;
           Alcotest.test_case "slot roundtrip" `Quick test_glibc_addr_roundtrip;
+          Alcotest.test_case "fd ops need a connection" `Quick test_fd_ops_need_a_conn;
           Alcotest.test_case "minic builtins covered" `Quick
             test_minic_builtins_exist_in_glibc;
         ] );

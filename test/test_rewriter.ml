@@ -143,7 +143,7 @@ let test_instrument_static () =
   | other -> Alcotest.failf "static smash missed: %s" (Os.Kernel.stop_to_string other)
 
 let test_static_fork_refreshes_shadow () =
-  let image = compile ~linkage:Os.Image.Static (Workload.Vuln.fork_server ~buffer_size:16) in
+  let image = compile ~linkage:Os.Image.Static (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let patched, _ = Rewriter.Driver.instrument image in
   let oracle = Attack.Oracle.create patched in
   (* observe two children: their packed shadow words must differ and both

@@ -22,7 +22,7 @@ let boot ?(seed = 0x5EEDL) ?(preload = Os.Preload.Pssp_wide) image =
   (k, p)
 
 let serve k p req =
-  Os.Kernel.deliver_request k p (Bytes.of_string req);
+  ignore (Os.Kernel.deliver_request k p (Bytes.of_string req));
   Os.Kernel.schedule k;
   Os.Kernel.reap_zombies k p
 
@@ -30,9 +30,16 @@ let server_src =
   {|
 int helper() { return 1; }
 int main() {
+  int lfd;
+  int fd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 16);
   while (1) {
-    if (accept() < 0) { break; }
+    fd = accept();
+    if (fd < 0) { break; }
     print_int(helper());
+    close(fd);
   }
   return 0;
 }
@@ -62,7 +69,7 @@ let check_machine_equal msg (a : Os.Process.t) (b : Os.Process.t) =
 let test_resume_bit_identical () =
   (* the thawed copy carries the frozen process's exact machine state:
      same registers, rip, cycle count, RNG-derived TLS words *)
-  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let k, p = boot image in
   let snap = Os.Snapshot.capture k p in
   let q = Os.Snapshot.resume k snap in
@@ -75,7 +82,7 @@ let test_resume_matches_cold_spawn () =
   (* cold boot with the same kernel seed reaches the same quiescent
      state the snapshot froze — resume is a shortcut, not a fork in
      behaviour *)
-  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let k1, p1 = boot ~seed:77L image in
   let snap = Os.Snapshot.capture k1 p1 in
   let k2 = Os.Kernel.create ~seed:77L () in
@@ -88,7 +95,7 @@ let test_resume_matches_cold_spawn () =
 let test_snapshot_immutable_and_reusable () =
   (* one snapshot stamps out many identical copies, even after earlier
      copies ran and diverged *)
-  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let k, p = boot image in
   let snap = Os.Snapshot.capture k p in
   let q1 = Os.Snapshot.resume k snap in
@@ -186,7 +193,7 @@ let test_pac_key_survives_resume () =
      must authenticate frames with the exact key the frozen process
      signed them under *)
   let image =
-    compile ~scheme:Pssp.Scheme.Pac_canary (Workload.Vuln.fork_server ~buffer_size:16)
+    compile ~scheme:Pssp.Scheme.Pac_canary (Workload.Vuln.fork_server_net ~buffer_size:16)
   in
   let k, p = boot ~preload:Os.Preload.No_preload image in
   let key = p.Os.Process.cpu.Vm64.Cpu.pac_key in
@@ -205,7 +212,7 @@ let test_shadow_siblings_do_not_share () =
      frozen original *)
   let image =
     compile ~scheme:Pssp.Scheme.Shadow_compact
-      (Workload.Vuln.fork_server ~buffer_size:16)
+      (Workload.Vuln.fork_server_net ~buffer_size:16)
   in
   let k, p = boot ~preload:Os.Preload.No_preload image in
   let sp0 = Pssp.Tls.shadow_sp p.Os.Process.mem ~fs_base:Vm64.Layout.tls_base in
@@ -233,7 +240,7 @@ let test_shadow_siblings_do_not_share () =
 (* ---- the oracle's zygote mode ----------------------------------------------- *)
 
 let test_oracle_zygote_respawn_counts () =
-  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let oracle =
     Attack.Oracle.create ~preload:Os.Preload.Pssp_wide
       ~respawn:Attack.Oracle.Zygote image
@@ -247,7 +254,7 @@ let test_oracle_zygote_equals_cold () =
   (* the attack sees the same oracle either way: respawned victims are
      bit-identical, so outcomes and trial counts agree *)
   let attack respawn =
-    let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+    let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
     let oracle = Attack.Oracle.create ~preload:Os.Preload.Pssp_wide ~respawn image in
     let layout = Harness.Layouts.compiler_layout Pssp.Scheme.Pssp ~buffer_size:16 in
     match Attack.Byte_by_byte.run oracle ~layout ~max_trials:2_500 with

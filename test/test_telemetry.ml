@@ -58,7 +58,7 @@ let test_snapshot_sorted () =
 let run_small_fork_workload () =
   let image =
     Mcc.Driver.compile ~scheme:Pssp.Scheme.Pssp
-      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+      (Minic.Parser.parse (Workload.Vuln.fork_server_net ~buffer_size:16))
   in
   let oracle = Attack.Oracle.create ~preload:Os.Preload.Pssp_wide image in
   for _ = 1 to 5 do

@@ -125,8 +125,8 @@ let test_victims_parse_and_typecheck () =
   List.iter
     (fun src -> ignore (Minic.Typecheck.check (Minic.Parser.parse src)))
     [
-      Workload.Vuln.fork_server ~buffer_size:16;
-      Workload.Vuln.fork_server ~buffer_size:64;
+      Workload.Vuln.fork_server_net ~buffer_size:16;
+      Workload.Vuln.fork_server_net ~buffer_size:64;
       Workload.Vuln.echo_once ~buffer_size:16;
       Workload.Vuln.raf_correctness_probe;
       Workload.Vuln.leaky_server;
