@@ -64,18 +64,16 @@ let metric snapshot name =
 let print_mem_stats name m =
   Printf.printf
     "MEM_STATS %s: forks=%d pages_shared=%d pages_cow_copied=%d \
-     tcache_blocks_shared=%d tcache_tables_copied=%d tcache_hits=%d \
-     tcache_misses=%d tcache_compiles=%d tcache_invalidated=%d\n"
+     tcache_blocks_shared=%d tcache_hits=%d tcache_misses=%d \
+     tcache_compiles=%d\n"
     name
     (metric m "os.kernel.forks")
     (metric m Vm64.Memory.metric_pages_aliased)
     (metric m Vm64.Memory.metric_cow_breaks)
     (metric m Vm64.Tcache.metric_blocks_shared)
-    (metric m Vm64.Tcache.metric_tables_materialised)
     (metric m Vm64.Tcache.metric_hits)
     (metric m Vm64.Tcache.metric_misses)
     (metric m Vm64.Tcache.metric_compiles)
-    (metric m Vm64.Tcache.metric_invalidated)
 
 let record ?context ?cells ~name ~wall_s metrics =
   campaign_records :=
@@ -469,10 +467,12 @@ let () =
       Harness.Cli.flag ~name:"--mem-stats"
         ~doc:
           "print a deterministic fork-path + translation-cache telemetry\n\
-           line after each campaign. NOTE: the tcache counters depend on\n\
-           --compile-tier (compiles is 0 when off; chained execution\n\
-           bypasses hit accounting), so off/on output diffs must not\n\
-           enable it."
+           line after each campaign: forks, pages shared and CoW-copied\n\
+           at fork, and the fork family's decode cache (blocks shared at\n\
+           fork, hits, misses, compiles). NOTE: the tcache counters\n\
+           depend on --compile-tier (compiles is 0 when off; chained\n\
+           execution bypasses hit accounting), so off/on output diffs\n\
+           must not enable it."
         (fun () -> mem_stats_enabled := true);
       Harness.Cli.on_off ~name:"--compile-tier"
         ~doc:

@@ -61,9 +61,6 @@ type t = {
 
 let crashed t = match t.status with Killed _ -> true | _ -> false
 
-let patch_text t ~addr code =
-  Vm64.Memory.write_bytes t.mem addr code;
-  Vm64.Cpu.invalidate_decode t.cpu ~addr ~len:(Bytes.length code)
 let stdout t = Buffer.contents t.io.Glibc.output
 let stderr t = Buffer.contents t.io.Glibc.errout
 let cycles t = t.cpu.Vm64.Cpu.cycles

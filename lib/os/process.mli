@@ -1,5 +1,10 @@
 (** A simulated process: one address space, one CPU context, stdio plus
-    a file-descriptor table over {!Net} connections. *)
+    a file-descriptor table over {!Net} connections.
+
+    Text is fixed at load: binary rewriting works on the {!Image}
+    before spawn, and nothing here writes loaded code. A write into the
+    process's own text is not seen by blocks it has already decoded
+    (see {!Vm64.Tcache}). *)
 
 type signal = Sigsegv | Sigabrt | Sigill
 
@@ -50,12 +55,6 @@ type t = {
 val crashed : t -> bool
 (** Died from a signal (segfault or canary abort) — the event the
     byte-by-byte attacker's oracle distinguishes. *)
-
-val patch_text : t -> addr:int64 -> bytes -> unit
-(** Write [code] into the process's loaded text and invalidate the
-    overlapping basic-block decodes, so the next fetch re-decodes the
-    patched bytes. The safe way to modify code after load — a plain
-    [Memory.write_bytes] would leave the translation cache stale. *)
 
 val stdout : t -> string
 val stderr : t -> string

@@ -4,8 +4,7 @@
    Three metric backings, chosen by update rate:
 
    - [counter]: one shared [Atomic.t]. For rare events (forks, cache
-     clones, table materialisations) where a process-global atomic is
-     cheap.
+     clones) where a process-global atomic is cheap.
    - fold metrics ([register_group]): the subsystem keeps its own
      scheduling-independent records (e.g. one stats record per clone
      family, mutated without synchronisation on the hot path) and

@@ -22,8 +22,9 @@
    taken/fall-through/return transfer jumps straight into the
    successor's translation instead of returning to [Exec.step_block]'s
    dispatch loop — and fuses hot unconditional chains into superblock
-   translations. See the link-validity notes on [link_live] for how
-   invalidation and CoW forks unlink stale successors. *)
+   translations. Loaded text never changes, so whether a cached
+   translation may run in a space rests on its blocks' page anchors
+   alone; see [translation] and [link_live]. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -57,16 +58,10 @@ let mach cpu mem =
   { cpu; mem; regs = cpu.Cpu.gprs; flags = cpu.Cpu.flags; tmp = Bytes.create 8; at = 0 }
 
 (* A patched exit: the successor translation this code may enter
-   directly, valid only for the address space and invalidation epoch it
-   was resolved under (a fork relative or a post-invalidation run must
-   re-resolve — see [link_live]). *)
+   directly, in any space where [link_live] still holds. *)
 type link = {
-  mutable l_space : Tcache.t option;  (* the space the link was resolved in *)
-  mutable l_epoch : int;
   mutable l_addr : int64;  (* entry rip the target translates *)
   mutable l_target : code option;
-  mutable l_mem : Memory.t option;  (* space of the last full anchor check *)
-  mutable l_gen : int;  (* its payload generation at that check *)
 }
 
 and code = {
@@ -87,6 +82,8 @@ and code = {
          (==) — code compiled for another environment must be rebuilt *)
   mutable hot : int;  (* entry count, drives superblock formation *)
   mutable fuse_tried : bool;
+  mutable swept : Memory.t option;  (* space of the last passing anchor sweep *)
+  mutable swept_gen : int;  (* its payload generation at that sweep *)
   link_a : link;  (* taken / unconditional / dynamic target cache *)
   link_b : link;  (* fall-through side of a two-way branch *)
 }
@@ -801,8 +798,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
 
 let running : step = fun _ -> Running
 
-let fresh_link () =
-  { l_space = None; l_epoch = 0; l_addr = 0L; l_target = None; l_mem = None; l_gen = 0 }
+let fresh_link () = { l_addr = 0L; l_target = None }
 
 (* mcc's operand shuffle, [push a; mov a, S; mov b, a; pop a], which
    moves S into b around a scratch stack slot, as one chain step at
@@ -934,6 +930,8 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
     key = is_builtin;
     hot = 0;
     fuse_tried = Array.length ir.Ir.parts > 1;
+    swept = None;
+    swept_gen = 0;
     link_a = fresh_link ();
     link_b = fresh_link ();
   }
@@ -941,11 +939,6 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
 let block_ir ~is_builtin ~inline (b : Tcache.block) =
   let inlinable name = Option.is_some (inline name) in
   Ir.normalize (Ir.lift ~is_builtin ~inlinable b)
-
-let compile ~inline ~is_builtin (b : Tcache.block) =
-  emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b)
-
-let key (c : code) = c.key
 
 (* ---- Execution ------------------------------------------------------ *)
 
@@ -1007,61 +1000,67 @@ let run_chain (code : code) m =
 
 (* ---- Chaining, superblocks, profiling attribution ------------------- *)
 
-(* Every constituent is still decodable-as-cached in this space. The
-   dispatcher's fetch validated the head block only; a superblock's
-   tail constituents need their own check (their pages may have
-   CoW-diverged without any invalidation — e.g. a relative published
-   the fused translation before the pages split). *)
-let code_anchors_ok mem (c : code) =
+(* Every constituent still anchors in this space: each page holds the
+   payload object the block was decoded from, so the bytes are the ones
+   the translation encodes. A passing sweep is remembered on the code
+   as ([swept], [swept_gen]) and not repeated while the same space
+   keeps the same payload generation: no page slot has changed payload
+   since, so every anchor still matches. One sweep serves every link
+   into the code. *)
+let anchored mem (c : code) =
+  (match c.swept with
+  | Some m -> m == mem && c.swept_gen = Memory.generation mem
+  | None -> false)
+  ||
   let ok = ref true in
   for i = 0 to Array.length c.blocks - 1 do
     if not (Tcache.anchor_valid mem (Array.unsafe_get c.blocks i)) then ok := false
   done;
   !ok
+  && begin
+    c.swept <- Some mem;
+    c.swept_gen <- Memory.generation mem;
+    true
+  end
+
+(* The one decision on whether a cached translation may run in a space.
+   The caller has checked that [b] anchors here (the dispatcher's fetch,
+   or [resolve]). Its slot's code runs when it was compiled for this
+   environment and, for a superblock, every constituent still anchors
+   here too: a tail page may have CoW-diverged in this space while the
+   head's did not. Otherwise the single block is compiled into the
+   slot, which also strips a stale superblock for every relative (a
+   relative whose pages still agree fuses it again once it is hot). *)
+let translation tc mem ~is_builtin ~inline (b : Tcache.block) =
+  match b.Tcache.compiled with
+  | Code c when c.key == is_builtin && (Array.length c.blocks = 1 || anchored mem c) -> c
+  | _ ->
+    let c = emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b) in
+    b.Tcache.compiled <- Code c;
+    Tcache.note_compile tc;
+    c
 
 (* The code is still what the head block's slot holds. Replacing the
-   slot (superblock formation, stale-superblock strip) retargets every
-   chain link pointing at the old translation on its next traversal. *)
+   slot (superblock formation, a stale superblock's strip) retargets
+   every chain link pointing at the old translation on its next
+   traversal. *)
 let slot_current (c : code) =
   match (Array.unsafe_get c.blocks 0).Tcache.compiled with
   | Code c' -> c' == c
   | _ -> false
 
-(* A link may be followed only when every way it can go stale is ruled
-   out:
+(* A link skips the dispatcher's fetch, so it may be followed only
+   while [translation] would still answer with its target here:
    - [l_addr]: the exit really goes where the target translates
      (dynamic exits — ret, indirect call — carry a 1-entry inline
      cache);
-   - [l_space] (==): links live in code objects that fork relatives
-     share; a link resolved in one address space says nothing about
-     another, so each space claims links for itself;
-   - [l_epoch]: invalidation in this space since resolution — the ONLY
-     signal for [patch_text]'s in-place mutation of a private page,
-     which anchors cannot see;
-   - [slot_current] + anchors + [key]: the target is this space's live,
-     decode-consistent translation for the right environment.
-   A passing anchor check is remembered as ([l_mem], [l_gen]) and not
-   repeated while the same space keeps the same payload generation: no
-   page slot has changed payload since, so every anchor still matches.
-   [install_link] forgets it, because the check was of the old target. *)
-let anchors_current (l : link) mem c =
-  (match l.l_mem with
-  | Some m -> m == mem && l.l_gen = Memory.generation mem
-  | None -> false)
-  || code_anchors_ok mem c
-     && begin
-       l.l_mem <- Some mem;
-       l.l_gen <- Memory.generation mem;
-       true
-     end
-
-let link_live tc mem (l : link) (c : code) rip key =
-  Int64.equal l.l_addr rip
-  && (match l.l_space with Some s -> s == tc | None -> false)
-  && l.l_epoch = Tcache.epoch tc
-  && c.key == key
-  && slot_current c
-  && anchors_current l mem c
+   - [key] and [slot_current]: the target is the head slot's
+     translation for this environment;
+   - [anchored]: every constituent, the head included, anchors in this
+     space. Links live in code that a fork family shares, and this is
+     what makes one resolved in a relative safe to follow here. *)
+let link_live mem (l : link) (c : code) rip key =
+  Int64.equal l.l_addr rip && c.key == key && slot_current c && anchored mem c
 
 let link_for (c : code) rip =
   match c.exit_ with
@@ -1070,26 +1069,16 @@ let link_for (c : code) rip =
   | _ -> c.link_a
 
 let install_link tc (l : link) rip target =
-  l.l_space <- Some tc;
-  l.l_epoch <- Tcache.epoch tc;
   l.l_addr <- rip;
   l.l_target <- Some target;
-  l.l_mem <- None;
   Tcache.note_chain tc
 
-(* Resolve the translation for [rip] in this space, compiling the
-   cached block if needed. [None] bounces to the dispatcher (block not
-   cached or stale), which decodes and accounts the miss. *)
+(* Resolve the translation for [rip] in this space. [None] bounces to
+   the dispatcher (block not cached or stale), which decodes and
+   accounts the miss. *)
 let resolve tc mem ~is_builtin ~inline rip =
   match Tcache.find tc rip with
-  | Some b when Tcache.anchor_valid mem b -> (
-    match b.Tcache.compiled with
-    | Code c when c.key == is_builtin -> Some c
-    | _ ->
-      let c = compile ~inline ~is_builtin b in
-      b.Tcache.compiled <- Code c;
-      Tcache.note_compile tc;
-      Some c)
+  | Some b when Tcache.anchor_valid mem b -> Some (translation tc mem ~is_builtin ~inline b)
   | _ -> None
 
 (* Superblock caps: enough to swallow a guarded call's prologue + body
@@ -1133,13 +1122,6 @@ let try_fuse tc mem ~is_builtin ~inline (c : code) =
   if Array.length fused.Ir.parts < 2 then None
   else begin
     let sc = emit ~is_builtin ~inline fused in
-    (* register the tail constituents' text extents on the (shared)
-       head record BEFORE publishing the translation, so no invalidate
-       can observe the superblock without its ranges *)
-    head.Tcache.fused_ranges <-
-      Array.map
-        (fun (b : Tcache.block) -> (b.Tcache.bb_start, b.Tcache.bb_bytes))
-        (Array.sub sc.blocks 1 (Array.length sc.blocks - 1));
     head.Tcache.compiled <- Code sc;
     Tcache.note_superblock tc;
     Some sc
@@ -1165,13 +1147,13 @@ let note_profile (c : code) cpu k =
     incr j
   done
 
-(* The block runner: execute [c0], then keep transferring through
-   live (or freshly patched) chain links until fuel runs out, a
+(* The block runner: execute [b]'s translation, then keep transferring
+   through live (or freshly patched) chain links until fuel runs out, a
    non-[Running] outcome exits to the OS, or the successor is not
    resolvable in-cache (bounce to the dispatcher, which decodes it).
    Fuel, cycle and fault accounting are exactly the interpreter's. One
    [mach] serves every hop. *)
-let run cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
+let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
   let tc = cpu.Cpu.tcache in
   let m = mach cpu mem in
   let profiling = Telemetry.Profile.enabled () in
@@ -1200,7 +1182,7 @@ let run cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
     let rip = cpu.Cpu.rip in
     let l = link_for c rip in
     match l.l_target with
-    | Some target when link_live tc mem l target rip is_builtin ->
+    | Some target when link_live mem l target rip is_builtin ->
       Tcache.note_chain_hop tc;
       enter target fuel acc
     | _ -> (
@@ -1214,18 +1196,4 @@ let run cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
           enter target fuel acc
         | None -> (Running, acc)))
   in
-  (* The dispatcher validated the head block's anchor; a superblock's
-     tail constituents may still have gone stale. Strip back to a
-     single-block translation rather than run stale code. *)
-  let c0 =
-    if Array.length c0.blocks > 1 && not (code_anchors_ok mem c0) then begin
-      let head = Array.unsafe_get c0.blocks 0 in
-      head.Tcache.fused_ranges <- [||];
-      let c = compile ~inline ~is_builtin head in
-      head.Tcache.compiled <- Code c;
-      Tcache.note_compile tc;
-      c
-    end
-    else c0
-  in
-  enter c0 fuel 0
+  enter (translation tc mem ~is_builtin ~inline b) fuel 0

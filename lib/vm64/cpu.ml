@@ -58,11 +58,8 @@ let clone t =
        still authenticate when the child returns through them *)
     pac_key = t.pac_key;
     rng = Util.Prng.split t.rng;
-    (* the child starts from the parent's decoded blocks (its text is
-       byte-identical at fork time); the table stays physically shared
-       until either side first mutates it, so a later patch +
-       invalidation in either address space still cannot leak stale
-       decodes into the other *)
+    (* the child's text is byte-identical at fork time and never
+       changes, so it keeps the family's table *)
     tcache = Tcache.clone t.tcache;
   }
 
@@ -119,6 +116,3 @@ let pac_auth t ~value ~modifier =
   tag = pac_tag t ~value ~modifier
 
 let pac_strip value = Int64.logand value pac_low48_mask
-
-let invalidate_decode t ~addr ~len = Tcache.invalidate_range t.tcache ~addr ~len
-let invalidate_decode_all t = Tcache.invalidate_all t.tcache

@@ -32,10 +32,9 @@ type t = {
           authenticate parent-signed frames) and {!snapshot}. *)
   rng : Util.Prng.t;  (** entropy source behind [rdrand] *)
   tcache : Tcache.t;
-      (** per-address-space basic-block translation cache; fork children
-          start from the parent's decoded blocks, lazily copied on the
-          first mutation in either space (see {!Tcache.clone}), never
-          shared across unrelated processes *)
+      (** the basic-block translation cache, one per fork family: fork
+          children and resumed snapshots use the parent's table (see
+          {!Tcache.clone}); unrelated processes never share one *)
 }
 
 val create : ?seed:int64 -> unit -> t
@@ -62,14 +61,14 @@ val set_xmm : t -> Isa.Reg.Xmm.t -> int64 * int64 -> unit
 val clone : t -> t
 (** Deep copy with an independently split RNG — used by [fork] so parent
     and child draw different entropy afterwards (as real [rdrand]
-    would). *)
+    would). The child keeps the parent's translation cache. *)
 
 val snapshot : t -> t
 (** Deep copy preserving the exact RNG state (unlike {!clone}, which
     splits it). Used by zygote snapshots: a process resumed from a
     snapshot must draw the same [rdrand] stream the frozen original
     would have, so restored runs are bit-identical to cold spawns. The
-    translation cache is shared copy-on-mutate, like {!clone}. *)
+    copy keeps the original's translation cache, like {!clone}. *)
 
 val add_cycles : t -> int -> unit
 
@@ -89,10 +88,3 @@ val pac_auth : t -> value:int64 -> modifier:int64 -> bool
 
 val pac_strip : int64 -> int64
 (** Drop the tag bits: the low 48 bits of the value. *)
-
-val invalidate_decode : t -> addr:int64 -> len:int -> unit
-(** Drop cached decodes overlapping [addr, addr+len). Must be called
-    after patching loaded text and before re-executing it; plain memory
-    writes do not invalidate the translation cache. *)
-
-val invalidate_decode_all : t -> unit

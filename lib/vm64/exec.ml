@@ -109,21 +109,6 @@ let decode_block mem rip =
     in
     Ok (Tcache.make_block ~anchor ~start:rip (Array.of_list (List.rev !rev)))
 
-(* A freshly decoded block may be published into the fork-shared table
-   (no private materialisation) when every anchored payload is still
-   CoW-aliased — relatives currently read the very bytes it encodes,
-   and the anchor check protects them once pages diverge. Blocks read
-   from privately-written pages stay private. *)
-let publishable mem (b : Tcache.block) =
-  let a = b.Tcache.anchor in
-  let n = Array.length a in
-  let ok = ref (n > 0) in
-  for i = 0 to n - 1 do
-    let addr = Int64.add b.Tcache.bb_start (Int64.of_int (i * Memory.page_size)) in
-    if not (Memory.payload_shared mem addr) then ok := false
-  done;
-  !ok
-
 let fetch_block cpu mem =
   let tc = cpu.Cpu.tcache in
   match Tcache.find tc cpu.Cpu.rip with
@@ -135,7 +120,7 @@ let fetch_block cpu mem =
     match decode_block mem cpu.Cpu.rip with
     | Error f -> Error f
     | Ok b ->
-      Tcache.add tc b ~publish:(publishable mem b);
+      Tcache.add tc b;
       Ok b)
 
 let effective_address cpu (m : Isa.Operand.mem) =
@@ -497,13 +482,12 @@ let interp_block env cpu mem b ~max_insns =
 (* Dispatch. Traced runs and runs with compiled execution off interpret
    (the probe observes every retire), and the cycle profiler gets one
    note per interpreted block: all it charged, at its start address.
-   Otherwise a block is translated once per environment and the
-   translation is reused — including by fork relatives sharing the
-   block record, since compilation is deterministic and the result
-   immutable — and [Compile.run] keeps control inside compiled code
-   across block exits until fuel runs out or a successor misses the
-   cache, noting per-constituent cycles itself. A fetch fault retires
-   nothing. *)
+   Otherwise [Compile.run] runs the block's translation — compiled once
+   per environment and reused by every relative reaching the block
+   record, since compilation is deterministic and the result immutable
+   — and keeps control inside compiled code across block exits until
+   fuel runs out or a successor misses the cache, noting
+   per-constituent cycles itself. A fetch fault retires nothing. *)
 let dispatch_block env cpu mem b ~max_insns =
   if Option.is_some env.on_retire || not (Compile.enabled ()) then begin
     let c0 = cpu.Cpu.cycles in
@@ -514,17 +498,7 @@ let dispatch_block env cpu mem b ~max_insns =
     r
   end
   else
-    let c =
-      match b.Tcache.compiled with
-      | Compile.Code c when Compile.key c == env.is_builtin -> c
-      | _ ->
-        (* not yet compiled, or compiled against another environment *)
-        let c = Compile.compile ~inline:env.inline_builtin ~is_builtin:env.is_builtin b in
-        b.Tcache.compiled <- Compile.Code c;
-        Tcache.note_compile cpu.Cpu.tcache;
-        c
-    in
-    Compile.run cpu mem ~is_builtin:env.is_builtin ~inline:env.inline_builtin c
+    Compile.run cpu mem ~is_builtin:env.is_builtin ~inline:env.inline_builtin b
       ~fuel:max_insns
 
 let step_block env cpu mem ~max_insns =

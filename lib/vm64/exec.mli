@@ -26,12 +26,10 @@ type outcome = Compiled.outcome =
 
 type env
 (** Immutable execution environment: builtin address resolution. The
-    basic-block translation cache lives in {!Cpu.t} (per address space;
-    fork children start from a copy) and assumes text is not modified
-    after loading — binary rewriting happens on images, before load.
-    Patching loaded text requires {!Cpu.invalidate_decode} (or
-    [Os.Process.patch_text], which does both) before re-execution;
-    invalidation also drops the affected blocks' closure translations. *)
+    basic-block translation cache lives in {!Cpu.t} (one per fork
+    family) and assumes text is not modified after loading — binary
+    rewriting happens on images, before load. A cached block runs in a
+    space only while its page anchors hold there (see {!Tcache}). *)
 
 val create_env :
   ?on_retire:(Cpu.t -> Isa.Insn.t -> unit) ->

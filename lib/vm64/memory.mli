@@ -132,9 +132,9 @@ val cstr_len : t -> int64 -> int
 val payload_shared : t -> int64 -> bool
 (** The page under the address is mapped and its payload may be aliased
     by a fork relative (i.e. the bytes this space reads there are the
-    bytes relatives read, until someone writes). This is the publish
-    guard for {!Tcache.add}: a block decoded entirely from shared
-    payloads describes bytes every current relative agrees on. *)
+    bytes relatives read, until someone writes). {!note_decoded} uses
+    it to tell private frames, which {!release} recycles, from shared
+    ones. *)
 
 val clone : t -> t
 (** The [fork] primitive's address-space clone. Copy-on-write at two
@@ -149,7 +149,9 @@ val clone : t -> t
 val note_decoded : t -> int64 -> unit
 (** A block was decoded from the page under the address: if its frame
     is private, {!release} never recycles it, since the block's anchor
-    names it. {!Exec} calls this for each page it anchors. *)
+    names it and the fork family's shared table may still hold the
+    block after this space dies. {!Exec} calls this for each page it
+    anchors. *)
 
 val release : t -> unit
 (** The space is dead: return its private frames to this domain's free

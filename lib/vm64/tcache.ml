@@ -14,14 +14,6 @@ type block = {
          identity implies the decoded bytes are unchanged. An empty
          anchor (test-built blocks) is always valid. *)
   mutable compiled : Compiled.slot;
-  mutable fused_ranges : (int64 * int) array;
-      (* extra [addr, addr+len) text extents covered by a superblock
-         stored in [compiled] (Compile fuses successor blocks into the
-         head block's slot). Invalidation treats them like the block's
-         own bytes: patching ANY constituent must drop the head entry,
-         or a private-page in-place patch would leave a stale fused
-         translation reachable whose anchors still pass. Lives on the
-         (fork-shared) record so every relative's invalidate sees it. *)
 }
 
 let max_block_insns = 64
@@ -53,14 +45,13 @@ let make_block ?(anchor = [||]) ~start pairs =
     bb_bytes = Int64.to_int (Int64.sub !addr start);
     anchor;
     compiled = Compiled.Not_compiled;
-    fused_ranges = [||];
   }
 
 (* The cached block is only valid for a given address space while every
    page it was decoded from still holds the same payload object; CoW
    never mutates an aliased payload in place, so physical identity
-   implies byte identity. This is what lets fork relatives share one
-   table even as each publishes new decodes into it, and what lets
+   implies byte identity. This is what lets a fork family share one
+   table even as each relative adds new decodes to it, and what lets
    chain links jump straight into a successor's translation. *)
 let anchor_valid mem b =
   let a = b.anchor in
@@ -76,55 +67,38 @@ let anchor_valid mem b =
   done;
   !ok
 
-(* Lazy copy-on-write clone: fork children alias the parent's block
-   table until either side first mutates it (new decode or
-   invalidation), at which point the mutating side materialises a
-   private copy. Block records themselves are immutable, so the copy is
-   shallow. For the fork-server attack pattern — children execute the
-   parent's already-warm text and never patch it — no copy is ever
-   paid. *)
-(* Execution-path telemetry: one record per clone family (children
-   share the parent's, so the numbers survive reaping), mirroring
-   [Memory.family_stats]. *)
+(* Execution-path telemetry: one record per fork family (the numbers
+   survive the relatives' reaping), mirroring [Memory.family_stats]. *)
 type exec_stats = {
   mutable hits : int;  (* block lookups served from the cache *)
   mutable misses : int;  (* lookups that forced a decode *)
   mutable compiles : int;  (* blocks translated by Compile *)
-  mutable invalidated : int;  (* cached blocks dropped by invalidation *)
   mutable chains : int;  (* exit links patched to a successor *)
   mutable superblocks : int;  (* hot chains fused into one translation *)
   mutable chain_hops : int;  (* dispatcher returns avoided via a link *)
 }
 
-type t = {
-  mutable blocks : (int64, block) Hashtbl.t;
-  mutable private_table : bool;  (* sole owner of [blocks]; safe to mutate *)
-  mutable epoch : int;
-      (* bumped whenever invalidation drops anything from THIS space's
-         table. Tier-2 chain links record the (space, epoch) they were
-         resolved under and die on mismatch — the anchor cannot catch an
-         in-place patch of a private page, the epoch can. *)
-  xstats : exec_stats;
-}
+(* One table per fork family: loaded text never changes, so a block
+   one relative decodes is valid for every relative whose pages still
+   anchor it. *)
+type t = { blocks : (int64, block) Hashtbl.t; xstats : exec_stats }
 
 (* Fork-path telemetry (process-wide; campaigns fan across domains).
-   These fire once per clone/materialise, so registry counters (shared
-   atomics) are cheap here. *)
+   These fire once per clone, so registry counters (shared atomics) are
+   cheap here. *)
 let metric_clones = "vm.tcache.clones"
 let metric_blocks_shared = "vm.tcache.blocks_shared"
-let metric_tables_materialised = "vm.tcache.tables_materialised"
 
 let g_clones = Telemetry.Registry.counter metric_clones
 let g_blocks_shared = Telemetry.Registry.counter metric_blocks_shared
-let g_materialised = Telemetry.Registry.counter metric_tables_materialised
 
 (* Execution-path totals fire on EVERY block dispatch, where a shared
    atomic would bounce cache lines between domains (measured: ~3x
    wall-clock on a 4-domain campaign). Instead each family registers
    its stats record once at [create] and the process totals are folded
    over the family registry on demand; the fold is published to the
-   telemetry registry as the [vm.tcache.hits/misses/compiles/
-   invalidated] metric group. Per-family counts are independent of
+   telemetry registry as the [vm.tcache.hits/misses/compiles] and
+   [vm.compile.*] metric group. Per-family counts are independent of
    [--jobs] scheduling, so the sums are too; they are only read after
    worker domains join (Domain.join gives the happens-before edge). *)
 let registry : exec_stats list ref = ref []
@@ -140,26 +114,16 @@ let fold_exec () =
         hits = acc.hits + x.hits;
         misses = acc.misses + x.misses;
         compiles = acc.compiles + x.compiles;
-        invalidated = acc.invalidated + x.invalidated;
         chains = acc.chains + x.chains;
         superblocks = acc.superblocks + x.superblocks;
         chain_hops = acc.chain_hops + x.chain_hops;
       })
-    {
-      hits = 0;
-      misses = 0;
-      compiles = 0;
-      invalidated = 0;
-      chains = 0;
-      superblocks = 0;
-      chain_hops = 0;
-    }
+    { hits = 0; misses = 0; compiles = 0; chains = 0; superblocks = 0; chain_hops = 0 }
     fams
 
 let metric_hits = "vm.tcache.hits"
 let metric_misses = "vm.tcache.misses"
 let metric_compiles = "vm.tcache.compiles"
-let metric_invalidated = "vm.tcache.invalidated"
 let metric_chains = "vm.compile.chains_patched"
 let metric_superblocks = "vm.compile.superblocks"
 let metric_chain_hops = "vm.compile.dispatch_avoided"
@@ -174,7 +138,6 @@ let () =
       (metric_hits, fun () -> (fold_exec ()).hits);
       (metric_misses, fun () -> (fold_exec ()).misses);
       (metric_compiles, fun () -> (fold_exec ()).compiles);
-      (metric_invalidated, fun () -> (fold_exec ()).invalidated);
       (metric_chains, fun () -> (fold_exec ()).chains);
       (metric_superblocks, fun () -> (fold_exec ()).superblocks);
       (metric_chain_hops, fun () -> (fold_exec ()).chain_hops);
@@ -182,38 +145,17 @@ let () =
 
 let create () =
   let xstats =
-    {
-      hits = 0;
-      misses = 0;
-      compiles = 0;
-      invalidated = 0;
-      chains = 0;
-      superblocks = 0;
-      chain_hops = 0;
-    }
+    { hits = 0; misses = 0; compiles = 0; chains = 0; superblocks = 0; chain_hops = 0 }
   in
   Mutex.lock registry_mu;
   registry := xstats :: !registry;
   Mutex.unlock registry_mu;
-  { blocks = Hashtbl.create 256; private_table = true; epoch = 0; xstats }
+  { blocks = Hashtbl.create 256; xstats }
 
 let clone t =
-  t.private_table <- false;
   Telemetry.Registry.incr g_clones;
   Telemetry.Registry.add g_blocks_shared (Hashtbl.length t.blocks);
-  { blocks = t.blocks; private_table = false; epoch = 0; xstats = t.xstats }
-
-let is_shared t = not t.private_table
-
-(* Break table sharing before the first mutation, preserving the
-   per-clone isolation guarantee: a patch + invalidation (or a fresh
-   decode) in one address space can never leak into a relative. *)
-let own t =
-  if not t.private_table then begin
-    t.blocks <- Hashtbl.copy t.blocks;
-    t.private_table <- true;
-    Telemetry.Registry.incr g_materialised
-  end
+  t
 
 let find t rip = Hashtbl.find_opt t.blocks rip
 
@@ -226,62 +168,10 @@ let note_compile t = t.xstats.compiles <- t.xstats.compiles + 1
 let note_chain t = t.xstats.chains <- t.xstats.chains + 1
 let note_superblock t = t.xstats.superblocks <- t.xstats.superblocks + 1
 let note_chain_hop t = t.xstats.chain_hops <- t.xstats.chain_hops + 1
-let epoch t = t.epoch
 
-(* [publish]: insert into the table *without* breaking fork sharing.
-   Sound only because hits re-validate the block's anchor: a relative
-   whose page payloads differ from the publisher's treats the entry as
-   a miss and decodes its own. The caller asserts publishability (every
-   anchored payload is CoW-aliased, so the bytes the block was decoded
-   from are the ones relatives currently see); publishing is what lets
-   one fork child's decode+translation of the hot service path be
-   reused by every later child in the family instead of being torn
-   down with the child. Without [publish], the table is privatised
-   first, exactly as before. *)
-let add ?(publish = false) t block =
-  if not publish then own t;
-  Hashtbl.replace t.blocks block.bb_start block
-
-let invalidate_range t ~addr ~len =
-  if len > 0 then begin
-    let lo = addr and hi = Int64.add addr (Int64.of_int len) in
-    let overlaps start len =
-      let e = Int64.add start (Int64.of_int len) in
-      Int64.compare start hi < 0 && Int64.compare lo e < 0
-    in
-    let stale =
-      Hashtbl.fold
-        (fun start b acc ->
-          (* overlap: [bb_start, b_end) ∩ [lo, hi) ≠ ∅ — or any fused
-             extent of a superblock stored in this block's slot *)
-          if
-            overlaps b.bb_start b.bb_bytes
-            || Array.exists (fun (a, l) -> overlaps a l) b.fused_ranges
-          then start :: acc
-          else acc)
-        t.blocks []
-    in
-    if stale <> [] then begin
-      own t;
-      List.iter (Hashtbl.remove t.blocks) stale;
-      let n = List.length stale in
-      t.xstats.invalidated <- t.xstats.invalidated + n;
-      t.epoch <- t.epoch + 1
-    end
-  end
-
-let invalidate_all t =
-  let n = Hashtbl.length t.blocks in
-  if t.private_table then Hashtbl.reset t.blocks
-  else begin
-    (* dropping everything: a fresh empty table is the copy *)
-    t.blocks <- Hashtbl.create 16;
-    t.private_table <- true
-  end;
-  if n > 0 then begin
-    t.xstats.invalidated <- t.xstats.invalidated + n;
-    t.epoch <- t.epoch + 1
-  end
+(* A relative whose page diverged fails the block's anchor on its next
+   fetch and adds its own decode over this one. *)
+let add t block = Hashtbl.replace t.blocks block.bb_start block
 
 let stats t =
   Hashtbl.fold (fun _ b (nb, ni) -> (nb + 1, ni + Array.length b.insns)) t.blocks (0, 0)
@@ -291,7 +181,6 @@ let exec_stats t =
     hits = t.xstats.hits;
     misses = t.xstats.misses;
     compiles = t.xstats.compiles;
-    invalidated = t.xstats.invalidated;
     chains = t.xstats.chains;
     superblocks = t.xstats.superblocks;
     chain_hops = t.xstats.chain_hops;

@@ -387,33 +387,10 @@ let run_to_halt cpu mem =
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("expected hlt, got " ^ result_to_string r)
 
-(* Patching text must reach compiled execution through invalidation: the
-   stale closures are dropped with the block and the patched bytes are
-   re-decoded and re-compiled. *)
-let test_patch_invalidates_compiled () =
-  Alcotest.(check bool) "compiled execution on" true (Compile.enabled ());
-  let cpu, mem = fresh () in
-  load_program mem [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 1L); Insn.Hlt ];
-  run_to_halt cpu mem;
-  Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal) "first run"
-    1L (Cpu.get cpu Reg.RAX);
-  let compiles_before = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles in
-  Alcotest.(check bool) "block was compiled" true (compiles_before >= 1);
-  (* patch in place, invalidate, re-run: new semantics must win *)
-  let patched = Encode.list_to_bytes [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 2L); Insn.Hlt ] in
-  Memory.write_bytes mem text_base patched;
-  Cpu.invalidate_decode cpu ~addr:text_base ~len:(Bytes.length patched);
-  Alcotest.(check bool) "invalidation counted" true
-    ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.invalidated >= 1);
-  run_to_halt cpu mem;
-  Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal) "patched run"
-    2L (Cpu.get cpu Reg.RAX);
-  Alcotest.(check bool) "patched block recompiled" true
-    ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles > compiles_before)
-
 (* A fork child reuses the parent's compiled blocks (shared Tcache
    records carry the translation), and divergence after the fork stays
-   private to the side that patched. *)
+   private to the side that wrote: the write is a CoW break, so the
+   block's anchor fails in that space alone. *)
 let test_compiled_across_fork () =
   let cpu, mem = fresh () in
   load_program mem [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 7L); Insn.Hlt ];
@@ -423,10 +400,9 @@ let test_compiled_across_fork () =
   run_to_halt ccpu cmem;
   Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal)
     "child reuses compiled block" 7L (Cpu.get ccpu Reg.RAX);
-  (* child patches its private text; parent must be unaffected *)
+  (* child writes its copy of the text; parent must be unaffected *)
   let patched = Encode.list_to_bytes [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 9L); Insn.Hlt ] in
   Memory.write_bytes cmem text_base patched;
-  Cpu.invalidate_decode ccpu ~addr:text_base ~len:(Bytes.length patched);
   run_to_halt ccpu cmem;
   Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal)
     "child sees patch" 9L (Cpu.get ccpu Reg.RAX);
@@ -434,10 +410,10 @@ let test_compiled_across_fork () =
   Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal)
     "parent keeps original" 7L (Cpu.get cpu Reg.RAX)
 
-(* Blocks decoded by one fork relative from a CoW-shared page are
-   published into the shared table; the other relatives reuse them
-   without re-decoding, and the payload anchor — not manual
-   invalidation — protects each space once its pages diverge. *)
+(* A block decoded by one fork relative from a CoW-shared page goes into
+   the family's table; the other relatives reuse it without
+   re-decoding, and the payload anchor protects each space once its
+   pages diverge. *)
 let test_published_block_and_anchor () =
   let cpu, mem = fresh () in
   let prog_b_addr = Int64.add text_base 0x100L in
@@ -447,16 +423,12 @@ let test_published_block_and_anchor () =
   run_to_halt cpu mem;
   let ccpu = Cpu.clone cpu in
   let cmem = Memory.clone mem in
-  Alcotest.(check bool) "tables aliased after fork" true
-    (Tcache.is_shared ccpu.Cpu.tcache);
   (* child decodes prog B from the fork-shared text page *)
   ccpu.Cpu.rip <- prog_b_addr;
   (match Exec.run env ccpu cmem with
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("child prog B: " ^ result_to_string r));
-  Alcotest.(check bool) "publish did not materialise the table" true
-    (Tcache.is_shared ccpu.Cpu.tcache);
-  Alcotest.(check bool) "parent sees the published block" true
+  Alcotest.(check bool) "parent sees the child's block" true
     (Tcache.find cpu.Cpu.tcache prog_b_addr <> None);
   let misses_before = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.misses in
   cpu.Cpu.rip <- prog_b_addr;
@@ -468,8 +440,8 @@ let test_published_block_and_anchor () =
   Alcotest.(check int) "parent hit, no re-decode" misses_before
     (Tcache.exec_stats cpu.Cpu.tcache).Tcache.misses;
   (* parent rewrites its copy of the page: CoW gives it a fresh payload,
-     the published block's anchor goes stale for the parent only, and
-     the next fetch re-decodes — no invalidate call involved *)
+     the child's block's anchor goes stale for the parent only, and the
+     next fetch re-decodes *)
   Memory.write_bytes mem prog_b_addr
     (Encode.list_to_bytes [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 3L); Insn.Hlt ]);
   cpu.Cpu.rip <- prog_b_addr;
@@ -495,14 +467,17 @@ let block_c = Int64.add text_base 0x100L
 
 let mov_hlt reg v = Encode.list_to_bytes [ Insn.Mov (Operand.reg reg, Operand.imm v); Insn.Hlt ]
 
-(* A: rax <- 1, jmp B.  B: rbx <- v, hlt.  Tier 2 patches A's exit to
+(* A: rax <- 1, jmp B.  B: rbx <- v, hlt.  Chaining patches A's exit to
    call B's closure directly (or fuses the pair), so re-running A never
-   revisits the dispatcher for B: patching B exercises the link-epoch
-   and fused-range invalidation paths, not the per-fetch anchor check. *)
-let load_two_blocks mem ~b_value =
+   revisits the dispatcher for B. [b] defaults to A's page. *)
+let load_two_blocks ?(b = block_b) mem ~b_value =
   load_program mem
-    [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 1L); Insn.Jmp (Insn.Abs block_b) ];
-  Memory.write_bytes mem block_b (mov_hlt Reg.RBX b_value)
+    [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 1L); Insn.Jmp (Insn.Abs b) ];
+  Memory.write_bytes mem b (mov_hlt Reg.RBX b_value)
+
+(* A page of its own, past the text page, for a block whose CoW break
+   must leave the text page's anchors intact. *)
+let own_page = Int64.add text_base 0x2000L
 
 let check_reg msg reg v cpu =
   Alcotest.check (Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal) msg v (Cpu.get cpu reg)
@@ -512,41 +487,8 @@ let with_fuse_threshold n f =
   Compile.set_fuse_threshold n;
   Fun.protect ~finally:(fun () -> Compile.set_fuse_threshold saved) f
 
-let test_chained_exit_invalidation () =
-  with_fuse_threshold 1_000_000 @@ fun () ->
-  let cpu, mem = fresh () in
-  load_two_blocks mem ~b_value:2L;
-  run_to_halt cpu mem;
-  run_to_halt cpu mem;
-  let stats = Tcache.exec_stats cpu.Cpu.tcache in
-  Alcotest.(check bool) "exit link patched" true (stats.Tcache.chains >= 1);
-  Alcotest.(check int) "no superblock at this threshold" 0 stats.Tcache.superblocks;
-  check_reg "chained run" Reg.RBX 2L cpu;
-  Memory.write_bytes mem block_b (mov_hlt Reg.RBX 9L);
-  Cpu.invalidate_decode cpu ~addr:block_b ~len:16;
-  run_to_halt cpu mem;
-  check_reg "patched successor executed, not the stale link" Reg.RBX 9L cpu
-
-let test_superblock_constituent_patch () =
-  with_fuse_threshold 1 @@ fun () ->
-  let cpu, mem = fresh () in
-  load_two_blocks mem ~b_value:2L;
-  run_to_halt cpu mem;
-  run_to_halt cpu mem;
-  let stats = Tcache.exec_stats cpu.Cpu.tcache in
-  Alcotest.(check bool) "superblock formed" true (stats.Tcache.superblocks >= 1);
-  run_to_halt cpu mem;
-  check_reg "fused run" Reg.RBX 2L cpu;
-  (* patch the *interior* constituent: B's own record is dropped by the
-     range walk, and the head's fused_ranges entry must take the
-     superblock (which tail-duplicated B's code under A's address) down
-     with it *)
-  Memory.write_bytes mem block_b (mov_hlt Reg.RBX 9L);
-  Cpu.invalidate_decode cpu ~addr:block_b ~len:16;
-  run_to_halt cpu mem;
-  check_reg "patched constituent executed" Reg.RBX 9L cpu;
-  check_reg "head semantics intact" Reg.RAX 1L cpu
-
+(* A superblock is shared by the fork family, yet each relative must
+   run its own bytes once a constituent's page diverges. *)
 let test_superblock_across_fork () =
   with_fuse_threshold 1 @@ fun () ->
   let cpu, mem = fresh () in
@@ -559,37 +501,36 @@ let test_superblock_across_fork () =
   let cmem = Memory.clone mem in
   run_to_halt ccpu cmem;
   check_reg "child reuses the superblock" Reg.RBX 2L ccpu;
-  (* the child patches its private copy of B and invalidates through the
-     family-shared table: the fused head is dropped for every relative,
-     yet each side must keep executing its own bytes *)
+  (* the child writes its copy of B, on A's page: the CoW break fails
+     the head's anchor in the child, whose dispatcher re-decodes *)
   Memory.write_bytes cmem block_b (mov_hlt Reg.RBX 9L);
-  Cpu.invalidate_decode ccpu ~addr:block_b ~len:16;
   run_to_halt ccpu cmem;
-  check_reg "child sees patch" Reg.RBX 9L ccpu;
+  check_reg "child sees its write" Reg.RBX 9L ccpu;
   run_to_halt cpu mem;
   check_reg "parent keeps original" Reg.RBX 2L cpu;
-  (* second family: fork while the superblock is live, then have the
-     child write B's CoW-shared page with no invalidate call at all.
-     A's page is untouched, so the dispatcher's head-anchor check
-     passes; only the entry-time constituent-anchor sweep can strip the
-     stale tail-duplicated copy of B *)
+  (* second family: B on a page of its own. Fork while the superblock
+     is live, then have the child write B's CoW-shared page. A's page is
+     untouched, so the dispatcher's head-anchor check passes; only the
+     translation's constituent-anchor check can strip the stale
+     tail-duplicated copy of B *)
   let cpu, mem = fresh () in
-  load_two_blocks mem ~b_value:2L;
+  Memory.map mem ~addr:own_page ~len:4096;
+  load_two_blocks ~b:own_page mem ~b_value:2L;
   run_to_halt cpu mem;
   run_to_halt cpu mem;
   Alcotest.(check bool) "second family fused" true
     ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks >= 1);
   let dcpu = Cpu.clone cpu in
   let dmem = Memory.clone mem in
-  Memory.write_bytes dmem block_b (mov_hlt Reg.RBX 5L);
+  Memory.write_bytes dmem own_page (mov_hlt Reg.RBX 5L);
   run_to_halt dcpu dmem;
   check_reg "constituent anchor strips the fusion" Reg.RBX 5L dcpu;
   run_to_halt cpu mem;
   check_reg "parent unaffected by CoW divergence" Reg.RBX 2L cpu
 
-(* A chain link remembers the space and payload generation of its last
-   full anchor check and skips the check while both match. A CoW break
-   with no invalidation — the child writes one byte into a chained
+(* A translation remembers the space and payload generation of its last
+   passing anchor sweep, and links into it skip the sweep while both
+   match. A CoW break — the child writes one byte into a chained
    successor's fork-shared text page — moves the child's generation, so
    its next hop re-checks the successor's anchor, finds it stale and
    bounces to the dispatcher, which decodes the new bytes. The successor
@@ -629,14 +570,50 @@ let test_chain_link_generation () =
   let old_b = tail 2L and new_b = tail 9L in
   let i = ref 0 in
   while Bytes.get old_b !i = Bytes.get new_b !i do incr i done;
-  let gen = Memory.generation cmem and invalidated = (stats ()).Tcache.invalidated in
+  let gen = Memory.generation cmem in
   Memory.write_u8 cmem (Int64.add succ (Int64.of_int !i)) (Char.code (Bytes.get new_b !i));
   Alcotest.(check bool) "CoW break moved the generation" true (Memory.generation cmem > gen);
-  Alcotest.(check int) "no invalidation" invalidated (stats ()).Tcache.invalidated;
   loop ccpu cmem;
   check_reg "child's next hop runs the new bytes" Reg.RBX 9L ccpu;
   loop cpu mem;
   check_reg "parent keeps the old bytes" Reg.RBX 2L cpu
+
+(* A superblock reached through a chain link must pass the same
+   constituent-anchor check as one reached from the dispatcher. X ends
+   in a conditional branch, so it never fuses, and A is reached only
+   through X's link; A+B fuses. The child's write to B's own page
+   leaves X's and A's anchors intact. *)
+let test_stale_superblock_behind_link () =
+  with_fuse_threshold 1 @@ fun () ->
+  let block_a = block_b and b = own_page in
+  let cpu, mem = fresh () in
+  Memory.map mem ~addr:b ~len:4096;
+  load_program mem
+    [
+      Insn.Bin (Insn.Cmp, Operand.reg Reg.RCX, Operand.imm 0L);
+      Insn.Jcc (Insn.E, Insn.Abs block_a);
+      Insn.Hlt;
+    ];
+  Memory.write_bytes mem block_a
+    (Encode.list_to_bytes
+       [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 1L); Insn.Jmp (Insn.Abs b) ]);
+  Memory.write_bytes mem b (mov_hlt Reg.RBX 2L);
+  let run_x cpu mem =
+    Cpu.set cpu Reg.RCX 0L;
+    run_to_halt cpu mem
+  in
+  for _ = 1 to 4 do
+    run_x cpu mem
+  done;
+  Alcotest.(check int) "A+B fused, X not" 1
+    (Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks;
+  let ccpu = Cpu.clone cpu in
+  let cmem = Memory.clone mem in
+  Memory.write_bytes cmem b (mov_hlt Reg.RBX 9L);
+  run_x ccpu cmem;
+  check_reg "child runs its own B" Reg.RBX 9L ccpu;
+  run_x cpu mem;
+  check_reg "parent keeps its B" Reg.RBX 2L cpu
 
 (* Superblock fusion must not perturb profiler attribution: the fused
    translation retires a whole chain in one sweep, yet its
@@ -816,40 +793,6 @@ let test_fault_exact_mid_superblock () =
   Alcotest.check int64_t "cycles at fault" c0 c;
   Alcotest.check int64_t "rbx shows exactly the retired adds" 6L
     g.(Reg.index Reg.RBX)
-
-(* patch_text inside a superblock: invalidating an interior constituent
-   must take the fused chain down with the superblock, and the patched
-   bytes must retranslate. *)
-let test_patch_in_cached_region () =
-  with_fuse_threshold 1 @@ fun () ->
-  let cpu, mem = fresh () in
-  load_program mem
-    [
-      Insn.Bin (Insn.Add, Operand.reg Reg.RBX, Operand.imm 1L);
-      Insn.Bin (Insn.Add, Operand.reg Reg.RBX, Operand.imm 2L);
-      Insn.Jmp (Insn.Abs block_b);
-    ];
-  let b_bytes v =
-    Encode.list_to_bytes
-      [ Insn.Bin (Insn.Add, Operand.reg Reg.RBX, Operand.imm v); Insn.Hlt ]
-  in
-  Memory.write_bytes mem block_b (b_bytes 4L);
-  run_to_halt cpu mem;
-  run_to_halt cpu mem;
-  Alcotest.(check bool) "superblock formed" true
-    ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks >= 1);
-  Cpu.set cpu Reg.RBX 0L;
-  run_to_halt cpu mem;
-  check_reg "fused run through the chain" Reg.RBX 7L cpu;
-  let compiles = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles in
-  Memory.write_bytes mem block_b (b_bytes 40L);
-  Cpu.invalidate_decode cpu ~addr:block_b ~len:16;
-  Cpu.set cpu Reg.RBX 0L;
-  run_to_halt cpu mem;
-  check_reg "patched constituent executed, stale fused chain dropped"
-    Reg.RBX 43L cpu;
-  Alcotest.(check bool) "patched bytes retranslated" true
-    ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles > compiles)
 
 (* Minor-heap words per retired instruction of a loop run to its hlt,
    after a warm-up run of the same code has translated and fused it. *)
@@ -1241,12 +1184,17 @@ let test_fuel_tail () =
     (cpu, mem)
   in
   with_fuse_threshold 1 @@ fun () ->
-  (let cpu, _ = machine ~compiled:true in
-   match Tcache.find cpu.Cpu.tcache text_base with
-   | Some head ->
-     Alcotest.(check int) "the head's superblock fuses B and C" 2
-       (Array.length head.Tcache.fused_ranges)
-   | None -> Alcotest.fail "head block not cached");
+  (* one superblock, and a run from the head retires all [n]
+     instructions of A, B and C without a chain hop: the three are one
+     translation *)
+  (let cpu, mem = machine ~compiled:true in
+   let stats () = Tcache.exec_stats cpu.Cpu.tcache in
+   Alcotest.(check int) "one superblock" 1 (stats ()).Tcache.superblocks;
+   let hops = (stats ()).Tcache.chain_hops in
+   let outcome, retired = Exec.step_block env cpu mem ~max_insns:n in
+   if outcome <> Exec.Running then Alcotest.fail "the head's run stopped early";
+   Alcotest.(check int) "the head's run retires A, B and C" n retired;
+   Alcotest.(check int) "without a chain hop" hops (stats ()).Tcache.chain_hops);
   for f = 1 to n - 1 do
     let what = Printf.sprintf "the fuel tail at f = %d" f in
     let cpu, mem = machine ~compiled:true in
@@ -1283,8 +1231,6 @@ let () =
         ] );
       ( "targeted",
         [
-          Alcotest.test_case "patch_text invalidates compiled block" `Quick
-            test_patch_invalidates_compiled;
           Alcotest.test_case "compiled blocks across CoW fork" `Quick
             test_compiled_across_fork;
           Alcotest.test_case "published block + anchor staleness" `Quick
@@ -1292,12 +1238,10 @@ let () =
         ] );
       ( "tier-2",
         [
-          Alcotest.test_case "patching a chained successor unlinks it" `Quick
-            test_chained_exit_invalidation;
-          Alcotest.test_case "patching inside a superblock drops the fusion"
-            `Quick test_superblock_constituent_patch;
-          Alcotest.test_case "superblock invalidation across CoW fork" `Quick
+          Alcotest.test_case "superblock tail diverges across CoW fork" `Quick
             test_superblock_across_fork;
+          Alcotest.test_case "stale superblock tail behind a chain link" `Quick
+            test_stale_superblock_behind_link;
           Alcotest.test_case "CoW break re-checks a chain link's successor" `Quick
             test_chain_link_generation;
           Alcotest.test_case "profile attribution identical under fusion"
@@ -1310,8 +1254,6 @@ let () =
           Alcotest.test_case "rdtsc compiles mid-block" `Quick test_rdtsc_compiles;
           Alcotest.test_case "faults are exact mid-superblock" `Quick
             test_fault_exact_mid_superblock;
-          Alcotest.test_case "patching inside the cached region retranslates"
-            `Quick test_patch_in_cached_region;
           Alcotest.test_case "page windows match the interpreter" `Quick
             test_page_window_guard;
           Alcotest.test_case "chain allocates < 0.5 words/insn" `Quick

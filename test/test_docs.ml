@@ -103,6 +103,16 @@ let test_bold_numbers_in_goldens () =
   if missing <> [] then Alcotest.fail (String.concat "\n" missing);
   Alcotest.(check bool) "bold numbers were found" true (!checked > 40)
 
+(* README's sample --mem-stats line is the effectiveness golden's. *)
+let test_readme_mem_stats () =
+  let prefix = "MEM_STATS effectiveness:" in
+  let lines path = String.split_on_char '\n' (String.trim (read_file path)) in
+  let golden = List.nth (List.rev (lines "../bench/expected/effectiveness.txt")) 0 in
+  match List.filter (String.starts_with ~prefix) (lines "../README.md") with
+  | [ sample ] -> Alcotest.(check string) "README's MEM_STATS sample" golden sample
+  | samples ->
+    Alcotest.failf "README has %d %S lines, expected one" (List.length samples) prefix
+
 let () =
   Alcotest.run "docs"
     [
@@ -110,5 +120,10 @@ let () =
         [
           Alcotest.test_case "bold numbers appear in the goldens" `Quick
             test_bold_numbers_in_goldens;
+        ] );
+      ( "readme",
+        [
+          Alcotest.test_case "MEM_STATS sample is the effectiveness golden" `Quick
+            test_readme_mem_stats;
         ] );
     ]

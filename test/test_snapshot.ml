@@ -1,6 +1,5 @@
 (* Zygote snapshots: capture/resume round-trips, machine-state
-   equality against a cold spawn, compiled-tier survival, and
-   invalidation epochs after restore. *)
+   equality against a cold spawn, and compiled-tier survival. *)
 
 let i64 = Alcotest.testable (Fmt.fmt "0x%Lx") Int64.equal
 
@@ -161,31 +160,6 @@ let test_compiled_blocks_survive_resume () =
      copy must not recompile it (fork children share the warm cache) *)
   Alcotest.(check int) "no recompilation after resume" 0 compiles
 
-let test_patch_text_after_resume_invalidates () =
-  (* invalidation epochs survive restore: a patch_text on the thawed
-     copy must take effect on its next request *)
-  let image = compile ~scheme:Pssp.Scheme.Pssp server_src in
-  let k, p = boot image in
-  serve k p "x";
-  let snap = Os.Snapshot.capture k p in
-  let q = Os.Snapshot.resume k snap in
-  serve k q "x";
-  Alcotest.(check string) "pre-patch helper" "11" (Os.Process.stdout q);
-  let helper =
-    (Os.Image.find_symbol_exn q.Os.Process.image "helper").Os.Image.sym_addr
-  in
-  let patch =
-    Isa.Encode.list_to_bytes
-      [ Isa.Insn.Mov (Isa.Operand.reg Isa.Reg.RAX, Isa.Operand.imm 2L); Isa.Insn.Ret ]
-  in
-  Os.Process.patch_text q ~addr:helper patch;
-  serve k q "x";
-  Alcotest.(check string) "patched helper after resume" "112" (Os.Process.stdout q);
-  (* the frozen original and its other copies are unaffected *)
-  let r = Os.Snapshot.resume k snap in
-  serve k r "x";
-  Alcotest.(check string) "sibling copy unpatched" "11" (Os.Process.stdout r)
-
 (* ---- defense-family state across snapshots and forks ------------------------ *)
 
 let test_pac_key_survives_resume () =
@@ -287,8 +261,6 @@ let () =
         [
           Alcotest.test_case "warm tcache survives resume" `Quick
             test_compiled_blocks_survive_resume;
-          Alcotest.test_case "patch_text after resume invalidates" `Quick
-            test_patch_text_after_resume_invalidates;
         ] );
       ( "defense families",
         [
