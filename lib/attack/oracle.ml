@@ -19,7 +19,7 @@ type t = {
   insn_tax : int;
   image : Os.Image.t;
   respawn : respawn;
-  snapshot : Os.Snapshot.t option;  (* [Some] iff [Zygote] *)
+  snapshot : Os.Kernel.snapshot option;  (* [Some] iff [Zygote] *)
   mutable respawns : int;
 }
 
@@ -43,7 +43,7 @@ let create ?(seed = 0xA77ACCL) ?(preload = Os.Preload.No_preload)
   let kernel, server = boot ~seed ~preload ~insn_tax image in
   let snapshot =
     match respawn with
-    | Zygote -> Some (Os.Snapshot.capture kernel server)
+    | Zygote -> Some (Os.Kernel.capture_snapshot kernel server)
     | No_respawn | Cold -> None
   in
   {
@@ -70,7 +70,7 @@ let restart_victim t =
       | None -> boot ~seed:t.seed ~preload:t.preload ~insn_tax:t.insn_tax t.image
       | Some snap ->
         let kernel = Os.Kernel.create ~seed:t.seed () in
-        let server = Os.Snapshot.resume kernel snap in
+        let server = Os.Kernel.resume_snapshot kernel snap in
         (kernel, server)
     in
     t.kernel <- kernel;

@@ -14,10 +14,10 @@ type t
     byte-sweep failed, or the parent died). [No_respawn] keeps
     hammering the same long-lived parent — the historical oracle.
     [Cold] boots a fresh kernel + spawn + warmup each restart; [Zygote]
-    thaws a warm {!Os.Snapshot} captured at the first accept. Cold and
-    Zygote are observationally identical (the snapshot round-trip is
-    bit-exact), isolating exactly the restart cost the prefork/zygote
-    pattern amortizes. *)
+    thaws a warm {!Os.Kernel.snapshot} captured at the first accept.
+    Cold and Zygote are observationally identical (the snapshot
+    round-trip is bit-exact), isolating exactly the restart cost the
+    prefork/zygote pattern amortizes. *)
 type respawn = No_respawn | Cold | Zygote
 
 val create :

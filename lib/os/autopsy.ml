@@ -34,10 +34,7 @@ let examine (proc : Process.t) =
   let frames = Debug.backtrace proc in
   let verdict =
     match proc.Process.status with
-    | Process.Runnable | Process.Blocked_accept | Process.Blocked_read _
-    | Process.Blocked_write _ | Process.Blocked_poll _ | Process.Blocked_wait
-      ->
-      Not_dead
+    | Process.Runnable | Process.Blocked _ -> Not_dead
     | Process.Exited code -> Clean_exit code
     | Process.Killed (Process.Sigabrt, message) -> Canary_abort { message }
     | Process.Killed (_, detail) ->

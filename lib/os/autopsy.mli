@@ -7,7 +7,7 @@
     overflow corrupted something other than the return address). *)
 
 type verdict =
-  | Not_dead  (** the process is still runnable *)
+  | Not_dead  (** the process is still alive: runnable or parked *)
   | Clean_exit of int
   | Canary_abort of { message : string }
       (** [__stack_chk_fail] (or the P-SSP check) fired *)

@@ -1,17 +1,20 @@
 open Vm64
 
+type call =
+  | Accept
+  | Read of { fd : int; dst : int64; cap : int }
+  | Write of { fd : int; data : bytes; written : int }
+  | Poll of { dst : int64; cap : int }
+  | Wait_child
+
 type control =
   | Exit of int
   | Abort of string
   | Fork
   | Spawn_thread of { start : int64; arg : int64 }
-  | Wait_child
   | Wait_child_nb
-  | Accept
   | Listen of { fd : int; backlog : int }
-  | Sock_read of { fd : int; dst : int64; cap : int }
-  | Sock_write of { fd : int; data : bytes }
-  | Epoll_wait of { dst : int64; cap : int }
+  | Call of call
   | Close_fd of int
 
 type outcome = Ret of int64 | Control of control
@@ -436,6 +439,9 @@ let stack_chk_fail_pssp cpu mem =
 
 (* ---- dispatch --------------------------------------------------------- *)
 
+(* The payload is snapshotted at call time, like write(2). *)
+let write fd data = Control (Call (Write { fd; data; written = 0 }))
+
 let dispatch ~name cpu mem ~pid io =
   match inline_core name with
   | Some core -> Ret (core cpu mem)  (* pure cores, shared with inlining *)
@@ -455,7 +461,7 @@ let dispatch ~name cpu mem ~pid io =
     Control (Spawn_thread { start = arg cpu 0; arg = arg cpu 1 })
   | "waitpid" ->
     charge cpu Cost.syscall_cycles;
-    Control Wait_child
+    Control (Call Wait_child)
   | "waitpid_nb" ->
     charge cpu Cost.syscall_cycles;
     Control Wait_child_nb
@@ -464,7 +470,7 @@ let dispatch ~name cpu mem ~pid io =
     Ret (Int64.of_int pid)
   | "accept" ->
     charge cpu Cost.syscall_cycles;
-    Control Accept
+    Control (Call Accept)
   | "socket" ->
     charge cpu Cost.syscall_cycles;
     Ret (Int64.of_int (install_listener io (Net.Socket.create ())))
@@ -495,41 +501,32 @@ let dispatch ~name cpu mem ~pid io =
        whole open fd table is the interest set — level-triggered. *)
     let dst = arg cpu 0 and cap = Int64.to_int (arg cpu 1) in
     charge cpu Cost.syscall_cycles;
-    Control (Epoll_wait { dst; cap })
+    Control (Call (Poll { dst; cap }))
   | "close" ->
     charge cpu Cost.syscall_cycles;
     Control (Close_fd (Int64.to_int (arg cpu 0)))
-  | "read" -> (
+  | "read" ->
     let fd = Int64.to_int (arg cpu 0)
     and dst = arg cpu 1
     and cap = Int64.to_int (arg cpu 2) in
     charge cpu Cost.syscall_cycles;
-    match conn_of_fd io fd with
-    | Some _ -> Control (Sock_read { fd; dst; cap })
-    | None -> Ret (-1L))
-  | "write" -> (
+    Control (Call (Read { fd; dst; cap }))
+  | "write" ->
     let fd = Int64.to_int (arg cpu 0)
     and src = arg cpu 1
     and n = Int64.to_int (arg cpu 2) in
     charge_bytes cpu n;
-    let data = if n > 0 then Memory.read_bytes mem src n else Bytes.create 0 in
-    match conn_of_fd io fd with
-    | Some _ -> Control (Sock_write { fd; data })
-    | None -> Ret (-1L))
-  | "write_str" -> (
+    write fd (if n > 0 then Memory.read_bytes mem src n else Bytes.create 0)
+  | "write_str" ->
     let fd = Int64.to_int (arg cpu 0) in
     let s = read_cstring mem (arg cpu 1) in
     charge_bytes cpu (String.length s);
-    match conn_of_fd io fd with
-    | Some _ -> Control (Sock_write { fd; data = Bytes.of_string s })
-    | None -> Ret (-1L))
-  | "write_int" -> (
+    write fd (Bytes.of_string s)
+  | "write_int" ->
     let fd = Int64.to_int (arg cpu 0) in
     let s = Int64.to_string (arg cpu 1) in
     charge cpu (Cost.builtin_base_cycles + 16);
-    match conn_of_fd io fd with
-    | Some _ -> Control (Sock_write { fd; data = Bytes.of_string s })
-    | None -> Ret (-1L))
+    write fd (Bytes.of_string s)
   | "__stack_chk_fail" ->
     Buffer.add_string io.errout "*** stack smashing detected ***: terminated\n";
     Control (Abort "*** stack smashing detected ***: terminated")

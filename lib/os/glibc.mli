@@ -10,32 +10,39 @@
     Builtins that need kernel services (fork, exit, waitpid, accept,
     and the fd operations that may block on a {!Net.Conn}) return a
     [Control] value that {!Kernel} interprets. [read], [write],
-    [write_str] and [write_int] serve connection fds only and return -1
-    on any other fd; a program's stdin and stdout are [read_input],
-    [read_n] and the [print_*] family. *)
+    [write_str] and [write_int] serve connection fds only: the kernel
+    returns -1 for any other fd. A program's stdin and stdout are
+    [read_input], [read_n] and the [print_*] family. *)
+
+(** A kernel service that may block. The kernel runs it through one
+    attempt, on its first issue and again after each wakeup; a process
+    parked in it holds it as its status ([Process.Blocked]). *)
+type call =
+  | Accept
+      (** the next pending connection on the process's listening
+          socket; -1 at once without one *)
+  | Read of { fd : int; dst : int64; cap : int }
+      (** read from a connection fd into the guest buffer at [dst] *)
+  | Write of { fd : int; data : bytes; written : int }
+      (** write [data] to a connection fd; [written] is how much of it
+          earlier attempts already moved. The payload is snapshotted at
+          call time, like [write(2)]. *)
+  | Poll of { dst : int64; cap : int }
+      (** epoll-style readiness query over the whole open fd table:
+          writes the ready fds into the guest array at [dst] (8-byte
+          slots, at most [cap]) *)
+  | Wait_child  (** blocking waitpid: reaps the oldest pending child *)
 
 type control =
   | Exit of int
   | Abort of string  (** SIGABRT with diagnostic (stack smashing etc.) *)
   | Fork
   | Spawn_thread of { start : int64; arg : int64 }
-  | Wait_child  (** blocking waitpid: parks until a pending child dies *)
   | Wait_child_nb  (** WNOHANG-style reap of one dead child, never parks *)
-  | Accept
-      (** block for the next pending connection on the process's
-          listening socket; fails with -1 at once without one *)
   | Listen of { fd : int; backlog : int }
       (** kernel-served so every listener lands in the kernel's
           port-sharding table (SO_REUSEPORT semantics) *)
-  | Sock_read of { fd : int; dst : int64; cap : int }
-      (** read from a connection fd; parks when no bytes are pending *)
-  | Sock_write of { fd : int; data : bytes }
-      (** write to a connection fd; parks while the TX buffer is full.
-          The payload is snapshotted at call time, like [write(2)]. *)
-  | Epoll_wait of { dst : int64; cap : int }
-      (** readiness query over the whole open fd table; parks until at
-          least one fd is ready, then writes ready fds into the guest
-          array at [dst] (8-byte slots, at most [cap]) *)
+  | Call of call
   | Close_fd of int
 
 type outcome =

@@ -1,18 +1,18 @@
 open Vm64
 
-(* PR 5 made the kernel a round-robin ready-queue scheduler; PR 6 makes
-   blocking event-driven. Processes run in bounded slices and park in
-   Blocked_* states for kernel services (accept, conn read/write,
-   epoll_wait, blocking waitpid). Instead of re-polling every blocked
-   process before each dispatch (O(procs log procs) per dispatch), a
-   parking process registers a one-shot waiter on the exact object it
-   waits for — conn RX/TX, a socket's accept queue, or (implicitly) a
-   child's death — and the event that satisfies the wait pushes its pid
-   onto a wake queue. Waiters fire in pid order within one event and
-   FIFO across events, so scheduling stays deterministic for a
-   deterministic workload. Virtual time ([now]) is the cycles retired
-   across all processes — one simulated core — and drives connection
-   timeouts and the load generator's clocks. *)
+(* A round-robin ready-queue scheduler with event-driven blocking.
+   Processes run in bounded slices. A kernel service that may block
+   (accept, conn read/write, epoll_wait, blocking waitpid) is a
+   [Glibc.call], and one [attempt] runs it, both on its first issue and
+   on every retry after a wakeup. A call that cannot complete parks the
+   process in [Blocked call], registering a one-shot waiter on the exact
+   object it waits for — conn RX/TX, a socket's accept queue, or
+   (implicitly) a child's death — and the event that may let it
+   complete pushes its pid onto a wake queue. Waiters fire in pid order
+   within one event and FIFO across events, so scheduling stays
+   deterministic for a deterministic workload. Virtual time ([now]) is
+   the cycles retired across all processes — one simulated core — and
+   drives connection timeouts and the load generator's clocks. *)
 
 (* Listeners sharing a port, SO_REUSEPORT-style: [listen] registers the
    socket here and the kernel round-robins incoming connects across the
@@ -31,7 +31,7 @@ type t = {
       (* pids whose blocked condition may now hold (an event fired);
          drained before each dispatch, FIFO *)
   blocked_io : (int, unit) Hashtbl.t;
-      (* pids parked in Blocked_read/Blocked_write — the only states
+      (* pids parked in a conn read or write — the only calls
          connection timeouts apply to *)
   mutable next_timeout_check : int64 option;
       (* earliest deadline at which some blocked conn op could time
@@ -70,25 +70,24 @@ let g_exits = Telemetry.Registry.counter "os.kernel.exits"
 let g_wakeups = Telemetry.Registry.counter "os.kernel.wakeups"
 
 (* A readiness event fired for this blocked process: queue it for a
-   retry of its parked operation. The [wake_pending] flag dedups — one
+   retry of its parked call. The [wake_pending] flag dedups — one
    queue slot per process no matter how many events fire. *)
 let mark_ready t (p : Process.t) =
-  if
-    Process.status_is_blocked p.Process.status
-    && not p.Process.wake_pending
-  then begin
+  match p.Process.status with
+  | Process.Blocked _ when not p.Process.wake_pending ->
     p.Process.wake_pending <- true;
     Telemetry.Registry.incr g_wakeups;
     Queue.push p.Process.pid t.wake
-  end
+  | _ -> ()
 
-(* A dying child is the event a Blocked_wait parent sleeps on. *)
+(* A dying child is the event a parent parked in waitpid sleeps on. *)
 let mark_parent_of_dead t (p : Process.t) =
   match p.Process.parent with
   | None -> ()
   | Some ppid -> (
     match Hashtbl.find_opt t.procs ppid with
-    | Some parent when parent.Process.status = Process.Blocked_wait ->
+    | Some ({ Process.status = Process.Blocked Glibc.Wait_child; _ } as parent)
+      ->
       mark_ready t parent
     | _ -> ())
 
@@ -117,6 +116,9 @@ let note_killed t (p : Process.t) signal msg =
           ("msg", msg);
         ]
       ~cycles:p.Process.cpu.Cpu.cycles
+
+let note_fault t p fault =
+  note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault)
 
 (* Above the builtin slot table (41 slots x 64 B); the glibc region is
    mapped 8 KiB so both stubs fit comfortably. *)
@@ -161,6 +163,27 @@ let enqueue t (p : Process.t) =
     p.Process.queued <- true;
     Queue.push p.Process.pid t.ready
   end
+
+(* Every process — spawned, forked or resumed from a snapshot — starts
+   runnable, with a fresh pid, in the process table. *)
+let new_process t ~parent ~image ~mem ~cpu ~io ~preload =
+  let p =
+    {
+      Process.pid = fresh_pid t;
+      parent;
+      image;
+      mem;
+      cpu;
+      io;
+      preload;
+      status = Process.Runnable;
+      pending_children = Queue.create ();
+      queued = false;
+      wake_pending = false;
+    }
+  in
+  Hashtbl.add t.procs p.Process.pid p;
+  p
 
 (* The trampoline main returns to: pass its return value to exit(). *)
 let exit_stub_code =
@@ -259,24 +282,8 @@ let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
          ]);
     cpu.Cpu.rip <- ctor_trampoline_addr
   | None -> cpu.Cpu.rip <- image.Image.entry);
-  let io = Glibc.make_io ~input in
-  let proc =
-    {
-      Process.pid = fresh_pid t;
-      parent = None;
-      image;
-      mem;
-      cpu;
-      io;
-      preload;
-      status = Process.Runnable;
-      pending_children = Queue.create ();
-      queued = false;
-      wake_pending = false;
-    }
-  in
-  Hashtbl.add t.procs proc.Process.pid proc;
-  proc
+  new_process t ~parent:None ~image ~mem ~cpu ~io:(Glibc.make_io ~input)
+    ~preload
 
 type stop =
   | Stop_exit of int
@@ -295,29 +302,18 @@ let stop_to_string = function
 let fork_child t (parent : Process.t) =
   t.forks <- t.forks + 1;
   Telemetry.Registry.incr g_forks;
-  let child_cpu = Cpu.clone parent.Process.cpu in
-  let child_mem = Memory.clone parent.Process.mem in
-  (* fork() return values *)
-  let child_pid = fresh_pid t in
-  Cpu.set child_cpu Isa.Reg.RAX 0L;
-  Preload.on_fork_child parent.Process.preload child_cpu.Cpu.rng child_mem
-    ~fs_base:child_cpu.Cpu.fs_base;
+  let cpu = Cpu.clone parent.Process.cpu in
+  let mem = Memory.clone parent.Process.mem in
+  (* fork() returns 0 in the child, the child's pid in the parent *)
+  Cpu.set cpu Isa.Reg.RAX 0L;
+  Preload.on_fork_child parent.Process.preload cpu.Cpu.rng mem
+    ~fs_base:cpu.Cpu.fs_base;
   let child =
-    {
-      Process.pid = child_pid;
-      parent = Some parent.Process.pid;
-      image = parent.Process.image;
-      mem = child_mem;
-      cpu = child_cpu;
-      io = Glibc.clone_io parent.Process.io;
-      preload = parent.Process.preload;
-      status = Process.Runnable;
-      pending_children = Queue.create ();
-      queued = false;
-      wake_pending = false;
-    }
+    new_process t ~parent:(Some parent.Process.pid)
+      ~image:parent.Process.image ~mem ~cpu
+      ~io:(Glibc.clone_io parent.Process.io) ~preload:parent.Process.preload
   in
-  Hashtbl.add t.procs child_pid child;
+  let child_pid = child.Process.pid in
   if Telemetry.Trace.enabled () then
     Telemetry.Trace.instant "kernel.fork"
       ~args:
@@ -442,7 +438,8 @@ let connect ?tx_capacity t (p : Process.t) =
     None
 
 (* A blocked conn operation that outlived the timeout is torn down: the
-   conn resets and the blocked syscall completes with -1. *)
+   conn resets and the blocked call completes with -1 (a write that
+   moved bytes reports them). *)
 let timed_out t conn =
   match t.conn_timeout with
   | Some tmo when Int64.compare (Net.Conn.idle_cycles conn ~now:t.now) tmo >= 0
@@ -450,48 +447,6 @@ let timed_out t conn =
     Net.Conn.timeout conn ~now:t.now;
     true
   | _ -> false
-
-(* [Some rax] when the read can complete now (may raise Fault.Trap if
-   the destination is unmapped, like any memory-writing builtin). *)
-let try_read t (p : Process.t) ~fd ~dst ~cap =
-  match Glibc.conn_of_fd p.Process.io fd with
-  | None -> Some (-1L)
-  | Some conn -> (
-    match Net.Conn.server_read conn ~now:t.now ~max:(Stdlib.max 0 cap) with
-    | Net.Conn.Data b ->
-      Memory.write_bytes p.Process.mem dst b;
-      Cpu.add_cycles p.Process.cpu
-        (Cost.builtin_byte_cycles * Bytes.length b);
-      Some (Int64.of_int (Bytes.length b))
-    | Net.Conn.Eof -> Some 0L
-    | Net.Conn.Closed -> Some (-1L)
-    | Net.Conn.Would_block -> if timed_out t conn then Some (-1L) else None)
-
-let try_write t (p : Process.t) ~fd ~data ~written =
-  match Glibc.conn_of_fd p.Process.io fd with
-  | None -> `Done (-1L)
-  | Some conn ->
-    let len = Bytes.length data in
-    (* write(2) semantics: once any bytes of this call landed, a close
-       mid-write reports the partial count; -1 (EPIPE) only when
-       nothing was written at all *)
-    let closed_rax written =
-      if written > 0 then Int64.of_int written else -1L
-    in
-    let rec push written =
-      if written >= len then `Done (Int64.of_int len)
-      else
-        let chunk = Bytes.sub data written (len - written) in
-        match Net.Conn.server_write conn ~now:t.now chunk with
-        | Net.Conn.Wrote n ->
-          Cpu.add_cycles p.Process.cpu (Cost.builtin_byte_cycles * n);
-          push (written + n)
-        | Net.Conn.Conn_closed -> `Done (closed_rax written)
-        | Net.Conn.Tx_full ->
-          if timed_out t conn then `Done (closed_rax written)
-          else `Blocked written
-    in
-    push written
 
 (* accept() takes no fd: it serves the process's listening socket, and
    without one it fails at once (EINVAL), so a process parked in accept
@@ -501,53 +456,149 @@ let accept_socket (p : Process.t) =
   | Some sock when Net.Socket.listening sock -> Some sock
   | Some _ | None -> None
 
-(* [`Done rax]: the next queued connection as a new fd, or -1 with no
-   listening socket. [`Blocked sock]: nothing queued on [sock] yet. *)
-let try_accept t (p : Process.t) =
-  match accept_socket p with
-  | None -> `Done (-1L)
-  | Some sock -> (
-    match Net.Socket.accept_opt sock with
-    | Some conn ->
-      let fd = Glibc.install_conn p.Process.io conn in
-      Net.Conn.touch conn ~now:t.now;
-      `Done (Int64.of_int fd)
-    | None -> `Blocked sock)
+let release (p : Process.t) = Memory.release p.Process.mem
 
-(* Level-triggered readiness scan over the whole fd table, ascending fd
-   order: a listener is ready when connections are queued, a conn when
-   a read would not block (bytes, EOF, reset). Ready fds are written
-   into the guest array at [dst] as 8-byte ints, at most [cap].
-   [None] = nothing ready, the caller parks. *)
-let try_epoll (p : Process.t) ~dst ~cap =
+(* The previous [last_reaped] stops being exposed here, so its private
+   frames go back to the free list. *)
+let do_reap t (child : Process.t) =
+  Option.iter release t.last_reaped;
+  t.last_reaped <- Some child;
+  Hashtbl.remove t.procs child.Process.pid
+
+(* One rotation of p's pending children, which keeps their order: drop
+   the children already gone and reap the dead ones — only the first
+   found when [first]. Returns the pid of the last child reaped. *)
+let reap_dead t (p : Process.t) ~first =
+  let q = p.Process.pending_children in
+  let reaped = ref None in
+  for _ = 1 to Queue.length q do
+    let child_pid = Queue.pop q in
+    match find t child_pid with
+    | None -> ()
+    | Some child
+      when Process.status_is_dead child.Process.status
+           && not (first && Option.is_some !reaped) ->
+      do_reap t child;
+      reaped := Some child_pid
+    | Some _ -> Queue.push child_pid q
+  done;
+  !reaped
+
+(* ---- blocking calls: one attempt, one park ----------------------------- *)
+
+(* Run a call that may block. [`Done rax] when it completes now;
+   [`Again call] when it must wait, where [call] is what to run on the
+   next attempt (a write's carries the bytes moved so far). The first
+   issue and every retry after a wakeup come through here. May raise
+   Fault.Trap when a guest buffer is unmapped, like any memory-writing
+   builtin. *)
+let attempt t (p : Process.t) (call : Glibc.call) =
   let io = p.Process.io in
-  let ready =
-    List.filter
-      (fun fd ->
-        match Glibc.fd_obj_of io fd with
-        | Some (Glibc.Fd_conn c) -> Net.Conn.readable c
-        | Some (Glibc.Fd_listener s) -> Net.Socket.pending_count s > 0
-        | None -> false)
-      (Glibc.open_fds io)
-  in
-  match ready with
-  | [] -> None
-  | _ ->
-    let cap = Stdlib.max 0 cap in
-    let n = ref 0 in
-    List.iter
-      (fun fd ->
-        if !n < cap then begin
-          Memory.write_u64 p.Process.mem
-            (Int64.add dst (Int64.of_int (!n * 8)))
-            (Int64.of_int fd);
-          incr n
-        end)
-      ready;
-    Cpu.add_cycles p.Process.cpu (Cost.builtin_byte_cycles * 8 * !n);
-    Some (Int64.of_int !n)
+  match call with
+  | Glibc.Accept -> (
+    match accept_socket p with
+    | None -> `Done (-1L)
+    | Some sock -> (
+      match Net.Socket.accept_opt sock with
+      | Some conn ->
+        let fd = Glibc.install_conn io conn in
+        Net.Conn.touch conn ~now:t.now;
+        `Done (Int64.of_int fd)
+      | None -> `Again call))
+  | Glibc.Read { fd; dst; cap } -> (
+    match Glibc.conn_of_fd io fd with
+    | None -> `Done (-1L)
+    | Some conn -> (
+      match Net.Conn.server_read conn ~now:t.now ~max:(Stdlib.max 0 cap) with
+      | Net.Conn.Data b ->
+        Memory.write_bytes p.Process.mem dst b;
+        Cpu.add_cycles p.Process.cpu
+          (Cost.builtin_byte_cycles * Bytes.length b);
+        `Done (Int64.of_int (Bytes.length b))
+      | Net.Conn.Eof -> `Done 0L
+      | Net.Conn.Closed -> `Done (-1L)
+      | Net.Conn.Would_block ->
+        if timed_out t conn then `Done (-1L) else `Again call))
+  | Glibc.Write { fd; data; written } -> (
+    match Glibc.conn_of_fd io fd with
+    | None -> `Done (-1L)
+    | Some conn ->
+      let len = Bytes.length data in
+      (* write(2) semantics: once any bytes of this call landed, a close
+         mid-write reports the partial count; -1 (EPIPE) only when
+         nothing was written at all *)
+      let closed_rax written =
+        if written > 0 then Int64.of_int written else -1L
+      in
+      let rec push written =
+        if written >= len then `Done (Int64.of_int len)
+        else
+          let chunk = Bytes.sub data written (len - written) in
+          match Net.Conn.server_write conn ~now:t.now chunk with
+          | Net.Conn.Wrote n ->
+            Cpu.add_cycles p.Process.cpu (Cost.builtin_byte_cycles * n);
+            push (written + n)
+          | Net.Conn.Conn_closed -> `Done (closed_rax written)
+          | Net.Conn.Tx_full ->
+            if timed_out t conn then `Done (closed_rax written)
+            else `Again (Glibc.Write { fd; data; written })
+      in
+      push written)
+  | Glibc.Poll { dst; cap } -> (
+    (* Level-triggered readiness scan over the whole fd table, ascending
+       fd order: a listener is ready when connections are queued, a conn
+       when a read would not block (bytes, EOF, reset). Ready fds go
+       into the guest array at [dst] as 8-byte ints, at most [cap]. *)
+    let ready =
+      List.filter
+        (fun fd ->
+          match Glibc.fd_obj_of io fd with
+          | Some (Glibc.Fd_conn c) -> Net.Conn.readable c
+          | Some (Glibc.Fd_listener s) -> Net.Socket.pending_count s > 0
+          | None -> false)
+        (Glibc.open_fds io)
+    in
+    match ready with
+    | [] -> `Again call
+    | _ ->
+      let cap = Stdlib.max 0 cap in
+      let n = ref 0 in
+      List.iter
+        (fun fd ->
+          if !n < cap then begin
+            Memory.write_u64 p.Process.mem
+              (Int64.add dst (Int64.of_int (!n * 8)))
+              (Int64.of_int fd);
+            incr n
+          end)
+        ready;
+      Cpu.add_cycles p.Process.cpu (Cost.builtin_byte_cycles * 8 * !n);
+      `Done (Int64.of_int !n))
+  | Glibc.Wait_child -> (
+    (* the oldest pending child, whichever child died first: a younger
+       child's death wakes the parent only to park it again *)
+    match Queue.peek_opt p.Process.pending_children with
+    | None -> `Done (-1L)
+    | Some child_pid -> (
+      match find t child_pid with
+      | None ->
+        ignore (Queue.pop p.Process.pending_children);
+        `Done (-1L)
+      | Some child when Process.status_is_dead child.Process.status ->
+        ignore (Queue.pop p.Process.pending_children);
+        do_reap t child;
+        `Done (encode_wait_status child)
+      | Some _ -> `Again call))
 
-(* ---- parking: register one-shot waiters on what the process awaits -- *)
+(* What a call on a non-blocking fd returns instead of parking: EAGAIN,
+   or the count a short write already moved. *)
+let nonblocking_rax io : Glibc.call -> int64 option = function
+  | Glibc.Accept when Glibc.fd_nonblock io (Glibc.listener_fd io) ->
+    Some Glibc.eagain
+  | Glibc.Read { fd; _ } when Glibc.fd_nonblock io fd -> Some Glibc.eagain
+  | Glibc.Write { fd; written; _ } when Glibc.fd_nonblock io fd ->
+    Some (if written > 0 then Int64.of_int written else Glibc.eagain)
+  | _ -> None
 
 (* Cache the earliest cycle at which this conn's blocked op could time
    out; the sweep only runs when [now] passes the cache. *)
@@ -560,61 +611,69 @@ let note_io_deadline t conn =
     | Some cur when Int64.compare cur d <= 0 -> ()
     | _ -> t.next_timeout_check <- Some d)
 
-let park_read t (p : Process.t) ~fd ~dst ~cap =
-  p.Process.status <- Process.Blocked_read { fd; dst; cap };
-  match Glibc.conn_of_fd p.Process.io fd with
-  | None -> ()
-  | Some conn ->
-    Hashtbl.replace t.blocked_io p.Process.pid ();
-    Net.Conn.add_rx_waiter conn ~key:p.Process.pid (fun () -> mark_ready t p);
-    note_io_deadline t conn
-
-let park_write t (p : Process.t) ~fd ~data ~written =
-  p.Process.status <- Process.Blocked_write { fd; data; written };
-  match Glibc.conn_of_fd p.Process.io fd with
-  | None -> ()
-  | Some conn ->
-    Hashtbl.replace t.blocked_io p.Process.pid ();
-    Net.Conn.add_tx_waiter conn ~key:p.Process.pid (fun () -> mark_ready t p);
-    note_io_deadline t conn
-
-let park_accept t (p : Process.t) sock =
-  p.Process.status <- Process.Blocked_accept;
-  Net.Socket.add_accept_waiter sock ~key:p.Process.pid (fun () ->
-      mark_ready t p)
-
-(* epoll parks on everything at once: any conn turning readable (or any
-   queued connect) re-queues the process for a fresh scan. Connection
-   timeouts don't apply here — an event-loop process is not stuck in
-   one conn's op, it's waiting for work. *)
-let park_poll t (p : Process.t) ~dst ~cap =
-  p.Process.status <- Process.Blocked_poll { dst; cap };
+(* Park p in [call]: register one-shot waiters on what it waits for. A
+   blocking waitpid registers none — the child's death marks its parent
+   directly. epoll parks on everything at once: any conn turning
+   readable (or any queued connect) re-queues the process for a fresh
+   scan. Connection timeouts apply to conn reads and writes only: an
+   event-loop process is not stuck in one conn's op, it is waiting for
+   work. *)
+let park t (p : Process.t) (call : Glibc.call) =
+  p.Process.status <- Process.Blocked call;
+  let pid = p.Process.pid in
   let io = p.Process.io in
-  List.iter
-    (fun fd ->
-      match Glibc.fd_obj_of io fd with
-      | Some (Glibc.Fd_conn c) ->
-        Net.Conn.add_rx_waiter c ~key:p.Process.pid (fun () -> mark_ready t p)
-      | Some (Glibc.Fd_listener s) ->
-        Net.Socket.add_accept_waiter s ~key:p.Process.pid (fun () ->
-            mark_ready t p)
-      | None -> ())
-    (Glibc.open_fds io)
-
-let release (p : Process.t) = Memory.release p.Process.mem
-
-(* The previous [last_reaped] stops being exposed here, so its private
-   frames go back to the free list. *)
-let do_reap t (child : Process.t) =
-  Option.iter release t.last_reaped;
-  t.last_reaped <- Some child;
-  Hashtbl.remove t.procs child.Process.pid
+  let wake () = mark_ready t p in
+  let on_conn fd add_waiter =
+    match Glibc.conn_of_fd io fd with
+    | None -> ()
+    | Some conn ->
+      Hashtbl.replace t.blocked_io pid ();
+      add_waiter conn ~key:pid wake;
+      note_io_deadline t conn
+  in
+  match call with
+  | Glibc.Accept ->
+    Option.iter
+      (fun sock -> Net.Socket.add_accept_waiter sock ~key:pid wake)
+      (accept_socket p)
+  | Glibc.Read { fd; _ } -> on_conn fd Net.Conn.add_rx_waiter
+  | Glibc.Write { fd; _ } -> on_conn fd Net.Conn.add_tx_waiter
+  | Glibc.Poll _ ->
+    List.iter
+      (fun fd ->
+        match Glibc.fd_obj_of io fd with
+        | Some (Glibc.Fd_conn c) -> Net.Conn.add_rx_waiter c ~key:pid wake
+        | Some (Glibc.Fd_listener s) ->
+          Net.Socket.add_accept_waiter s ~key:pid wake
+        | None -> ())
+      (Glibc.open_fds io)
+  | Glibc.Wait_child -> ()
 
 (* ---- the scheduler ---------------------------------------------------- *)
 
 let slice_insns = 4096
 
 let set_rax (p : Process.t) v = Cpu.set p.Process.cpu Isa.Reg.RAX v
+
+(* Issue a call that may block, first or again after a wakeup. Returns
+   true when it completed (rax holds its result); on false p has parked
+   in it or died of a fault. *)
+let syscall t (p : Process.t) call =
+  match attempt t p call with
+  | exception Fault.Trap fault ->
+    note_fault t p fault;
+    false
+  | `Done rax ->
+    set_rax p rax;
+    true
+  | `Again call -> (
+    match nonblocking_rax p.Process.io call with
+    | Some rax ->
+      set_rax p rax;
+      true
+    | None ->
+      park t p call;
+      false)
 
 (* Handle one Control from a builtin. Returns true when the process may
    keep executing in its current slice; on false it has died or parked
@@ -633,62 +692,12 @@ let handle_control t (p : Process.t) control =
   | Glibc.Spawn_thread { start; arg } ->
     ignore (spawn_thread t p ~start ~arg);
     true
-  | Glibc.Wait_child -> (
-    match Queue.peek_opt p.Process.pending_children with
-    | None ->
-      set_rax p (-1L);
-      true
-    | Some child_pid -> (
-      match find t child_pid with
-      | None ->
-        ignore (Queue.pop p.Process.pending_children);
-        set_rax p (-1L);
-        true
-      | Some child when Process.status_is_dead child.Process.status ->
-        ignore (Queue.pop p.Process.pending_children);
-        do_reap t child;
-        set_rax p (encode_wait_status child);
-        true
-      | Some _ ->
-        (* non-inline waitpid: park until the child dies *)
-        p.Process.status <- Process.Blocked_wait;
-        false))
   | Glibc.Wait_child_nb ->
-    (* one full rotation of the queue preserves child order; reap the
-       first dead child found, drop children already gone *)
-    let q = p.Process.pending_children in
-    let reaped = ref None in
-    let n = Queue.length q in
-    for _ = 1 to n do
-      let child_pid = Queue.pop q in
-      match find t child_pid with
-      | None -> ()
-      | Some child
-        when !reaped = None && Process.status_is_dead child.Process.status ->
-        do_reap t child;
-        reaped := Some child_pid
-      | Some _ -> Queue.push child_pid q
-    done;
     set_rax p
-      (match !reaped with
+      (match reap_dead t p ~first:true with
       | Some child_pid -> Int64.of_int child_pid
-      | None -> if Queue.is_empty q then -1L else 0L);
+      | None -> if Queue.is_empty p.Process.pending_children then -1L else 0L);
     true
-  | Glibc.Accept -> (
-    match try_accept t p with
-    | `Done rax ->
-      set_rax p rax;
-      true
-    | `Blocked sock ->
-      if Glibc.fd_nonblock p.Process.io (Glibc.listener_fd p.Process.io)
-      then begin
-        set_rax p Glibc.eagain;
-        true
-      end
-      else begin
-        park_accept t p sock;
-        false
-      end)
   | Glibc.Listen { fd; backlog } ->
     (match Glibc.fd_obj_of p.Process.io fd with
     | Some (Glibc.Fd_listener s) ->
@@ -697,50 +706,7 @@ let handle_control t (p : Process.t) control =
       set_rax p 0L
     | _ -> set_rax p (-1L));
     true
-  | Glibc.Sock_read { fd; dst; cap } -> (
-    match try_read t p ~fd ~dst ~cap with
-    | exception Fault.Trap fault ->
-      note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault);
-      false
-    | Some rax ->
-      set_rax p rax;
-      true
-    | None ->
-      if Glibc.fd_nonblock p.Process.io fd then begin
-        set_rax p Glibc.eagain;
-        true
-      end
-      else begin
-        park_read t p ~fd ~dst ~cap;
-        false
-      end)
-  | Glibc.Sock_write { fd; data } -> (
-    match try_write t p ~fd ~data ~written:0 with
-    | `Done rax ->
-      set_rax p rax;
-      true
-    | `Blocked written ->
-      if Glibc.fd_nonblock p.Process.io fd then begin
-        (* short write: report what landed, EAGAIN only on zero *)
-        set_rax p
-          (if written > 0 then Int64.of_int written else Glibc.eagain);
-        true
-      end
-      else begin
-        park_write t p ~fd ~data ~written;
-        false
-      end)
-  | Glibc.Epoll_wait { dst; cap } -> (
-    match try_epoll p ~dst ~cap with
-    | exception Fault.Trap fault ->
-      note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault);
-      false
-    | Some rax ->
-      set_rax p rax;
-      true
-    | None ->
-      park_poll t p ~dst ~cap;
-      false)
+  | Glibc.Call call -> syscall t p call
   | Glibc.Close_fd fd ->
     set_rax p
       (if Glibc.close_fd p.Process.io fd ~now:t.now then 0L else -1L);
@@ -760,7 +726,7 @@ let handle_builtin t (p : Process.t) name =
       p.Process.io
   with
   | exception Fault.Trap fault ->
-    note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault);
+    note_fault t p fault;
     false
   | Glibc.Ret v ->
     set_rax p v;
@@ -785,7 +751,7 @@ let run_slice t (p : Process.t) fuel =
       note_exited t p 0;
       continue_ := false
     | Exec.Faulted fault ->
-      note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault);
+      note_fault t p fault;
       continue_ := false
     | Exec.Syscall_trap ->
       note_killed t p Process.Sigill "raw syscall not supported";
@@ -795,51 +761,19 @@ let run_slice t (p : Process.t) fuel =
   done;
   t.now <- Int64.add t.now (Int64.sub p.Process.cpu.Cpu.cycles c0)
 
-let wake t (p : Process.t) rax =
-  set_rax p rax;
-  p.Process.status <- Process.Runnable;
-  Hashtbl.remove t.blocked_io p.Process.pid;
-  enqueue t p
-
-(* Retry the parked operation of a process whose wakeup event fired.
-   If the condition no longer holds (another process consumed the
-   bytes / the connection, or the epoll scan comes up empty), re-park —
-   the firing consumed the one-shot waiter, so it must be re-armed. *)
+(* A wakeup event fired for a parked process: issue its call again. If
+   it still cannot complete (another process took the bytes or the
+   connection, the epoll scan came up empty, the oldest child still
+   lives), it parks again, re-arming the one-shot waiter the event
+   consumed. *)
 let retry_blocked t (p : Process.t) =
   match p.Process.status with
-  | Process.Blocked_accept -> (
-    match try_accept t p with
-    | `Done rax -> wake t p rax
-    | `Blocked sock -> park_accept t p sock)
-  | Process.Blocked_read { fd; dst; cap } -> (
-    match try_read t p ~fd ~dst ~cap with
-    | exception Fault.Trap fault ->
-      note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault)
-    | Some rax -> wake t p rax
-    | None -> park_read t p ~fd ~dst ~cap)
-  | Process.Blocked_write { fd; data; written } -> (
-    match try_write t p ~fd ~data ~written with
-    | `Done rax -> wake t p rax
-    | `Blocked written -> park_write t p ~fd ~data ~written)
-  | Process.Blocked_poll { dst; cap } -> (
-    match try_epoll p ~dst ~cap with
-    | exception Fault.Trap fault ->
-      note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault)
-    | Some rax -> wake t p rax
-    | None -> park_poll t p ~dst ~cap)
-  | Process.Blocked_wait -> (
-    match Queue.peek_opt p.Process.pending_children with
-    | None -> wake t p (-1L)
-    | Some child_pid -> (
-      match find t child_pid with
-      | None ->
-        ignore (Queue.pop p.Process.pending_children);
-        wake t p (-1L)
-      | Some child when Process.status_is_dead child.Process.status ->
-        ignore (Queue.pop p.Process.pending_children);
-        do_reap t child;
-        wake t p (encode_wait_status child)
-      | Some _ -> () (* spurious (stale waiter): head child still alive *)))
+  | Process.Blocked call ->
+    if syscall t p call then begin
+      p.Process.status <- Process.Runnable;
+      Hashtbl.remove t.blocked_io p.Process.pid;
+      enqueue t p
+    end
   | Process.Runnable | Process.Exited _ | Process.Killed _ -> ()
 
 (* Drain the wake queue: each pid retried once per queued event, FIFO.
@@ -860,11 +794,18 @@ let service_wake t =
   in
   go ()
 
+(* The conn a process parked in a read or write waits on. *)
+let io_conn (p : Process.t) =
+  match p.Process.status with
+  | Process.Blocked (Glibc.Read { fd; _ } | Glibc.Write { fd; _ }) ->
+    Glibc.conn_of_fd p.Process.io fd
+  | _ -> None
+
 (* Time out idle conns with a blocked op on them. Runs only when [now]
    passes the cached earliest deadline, so the common path costs one
    comparison; the sweep itself is O(blocked ops), not O(procs). A
-   timed-out conn resets, which fires its waiters — the woken syscall
-   then completes with -1 through the normal retry path. *)
+   timed-out conn resets, which fires its waiters — the woken call then
+   completes through the normal retry path. *)
 let sweep_timeouts t =
   match (t.conn_timeout, t.next_timeout_check) with
   | Some tmo, Some due when Int64.compare t.now due >= 0 ->
@@ -872,22 +813,12 @@ let sweep_timeouts t =
     let stale = ref [] in
     Hashtbl.iter
       (fun pid () ->
-        match find t pid with
+        match Option.bind (find t pid) io_conn with
         | None -> stale := pid :: !stale
-        | Some p -> (
-          let check fd =
-            match Glibc.conn_of_fd p.Process.io fd with
-            | None -> ()
-            | Some conn ->
-              if Int64.compare (Net.Conn.idle_cycles conn ~now:t.now) tmo >= 0
-              then Net.Conn.timeout conn ~now:t.now
-              else note_io_deadline t conn
-          in
-          match p.Process.status with
-          | Process.Blocked_read { fd; _ } | Process.Blocked_write { fd; _ }
-            ->
-            check fd
-          | _ -> stale := pid :: !stale))
+        | Some conn ->
+          if Int64.compare (Net.Conn.idle_cycles conn ~now:t.now) tmo >= 0
+          then Net.Conn.timeout conn ~now:t.now
+          else note_io_deadline t conn)
       t.blocked_io;
     List.iter (Hashtbl.remove t.blocked_io) !stale
   | _ -> ()
@@ -927,50 +858,27 @@ let next_deadline t =
   | Some tmo ->
     Hashtbl.fold
       (fun pid () acc ->
-        let deadline =
-          match find t pid with
-          | None -> None
-          | Some p -> (
-            let conn_deadline fd =
-              match Glibc.conn_of_fd p.Process.io fd with
-              | None -> None
-              | Some conn -> Some (Int64.add (Net.Conn.last_activity conn) tmo)
-            in
-            match p.Process.status with
-            | Process.Blocked_read { fd; _ } -> conn_deadline fd
-            | Process.Blocked_write { fd; _ } -> conn_deadline fd
-            | _ -> None)
-        in
-        match (deadline, acc) with
-        | None, acc -> acc
-        | Some d, None -> Some d
-        | Some d, Some best -> Some (if Int64.compare d best < 0 then d else best))
+        match Option.bind (find t pid) io_conn with
+        | None -> acc
+        | Some conn -> (
+          let d = Int64.add (Net.Conn.last_activity conn) tmo in
+          match acc with
+          | Some best when Int64.compare best d <= 0 -> acc
+          | _ -> Some d))
       t.blocked_io None
 
 let stop_of (p : Process.t) =
   match p.Process.status with
   | Process.Exited n -> Stop_exit n
   | Process.Killed (s, msg) -> Stop_kill (s, msg)
-  | Process.Blocked_accept -> Stop_accept
-  | Process.Blocked_read _ | Process.Blocked_write _ | Process.Blocked_poll _
-  | Process.Blocked_wait ->
-    Stop_io
+  | Process.Blocked Glibc.Accept -> Stop_accept
+  | Process.Blocked _ -> Stop_io
   | Process.Runnable -> Stop_fuel
 
 (* Reap p's dead children without a waitpid from the guest — the compat
    shim uses this so [last_reaped] names the child that served the
    request even for servers that reap lazily with waitpid_nb. *)
-let reap_zombies t (p : Process.t) =
-  let q = p.Process.pending_children in
-  let n = Queue.length q in
-  for _ = 1 to n do
-    let child_pid = Queue.pop q in
-    match find t child_pid with
-    | None -> ()
-    | Some child when Process.status_is_dead child.Process.status ->
-      do_reap t child
-    | Some _ -> Queue.push child_pid q
-  done
+let reap_zombies t p = ignore (reap_dead t p ~first:false)
 
 (* The internal [enqueue] silently skips dead processes (scheduler
    convenience); handing a dead process to the public entry point is a
@@ -984,7 +892,7 @@ let enqueue t (p : Process.t) =
    onto the accept backlog. *)
 let deliver_request t (p : Process.t) request =
   match (p.Process.status, accept_socket p) with
-  | Process.Blocked_accept, Some sock ->
+  | Process.Blocked Glibc.Accept, Some sock ->
     let conn = fresh_conn t in
     ignore (Net.Conn.client_send conn ~now:t.now (Bytes.to_string request));
     Net.Conn.client_shutdown conn ~now:t.now;
@@ -1032,7 +940,7 @@ let g_resumes = Telemetry.Registry.counter "os.snapshot.resumes"
 
 let capture_snapshot t (p : Process.t) =
   (match p.Process.status with
-  | Process.Runnable | Process.Blocked_accept | Process.Blocked_poll _ -> ()
+  | Process.Runnable | Process.Blocked (Glibc.Accept | Glibc.Poll _) -> ()
   | status ->
     invalid_arg
       (Printf.sprintf "Kernel.capture_snapshot: unsupported status (%s)"
@@ -1058,21 +966,9 @@ let resume_snapshot t snap =
   let cpu = Cpu.snapshot snap.snap_cpu in
   let io = Glibc.snapshot_io snap.snap_io in
   let proc =
-    {
-      Process.pid = fresh_pid t;
-      parent = None;
-      image = snap.snap_image;
-      mem;
-      cpu;
-      io;
-      preload = snap.snap_preload;
-      status = Process.Runnable;
-      pending_children = Queue.create ();
-      queued = false;
-      wake_pending = false;
-    }
+    new_process t ~parent:None ~image:snap.snap_image ~mem ~cpu ~io
+      ~preload:snap.snap_preload
   in
-  Hashtbl.add t.procs proc.Process.pid proc;
   (* listeners frozen in the fd table come back live: register their
      ports so connects can reach them *)
   List.iter
@@ -1084,7 +980,7 @@ let resume_snapshot t snap =
     (Glibc.open_fds io);
   (* re-create the frozen park (accept or epoll_wait, the only ones
      capture_snapshot admits): the rebuilt sockets hold nothing yet, so
-     the retry parks again and re-arms the one-shot waiters the
+     the call parks again and re-arms the one-shot waiters the
      original held at capture *)
   (match snap.snap_status with
   | Process.Runnable -> enqueue t proc

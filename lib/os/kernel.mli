@@ -3,13 +3,17 @@
     the request-driving interface the attack harness and server
     benchmarks use.
 
-    Processes run in bounded instruction slices and park in [Blocked_*]
-    states for kernel services ([accept], conn [read]/[write],
-    [epoll_wait], blocking [waitpid]). Blocking registers a one-shot
-    waiter on the object being waited on (conn, socket, child); the
-    event fires the waiter, which queues the pid on a FIFO wake queue
-    the scheduler drains before dispatching — no per-dispatch scan over
-    blocked processes. Wakeups are FIFO across events and pid-ordered
+    Processes run in bounded instruction slices. A kernel service that
+    may block ([accept], conn [read]/[write], [epoll_wait], blocking
+    [waitpid]) is a {!Glibc.call}, and one attempt runs it, both when
+    the process issues it and on every retry after a wakeup. A call
+    that cannot complete parks the process in [Process.Blocked call]
+    and registers a one-shot waiter on the object being waited on
+    (conn, socket, child); the event fires the waiter, which queues
+    the pid on a FIFO wake queue the scheduler drains before
+    dispatching — no per-dispatch scan over blocked processes. A
+    parked write's call carries the bytes it has moved, so its retry
+    continues from there. Wakeups are FIFO across events and pid-ordered
     within one event, so for a deterministic workload the interleaving
     is deterministic. Virtual time ([now]) advances with the cycles
     retired across all processes — one simulated core — and drives
@@ -50,10 +54,10 @@ val find : t -> int -> Process.t option
 type stop =
   | Stop_exit of int
   | Stop_kill of Process.signal * string
-  | Stop_accept  (** the process blocked in [accept] *)
+  | Stop_accept  (** parked in [Blocked Accept] *)
   | Stop_io
-      (** blocked on a conn read/write, [epoll_wait], or a blocking
-          [waitpid] *)
+      (** parked in any other call: a conn read or write, [epoll_wait]
+          ([Poll]) or a blocking [waitpid] ([Wait_child]) *)
   | Stop_fuel
 
 val stop_to_string : stop -> string
@@ -157,15 +161,16 @@ val run_to_exit : ?fuel:int -> t -> Process.t -> int
 type snapshot
 
 val capture_snapshot : t -> Process.t -> snapshot
-(** Freeze the process. It must be quiescent — [Runnable], parked in
-    [accept], or parked in [epoll_wait], with no pending children and
-    no open connection fds; raises [Invalid_argument] otherwise. The
+(** Freeze the process. It must be quiescent — [Runnable], or
+    [Blocked] in [Accept] or [Poll], with no pending children and no
+    open connection fds; raises [Invalid_argument] otherwise. The
     live process is unaffected and keeps running. *)
 
 val resume_snapshot : t -> snapshot -> Process.t
 (** Thaw a fresh process (new pid) from the snapshot into this kernel:
     listeners are re-registered on the kernel's port table and the
-    frozen park is re-armed ([accept]/[epoll_wait] waiters), so the
+    frozen call is issued again, which parks and re-arms its
+    [accept]/[epoll_wait] waiters, so the
     resumed process is immediately connectable. The snapshot itself
     stays frozen and can be resumed any number of times. Virtual time
     advances to at least the capture-time clock, so a resumed

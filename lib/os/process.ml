@@ -15,33 +15,23 @@ let signal_of_fault = function
 
 type status =
   | Runnable
-  | Blocked_accept
-  | Blocked_read of { fd : int; dst : int64; cap : int }
-  | Blocked_write of { fd : int; data : bytes; written : int }
-  | Blocked_poll of { dst : int64; cap : int }
-  | Blocked_wait
+  | Blocked of Glibc.call
   | Exited of int
   | Killed of signal * string
 
 let status_is_dead = function
   | Exited _ | Killed _ -> true
-  | Runnable | Blocked_accept | Blocked_read _ | Blocked_write _
-  | Blocked_poll _ | Blocked_wait ->
-    false
-
-let status_is_blocked = function
-  | Blocked_accept | Blocked_read _ | Blocked_write _ | Blocked_poll _
-  | Blocked_wait ->
-    true
-  | Runnable | Exited _ | Killed _ -> false
+  | Runnable | Blocked _ -> false
 
 let status_to_string = function
   | Runnable -> "runnable"
-  | Blocked_accept -> "blocked (accept)"
-  | Blocked_read { fd; _ } -> Printf.sprintf "blocked (read fd %d)" fd
-  | Blocked_write { fd; _ } -> Printf.sprintf "blocked (write fd %d)" fd
-  | Blocked_poll _ -> "blocked (epoll_wait)"
-  | Blocked_wait -> "blocked (waitpid)"
+  | Blocked Glibc.Accept -> "blocked (accept)"
+  | Blocked (Glibc.Read { fd; _ }) ->
+    Printf.sprintf "blocked (read fd %d)" fd
+  | Blocked (Glibc.Write { fd; _ }) ->
+    Printf.sprintf "blocked (write fd %d)" fd
+  | Blocked (Glibc.Poll _) -> "blocked (epoll_wait)"
+  | Blocked Glibc.Wait_child -> "blocked (waitpid)"
   | Exited n -> Printf.sprintf "exited %d" n
   | Killed (s, msg) -> Printf.sprintf "killed %s (%s)" (signal_name s) msg
 

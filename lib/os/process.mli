@@ -18,19 +18,13 @@ val signal_of_fault : Vm64.Fault.t -> signal
 
 type status =
   | Runnable
-  | Blocked_accept  (** in [accept], waiting for a pending connection *)
-  | Blocked_read of { fd : int; dst : int64; cap : int }
-      (** in [read], waiting for conn bytes (or EOF/reset/timeout) *)
-  | Blocked_write of { fd : int; data : bytes; written : int }
-      (** in [write], waiting for TX-buffer space *)
-  | Blocked_poll of { dst : int64; cap : int }
-      (** in [epoll_wait], waiting for any fd to become ready *)
-  | Blocked_wait  (** in blocking [waitpid] for a live child *)
+  | Blocked of Glibc.call
+      (** parked in a kernel service until an event may let it
+          complete; a parked write carries how much it has moved *)
   | Exited of int
   | Killed of signal * string
 
 val status_is_dead : status -> bool
-val status_is_blocked : status -> bool
 val status_to_string : status -> string
 
 type t = {

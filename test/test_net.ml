@@ -631,6 +631,178 @@ int main() {
     (Os.Kernel.stop_to_string (kernel_run k p));
   Alcotest.(check string) "both accepts -1" "-1-1" (Os.Process.stdout p)
 
+(* ---- a parked write ------------------------------------------------------------- *)
+
+(* Two 100-byte writes to a client whose connection buffers 16 bytes. *)
+let write_server_src ~nonblock =
+  Printf.sprintf
+    {|
+int main() {
+  char buf[100];
+  int lfd;
+  int fd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 8);
+  fd = accept();
+  %s
+  print_int(write(fd, buf, 100));
+  print_str(" ");
+  print_int(write(fd, buf, 100));
+  exit(0);
+  return 0;
+}
+|}
+    (if nonblock then "set_nonblock(fd);" else "")
+
+(* Connect to the write server with a 16-byte TX buffer and run it to
+   its first stop after the accept. *)
+let start_write_server ?timeout ~nonblock () =
+  let k = Os.Kernel.create () in
+  Os.Kernel.set_conn_timeout k timeout;
+  let p =
+    Os.Kernel.spawn k
+      (compile ~scheme:Pssp.Scheme.None_ (write_server_src ~nonblock))
+  in
+  (match kernel_run k p with
+  | Os.Kernel.Stop_accept -> ()
+  | other ->
+    Alcotest.failf "server never accepted: %s" (Os.Kernel.stop_to_string other));
+  let conn =
+    match Os.Kernel.connect ~tx_capacity:16 k p with
+    | Some c -> c
+    | None -> Alcotest.fail "refused"
+  in
+  Os.Kernel.schedule k;
+  (k, p, conn)
+
+let check_parked_in_write p =
+  Alcotest.(check string) "stop" "blocked on io"
+    (Os.Kernel.stop_to_string (Os.Kernel.stop_of p));
+  Alcotest.(check string) "status" "blocked (write fd 4)"
+    (Os.Process.status_to_string p.Os.Process.status)
+
+let test_parked_write_resumes () =
+  (* each wakeup continues the write from the byte it stopped at *)
+  let k, p, conn = start_write_server ~nonblock:false () in
+  let received = Buffer.create 200 in
+  let rounds = ref 0 in
+  while Os.Kernel.stop_of p = Os.Kernel.Stop_io && !rounds < 40 do
+    check_parked_in_write p;
+    Buffer.add_string received (drain conn);
+    Os.Kernel.schedule k;
+    incr rounds
+  done;
+  Buffer.add_string received (drain conn);
+  Alcotest.(check string) "exit" "exited 0"
+    (Os.Kernel.stop_to_string (Os.Kernel.stop_of p));
+  Alcotest.(check string) "both writes whole" "100 100" (Os.Process.stdout p);
+  Alcotest.(check int) "each byte once" 200 (Buffer.length received)
+
+let test_parked_write_reset () =
+  (* a reset after 32 bytes landed: the parked write reports them, the
+     next write fails *)
+  let k, p, conn = start_write_server ~nonblock:false () in
+  check_parked_in_write p;
+  ignore (drain conn);
+  Os.Kernel.schedule k;
+  check_parked_in_write p;
+  ignore (drain conn);
+  Net.Conn.abort conn ~now:(Os.Kernel.now k);
+  Os.Kernel.schedule k;
+  Alcotest.(check string) "partial count, then -1" "32 -1" (Os.Process.stdout p)
+
+let test_nonblock_short_write () =
+  (* a non-blocking write returns what fit; with nothing fitting, EAGAIN *)
+  let _, p, _ = start_write_server ~nonblock:true () in
+  Alcotest.(check string) "exit" "exited 0"
+    (Os.Kernel.stop_to_string (Os.Kernel.stop_of p));
+  Alcotest.(check string) "short write, then EAGAIN" "16 -2"
+    (Os.Process.stdout p)
+
+let test_parked_write_times_out () =
+  (* the timeout resets the conn under a parked write that already moved
+     32 bytes: it reports them, the next write fails *)
+  let k, p, conn = start_write_server ~timeout:1000L ~nonblock:false () in
+  check_parked_in_write p;
+  ignore (drain conn);
+  Os.Kernel.schedule k;
+  check_parked_in_write p;
+  let deadline = Int64.add (Net.Conn.last_activity conn) 1000L in
+  Alcotest.(check (option int64)) "deadline" (Some deadline)
+    (Os.Kernel.next_deadline k);
+  Os.Kernel.advance_to k deadline;
+  Os.Kernel.schedule k;
+  Alcotest.(check bool) "conn timed out" true (Net.Conn.is_reset conn);
+  Alcotest.(check string) "partial count, then -1" "32 -1" (Os.Process.stdout p)
+
+(* ---- a blocking call that faults ------------------------------------------------ *)
+
+(* The call writes through p = 16, an unmapped address, after accepting
+   one connection. *)
+let fault_server_src call =
+  Printf.sprintf
+    {|
+int main() {
+  char *p;
+  int lfd;
+  int fd;
+  p = 16;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 8);
+  fd = accept();
+  %s;
+  exit(0);
+  return 0;
+}
+|}
+    call
+
+let connect_to k p =
+  match Os.Kernel.connect k p with
+  | Some c -> c
+  | None -> Alcotest.fail "refused"
+
+(* Run the fault server with one client connected. [event] makes the
+   call ready: [`First] fires it before the server runs, so the first
+   try faults; [`Retry] fires it once the server has parked in the
+   call, so the retry after the wakeup faults. *)
+let check_fault_segv ~call ~event attempt =
+  let k = Os.Kernel.create () in
+  let p =
+    Os.Kernel.spawn k (compile ~scheme:Pssp.Scheme.None_ (fault_server_src call))
+  in
+  (match kernel_run k p with
+  | Os.Kernel.Stop_accept -> ()
+  | other ->
+    Alcotest.failf "server never accepted: %s" (Os.Kernel.stop_to_string other));
+  let conn = connect_to k p in
+  if attempt = `First then event k p conn;
+  Os.Kernel.schedule k;
+  if attempt = `Retry then begin
+    Alcotest.(check string) "parked first" "blocked on io"
+      (Os.Kernel.stop_to_string (Os.Kernel.stop_of p));
+    event k p conn;
+    Os.Kernel.schedule k
+  end;
+  match Os.Kernel.stop_of p with
+  | Os.Kernel.Stop_kill (Os.Process.Sigsegv, _) -> ()
+  | other -> Alcotest.failf "expected SIGSEGV: %s" (Os.Kernel.stop_to_string other)
+
+let test_read_fault () =
+  let send k _ conn =
+    ignore (Net.Conn.client_send conn ~now:(Os.Kernel.now k) "abcdefgh")
+  in
+  check_fault_segv ~call:"read(fd, p, 8)" ~event:send `First;
+  check_fault_segv ~call:"read(fd, p, 8)" ~event:send `Retry
+
+let test_epoll_fault () =
+  (* a second connection queued on the listener makes it ready *)
+  let connect_another k p _ = ignore (connect_to k p) in
+  check_fault_segv ~call:"epoll_wait(p, 4)" ~event:connect_another `First;
+  check_fault_segv ~call:"epoll_wait(p, 4)" ~event:connect_another `Retry
+
 (* ---- typed resume error --------------------------------------------------------- *)
 
 let test_not_blocked_in_accept () =
@@ -665,6 +837,18 @@ let () =
           Alcotest.test_case "typed resume error" `Quick test_not_blocked_in_accept;
           Alcotest.test_case "accept without a listener fails" `Quick
             test_accept_without_listener;
+          Alcotest.test_case "parked write resumes at its progress" `Quick
+            test_parked_write_resumes;
+          Alcotest.test_case "parked write reset reports its progress" `Quick
+            test_parked_write_reset;
+          Alcotest.test_case "non-blocking write is short, then EAGAIN" `Quick
+            test_nonblock_short_write;
+          Alcotest.test_case "parked write timeout reports its progress" `Quick
+            test_parked_write_times_out;
+          Alcotest.test_case "read fault on first try and on retry" `Quick
+            test_read_fault;
+          Alcotest.test_case "epoll fault on first try and on retry" `Quick
+            test_epoll_fault;
         ] );
       ( "event tier",
         [

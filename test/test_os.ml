@@ -247,6 +247,37 @@ int main() {
   in
   Alcotest.(check string) "fork order" "10 11 12" (Os.Process.stdout p)
 
+let test_spurious_waitpid_wake () =
+  (* B dies while the older child A still runs: B's death wakes the
+     parked parent, whose waitpid must park again until A, the oldest
+     pending child, dies *)
+  let _, p, stop =
+    run
+      {|
+int main() {
+  int i;
+  int pid;
+  pid = fork();
+  if (pid == 0) {
+    for (i = 0; i < 200000; i++) { }
+    exit(3);
+  }
+  pid = fork();
+  if (pid == 0) {
+    exit(4);
+  }
+  print_int(waitpid());
+  print_str(" ");
+  print_int(waitpid());
+  print_str(" ");
+  print_int(waitpid());
+  return 0;
+}
+|}
+  in
+  Alcotest.(check string) "exit" "exited 0" (Os.Kernel.stop_to_string stop);
+  Alcotest.(check string) "oldest child first" "3 4 -1" (Os.Process.stdout p)
+
 let test_nested_fork () =
   let _, p, _ =
     run
@@ -676,6 +707,8 @@ let () =
           Alcotest.test_case "wait without children" `Quick test_waitpid_without_children;
           Alcotest.test_case "reap order is fork order" `Quick
             test_reap_order_is_fork_order;
+          Alcotest.test_case "spurious waitpid wake parks again" `Quick
+            test_spurious_waitpid_wake;
           Alcotest.test_case "nested fork" `Quick test_nested_fork;
           Alcotest.test_case "cow telemetry" `Quick test_fork_cow_telemetry;
           Alcotest.test_case "TLS cloned (SII-B)" `Quick test_fork_tls_cloned;

@@ -70,8 +70,8 @@ let test_resume_bit_identical () =
      same registers, rip, cycle count, RNG-derived TLS words *)
   let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let k, p = boot image in
-  let snap = Os.Snapshot.capture k p in
-  let q = Os.Snapshot.resume k snap in
+  let snap = Os.Kernel.capture_snapshot k p in
+  let q = Os.Kernel.resume_snapshot k snap in
   check_machine_equal "resumed = frozen" p q;
   Alcotest.(check bool) "fresh pid" false (p.Os.Process.pid = q.Os.Process.pid);
   Alcotest.(check bool) "resumed parked in accept" true
@@ -83,9 +83,9 @@ let test_resume_matches_cold_spawn () =
      behaviour *)
   let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let k1, p1 = boot ~seed:77L image in
-  let snap = Os.Snapshot.capture k1 p1 in
+  let snap = Os.Kernel.capture_snapshot k1 p1 in
   let k2 = Os.Kernel.create ~seed:77L () in
-  let q = Os.Snapshot.resume k2 snap in
+  let q = Os.Kernel.resume_snapshot k2 snap in
   let k3, cold = boot ~seed:77L image in
   ignore k3;
   check_machine_equal "resumed = cold spawn" cold q;
@@ -96,10 +96,10 @@ let test_snapshot_immutable_and_reusable () =
      copies ran and diverged *)
   let image = compile (Workload.Vuln.fork_server_net ~buffer_size:16) in
   let k, p = boot image in
-  let snap = Os.Snapshot.capture k p in
-  let q1 = Os.Snapshot.resume k snap in
+  let snap = Os.Kernel.capture_snapshot k p in
+  let q1 = Os.Kernel.resume_snapshot k snap in
   serve k q1 "AAAA";
-  let q2 = Os.Snapshot.resume k snap in
+  let q2 = Os.Kernel.resume_snapshot k snap in
   check_machine_equal "second resume unaffected by first copy's run" p q2
 
 let test_resume_serves_like_original () =
@@ -107,9 +107,9 @@ let test_resume_serves_like_original () =
      exactly as the original would *)
   let image = compile ~scheme:Pssp.Scheme.Pssp server_src in
   let k1, p1 = boot ~seed:9L image in
-  let snap = Os.Snapshot.capture k1 p1 in
+  let snap = Os.Kernel.capture_snapshot k1 p1 in
   let k2 = Os.Kernel.create ~seed:9L () in
-  let q = Os.Snapshot.resume k2 snap in
+  let q = Os.Kernel.resume_snapshot k2 snap in
   serve k1 p1 "x";
   serve k1 p1 "y";
   serve k2 q "x";
@@ -125,7 +125,7 @@ let test_capture_rejects_dead_process () =
   let k = Os.Kernel.create () in
   let p = Os.Kernel.spawn k ~preload:Os.Preload.No_preload image in
   ignore (kernel_run k p);
-  match Os.Snapshot.capture k p with
+  match Os.Kernel.capture_snapshot k p with
   | _ -> Alcotest.fail "capturing a dead process must raise"
   | exception Invalid_argument _ -> ()
 
@@ -142,8 +142,8 @@ let test_compiled_blocks_survive_resume () =
   serve k p "warm";
   serve k p "warm";
   (* back in accept with no open conns: quiescent again *)
-  let snap = Os.Snapshot.capture k p in
-  let q = Os.Snapshot.resume k snap in
+  let snap = Os.Kernel.capture_snapshot k p in
+  let q = Os.Kernel.resume_snapshot k snap in
   Telemetry.Registry.reset_all ();
   serve k q "go";
   let compiles =
@@ -172,8 +172,8 @@ let test_pac_key_survives_resume () =
   let k, p = boot ~preload:Os.Preload.No_preload image in
   let key = p.Os.Process.cpu.Vm64.Cpu.pac_key in
   Alcotest.(check bool) "spawn drew a key" false (Int64.equal key 0L);
-  let snap = Os.Snapshot.capture k p in
-  let q = Os.Snapshot.resume k snap in
+  let snap = Os.Kernel.capture_snapshot k p in
+  let q = Os.Kernel.resume_snapshot k snap in
   Alcotest.check i64 "resumed key" key q.Os.Process.cpu.Vm64.Cpu.pac_key;
   (* and the thawed server still signs/authenticates its handler frames *)
   serve k q "AAAA";
@@ -192,9 +192,9 @@ let test_shadow_siblings_do_not_share () =
   let sp0 = Pssp.Tls.shadow_sp p.Os.Process.mem ~fs_base:Vm64.Layout.tls_base in
   Alcotest.check i64 "boot initialised the shadow SP"
     Vm64.Layout.shadow_stack_base sp0;
-  let snap = Os.Snapshot.capture k p in
-  let q1 = Os.Snapshot.resume k snap in
-  let q2 = Os.Snapshot.resume k snap in
+  let snap = Os.Kernel.capture_snapshot k p in
+  let q1 = Os.Kernel.resume_snapshot k snap in
+  let q2 = Os.Kernel.resume_snapshot k snap in
   (* simulate a shadow push in q1: bump its pointer and write an entry *)
   Vm64.Memory.write_u64 q1.Os.Process.mem Vm64.Layout.shadow_stack_base 0xFACEL;
   Pssp.Tls.set_shadow_sp q1.Os.Process.mem ~fs_base:Vm64.Layout.tls_base

@@ -68,7 +68,7 @@ let run_small_fork_workload () =
 (* PR 5 removed the deprecated per-module stats wrappers; the registry
    names are now the only interface, so pin down that a real workload
    populates them. *)
-let test_registry_reads () =
+let test_read_registry () =
   Telemetry.Registry.reset Vm64.Memory.metric_clones;
   Telemetry.Registry.reset Vm64.Tcache.metric_hits;
   Telemetry.Registry.reset Os.Kernel.metric_forks;
@@ -385,7 +385,7 @@ let () =
           Alcotest.test_case "histogram flattening" `Quick test_histogram_flatten;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
           Alcotest.test_case "registry reads over a fork workload" `Quick
-            test_registry_reads;
+            test_read_registry;
         ] );
       ( "trace",
         [
