@@ -54,10 +54,13 @@ let run_cycles scheme ~criticals ~calls =
   | other -> failwith ("Table5: " ^ Os.Kernel.stop_to_string other));
   Os.Process.cycles proc
 
+let per_call ~calls ~protected_ ~baseline =
+  Int64.to_float (Int64.sub protected_ baseline) /. float_of_int calls
+
 let measure_scheme ?(calls = 20_000) scheme ~criticals =
   let protected_ = run_cycles scheme ~criticals ~calls in
   let baseline = run_cycles Pssp.Scheme.None_ ~criticals ~calls in
-  Int64.to_float (Int64.sub protected_ baseline) /. float_of_int calls
+  per_call ~calls ~protected_ ~baseline
 
 let specs =
   [
@@ -74,12 +77,21 @@ let specs =
     ("Wasm SSP", Pssp.Scheme.Wasm_ssp, 0);
   ]
 
+(* The unprotected build depends only on the victim, so each distinct
+   [criticals] gets one baseline run, shared by its rows. *)
 let run ?(jobs = 1) ?(calls = 20_000) () =
+  let victims = List.sort_uniq compare (List.map (fun (_, _, criticals) -> criticals) specs) in
+  let baselines =
+    List.combine victims
+      (Pool.map ~jobs (fun criticals -> run_cycles Pssp.Scheme.None_ ~criticals ~calls) victims)
+  in
   {
     rows =
       Pool.map ~jobs
         (fun (label, scheme, criticals) ->
-          { label; scheme; cycles = measure_scheme ~calls scheme ~criticals })
+          let protected_ = run_cycles scheme ~criticals ~calls in
+          let baseline = List.assoc criticals baselines in
+          { label; scheme; cycles = per_call ~calls ~protected_ ~baseline })
         specs;
   }
 

@@ -16,9 +16,10 @@ type row = {
 type result = { rows : row list }
 
 val run : ?jobs:int -> ?calls:int -> unit -> result
-(** [calls] defaults to 20_000. [jobs] fans the per-scheme measurements
-    out over a {!Pool} of domains; results are identical for every
-    [jobs]. *)
+(** [calls] defaults to 20_000. Each distinct unprotected victim runs
+    once and serves every row with its number of critical variables.
+    [jobs] fans the runs out over a {!Pool} of domains; results are
+    identical for every [jobs], and to {!measure_scheme}'s per row. *)
 
 val to_table : result -> Util.Table.t
 

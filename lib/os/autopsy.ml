@@ -25,7 +25,7 @@ let payload_shaped addr =
       all 1)
 
 let examine (proc : Process.t) =
-  let rip = proc.Process.cpu.Vm64.Cpu.rip in
+  let rip = Vm64.Cpu.rip proc.Process.cpu in
   let crash_function =
     Option.map
       (fun (s : Image.symbol) -> s.Image.sym_name)

@@ -9,7 +9,7 @@ let ring_tracer ~capacity =
   { ring = Array.make capacity None; next = 0; total = 0 }
 
 let on_retire t (cpu : Vm64.Cpu.t) insn =
-  t.ring.(t.next) <- Some (cpu.Vm64.Cpu.rip, insn);
+  t.ring.(t.next) <- Some (Vm64.Cpu.rip cpu, insn);
   t.next <- (t.next + 1) mod Array.length t.ring;
   t.total <- t.total + 1
 

@@ -392,13 +392,28 @@ let core_strcmp cpu mem =
   charge_bytes cpu (String.length a + String.length b);
   Int64.of_int (compare a b)
 
+(* The last key schedule expanded in this domain, with its key words.
+   P-SSP-OWF's key is fixed per process, so nearly every call reuses it;
+   a schedule is never mutated, so sharing one is safe. *)
+let aes_key_memo : (int64 * int64 * Crypto.Aes128.key) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let expanded_key lo hi =
+  let memo = Domain.DLS.get aes_key_memo in
+  match !memo with
+  | Some (l, h, key) when Int64.equal l lo && Int64.equal h hi -> key
+  | _ ->
+    let key = Crypto.Aes128.key_of_int64s lo hi in
+    memo := Some (lo, hi, key);
+    key
+
 let core_aes_encrypt cpu _mem =
   (* Key in xmm1, plaintext in xmm15, ciphertext back to xmm15 — the
      helper Code 8 calls. Cost matches AES-NI latency. *)
   charge cpu Cost.aes_encrypt_call_cycles;
   let key_lo, key_hi = Cpu.get_xmm cpu Isa.Reg.Xmm.xmm1 in
   let pt_lo, pt_hi = Cpu.get_xmm cpu Isa.Reg.Xmm.xmm15 in
-  let key = Crypto.Aes128.key_of_int64s key_lo key_hi in
+  let key = expanded_key key_lo key_hi in
   let ct_lo, ct_hi = Crypto.Aes128.encrypt_int64s key pt_lo pt_hi in
   Cpu.set_xmm cpu Isa.Reg.Xmm.xmm15 (ct_lo, ct_hi);
   0L

@@ -115,7 +115,7 @@ let note_killed t (p : Process.t) signal msg =
           ("signal", Process.signal_name signal);
           ("msg", msg);
         ]
-      ~cycles:p.Process.cpu.Cpu.cycles
+      ~cycles:(Cpu.cycles p.Process.cpu)
 
 let note_fault t p fault =
   note_killed t p (Process.signal_of_fault fault) (Fault.to_string fault)
@@ -226,7 +226,7 @@ let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
   cpu.Cpu.call_tax <- call_tax;
   Telemetry.Trace.with_span "kernel.spawn.preload"
     ~args:[ ("image", image.Image.name) ]
-    ~cycles:(fun () -> cpu.Cpu.cycles)
+    ~cycles:(fun () -> Cpu.cycles cpu)
     (fun () ->
       ignore
         (Pssp.Tls.install_fresh_canary t.master_rng mem ~fs_base:Layout.tls_base);
@@ -280,8 +280,8 @@ let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
            Isa.Insn.Call (Isa.Insn.Abs ctor.Image.sym_addr);
            Isa.Insn.Jmp (Isa.Insn.Abs image.Image.entry);
          ]);
-    cpu.Cpu.rip <- ctor_trampoline_addr
-  | None -> cpu.Cpu.rip <- image.Image.entry);
+    Cpu.set_rip cpu ctor_trampoline_addr
+  | None -> Cpu.set_rip cpu image.Image.entry);
   new_process t ~parent:None ~image ~mem ~cpu ~io:(Glibc.make_io ~input)
     ~preload
 
@@ -321,7 +321,7 @@ let fork_child t (parent : Process.t) =
           ("parent", string_of_int parent.Process.pid);
           ("child", string_of_int child_pid);
         ]
-      ~cycles:parent.Process.cpu.Cpu.cycles;
+      ~cycles:(Cpu.cycles parent.Process.cpu);
   Cpu.set parent.Process.cpu Isa.Reg.RAX (Int64.of_int child_pid);
   (* O(1) append (oldest child stays at the head) — a list-append here
      goes quadratic for a fork-per-connection server reaping lazily *)
@@ -339,7 +339,7 @@ let spawn_thread t (parent : Process.t) ~start ~arg =
   Cpu.set cpu Isa.Reg.RSP (Int64.sub rsp 8L);
   Memory.write_u64 child.Process.mem (Int64.sub rsp 8L) exit_stub_addr;
   Cpu.set cpu Isa.Reg.RDI arg;
-  cpu.Cpu.rip <- start;
+  Cpu.set_rip cpu start;
   Preload.on_thread_start parent.Process.preload cpu.Cpu.rng child.Process.mem
     ~fs_base:cpu.Cpu.fs_base;
   (* Statically instrumented binaries have no preload; the rewritten
@@ -736,7 +736,7 @@ let handle_builtin t (p : Process.t) name =
 (* Run p for one scheduling slice (or until it parks/dies/fuel runs
    out), advancing virtual time by the cycles it retires. *)
 let run_slice t (p : Process.t) fuel =
-  let c0 = p.Process.cpu.Cpu.cycles in
+  let c0 = Cpu.cycles p.Process.cpu in
   let budget = ref (Stdlib.min slice_insns !fuel) in
   let continue_ = ref true in
   while !continue_ && !budget > 0 do
@@ -759,7 +759,7 @@ let run_slice t (p : Process.t) fuel =
     | Exec.Builtin name ->
       if not (handle_builtin t p name) then continue_ := false
   done;
-  t.now <- Int64.add t.now (Int64.sub p.Process.cpu.Cpu.cycles c0)
+  t.now <- Int64.add t.now (Int64.sub (Cpu.cycles p.Process.cpu) c0)
 
 (* A wakeup event fired for a parked process: issue its call again. If
    it still cannot complete (another process took the bytes or the

@@ -53,4 +53,4 @@ let crashed t = match t.status with Killed _ -> true | _ -> false
 
 let stdout t = Buffer.contents t.io.Glibc.output
 let stderr t = Buffer.contents t.io.Glibc.errout
-let cycles t = t.cpu.Vm64.Cpu.cycles
+let cycles t = Vm64.Cpu.cycles t.cpu

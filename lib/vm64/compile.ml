@@ -10,21 +10,24 @@
    register file in place and tail-calls its continuation. A
    translation runs as the threaded chain, every step tail-calling the
    next ([run_chain]), which also runs mcc's four-instruction operand
-   shuffle as one step ([shuffle]). The chain has no fuel boundary
-   inside it, so a translation longer than the fuel left — the fuel
-   tail — runs the same steps one per loop turn against a continuation
-   that just reports [Running] ([run_steps], exact limits). A step's
-   own cost is kept small: each flag is one int64 compare, and an
-   8-byte guest access inside one page reads the page table in place
-   ([load]/[store]) rather than calling into [Memory].
+   shuffle as one step ([shuffle]), and the shuffle with the binop that
+   consumes it as one step too ([alu_window]). The chain has no fuel
+   boundary inside it, so a translation longer than the fuel left — the
+   fuel tail — runs the same steps one per loop turn against a
+   continuation that just reports [Running] ([run_steps], exact
+   limits). A step's own cost is kept small: each flag is one int64
+   compare, rip and the cycle count are plain stores into the register
+   file, and an 8-byte guest access inside one page reads the page
+   table in place ([load]/[store]) rather than calling into [Memory].
 
-   [run] also chains compiled blocks through their exits — a
-   taken/fall-through/return transfer jumps straight into the
-   successor's translation instead of returning to [Exec.step_block]'s
-   dispatch loop — and fuses hot unconditional chains into superblock
-   translations. Loaded text never changes, so whether a cached
-   translation may run in a space rests on its blocks' page anchors
-   alone; see [translation] and [link_live]. *)
+   Translations also hand control to each other without leaving
+   compiled code: a chain's exit follows its live chain link straight
+   into the successor's chain ([hop]), and [run] takes over for every
+   transfer a hop does not make — a link to patch, a fuel tail, a
+   superblock to fuse, a stop. Hot unconditional chains are fused into
+   superblock translations. Loaded text never changes, so whether a
+   cached translation may run in a space rests on its blocks' page
+   anchors alone; see [translation] and [link_live]. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -42,7 +45,9 @@ type builtin_fn = Cpu.t -> Memory.t -> int64
    register file and flags one load away. [at] is the index of the step
    that stopped the run: a step sets it before anything that can raise
    or end the run, so a fault needs no more than rip set to that step's
-   address. *)
+   address. A chain may hop into its successor's chain at its exit
+   ([hop]), so [cur] names the translation running now, [fuel] the fuel
+   left at its entry and [retired] what the run has retired before it. *)
 type mach = {
   cpu : Cpu.t;
   mem : Memory.t;
@@ -50,23 +55,27 @@ type mach = {
   flags : Cpu.flags;
   tmp : Bytes.t;  (* 8 bytes: where a slow 8-byte load leaves its value *)
   mutable at : int;
+  mutable cur : code;
+  mutable fuel : int;
+  mutable retired : int;
+  hops : bool;  (* direct hops allowed: off while the profiler runs *)
+  threshold : int;  (* the fuse threshold, read once per run *)
+  is_builtin : int64 -> string option;  (* the environment a link's target must fit *)
+  tc : Tcache.t;
 }
 
-type step = mach -> outcome
-
-let mach cpu mem =
-  { cpu; mem; regs = cpu.Cpu.gprs; flags = cpu.Cpu.flags; tmp = Bytes.create 8; at = 0 }
+and step = mach -> outcome
 
 (* A patched exit: the successor translation this code may enter
    directly, in any space where [link_live] still holds. *)
-type link = {
+and link = {
   mutable l_addr : int64;  (* entry rip the target translates *)
   mutable l_target : code option;
 }
 
 and code = {
   ops : step array;  (* step i against a [Running] continuation: the fuel tail *)
-  chain : step;  (* the threaded chain: all steps, then [Running] *)
+  chain : step;  (* the threaded chain: all steps, then the exit's [hop] *)
   addrs : int64 array;  (* address of each instruction *)
   nexts : int64 array;  (* fall-through rip of each insn, for the fuel tail *)
   csum : int array;  (* csum.(k) = static cycles of the first k insns *)
@@ -82,6 +91,9 @@ and code = {
          (==) — code compiled for another environment must be rebuilt *)
   mutable hot : int;  (* entry count, drives superblock formation *)
   mutable fuse_tried : bool;
+  mutable slot_current : bool;
+      (* still what the head block's slot holds; cleared where the slot
+         is overwritten ([translation] and [try_fuse], by [install]) *)
   mutable swept : Memory.t option;  (* space of the last passing anchor sweep *)
   mutable swept_gen : int;  (* its payload generation at that sweep *)
   link_a : link;  (* taken / unconditional / dynamic target cache *)
@@ -168,6 +180,12 @@ let rsp_o = ro Isa.Reg.RSP
 let rbp_o = ro Isa.Reg.RBP
 let rax_o = ro Isa.Reg.RAX
 let rdx_o = ro Isa.Reg.RDX
+
+(* rip and the cycle count, past the gprs; literals for the same reason
+   as the page geometry below *)
+let rip_o = 128
+let cycles_o = 136
+let () = assert (rip_o = Cpu.rip_offset && cycles_o = Cpu.cycles_offset)
 
 let[@inline] rget m o = Cpu.get64u m.regs o
 let[@inline] rset m o v = Cpu.set64u m.regs o v
@@ -371,7 +389,7 @@ type env = {
 }
 
 (* Step [i] of a translation, continuing into [k]. [addr] is the
-   instruction's own address (what cpu.rip reads during its
+   instruction's own address (what rip reads during its
    interpretation — rip itself is stale while compiled code runs),
    [next] its fall-through rip. Each step mutates state in the
    interpreter's order — value reads before rsp moves, flags before the
@@ -571,11 +589,11 @@ let lower env ~i (st : Ir.step) (k : step) : step =
     (* control transfers: the only steps that write rip *)
     | I.Jmp (I.Abs a) ->
       fun m ->
-        m.cpu.Cpu.rip <- a;
+        rset m rip_o a;
         k m
     | I.Jcc (c, I.Abs a) ->
       fun m ->
-        m.cpu.Cpu.rip <- (if cond_holds m.flags c then a else next);
+        rset m rip_o (if cond_holds m.flags c then a else next);
         k m
     | I.Jcc (c, I.Sym s) ->
       fun m ->
@@ -585,7 +603,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
           raise (Isa.Encode.Unresolved_symbol s)
         end
         else begin
-          m.cpu.Cpu.rip <- next;
+          rset m rip_o next;
           k m
         end
     | I.Jmp (I.Sym s) | I.Call (I.Sym s) ->
@@ -610,7 +628,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
              itself). Cycle charges happen inside [f], exactly as the OS
              dispatch would have charged them. *)
           fun m ->
-            m.cpu.Cpu.rip <- next;
+            rset m rip_o next;
             match f m.cpu m.mem with
             | v ->
               rset m rax_o v;
@@ -620,14 +638,14 @@ let lower env ~i (st : Ir.step) (k : step) : step =
               Faulted fault)
         | None ->
           fun m ->
-            m.cpu.Cpu.rip <- next;
+            rset m rip_o next;
             m.at <- i;
             Builtin name)
       | None ->
         fun m ->
           m.at <- i;
           push_m m next;
-          m.cpu.Cpu.rip <- a;
+          rset m rip_o a;
           k m)
     | I.Call_ind op ->
       let op = opnd op and is_builtin = env.is_builtin in
@@ -636,17 +654,17 @@ let lower env ~i (st : Ir.step) (k : step) : step =
         let a = read m op in
         match is_builtin a with
         | Some name ->
-          m.cpu.Cpu.rip <- next;
+          rset m rip_o next;
           Builtin name
         | None ->
           push_m m next;
-          m.cpu.Cpu.rip <- a;
+          rset m rip_o a;
           k m)
     | I.Ret ->
       fun m ->
         m.at <- i;
         let a = pop_m m in
-        m.cpu.Cpu.rip <- a;
+        rset m rip_o a;
         k m
     | I.Leave ->
       fun m ->
@@ -681,7 +699,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
         rset m d (Cpu.pac_strip value);
         k m
     | I.Rdtsc ->
-      (* Deferred charging leaves cpu.cycles at the translation-entry
+      (* Deferred charging leaves the cycle count at the translation-entry
          value while compiled code runs, but the interpreter charges
          instruction [i] before executing it — so the tsc it would read
          here is the entry cycles plus the retired prefix's static
@@ -690,7 +708,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
       fun m ->
         let cpu = m.cpu in
         let tsc =
-          Int64.add cpu.Cpu.cycles
+          Int64.add (rget m cycles_o)
             (Int64.of_int
                (static + (retired * cpu.Cpu.insn_tax) + (calls * cpu.Cpu.call_tax)))
         in
@@ -699,13 +717,13 @@ let lower env ~i (st : Ir.step) (k : step) : step =
         k m
     | I.Syscall ->
       fun m ->
-        m.cpu.Cpu.rip <- next;
+        rset m rip_o next;
         m.at <- i;
         Syscall_trap
     | I.Hlt ->
       fun m ->
         (* the interpreter leaves rip at the hlt itself *)
-        m.cpu.Cpu.rip <- addr;
+        rset m rip_o addr;
         m.at <- i;
         Halted
     | I.Movq_to_xmm (x, r) ->
@@ -794,6 +812,89 @@ let lower env ~i (st : Ir.step) (k : step) : step =
         f.of_ <- false;
         k m)
 
+(* ---- Charging, links and direct hops ------------------------------- *)
+
+(* Protocol: while compiled code runs, rip is stale (still the
+   translation entry). Straight-line steps never touch it; control steps
+   set it before continuing; every way out settles it to exactly what
+   the interpreter would have left. Cycles (static cost + insn tax +
+   call tax) are settled once per translation from the prefix sums —
+   the interpreter charges instruction [i] before executing it, so a
+   translation that retires k instructions has charged the first k
+   either way. A direct hop charges the translation it leaves, all of
+   whose steps retired; [run] charges the one a run stops in, whose
+   stopping step both runners leave in [m.at], so k is [m.at + 1]. *)
+let[@inline] charge_exit m (c : code) k =
+  let cpu = m.cpu in
+  let n =
+    Array.unsafe_get c.csum k
+    + (k * cpu.Cpu.insn_tax)
+    + (Array.unsafe_get c.crsum k * cpu.Cpu.call_tax)
+  in
+  rset m cycles_o (Int64.add (rget m cycles_o) (Int64.of_int n))
+
+(* Every constituent still anchors in this space: each page holds the
+   payload object the block was decoded from, so the bytes are the ones
+   the translation encodes. A passing sweep is remembered on the code
+   as ([swept], [swept_gen]) and not repeated while the same space
+   keeps the same payload generation: no page slot has changed payload
+   since, so every anchor still matches. One sweep serves every link
+   into the code. *)
+let anchored (mem : Memory.t) (c : code) =
+  (match c.swept with
+  | Some m -> m == mem && c.swept_gen = mem.Memory.generation
+  | None -> false)
+  ||
+  let ok = ref true in
+  for i = 0 to Array.length c.blocks - 1 do
+    if not (Tcache.anchor_valid mem (Array.unsafe_get c.blocks i)) then ok := false
+  done;
+  !ok
+  && begin
+    c.swept <- Some mem;
+    c.swept_gen <- mem.Memory.generation;
+    true
+  end
+
+(* A link skips the dispatcher's fetch, so it may be followed only
+   while [translation] would still answer with its target here:
+   - [l_addr]: the exit really goes where the target translates
+     (dynamic exits — ret, indirect call — carry a 1-entry inline
+     cache);
+   - [key] and [slot_current]: the target is the head slot's
+     translation for this environment;
+   - [anchored]: every constituent, the head included, anchors in this
+     space. Links live in code that a fork family shares, and this is
+     what makes one resolved in a relative safe to follow here. *)
+let[@inline] link_live mem (l : link) (c : code) rip key =
+  Int64.equal l.l_addr rip && c.key == key && c.slot_current && anchored mem c
+
+(* The exit of [m.cur]'s chain, all [n] of its steps retired and rip
+   settled: enter the successor behind [l] directly, without returning
+   to [run], when
+   - the profiler is off ([note_profile] sees every translation),
+   - the fuel left after [m.cur] covers the successor's whole chain,
+   - the successor is not due for superblock formation (checked before
+     its entry count moves, as [run] does), and
+   - the link is live.
+   The hop charges and counts [m.cur] first, just as [run] would have.
+   Otherwise [Running] hands the transfer back to [run]. *)
+let[@inline] hop m n (l : link) rip =
+  match l.l_target with
+  | Some t
+    when m.hops
+         && m.fuel - n >= Array.length t.ops
+         && (t.fuse_tried || t.hot < m.threshold)
+         && link_live m.mem l t rip m.is_builtin ->
+    charge_exit m m.cur n;
+    m.fuel <- m.fuel - n;
+    m.retired <- m.retired + n;
+    t.hot <- t.hot + 1;
+    Tcache.note_chain_hop m.tc;
+    m.cur <- t;
+    t.chain m
+  | _ -> Running
+
 (* ---- Block translation: lift -> normalize -> emit -------------------- *)
 
 let running : step = fun _ -> Running
@@ -827,6 +928,20 @@ let shuffle_window (ir : Ir.t) i =
       Some (a, b, src)
     | _ -> None
 
+(* The binop consuming the shuffle window at [i], mcc's [OP a, b] right
+   after the pop on the same a and b, when it is not the last step and
+   no constituent starts at it. *)
+let alu_consumer (ir : Ir.t) i a b =
+  let st = ir.Ir.steps and j = i + 4 in
+  if j >= Array.length st - 1 || Array.exists (fun (p : Ir.part) -> p.Ir.start = j) ir.Ir.parts
+  then None
+  else
+    match st.(j).Ir.uop with
+    | Ir.Exec (I.Bin (bop, O.Reg a', O.Reg b')) when Isa.Reg.equal a a' && Isa.Reg.equal b b'
+      ->
+      Some bop
+    | _ -> None
+
 (* The shuffle's push: a stored at rsp - 8 with rsp lowered, as step
    [i]. Returns the rsp to restore. *)
 let[@inline] shuffle_push m i a =
@@ -837,58 +952,138 @@ let[@inline] shuffle_push m i a =
   store m sp (rget m a);
   rsp
 
-(* mcc's right operands are constants and locals, so those two shapes
-   get their own closures. *)
+(* The whole shuffle for each shape of S: the push, b set to S read
+   with rsp still lowered (naming the mov), rsp restored. mcc's right
+   operands are constants and locals, so those two shapes get their own
+   code. *)
+let[@inline] shuffle_imm m i a b v =
+  let rsp = shuffle_push m i a in
+  rset m b v;
+  rset m rsp_o rsp
+
+let[@inline] shuffle_local m i a b r disp =
+  let rsp = shuffle_push m i a in
+  m.at <- i + 1;
+  rset m b (load m (Int64.add (rget m r) disp));
+  rset m rsp_o rsp
+
+let[@inline] shuffle_any m i a b src =
+  let rsp = shuffle_push m i a in
+  m.at <- i + 1;
+  rset m b (read m src);
+  rset m rsp_o rsp
+
 let shuffle ~i a b src (k : step) : step =
   let a = ro a and b = ro b in
   match src with
   | O.Imm v ->
     fun m ->
-      let rsp = shuffle_push m i a in
-      rset m b v;
-      rset m rsp_o rsp;
+      shuffle_imm m i a b v;
       k m
   | O.Mem { O.seg_fs = false; base = Some r; index = None; disp } ->
     let r = ro r in
     fun m ->
-      let rsp = shuffle_push m i a in
-      m.at <- i + 1;
-      rset m b (load m (Int64.add (rget m r) disp));
-      rset m rsp_o rsp;
+      shuffle_local m i a b r disp;
       k m
   | src ->
     let src = opnd src in
     fun m ->
-      let rsp = shuffle_push m i a in
-      m.at <- i + 1;
-      rset m b (read m src);
-      rset m rsp_o rsp;
+      shuffle_any m i a b src;
       k m
+
+(* [OP a, b], step [i + 4] at [addr], after the shuffle set b. Flags
+   settle through the steps' own setters; only idiv and irem can fault
+   (#DE), and they name the OP. *)
+let[@inline] consume m i addr a b bop =
+  let x = rget m a and y = rget m b in
+  match bop with
+  | I.Cmp -> set_sub_flags m.flags x y (Int64.sub x y)
+  | I.Test -> set_logic_flags m.flags (Int64.logand x y)
+  | I.Idiv | I.Irem ->
+    m.at <- i + 4;
+    rset m a (alu m.flags addr bop x y)
+  | _ -> rset m a (alu m.flags addr bop x y)
+
+(* mcc's binary-expression idiom, [push a; mov a, S; mov b, a; pop a;
+   OP a, b], as one chain step at steps [i..i+4]: the shuffle, then the
+   OP. Each (OP, shape of S) pair gets a closure of its own, so [consume]
+   folds to that OP's code and no step branches on the OP. *)
+let alu_window ~i ~addr a b src bop (k : step) : step =
+  let a = ro a and b = ro b in
+  match src with
+  | O.Imm v -> (
+    match bop with
+    | I.Add -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Add; k m
+    | I.Sub -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Sub; k m
+    | I.Xor -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Xor; k m
+    | I.And -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.And; k m
+    | I.Or -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Or; k m
+    | I.Cmp -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Cmp; k m
+    | I.Test -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Test; k m
+    | I.Imul -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Imul; k m
+    | I.Idiv -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Idiv; k m
+    | I.Irem -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Irem; k m)
+  | O.Mem { O.seg_fs = false; base = Some r; index = None; disp } -> (
+    let r = ro r in
+    match bop with
+    | I.Add -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Add; k m
+    | I.Sub -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Sub; k m
+    | I.Xor -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Xor; k m
+    | I.And -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.And; k m
+    | I.Or -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Or; k m
+    | I.Cmp -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Cmp; k m
+    | I.Test -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Test; k m
+    | I.Imul -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Imul; k m
+    | I.Idiv -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Idiv; k m
+    | I.Irem -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Irem; k m)
+  | src -> (
+    let src = opnd src in
+    match bop with
+    | I.Add -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Add; k m
+    | I.Sub -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Sub; k m
+    | I.Xor -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Xor; k m
+    | I.And -> fun m -> shuffle_any m i a b src; consume m i addr a b I.And; k m
+    | I.Or -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Or; k m
+    | I.Cmp -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Cmp; k m
+    | I.Test -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Test; k m
+    | I.Imul -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Imul; k m
+    | I.Idiv -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Idiv; k m
+    | I.Irem -> fun m -> shuffle_any m i a b src; consume m i addr a b I.Irem; k m)
 
 (* The threaded chain: step [i] tail-calls step [i+1] through that
    closure's own code pointer (a one-argument application needs no
    caml_applyN trampoline), and the last one continues into the exit,
-   which settles rip like [run_steps]'s stop at the translation end.
-   Inside the chain a jmp's or direct call's rip write is dead — every
-   later way out (a fault, a kernel-visible stop, the exit) writes rip
-   itself — so the chain drops the jmp and keeps only the call's push.
-   An operand shuffle becomes one step ([shuffle]). Both are emission
-   details of the chain: the IR keeps one step per instruction, and so
-   do the fuel tail's per-step [ops]. *)
+   which settles rip like [run_steps]'s stop at the translation end and
+   then tries a direct [hop] into the successor. Inside the chain a
+   jmp's or direct call's rip write is dead — every later way out (a
+   fault, a kernel-visible stop, the exit) writes rip itself — so the
+   chain drops the jmp and keeps only the call's push. An operand
+   shuffle becomes one step ([shuffle]), and so does a shuffle with its
+   consuming binop ([alu_window]). These are emission details of the
+   chain: the IR keeps one step per instruction, and so do the fuel
+   tail's per-step [ops]. *)
 let emit_chain env (ir : Ir.t) =
   let steps = ir.Ir.steps in
   let n = Array.length steps in
   let last = steps.(n - 1) in
   let exit_ : step =
-    if last.Ir.sets_rip then fun m ->
-      m.at <- n - 1;
-      Running
-    else
+    match ir.Ir.exit_ with
+    | Ir.Branch { taken; _ } ->
+      (* the jcc wrote rip; pick the link for the side it took *)
+      fun m ->
+        m.at <- n - 1;
+        let rip = rget m rip_o in
+        hop m n (if Int64.equal rip taken then m.cur.link_a else m.cur.link_b) rip
+    | _ when last.Ir.sets_rip ->
+      fun m ->
+        m.at <- n - 1;
+        hop m n m.cur.link_a (rget m rip_o)
+    | _ ->
       let fall = last.Ir.next in
       fun m ->
-        m.cpu.Cpu.rip <- fall;
+        rset m rip_o fall;
         m.at <- n - 1;
-        Running
+        hop m n m.cur.link_a fall
   in
   let inner (st : Ir.step) =
     match st.Ir.uop with
@@ -901,7 +1096,10 @@ let emit_chain env (ir : Ir.t) =
     if i = n - 1 then lower env ~i last exit_
     else
       match shuffle_window ir i with
-      | Some (a, b, src) -> shuffle ~i a b src (build (i + 4))
+      | Some (a, b, src) -> (
+        match alu_consumer ir i a b with
+        | Some bop -> alu_window ~i ~addr:steps.(i + 4).Ir.addr a b src bop (build (i + 5))
+        | None -> shuffle ~i a b src (build (i + 4)))
       | None -> lower env ~i (inner steps.(i)) (build (i + 1))
   in
   build 0
@@ -930,6 +1128,7 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
     key = is_builtin;
     hot = 0;
     fuse_tried = Array.length ir.Ir.parts > 1;
+    slot_current = true;
     swept = None;
     swept_gen = 0;
     link_a = fresh_link ();
@@ -942,27 +1141,12 @@ let block_ir ~is_builtin ~inline (b : Tcache.block) =
 
 (* ---- Execution ------------------------------------------------------ *)
 
-(* Protocol: while compiled code runs, cpu.rip is stale (still the
-   translation entry). Straight-line steps never touch it; control steps
-   set it before continuing; every way out settles it to exactly what
-   the interpreter would have left. Cycles (static cost + insn tax +
-   call tax) are settled once per exit from the prefix sums — the
-   interpreter charges instruction [i] before executing it, so a
-   translation that retires k instructions has charged the first k
-   either way. Both runners leave the stopping step in [m.at], so k is
-   [m.at + 1]. *)
-let charge_exit (code : code) cpu k =
-  Cpu.add_cycles cpu
-    (Array.unsafe_get code.csum k
-    + (k * cpu.Cpu.insn_tax)
-    + (Array.unsafe_get code.crsum k * cpu.Cpu.call_tax))
-
 (* A step raised: the interpreter leaves rip at the faulting
-   instruction. *)
-let fault_exit (code : code) m i e =
-  let a = Array.unsafe_get code.addrs i in
+   instruction, step [i] of the running translation. *)
+let fault_exit m i e =
+  let a = Array.unsafe_get m.cur.addrs i in
   m.at <- i;
-  m.cpu.Cpu.rip <- a;
+  rset m rip_o a;
   match e with
   | Fault.Trap f -> Faulted f
   | Isa.Encode.Unresolved_symbol s ->
@@ -978,50 +1162,32 @@ let rec steps_from (code : code) m i limit =
        fall-through unless this step already wrote it — in a
        superblock, jmp/call steps sit mid-array too *)
     if not (Array.unsafe_get code.sets_rip i) then
-      m.cpu.Cpu.rip <- Array.unsafe_get code.nexts i;
+      rset m rip_o (Array.unsafe_get code.nexts i);
     m.at <- i;
     Running
   | outcome ->
     m.at <- i;
     outcome
-  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) ->
-    fault_exit code m i e
+  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit m i e
 
 let run_steps (code : code) m ~limit =
   let n = Array.length code.ops in
   steps_from code m 0 (if limit < n then limit else n)
 
-(* The whole translation in one chain run. *)
-let run_chain (code : code) m =
-  match code.chain m with
+(* [m.cur]'s whole chain, and the chains it hops into, in one run. A
+   fault names its step in whichever translation is running then. *)
+let run_chain m =
+  match m.cur.chain m with
   | outcome -> outcome
-  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) ->
-    fault_exit code m m.at e
+  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit m m.at e
 
 (* ---- Chaining, superblocks, profiling attribution ------------------- *)
 
-(* Every constituent still anchors in this space: each page holds the
-   payload object the block was decoded from, so the bytes are the ones
-   the translation encodes. A passing sweep is remembered on the code
-   as ([swept], [swept_gen]) and not repeated while the same space
-   keeps the same payload generation: no page slot has changed payload
-   since, so every anchor still matches. One sweep serves every link
-   into the code. *)
-let anchored mem (c : code) =
-  (match c.swept with
-  | Some m -> m == mem && c.swept_gen = Memory.generation mem
-  | None -> false)
-  ||
-  let ok = ref true in
-  for i = 0 to Array.length c.blocks - 1 do
-    if not (Tcache.anchor_valid mem (Array.unsafe_get c.blocks i)) then ok := false
-  done;
-  !ok
-  && begin
-    c.swept <- Some mem;
-    c.swept_gen <- Memory.generation mem;
-    true
-  end
+(* Put [c] in [b]'s slot. The code it replaces is no longer current, so
+   every chain link pointing at it retargets on its next traversal. *)
+let install (b : Tcache.block) c =
+  (match b.Tcache.compiled with Code old -> old.slot_current <- false | _ -> ());
+  b.Tcache.compiled <- Code c
 
 (* The one decision on whether a cached translation may run in a space.
    The caller has checked that [b] anchors here (the dispatcher's fetch,
@@ -1036,31 +1202,9 @@ let translation tc mem ~is_builtin ~inline (b : Tcache.block) =
   | Code c when c.key == is_builtin && (Array.length c.blocks = 1 || anchored mem c) -> c
   | _ ->
     let c = emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b) in
-    b.Tcache.compiled <- Code c;
+    install b c;
     Tcache.note_compile tc;
     c
-
-(* The code is still what the head block's slot holds. Replacing the
-   slot (superblock formation, a stale superblock's strip) retargets
-   every chain link pointing at the old translation on its next
-   traversal. *)
-let slot_current (c : code) =
-  match (Array.unsafe_get c.blocks 0).Tcache.compiled with
-  | Code c' -> c' == c
-  | _ -> false
-
-(* A link skips the dispatcher's fetch, so it may be followed only
-   while [translation] would still answer with its target here:
-   - [l_addr]: the exit really goes where the target translates
-     (dynamic exits — ret, indirect call — carry a 1-entry inline
-     cache);
-   - [key] and [slot_current]: the target is the head slot's
-     translation for this environment;
-   - [anchored]: every constituent, the head included, anchors in this
-     space. Links live in code that a fork family shares, and this is
-     what makes one resolved in a relative safe to follow here. *)
-let link_live mem (l : link) (c : code) rip key =
-  Int64.equal l.l_addr rip && c.key == key && slot_current c && anchored mem c
 
 let link_for (c : code) rip =
   match c.exit_ with
@@ -1122,7 +1266,7 @@ let try_fuse tc mem ~is_builtin ~inline (c : code) =
   if Array.length fused.Ir.parts < 2 then None
   else begin
     let sc = emit ~is_builtin ~inline fused in
-    head.Tcache.compiled <- Code sc;
+    install head sc;
     Tcache.note_superblock tc;
     Some sc
   end
@@ -1151,49 +1295,71 @@ let note_profile (c : code) cpu k =
    through live (or freshly patched) chain links until fuel runs out, a
    non-[Running] outcome exits to the OS, or the successor is not
    resolvable in-cache (bounce to the dispatcher, which decodes it).
-   Fuel, cycle and fault accounting are exactly the interpreter's. One
-   [mach] serves every hop. *)
+   Most transfers are direct hops inside the chain ([hop]); [run] makes
+   the rest: the first entry, fuel tails, links to patch, superblock
+   formation, and every transfer while the profiler runs. Fuel, cycle
+   and fault accounting are exactly the interpreter's. One [mach] serves
+   every transfer. *)
 let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
   let tc = cpu.Cpu.tcache in
-  let m = mach cpu mem in
   let profiling = Telemetry.Profile.enabled () in
   let threshold = Atomic.get fuse_threshold in
-  let rec enter (c : code) fuel acc =
+  let m =
+    {
+      cpu;
+      mem;
+      regs = cpu.Cpu.gprs;
+      flags = cpu.Cpu.flags;
+      tmp = Bytes.create 8;
+      at = 0;
+      cur = translation tc mem ~is_builtin ~inline b;
+      fuel;
+      retired = 0;
+      hops = not profiling;
+      threshold;
+      is_builtin;
+      tc;
+    }
+  in
+  let rec enter (c : code) =
     let c =
       if c.fuse_tried || c.hot < threshold then c
       else match try_fuse tc mem ~is_builtin ~inline c with Some sc -> sc | None -> c
     in
     c.hot <- c.hot + 1;
+    m.cur <- c;
     let outcome =
       (* The chain has no fuel boundary inside it, so it only runs when
          fuel covers the whole translation; the fuel tail retires step
          by step with an exact limit. *)
-      if fuel >= Array.length c.ops then run_chain c m
-      else run_steps c m ~limit:fuel
+      if m.fuel >= Array.length c.ops then run_chain m else run_steps c m ~limit:m.fuel
     in
-    let k = m.at + 1 in
-    charge_exit c cpu k;
+    (* direct hops charged and counted every translation before the one
+       the run stopped in *)
+    let c = m.cur and k = m.at + 1 in
+    charge_exit m c k;
     if profiling then note_profile c cpu k;
-    let acc = acc + k and fuel = fuel - k in
+    m.fuel <- m.fuel - k;
+    m.retired <- m.retired + k;
     match outcome with
-    | Running when fuel > 0 -> follow c fuel acc
-    | _ -> (outcome, acc)
-  and follow c fuel acc =
-    let rip = cpu.Cpu.rip in
+    | Running when m.fuel > 0 -> follow c
+    | _ -> (outcome, m.retired)
+  and follow c =
+    let rip = rget m rip_o in
     let l = link_for c rip in
     match l.l_target with
     | Some target when link_live mem l target rip is_builtin ->
       Tcache.note_chain_hop tc;
-      enter target fuel acc
+      enter target
     | _ -> (
       match c.exit_ with
-      | Ir.Stop -> (Running, acc)
+      | Ir.Stop -> (Running, m.retired)
       | _ -> (
         match resolve tc mem ~is_builtin ~inline rip with
         | Some target ->
           install_link tc l rip target;
           Tcache.note_chain_hop tc;
-          enter target fuel acc
-        | None -> (Running, acc)))
+          enter target
+        | None -> (Running, m.retired)))
   in
-  enter (translation tc mem ~is_builtin ~inline b) fuel 0
+  enter m.cur

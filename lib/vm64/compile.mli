@@ -6,29 +6,35 @@
     translation time already resolved: operand shapes and addressing
     modes specialized, immediates captured, direct-call builtin targets
     resolved against the environment's table, and straight-line cycle
-    costs pre-summed so {!Cpu.add_cycles} runs once per block exit. A
+    costs pre-summed so the cycle count moves once per translation. A
     step is a one-argument closure over the machine (the {!Cpu.t} plus
     its {!Memory.t}): it updates the register file in place and
     tail-calls its continuation, and it allocates nothing on its common
-    path — the register file is read and written through
-    {!Cpu.get64u}/{!Cpu.set64u}, and an 8-byte guest access inside the
-    layout and inside one page reads {!Memory.t}'s page table in place:
-    a load reads the payload, a store writes it in place when this
-    space is the page's only owner and otherwise through
+    path — the register file, rip and the cycle count included, is read
+    and written through {!Cpu.get64u}/{!Cpu.set64u}, and an 8-byte guest
+    access inside the layout and inside one page reads {!Memory.t}'s
+    page table in place: a load reads the payload, a store writes it in
+    place when this space is the page's only owner and otherwise through
     {!Memory.store_page}.
 
     [run] runs each translation as the threaded chain: every step
-    tail-calls the next, for the whole translation at once, and mcc's
+    tail-calls the next, for the whole translation at once. mcc's
     operand shuffle [push a; mov a, S; mov b, a; pop a] runs as one
-    step. The chain has no fuel boundary inside it, so a translation
-    longer than the fuel left — the fuel tail — runs the same steps one
-    per loop turn with an exact limit. [run] keeps control inside
-    compiled code across block boundaries: each translation carries
-    chain links that are patched to the successor's translation the
-    first time an exit resolves, hot translations are fused forward
-    along unconditional static exits into superblocks, and small pure
-    glibc builtins can be emitted in line at their call sites (the
-    [inline] argument).
+    step, and so does the shuffle followed by the binop that consumes
+    it, [OP a, b]. The chain has no fuel boundary inside it, so a
+    translation longer than the fuel left — the fuel tail — runs the
+    same steps one per loop turn with an exact limit. Control stays
+    inside compiled code across block boundaries: each translation
+    carries chain links that are patched to the successor's translation
+    the first time an exit resolves, and a chain's exit enters its
+    successor's chain directly through a live link (a direct hop),
+    charging the translation it leaves, when the fuel left covers the
+    successor, the successor is not due for superblock formation and
+    the profiler is off. [run] makes every other transfer: it patches
+    links, runs fuel tails, fuses hot translations forward along
+    unconditional static exits into superblocks, and notes profiles.
+    Small pure glibc builtins can be emitted in line at their call
+    sites (the [inline] argument).
 
     A translation lives in its head block's [Tcache.block.compiled]
     slot and is shared by the whole fork family. Loaded text never
@@ -38,8 +44,8 @@
     code was compiled for this environment (the [is_builtin] closure,
     compared with [(==)]) and, for a superblock, every constituent
     anchors in this space — either keeps the slot's code or compiles
-    the single block into the slot. A chain link is followed only while
-    that decision would still pick its target.
+    the single block into the slot. A chain link, direct hops included,
+    is followed only while that decision would still pick its target.
 
     Compiled execution is semantically invisible: faults (identity and
     partial state), fuel accounting, builtin trapping, rdrand draws and
@@ -78,10 +84,12 @@ val run :
     from the cache — in which case [(Running, retired)] bounces control
     back to {!Exec.step_block}'s dispatcher, which decodes it. The
     block must anchor in this space (the dispatcher's fetch checked).
-    Each hop runs the threaded chain when the remaining fuel covers the
-    whole translation and the fuel tail's step loop otherwise. Also
+    Each translation runs as the threaded chain when the remaining fuel
+    covers it and as the fuel tail's step loop otherwise. Also
     attributes per-constituent cycles to {!Telemetry.Profile} when
-    profiling is on (the caller must not note again).
+    profiling is on (the caller must not note again); direct hops are
+    off then, so every translation reaches the attribution. The
+    returned count is every instruction retired, across hops.
 
     [inline] lets direct calls to resolved builtins execute in line —
     the emitted closure advances rip past the call, runs the core,

@@ -8,10 +8,8 @@ type flags = {
 type t = {
   gprs : Bytes.t;
   xmms : (int64 * int64) array;
-  mutable rip : int64;
   flags : flags;
   mutable fs_base : int64;
-  mutable cycles : int64;
   mutable insn_tax : int;
   mutable call_tax : int;
   mutable pac_key : int64;
@@ -19,14 +17,17 @@ type t = {
   tcache : Tcache.t;
 }
 
+(* rip and the cycle counter follow the 16 gprs in the register file,
+   so writing either is a plain store too *)
+let rip_offset = 128
+let cycles_offset = 136
+
 let create ?(seed = 0x5EEDL) () =
   {
-    gprs = Bytes.make 128 '\000';
+    gprs = Bytes.make 144 '\000';
     xmms = Array.make 16 (0L, 0L);
-    rip = 0L;
     flags = { zf = false; sf = false; cf = false; of_ = false };
     fs_base = 0L;
-    cycles = 0L;
     insn_tax = 0;
     call_tax = 0;
     pac_key = 0L;
@@ -47,11 +48,9 @@ let clone t =
   {
     gprs = Bytes.copy t.gprs;
     xmms = Array.copy t.xmms;
-    rip = t.rip;
     flags =
       { zf = t.flags.zf; sf = t.flags.sf; cf = t.flags.cf; of_ = t.flags.of_ };
     fs_base = t.fs_base;
-    cycles = t.cycles;
     insn_tax = t.insn_tax;
     call_tax = t.call_tax;
     (* fork children inherit the key: frames signed by the parent must
@@ -67,11 +66,9 @@ let snapshot t =
   {
     gprs = Bytes.copy t.gprs;
     xmms = Array.copy t.xmms;
-    rip = t.rip;
     flags =
       { zf = t.flags.zf; sf = t.flags.sf; cf = t.flags.cf; of_ = t.flags.of_ };
     fs_base = t.fs_base;
-    cycles = t.cycles;
     insn_tax = t.insn_tax;
     call_tax = t.call_tax;
     pac_key = t.pac_key;
@@ -81,7 +78,10 @@ let snapshot t =
     tcache = Tcache.clone t.tcache;
   }
 
-let add_cycles t n = t.cycles <- Int64.add t.cycles (Int64.of_int n)
+let rip t = get64u t.gprs rip_offset
+let set_rip t v = set64u t.gprs rip_offset v
+let cycles t = get64u t.gprs cycles_offset
+let add_cycles t n = set64u t.gprs cycles_offset (Int64.add (cycles t) (Int64.of_int n))
 
 (* ---- pointer-authentication MAC (the [pac]/[aut] instructions) ----
 

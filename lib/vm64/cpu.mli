@@ -1,4 +1,9 @@
-(** Architectural state of one simulated hardware thread. *)
+(** Architectural state of one simulated hardware thread.
+
+    The register file holds rip and the retired cycle count beside the
+    16 general-purpose registers, so compiled code updates all of them
+    with plain stores: no boxed int64 and no write barrier. Read and
+    write them through {!rip}/{!set_rip} and {!cycles}/{!add_cycles}. *)
 
 type flags = {
   mutable zf : bool;
@@ -10,15 +15,16 @@ type flags = {
 type t = {
   gprs : Bytes.t;
       (** The register file: 16 general-purpose registers, 8 bytes each,
-          register [i] (by {!Isa.Reg.index}) at byte offset [8 * i].
-          Access it with {!get}/{!set}, or with {!get64u}/{!set64u} at
-          [8 * i]. Bytes rather than an [int64 array], so a register
-          write is a plain store: no boxed int64 and no write barrier. *)
+          register [i] (by {!Isa.Reg.index}) at byte offset [8 * i],
+          then rip at {!rip_offset} and the retired cycle count at
+          {!cycles_offset}. Access it with {!get}/{!set} and the rip and
+          cycle accessors, or with {!get64u}/{!set64u} at those
+          offsets. Bytes rather than an [int64 array], so a write is a
+          plain store: no boxed int64 and no write barrier. {!clone} and
+          {!snapshot} copy all of it. *)
   xmms : (int64 * int64) array;  (** 16 XMM registers as (lo, hi) qwords *)
-  mutable rip : int64;
   flags : flags;
   mutable fs_base : int64;  (** TLS segment base *)
-  mutable cycles : int64;  (** retired cycle count; also feeds [rdtsc] *)
   mutable insn_tax : int;
       (** extra cycles charged per instruction — models dynamic binary
           translation (PIN) overhead for the DynaGuard baseline *)
@@ -69,6 +75,18 @@ val snapshot : t -> t
     snapshot must draw the same [rdrand] stream the frozen original
     would have, so restored runs are bit-identical to cold spawns. The
     copy keeps the original's translation cache, like {!clone}. *)
+
+val rip_offset : int
+(** Byte offset of rip in {!t.gprs}: 128. *)
+
+val cycles_offset : int
+(** Byte offset of the retired cycle count in {!t.gprs}: 136. *)
+
+val rip : t -> int64
+val set_rip : t -> int64 -> unit
+
+val cycles : t -> int64
+(** The retired cycle count; also feeds [rdtsc]. *)
 
 val add_cycles : t -> int -> unit
 

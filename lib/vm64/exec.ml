@@ -111,13 +111,13 @@ let decode_block mem rip =
 
 let fetch_block cpu mem =
   let tc = cpu.Cpu.tcache in
-  match Tcache.find tc cpu.Cpu.rip with
+  match Tcache.find tc (Cpu.rip cpu) with
   | Some b when Tcache.anchor_valid mem b ->
     Tcache.note_hit tc;
     Ok b
   | _ -> (
     Tcache.note_miss tc;
-    match decode_block mem cpu.Cpu.rip with
+    match decode_block mem (Cpu.rip cpu) with
     | Error f -> Error f
     | Ok b ->
       Tcache.add tc b;
@@ -144,7 +144,7 @@ let write64 cpu mem op v =
   | Isa.Operand.Reg r -> Cpu.set cpu r v
   | Isa.Operand.Mem m -> Memory.write_u64 mem (effective_address cpu m) v
   | Isa.Operand.Imm _ ->
-    raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "store to immediate")))
+    raise (Fault.Trap (Fault.Bad_instruction (Cpu.rip cpu, "store to immediate")))
 
 let read8 cpu mem = function
   | Isa.Operand.Reg r -> Int64.to_int (Int64.logand (Cpu.get cpu r) 0xFFL)
@@ -159,7 +159,7 @@ let write8 cpu mem op v =
     Cpu.set cpu r (Int64.logor (Int64.logand old (-256L)) (Int64.of_int (v land 0xFF)))
   | Isa.Operand.Mem m -> Memory.write_u8 mem (effective_address cpu m) v
   | Isa.Operand.Imm _ ->
-    raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "store to immediate")))
+    raise (Fault.Trap (Fault.Bad_instruction (Cpu.rip cpu, "store to immediate")))
 
 let read32 cpu mem = function
   | Isa.Operand.Reg r -> Int64.logand (Cpu.get cpu r) 0xFFFFFFFFL
@@ -171,7 +171,7 @@ let write32 cpu mem op v =
   | Isa.Operand.Reg r -> Cpu.set cpu r (Int64.logand v 0xFFFFFFFFL)
   | Isa.Operand.Mem m -> Memory.write_u32 mem (effective_address cpu m) v
   | Isa.Operand.Imm _ ->
-    raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "store to immediate")))
+    raise (Fault.Trap (Fault.Bad_instruction (Cpu.rip cpu, "store to immediate")))
 
 (* ---- Reference semantics -------------------------------------------- *)
 (* Flag arithmetic, condition tests and stack discipline, written out
@@ -243,7 +243,7 @@ let target_addr = function
 (* Top-level (not closed over per-call state) so executing an
    instruction allocates nothing on the fall-through path. *)
 let continue_at cpu addr =
-  cpu.Cpu.rip <- addr;
+  Cpu.set_rip cpu addr;
   Running
 
 let execute env cpu mem insn next_rip =
@@ -305,12 +305,12 @@ let execute env cpu mem insn next_rip =
       write64 cpu mem dst r
     | Idiv | Irem ->
       if Int64.equal b 0L then
-        raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "division by zero")));
+        raise (Fault.Trap (Fault.Bad_instruction (Cpu.rip cpu, "division by zero")));
       (* x86 #DE also covers INT64_MIN / -1, whose quotient is
          unrepresentable; OCaml's Int64.div would silently wrap. *)
       if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
         raise
-          (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "division overflow")));
+          (Fault.Trap (Fault.Bad_instruction (Cpu.rip cpu, "division overflow")));
       let r = if bop = Idiv then Int64.div a b else Int64.rem a b in
       set_logic_flags flags r;
       write64 cpu mem dst r);
@@ -355,7 +355,7 @@ let execute env cpu mem insn next_rip =
     let addr = target_addr t in
     match env.is_builtin addr with
     | Some name ->
-      cpu.Cpu.rip <- next_rip;
+      Cpu.set_rip cpu next_rip;
       Builtin name
     | None ->
       push cpu mem next_rip;
@@ -364,7 +364,7 @@ let execute env cpu mem insn next_rip =
     let addr = read64 cpu mem op in
     match env.is_builtin addr with
     | Some name ->
-      cpu.Cpu.rip <- next_rip;
+      Cpu.set_rip cpu next_rip;
       Builtin name
     | None ->
       push cpu mem next_rip;
@@ -395,12 +395,12 @@ let execute env cpu mem insn next_rip =
     Cpu.set cpu d (Cpu.pac_strip value);
     continue_at cpu next_rip
   | Rdtsc ->
-    let tsc = cpu.Cpu.cycles in
+    let tsc = Cpu.cycles cpu in
     Cpu.set cpu Isa.Reg.RAX (Int64.logand tsc 0xFFFFFFFFL);
     Cpu.set cpu Isa.Reg.RDX (Int64.shift_right_logical tsc 32);
     continue_at cpu next_rip
   | Syscall ->
-    cpu.Cpu.rip <- next_rip;
+    Cpu.set_rip cpu next_rip;
     Syscall_trap
   | Hlt -> Halted
   | Movq_to_xmm (x, r) ->
@@ -475,7 +475,7 @@ let interp_block env cpu mem b ~max_insns =
     | outcome -> (outcome, i + 1)
     | exception Fault.Trap fault -> (Faulted fault, i + 1)
     | exception Isa.Encode.Unresolved_symbol s ->
-      (Faulted (Fault.Bad_instruction (cpu.Cpu.rip, "unresolved symbol " ^ s)), i + 1)
+      (Faulted (Fault.Bad_instruction (Cpu.rip cpu, "unresolved symbol " ^ s)), i + 1)
   in
   go 0
 
@@ -490,11 +490,11 @@ let interp_block env cpu mem b ~max_insns =
    per-constituent cycles itself. A fetch fault retires nothing. *)
 let dispatch_block env cpu mem b ~max_insns =
   if Option.is_some env.on_retire || not (Compile.enabled ()) then begin
-    let c0 = cpu.Cpu.cycles in
+    let c0 = Cpu.cycles cpu in
     let r = interp_block env cpu mem b ~max_insns in
     if Telemetry.Profile.enabled () then
       Telemetry.Profile.note ~addr:b.Tcache.bb_start
-        ~cycles:(Int64.to_int (Int64.sub cpu.Cpu.cycles c0));
+        ~cycles:(Int64.to_int (Int64.sub (Cpu.cycles cpu) c0));
     r
   end
   else

@@ -11,8 +11,10 @@
    then compiled (chained and fused, with the fuse threshold forced to 1
    so superblocks actually form, running the threaded chain, which
    faults out of the middle of a translation with no per-step handler,
-   and the fuel tail's step loop) — and compare the complete machine
-   state.
+   hops from chain to chain, and the fuel tail's step loop) — and
+   compare the complete machine state. Two programs in three also carry
+   the Mini-C compiler's idioms that the chain runs as single fused
+   steps, which random draws would not line up.
 
    The "tier-2" and "tier-3" groups keep the names of the execution
    modes their tests were written for: chaining and superblocks, and the
@@ -157,16 +159,73 @@ let rand_insn p =
   | 97 | 98 -> Insn.Aut (rand_reg p, rand_reg p)
   | _ -> Insn.Nop
 
+let idiom_regs =
+  (* not rsp, nor r14/r15, which the memory operands are pinned to *)
+  Reg.[| RAX; RCX; RDX; RBX; RBP; RSI; RDI; R8; R9; R10; R11; R12; R13 |]
+
+(* Every kind of window the corpus must hold, as [rand_idiom] names them. *)
+let window_kinds =
+  [ "S = imm"; "S = [r15+d]"; "S = [rsp]"; "S = unmapped" ]
+  @ List.init 10 (fun i -> Insn.binop_name (Option.get (Insn.binop_of_index i)) ^ " a, b")
+  @ [ "#DE by zero"; "#DE on INT64_MIN / -1" ]
+
+(* mcc's operand shuffle, [push a; mov a, S; mov b, a; pop a], and in
+   two draws of three the binop consuming it, [OP a, b]: the threaded
+   chain runs each window as one step, and independent draws of
+   instructions and registers essentially never line one up. S takes
+   each shape mcc's windows and their faults have: a constant, a load
+   off r15 (the data base), the pushed value itself at [rsp], and an
+   unmapped load. An idiv or irem consumer gets a zero divisor or
+   INT64_MIN / -1 in half the draws. Returns the instructions and
+   the kinds of window they hold. *)
+let rand_idiom p =
+  let pick () = idiom_regs.(Util.Prng.int p (Array.length idiom_regs)) in
+  let a = pick () in
+  let rec other () = match pick () with b when Reg.equal a b -> other () | b -> b in
+  let b = other () in
+  (* a fault ends the run, so the faulting shapes come rarer *)
+  let shape, s =
+    match Util.Prng.int p 8 with
+    | 0 | 1 | 2 ->
+      ( "S = imm",
+        Operand.imm
+          (if Util.Prng.bool p then Int64.of_int (Util.Prng.int p 64 - 32)
+           else Util.Prng.next64 p) )
+    | 3 | 4 -> ("S = [r15+d]", Operand.mem ~base:Reg.R15 (Int64.of_int (8 * Util.Prng.int p 1024)))
+    | 5 | 6 -> ("S = [rsp]", Operand.mem ~base:Reg.RSP 0L)
+    | _ -> ("S = unmapped", Operand.mem 0x9000000L)
+  in
+  let ra = Operand.reg a in
+  let shuffle s = [ Insn.Push ra; Insn.Mov (ra, s); Insn.Mov (Operand.reg b, ra); Insn.Pop ra ] in
+  if Util.Prng.int p 3 = 0 then (shuffle s, [ shape ])
+  else
+    let op = Option.get (Insn.binop_of_index (Util.Prng.int p 10)) in
+    let consumer = [ Insn.Bin (op, ra, Operand.reg b) ] and name = Insn.binop_name op ^ " a, b" in
+    match (op, Util.Prng.int p 4) with
+    | (Insn.Idiv | Insn.Irem), 0 ->
+      (shuffle (Operand.imm 0L) @ consumer, [ "S = imm"; name; "#DE by zero" ])
+    | (Insn.Idiv | Insn.Irem), 1 ->
+      ( (Insn.Mov (ra, Operand.imm Int64.min_int) :: shuffle (Operand.imm (-1L))) @ consumer,
+        [ "S = imm"; name; "#DE on INT64_MIN / -1" ] )
+    | _ -> (shuffle s @ consumer, [ shape; name ])
+
 (* Not every generated shape is encodable (e.g. mem-to-mem moves);
-   resample deterministically until the whole sequence encodes. *)
+   resample deterministically until the whole sequence encodes. Two
+   programs in three mix mcc's idioms in with the random instructions.
+   Returns the program and the kinds of idiom window it holds. *)
 let rand_program p =
+  let idioms = Util.Prng.int p 3 > 0 in
   let rec gen attempts =
-    if attempts > 200 then [ Insn.Hlt ]
+    if attempts > 200 then ([ Insn.Hlt ], [])
     else
       let n = 1 + Util.Prng.int p 24 in
-      let insns = List.init n (fun _ -> rand_insn p) @ [ Insn.Hlt ] in
+      let pieces =
+        List.init n (fun _ ->
+            if idioms && Util.Prng.bool p then rand_idiom p else ([ rand_insn p ], []))
+      in
+      let insns = List.concat_map fst pieces @ [ Insn.Hlt ] in
       match Encode.list_to_bytes insns with
-      | _ -> insns
+      | _ -> (insns, List.concat_map snd pieces)
       | exception _ -> gen (attempts + 1)
   in
   gen 0
@@ -194,10 +253,10 @@ let capture result cpu mem ~data =
     s_result = result;
     s_gprs = gprs cpu;
     s_xmms = Array.copy cpu.Cpu.xmms;
-    s_rip = cpu.Cpu.rip;
+    s_rip = Cpu.rip cpu;
     s_flags =
       (cpu.Cpu.flags.Cpu.zf, cpu.Cpu.flags.Cpu.sf, cpu.Cpu.flags.Cpu.cf, cpu.Cpu.flags.Cpu.of_);
-    s_cycles = cpu.Cpu.cycles;
+    s_cycles = Cpu.cycles cpu;
     s_text = Memory.read_bytes mem text_base 4096;
     s_data = data;
     s_stack = Memory.read_bytes mem stack_base stack_len;
@@ -229,7 +288,7 @@ let run_one ~compiled ~trial_seed ~taxes:(insn_tax, call_tax) ~init_gprs ~init_x
   cpu.Cpu.fs_base <- 0x20400L;
   cpu.Cpu.insn_tax <- insn_tax;
   cpu.Cpu.call_tax <- call_tax;
-  cpu.Cpu.rip <- text_base;
+  Cpu.set_rip cpu text_base;
   let result = Exec.run ~max_insns:200 env cpu mem in
   capture result cpu mem ~data:(Memory.read_bytes mem data_base data_len)
 
@@ -276,8 +335,13 @@ let test_differential_fuzz () =
      paths face the same corpus as the plain chained ones *)
   let saved_threshold = Compile.get_fuse_threshold () in
   Compile.set_fuse_threshold 1;
+  let windows = Hashtbl.create 16 in
   for trial = 0 to trials - 1 do
-    let insns = rand_program p in
+    let insns, kinds = rand_program p in
+    List.iter
+      (fun k ->
+        Hashtbl.replace windows k (1 + Option.value ~default:0 (Hashtbl.find_opt windows k)))
+      kinds;
     let code = Encode.list_to_bytes insns in
     let data = Util.Prng.bytes p data_len in
     let init_gprs = Array.init 16 (fun _ -> Util.Prng.next64 p) in
@@ -305,7 +369,13 @@ let test_differential_fuzz () =
   Alcotest.(check bool) "saw clean halts" true (!halted > 100);
   Alcotest.(check bool) "saw faults" true (!faulted > 50);
   Alcotest.(check bool) "saw fuel exhaustion" true (!fuel > 10);
-  Alcotest.(check bool) "saw builtin/syscall exits" true (!other > 10)
+  Alcotest.(check bool) "saw builtin/syscall exits" true (!other > 10);
+  (* and every fused step, in each of its shapes and faults *)
+  List.iter
+    (fun k ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt windows k) in
+      if n <= 100 then Alcotest.failf "the corpus holds %d windows of kind %s, want > 100" n k)
+    window_kinds
 
 (* ---- flag setters and condition tests against the reference ---------------- *)
 
@@ -378,11 +448,11 @@ let fresh () =
   Memory.map mem ~addr:text_base ~len:4096;
   Memory.map mem ~addr:stack_base ~len:stack_len;
   Cpu.set cpu Reg.RSP 0x71800L;
-  cpu.Cpu.rip <- text_base;
+  Cpu.set_rip cpu text_base;
   (cpu, mem)
 
 let run_to_halt cpu mem =
-  cpu.Cpu.rip <- text_base;
+  Cpu.set_rip cpu text_base;
   match Exec.run env cpu mem with
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("expected hlt, got " ^ result_to_string r)
@@ -424,14 +494,14 @@ let test_published_block_and_anchor () =
   let ccpu = Cpu.clone cpu in
   let cmem = Memory.clone mem in
   (* child decodes prog B from the fork-shared text page *)
-  ccpu.Cpu.rip <- prog_b_addr;
+  Cpu.set_rip ccpu prog_b_addr;
   (match Exec.run env ccpu cmem with
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("child prog B: " ^ result_to_string r));
   Alcotest.(check bool) "parent sees the child's block" true
     (Tcache.find cpu.Cpu.tcache prog_b_addr <> None);
   let misses_before = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.misses in
-  cpu.Cpu.rip <- prog_b_addr;
+  Cpu.set_rip cpu prog_b_addr;
   (match Exec.run env cpu mem with
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("parent prog B: " ^ result_to_string r));
@@ -444,7 +514,7 @@ let test_published_block_and_anchor () =
      next fetch re-decodes *)
   Memory.write_bytes mem prog_b_addr
     (Encode.list_to_bytes [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 3L); Insn.Hlt ]);
-  cpu.Cpu.rip <- prog_b_addr;
+  Cpu.set_rip cpu prog_b_addr;
   (match Exec.run env cpu mem with
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("parent patched prog B: " ^ result_to_string r));
@@ -453,7 +523,7 @@ let test_published_block_and_anchor () =
   Alcotest.(check bool) "staleness counted as miss" true
     ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.misses > misses_before);
   (* the child's payload object is unchanged, so its view is intact *)
-  ccpu.Cpu.rip <- prog_b_addr;
+  Cpu.set_rip ccpu prog_b_addr;
   (match Exec.run env ccpu cmem with
   | Exec.Stopped Exec.Halted -> ()
   | r -> Alcotest.fail ("child prog B again: " ^ result_to_string r));
@@ -618,31 +688,22 @@ let test_stale_superblock_behind_link () =
 (* Superblock fusion must not perturb profiler attribution: the fused
    translation retires a whole chain in one sweep, yet its
    per-constituent self-notes must reproduce the interpreter's per-block
-   rows byte for byte, including the insn/call tax terms. *)
+   rows byte for byte, including the insn/call tax terms. Nor may chain
+   links: two blocks ending in conditional branches never fuse, and with
+   the profiler off each would hop straight into the other; with it on
+   every transfer must reach [run]'s attribution. *)
 let test_superblock_profile_attribution () =
   with_fuse_threshold 1 @@ fun () ->
-  let profile_rows ~compiled =
+  let profile_rows ~compiled load =
     with_compiled compiled @@ fun () ->
     Telemetry.Profile.reset ();
     Telemetry.Profile.set_enabled true;
     let cpu, mem = fresh () in
-    load_program mem
-      [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 1L);
-        Insn.Bin (Insn.Add, Operand.reg Reg.RAX, Operand.imm 2L);
-        Insn.Jmp (Insn.Abs block_b) ];
-    Memory.write_bytes mem block_b
-      (Encode.list_to_bytes
-         [ Insn.Bin (Insn.Add, Operand.reg Reg.RAX, Operand.imm 3L);
-           Insn.Mov (Operand.reg Reg.RBX, Operand.imm 2L);
-           Insn.Jmp (Insn.Abs block_c) ]);
-    Memory.write_bytes mem block_c
-      (Encode.list_to_bytes
-         [ Insn.Bin (Insn.Add, Operand.reg Reg.RAX, Operand.imm 4L);
-           Insn.Mov (Operand.reg Reg.RCX, Operand.imm 3L);
-           Insn.Hlt ]);
+    load mem;
     cpu.Cpu.insn_tax <- 2;
     cpu.Cpu.call_tax <- 7;
     for _ = 1 to 10 do
+      Cpu.set cpu Reg.RCX 0L;
       run_to_halt cpu mem
     done;
     Telemetry.Profile.set_enabled false;
@@ -650,10 +711,32 @@ let test_superblock_profile_attribution () =
     Telemetry.Profile.reset ();
     (rows, Tcache.exec_stats cpu.Cpu.tcache)
   in
-  let reference, _ = profile_rows ~compiled:false in
-  let rows, stats = profile_rows ~compiled:true in
-  Alcotest.(check bool) "compiled run actually fused" true (stats.Tcache.superblocks >= 1);
-  Alcotest.(check bool) "profile saw the blocks" true (List.length reference >= 3);
+  let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX in
+  let fused mem =
+    load_program mem
+      [ Insn.Mov (rax, Operand.imm 1L);
+        Insn.Bin (Insn.Add, rax, Operand.imm 2L);
+        Insn.Jmp (Insn.Abs block_b) ];
+    Memory.write_bytes mem block_b
+      (Encode.list_to_bytes
+         [ Insn.Bin (Insn.Add, rax, Operand.imm 3L);
+           Insn.Mov (Operand.reg Reg.RBX, Operand.imm 2L);
+           Insn.Jmp (Insn.Abs block_c) ]);
+    Memory.write_bytes mem block_c
+      (Encode.list_to_bytes
+         [ Insn.Bin (Insn.Add, rax, Operand.imm 4L);
+           Insn.Mov (rcx, Operand.imm 3L);
+           Insn.Hlt ])
+  and linked mem =
+    let turn target =
+      [ Insn.Bin (Insn.Add, rcx, Operand.imm 1L);
+        Insn.Bin (Insn.Cmp, rcx, Operand.imm 20L);
+        Insn.Jcc (Insn.L, Insn.Abs target);
+        Insn.Hlt ]
+    in
+    load_program mem (turn block_b);
+    Memory.write_bytes mem block_b (Encode.list_to_bytes (turn text_base))
+  in
   let show rows =
     String.concat "; "
       (List.map
@@ -662,9 +745,27 @@ let test_superblock_profile_attribution () =
              r.Telemetry.Profile.cycles r.Telemetry.Profile.blocks)
          rows)
   in
-  if reference <> rows then
-    Alcotest.failf "attribution diverges under fusion:\n  interpreter: %s\n  compiled: %s"
-      (show reference) (show rows)
+  List.iter
+    (fun (what, load, check) ->
+      let reference, _ = profile_rows ~compiled:false load in
+      let rows, stats = profile_rows ~compiled:true load in
+      check stats;
+      Alcotest.(check bool) (what ^ ": profile saw the blocks") true (List.length reference >= 3);
+      if reference <> rows then
+        Alcotest.failf "attribution diverges under %s:\n  interpreter: %s\n  compiled: %s" what
+          (show reference) (show rows))
+    [
+      ( "fusion",
+        fused,
+        fun stats ->
+          Alcotest.(check bool) "compiled run actually fused" true (stats.Tcache.superblocks >= 1)
+      );
+      ( "chain links",
+        linked,
+        fun stats ->
+          Alcotest.(check bool) "compiled run followed links" true
+            (stats.Tcache.chain_hops > 100) );
+    ]
 
 (* ---- the threaded chain ------------------------------------------------------ *)
 
@@ -715,9 +816,9 @@ let test_rdtsc_compiles () =
       (Encode.list_to_bytes [ Insn.Rdtsc; Insn.Hlt ]);
     cpu.Cpu.insn_tax <- 2;
     cpu.Cpu.call_tax <- 7;
-    cpu.Cpu.cycles <- 0x1_0000_0000L;
+    Cpu.add_cycles cpu 0x1_0000_0000;
     run_to_halt cpu mem;
-    (Cpu.get cpu Reg.RAX, Cpu.get cpu Reg.RDX, cpu.Cpu.cycles)
+    (Cpu.get cpu Reg.RAX, Cpu.get cpu Reg.RDX, Cpu.cycles cpu)
   in
   let rax0, rdx0, cycles0 = tsc ~compiled:false in
   Alcotest.(check bool) "rdtsc saw the retired prefix" true
@@ -765,7 +866,7 @@ let test_fault_exact_mid_superblock () =
        two adds and the push retired, the +100 not *)
     Cpu.set cpu Reg.R13 0x9000000L;
     Cpu.set cpu Reg.RBX 0L;
-    cpu.Cpu.rip <- text_base;
+    Cpu.set_rip cpu text_base;
     let result = Exec.run env cpu mem in
     ( result,
       gprs cpu,
@@ -773,8 +874,8 @@ let test_fault_exact_mid_superblock () =
         cpu.Cpu.flags.Cpu.sf,
         cpu.Cpu.flags.Cpu.cf,
         cpu.Cpu.flags.Cpu.of_ ),
-      cpu.Cpu.rip,
-      cpu.Cpu.cycles )
+      Cpu.rip cpu,
+      Cpu.cycles cpu )
   in
   let r0, g0, f0, rip0, c0 = run_at ~compiled:false in
   let r, g, f, rip, c = run_at ~compiled:true in
@@ -800,7 +901,7 @@ let words_per_insn cpu mem ~warm_up ~measure =
   warm_up ();
   run_to_halt cpu mem;
   measure ();
-  cpu.Cpu.rip <- text_base;
+  Cpu.set_rip cpu text_base;
   let w0 = Gc.minor_words () in
   let rec go retired =
     match Exec.step_block env cpu mem ~max_insns:1_000_000 with
@@ -934,12 +1035,14 @@ let test_page_window_guard () =
   if w >= 0.5 then
     Alcotest.failf "loads and stores at page offset 4088 allocate %.2f words per insn" w
 
-(* The chain allocates nothing per instruction: a loop of the shape the
-   Mini-C compiler emits (rbp-relative locals, push/pop operand
-   shuffling, imul/irem hashing, cmp/setl/je loop test, jmp back) runs
-   10,000 iterations with fewer than 0.5 minor-heap words per retired
-   instruction. What remains is per hop, not per instruction: the boxed
-   cycle counter settled at each translation exit. *)
+(* The chain allocates nothing per instruction, nor per hop: a loop of
+   the shape the Mini-C compiler emits (rbp-relative locals, push/pop
+   operand shuffling, imul/irem hashing, cmp/setl/je loop test, jmp
+   back) runs 10,000 iterations, with a direct hop every iteration and
+   fewer than 0.01 minor-heap words per retired instruction. rip and
+   the cycle count are stores into the register file, so an exit
+   settles both without a box; what remains is the one dispatch's
+   machine record. *)
 let test_chain_allocation () =
   let cpu, mem = fresh () in
   let local d = Operand.mem ~base:Reg.RBP (Int64.of_int d) in
@@ -1001,15 +1104,15 @@ let test_chain_allocation () =
   let w = words_per_insn cpu mem ~warm_up:(set_up 20L) ~measure:(set_up 10_000L) in
   Alcotest.(check int64_t) "all iterations retired" 10_000L
     (Memory.read_u64 mem (Int64.sub rbp 8L));
-  if w >= 0.5 then
-    Alcotest.failf "the threaded chain allocates %.2f minor words per retired instruction" w
+  if w >= 0.01 then
+    Alcotest.failf "the threaded chain allocates %.4f minor words per retired instruction" w
 
 (* ---- the fused operand shuffle --------------------------------------------- *)
 
 (* Run from text_base until a non-running outcome or [max_insns]
    retires, counting the retires. *)
 let run_counted cpu mem ~max_insns =
-  cpu.Cpu.rip <- text_base;
+  Cpu.set_rip cpu text_base;
   let rec go left retired =
     if left <= 0 then (Exec.Out_of_fuel, retired)
     else
@@ -1173,7 +1276,7 @@ let test_fuel_tail () =
       Cpu.set cpu Reg.RSP 0x71800L;
       Cpu.set cpu Reg.RBP 0x71000L;
       Memory.write_bytes mem stack_base fill;
-      cpu.Cpu.rip <- text_base
+      Cpu.set_rip cpu text_base
     in
     with_compiled compiled (fun () ->
         reset ();
@@ -1209,6 +1312,98 @@ let test_fuel_tail () =
     Alcotest.(check int) (what ^ ": retired, interpreted") f retired;
     let want = capture result cpu mem ~data:Bytes.empty in
     compare_snapshots ~trial:f ~what want got
+  done
+
+(* ---- direct hops ------------------------------------------------------------ *)
+
+(* Two blocks in a loop that never fuse (the threshold is out of reach):
+   L adds one to rcx, stores it at [r13 + 8*rcx] and jumps to S; S adds
+   [r12 + 8*rcx] to rbx and loops back to L while rcx < 8. A warm-up run
+   to the hlt patches both links, so every later L -> S and S -> L
+   transfer is a direct hop from one chain into the next. L retires 3
+   instructions and S 4 per turn. *)
+let hop_machine ~compiled ~r12 =
+  let rax = Operand.reg Reg.RAX and rbx = Operand.reg Reg.RBX and rcx = Operand.reg Reg.RCX in
+  let cpu, mem = fresh () in
+  load_program mem
+    [
+      Insn.Bin (Insn.Add, rcx, Operand.imm 1L);
+      Insn.Mov (Operand.mem ~base:Reg.R13 ~index:(Reg.RCX, Operand.S8) 0L, rcx);
+      Insn.Jmp (Insn.Abs block_b);
+    ];
+  Memory.write_bytes mem block_b
+    (Encode.list_to_bytes
+       [
+         Insn.Mov (rax, Operand.mem ~base:Reg.R12 ~index:(Reg.RCX, Operand.S8) 0L);
+         Insn.Bin (Insn.Add, rbx, rax);
+         Insn.Bin (Insn.Cmp, rcx, Operand.imm 8L);
+         Insn.Jcc (Insn.L, Insn.Abs text_base);
+         Insn.Hlt;
+       ]);
+  cpu.Cpu.insn_tax <- 2;
+  let fill = Util.Prng.bytes (Util.Prng.create 0x40BL) stack_len in
+  let reset r12 =
+    Memory.write_bytes mem stack_base fill;
+    Cpu.set cpu Reg.RCX 0L;
+    Cpu.set cpu Reg.RBX 0L;
+    Cpu.set cpu Reg.R12 r12;
+    Cpu.set cpu Reg.R13 0x70800L
+  in
+  with_compiled compiled (fun () ->
+      reset 0x71000L;
+      run_to_halt cpu mem);
+  reset r12;
+  (cpu, mem)
+
+(* The run from L under [fuel], compiled and interpreted, must leave the
+   same machine, memory and retire count. Returns the compiled run's
+   outcome and its chain transfers. *)
+let check_hops ~what ~r12 ~fuel =
+  let run ~compiled =
+    let cpu, mem = hop_machine ~compiled ~r12 in
+    let hops () = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.chain_hops in
+    let hops0 = hops () in
+    let result, retired = with_compiled compiled (fun () -> run_counted cpu mem ~max_insns:fuel) in
+    (capture result cpu mem ~data:Bytes.empty, retired, hops () - hops0)
+  in
+  let want, retired0, _ = run ~compiled:false in
+  let got, retired, hops = run ~compiled:true in
+  let what = Printf.sprintf "compiled (%s)" what in
+  compare_snapshots ~trial:fuel ~what want got;
+  Alcotest.(check int) (what ^ ": retired") retired0 retired;
+  (got.s_result, hops)
+
+(* S's load runs off the stack mapping on its fifth entry, which a hop
+   from L reaches: the fault names S's load, with four turns and the
+   fifth L charged and retired before it. *)
+let test_hop_fault () =
+  with_fuse_threshold 1_000_000 @@ fun () ->
+  let stack_top = Int64.add stack_base (Int64.of_int stack_len) in
+  let result, hops =
+    check_hops ~what:"fault on the successor's fifth entry"
+      ~r12:(Int64.sub stack_top 40L) ~fuel:200
+  in
+  (match result with
+  | Exec.Stopped (Exec.Faulted (Fault.Segfault _)) -> ()
+  | r -> Alcotest.fail ("expected a page fault, got " ^ result_to_string r));
+  Alcotest.(check int) "nine transfers, all through links" 9 hops
+
+(* Fuel that ends exactly where L would hop to S (3), or one
+   instruction into S (4), and every other cut of the first three
+   turns: a hop needs the fuel left to cover the successor's whole
+   chain, and otherwise [run] cuts it as the interpreter does. *)
+let test_hop_fuel_cuts () =
+  with_fuse_threshold 1_000_000 @@ fun () ->
+  for fuel = 1 to 21 do
+    let what =
+      match fuel with
+      | 3 -> "fuel ends at the L -> S hop"
+      | 4 -> "fuel ends one instruction into S"
+      | f -> Printf.sprintf "fuel %d" f
+    in
+    match check_hops ~what ~r12:0x71000L ~fuel with
+    | Exec.Out_of_fuel, _ -> ()
+    | r, _ -> Alcotest.failf "%s: expected out-of-fuel, got %s" what (result_to_string r)
   done
 
 let () =
@@ -1265,5 +1460,12 @@ let () =
         [
           Alcotest.test_case "every fuel cut of a superblock matches the interpreter"
             `Quick test_fuel_tail;
+        ] );
+      ( "direct hops",
+        [
+          Alcotest.test_case "a fault in the successor matches the interpreter" `Quick
+            test_hop_fault;
+          Alcotest.test_case "fuel cuts at and after a hop match the interpreter" `Quick
+            test_hop_fuel_cuts;
         ] );
     ]

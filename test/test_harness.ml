@@ -37,7 +37,21 @@ let test_parallel_runs_deterministic () =
   let render_t5 jobs =
     Util.Table.render (Harness.Table5.to_table (Harness.Table5.run ~jobs ~calls:2000 ()))
   in
-  Alcotest.(check string) "Table V: jobs=3 = jobs=1" (render_t5 1) (render_t5 3)
+  Alcotest.(check string) "Table V: jobs=3 = jobs=1" (render_t5 1) (render_t5 3);
+  (* one baseline run per victim serves all its rows: each row still
+     reads what measuring it alone reads, for every victim *)
+  let rows = (Harness.Table5.run ~calls:2000 ()).Harness.Table5.rows in
+  List.iter
+    (fun (label, scheme, criticals) ->
+      let row = List.find (fun r -> r.Harness.Table5.label = label) rows in
+      Alcotest.(check (float 0.0)) label
+        (Harness.Table5.measure_scheme ~calls:2000 scheme ~criticals)
+        row.Harness.Table5.cycles)
+    [
+      ("P-SSP", Pssp.Scheme.Pssp, 0);
+      ("P-SSP-LV (2 variables)", Pssp.Scheme.Pssp_lv 1, 1);
+      ("P-SSP-LV (4 variables)", Pssp.Scheme.Pssp_lv 3, 3);
+    ]
 
 let test_table2_invariants () =
   let benches = List.filteri (fun i _ -> i < 4) Workload.Spec.all in

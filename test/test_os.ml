@@ -473,6 +473,25 @@ let test_glibc_addr_roundtrip () =
       | None -> Alcotest.fail name)
     Os.Glibc.names
 
+(* AES_ENCRYPT_128 keeps the last key schedule it expanded. Two keys,
+   alternating every second call so the memo both hits and misses, must
+   each encrypt under their own schedule, exactly as a fresh expansion
+   does. *)
+let test_aes_key_memo () =
+  let core = Option.get (Os.Glibc.inline_core "AES_ENCRYPT_128") in
+  let cpu = Vm64.Cpu.create () and mem = Vm64.Memory.create () in
+  let keys = [| (0x0F0E0D0C0B0A0908L, 0x0706050403020100L); (1L, 2L) |] in
+  for i = 0 to 7 do
+    let ((lo, hi) as key) = keys.((i lsr 1) land 1) in
+    let pt = (Int64.of_int (i * 0x1111), Int64.of_int (0x5A5A - i)) in
+    Vm64.Cpu.set_xmm cpu Isa.Reg.Xmm.xmm1 key;
+    Vm64.Cpu.set_xmm cpu Isa.Reg.Xmm.xmm15 pt;
+    ignore (core cpu mem);
+    let want = Crypto.Aes128.encrypt_int64s (Crypto.Aes128.key_of_int64s lo hi) (fst pt) (snd pt) in
+    if Vm64.Cpu.get_xmm cpu Isa.Reg.Xmm.xmm15 <> want then
+      Alcotest.failf "call %d: ciphertext differs from a fresh key expansion" i
+  done
+
 let test_minic_builtins_exist_in_glibc () =
   (* every function the typechecker allows must actually be dispatchable *)
   List.iter
@@ -696,6 +715,7 @@ let () =
           Alcotest.test_case "getpid" `Quick test_getpid;
           Alcotest.test_case "slot roundtrip" `Quick test_glibc_addr_roundtrip;
           Alcotest.test_case "fd ops need a connection" `Quick test_fd_ops_need_a_conn;
+          Alcotest.test_case "AES key schedule memo" `Quick test_aes_key_memo;
           Alcotest.test_case "minic builtins covered" `Quick
             test_minic_builtins_exist_in_glibc;
         ] );

@@ -543,7 +543,7 @@ let run_insns ?(setup = fun _ _ -> ()) insns =
   Memory.map mem ~addr:0x70000L ~len:8192;
   Cpu.set cpu Reg.RSP 0x71000L;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes (insns @ [ Insn.Hlt ]));
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   setup cpu mem;
   let rec loop n =
     if n > 10000 then Alcotest.fail "runaway program";
@@ -586,7 +586,7 @@ let test_div_by_zero_faults () =
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes
        [ Insn.Mov (rax, Operand.imm 1L); Insn.Bin (Insn.Idiv, rax, Operand.imm 0L) ]);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   let rec loop () =
     match Exec.step env cpu mem with
     | Exec.Running -> loop ()
@@ -650,7 +650,7 @@ let test_call_ret () =
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Call (Insn.Abs fn_addr); Insn.Hlt ]);
   Memory.write_bytes mem fn_addr (Encode.list_to_bytes fn);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   let rec loop () =
     match Exec.step env cpu mem with
     | Exec.Running -> loop ()
@@ -669,7 +669,7 @@ let test_builtin_call_traps () =
   Cpu.set cpu Reg.RSP 0x71000L;
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Call (Insn.Abs 0x100L); Insn.Hlt ]);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   (match Exec.step env cpu mem with
   | Exec.Builtin "fake" -> ()
   | _ -> Alcotest.fail "expected builtin trap");
@@ -818,7 +818,7 @@ let test_exec_faults_reported () =
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Mov (rax, Operand.mem 0x9000000L) ]);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   match Exec.step env cpu mem with
   | Exec.Faulted (Fault.Segfault 0x9000000L) -> ()
   | _ -> Alcotest.fail "expected segfault"
@@ -826,7 +826,7 @@ let test_exec_faults_reported () =
 let test_fetch_unmapped () =
   let cpu = Cpu.create () in
   let mem = Memory.create () in
-  cpu.Cpu.rip <- 0x41414141L;
+  Cpu.set_rip cpu 0x41414141L;
   match Exec.step env cpu mem with
   | Exec.Faulted (Fault.Segfault _) -> ()
   | _ -> Alcotest.fail "expected fetch fault"
@@ -840,25 +840,25 @@ let test_fetch_fault_retires_zero () =
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Nop; Insn.Nop; Insn.Jmp (Insn.Abs 0x9000000L) ]);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   (match Exec.step_block env cpu mem ~max_insns:50 with
   | Exec.Running, 3 -> ()
   | _, n -> Alcotest.failf "block before the fault: %d retired, want 3" n);
-  Alcotest.(check bool) "block was charged" true (cpu.Cpu.cycles > 0L);
-  let cycles_at_fault = cpu.Cpu.cycles in
+  Alcotest.(check bool) "block was charged" true (Cpu.cycles cpu > 0L);
+  let cycles_at_fault = Cpu.cycles cpu in
   (match Exec.step_block env cpu mem ~max_insns:50 with
   | Exec.Faulted (Fault.Segfault 0x9000000L), 0 -> ()
   | Exec.Faulted _, n -> Alcotest.failf "faulting fetch retired %d, want 0" n
   | _ -> Alcotest.fail "expected fetch segfault");
   Alcotest.check i64 "faulting fetch charged nothing" cycles_at_fault
-    cpu.Cpu.cycles;
+    (Cpu.cycles cpu);
   (* and a whole-run over the same program still terminates *)
   let cpu2 = Cpu.create () in
-  cpu2.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu2 0x1000L;
   match Exec.run env cpu2 mem with
   | Exec.Stopped (Exec.Faulted (Fault.Segfault 0x9000000L)) ->
     Alcotest.check i64 "run charged only the retired block" cycles_at_fault
-      cpu2.Cpu.cycles
+      (Cpu.cycles cpu2)
   | _ -> Alcotest.fail "run did not stop on the fetch fault"
 
 let test_insn_tax_charged () =
@@ -869,12 +869,12 @@ let test_insn_tax_charged () =
     Memory.map mem ~addr:0x1000L ~len:4096;
     Memory.write_bytes mem 0x1000L
       (Encode.list_to_bytes [ Insn.Nop; Insn.Nop; Insn.Hlt ]);
-    cpu.Cpu.rip <- 0x1000L;
+    Cpu.set_rip cpu 0x1000L;
     let rec loop () =
       match Exec.step env cpu mem with Exec.Running -> loop () | _ -> ()
     in
     loop ();
-    cpu.Cpu.cycles
+    Cpu.cycles cpu
   in
   Alcotest.check i64 "tax adds per insn" (Int64.add (measure 0) 15L) (measure 5)
 
@@ -889,12 +889,12 @@ let test_call_tax_charged () =
     Memory.write_bytes mem 0x1000L
       (Encode.list_to_bytes [ Insn.Call (Insn.Abs 0x1100L); Insn.Hlt ]);
     Memory.write_bytes mem 0x1100L (Encode.list_to_bytes [ Insn.Ret ]);
-    cpu.Cpu.rip <- 0x1000L;
+    Cpu.set_rip cpu 0x1000L;
     let rec loop () =
       match Exec.step env cpu mem with Exec.Running -> loop () | _ -> ()
     in
     loop ();
-    cpu.Cpu.cycles
+    Cpu.cycles cpu
   in
   (* one call + one ret = 2 taxed instructions *)
   Alcotest.check i64 "call tax" (Int64.add (measure 0) 20L) (measure 10)
@@ -904,7 +904,7 @@ let test_run_fuel () =
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes [ Insn.Jmp (Insn.Abs 0x1000L) ]);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   match Exec.run ~max_insns:100 env cpu mem with
   | Exec.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
@@ -914,7 +914,7 @@ let expect_bad_instruction insns reason =
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes (insns @ [ Insn.Hlt ]));
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   let rec loop () =
     match Exec.step env cpu mem with
     | Exec.Running -> loop ()
@@ -988,7 +988,7 @@ let test_decoded_frame_not_recycled () =
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L (code 1L);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
   let b = Option.get (Tcache.find cpu.Cpu.tcache 0x1000L) in
   let frame = fst (Option.get (Memory.code_window mem 0x1000L)) in
@@ -1028,7 +1028,7 @@ let test_decode_cache_family_table () =
   Memory.write_bytes mem 0x1000L (code 1L);
   Memory.write_bytes mem 0x1800L (code 7L);
   Memory.write_bytes mem 0x1900L (code 8L);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
   let child = Cpu.clone cpu in
   let cmem = Memory.clone mem in
@@ -1036,7 +1036,7 @@ let test_decode_cache_family_table () =
     (cpu.Cpu.tcache == child.Cpu.tcache);
   let misses () = (Tcache.exec_stats cpu.Cpu.tcache).Tcache.misses in
   let run_at cpu mem rip =
-    cpu.Cpu.rip <- rip;
+    Cpu.set_rip cpu rip;
     run_to_halt cpu mem
   in
   run_at child cmem 0x1000L;
@@ -1067,23 +1067,23 @@ let test_cow_text_write_isolation () =
   Memory.map mem ~addr:0x1000L ~len:4096;
   let code v = Encode.list_to_bytes [ Insn.Mov (rax, Operand.imm v); Insn.Hlt ] in
   Memory.write_bytes mem 0x1000L (code 1L);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
   (* fork: clone the address space and the cpu, as Kernel.fork_child does *)
   let cmem = Memory.clone mem in
   let ccpu = Cpu.clone cpu in
   Memory.write_bytes mem 0x1000L (code 2L);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
   Alcotest.check i64 "parent executes its write" 2L (Cpu.get cpu Reg.RAX);
-  ccpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip ccpu 0x1000L;
   run_to_halt ccpu cmem;
   Alcotest.check i64 "child still runs pre-fork code" 1L (Cpu.get ccpu Reg.RAX);
   Memory.write_bytes cmem 0x1000L (code 3L);
-  ccpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip ccpu 0x1000L;
   run_to_halt ccpu cmem;
   Alcotest.check i64 "child executes its write" 3L (Cpu.get ccpu Reg.RAX);
-  cpu.Cpu.rip <- 0x1000L;
+  Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
   Alcotest.check i64 "parent keeps its own write" 2L (Cpu.get cpu Reg.RAX)
 
@@ -1096,7 +1096,7 @@ let test_exec_telemetry () =
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes [ Insn.Nop; Insn.Hlt ]);
   let snap () = Tcache.exec_stats cpu.Cpu.tcache in
   let run_blocks cpu mem =
-    cpu.Cpu.rip <- 0x1000L;
+    Cpu.set_rip cpu 0x1000L;
     match Exec.run env cpu mem with
     | Exec.Stopped Exec.Halted -> ()
     | _ -> Alcotest.fail "expected hlt"
