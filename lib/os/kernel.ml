@@ -207,6 +207,12 @@ let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
     Memory.map mem ~addr:image.Image.extra_base ~len:(Bytes.length image.Image.extra);
     Memory.write_bytes mem image.Image.extra_base image.Image.extra
   end;
+  (* W^X: code is read-only and executable, everything else is data.
+     The extra section may share text's last page, so both are written
+     before either is sealed. *)
+  Memory.seal mem ~addr:image.Image.text_base ~len:(max 1 (Bytes.length image.Image.text));
+  if Bytes.length image.Image.extra > 0 then
+    Memory.seal mem ~addr:image.Image.extra_base ~len:(Bytes.length image.Image.extra);
   Memory.map mem ~addr:image.Image.data_base ~len:(max 4096 (Bytes.length image.Image.data));
   if Bytes.length image.Image.data > 0 then
     Memory.write_bytes mem image.Image.data_base image.Image.data;
@@ -282,6 +288,7 @@ let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
          ]);
     Cpu.set_rip cpu ctor_trampoline_addr
   | None -> Cpu.set_rip cpu image.Image.entry);
+  Memory.seal mem ~addr:Layout.glibc_base ~len:8192;
   new_process t ~parent:None ~image ~mem ~cpu ~io:(Glibc.make_io ~input)
     ~preload
 

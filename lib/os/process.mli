@@ -2,9 +2,10 @@
     a file-descriptor table over {!Net} connections.
 
     Text is fixed at load: binary rewriting works on the {!Image}
-    before spawn, and nothing here writes loaded code. A write into the
-    process's own text is not seen by blocks it has already decoded
-    (see {!Vm64.Tcache}). *)
+    before spawn, and the kernel seals the loaded code
+    ({!Vm64.Memory.seal}). A write into the process's own text kills it
+    with SIGSEGV at the written address, and so does a jump into its
+    data, heap or stack. *)
 
 type signal = Sigsegv | Sigabrt | Sigill
 

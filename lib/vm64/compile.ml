@@ -25,9 +25,9 @@
    into the successor's chain ([hop]), and [run] takes over for every
    transfer a hop does not make — a link to patch, a fuel tail, a
    superblock to fuse, a stop. Hot unconditional chains are fused into
-   superblock translations. Loaded text never changes, so whether a
-   cached translation may run in a space rests on its blocks' page
-   anchors alone; see [translation] and [link_live]. *)
+   superblock translations. Code is fetched from sealed pages only,
+   which no fork relative can write, so a cached translation may run in
+   every space of the family; see [translation] and [link_live]. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -67,7 +67,7 @@ type mach = {
 and step = mach -> outcome
 
 (* A patched exit: the successor translation this code may enter
-   directly, in any space where [link_live] still holds. *)
+   directly while [link_live] holds. *)
 and link = {
   mutable l_addr : int64;  (* entry rip the target translates *)
   mutable l_target : code option;
@@ -94,8 +94,6 @@ and code = {
   mutable slot_current : bool;
       (* still what the head block's slot holds; cleared where the slot
          is overwritten ([translation] and [try_fuse], by [install]) *)
-  mutable swept : Memory.t option;  (* space of the last passing anchor sweep *)
-  mutable swept_gen : int;  (* its payload generation at that sweep *)
   link_a : link;  (* taken / unconditional / dynamic target cache *)
   link_b : link;  (* fall-through side of a two-way branch *)
 }
@@ -176,16 +174,19 @@ let xmm_of_bytes b = (Bytes.get_int64_le b 0, Bytes.get_int64_le b 8)
 (* Register-file byte offset of a gpr. *)
 let ro r = Isa.Reg.index r lsl 3
 
-let rsp_o = ro Isa.Reg.RSP
-let rbp_o = ro Isa.Reg.RBP
-let rax_o = ro Isa.Reg.RAX
-let rdx_o = ro Isa.Reg.RDX
-
-(* rip and the cycle count, past the gprs; literals for the same reason
-   as the page geometry below *)
+(* The offsets steps use by name, then rip and the cycle count past the
+   gprs: literals for the same reason as the page geometry below *)
+let rax_o = 0
+let rdx_o = 24
+let rbp_o = 48
+let rsp_o = 56
 let rip_o = 128
 let cycles_o = 136
-let () = assert (rip_o = Cpu.rip_offset && cycles_o = Cpu.cycles_offset)
+
+let () =
+  assert (rax_o = ro Isa.Reg.RAX && rdx_o = ro Isa.Reg.RDX);
+  assert (rbp_o = ro Isa.Reg.RBP && rsp_o = ro Isa.Reg.RSP);
+  assert (rip_o = Cpu.rip_offset && cycles_o = Cpu.cycles_offset)
 
 let[@inline] rget m o = Cpu.get64u m.regs o
 let[@inline] rset m o v = Cpu.set64u m.regs o v
@@ -198,11 +199,13 @@ let[@inline] rset m o v = Cpu.set64u m.regs o v
    the page is mapped and this space is its only owner (see
    {!Memory.t}) — and otherwise asks [Memory.store_page] for a private
    payload, which owns the chunk and breaks copy-on-write as
-   [write_u64] would. Every other access takes Memory.read_u64/
-   write_u64, and so does every access on a big-endian host (the
-   payload primitives are native-endian, guest memory is little-endian)
-   and a load from an unmapped page. Both paths fault at the same
-   address. All page-table mutation stays inside [Memory].
+   [write_u64] would (a sealed text page is never private, so a store
+   into text takes [store_page], which faults). Every other access
+   takes Memory.read_u64/write_u64, and so does every access on a
+   big-endian host (the payload primitives are native-endian, guest
+   memory is little-endian) and a load from an unmapped page. Both
+   paths fault at the same address. All page-table mutation stays
+   inside [Memory].
 
    The layout test is unsigned: [Layout.address_limit] is a power of
    two, so an address lies inside it exactly when none of the bits at
@@ -833,41 +836,18 @@ let[@inline] charge_exit m (c : code) k =
   in
   rset m cycles_o (Int64.add (rget m cycles_o) (Int64.of_int n))
 
-(* Every constituent still anchors in this space: each page holds the
-   payload object the block was decoded from, so the bytes are the ones
-   the translation encodes. A passing sweep is remembered on the code
-   as ([swept], [swept_gen]) and not repeated while the same space
-   keeps the same payload generation: no page slot has changed payload
-   since, so every anchor still matches. One sweep serves every link
-   into the code. *)
-let anchored (mem : Memory.t) (c : code) =
-  (match c.swept with
-  | Some m -> m == mem && c.swept_gen = mem.Memory.generation
-  | None -> false)
-  ||
-  let ok = ref true in
-  for i = 0 to Array.length c.blocks - 1 do
-    if not (Tcache.anchor_valid mem (Array.unsafe_get c.blocks i)) then ok := false
-  done;
-  !ok
-  && begin
-    c.swept <- Some mem;
-    c.swept_gen <- mem.Memory.generation;
-    true
-  end
-
 (* A link skips the dispatcher's fetch, so it may be followed only
-   while [translation] would still answer with its target here:
+   while [translation] would still answer with its target:
    - [l_addr]: the exit really goes where the target translates
      (dynamic exits — ret, indirect call — carry a 1-entry inline
      cache);
    - [key] and [slot_current]: the target is the head slot's
-     translation for this environment;
-   - [anchored]: every constituent, the head included, anchors in this
-     space. Links live in code that a fork family shares, and this is
-     what makes one resolved in a relative safe to follow here. *)
-let[@inline] link_live mem (l : link) (c : code) rip key =
-  Int64.equal l.l_addr rip && c.key == key && c.slot_current && anchored mem c
+     translation for this environment.
+   Links live in code that a fork family shares; the code was decoded
+   from sealed pages, so one resolved in a relative is safe to follow
+   here. *)
+let[@inline] link_live (l : link) (c : code) rip key =
+  Int64.equal l.l_addr rip && c.key == key && c.slot_current
 
 (* The exit of [m.cur]'s chain, all [n] of its steps retired and rip
    settled: enter the successor behind [l] directly, without returning
@@ -885,7 +865,7 @@ let[@inline] hop m n (l : link) rip =
     when m.hops
          && m.fuel - n >= Array.length t.ops
          && (t.fuse_tried || t.hot < m.threshold)
-         && link_live m.mem l t rip m.is_builtin ->
+         && link_live l t rip m.is_builtin ->
     charge_exit m m.cur n;
     m.fuel <- m.fuel - n;
     m.retired <- m.retired + n;
@@ -1129,8 +1109,6 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
     hot = 0;
     fuse_tried = Array.length ir.Ir.parts > 1;
     slot_current = true;
-    swept = None;
-    swept_gen = 0;
     link_a = fresh_link ();
     link_b = fresh_link ();
   }
@@ -1189,17 +1167,12 @@ let install (b : Tcache.block) c =
   (match b.Tcache.compiled with Code old -> old.slot_current <- false | _ -> ());
   b.Tcache.compiled <- Code c
 
-(* The one decision on whether a cached translation may run in a space.
-   The caller has checked that [b] anchors here (the dispatcher's fetch,
-   or [resolve]). Its slot's code runs when it was compiled for this
-   environment and, for a superblock, every constituent still anchors
-   here too: a tail page may have CoW-diverged in this space while the
-   head's did not. Otherwise the single block is compiled into the
-   slot, which also strips a stale superblock for every relative (a
-   relative whose pages still agree fuses it again once it is hot). *)
-let translation tc mem ~is_builtin ~inline (b : Tcache.block) =
+(* The one decision on whether a cached translation may run: its
+   slot's code runs when it was compiled for this environment, and
+   otherwise the single block is compiled into the slot. *)
+let translation tc ~is_builtin ~inline (b : Tcache.block) =
   match b.Tcache.compiled with
-  | Code c when c.key == is_builtin && (Array.length c.blocks = 1 || anchored mem c) -> c
+  | Code c when c.key == is_builtin -> c
   | _ ->
     let c = emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b) in
     install b c;
@@ -1217,13 +1190,10 @@ let install_link tc (l : link) rip target =
   l.l_target <- Some target;
   Tcache.note_chain tc
 
-(* Resolve the translation for [rip] in this space. [None] bounces to
-   the dispatcher (block not cached or stale), which decodes and
-   accounts the miss. *)
-let resolve tc mem ~is_builtin ~inline rip =
-  match Tcache.find tc rip with
-  | Some b when Tcache.anchor_valid mem b -> Some (translation tc mem ~is_builtin ~inline b)
-  | _ -> None
+(* Resolve the translation for [rip]. [None] bounces to the dispatcher
+   (block not cached), which decodes and accounts the miss. *)
+let resolve tc ~is_builtin ~inline rip =
+  Option.map (translation tc ~is_builtin ~inline) (Tcache.find tc rip)
 
 (* Superblock caps: enough to swallow a guarded call's prologue + body
    + epilogue chain, small enough that tail duplication (a block fused
@@ -1233,14 +1203,14 @@ let max_super_insns = 256
 
 (* Fuse the hot single-block [c] forward along unconditional static
    exits (fall-through, jmp abs, direct call) while the successors are
-   already this space's live translations. Conditional branches and
-   dynamic exits end the superblock — they stay chain links — and an
-   exit back into the superblock's own entries stops growth (the loop
-   closes through a link instead). The fused translation replaces the
+   already cached. Conditional branches and dynamic exits end the
+   superblock — they stay chain links — and an exit back into the
+   superblock's own entries stops growth (the loop closes through a
+   link instead). The fused translation replaces the
    head block's slot: entering the head runs the whole chain, side
    entries to constituents keep their own per-block translations
    (tail duplication, the classic trace-JIT shape). *)
-let try_fuse tc mem ~is_builtin ~inline (c : code) =
+let try_fuse tc ~is_builtin ~inline (c : code) =
   c.fuse_tried <- true;
   let head = Array.unsafe_get c.blocks 0 in
   let entry_of (b : Tcache.block) = b.Tcache.bb_start in
@@ -1254,10 +1224,8 @@ let try_fuse tc mem ~is_builtin ~inline (c : code) =
         if List.exists (fun b -> Int64.equal (entry_of b) a) parts then ir
         else begin
           match Tcache.find tc a with
-          | Some b
-            when Tcache.anchor_valid mem b
-                 && Ir.length ir + Array.length b.Tcache.insns <= max_super_insns
-            -> grow (Ir.fuse ir (block_ir ~is_builtin ~inline b)) (b :: parts)
+          | Some b when Ir.length ir + Array.length b.Tcache.insns <= max_super_insns ->
+            grow (Ir.fuse ir (block_ir ~is_builtin ~inline b)) (b :: parts)
           | _ -> ir
         end
   in
@@ -1312,7 +1280,7 @@ let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
       flags = cpu.Cpu.flags;
       tmp = Bytes.create 8;
       at = 0;
-      cur = translation tc mem ~is_builtin ~inline b;
+      cur = translation tc ~is_builtin ~inline b;
       fuel;
       retired = 0;
       hops = not profiling;
@@ -1324,7 +1292,7 @@ let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
   let rec enter (c : code) =
     let c =
       if c.fuse_tried || c.hot < threshold then c
-      else match try_fuse tc mem ~is_builtin ~inline c with Some sc -> sc | None -> c
+      else match try_fuse tc ~is_builtin ~inline c with Some sc -> sc | None -> c
     in
     c.hot <- c.hot + 1;
     m.cur <- c;
@@ -1348,14 +1316,14 @@ let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
     let rip = rget m rip_o in
     let l = link_for c rip in
     match l.l_target with
-    | Some target when link_live mem l target rip is_builtin ->
+    | Some target when link_live l target rip is_builtin ->
       Tcache.note_chain_hop tc;
       enter target
     | _ -> (
       match c.exit_ with
       | Ir.Stop -> (Running, m.retired)
       | _ -> (
-        match resolve tc mem ~is_builtin ~inline rip with
+        match resolve tc ~is_builtin ~inline rip with
         | Some target ->
           install_link tc l rip target;
           Tcache.note_chain_hop tc;

@@ -37,15 +37,15 @@
     sites (the [inline] argument).
 
     A translation lives in its head block's [Tcache.block.compiled]
-    slot and is shared by the whole fork family. Loaded text never
-    changes, so whether it may run in a space rests on its blocks' page
-    anchors alone: the dispatcher's fetch and chain resolution check
-    the head block's anchor, and one internal decision — the slot's
-    code was compiled for this environment (the [is_builtin] closure,
-    compared with [(==)]) and, for a superblock, every constituent
-    anchors in this space — either keeps the slot's code or compiles
-    the single block into the slot. A chain link, direct hops included,
-    is followed only while that decision would still pick its target.
+    slot and is shared by the whole fork family. Its blocks were
+    decoded from sealed pages ({!Memory.seal}), which no relative can
+    write, so it is valid in every space of the family. One internal
+    decision — the slot's code was compiled for this environment (the
+    [is_builtin] closure, compared with [(==)]) — either keeps the
+    slot's code or compiles the single block into the slot. A chain
+    link, direct hops included, is followed only while it still leads
+    to the address it was patched for and to the code its target's slot
+    holds.
 
     Compiled execution is semantically invisible: faults (identity and
     partial state), fuel accounting, builtin trapping, rdrand draws and
@@ -82,9 +82,8 @@ val run :
     the hotness threshold) until fuel is exhausted, a non-[Running]
     outcome must surface to the OS, or the successor is not resolvable
     from the cache — in which case [(Running, retired)] bounces control
-    back to {!Exec.step_block}'s dispatcher, which decodes it. The
-    block must anchor in this space (the dispatcher's fetch checked).
-    Each translation runs as the threaded chain when the remaining fuel
+    back to {!Exec.step_block}'s dispatcher, which decodes it. Each
+    translation runs as the threaded chain when the remaining fuel
     covers it and as the fuel tail's step loop otherwise. Also
     attributes per-constituent cycles to {!Telemetry.Profile} when
     profiling is on (the caller must not note again); direct hops are

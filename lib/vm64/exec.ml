@@ -22,23 +22,21 @@ let create_env ?on_retire ?(inline_builtin = no_inline) ~is_builtin () =
 
 let max_insn_len = 32
 
-(* Fetch up to [max_insn_len] bytes at rip, stopping at the first
-   unmapped byte so a valid instruction at the end of a mapped region
+(* Fetch up to [max_insn_len] bytes at rip, stopping at the first byte
+   off a sealed page so a valid instruction at the end of the text
    still decodes. Slow path: only taken when rip sits in the last
-   [max_insn_len] bytes of a page (the next page may be unmapped, so
+   [max_insn_len] bytes of a page (the next page may not be sealed, so
    the bytes must be collected one by one). *)
 let fetch_bytes mem rip =
   let buf = Bytes.create max_insn_len in
   let rec collect i =
     if i >= max_insn_len then i
-    else begin
-      let addr = Int64.add rip (Int64.of_int i) in
-      if Memory.is_mapped mem addr then begin
-        Bytes.set buf i (Char.chr (Memory.read_u8 mem addr));
+    else
+      match Memory.code_window mem (Int64.add rip (Int64.of_int i)) with
+      | Some (page, off) ->
+        Bytes.set buf i (Bytes.get page off);
         collect (i + 1)
-      end
-      else i
-    end
+      | None -> i
   in
   let n = collect 0 in
   if n = 0 then None else Some (Bytes.sub buf 0 n)
@@ -52,11 +50,11 @@ let fetch_slow mem rip =
     | exception Isa.Decode.Bad_encoding (_, msg) ->
       Error (Fault.Bad_instruction (rip, msg)))
 
-(* Common path: decode in place against the mapped page. No instruction
+(* Common path: decode in place against the sealed page. No instruction
    encodes to more than 19 bytes, so [max_insn_len] bytes of lookahead
    decide exactly the same way a page-sized window does — the slow path
-   exists only for rip near a page boundary (next page possibly
-   unmapped) and for unmapped rip. *)
+   exists only for rip near a page boundary (next page possibly not
+   sealed) and for rip off a sealed page, where it faults. *)
 let fetch_one mem rip =
   match Memory.code_window mem rip with
   | Some (page, off) when off + max_insn_len <= Memory.page_size -> (
@@ -91,31 +89,17 @@ let decode_block mem rip =
         incr count;
         if block_terminator insn then stop := true
     done;
-    (* Anchor the block to the payload objects its bytes came from (all
-       mapped: we just decoded out of them). [!addr] is the block end. *)
-    let last = Int64.sub !addr 1L in
-    let npages =
-      1 + Int64.to_int (Int64.sub (Int64.shift_right_logical last 12)
-                          (Int64.shift_right_logical rip 12))
-    in
-    let anchor =
-      Array.init npages (fun i ->
-          let a = Int64.add rip (Int64.of_int (i * Memory.page_size)) in
-          match Memory.code_window mem a with
-          | Some (payload, _) ->
-            Memory.note_decoded mem a;
-            payload
-          | None -> assert false)
-    in
-    Ok (Tcache.make_block ~anchor ~start:rip (Array.of_list (List.rev !rev)))
+    Ok (Tcache.make_block ~start:rip (Array.of_list (List.rev !rev)))
 
+(* A cached block is valid in every space of the fork family: it was
+   decoded from sealed pages, which no relative can write. *)
 let fetch_block cpu mem =
   let tc = cpu.Cpu.tcache in
   match Tcache.find tc (Cpu.rip cpu) with
-  | Some b when Tcache.anchor_valid mem b ->
+  | Some b ->
     Tcache.note_hit tc;
     Ok b
-  | _ -> (
+  | None -> (
     Tcache.note_miss tc;
     match decode_block mem (Cpu.rip cpu) with
     | Error f -> Error f

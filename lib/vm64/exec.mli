@@ -27,9 +27,10 @@ type outcome = Compiled.outcome =
 type env
 (** Immutable execution environment: builtin address resolution. The
     basic-block translation cache lives in {!Cpu.t} (one per fork
-    family) and assumes text is not modified after loading — binary
-    rewriting happens on images, before load. A cached block runs in a
-    space only while its page anchors hold there (see {!Tcache}). *)
+    family). Instructions are fetched from sealed pages only
+    ({!Memory.seal}), which no relative can write, so a cached block is
+    valid in every space of the family (see {!Tcache}). A fetch from
+    any other page faults with [Segfault rip]. *)
 
 val create_env :
   ?on_retire:(Cpu.t -> Isa.Insn.t -> unit) ->
@@ -54,8 +55,9 @@ val step_block : env -> Cpu.t -> Memory.t -> max_insns:int -> outcome * int
 (** Retire up to [max_insns] instructions from the pre-decoded basic
     block at rip (decoding and caching it on a miss), returning the last
     outcome and the number of instructions retired. The count is 0
-    exactly when the initial fetch faulted (unmapped or undecodable
-    rip) — nothing retired, nothing charged; otherwise it is >= 1.
+    exactly when the initial fetch faulted (rip off a sealed page, or
+    undecodable) — nothing retired, nothing charged; otherwise it is
+    >= 1.
     Cycle charging, taxes, and the [on_retire] hook are applied exactly
     as by [step] — a run dispatched block-at-a-time retires the same
     instruction stream with the same cycle counts as one dispatched with

@@ -70,33 +70,34 @@ let () =
    never-written [zero_frame]; the first write copies it like any CoW
    break, uncounted since no relative's data moves. Every frame copy
    takes a frame from this domain's free list when it has one.
-   [release] hands a dead space's private frames back, except those a
-   block was decoded from while private ([note_decoded]): a block
-   anchor may still name them. A page a space CoW-breaks after its
-   first clone is hot: each later clone copies it into the child up
-   front, and the parent keeps it private, so neither side breaks
-   sharing on it and no frame is orphaned.
+   [release] hands a dead space's private frames back. A page a space
+   CoW-breaks after its first clone is hot: each later clone copies it
+   into the child up front, and the parent keeps it private, so neither
+   side breaks sharing on it and no frame is orphaned.
+
+   Memory is W^X: [seal], before the first clone, marks mapped pages
+   read-only and executable in [exec], whose per-chunk strings the fork
+   family shares. Writes to them fault, and only they are fetchable.
 
    Invariants:
    - A payload array or privacy string reachable through an unowned
      chunk is never mutated — every write path calls [own_chunk] first
      (a clone happened since the chunk was last owned, so every payload
      in it is aliased by construction).
-   - An aliased payload is never written in place, so payload identity
-     implies byte identity (block anchors depend on it).
+   - An aliased payload is never written in place.
    - In an owned chunk, a '\001' privacy byte means the page is mapped
      and this space alone holds its payload: only [break_cow] and a
      hot-page copy in [clone] set the byte, each on a page it just gave
-     a fresh frame, [own_chunk] starts every byte clear and [release]
-     clears the bytes of the slots it empties. [Compile.store] writes
-     such a page in place without calling in here. The zero frame is
-     never private, so it is never written or released.
-   - A free-list frame is reachable from no space and no block anchor.
-   - [generation] rises whenever a page slot's payload changes (map,
-     CoW break or release): an unchanged generation means every page
-     still holds the payload object it held before.
-   - [no_page], [zero_frame], [empty_chunk] and [no_privs] are
-     immutable sentinels, shared by all spaces and domains. *)
+     a fresh frame, [own_chunk] starts every byte clear, and [release]
+     and [seal] clear the bytes of the slots they empty or seal.
+     [Compile.store] writes such a page in place without calling in
+     here. The zero frame is never private, so it is never written or
+     released.
+   - A sealed page is mapped and never private: no write reaches it and
+     [release] never frees it.
+   - A free-list frame is reachable from no space.
+   - [no_page], [zero_frame], [empty_chunk], [no_privs] and [no_exec]
+     are immutable sentinels, shared by all spaces and domains. *)
 let chunk_bits = 7
 let chunk_pages = 1 lsl chunk_bits (* pages per chunk *)
 let chunks = Int64.to_int Layout.address_limit / (chunk_pages * page_size) (* 256 *)
@@ -105,6 +106,7 @@ let no_page = Bytes.create 0
 let zero_frame = Bytes.make page_size '\000'
 let empty_chunk : bytes array = Array.make chunk_pages no_page
 let no_privs = Bytes.make chunk_pages '\000'
+let no_exec = String.make chunk_pages '\000'
 
 (* Per-domain free list: 256 frames is 1 MiB a domain. *)
 let free_cap = 256
@@ -134,12 +136,11 @@ type t = {
   top : bytes array array;  (* chunk -> page payloads, [no_page] if unmapped *)
   privs : Bytes.t array;  (* chunk -> privacy byte per page *)
   owned : Bytes.t;  (* '\001' per chunk: its payload array and privacy bytes are ours *)
+  exec : string array;  (* chunk -> '\001' per sealed page; [no_exec] if none *)
   mutable mapped_pages : int;
-  mutable generation : int;
   family : family_stats;
   mutable forked : bool;  (* cloned at least once: CoW breaks mark pages hot *)
   mutable hot : int list;  (* page numbers CoW-broken since the first clone *)
-  mutable decoded : bytes list;  (* private frames a block was decoded from *)
 }
 
 let create () =
@@ -151,12 +152,11 @@ let create () =
     top = Array.make chunks empty_chunk;
     privs = Array.make chunks no_privs;
     owned = Bytes.make chunks '\001';
+    exec = Array.make chunks no_exec;
     mapped_pages = 0;
-    generation = 0;
     family;
     forked = false;
     hot = [];
-    decoded = [];
   }
 
 let[@inline] page_of addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
@@ -185,8 +185,23 @@ let map t ~addr ~len =
     let s = idx land (chunk_pages - 1) in
     if Array.unsafe_get ch s == no_page then begin
       Array.unsafe_set ch s zero_frame;
-      t.mapped_pages <- t.mapped_pages + 1;
-      t.generation <- t.generation + 1
+      t.mapped_pages <- t.mapped_pages + 1
+    end
+  done
+
+(* Before the first clone, a mapped page's chunk is owned ([map]). *)
+let seal t ~addr ~len =
+  if len <= 0 then invalid_arg "Memory.seal: nonpositive length";
+  if t.family.clones > 0 then invalid_arg "Memory.seal: the space has been cloned";
+  let first = page_of addr in
+  let last = page_of (Int64.add addr (Int64.of_int (len - 1))) in
+  for idx = first to Stdlib.min last ((chunks * chunk_pages) - 1) do
+    let c = idx lsr chunk_bits and s = idx land (chunk_pages - 1) in
+    if Array.unsafe_get t.top.(c) s != no_page then begin
+      let x = Bytes.of_string t.exec.(c) in
+      Bytes.set x s '\001';
+      t.exec.(c) <- Bytes.unsafe_to_string x;
+      Bytes.set t.privs.(c) s '\000'
     end
   done
 
@@ -215,15 +230,15 @@ let break_cow t c s p =
   let d = copy_frame p in
   Array.unsafe_set (Array.unsafe_get t.top c) s d;
   Bytes.unsafe_set (Array.unsafe_get t.privs c) s '\001';
-  t.generation <- t.generation + 1;
   if p != zero_frame then t.family.cow_breaks <- t.family.cow_breaks + 1;
   if t.forked then t.hot <- (c lsl chunk_bits) lor s :: t.hot;
   d
 
 (* Write path on page number [idx]: own the chunk, then break payload
-   sharing on first dirty; [no_page] when unmapped. An unmapped page
-   yields [no_page] before any sharing is broken (owning a chunk is
-   invisible: no payload is copied and no counter moves). *)
+   sharing on first dirty; [no_page] when unmapped or sealed (checked
+   only off the private fast path), before any sharing is broken
+   (owning a chunk is invisible: no payload is copied, no counter
+   moves). *)
 let[@inline] rw_page_at t idx =
   let c = idx lsr chunk_bits in
   if c >= chunks then no_page
@@ -232,6 +247,7 @@ let[@inline] rw_page_at t idx =
     let s = idx land (chunk_pages - 1) in
     let p = Array.unsafe_get (Array.unsafe_get t.top c) s in
     if p == no_page || Bytes.unsafe_get (Array.unsafe_get t.privs c) s = '\001' then p
+    else if String.unsafe_get (Array.unsafe_get t.exec c) s = '\001' then no_page
     else break_cow t c s p
   end
 
@@ -248,25 +264,17 @@ let store_page t a =
   if p == no_page then raise (segfault (Int64.of_int a));
   p
 
-(* Decode-path window: the page payload under [addr] plus the offset
-   into it, without raising. The caller must treat the payload as
-   read-only — handing out the live bytes (shared or not) is exactly
-   what makes zero-copy instruction fetch possible; any write through
-   it would bypass CoW. *)
+(* Fetch window: the sealed page's payload under [addr] plus the offset
+   into it, without raising. Sealed payloads are never written, so
+   handing out the live bytes is safe, and it is what makes zero-copy
+   instruction fetch possible. *)
 let code_window t addr =
-  let p = page_at t (page_of addr) in
-  if p == no_page then None else Some (p, offset_of addr)
-
-(* The page's payload may be aliased by a fork relative: either the
-   whole chunk is still unowned, or its privacy byte is clear. *)
-let payload_shared t addr =
   let idx = page_of addr in
   let c = idx lsr chunk_bits in
   let s = idx land (chunk_pages - 1) in
-  c < chunks
-  && Array.unsafe_get (Array.unsafe_get t.top c) s != no_page
-  && (Bytes.unsafe_get t.owned c <> '\001'
-     || Bytes.unsafe_get (Array.unsafe_get t.privs c) s <> '\001')
+  if c < chunks && String.unsafe_get (Array.unsafe_get t.exec c) s = '\001' then
+    Some (Array.unsafe_get (Array.unsafe_get t.top c) s, offset_of addr)
+  else None
 
 let read_u8 t addr = Char.code (Bytes.get (ro_page t addr) (offset_of addr))
 
@@ -361,7 +369,8 @@ let cstr_len t addr =
    ownership, so chunk and payload copies happen lazily on first write
    in either space. Hot pages the parent still holds privately are the
    exception: the child gets its own copy now, and the parent keeps
-   those pages private and their chunks owned. *)
+   those pages private and their chunks owned. The family shares one
+   executable map, which [seal] no longer changes. *)
 let clone t =
   let n = t.mapped_pages in
   t.forked <- true;
@@ -372,12 +381,11 @@ let clone t =
       top = Array.copy t.top;
       privs = Array.copy t.privs;
       owned = Bytes.make chunks '\000';
+      exec = t.exec;
       mapped_pages = n;
-      generation = 0;
       family = t.family;
       forked = false;
       hot = [];
-      decoded = [];
     }
   in
   let kept = ref [] in
@@ -406,12 +414,6 @@ let clone t =
     !kept;
   child
 
-let note_decoded t addr =
-  if not (payload_shared t addr) then begin
-    let p = page_at t (page_of addr) in
-    if p != no_page && not (List.memq p t.decoded) then t.decoded <- p :: t.decoded
-  end
-
 (* [f i] for each set byte ('\001') of [b], testing eight bytes at a
    time: few ownership or privacy bytes are set. *)
 let iter_set b f =
@@ -431,13 +433,11 @@ let release t =
           ch.(s) <- no_page;
           Bytes.set pv s '\000';
           t.mapped_pages <- t.mapped_pages - 1;
-          if fl.n < free_cap && not (List.memq p t.decoded) then begin
+          if fl.n < free_cap then begin
             fl.frames.(fl.n) <- p;
             fl.n <- fl.n + 1
-          end));
-  t.generation <- t.generation + 1
+          end))
 
-let generation t = t.generation
 let mapped_bytes t = t.mapped_pages * page_size
 
 let resident_bytes t =

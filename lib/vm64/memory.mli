@@ -28,8 +28,9 @@
     before the first clone (loading text and data at spawn) are never
     hot: counting them copied text into every child. The invariants:
     a frame private to one space is reachable from no other space; a
-    free-list frame is reachable from no space and no block anchor; the
-    zero frame is never private. DESIGN.md §5 gives the measurements. *)
+    free-list frame is reachable from no space; the zero frame is never
+    private. DESIGN.md §5 gives the measurements. Memory is W^X: see
+    {!seal}. *)
 
 (** Fork-path telemetry. *)
 type family_stats = {
@@ -48,18 +49,20 @@ type family_stats = {
     chunk means the page is mapped and this space is its payload's only
     owner, so writing that payload in place is exactly what
     {!write_u64} would do. Under any other combination the payload may
-    be a relative's too, and a write must go through {!store_page} or
-    {!write_u64}. Reads may use [top] whatever the bytes say. *)
+    be a relative's too, or sealed, and a write must go through
+    {!store_page} or {!write_u64}. Reads may use [top] whatever the
+    bytes say. *)
 type t = private {
   top : bytes array array;  (** chunk -> page payloads, {!no_page} if unmapped *)
   privs : Bytes.t array;  (** chunk -> one privacy byte per page *)
   owned : Bytes.t;  (** one ownership byte per chunk, ['\001'] if owned *)
+  exec : string array;
+      (** chunk -> one byte per page, ['\001'] if sealed; one string,
+          shared by the fork family *)
   mutable mapped_pages : int;
-  mutable generation : int;  (** see {!generation} *)
   family : family_stats;
   mutable forked : bool;  (** cloned at least once: CoW breaks mark pages hot *)
   mutable hot : int list;  (** page numbers CoW-broken since the first clone *)
-  mutable decoded : bytes list;  (** private frames a block was decoded from *)
 }
 
 val no_page : bytes
@@ -80,6 +83,15 @@ val map : t -> addr:int64 -> len:int -> unit
     [Invalid_argument "Memory.map: outside the 128 MiB guest layout"]
     (mapping nothing) when any of those pages lies at or above
     [0x0800_0000]. *)
+
+val seal : t -> addr:int64 -> len:int -> unit
+(** Seal the mapped pages covering [addr, addr+len), as the loader does
+    with text: they become read-only and executable, the only pages
+    {!code_window} serves, and count as shared. A write to one raises
+    [Fault.Trap (Segfault a)] at the written address [a]. A sealed
+    payload never changes and is the same object in every relative, so
+    code decoded in one space is the whole fork family's. Raises
+    [Invalid_argument] once the family has been cloned. *)
 
 val is_mapped : t -> int64 -> bool
 
@@ -107,7 +119,7 @@ val store_page : t -> int -> bytes
     shared payload is replaced by a copy, exactly as {!write_u64} does,
     so writes through it stay in this space. Valid until the next
     {!clone}. Raises [Fault.Trap (Segfault (Int64.of_int a))] when the
-    page is unmapped, before breaking any sharing. *)
+    page is unmapped or sealed, before breaking any sharing. *)
 
 val read_u32 : t -> int64 -> int64
 (** Zero-extended 32-bit load. *)
@@ -118,23 +130,16 @@ val read_bytes : t -> int64 -> int -> bytes
 val write_bytes : t -> int64 -> bytes -> unit
 
 val code_window : t -> int64 -> (bytes * int) option
-(** [(payload, offset)] of the page under the address, or [None] when
-    unmapped — the zero-copy instruction-fetch window. The payload is
-    the live (possibly CoW-shared) page: callers MUST NOT write through
-    it, and must not hold it across a [write_*] to the same page (a CoW
-    break swaps the payload). Valid from [offset] to the page end. *)
+(** [(payload, offset)] of the sealed page under the address, or [None]
+    when the page is not sealed (unmapped, or mapped as data) — the
+    zero-copy instruction-fetch window. The payload is the live page,
+    shared by the fork family: callers MUST NOT write through it. Valid
+    from [offset] to the page end. *)
 
 val cstr_len : t -> int64 -> int
 (** Bytes before the first NUL at the address (page-aware strlen).
     Faults at the first unmapped byte reached before a NUL, exactly
     where a byte-at-a-time scan would. *)
-
-val payload_shared : t -> int64 -> bool
-(** The page under the address is mapped and its payload may be aliased
-    by a fork relative (i.e. the bytes this space reads there are the
-    bytes relatives read, until someone writes). {!note_decoded} uses
-    it to tell private frames, which {!release} recycles, from shared
-    ones. *)
 
 val clone : t -> t
 (** The [fork] primitive's address-space clone. Copy-on-write at two
@@ -142,42 +147,28 @@ val clone : t -> t
     directory copied, no page touched), and page payloads stay shared
     until first write in either space. Hot pages the parent still holds
     privately are copied into the child now (each counted as a CoW
-    break); the parent keeps them private and their chunks owned.
+    break); the parent keeps them private and their chunks owned. The
+    child shares the parent's sealed pages and executable map.
     Observable behaviour is identical to a deep copy — writes in either
     space never become visible in the other. *)
 
-val note_decoded : t -> int64 -> unit
-(** A block was decoded from the page under the address: if its frame
-    is private, {!release} never recycles it, since the block's anchor
-    names it and the fork family's shared table may still hold the
-    block after this space dies. {!Exec} calls this for each page it
-    anchors. *)
-
 val release : t -> unit
 (** The space is dead: return its private frames to this domain's free
-    list, except those passed to {!note_decoded}, and empty their
-    slots, so a later access to them through [t] faults. Shared pages
-    (and the zero frame) stay mapped and untouched. *)
+    list and empty their slots, so a later access to them through [t]
+    faults. Shared and sealed pages (and the zero frame) stay mapped
+    and untouched. *)
 
 val free_frames : unit -> bytes list
 (** This domain's free list, for tests. *)
-
-val generation : t -> int
-(** Payload generation of this space: it rises whenever a page slot's
-    payload object changes (a new mapping, a copy-on-write break or a
-    {!release}).
-    While it is unchanged, every page of the space holds the same
-    payload object as before, so a {!code_window} identity check made
-    earlier still holds. Compare only values read from the same space. *)
 
 val mapped_bytes : t -> int
 (** Total bytes of mapped address space (resident + shared), for the
     memory-usage columns of Table IV. *)
 
 val resident_bytes : t -> int
-(** Bytes whose page payload this space privately owns: written pages
-    only, as RSS counts them (a never-written page holds the shared
-    zero frame). Summing
+(** Bytes whose page payload this space privately owns: written data
+    pages only, as RSS counts them (a never-written page holds the
+    shared zero frame, and a sealed page counts as shared). Summing
     [mapped_bytes] over a fork family double-counts aliased pages;
     parent [mapped_bytes] + children [resident_bytes] does not. *)
 

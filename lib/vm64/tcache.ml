@@ -6,13 +6,6 @@ type block = {
   callret : bool array;
   nexts : int64 array;
   bb_bytes : int;
-  anchor : bytes array;
-      (* page payload objects the block was decoded from, one per page
-         of [bb_start, bb_start + bb_bytes). A hit is only valid while
-         each page still holds the same payload *object* (physical
-         equality): CoW never mutates an aliased payload in place, so
-         identity implies the decoded bytes are unchanged. An empty
-         anchor (test-built blocks) is always valid. *)
   mutable compiled : Compiled.slot;
 }
 
@@ -22,7 +15,7 @@ let is_callret = function
   | Isa.Insn.Call _ | Isa.Insn.Call_ind _ | Isa.Insn.Ret -> true
   | _ -> false
 
-let make_block ?(anchor = [||]) ~start pairs =
+let make_block ~start pairs =
   let n = Array.length pairs in
   if n = 0 then invalid_arg "Tcache.make_block: empty block";
   let insns = Array.map fst pairs in
@@ -43,29 +36,8 @@ let make_block ?(anchor = [||]) ~start pairs =
     callret;
     nexts;
     bb_bytes = Int64.to_int (Int64.sub !addr start);
-    anchor;
     compiled = Compiled.Not_compiled;
   }
-
-(* The cached block is only valid for a given address space while every
-   page it was decoded from still holds the same payload object; CoW
-   never mutates an aliased payload in place, so physical identity
-   implies byte identity. This is what lets a fork family share one
-   table even as each relative adds new decodes to it, and what lets
-   chain links jump straight into a successor's translation. *)
-let anchor_valid mem b =
-  let a = b.anchor in
-  let n = Array.length a in
-  n = 0
-  ||
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let addr = Int64.add b.bb_start (Int64.of_int (i * Memory.page_size)) in
-    (match Memory.code_window mem addr with
-    | Some (payload, _) -> if payload != Array.unsafe_get a i then ok := false
-    | None -> ok := false)
-  done;
-  !ok
 
 (* Execution-path telemetry: one record per fork family (the numbers
    survive the relatives' reaping), mirroring [Memory.family_stats]. *)
@@ -78,10 +50,20 @@ type exec_stats = {
   mutable chain_hops : int;  (* dispatcher returns avoided via a link *)
 }
 
-(* One table per fork family: loaded text never changes, so a block
-   one relative decodes is valid for every relative whose pages still
-   anchor it. *)
-type t = { blocks : (int64, block) Hashtbl.t; xstats : exec_stats }
+(* Blocks by start address. Every dispatch looks one up, so the table
+   hashes and compares the int64 itself rather than through the
+   polymorphic [Hashtbl]'s C primitives. *)
+module Blocks = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash a = Int64.to_int a land max_int
+end)
+
+(* One table per fork family: code is fetched only from sealed pages,
+   which no relative can write, so a block one relative decodes is
+   valid for every relative. *)
+type t = { blocks : block Blocks.t; xstats : exec_stats }
 
 (* Fork-path telemetry (process-wide; campaigns fan across domains).
    These fire once per clone, so registry counters (shared atomics) are
@@ -150,18 +132,16 @@ let create () =
   Mutex.lock registry_mu;
   registry := xstats :: !registry;
   Mutex.unlock registry_mu;
-  { blocks = Hashtbl.create 256; xstats }
+  { blocks = Blocks.create 256; xstats }
 
 let clone t =
   Telemetry.Registry.incr g_clones;
-  Telemetry.Registry.add g_blocks_shared (Hashtbl.length t.blocks);
+  Telemetry.Registry.add g_blocks_shared (Blocks.length t.blocks);
   t
 
-let find t rip = Hashtbl.find_opt t.blocks rip
+let find t rip = Blocks.find_opt t.blocks rip
 
-(* Hit/miss accounting is driven by {!Exec.fetch_block}, which decides
-   hit-ness only after validating the block's anchor — a cached entry
-   whose pages have moved on counts as a miss. *)
+(* Hit/miss accounting is driven by {!Exec.fetch_block}. *)
 let note_hit t = t.xstats.hits <- t.xstats.hits + 1
 let note_miss t = t.xstats.misses <- t.xstats.misses + 1
 let note_compile t = t.xstats.compiles <- t.xstats.compiles + 1
@@ -169,12 +149,10 @@ let note_chain t = t.xstats.chains <- t.xstats.chains + 1
 let note_superblock t = t.xstats.superblocks <- t.xstats.superblocks + 1
 let note_chain_hop t = t.xstats.chain_hops <- t.xstats.chain_hops + 1
 
-(* A relative whose page diverged fails the block's anchor on its next
-   fetch and adds its own decode over this one. *)
-let add t block = Hashtbl.replace t.blocks block.bb_start block
+let add t block = Blocks.replace t.blocks block.bb_start block
 
 let stats t =
-  Hashtbl.fold (fun _ b (nb, ni) -> (nb + 1, ni + Array.length b.insns)) t.blocks (0, 0)
+  Blocks.fold (fun _ b (nb, ni) -> (nb + 1, ni + Array.length b.insns)) t.blocks (0, 0)
 
 let exec_stats t =
   {

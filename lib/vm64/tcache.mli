@@ -13,14 +13,11 @@
     already-cached run simply decodes a second block starting there.
 
     Loaded text is immutable: binary rewriting happens on images,
-    before load, and nothing changes a space's text after spawn. So a
-    fork family shares one table. [clone] (the fork primitive) returns
-    the parent's table, and a block any relative decodes is a hit for
-    the others. Whether a cached block may run in a space is decided by
-    its anchors alone: a relative whose page diverged (a CoW break
-    gives it a new payload object) fails the anchor and decodes its own
-    copy. An in-place write to a page this space already owns privately
-    is not seen; the cached decode keeps running. *)
+    before load, and the loader seals text ({!Memory.seal}) before the
+    first fork, so no relative can write it and instructions are
+    fetched from sealed pages only. So a fork family shares one table:
+    [clone] (the fork primitive) returns the parent's table, and a
+    block any relative decodes is valid, and a hit, for all of them. *)
 
 type block = {
   bb_start : int64;  (** address of the first instruction *)
@@ -30,37 +27,19 @@ type block = {
   callret : bool array;  (** instruction is charged the per-call tax *)
   nexts : int64 array;  (** fall-through rip per instruction *)
   bb_bytes : int;  (** total bytes of text the block covers *)
-  anchor : bytes array;
-      (** the page payload objects the block was decoded from, one per
-          covered page. {!Exec} re-validates them (physical equality
-          against the space's current payloads) on every hit: CoW never
-          mutates an aliased payload in place, so identity implies the
-          decoded bytes are unchanged — which is what makes one table
-          per fork family sound. Empty = always valid (test-built
-          blocks). *)
   mutable compiled : Compiled.slot;
       (** compiled translation, written by {!Compile}; deterministic,
           so every relative reaching this record shares the compiled
           code. Starts [Not_compiled]. {!Compile} may later replace the
           slot with a superblock that subsumes it (same entry semantics,
-          more instructions), or strip a superblock whose constituents
-          no longer anchor back to the single block. *)
+          more instructions). *)
 }
 
 val max_block_insns : int
 
-val anchor_valid : Memory.t -> block -> bool
-(** The block is still decodable-as-cached in this address space: every
-    covered page holds the same payload {e object} it was decoded from
-    (physical equality — CoW never mutates an aliased payload in
-    place). Empty anchor (test-built blocks) is always valid. Checked by
-    {!Exec.fetch_block} on every hit and by compiled chain links before
-    jumping into a successor's translation. *)
-
-val make_block : ?anchor:bytes array -> start:int64 -> (Isa.Insn.t * int) array -> block
+val make_block : start:int64 -> (Isa.Insn.t * int) array -> block
 (** [make_block ~start pairs] precomputes the dispatch arrays from
-    decoded [(insn, byte_length)] pairs. [pairs] must be non-empty.
-    [anchor] defaults to empty (always valid). *)
+    decoded [(insn, byte_length)] pairs. [pairs] must be non-empty. *)
 
 type t
 
@@ -71,14 +50,13 @@ val clone : t -> t
     blocks it shares for the fork-path telemetry. *)
 
 val find : t -> int64 -> block option
-(** Uncounted lookup. {!Exec.fetch_block} validates the block's anchor
-    before treating the result as a hit. *)
+(** Uncounted lookup. *)
 
 val note_hit : t -> unit
-(** Record one anchor-valid cache hit. *)
+(** Record one cache hit. *)
 
 val note_miss : t -> unit
-(** Record one lookup that forced a decode (absent or stale entry). *)
+(** Record one lookup that forced a decode. *)
 
 val note_compile : t -> unit
 (** Record one compiled block translation. *)

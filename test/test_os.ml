@@ -425,10 +425,9 @@ let test_image_disassemble () =
   | _ -> Alcotest.fail "main should start with push %rbp"
 
 let test_text_write_not_seen () =
-  (* Loaded text is immutable. A server whose handler's decode is hot
-     after the first request writes its own (private) text page in
-     place between requests: the page keeps its payload object, so the
-     cached decode of helper keeps running. *)
+  (* Loaded text is sealed. A write to a server's text between requests
+     faults at the written address, and the server keeps running the
+     helper it loaded. *)
   let src =
     {|
 int helper() { return 1; }
@@ -460,10 +459,124 @@ int main() {
     Isa.Encode.list_to_bytes
       [ Isa.Insn.Mov (Isa.Operand.reg Isa.Reg.RAX, Isa.Operand.imm 2L); Isa.Insn.Ret ]
   in
-  Vm64.Memory.write_bytes p.Os.Process.mem helper patch;
+  (match Vm64.Memory.write_bytes p.Os.Process.mem helper patch with
+  | exception Vm64.Fault.Trap (Vm64.Fault.Segfault a) ->
+    Alcotest.check i64 "the write faults where it lands" helper a
+  | () -> Alcotest.fail "a write to text went through");
   ignore (kernel_resume k p (Bytes.of_string "x"));
-  Alcotest.(check string) "cached decode after an in-place write" "11"
-    (Os.Process.stdout p)
+  Alcotest.(check string) "the loaded helper after the write" "11" (Os.Process.stdout p)
+
+(* ---- W^X ---------------------------------------------------------------- *)
+
+(* A process image of hand-written code at the text base, entered at
+   its first instruction; calls name glibc functions. *)
+let asm_image items =
+  let a =
+    Isa.Builder.assemble (Isa.Builder.of_items items) ~base:Vm64.Layout.text_base
+      ~externs:(fun s -> Some (Os.Glibc.addr_of s))
+  in
+  let label l = Int64.add Vm64.Layout.text_base (Int64.of_int (List.assoc l a.labels)) in
+  let main =
+    { Os.Image.sym_name = "main"; sym_addr = Vm64.Layout.text_base;
+      sym_size = Bytes.length a.code }
+  in
+  (Os.Image.create ~name:"wx" ~entry:"main" ~text:a.code ~symbols:[ main ] (), label)
+
+let with_compiled on f =
+  Vm64.Compile.set_enabled on;
+  Fun.protect ~finally:(fun () -> Vm64.Compile.set_enabled true) f
+
+(* The process was killed by SIGSEGV at [addr] with rip at [rip]. *)
+let check_segv what (p : Os.Process.t) ~addr ~rip =
+  (match p.Os.Process.status with
+  | Os.Process.Killed (Os.Process.Sigsegv, msg) ->
+    Alcotest.(check string) what (Vm64.Fault.to_string (Vm64.Fault.Segfault addr)) msg
+  | _ -> Alcotest.failf "%s: %s" what (Os.Process.status_to_string p.Os.Process.status));
+  Alcotest.check i64 (what ^ ": rip") rip (Vm64.Cpu.rip p.Os.Process.cpu)
+
+(* A guest store into its own text is killed with SIGSEGV at the
+   written address, whichever path makes it: a compiled store in a
+   never-forked process, whose text page was private before the loader
+   sealed it; a compiled store in a fork child, on a page it shares; the
+   interpreter; a glibc builtin's copy. The same holds with compiled
+   execution on and off. *)
+let test_store_into_text_killed () =
+  let open Isa.Insn in
+  let open Isa.Builder in
+  let r = Isa.Operand.reg and imm = Isa.Operand.imm in
+  let target = Int64.add Vm64.Layout.text_base 1L in
+  let store =
+    [ Instruction (Mov (r Isa.Reg.RAX, imm target)); Label "store";
+      Instruction (Mov (Isa.Operand.mem ~base:Isa.Reg.RAX 0L, r Isa.Reg.RCX)) ]
+  in
+  let exit0 = [ Instruction (Mov (r Isa.Reg.RDI, imm 0L)); Instruction (Call (Sym "exit")) ] in
+  let builtin name args =
+    List.mapi (fun i v -> Instruction (Mov (r (List.nth Isa.Reg.arg_registers i), v))) args
+    @ [ Instruction (Call (Sym name)); Label "returned" ]
+    @ exit0
+  in
+  List.iter
+    (fun compiled ->
+      with_compiled compiled @@ fun () ->
+      let what s = Printf.sprintf "%s (compiled %b)" s compiled in
+      let spawn ?input items =
+        let image, label = asm_image (Label "main" :: items) in
+        let k = Os.Kernel.create () in
+        let p = Os.Kernel.spawn k ?input image in
+        let stop = kernel_run k p in
+        (k, p, stop, label)
+      in
+      let _, p, _, label = spawn (store @ exit0) in
+      check_segv (what "never-forked store") p ~addr:target ~rip:(label "store");
+      let k, _, stop, label =
+        spawn
+          ([ Instruction (Call (Sym "fork"));
+             Instruction (Bin (Cmp, r Isa.Reg.RAX, imm 0L));
+             Instruction (Jcc (NE, Sym "parent")) ]
+          @ store @ exit0
+          @ [ Label "parent"; Instruction (Call (Sym "waitpid"));
+              Instruction (Mov (r Isa.Reg.RDI, r Isa.Reg.RAX));
+              Instruction (Call (Sym "exit")) ])
+      in
+      Alcotest.(check string) (what "parent reaps a SIGSEGV") "exited 267"
+        (Os.Kernel.stop_to_string stop);
+      check_segv (what "fork child's store")
+        (Option.get (Os.Kernel.last_reaped k))
+        ~addr:target ~rip:(label "store");
+      (* a builtin faults inside the call, with rip at its return point *)
+      let _, p, _, label = spawn (builtin "memcpy" [ imm target; r Isa.Reg.RSP; imm 8L ]) in
+      check_segv (what "memcpy into text") p ~addr:target ~rip:(label "returned");
+      let _, p, _, label =
+        spawn ~input:(Bytes.of_string "AAAA") (builtin "read_input" [ imm target ])
+      in
+      check_segv (what "read_input into text") p ~addr:target ~rip:(label "returned"))
+    [ false; true ]
+
+(* A jmp into the stack or a ret into the heap faults with SIGSEGV at
+   that rip: data is not executable, whatever bytes it holds. *)
+let test_data_not_executable () =
+  let open Isa.Insn in
+  let open Isa.Builder in
+  let r = Isa.Operand.reg and imm = Isa.Operand.imm in
+  let stack = Int64.sub Vm64.Layout.stack_top 0x1000L and heap = Vm64.Layout.heap_base in
+  List.iter
+    (fun compiled ->
+      with_compiled compiled @@ fun () ->
+      List.iter
+        (fun (what, addr, items) ->
+          let what = Printf.sprintf "%s (compiled %b)" what compiled in
+          let image, _ = asm_image (Label "main" :: List.map (fun i -> Instruction i) items) in
+          let k = Os.Kernel.create () in
+          let p = Os.Kernel.spawn k image in
+          (* a hlt where the jump lands: only the fetch can stop it *)
+          Vm64.Memory.write_bytes p.Os.Process.mem addr (Isa.Encode.list_to_bytes [ Hlt ]);
+          ignore (kernel_run k p);
+          check_segv what p ~addr ~rip:addr)
+        [
+          ("jmp into the stack", stack, [ Jmp (Abs stack) ]);
+          ("ret into the heap", heap, [ Mov (r Isa.Reg.RAX, imm heap); Push (r Isa.Reg.RAX); Ret ]);
+        ])
+    [ false; true ]
 
 let test_glibc_addr_roundtrip () =
   List.iter
@@ -748,6 +861,12 @@ let () =
           Alcotest.test_case "disassemble" `Quick test_image_disassemble;
           Alcotest.test_case "in-place text write is not seen" `Quick
             test_text_write_not_seen;
+        ] );
+      ( "wx",
+        [
+          Alcotest.test_case "a store into text is killed where it lands" `Quick
+            test_store_into_text_killed;
+          Alcotest.test_case "data is not executable" `Quick test_data_not_executable;
         ] );
       ( "debug",
         [

@@ -89,6 +89,45 @@ let test_mem_cross_page_fault_partial () =
   Alcotest.check i64 "prefix written before the fault" 0x05060708L
     (Memory.read_u32 m 4092L)
 
+(* W^X: a sealed page reads as before, is the only kind of page the
+   fetch window serves and counts as shared; a write to it faults at the
+   written byte, a spanning one after writing the data prefix, and no
+   sealing is possible once the family has been cloned. *)
+let test_seal () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0L ~len:(3 * 4096);
+  Memory.write_bytes m 4096L (Bytes.of_string "text");
+  Memory.seal m ~addr:4096L ~len:1;
+  Alcotest.(check int) "sealed bytes read back" (Char.code 'e') (Memory.read_u8 m 4097L);
+  Alcotest.(check bool) "fetch window on the sealed page" true
+    (Memory.code_window m 8191L <> None);
+  Alcotest.(check bool) "no fetch window on data pages" true
+    (Memory.code_window m 4095L = None && Memory.code_window m 8192L = None);
+  Alcotest.(check int) "a sealed page is not resident" 0 (Memory.resident_bytes m);
+  let faults_at what a f =
+    match f () with
+    | exception Fault.Trap (Fault.Segfault x) -> Alcotest.check i64 what a x
+    | () -> Alcotest.failf "%s: the write went through" what
+  in
+  faults_at "in-page u64" 4100L (fun () -> Memory.write_u64 m 4100L 1L);
+  faults_at "u8 at the page end" 8191L (fun () -> Memory.write_u8 m 8191L 1);
+  faults_at "page window" 4096L (fun () -> ignore (Memory.store_page m 4096));
+  faults_at "u64 from data into text" 4096L (fun () ->
+      Memory.write_u64 m 4092L 0x0102030405060708L);
+  Alcotest.check i64 "the data prefix is written" 0x05060708L (Memory.read_u32 m 4092L);
+  Alcotest.(check string) "text unchanged" "text"
+    (Bytes.to_string (Memory.read_bytes m 4096L 4));
+  Memory.write_u8 m 8192L 1;
+  let c = Memory.clone m in
+  let refused = Invalid_argument "Memory.seal: the space has been cloned" in
+  Alcotest.check_raises "seal in the parent after a clone" refused (fun () ->
+      Memory.seal m ~addr:0L ~len:4096);
+  Alcotest.check_raises "seal in the child" refused (fun () ->
+      Memory.seal c ~addr:0L ~len:4096);
+  faults_at "the child's write" 4096L (fun () -> Memory.write_u8 c 4096L 1);
+  Memory.release c;
+  Alcotest.(check bool) "release keeps sealed pages" true (Memory.code_window c 4096L <> None)
+
 (* ---- copy-on-write fork ---------------------------------------------------- *)
 
 let test_cow_isolation_both_directions () =
@@ -220,43 +259,45 @@ let test_map_outside_layout () =
 
 (* ---- page table vs a deep-copy reference model ----------------------------- *)
 
-(* A family of up to 4 spaces runs random map / write / read / clone /
-   decode / release sequences; a model that deep-copies on clone runs
+(* A family of up to 4 spaces runs random map / seal / write / read /
+   clone / release sequences; a model that deep-copies on clone runs
    the same ops. Every result and fault address must agree, and so must
-   the page contents and the accounting (mapped/resident/shared,
-   payload_shared, counted CoW breaks) under the frame lifecycle:
+   the page contents and the accounting (mapped/resident/shared, the
+   pages a space holds privately, the sealed pages, counted CoW breaks)
+   under the frame lifecycle:
    - [map] gives shared zero pages, and a first write privatises a page
      without a counted break;
+   - [seal] makes mapped pages read-only and executable, and is refused
+     once the family has been cloned; a write to a sealed page faults at
+     the written byte, as one to an unmapped page does;
    - a page written after its space's first clone is hot: each later
      clone copies it into the child (a counted break) and the parent
      keeps it private, while every other page becomes shared;
    - [Release i] kills space i: its private pages fault from then on.
    After every op three frame invariants hold: no frame private to one
    live space is reachable from another; no free-list frame is
-   reachable from a live space or a block anchor ([Decode] records
-   one, as [Exec] does); the zero frame is never private. The
-   generation contract holds too: while a space's generation is
-   unchanged, every page keeps its payload object. Addresses cluster
-   around the chunk boundary at page 128 and the top of the layout, at
-   page ends. *)
+   reachable from a live space; the zero frame is never private. Frames
+   and privacy are read through [Memory.t]'s private record. Addresses
+   cluster around the chunk boundary at page 128 and the top of the
+   layout, at page ends. *)
 type mem_op =
   | Map of int * int64 * int
+  | Seal of int * int64 * int
   | W8 of int * int64 * int
   | W64 of int * int64 * int64
   | R8 of int * int64
   | R64 of int * int64
   | Clone of int * int  (* source, slot to replace when the family is full *)
-  | Decode of int * int64
   | Release of int
 
 let show_mem_op = function
   | Map (s, a, n) -> Printf.sprintf "map %d 0x%Lx+%d" s a n
+  | Seal (s, a, n) -> Printf.sprintf "seal %d 0x%Lx+%d" s a n
   | W8 (s, a, v) -> Printf.sprintf "w8 %d 0x%Lx %d" s a v
   | W64 (s, a, v) -> Printf.sprintf "w64 %d 0x%Lx 0x%Lx" s a v
   | R8 (s, a) -> Printf.sprintf "r8 %d 0x%Lx" s a
   | R64 (s, a) -> Printf.sprintf "r64 %d 0x%Lx" s a
   | Clone (s, d) -> Printf.sprintf "clone %d->%d" s d
-  | Decode (s, a) -> Printf.sprintf "decode %d 0x%Lx" s a
   | Release s -> Printf.sprintf "release %d" s
 
 let model_pages = [ 126; 127; 128; 129; 130; 32766; 32767 ]
@@ -272,12 +313,12 @@ let gen_mem_op =
   frequency
     [
       (2, map3 (fun s a n -> Map (s, a, n)) space addr (int_range 1 9000));
+      (1, map3 (fun s a n -> Seal (s, a, n)) space addr (int_range 1 9000));
       (4, map3 (fun s a v -> W8 (s, a, v)) space addr (int_bound 255));
       (4, map3 (fun s a v -> W64 (s, a, v)) space addr ui64);
       (3, map2 (fun s a -> R8 (s, a)) space addr);
       (3, map2 (fun s a -> R64 (s, a)) space addr);
       (2, map2 (fun s d -> Clone (s, d)) space space);
-      (1, map2 (fun s a -> Decode (s, a)) space addr);
       (1, map (fun s -> Release s) space);
     ]
 
@@ -286,6 +327,7 @@ type space_model = {
   priv : (int, unit) Hashtbl.t;  (* pages holding a frame of their own *)
   zero : (int, unit) Hashtbl.t;  (* pages still on the shared zero frame *)
   hot : (int, unit) Hashtbl.t;  (* pages written since the first clone *)
+  sealed : (int, unit) Hashtbl.t;  (* read-only, executable pages *)
   mutable forked : bool;
   mutable alive : bool;
 }
@@ -296,16 +338,27 @@ let fresh_model () =
     priv = Hashtbl.create 8;
     zero = Hashtbl.create 8;
     hot = Hashtbl.create 8;
+    sealed = Hashtbl.create 8;
     forked = false;
     alive = true;
   }
 
 type mem_result = Value of int64 | Fault_at of int64 | Refused
 
+(* Page number [p]'s frame in the page table, and whether the space
+   holds it privately (chunk owned, privacy byte set). *)
+let frame (m : Memory.t) p =
+  let f = m.Memory.top.(p lsr 7).(p land 127) in
+  if f == Memory.no_page then None else Some f
+
+let held_privately (m : Memory.t) p =
+  Bytes.get m.Memory.owned (p lsr 7) = '\001'
+  && Bytes.get m.Memory.privs.(p lsr 7) (p land 127) = '\001'
+
 let zero_frame =
   let m = Memory.create () in
   Memory.map m ~addr:0L ~len:1;
-  fst (Option.get (Memory.code_window m 0L))
+  Option.get (frame m 0)
 
 let prop_page_table_model =
   QCheck.Test.make ~name:"page table matches a deep-copy model" ~count:300
@@ -316,7 +369,7 @@ let prop_page_table_model =
       let pg a = Int64.to_int (Int64.shift_right_logical a 12) in
       let off a = Int64.to_int (Int64.logand a 0xFFFL) in
       let breaks = ref 0 in
-      let anchors = ref [] in
+      let cloned = ref false in
       let m_read8 s a =
         match Hashtbl.find_opt s.pages (pg a) with
         | Some p -> Char.code (Bytes.get p (off a))
@@ -325,6 +378,7 @@ let prop_page_table_model =
       let m_write8 s a v =
         match Hashtbl.find_opt s.pages (pg a) with
         | None -> raise (Fault.Trap (Fault.Segfault a))
+        | Some _ when Hashtbl.mem s.sealed (pg a) -> raise (Fault.Trap (Fault.Segfault a))
         | Some p ->
           if not (Hashtbl.mem s.priv (pg a)) then begin
             if Hashtbl.mem s.zero (pg a) then Hashtbl.remove s.zero (pg a) else incr breaks;
@@ -343,6 +397,17 @@ let prop_page_table_model =
               if not (Hashtbl.mem s.pages p) then begin
                 Hashtbl.replace s.pages p (Bytes.make 4096 '\000');
                 Hashtbl.replace s.zero p ()
+              end
+            done;
+            Value 0L
+          end
+        | Seal (_, a, n) ->
+          if !cloned then Refused
+          else begin
+            for p = pg a to pg (Int64.add a (Int64.of_int (n - 1))) do
+              if Hashtbl.mem s.pages p then begin
+                Hashtbl.replace s.sealed p ();
+                Hashtbl.remove s.priv p
               end
             done;
             Value 0L
@@ -366,11 +431,15 @@ let prop_page_table_model =
             v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
           done;
           Value !v
-        | Clone _ | Decode _ | Release _ -> Value 0L
+        | Clone _ | Release _ -> Value 0L
       in
       let real_op m = function
         | Map (_, a, n) -> (
           match Memory.map m ~addr:a ~len:n with
+          | () -> Value 0L
+          | exception Invalid_argument _ -> Refused)
+        | Seal (_, a, n) -> (
+          match Memory.seal m ~addr:a ~len:n with
           | () -> Value 0L
           | exception Invalid_argument _ -> Refused)
         | W8 (_, a, v) ->
@@ -381,16 +450,13 @@ let prop_page_table_model =
           Value 0L
         | R8 (_, a) -> Value (Int64.of_int (Memory.read_u8 m a))
         | R64 (_, a) -> Value (Memory.read_u64 m a)
-        | Clone _ | Decode _ | Release _ -> Value 0L
+        | Clone _ | Release _ -> Value 0L
       in
       let catch f = try f () with Fault.Trap (Fault.Segfault a) -> Fault_at a in
       let cow_total () = Telemetry.Registry.read_int Memory.metric_cow_breaks in
       let cow_before = cow_total () in
       let real = ref [| Memory.create () |] in
       let model = ref [| fresh_model () |] in
-      let frame m p =
-        Option.map fst (Memory.code_window m (Int64.of_int (p * 4096)))
-      in
       let check_pages i m s =
         (not s.alive)
         || Memory.mapped_bytes m = 4096 * Hashtbl.length s.pages
@@ -400,8 +466,8 @@ let prop_page_table_model =
                 (fun p ->
                   let a = Int64.of_int (p * 4096) in
                   Memory.is_mapped m a = Hashtbl.mem s.pages p
-                  && Memory.payload_shared m a
-                     = (Hashtbl.mem s.pages p && not (Hashtbl.mem s.priv p))
+                  && held_privately m p = Hashtbl.mem s.priv p
+                  && Option.is_some (Memory.code_window m a) = Hashtbl.mem s.sealed p
                   &&
                   match (frame m p, Hashtbl.find_opt s.pages p) with
                   | Some f, Some b ->
@@ -417,9 +483,7 @@ let prop_page_table_model =
       in
       let private_frames i =
         List.filter_map
-          (fun p ->
-            if Memory.payload_shared !real.(i) (Int64.of_int (p * 4096)) then None
-            else frame !real.(i) p)
+          (fun p -> if held_privately !real.(i) p then frame !real.(i) p else None)
           model_pages
       in
       let reachable i = List.filter_map (frame !real.(i)) model_pages in
@@ -435,31 +499,18 @@ let prop_page_table_model =
                  (live ())
             && not (List.exists (fun f -> List.memq f free) (reachable i)))
           (live ())
-        && (not (List.exists (fun f -> List.memq f free) !anchors))
         || QCheck.Test.fail_reportf "%s: frame invariant broken" (show_mem_op op)
-      in
-      let windows m =
-        List.map (fun p -> Memory.code_window m (Int64.of_int (p * 4096))) model_pages
-      in
-      let same_payloads w w' =
-        List.for_all2
-          (fun a b ->
-            match (a, b) with
-            | Some (x, _), Some (y, _) -> x == y
-            | None, None -> true
-            | _ -> false)
-          w w'
       in
       List.for_all
         (fun op ->
           let n = Array.length !real in
-          let before = Array.map (fun m -> (m, Memory.generation m, windows m)) !real in
           let ok =
             match op with
             | Clone (src, _) when not !model.(src mod n).alive -> true
             | Clone (src, dst) ->
               let src = src mod n in
               let c = Memory.clone !real.(src) in
+              cloned := true;
               let mc =
                 let s = !model.(src) in
                 let pre = Hashtbl.create 8 in
@@ -472,7 +523,13 @@ let prop_page_table_model =
                 s.forked <- true;
                 let pages = Hashtbl.create 8 in
                 Hashtbl.iter (fun p b -> Hashtbl.replace pages p (Bytes.copy b)) s.pages;
-                { (fresh_model ()) with pages; priv = Hashtbl.copy pre; zero = Hashtbl.copy s.zero }
+                {
+                  (fresh_model ()) with
+                  pages;
+                  priv = Hashtbl.copy pre;
+                  zero = Hashtbl.copy s.zero;
+                  sealed = Hashtbl.copy s.sealed;
+                }
               in
               if n < 4 then begin
                 real := Array.append !real [| c |];
@@ -489,7 +546,8 @@ let prop_page_table_model =
               if ms.alive then begin
                 Memory.release !real.(i);
                 ms.alive <- false;
-                (* written pages fault from now on; shared ones stay *)
+                (* written pages fault from now on; shared and sealed
+                   ones stay *)
                 List.for_all
                   (fun p ->
                     Memory.is_mapped !real.(i) (Int64.of_int (p * 4096))
@@ -498,16 +556,12 @@ let prop_page_table_model =
                 || QCheck.Test.fail_reportf "%s: released pages still mapped" (show_mem_op op)
               end
               else true
-            | Decode (s, a) ->
-              let i = s mod n in
-              (if !model.(i).alive then
-                 match Memory.code_window !real.(i) a with
-                 | Some (f, _) ->
-                   Memory.note_decoded !real.(i) a;
-                   anchors := f :: !anchors
-                 | None -> ());
-              true
-            | Map (s, _, _) | W8 (s, _, _) | W64 (s, _, _) | R8 (s, _) | R64 (s, _) ->
+            | Map (s, _, _)
+            | Seal (s, _, _)
+            | W8 (s, _, _)
+            | W64 (s, _, _)
+            | R8 (s, _)
+            | R64 (s, _) ->
               let i = s mod n in
               (not !model.(i).alive)
               ||
@@ -518,14 +572,6 @@ let prop_page_table_model =
           ok
           && Array.for_all Fun.id (Array.mapi (fun i m -> check_pages i m !model.(i)) !real)
           && frame_invariants op
-          && Array.for_all
-               (fun (m, g, w) ->
-                 (not (Array.exists (fun m' -> m' == m) !real))
-                 || Memory.generation m <> g
-                 || same_payloads w (windows m)
-                 || QCheck.Test.fail_reportf "%s: payload moved, generation did not"
-                      (show_mem_op op))
-               before
           && (cow_total () - cow_before = !breaks
              || QCheck.Test.fail_reportf "%s: vm.mem.cow_breaks +%d, model %d"
                   (show_mem_op op) (cow_total () - cow_before) !breaks))
@@ -543,6 +589,7 @@ let run_insns ?(setup = fun _ _ -> ()) insns =
   Memory.map mem ~addr:0x70000L ~len:8192;
   Cpu.set cpu Reg.RSP 0x71000L;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes (insns @ [ Insn.Hlt ]));
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   setup cpu mem;
   let rec loop n =
@@ -586,6 +633,7 @@ let test_div_by_zero_faults () =
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes
        [ Insn.Mov (rax, Operand.imm 1L); Insn.Bin (Insn.Idiv, rax, Operand.imm 0L) ]);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   let rec loop () =
     match Exec.step env cpu mem with
@@ -650,6 +698,7 @@ let test_call_ret () =
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Call (Insn.Abs fn_addr); Insn.Hlt ]);
   Memory.write_bytes mem fn_addr (Encode.list_to_bytes fn);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   let rec loop () =
     match Exec.step env cpu mem with
@@ -669,6 +718,7 @@ let test_builtin_call_traps () =
   Cpu.set cpu Reg.RSP 0x71000L;
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Call (Insn.Abs 0x100L); Insn.Hlt ]);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   (match Exec.step env cpu mem with
   | Exec.Builtin "fake" -> ()
@@ -818,6 +868,7 @@ let test_exec_faults_reported () =
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Mov (rax, Operand.mem 0x9000000L) ]);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   match Exec.step env cpu mem with
   | Exec.Faulted (Fault.Segfault 0x9000000L) -> ()
@@ -840,6 +891,7 @@ let test_fetch_fault_retires_zero () =
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L
     (Encode.list_to_bytes [ Insn.Nop; Insn.Nop; Insn.Jmp (Insn.Abs 0x9000000L) ]);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   (match Exec.step_block env cpu mem ~max_insns:50 with
   | Exec.Running, 3 -> ()
@@ -861,6 +913,56 @@ let test_fetch_fault_retires_zero () =
       (Cpu.cycles cpu2)
   | _ -> Alcotest.fail "run did not stop on the fetch fault"
 
+(* W^X: instructions come from sealed pages only. A jmp or ret into a
+   mapped data page faults at that rip, inside the page and at its edge
+   (the fetch's slow path), and an instruction running off the text
+   onto a data page does not take the rest of its bytes from there.
+   Interpreted and compiled alike. *)
+let test_fetch_from_data_faults () =
+  let movabs = Encode.list_to_bytes [ Insn.Mov (rax, Operand.imm 0x1122334455667788L) ] in
+  let straddle = Int64.sub 0x2000L (Int64.of_int (Bytes.length movabs - 2)) in
+  let cases =
+    [
+      ("jmp into data", 0x1000L, [ Insn.Jmp (Insn.Abs 0x20010L) ], Some 0x20010L);
+      ("jmp to a data page's edge", 0x1000L, [ Insn.Jmp (Insn.Abs 0x20FFEL) ], Some 0x20FFEL);
+      ( "ret into the stack",
+        0x1000L,
+        [ Insn.Mov (rax, Operand.imm 0x70800L); Insn.Push rax; Insn.Ret ],
+        Some 0x70800L );
+      ("off the text onto data", straddle, [], None);
+    ]
+  in
+  List.iter
+    (fun compiled ->
+      Compile.set_enabled compiled;
+      Fun.protect ~finally:(fun () -> Compile.set_enabled true) @@ fun () ->
+      List.iter
+        (fun (what, rip, prog, want) ->
+          let cpu = Cpu.create () in
+          let mem = Memory.create () in
+          Memory.map mem ~addr:0x1000L ~len:8192;
+          Memory.map mem ~addr:0x20000L ~len:8192;
+          Memory.map mem ~addr:0x70000L ~len:8192;
+          let hlt = Encode.list_to_bytes [ Insn.Hlt ] in
+          List.iter (fun a -> Memory.write_bytes mem a hlt) [ 0x20010L; 0x20FFEL; 0x70800L ];
+          Memory.write_bytes mem 0x1000L (Encode.list_to_bytes prog);
+          Memory.write_bytes mem straddle movabs;
+          Memory.seal mem ~addr:0x1000L ~len:4096;
+          Cpu.set cpu Reg.RSP 0x71000L;
+          Cpu.set_rip cpu rip;
+          let what = Printf.sprintf "%s (compiled %b)" what compiled in
+          match (Exec.run env cpu mem, want) with
+          | Exec.Stopped (Exec.Faulted (Fault.Segfault a)), Some w -> Alcotest.check i64 what w a
+          | Exec.Stopped (Exec.Faulted (Fault.Bad_instruction (a, _))), None ->
+            Alcotest.check i64 what straddle a
+          | r, _ ->
+            Alcotest.failf "%s: %s" what
+              (match r with
+              | Exec.Stopped (Exec.Faulted f) -> Fault.to_string f
+              | _ -> "no fault"))
+        cases)
+    [ false; true ]
+
 let test_insn_tax_charged () =
   let measure tax =
     let cpu = Cpu.create () in
@@ -869,6 +971,7 @@ let test_insn_tax_charged () =
     Memory.map mem ~addr:0x1000L ~len:4096;
     Memory.write_bytes mem 0x1000L
       (Encode.list_to_bytes [ Insn.Nop; Insn.Nop; Insn.Hlt ]);
+    Memory.seal mem ~addr:0x1000L ~len:4096;
     Cpu.set_rip cpu 0x1000L;
     let rec loop () =
       match Exec.step env cpu mem with Exec.Running -> loop () | _ -> ()
@@ -889,6 +992,7 @@ let test_call_tax_charged () =
     Memory.write_bytes mem 0x1000L
       (Encode.list_to_bytes [ Insn.Call (Insn.Abs 0x1100L); Insn.Hlt ]);
     Memory.write_bytes mem 0x1100L (Encode.list_to_bytes [ Insn.Ret ]);
+    Memory.seal mem ~addr:0x1000L ~len:4096;
     Cpu.set_rip cpu 0x1000L;
     let rec loop () =
       match Exec.step env cpu mem with Exec.Running -> loop () | _ -> ()
@@ -904,6 +1008,7 @@ let test_run_fuel () =
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes [ Insn.Jmp (Insn.Abs 0x1000L) ]);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   match Exec.run ~max_insns:100 env cpu mem with
   | Exec.Out_of_fuel -> ()
@@ -914,6 +1019,7 @@ let expect_bad_instruction insns reason =
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes (insns @ [ Insn.Hlt ]));
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   let rec loop () =
     match Exec.step env cpu mem with
@@ -978,45 +1084,6 @@ let run_to_halt cpu mem =
   in
   loop 0
 
-let test_decoded_frame_not_recycled () =
-  (* a block decoded from a private frame names it in its anchor:
-     releasing the space must never hand that frame out again, or a
-     later space that got it at the same address with other code would
-     pass the stale block's anchor check *)
-  let code v = Encode.list_to_bytes [ Insn.Mov (rax, Operand.imm v); Insn.Hlt ] in
-  let cpu = Cpu.create () in
-  let mem = Memory.create () in
-  Memory.map mem ~addr:0x1000L ~len:4096;
-  Memory.write_bytes mem 0x1000L (code 1L);
-  Cpu.set_rip cpu 0x1000L;
-  run_to_halt cpu mem;
-  let b = Option.get (Tcache.find cpu.Cpu.tcache 0x1000L) in
-  let frame = fst (Option.get (Memory.code_window mem 0x1000L)) in
-  Memory.release mem;
-  Alcotest.(check bool) "released page faults" false (Memory.is_mapped mem 0x1000L);
-  Alcotest.(check bool) "anchored frame kept off the free list" false
-    (List.memq frame (Memory.free_frames ()));
-  let other = Memory.create () in
-  Memory.map other ~addr:0x1000L ~len:4096;
-  Memory.write_bytes other 0x1000L (code 9L);
-  Alcotest.(check bool) "the stale block does not validate" false
-    (Tcache.anchor_valid other b);
-  (* a frame no block names is recycled, once the list has room *)
-  let sink = Memory.create () in
-  List.iteri
-    (fun i _ ->
-      let a = Int64.of_int (i * 4096) in
-      Memory.map sink ~addr:a ~len:1;
-      Memory.write_u8 sink a 1)
-    (Memory.free_frames ());
-  let data = Memory.create () in
-  Memory.map data ~addr:0x1000L ~len:4096;
-  Memory.write_u8 data 0x1000L 1;
-  let dframe = fst (Option.get (Memory.code_window data 0x1000L)) in
-  Memory.release data;
-  Alcotest.(check bool) "unanchored frame recycled" true
-    (List.memq dframe (Memory.free_frames ()))
-
 let test_decode_cache_family_table () =
   (* a fork family shares one table: a block either relative decodes
      after the fork, from a page they still share, is a hit for the
@@ -1028,6 +1095,7 @@ let test_decode_cache_family_table () =
   Memory.write_bytes mem 0x1000L (code 1L);
   Memory.write_bytes mem 0x1800L (code 7L);
   Memory.write_bytes mem 0x1900L (code 8L);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
   let child = Cpu.clone cpu in
@@ -1059,33 +1127,35 @@ let test_decode_cache_family_table () =
   Alcotest.check i64 "child ran the parent's decode" 8L (Cpu.get child Reg.RAX)
 
 let test_cow_text_write_isolation () =
-  (* forked address spaces share text pages CoW; a write on either side
-     breaks the sharing, so the block's anchor fails there and that
-     side re-decodes, while the other keeps running its original code *)
+  (* text is sealed: a write to it faults at the written address, in
+     the parent before and after a fork and in the child, without
+     breaking any sharing, and both sides keep running the loaded code *)
   let cpu = Cpu.create () in
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   let code v = Encode.list_to_bytes [ Insn.Mov (rax, Operand.imm v); Insn.Hlt ] in
   Memory.write_bytes mem 0x1000L (code 1L);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
+  let write_faults what m a =
+    match Memory.write_bytes m a (code 2L) with
+    | exception Fault.Trap (Fault.Segfault f) -> Alcotest.check i64 what a f
+    | () -> Alcotest.failf "%s: the write went through" what
+  in
+  write_faults "parent's write before the fork" mem 0x1000L;
   (* fork: clone the address space and the cpu, as Kernel.fork_child does *)
   let cmem = Memory.clone mem in
   let ccpu = Cpu.clone cpu in
-  Memory.write_bytes mem 0x1000L (code 2L);
+  write_faults "parent's write after the fork" mem 0x1004L;
+  write_faults "child's write" cmem 0x1FF8L;
+  Alcotest.(check int) "no sharing broken" 0 (Memory.family_stats mem).Memory.cow_breaks;
   Cpu.set_rip cpu 0x1000L;
   run_to_halt cpu mem;
-  Alcotest.check i64 "parent executes its write" 2L (Cpu.get cpu Reg.RAX);
+  Alcotest.check i64 "parent runs the loaded code" 1L (Cpu.get cpu Reg.RAX);
   Cpu.set_rip ccpu 0x1000L;
   run_to_halt ccpu cmem;
-  Alcotest.check i64 "child still runs pre-fork code" 1L (Cpu.get ccpu Reg.RAX);
-  Memory.write_bytes cmem 0x1000L (code 3L);
-  Cpu.set_rip ccpu 0x1000L;
-  run_to_halt ccpu cmem;
-  Alcotest.check i64 "child executes its write" 3L (Cpu.get ccpu Reg.RAX);
-  Cpu.set_rip cpu 0x1000L;
-  run_to_halt cpu mem;
-  Alcotest.check i64 "parent keeps its own write" 2L (Cpu.get cpu Reg.RAX)
+  Alcotest.check i64 "child runs the loaded code" 1L (Cpu.get ccpu Reg.RAX)
 
 let test_exec_telemetry () =
   (* the hit/miss/compile counters feed the deterministic --mem-stats
@@ -1094,6 +1164,7 @@ let test_exec_telemetry () =
   let mem = Memory.create () in
   Memory.map mem ~addr:0x1000L ~len:4096;
   Memory.write_bytes mem 0x1000L (Encode.list_to_bytes [ Insn.Nop; Insn.Hlt ]);
+  Memory.seal mem ~addr:0x1000L ~len:4096;
   let snap () = Tcache.exec_stats cpu.Cpu.tcache in
   let run_blocks cpu mem =
     Cpu.set_rip cpu 0x1000L;
@@ -1133,7 +1204,7 @@ let test_cost_model_anchors () =
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
-  Alcotest.run "vm64"
+  Alcotest.run "vm64" @@ Watchdog.suites
     [
       ( "memory",
         [
@@ -1149,6 +1220,7 @@ let () =
           Alcotest.test_case "mapped bytes" `Quick test_mapped_bytes;
           Alcotest.test_case "cstr_len" `Quick test_cstr_len;
           Alcotest.test_case "map outside the layout" `Quick test_map_outside_layout;
+          Alcotest.test_case "sealed pages" `Quick test_seal;
           qc prop_mem_roundtrip;
           qc prop_page_table_model;
         ] );
@@ -1202,6 +1274,7 @@ let () =
           Alcotest.test_case "fetch segfault" `Quick test_fetch_unmapped;
           Alcotest.test_case "fetch fault retires zero" `Quick
             test_fetch_fault_retires_zero;
+          Alcotest.test_case "fetch from data faults" `Quick test_fetch_from_data_faults;
           Alcotest.test_case "insn tax" `Quick test_insn_tax_charged;
           Alcotest.test_case "call tax" `Quick test_call_tax_charged;
           Alcotest.test_case "cost anchors" `Quick test_cost_model_anchors;
@@ -1214,7 +1287,5 @@ let () =
             test_cow_text_write_isolation;
           Alcotest.test_case "hit/miss/compile/invalidate telemetry" `Quick
             test_exec_telemetry;
-          Alcotest.test_case "decoded-from frame never recycled" `Quick
-            test_decoded_frame_not_recycled;
         ] );
     ]
