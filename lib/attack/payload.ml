@@ -39,7 +39,7 @@ let stealth_corruption layout ~canary =
   b
 
 (* The address a SIGSEGV names: every one is a fault, reported as
-   "segmentation fault at 0x..." or "stack overflow at 0x...". *)
+   "segmentation fault at 0x...". *)
 let segv_addr = function
   | Oracle.Crashed (Os.Process.Sigsegv, msg) -> (
     match String.rindex_opt msg ' ' with

@@ -35,9 +35,6 @@ let measure profile ~requests =
 let run_web ?(requests = 300) () =
   { rows = List.map (measure ~requests) Workload.Servers.web }
 
-let run_db ?(requests = 200) () =
-  { rows = List.map (measure ~requests) Workload.Servers.db }
-
 let to_table3 result =
   let t =
     Util.Table.create
@@ -91,23 +88,6 @@ type latency_row = {
   p50_ms : float;
   p99_ms : float;
 }
-
-let run_latency ?(requests = 200) () =
-  List.concat_map
-    (fun profile ->
-      List.map
-        (fun (label, deployment) ->
-          let r = Runner.run_server deployment profile ~requests in
-          {
-            lat_service = profile.Workload.Servers.profile_name;
-            deployment = label;
-            p50_ms =
-              r.Runner.p50_request_cycles /. profile.Workload.Servers.cycles_per_ms;
-            p99_ms =
-              r.Runner.p99_request_cycles /. profile.Workload.Servers.cycles_per_ms;
-          })
-        [ ("native", Runner.Native); ("P-SSP", Runner.Compiler Pssp.Scheme.Pssp) ])
-    (Workload.Servers.web @ Workload.Servers.db)
 
 let latency_table rows =
   let t =

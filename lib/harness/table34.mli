@@ -23,9 +23,6 @@ type result = { rows : row list }
 val run_web : ?requests:int -> unit -> result
 (** Table III: Apache2- and Nginx-profile servers; default 300 requests. *)
 
-val run_db : ?requests:int -> unit -> result
-(** Table IV: MySQL- and SQLite-profile servers; default 200 requests. *)
-
 val to_table3 : result -> Util.Table.t
 val to_table4 : result -> Util.Table.t
 
@@ -35,11 +32,6 @@ type latency_row = {
   p50_ms : float;
   p99_ms : float;
 }
-
-val run_latency : ?requests:int -> unit -> latency_row list
-(** Extension beyond the paper's averages: per-request latency
-    percentiles across all four services under native and compiler
-    P-SSP. *)
 
 val latency_table : latency_row list -> Util.Table.t
 

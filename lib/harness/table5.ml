@@ -78,22 +78,35 @@ let specs =
   ]
 
 (* The unprotected build depends only on the victim, so each distinct
-   [criticals] gets one baseline run, shared by its rows. *)
-let run ?(jobs = 1) ?(calls = 20_000) () =
-  let victims = List.sort_uniq compare (List.map (fun (_, _, criticals) -> criticals) specs) in
-  let baselines =
-    List.combine victims
-      (Pool.map ~jobs (fun criticals -> run_cycles Pssp.Scheme.None_ ~criticals ~calls) victims)
-  in
+   [criticals] gets one baseline run, shared by its rows. The cells are
+   those baseline runs, then one protected run per row; each is one
+   run's cycle count. *)
+let victims = List.sort_uniq Int.compare (List.map (fun (_, _, criticals) -> criticals) specs)
+let cells = List.length victims + List.length specs
+
+let cell ~calls i =
+  match List.nth_opt victims i with
+  | Some criticals -> run_cycles Pssp.Scheme.None_ ~criticals ~calls
+  | None ->
+    let _, scheme, criticals = List.nth specs (i - List.length victims) in
+    run_cycles scheme ~criticals ~calls
+
+(* The rows from every cell's cycle count, in cell order. *)
+let merge ~calls cycles =
+  let nv = List.length victims in
+  let baselines = List.combine victims (List.filteri (fun i _ -> i < nv) cycles) in
   {
     rows =
-      Pool.map ~jobs
-        (fun (label, scheme, criticals) ->
-          let protected_ = run_cycles scheme ~criticals ~calls in
+      List.map2
+        (fun (label, scheme, criticals) protected_ ->
           let baseline = List.assoc criticals baselines in
           { label; scheme; cycles = per_call ~calls ~protected_ ~baseline })
-        specs;
+        specs
+        (List.filteri (fun i _ -> i >= nv) cycles);
   }
+
+let run ?(jobs = 1) ?(calls = 20_000) () =
+  merge ~calls (Pool.map ~jobs (cell ~calls) (List.init cells Fun.id))
 
 let to_table result =
   let t =
@@ -109,14 +122,12 @@ let to_table result =
   t
 
 let campaign () =
-  Campaign.v ~name:"table5" ~title:"Table V - prologue+epilogue canary cycles"
-    ~cells:(List.length specs)
-    ~run_cell:(fun i ->
-      let label, scheme, criticals = List.nth specs i in
-      Campaign.pack { label; scheme; cycles = measure_scheme scheme ~criticals })
-    ~merge:(fun rows ->
+  Campaign.v ~name:"table5" ~title:"Table V - prologue+epilogue canary cycles" ~cells
+    ~run_cell:(fun i -> Campaign.pack (cell ~calls:20_000 i))
+    ~merge:(fun cycles ->
       Util.Table.print
-        (to_table { rows = List.map (fun r -> (Campaign.unpack r : row)) rows });
+        (to_table
+           (merge ~calls:20_000 (List.map (fun c -> (Campaign.unpack c : int64)) cycles)));
       print_string
         "Paper: P-SSP 6; P-SSP-NT 343; P-SSP-LV 343 / 986; P-SSP-OWF 278.\n")
     ()

@@ -24,8 +24,10 @@ val run : ?jobs:int -> ?calls:int -> unit -> result
 val to_table : result -> Util.Table.t
 
 val measure_scheme : ?calls:int -> Pssp.Scheme.t -> criticals:int -> float
-(** Exposed for tests: per-call canary cost of a scheme on a frame with
-    the given number of [critical] variables. *)
+(** Per-call canary cost of one scheme on a frame with the given number
+    of [critical] variables, from a protected and an unprotected run of
+    its own (the ablation grid and the tests use it). *)
 
 val campaign : unit -> Campaign.t
-(** One cell per scheme row (default 20_000 calls). *)
+(** {!run}'s cells and rows at 20_000 calls: one cell per distinct
+    unprotected victim, then one per scheme row. *)

@@ -72,16 +72,18 @@ let add_waiter waiters ~key f = (key, f) :: List.remove_assoc key waiters
 let add_rx_waiter t ~key f = t.rx_waiters <- add_waiter t.rx_waiters ~key f
 let add_tx_waiter t ~key f = t.tx_waiters <- add_waiter t.tx_waiters ~key f
 
+let by_pid (a, _) (b, _) = Int.compare a b
+
 (* Clear before calling: a callback may register fresh waiters. *)
 let fire_rx t =
   let ws = t.rx_waiters in
   t.rx_waiters <- [];
-  List.iter (fun (_, f) -> f ()) (List.sort compare ws)
+  List.iter (fun (_, f) -> f ()) (List.sort by_pid ws)
 
 let fire_tx t =
   let ws = t.tx_waiters in
   t.tx_waiters <- [];
-  List.iter (fun (_, f) -> f ()) (List.sort compare ws)
+  List.iter (fun (_, f) -> f ()) (List.sort by_pid ws)
 
 let id t = t.id
 let opened_at t = t.opened_at

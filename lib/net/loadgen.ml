@@ -193,7 +193,7 @@ let conn_dead conn = Conn.is_reset conn
 
 (* ascending insert, dropping duplicates — a parked cid pruned lazily
    may still sit in [active] when its slot re-wakes *)
-let rec insert_active cid = function
+let rec insert_active (cid : int) = function
   | [] -> [ cid ]
   | hd :: tl as l ->
     if cid < hd then cid :: l

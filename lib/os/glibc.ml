@@ -195,7 +195,7 @@ let install_listener io sock =
 
 (* keep [free_fds] sorted ascending; the list stays short under churn
    because install always takes the head *)
-let rec insert_free fd = function
+let rec insert_free (fd : int) = function
   | [] -> [ fd ]
   | hd :: tl as l ->
     if fd < hd then fd :: l

@@ -11,7 +11,6 @@ let signal_number = function Sigsegv -> 11 | Sigabrt -> 6 | Sigill -> 4
 let signal_of_fault = function
   | Vm64.Fault.Segfault _ -> Sigsegv
   | Vm64.Fault.Bad_instruction _ -> Sigill
-  | Vm64.Fault.Stack_overflow_fault _ -> Sigsegv
 
 type status =
   | Runnable

@@ -9,7 +9,7 @@
    one-argument closure over the machine ([mach]) that updates the
    register file in place and tail-calls its continuation. A
    translation runs as the threaded chain, every step tail-calling the
-   next ([run_chain]), which also runs mcc's four-instruction operand
+   next ([emit_chain]), which also runs mcc's four-instruction operand
    shuffle as one step ([shuffle]), and the shuffle with the binop that
    consumes it as one step too ([alu_window]). The chain has no fuel
    boundary inside it, so a translation longer than the fuel left — the
@@ -21,13 +21,16 @@
    table in place ([load]/[store]) rather than calling into [Memory].
 
    Translations also hand control to each other without leaving
-   compiled code: a chain's exit follows its live chain link straight
-   into the successor's chain ([hop]), and [run] takes over for every
-   transfer a hop does not make — a link to patch, a fuel tail, a
-   superblock to fuse, a stop. Hot unconditional chains are fused into
-   superblock translations. Code is fetched from sealed pages only,
-   which no fork relative can write, so a cached translation may run in
-   every space of the family; see [translation] and [link_live]. *)
+   compiled code: a chain's exit makes every transfer itself. Its
+   inlined fast path enters a live chain link's successor straight
+   away ([hop]); every other case — a link to patch, a successor to
+   compile or fuse, a fuel tail, a profile to note, a stop — goes to
+   one out-of-line [transfer]. [run] only enters the first translation
+   and settles the one the run stopped in. Hot unconditional chains are
+   fused into superblock translations. Code is fetched from sealed
+   pages only, which no fork relative can write, so a cached
+   translation may run in every space of the family; see [translation]
+   and [link_live]. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -45,9 +48,11 @@ type builtin_fn = Cpu.t -> Memory.t -> int64
    register file and flags one load away. [at] is the index of the step
    that stopped the run: a step sets it before anything that can raise
    or end the run, so a fault needs no more than rip set to that step's
-   address. A chain may hop into its successor's chain at its exit
-   ([hop]), so [cur] names the translation running now, [fuel] the fuel
-   left at its entry and [retired] what the run has retired before it. *)
+   address. A chain's exit enters its successor's chain itself, so
+   [cur] names the translation running now, [fuel] the fuel left at its
+   entry and [retired] what the run has retired before it. The rest is
+   read once per run: what [hop] checks, and what [transfer] needs to
+   compile, fuse and patch. *)
 type mach = {
   cpu : Cpu.t;
   mem : Memory.t;
@@ -58,9 +63,10 @@ type mach = {
   mutable cur : code;
   mutable fuel : int;
   mutable retired : int;
-  hops : bool;  (* direct hops allowed: off while the profiler runs *)
-  threshold : int;  (* the fuse threshold, read once per run *)
+  profiling : bool;  (* the profiler runs: every transfer is [transfer]'s, which notes it *)
+  threshold : int;  (* the fuse threshold *)
   is_builtin : int64 -> string option;  (* the environment a link's target must fit *)
+  inline : string -> builtin_fn option;
   tc : Tcache.t;
 }
 
@@ -76,16 +82,11 @@ and link = {
 and code = {
   ops : step array;  (* step i against a [Running] continuation: the fuel tail *)
   chain : step;  (* the threaded chain: all steps, then the exit's [hop] *)
-  addrs : int64 array;  (* address of each instruction *)
-  nexts : int64 array;  (* fall-through rip of each insn, for the fuel tail *)
+  ir : Ir.t;
+      (* what the code was emitted from: each step's address, fall-through
+         and rip write, the constituent blocks and the exit *)
   csum : int array;  (* csum.(k) = static cycles of the first k insns *)
   crsum : int array;  (* crsum.(k) = call/ret insns among the first k *)
-  sets_rip : bool array;
-      (* step writes rip when returning Running — terminators, which
-         superblock fusion can place mid-array; read by the fuel tail *)
-  exit_ : Ir.exit_shape;
-  blocks : Tcache.block array;  (* constituent blocks, head first *)
-  starts : int array;  (* first instruction index of each constituent *)
   key : int64 -> string option;
       (* the [is_builtin] the code was specialized against; compare with
          (==) — code compiled for another environment must be rebuilt *)
@@ -614,7 +615,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
         m.at <- i;
         raise (Isa.Encode.Unresolved_symbol s)
     | I.Call (I.Abs a) -> (
-      (* direct calls resolve the builtin table once, here; [code.key]
+      (* direct calls look the builtin table up once, here; [code.key]
          guards against running under a different environment *)
       match env.is_builtin a with
       | Some name -> (
@@ -815,7 +816,7 @@ let lower env ~i (st : Ir.step) (k : step) : step =
         f.of_ <- false;
         k m)
 
-(* ---- Charging, links and direct hops ------------------------------- *)
+(* ---- Charging, links and the exit's transfers ---------------------- *)
 
 (* Protocol: while compiled code runs, rip is stale (still the
    translation entry). Straight-line steps never touch it; control steps
@@ -824,9 +825,10 @@ let lower env ~i (st : Ir.step) (k : step) : step =
    call tax) are settled once per translation from the prefix sums —
    the interpreter charges instruction [i] before executing it, so a
    translation that retires k instructions has charged the first k
-   either way. A direct hop charges the translation it leaves, all of
-   whose steps retired; [run] charges the one a run stops in, whose
-   stopping step both runners leave in [m.at], so k is [m.at + 1]. *)
+   either way. An exit that enters a successor charges the translation
+   it leaves, all of whose steps retired; [run] charges the one a run
+   stops in, whose stopping step both runners leave in [m.at], so k is
+   [m.at + 1]. *)
 let[@inline] charge_exit m (c : code) k =
   let cpu = m.cpu in
   let n =
@@ -844,25 +846,29 @@ let[@inline] charge_exit m (c : code) k =
    - [key] and [slot_current]: the target is the head slot's
      translation for this environment.
    Links live in code that a fork family shares; the code was decoded
-   from sealed pages, so one resolved in a relative is safe to follow
+   from sealed pages, so one patched in a relative is safe to take
    here. *)
 let[@inline] link_live (l : link) (c : code) rip key =
   Int64.equal l.l_addr rip && c.key == key && c.slot_current
 
+(* [transfer], defined below the compiler it calls back into. A forward
+   reference rather than one recursive group with [hop]: a recursive
+   [hop] would not be inlined, and every exit would box rip. *)
+let transfer_ref : (mach -> int -> link -> outcome) ref = ref (fun _ _ _ -> assert false)
+
 (* The exit of [m.cur]'s chain, all [n] of its steps retired and rip
-   settled: enter the successor behind [l] directly, without returning
-   to [run], when
+   settled: enter the successor behind [l] directly when
    - the profiler is off ([note_profile] sees every translation),
    - the fuel left after [m.cur] covers the successor's whole chain,
    - the successor is not due for superblock formation (checked before
-     its entry count moves, as [run] does), and
+     its entry count moves, as [transfer] does), and
    - the link is live.
-   The hop charges and counts [m.cur] first, just as [run] would have.
-   Otherwise [Running] hands the transfer back to [run]. *)
+   The hop charges and counts [m.cur] first, as [transfer] would have.
+   Every other case is [transfer]'s. *)
 let[@inline] hop m n (l : link) rip =
   match l.l_target with
   | Some t
-    when m.hops
+    when (not m.profiling)
          && m.fuel - n >= Array.length t.ops
          && (t.fuse_tried || t.hot < m.threshold)
          && link_live l t rip m.is_builtin ->
@@ -873,7 +879,7 @@ let[@inline] hop m n (l : link) rip =
     Tcache.note_chain_hop m.tc;
     m.cur <- t;
     t.chain m
-  | _ -> Running
+  | _ -> !transfer_ref m n l
 
 (* ---- Block translation: lift -> normalize -> emit -------------------- *)
 
@@ -1034,10 +1040,11 @@ let alu_window ~i ~addr a b src bop (k : step) : step =
    closure's own code pointer (a one-argument application needs no
    caml_applyN trampoline), and the last one continues into the exit,
    which settles rip like [run_steps]'s stop at the translation end and
-   then tries a direct [hop] into the successor. Inside the chain a
-   jmp's or direct call's rip write is dead — every later way out (a
-   fault, a kernel-visible stop, the exit) writes rip itself — so the
-   chain drops the jmp and keeps only the call's push. An operand
+   then makes the transfer: a direct [hop] into the successor, or
+   [transfer]. Inside the chain a jmp's or direct call's rip write is
+   dead — every later way out (a fault, a kernel-visible stop, the
+   exit) writes rip itself — so the chain drops the jmp and keeps only
+   the call's push. An operand
    shuffle becomes one step ([shuffle]), and so does a shuffle with its
    consuming binop ([alu_window]). These are emission details of the
    chain: the IR keeps one step per instruction, and so do the fuel
@@ -1097,14 +1104,9 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
   {
     ops = Array.mapi (fun i st -> lower env ~i st running) steps;
     chain = emit_chain env ir;
-    addrs = Array.map (fun (s : Ir.step) -> s.Ir.addr) steps;
-    nexts = Array.map (fun (s : Ir.step) -> s.Ir.next) steps;
+    ir;
     csum;
     crsum;
-    sets_rip = Array.map (fun (s : Ir.step) -> s.Ir.sets_rip) steps;
-    exit_ = ir.Ir.exit_;
-    blocks = Array.map (fun (p : Ir.part) -> p.Ir.block) ir.Ir.parts;
-    starts = Array.map (fun (p : Ir.part) -> p.Ir.start) ir.Ir.parts;
     key = is_builtin;
     hot = 0;
     fuse_tried = Array.length ir.Ir.parts > 1;
@@ -1120,10 +1122,9 @@ let block_ir ~is_builtin ~inline (b : Tcache.block) =
 (* ---- Execution ------------------------------------------------------ *)
 
 (* A step raised: the interpreter leaves rip at the faulting
-   instruction, step [i] of the running translation. *)
-let fault_exit m i e =
-  let a = Array.unsafe_get m.cur.addrs i in
-  m.at <- i;
+   instruction, step [m.at] of the running translation. *)
+let fault_exit m e =
+  let a = (Array.unsafe_get m.cur.ir.Ir.steps m.at).Ir.addr in
   rset m rip_o a;
   match e with
   | Fault.Trap f -> Faulted f
@@ -1139,27 +1140,19 @@ let rec steps_from (code : code) m i limit =
     (* stop here (terminator or fuel boundary): settle rip to the
        fall-through unless this step already wrote it — in a
        superblock, jmp/call steps sit mid-array too *)
-    if not (Array.unsafe_get code.sets_rip i) then
-      rset m rip_o (Array.unsafe_get code.nexts i);
+    let st = Array.unsafe_get code.ir.Ir.steps i in
+    if not st.Ir.sets_rip then rset m rip_o st.Ir.next;
     m.at <- i;
     Running
   | outcome ->
     m.at <- i;
     outcome
-  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit m i e
 
 let run_steps (code : code) m ~limit =
   let n = Array.length code.ops in
   steps_from code m 0 (if limit < n then limit else n)
 
-(* [m.cur]'s whole chain, and the chains it hops into, in one run. A
-   fault names its step in whichever translation is running then. *)
-let run_chain m =
-  match m.cur.chain m with
-  | outcome -> outcome
-  | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit m m.at e
-
-(* ---- Chaining, superblocks, profiling attribution ------------------- *)
+(* ---- Translations, superblocks, profiling attribution --------------- *)
 
 (* Put [c] in [b]'s slot. The code it replaces is no longer current, so
    every chain link pointing at it retargets on its next traversal. *)
@@ -1179,22 +1172,6 @@ let translation tc ~is_builtin ~inline (b : Tcache.block) =
     Tcache.note_compile tc;
     c
 
-let link_for (c : code) rip =
-  match c.exit_ with
-  | Ir.Branch { taken; _ } ->
-    if Int64.equal rip taken then c.link_a else c.link_b
-  | _ -> c.link_a
-
-let install_link tc (l : link) rip target =
-  l.l_addr <- rip;
-  l.l_target <- Some target;
-  Tcache.note_chain tc
-
-(* Resolve the translation for [rip]. [None] bounces to the dispatcher
-   (block not cached), which decodes and accounts the miss. *)
-let resolve tc ~is_builtin ~inline rip =
-  Option.map (translation tc ~is_builtin ~inline) (Tcache.find tc rip)
-
 (* Superblock caps: enough to swallow a guarded call's prologue + body
    + epilogue chain, small enough that tail duplication (a block fused
    into several superblocks) stays cheap. *)
@@ -1212,7 +1189,7 @@ let max_super_insns = 256
    (tail duplication, the classic trace-JIT shape). *)
 let try_fuse tc ~is_builtin ~inline (c : code) =
   c.fuse_tried <- true;
-  let head = Array.unsafe_get c.blocks 0 in
+  let head = c.ir.Ir.parts.(0).Ir.block in
   let entry_of (b : Tcache.block) = b.Tcache.bb_start in
   let rec grow ir parts =
     if List.length parts >= max_super_parts || Ir.length ir >= max_super_insns
@@ -1229,8 +1206,7 @@ let try_fuse tc ~is_builtin ~inline (c : code) =
           | _ -> ir
         end
   in
-  let ir = block_ir ~is_builtin ~inline head in
-  let fused = grow ir [ head ] in
+  let fused = grow c.ir [ head ] in
   if Array.length fused.Ir.parts < 2 then None
   else begin
     let sc = emit ~is_builtin ~inline fused in
@@ -1245,33 +1221,85 @@ let try_fuse tc ~is_builtin ~inline (c : code) =
    dispatch is irrelevant (the profiler aggregates by address), so
    fused output is byte-identical to the interpreter's per-block notes. *)
 let note_profile (c : code) cpu k =
-  let parts = Array.length c.starts in
-  let n = Array.length c.ops in
+  let parts = c.ir.Ir.parts in
   let charge i = c.csum.(i) + (i * cpu.Cpu.insn_tax) + (c.crsum.(i) * cpu.Cpu.call_tax) in
-  let j = ref 0 in
-  while !j < parts && c.starts.(!j) < k do
-    let lo = c.starts.(!j) in
-    let hi = if !j + 1 < parts then c.starts.(!j + 1) else n in
-    let hi = if k < hi then k else hi in
-    Telemetry.Profile.note
-      ~addr:(Array.unsafe_get c.blocks !j).Tcache.bb_start
-      ~cycles:(charge hi - charge lo);
-    incr j
-  done
+  let ends j =
+    if j + 1 < Array.length parts then parts.(j + 1).Ir.start else Array.length c.ops
+  in
+  Array.iteri
+    (fun j (p : Ir.part) ->
+      if p.Ir.start < k then
+        Telemetry.Profile.note ~addr:p.Ir.block.Tcache.bb_start
+          ~cycles:(charge (Int.min k (ends j)) - charge p.Ir.start))
+    parts
 
-(* The block runner: execute [b]'s translation, then keep transferring
-   through live (or freshly patched) chain links until fuel runs out, a
-   non-[Running] outcome exits to the OS, or the successor is not
-   resolvable in-cache (bounce to the dispatcher, which decodes it).
-   Most transfers are direct hops inside the chain ([hop]); [run] makes
-   the rest: the first entry, fuel tails, links to patch, superblock
-   formation, and every transfer while the profiler runs. Fuel, cycle
-   and fault accounting are exactly the interpreter's. One [mach] serves
-   every transfer. *)
+(* ---- Transfers ------------------------------------------------------ *)
+
+(* Charge and count [m.cur], whose first [k] steps retired, and note
+   its cycles while the profiler runs. *)
+let settle m k =
+  let c = m.cur in
+  charge_exit m c k;
+  if m.profiling then note_profile c m.cpu k;
+  m.fuel <- m.fuel - k;
+  m.retired <- m.retired + k
+
+(* Enter [c] with the fuel left: fuse it first when it is due, then run
+   its chain when the fuel covers it and its fuel tail otherwise. The
+   chain's exit makes the next transfer; a fuel tail ends the run. *)
+let enter m (c : code) =
+  let c =
+    if c.fuse_tried || c.hot < m.threshold then c
+    else
+      match try_fuse m.tc ~is_builtin:m.is_builtin ~inline:m.inline c with
+      | Some sc -> sc
+      | None -> c
+  in
+  c.hot <- c.hot + 1;
+  m.cur <- c;
+  if m.fuel >= Array.length c.ops then c.chain m else run_steps c m ~limit:m.fuel
+
+(* Leave [m.cur], all [n] of its steps retired, for [t]. *)
+let[@inline] pass m n t =
+  settle m n;
+  Tcache.note_chain_hop m.tc;
+  enter m t
+
+(* Every transfer a direct [hop] does not make, from the exit of
+   [m.cur]'s chain: all [n] steps retired, [m.at] at the last, rip
+   settled, and [l] the exit's link. While fuel remains, the successor
+   is entered through [l] when it is live, and otherwise looked up in
+   the cache, compiled if need be and [l] patched to it. When the fuel
+   is spent, or the successor is not cached (the dispatcher decodes
+   it), [Running] ends the run, and [run] settles [m.cur]. *)
+let transfer m n (l : link) =
+  if m.fuel <= n then Running
+  else
+    let rip = rget m rip_o in
+    match l.l_target with
+    | Some t when link_live l t rip m.is_builtin -> pass m n t
+    | _ -> (
+      match Tcache.find m.tc rip with
+      | None -> Running
+      | Some b ->
+        let t = translation m.tc ~is_builtin:m.is_builtin ~inline:m.inline b in
+        l.l_addr <- rip;
+        l.l_target <- Some t;
+        Tcache.note_chain m.tc;
+        pass m n t)
+
+let () = transfer_ref := transfer
+
+(* The block runner: enter [b]'s translation, and let the chains'
+   exits carry control on until fuel runs out, a non-[Running] outcome
+   exits to the OS, or a successor is not in the cache (a bounce to
+   the dispatcher, which decodes it). A fault names its step in
+   whichever translation is running then. [run] settles the
+   translation the run stopped in. Fuel, cycle and fault accounting
+   are exactly the interpreter's. One [mach] serves every transfer. *)
 let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
   let tc = cpu.Cpu.tcache in
-  let profiling = Telemetry.Profile.enabled () in
-  let threshold = Atomic.get fuse_threshold in
+  let c = translation tc ~is_builtin ~inline b in
   let m =
     {
       cpu;
@@ -1280,54 +1308,20 @@ let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
       flags = cpu.Cpu.flags;
       tmp = Bytes.create 8;
       at = 0;
-      cur = translation tc ~is_builtin ~inline b;
+      cur = c;
       fuel;
       retired = 0;
-      hops = not profiling;
-      threshold;
+      profiling = Telemetry.Profile.enabled ();
+      threshold = Atomic.get fuse_threshold;
       is_builtin;
+      inline;
       tc;
     }
   in
-  let rec enter (c : code) =
-    let c =
-      if c.fuse_tried || c.hot < threshold then c
-      else match try_fuse tc ~is_builtin ~inline c with Some sc -> sc | None -> c
-    in
-    c.hot <- c.hot + 1;
-    m.cur <- c;
-    let outcome =
-      (* The chain has no fuel boundary inside it, so it only runs when
-         fuel covers the whole translation; the fuel tail retires step
-         by step with an exact limit. *)
-      if m.fuel >= Array.length c.ops then run_chain m else run_steps c m ~limit:m.fuel
-    in
-    (* direct hops charged and counted every translation before the one
-       the run stopped in *)
-    let c = m.cur and k = m.at + 1 in
-    charge_exit m c k;
-    if profiling then note_profile c cpu k;
-    m.fuel <- m.fuel - k;
-    m.retired <- m.retired + k;
-    match outcome with
-    | Running when m.fuel > 0 -> follow c
-    | _ -> (outcome, m.retired)
-  and follow c =
-    let rip = rget m rip_o in
-    let l = link_for c rip in
-    match l.l_target with
-    | Some target when link_live l target rip is_builtin ->
-      Tcache.note_chain_hop tc;
-      enter target
-    | _ -> (
-      match c.exit_ with
-      | Ir.Stop -> (Running, m.retired)
-      | _ -> (
-        match resolve tc ~is_builtin ~inline rip with
-        | Some target ->
-          install_link tc l rip target;
-          Tcache.note_chain_hop tc;
-          enter target
-        | None -> (Running, m.retired)))
+  let outcome =
+    match enter m c with
+    | outcome -> outcome
+    | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit m e
   in
-  enter m.cur
+  settle m (m.at + 1);
+  (outcome, m.retired)

@@ -25,16 +25,16 @@
     translation longer than the fuel left — the fuel tail — runs the
     same steps one per loop turn with an exact limit. Control stays
     inside compiled code across block boundaries: each translation
-    carries chain links that are patched to the successor's translation
-    the first time an exit resolves, and a chain's exit enters its
-    successor's chain directly through a live link (a direct hop),
-    charging the translation it leaves, when the fuel left covers the
-    successor, the successor is not due for superblock formation and
-    the profiler is off. [run] makes every other transfer: it patches
-    links, runs fuel tails, fuses hot translations forward along
-    unconditional static exits into superblocks, and notes profiles.
-    Small pure glibc builtins can be emitted in line at their call
-    sites (the [inline] argument).
+    carries chain links, and a chain's exit makes every transfer
+    itself. Its inlined fast path enters the successor's chain through
+    a live link (a direct hop), charging the translation it leaves,
+    when the fuel left covers the successor, the successor is not due
+    for superblock formation and the profiler is off. Every other case
+    goes to one out-of-line transfer, which patches the link to the
+    successor's translation, compiles the successor or fuses it forward
+    along unconditional static exits into a superblock, runs its fuel
+    tail, and notes the profile. Small pure glibc builtins can be
+    emitted in line at their call sites (the [inline] argument).
 
     A translation lives in its head block's [Tcache.block.compiled]
     slot and is shared by the whole fork family. Its blocks were
@@ -76,19 +76,19 @@ val run :
   Tcache.block ->
   fuel:int ->
   outcome * int
-(** Run the block's translation — compiling it first if its slot holds
-    none that may run here — then keep transferring through live chain
-    links (patching them on first resolution, forming superblocks past
-    the hotness threshold) until fuel is exhausted, a non-[Running]
-    outcome must surface to the OS, or the successor is not resolvable
-    from the cache — in which case [(Running, retired)] bounces control
-    back to {!Exec.step_block}'s dispatcher, which decodes it. Each
-    translation runs as the threaded chain when the remaining fuel
-    covers it and as the fuel tail's step loop otherwise. Also
-    attributes per-constituent cycles to {!Telemetry.Profile} when
-    profiling is on (the caller must not note again); direct hops are
-    off then, so every translation reaches the attribution. The
-    returned count is every instruction retired, across hops.
+(** Enter the block's translation — compiling it first if its slot
+    holds none that may run here — inside one fault handler; the
+    chains' exits carry control on until fuel is exhausted, a
+    non-[Running] outcome must surface to the OS, or a successor is not
+    in the cache — in which case [(Running, retired)] bounces control
+    back to {!Exec.step_block}'s dispatcher, which decodes it. [run]
+    then settles the translation the run stopped in. Each translation
+    runs as the threaded chain when the remaining fuel covers it and as
+    the fuel tail's step loop otherwise. Also attributes
+    per-constituent cycles to {!Telemetry.Profile} when profiling is on
+    (the caller must not note again); direct hops are off then, so
+    every translation reaches the attribution. The returned count is
+    every instruction retired, across transfers.
 
     [inline] lets direct calls to resolved builtins execute in line —
     the emitted closure advances rip past the call, runs the core,

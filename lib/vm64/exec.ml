@@ -22,13 +22,17 @@ let create_env ?on_retire ?(inline_builtin = no_inline) ~is_builtin () =
 
 let max_insn_len = 32
 
-(* Fetch up to [max_insn_len] bytes at rip, stopping at the first byte
-   off a sealed page so a valid instruction at the end of the text
-   still decodes. Slow path: only taken when rip sits in the last
-   [max_insn_len] bytes of a page (the next page may not be sealed, so
-   the bytes must be collected one by one). *)
-let fetch_bytes mem rip =
-  let buf = Bytes.create max_insn_len in
+(* Slow path, only taken when rip sits in the last [max_insn_len] bytes
+   of a page (the next page may not be sealed) or off a sealed page:
+   collect the bytes one by one up to the first byte off a sealed page,
+   so a valid instruction at the end of the text still decodes. The
+   decode runs over zero padding past the [n] bytes fetched: one that
+   reads a byte there — its length runs past [n], or it fails at or
+   past [n] — needed a byte that cannot be fetched, and faults at the
+   first such byte, as x86 raises the page fault there. An encoding
+   invalid inside the fetched bytes is an illegal instruction. *)
+let fetch_slow mem rip =
+  let buf = Bytes.make max_insn_len '\000' in
   let rec collect i =
     if i >= max_insn_len then i
     else
@@ -39,22 +43,18 @@ let fetch_bytes mem rip =
       | None -> i
   in
   let n = collect 0 in
-  if n = 0 then None else Some (Bytes.sub buf 0 n)
-
-let fetch_slow mem rip =
-  match fetch_bytes mem rip with
-  | None -> Error (Fault.Segfault rip)
-  | Some bytes -> (
-    match Isa.Decode.decode bytes 0 with
-    | insn, len -> Ok (insn, len)
-    | exception Isa.Decode.Bad_encoding (_, msg) ->
-      Error (Fault.Bad_instruction (rip, msg)))
+  let past_fetch = Error (Fault.Segfault (Int64.add rip (Int64.of_int n))) in
+  match Isa.Decode.decode buf 0 with
+  | insn, len when len <= n -> Ok (insn, len)
+  | _ -> past_fetch
+  | exception Isa.Decode.Bad_encoding (off, _) when off >= n -> past_fetch
+  | exception Isa.Decode.Bad_encoding (_, msg) -> Error (Fault.Bad_instruction (rip, msg))
 
 (* Common path: decode in place against the sealed page. No instruction
    encodes to more than 19 bytes, so [max_insn_len] bytes of lookahead
    decide exactly the same way a page-sized window does — the slow path
    exists only for rip near a page boundary (next page possibly not
-   sealed) and for rip off a sealed page, where it faults. *)
+   sealed) and for rip off a sealed page. *)
 let fetch_one mem rip =
   match Memory.code_window mem rip with
   | Some (page, off) when off + max_insn_len <= Memory.page_size -> (

@@ -29,8 +29,9 @@ type env
     basic-block translation cache lives in {!Cpu.t} (one per fork
     family). Instructions are fetched from sealed pages only
     ({!Memory.seal}), which no relative can write, so a cached block is
-    valid in every space of the family (see {!Tcache}). A fetch from
-    any other page faults with [Segfault rip]. *)
+    valid in every space of the family (see {!Tcache}). A fetch that
+    needs a byte off a sealed page faults with [Segfault] at the first
+    such byte. *)
 
 val create_env :
   ?on_retire:(Cpu.t -> Isa.Insn.t -> unit) ->

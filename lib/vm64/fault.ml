@@ -1,7 +1,6 @@
 type t =
   | Segfault of int64
   | Bad_instruction of int64 * string
-  | Stack_overflow_fault of int64
 
 exception Trap of t
 
@@ -9,7 +8,6 @@ let to_string = function
   | Segfault addr -> Printf.sprintf "segmentation fault at 0x%Lx" addr
   | Bad_instruction (addr, msg) ->
     Printf.sprintf "illegal instruction at 0x%Lx: %s" addr msg
-  | Stack_overflow_fault addr -> Printf.sprintf "stack overflow at 0x%Lx" addr
 
 let pp fmt f = Format.pp_print_string fmt (to_string f)
 
@@ -17,5 +15,4 @@ let equal a b =
   match (a, b) with
   | Segfault x, Segfault y -> Int64.equal x y
   | Bad_instruction (x, _), Bad_instruction (y, _) -> Int64.equal x y
-  | Stack_overflow_fault x, Stack_overflow_fault y -> Int64.equal x y
-  | (Segfault _ | Bad_instruction _ | Stack_overflow_fault _), _ -> false
+  | (Segfault _ | Bad_instruction _), _ -> false

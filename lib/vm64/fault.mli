@@ -3,7 +3,6 @@
 type t =
   | Segfault of int64  (** access to an unmapped address *)
   | Bad_instruction of int64 * string  (** undecodable bytes at rip *)
-  | Stack_overflow_fault of int64  (** push/call below the stack guard page *)
 
 exception Trap of t
 (** Raised by memory and execution primitives; the OS layer converts it

@@ -138,4 +138,3 @@ let fuse a b =
   }
 
 let length t = Array.length t.steps
-let entries t = Array.map (fun p -> p.block.Tcache.bb_start) t.parts

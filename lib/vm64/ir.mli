@@ -63,4 +63,3 @@ val fuse : t -> t -> t
     unless [jump_target a = Some b.entry]. *)
 
 val length : t -> int
-val entries : t -> int64 array

@@ -1,11 +1,9 @@
 type block = {
   bb_start : int64;
   insns : Isa.Insn.t array;
-  lens : int array;
   costs : int array;
   callret : bool array;
   nexts : int64 array;
-  bb_bytes : int;
   mutable compiled : Compiled.slot;
 }
 
@@ -19,25 +17,15 @@ let make_block ~start pairs =
   let n = Array.length pairs in
   if n = 0 then invalid_arg "Tcache.make_block: empty block";
   let insns = Array.map fst pairs in
-  let lens = Array.map snd pairs in
   let costs = Array.map Cost.cycles insns in
   let callret = Array.map is_callret insns in
   let nexts = Array.make n 0L in
   let addr = ref start in
   for i = 0 to n - 1 do
-    addr := Int64.add !addr (Int64.of_int lens.(i));
+    addr := Int64.add !addr (Int64.of_int (snd pairs.(i)));
     nexts.(i) <- !addr
   done;
-  {
-    bb_start = start;
-    insns;
-    lens;
-    costs;
-    callret;
-    nexts;
-    bb_bytes = Int64.to_int (Int64.sub !addr start);
-    compiled = Compiled.Not_compiled;
-  }
+  { bb_start = start; insns; costs; callret; nexts; compiled = Compiled.Not_compiled }
 
 (* Execution-path telemetry: one record per fork family (the numbers
    survive the relatives' reaping), mirroring [Memory.family_stats]. *)
@@ -150,9 +138,6 @@ let note_superblock t = t.xstats.superblocks <- t.xstats.superblocks + 1
 let note_chain_hop t = t.xstats.chain_hops <- t.xstats.chain_hops + 1
 
 let add t block = Blocks.replace t.blocks block.bb_start block
-
-let stats t =
-  Blocks.fold (fun _ b (nb, ni) -> (nb + 1, ni + Array.length b.insns)) t.blocks (0, 0)
 
 let exec_stats t =
   {

@@ -22,11 +22,9 @@
 type block = {
   bb_start : int64;  (** address of the first instruction *)
   insns : Isa.Insn.t array;
-  lens : int array;  (** encoded byte length per instruction *)
   costs : int array;  (** {!Cost.cycles} per instruction *)
   callret : bool array;  (** instruction is charged the per-call tax *)
   nexts : int64 array;  (** fall-through rip per instruction *)
-  bb_bytes : int;  (** total bytes of text the block covers *)
   mutable compiled : Compiled.slot;
       (** compiled translation, written by {!Compile}; deterministic,
           so every relative reaching this record shares the compiled
@@ -74,9 +72,6 @@ val note_chain_hop : t -> unit
 val add : t -> block -> unit
 (** Insert a block into the family's table, replacing any entry at its
     start. *)
-
-val stats : t -> int * int
-(** [(blocks, instructions)] currently cached — for tests and debug. *)
 
 val metric_clones : string
 val metric_blocks_shared : string

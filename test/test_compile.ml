@@ -1267,6 +1267,60 @@ let test_hop_fuel_cuts () =
     | r, _ -> Alcotest.failf "%s: expected out-of-fuel, got %s" what (result_to_string r)
   done
 
+(* F, [add rax, rcx; ret], is called from two sites in turn, eight
+   turns round a loop. F's ret exit has one link, a one-entry inline
+   cache: patched for one return address, it misses at the other, on
+   every return while F runs on its own, until each caller has fused F
+   into a superblock of its own (threshold 1). At every fuel from 1 to
+   past the hlt, the compiled run must leave the interpreter's machine,
+   memory and retire count. *)
+let test_hop_inline_cache () =
+  let rax = Operand.reg Reg.RAX and rbx = Operand.reg Reg.RBX
+  and rcx = Operand.reg Reg.RCX and rdx = Operand.reg Reg.RDX in
+  let site k = [ Insn.Mov (rcx, Operand.imm k); Insn.Call (Insn.Abs block_c) ] in
+  let program =
+    site 3L
+    @ [ Insn.Bin (Insn.Add, rbx, rax) ]
+    @ site 5L
+    @ [
+        Insn.Bin (Insn.Imul, rbx, rax);
+        Insn.Bin (Insn.Add, rdx, Operand.imm 1L);
+        Insn.Bin (Insn.Cmp, rdx, Operand.imm 8L);
+        Insn.Jcc (Insn.L, Insn.Abs text_base);
+        Insn.Hlt;
+      ]
+  in
+  let run ~compiled ~fuel =
+    let cpu, mem = fresh () in
+    load_program mem program;
+    Memory.write_bytes mem block_c
+      (Encode.list_to_bytes [ Insn.Bin (Insn.Add, rax, rcx); Insn.Ret ]);
+    seal_text mem;
+    cpu.Cpu.insn_tax <- 2;
+    cpu.Cpu.call_tax <- 7;
+    let result, retired = with_compiled compiled (fun () -> run_counted cpu mem ~max_insns:fuel) in
+    (capture result cpu mem ~data:Bytes.empty, retired, Tcache.exec_stats cpu.Cpu.tcache)
+  in
+  List.iter
+    (fun threshold ->
+      with_fuse_threshold threshold @@ fun () ->
+      let what = Printf.sprintf "compiled, fuse threshold %d" threshold in
+      for fuel = 1 to 120 do
+        let want, retired0, _ = run ~compiled:false ~fuel in
+        let got, retired, stats = run ~compiled:true ~fuel in
+        compare_snapshots ~trial:fuel ~what want got;
+        Alcotest.(check int) (Printf.sprintf "%s, fuel %d: retired" what fuel) retired0 retired;
+        if fuel = 120 then begin
+          (match got.s_result with
+          | Exec.Stopped Exec.Halted -> ()
+          | r -> Alcotest.failf "%s: expected hlt, got %s" what (result_to_string r));
+          if threshold > 1 && stats.Tcache.chains < 16 then
+            Alcotest.failf "%s: %d links patched, want every return to repatch F's" what
+              stats.Tcache.chains
+        end
+      done)
+    [ 1; 1_000_000 ]
+
 let () =
   Alcotest.run "compile" @@ Watchdog.suites
     [
@@ -1320,5 +1374,7 @@ let () =
             test_hop_fault;
           Alcotest.test_case "fuel cuts at and after a hop match the interpreter" `Quick
             test_hop_fuel_cuts;
+          Alcotest.test_case "a ret's inline cache that misses matches the interpreter"
+            `Quick test_hop_inline_cache;
         ] );
     ]

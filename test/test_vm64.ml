@@ -915,51 +915,67 @@ let test_fetch_fault_retires_zero () =
 
 (* W^X: instructions come from sealed pages only. A jmp or ret into a
    mapped data page faults at that rip, inside the page and at its edge
-   (the fetch's slow path), and an instruction running off the text
-   onto a data page does not take the rest of its bytes from there.
-   Interpreted and compiled alike. *)
+   (the fetch's slow path). An instruction running off the text onto a
+   data page does not take the rest of its bytes from there: it faults
+   at its first byte off the text, where x86 raises the page fault. A
+   bad opcode in the text's last byte is still an illegal instruction,
+   and a hlt there still runs. Interpreted and compiled alike. *)
 let test_fetch_from_data_faults () =
   let movabs = Encode.list_to_bytes [ Insn.Mov (rax, Operand.imm 0x1122334455667788L) ] in
   let straddle = Int64.sub 0x2000L (Int64.of_int (Bytes.length movabs - 2)) in
+  let hlt = Encode.list_to_bytes [ Insn.Hlt ] in
+  let text prog = [ (0x1000L, Encode.list_to_bytes prog) ] in
+  let segv a = Exec.Faulted (Fault.Segfault a) in
   let cases =
     [
-      ("jmp into data", 0x1000L, [ Insn.Jmp (Insn.Abs 0x20010L) ], Some 0x20010L);
-      ("jmp to a data page's edge", 0x1000L, [ Insn.Jmp (Insn.Abs 0x20FFEL) ], Some 0x20FFEL);
+      ("jmp into data", 0x1000L, text [ Insn.Jmp (Insn.Abs 0x20010L) ], segv 0x20010L);
+      ( "jmp to a data page's edge",
+        0x1000L,
+        text [ Insn.Jmp (Insn.Abs 0x20FFEL) ],
+        segv 0x20FFEL );
       ( "ret into the stack",
         0x1000L,
-        [ Insn.Mov (rax, Operand.imm 0x70800L); Insn.Push rax; Insn.Ret ],
-        Some 0x70800L );
-      ("off the text onto data", straddle, [], None);
+        text [ Insn.Mov (rax, Operand.imm 0x70800L); Insn.Push rax; Insn.Ret ],
+        segv 0x70800L );
+      ("off the text onto data", straddle, [ (straddle, movabs) ], segv 0x2000L);
+      ( "bad opcode in the text's last byte",
+        0x1FFFL,
+        [ (0x1FFFL, Bytes.make 1 '\xff') ],
+        Exec.Faulted (Fault.Bad_instruction (0x1FFFL, "bad opcode")) );
+      ("hlt in the text's last byte", 0x1FFFL, [ (0x1FFFL, hlt) ], Exec.Halted);
     ]
+  in
+  let show = function
+    | Exec.Faulted f -> Fault.to_string f
+    | Exec.Halted -> "hlt"
+    | _ -> "no fault"
   in
   List.iter
     (fun compiled ->
       Compile.set_enabled compiled;
       Fun.protect ~finally:(fun () -> Compile.set_enabled true) @@ fun () ->
       List.iter
-        (fun (what, rip, prog, want) ->
+        (fun (what, rip, code, want) ->
           let cpu = Cpu.create () in
           let mem = Memory.create () in
           Memory.map mem ~addr:0x1000L ~len:8192;
           Memory.map mem ~addr:0x20000L ~len:8192;
           Memory.map mem ~addr:0x70000L ~len:8192;
-          let hlt = Encode.list_to_bytes [ Insn.Hlt ] in
           List.iter (fun a -> Memory.write_bytes mem a hlt) [ 0x20010L; 0x20FFEL; 0x70800L ];
-          Memory.write_bytes mem 0x1000L (Encode.list_to_bytes prog);
-          Memory.write_bytes mem straddle movabs;
+          List.iter (fun (a, b) -> Memory.write_bytes mem a b) code;
           Memory.seal mem ~addr:0x1000L ~len:4096;
           Cpu.set cpu Reg.RSP 0x71000L;
           Cpu.set_rip cpu rip;
           let what = Printf.sprintf "%s (compiled %b)" what compiled in
-          match (Exec.run env cpu mem, want) with
-          | Exec.Stopped (Exec.Faulted (Fault.Segfault a)), Some w -> Alcotest.check i64 what w a
-          | Exec.Stopped (Exec.Faulted (Fault.Bad_instruction (a, _))), None ->
-            Alcotest.check i64 what straddle a
-          | r, _ ->
-            Alcotest.failf "%s: %s" what
-              (match r with
-              | Exec.Stopped (Exec.Faulted f) -> Fault.to_string f
-              | _ -> "no fault"))
+          let got =
+            match Exec.run env cpu mem with Exec.Stopped o -> o | Exec.Out_of_fuel -> Exec.Running
+          in
+          let same =
+            match (got, want) with
+            | Exec.Faulted f, Exec.Faulted g -> Fault.equal f g
+            | _ -> got = want
+          in
+          if not same then Alcotest.failf "%s: %s, want %s" what (show got) (show want))
         cases)
     [ false; true ]
 
