@@ -23,6 +23,16 @@ type fd_obj = Fd_conn of Net.Conn.t | Fd_listener of Net.Socket.t
 
 type fd_entry = { obj : fd_obj; mutable nonblock : bool }
 
+(* Tables keyed by an fd, pid or port: monomorphic, with the
+   polymorphic table's own hash, so their buckets, and so the order
+   [iter] and [fold] visit them in, are the polymorphic table's. *)
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* EAGAIN/EWOULDBLOCK sentinel returned by non-blocking accept/read/
    write (-1 stays "error/closed", 0 stays "EOF"/"wrote nothing"). *)
 let eagain = -2L
@@ -33,7 +43,7 @@ type io = {
   output : Buffer.t;
   errout : Buffer.t;
   mutable brk : int64;
-  fds : (int, fd_entry) Hashtbl.t;
+  fds : fd_entry Int_table.t;
   mutable free_fds : int list;  (* closed fds below next_fd, ascending *)
   mutable next_fd : int;
   mutable listener : Net.Socket.t option;
@@ -47,7 +57,7 @@ let make_io ~input =
     output = Buffer.create 64;
     errout = Buffer.create 64;
     brk = Layout.heap_base;
-    fds = Hashtbl.create 16;
+    fds = Int_table.create 16;
     free_fds = [];
     next_fd = 3;
     listener = None;
@@ -59,13 +69,13 @@ let clone_io io =
      every connection (and the listener) gains one more holder. Status
      flags (O_NONBLOCK) are per-entry and copied, like dup'd
      descriptors sharing an open file description. *)
-  let fds = Hashtbl.create (Hashtbl.length io.fds) in
-  Hashtbl.iter
+  let fds = Int_table.create (Int_table.length io.fds) in
+  Int_table.iter
     (fun fd e ->
       (match e.obj with
       | Fd_conn c -> Net.Conn.retain c
       | Fd_listener s -> Net.Socket.retain s);
-      Hashtbl.replace fds fd { obj = e.obj; nonblock = e.nonblock })
+      Int_table.replace fds fd { obj = e.obj; nonblock = e.nonblock })
     io.fds;
   {
     input = Bytes.copy io.input;
@@ -105,8 +115,8 @@ let snapshot_io io =
       s'
     | None -> build_sock s
   in
-  let fds = Hashtbl.create (max 16 (Hashtbl.length io.fds)) in
-  Hashtbl.iter
+  let fds = Int_table.create (max 16 (Int_table.length io.fds)) in
+  Int_table.iter
     (fun fd e ->
       match e.obj with
       | Fd_conn _ ->
@@ -114,7 +124,7 @@ let snapshot_io io =
           "Glibc.snapshot_io: open connection fd (snapshot a quiescent \
            process)"
       | Fd_listener s ->
-        Hashtbl.replace fds fd
+        Int_table.replace fds fd
           { obj = Fd_listener (rebuild_sock s); nonblock = e.nonblock })
     io.fds;
   let copy_buf b =
@@ -142,7 +152,7 @@ let snapshot_io io =
 
 (* ---- fd table --------------------------------------------------------- *)
 
-let fd_entry_of io fd = Hashtbl.find_opt io.fds fd
+let fd_entry_of io fd = Int_table.find_opt io.fds fd
 
 let fd_obj_of io fd =
   match fd_entry_of io fd with Some e -> Some e.obj | None -> None
@@ -164,7 +174,7 @@ let set_fd_nonblock io fd v =
   | None -> false
 
 let open_fds io =
-  List.sort compare (Hashtbl.fold (fun fd _ acc -> fd :: acc) io.fds [])
+  List.sort Int.compare (Int_table.fold (fun fd _ acc -> fd :: acc) io.fds [])
 
 (* Lowest closed fd first, like a real per-process table. Reuse keeps
    fd values small and dense, so a long-lived event-loop process can
@@ -180,7 +190,7 @@ let install_fd io obj =
       io.next_fd <- fd + 1;
       fd
   in
-  Hashtbl.replace io.fds fd { obj; nonblock = false };
+  Int_table.replace io.fds fd { obj; nonblock = false };
   fd
 
 let install_conn io conn =
@@ -206,7 +216,7 @@ let close_fd io fd ~now =
   match fd_entry_of io fd with
   | None -> false
   | Some e ->
-    Hashtbl.remove io.fds fd;
+    Int_table.remove io.fds fd;
     io.free_fds <- insert_free fd io.free_fds;
     (match e.obj with
     | Fd_conn c -> Net.Conn.server_close c ~now
@@ -220,7 +230,7 @@ let close_fd io fd ~now =
     true
 
 let close_all io ~now ~graceful =
-  Hashtbl.iter
+  Int_table.iter
     (fun _ e ->
       match e.obj with
       | Fd_conn c ->
@@ -228,7 +238,7 @@ let close_all io ~now ~graceful =
         else Net.Conn.abort c ~now
       | Fd_listener s -> Net.Socket.release s ~now)
     io.fds;
-  Hashtbl.reset io.fds;
+  Int_table.reset io.fds;
   io.free_fds <- [];
   io.listener <- None;
   io.listener_fd <- -1
@@ -298,12 +308,21 @@ let addr_of name =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Glibc.addr_of: unknown builtin %s" name)
 
+(* Every [is_builtin] query looks an address up here, so the table
+   compares and hashes the int64 itself, as the block table does. *)
+module Addr_table = Hashtbl.Make (struct
+  type t = int64
+
+  let equal (a : int64) b = a = b
+  let hash a = Int64.to_int a land max_int
+end)
+
 let addr_table =
-  let t = Hashtbl.create 64 in
-  List.iter (fun name -> Hashtbl.add t (addr_of name) name) names;
+  let t = Addr_table.create 64 in
+  List.iter (fun name -> Addr_table.add t (addr_of name) name) names;
   t
 
-let name_of_addr addr = Hashtbl.find_opt addr_table addr
+let name_of_addr addr = Addr_table.find_opt addr_table addr
 
 (* ---- helpers ---------------------------------------------------------- *)
 

@@ -58,13 +58,17 @@ val eagain : int64
 (** Per-process standard I/O, the heap break, and the fd table. *)
 type fd_entry = { obj : fd_obj; mutable nonblock : bool }
 
+(** Tables keyed by an fd, pid or port: [Hashtbl.Make] over [int] with
+    [Hashtbl.hash], so they iterate in the polymorphic table's order. *)
+module Int_table : Hashtbl.S with type key = int
+
 type io = {
   mutable input : bytes;
   mutable input_pos : int;
   output : Buffer.t;
   errout : Buffer.t;
   mutable brk : int64;
-  fds : (int, fd_entry) Hashtbl.t;
+  fds : fd_entry Int_table.t;
   mutable free_fds : int list;
       (** closed fds below [next_fd], ascending — install reuses the
           lowest first, keeping fd values dense under churn *)

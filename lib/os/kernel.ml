@@ -1,4 +1,5 @@
 open Vm64
+module Int_table = Glibc.Int_table
 
 (* A round-robin ready-queue scheduler with event-driven blocking.
    Processes run in bounded slices. A kernel service that may block
@@ -20,7 +21,7 @@ open Vm64
 type port_entry = { mutable socks : Net.Socket.t list; mutable rr : int }
 
 type t = {
-  procs : (int, Process.t) Hashtbl.t;
+  procs : Process.t Int_table.t;
   env : Exec.env;
   master_rng : Util.Prng.t;
   mutable next_pid : int;
@@ -30,13 +31,13 @@ type t = {
   wake : int Queue.t;
       (* pids whose blocked condition may now hold (an event fired);
          drained before each dispatch, FIFO *)
-  blocked_io : (int, unit) Hashtbl.t;
+  blocked_io : unit Int_table.t;
       (* pids parked in a conn read or write — the only calls
          connection timeouts apply to *)
   mutable next_timeout_check : int64 option;
       (* earliest deadline at which some blocked conn op could time
          out; the sweep runs only when [now] passes this *)
-  ports : (int, port_entry) Hashtbl.t;
+  ports : port_entry Int_table.t;
   mutable now : int64;  (* virtual cycles retired across all processes *)
   mutable conn_timeout : int64 option;
   mutable next_conn_id : int;
@@ -85,7 +86,7 @@ let mark_parent_of_dead t (p : Process.t) =
   match p.Process.parent with
   | None -> ()
   | Some ppid -> (
-    match Hashtbl.find_opt t.procs ppid with
+    match Int_table.find_opt t.procs ppid with
     | Some ({ Process.status = Process.Blocked Glibc.Wait_child; _ } as parent)
       ->
       mark_ready t parent
@@ -133,7 +134,7 @@ let create ?(seed = 0xC0FFEEL) ?on_retire () =
      [inline_core] excludes — so direct calls to them may execute in
      line inside compiled code. *)
   {
-    procs = Hashtbl.create 16;
+    procs = Int_table.create 16;
     env =
       Exec.create_env ?on_retire ~inline_builtin:Glibc.inline_core ~is_builtin ();
     master_rng = Util.Prng.create seed;
@@ -142,15 +143,15 @@ let create ?(seed = 0xC0FFEEL) ?on_retire () =
     forks = 0;
     ready = Queue.create ();
     wake = Queue.create ();
-    blocked_io = Hashtbl.create 16;
+    blocked_io = Int_table.create 16;
     next_timeout_check = None;
-    ports = Hashtbl.create 4;
+    ports = Int_table.create 4;
     now = 0L;
     conn_timeout = None;
     next_conn_id = 1;
   }
 
-let find t pid = Hashtbl.find_opt t.procs pid
+let find t pid = Int_table.find_opt t.procs pid
 
 let fresh_pid t =
   let pid = t.next_pid in
@@ -182,7 +183,7 @@ let new_process t ~parent ~image ~mem ~cpu ~io ~preload =
       wake_pending = false;
     }
   in
-  Hashtbl.add t.procs p.Process.pid p;
+  Int_table.add t.procs p.Process.pid p;
   p
 
 (* The trampoline main returns to: pass its return value to exit(). *)
@@ -385,11 +386,11 @@ let advance_to t target =
 let register_port t sock =
   let port = Net.Socket.port sock in
   let entry =
-    match Hashtbl.find_opt t.ports port with
+    match Int_table.find_opt t.ports port with
     | Some e -> e
     | None ->
       let e = { socks = []; rr = 0 } in
-      Hashtbl.replace t.ports port e;
+      Int_table.replace t.ports port e;
       e
   in
   if not (List.exists (fun s -> s == sock) entry.socks) then
@@ -398,7 +399,7 @@ let register_port t sock =
 (* Round-robin across the port's live listeners, skipping full
    backlogs; [None] when nothing on the port can take the conn. *)
 let pick_listener t port =
-  match Hashtbl.find_opt t.ports port with
+  match Int_table.find_opt t.ports port with
   | None -> None
   | Some entry ->
     let live = List.filter Net.Socket.listening entry.socks in
@@ -432,8 +433,8 @@ let connect ?tx_capacity t (p : Process.t) =
           | None -> first rest)
       in
       first
-        (List.sort compare
-           (Hashtbl.fold (fun port _ acc -> port :: acc) t.ports []))
+        (List.sort Int.compare
+           (Int_table.fold (fun port _ acc -> port :: acc) t.ports []))
   in
   match sock with
   | Some sock ->
@@ -470,7 +471,7 @@ let release (p : Process.t) = Memory.release p.Process.mem
 let do_reap t (child : Process.t) =
   Option.iter release t.last_reaped;
   t.last_reaped <- Some child;
-  Hashtbl.remove t.procs child.Process.pid
+  Int_table.remove t.procs child.Process.pid
 
 (* One rotation of p's pending children, which keeps their order: drop
    the children already gone and reap the dead ones — only the first
@@ -634,7 +635,7 @@ let park t (p : Process.t) (call : Glibc.call) =
     match Glibc.conn_of_fd io fd with
     | None -> ()
     | Some conn ->
-      Hashtbl.replace t.blocked_io pid ();
+      Int_table.replace t.blocked_io pid ();
       add_waiter conn ~key:pid wake;
       note_io_deadline t conn
   in
@@ -778,7 +779,7 @@ let retry_blocked t (p : Process.t) =
   | Process.Blocked call ->
     if syscall t p call then begin
       p.Process.status <- Process.Runnable;
-      Hashtbl.remove t.blocked_io p.Process.pid;
+      Int_table.remove t.blocked_io p.Process.pid;
       enqueue t p
     end
   | Process.Runnable | Process.Exited _ | Process.Killed _ -> ()
@@ -818,7 +819,7 @@ let sweep_timeouts t =
   | Some tmo, Some due when Int64.compare t.now due >= 0 ->
     t.next_timeout_check <- None;
     let stale = ref [] in
-    Hashtbl.iter
+    Int_table.iter
       (fun pid () ->
         match Option.bind (find t pid) io_conn with
         | None -> stale := pid :: !stale
@@ -827,7 +828,7 @@ let sweep_timeouts t =
           then Net.Conn.timeout conn ~now:t.now
           else note_io_deadline t conn)
       t.blocked_io;
-    List.iter (Hashtbl.remove t.blocked_io) !stale
+    List.iter (Int_table.remove t.blocked_io) !stale
   | _ -> ()
 
 let schedule ?(fuel = 50_000_000) t =
@@ -863,7 +864,7 @@ let next_deadline t =
   match t.conn_timeout with
   | None -> None
   | Some tmo ->
-    Hashtbl.fold
+    Int_table.fold
       (fun pid () acc ->
         match Option.bind (find t pid) io_conn with
         | None -> acc
@@ -913,8 +914,8 @@ let fork_count t = t.forks
 let shutdown t =
   Option.iter release t.last_reaped;
   t.last_reaped <- None;
-  Hashtbl.iter (fun _ p -> release p) t.procs;
-  Hashtbl.reset t.procs
+  Int_table.iter (fun _ p -> release p) t.procs;
+  Int_table.reset t.procs
 
 let run_to_exit ?fuel t p =
   enqueue t p;

@@ -17,8 +17,10 @@
    continuation that just reports [Running] ([run_steps], exact
    limits). A step's own cost is kept small: each flag is one int64
    compare, rip and the cycle count are plain stores into the register
-   file, and an 8-byte guest access inside one page reads the page
-   table in place ([load]/[store]) rather than calling into [Memory].
+   file, an 8-byte guest access inside one page reads the page table in
+   place ([load]/[store]) rather than calling into [Memory], and one at
+   rsp or rbp plus a constant skips even that while it stays in the
+   run's stack page ([stack_load]/[stack_store]).
 
    Translations also hand control to each other without leaving
    compiled code: a chain's exit makes every transfer itself. Its
@@ -50,9 +52,10 @@ type builtin_fn = Cpu.t -> Memory.t -> int64
    or end the run, so a fault needs no more than rip set to that step's
    address. A chain's exit enters its successor's chain itself, so
    [cur] names the translation running now, [fuel] the fuel left at its
-   entry and [retired] what the run has retired before it. The rest is
-   read once per run: what [hop] checks, and what [transfer] needs to
-   compile, fuse and patch. *)
+   entry and [retired] what the run has retired before it; [hops]
+   counts the run's direct hops. [sp_base] and [sp_page] are the stack
+   page (see [stack_load]). The rest is read once per run: what [hop]
+   checks, and what [transfer] needs to compile, fuse and patch. *)
 type mach = {
   cpu : Cpu.t;
   mem : Memory.t;
@@ -63,6 +66,9 @@ type mach = {
   mutable cur : code;
   mutable fuel : int;
   mutable retired : int;
+  mutable hops : int;
+  mutable sp_base : int;
+  mutable sp_page : bytes;
   profiling : bool;  (* the profiler runs: every transfer is [transfer]'s, which notes it *)
   threshold : int;  (* the fuse threshold *)
   is_builtin : int64 -> string option;  (* the environment a link's target must fit *)
@@ -212,24 +218,42 @@ let[@inline] rset m o v = Cpu.set64u m.regs o v
    two, so an address lies inside it exactly when none of the bits at
    and above the limit is set. That also rejects addresses whose top bit
    [Int64.to_int] would drop, so the int address is the guest address,
-   and its chunk index is below 256. The page-table geometry is written
-   as literals (page shift 12, chunk shift 19, slot mask 127), which a
-   dune dev build's [-opaque] would otherwise turn into loads; the
-   asserts below tie them to [Memory]'s. *)
-let above_layout = Int64.neg Layout.address_limit
-let () = assert (Int64.logand Layout.address_limit (Int64.pred Layout.address_limit) = 0L)
-let page_mask = Memory.page_size - 1
-let last_off = Memory.page_size - 8
+   and its chunk index is below 256. The page and layout geometry is
+   written as literals (page mask 4095, last in-page offset 4088, page
+   shift 12, chunk shift 19, slot mask 127, the layout's complement),
+   which a dune dev build's [-opaque] would otherwise turn into loads
+   from this module's or [Memory]'s block; the asserts below tie them to
+   [Memory]'s and [Layout]'s. *)
+let above_layout = -0x800_0000L
+let page_mask = 4095
+let last_off = 4088
 
 let () =
-  assert (Memory.page_size = 1 lsl 12);
-  assert (Memory.chunk_pages = 1 lsl (19 - 12));
-  assert (Memory.chunk_pages - 1 = 127)
+  assert (above_layout = Int64.neg Layout.address_limit);
+  assert (Int64.logand Layout.address_limit (Int64.pred Layout.address_limit) = 0L);
+  assert (Memory.page_size = 1 lsl 12 && page_mask = 4096 - 1 && last_off = 4096 - 8);
+  assert (Memory.chunk_pages = 1 lsl (19 - 12) && Memory.chunk_pages - 1 = 127)
 
 let[@inline] in_window a =
   (not Sys.big_endian)
   && Int64.logand a above_layout = 0L
   && Int64.to_int a land page_mask <= last_off
+
+(* The payload in the page-table slot of int address [ai], and whether
+   that page is private in an owned chunk: the one test a write in place
+   rests on (see {!Memory.t}). *)
+let[@inline] slot (mem : Memory.t) ai =
+  Array.unsafe_get (Array.unsafe_get mem.Memory.top (ai lsr 19)) ((ai lsr 12) land 127)
+
+let[@inline] private_page (mem : Memory.t) ai =
+  let c = ai lsr 19 in
+  Bytes.unsafe_get mem.Memory.owned c = '\001'
+  && Bytes.unsafe_get (Array.unsafe_get mem.Memory.privs c) ((ai lsr 12) land 127) = '\001'
+
+(* The payload a store at [ai] writes: the slot's when private, and
+   otherwise [Memory.store_page]'s, which makes it private or faults. *)
+let[@inline] store_payload mem ai =
+  if private_page mem ai then slot mem ai else Memory.store_page mem ai
 
 (* The slow load passes its value through [m.tmp], so both arms of
    [load] end in the same unboxed read: an arm returning read_u64's box
@@ -237,12 +261,7 @@ let[@inline] in_window a =
 let[@inline never] load_slow m a = Cpu.set64u m.tmp 0 (Memory.read_u64 m.mem a)
 
 let[@inline] load m a =
-  let p =
-    if in_window a then
-      let ai = Int64.to_int a in
-      Array.unsafe_get (Array.unsafe_get m.mem.Memory.top (ai lsr 19)) ((ai lsr 12) land 127)
-    else Memory.no_page
-  in
+  let p = if in_window a then slot m.mem (Int64.to_int a) else Memory.no_page in
   if p != Memory.no_page then Cpu.get64u p (Int64.to_int a land page_mask)
   else begin
     load_slow m a;
@@ -252,17 +271,65 @@ let[@inline] load m a =
 let[@inline] store m a v =
   if in_window a then begin
     let ai = Int64.to_int a in
-    let mem = m.mem in
-    let c = ai lsr 19 and s = (ai lsr 12) land 127 in
-    let p =
-      if
-        Bytes.unsafe_get mem.Memory.owned c = '\001'
-        && Bytes.unsafe_get (Array.unsafe_get mem.Memory.privs c) s = '\001'
-      then Array.unsafe_get (Array.unsafe_get mem.Memory.top c) s
-      else Memory.store_page mem ai
-    in
-    Cpu.set64u p (ai land page_mask) v
+    Cpu.set64u (store_payload m.mem ai) (ai land page_mask) v
   end
+  else Memory.write_u64 m.mem a v
+
+(* The stack page: one page private to this space in an owned chunk,
+   its base address [m.sp_base] and payload [m.sp_page], through which
+   every 8-byte access at rsp or rbp plus a constant goes. A hit — the
+   address inside the layout (so [Int64.to_int] drops no bit, and no
+   address with bit 63 set aliases the page) and 0..4088 bytes above
+   the base — reads or writes the payload with no page-table walk. A
+   miss takes [load]'s and [store]'s paths, and inside the window does
+   so out of line, with the int address, so it allocates nothing: a
+   load fills the entry when the page it reads is private in an owned
+   chunk, a store once [store_payload] has made it so. A run starts
+   with no page ([no_stack_page] lies 4096 below address 0, so no
+   address of the layout hits it), and the entry needs no invalidation:
+   within one [run], a page private in an owned chunk stays private and
+   in its slot (the clause {!Memory.t} states), because [Memory.clone],
+   [release] and [seal] happen between runs, and a store, compiled or an
+   inline builtin's through [Memory], never makes a private page
+   shared. Every other access keeps [load] and [store]: one entry that
+   all accesses shared thrashed between stack and array pages. *)
+let no_stack_page = -4096
+
+let[@inline] stack_hit a off = Int64.logand a above_layout = 0L && off >= 0 && off <= last_off
+
+let[@inline never] stack_load_miss m ai =
+  let mem = m.mem in
+  let p = slot mem ai in
+  if p == Memory.no_page then raise (Fault.Trap (Fault.Segfault (Int64.of_int ai)));
+  if private_page mem ai then begin
+    m.sp_base <- ai land lnot page_mask;
+    m.sp_page <- p
+  end;
+  p
+
+let[@inline never] stack_store_miss m ai =
+  let p = store_payload m.mem ai in
+  m.sp_base <- ai land lnot page_mask;
+  m.sp_page <- p;
+  p
+
+let[@inline] stack_load m a =
+  let off = Int64.to_int a - m.sp_base in
+  if stack_hit a off then Cpu.get64u m.sp_page off
+  else if in_window a then
+    let ai = Int64.to_int a in
+    Cpu.get64u (stack_load_miss m ai) (ai land page_mask)
+  else begin
+    load_slow m a;
+    Cpu.get64u m.tmp 0
+  end
+
+let[@inline] stack_store m a v =
+  let off = Int64.to_int a - m.sp_base in
+  if stack_hit a off then Cpu.set64u m.sp_page off v
+  else if in_window a then
+    let ai = Int64.to_int a in
+    Cpu.set64u (stack_store_miss m ai) (ai land page_mask) v
   else Memory.write_u64 m.mem a v
 
 (* Stack discipline of the interpreter's [push]/[pop]: rsp moves before
@@ -271,11 +338,11 @@ let[@inline] store m a v =
 let[@inline] push_m m v =
   let rsp = Int64.sub (rget m rsp_o) 8L in
   rset m rsp_o rsp;
-  store m rsp v
+  stack_store m rsp v
 
 let[@inline] pop_m m =
   let rsp = rget m rsp_o in
-  let v = load m rsp in
+  let v = stack_load m rsp in
   rset m rsp_o (Int64.add rsp 8L);
   v
 
@@ -346,11 +413,10 @@ let[@inline] logic f r =
   set_logic_flags f r;
   r
 
-let[@inline] check_div addr a b =
-  if Int64.equal b 0L then
-    raise (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
+let[@inline] check_div addr (a : int64) (b : int64) =
+  if b = 0L then raise (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
   (* x86 #DE also covers INT64_MIN / -1 *)
-  if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
+  if a = Int64.min_int && b = -1L then
     raise (Fault.Trap (Fault.Bad_instruction (addr, "division overflow")))
 
 (* Result of a writing binop, flags settled. Cmp/Test only set flags
@@ -424,6 +490,21 @@ let lower env ~i (st : Ir.step) (k : step) : step =
       let d = ro d and s = ro s in
       fun m ->
         rset m d (rget m s);
+        k m
+    (* a local or a stack slot: through the stack page *)
+    | I.Mov
+        (O.Reg d, O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }) ->
+      let d = ro d and b = ro b in
+      fun m ->
+        m.at <- i;
+        rset m d (stack_load m (Int64.add (rget m b) disp));
+        k m
+    | I.Mov
+        (O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }, O.Reg s) ->
+      let b = ro b and s = ro s in
+      fun m ->
+        m.at <- i;
+        stack_store m (Int64.add (rget m b) disp) (rget m s);
         k m
     | I.Mov (O.Reg d, O.Mem { O.seg_fs = false; base = Some b; index = None; disp }) ->
       let d = ro d and b = ro b in
@@ -570,12 +651,12 @@ let lower env ~i (st : Ir.step) (k : step) : step =
       let op = opnd op in
       fun m ->
         m.at <- i;
-        let a = read m op in
+        let (a : int64) = read m op in
         let r = Int64.neg a in
         let f = m.flags in
         set_logic_flags f r;
-        f.cf <- not (Int64.equal a 0L);
-        f.of_ <- Int64.equal a Int64.min_int;
+        f.cf <- a <> 0L;
+        f.of_ <- a = Int64.min_int;
         write m addr op r;
         k m
     | I.Not op ->
@@ -805,12 +886,12 @@ let lower env ~i (st : Ir.step) (k : step) : step =
       let x = Isa.Reg.Xmm.index x and e = ea_of e in
       fun m ->
         m.at <- i;
-        let lo, hi = Array.unsafe_get m.cpu.Cpu.xmms x in
+        let (lo : int64), (hi : int64) = Array.unsafe_get m.cpu.Cpu.xmms x in
         let a = ea_val m e in
         let mlo = load m a in
         let mhi = load m (Int64.add a 8L) in
         let f = m.flags in
-        f.zf <- Int64.equal lo mlo && Int64.equal hi mhi;
+        f.zf <- lo = mlo && hi = mhi;
         f.sf <- false;
         f.cf <- false;
         f.of_ <- false;
@@ -848,8 +929,8 @@ let[@inline] charge_exit m (c : code) k =
    Links live in code that a fork family shares; the code was decoded
    from sealed pages, so one patched in a relative is safe to take
    here. *)
-let[@inline] link_live (l : link) (c : code) rip key =
-  Int64.equal l.l_addr rip && c.key == key && c.slot_current
+let[@inline] link_live (l : link) (c : code) (rip : int64) key =
+  l.l_addr = rip && c.key == key && c.slot_current
 
 (* [transfer], defined below the compiler it calls back into. A forward
    reference rather than one recursive group with [hop]: a recursive
@@ -876,7 +957,7 @@ let[@inline] hop m n (l : link) rip =
     m.fuel <- m.fuel - n;
     m.retired <- m.retired + n;
     t.hot <- t.hot + 1;
-    Tcache.note_chain_hop m.tc;
+    m.hops <- m.hops + 1;
     m.cur <- t;
     t.chain m
   | _ -> !transfer_ref m n l
@@ -935,7 +1016,7 @@ let[@inline] shuffle_push m i a =
   let rsp = rget m rsp_o in
   let sp = Int64.sub rsp 8L in
   rset m rsp_o sp;
-  store m sp (rget m a);
+  stack_store m sp (rget m a);
   rsp
 
 (* The whole shuffle for each shape of S: the push, b set to S read
@@ -950,7 +1031,7 @@ let[@inline] shuffle_imm m i a b v =
 let[@inline] shuffle_local m i a b r disp =
   let rsp = shuffle_push m i a in
   m.at <- i + 1;
-  rset m b (load m (Int64.add (rget m r) disp));
+  rset m b (stack_load m (Int64.add (rget m r) disp));
   rset m rsp_o rsp
 
 let[@inline] shuffle_any m i a b src =
@@ -966,7 +1047,7 @@ let shuffle ~i a b src (k : step) : step =
     fun m ->
       shuffle_imm m i a b v;
       k m
-  | O.Mem { O.seg_fs = false; base = Some r; index = None; disp } ->
+  | O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as r); index = None; disp } ->
     let r = ro r in
     fun m ->
       shuffle_local m i a b r disp;
@@ -1009,7 +1090,7 @@ let alu_window ~i ~addr a b src bop (k : step) : step =
     | I.Imul -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Imul; k m
     | I.Idiv -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Idiv; k m
     | I.Irem -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Irem; k m)
-  | O.Mem { O.seg_fs = false; base = Some r; index = None; disp } -> (
+  | O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as r); index = None; disp } -> (
     let r = ro r in
     match bop with
     | I.Add -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Add; k m
@@ -1060,7 +1141,7 @@ let emit_chain env (ir : Ir.t) =
       fun m ->
         m.at <- n - 1;
         let rip = rget m rip_o in
-        hop m n (if Int64.equal rip taken then m.cur.link_a else m.cur.link_b) rip
+        hop m n (if rip = (taken : int64) then m.cur.link_a else m.cur.link_b) rip
     | _ when last.Ir.sets_rip ->
       fun m ->
         m.at <- n - 1;
@@ -1262,7 +1343,7 @@ let enter m (c : code) =
 (* Leave [m.cur], all [n] of its steps retired, for [t]. *)
 let[@inline] pass m n t =
   settle m n;
-  Tcache.note_chain_hop m.tc;
+  m.hops <- m.hops + 1;
   enter m t
 
 (* Every transfer a direct [hop] does not make, from the exit of
@@ -1311,6 +1392,9 @@ let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
       cur = c;
       fuel;
       retired = 0;
+      hops = 0;
+      sp_base = no_stack_page;
+      sp_page = Memory.no_page;
       profiling = Telemetry.Profile.enabled ();
       threshold = Atomic.get fuse_threshold;
       is_builtin;
@@ -1324,4 +1408,5 @@ let run cpu mem ~is_builtin ~inline (b : Tcache.block) ~fuel =
     | exception ((Fault.Trap _ | Isa.Encode.Unresolved_symbol _) as e) -> fault_exit m e
   in
   settle m (m.at + 1);
+  Tcache.note_chain_hops tc m.hops;
   (outcome, m.retired)

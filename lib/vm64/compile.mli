@@ -15,7 +15,10 @@
     access inside the layout and inside one page reads {!Memory.t}'s
     page table in place: a load reads the payload, a store writes it in
     place when this space is the page's only owner and otherwise through
-    {!Memory.store_page}.
+    {!Memory.store_page}. One at rsp or rbp plus a constant first tries
+    the run's stack page: one page private to the space, filled by such
+    an access that misses it, and never invalidated, since every run
+    starts without one and a page stays private for a whole run.
 
     [run] runs each translation as the threaded chain: every step
     tail-calls the next, for the whole translation at once. mcc's

@@ -51,7 +51,10 @@ type family_stats = {
     {!write_u64} would do. Under any other combination the payload may
     be a relative's too, or sealed, and a write must go through
     {!store_page} or {!write_u64}. Reads may use [top] whatever the
-    bytes say. *)
+    bytes say. Such a page stays private, its payload in its slot,
+    until the next {!clone}, {!release} or {!seal}, since no write
+    makes a private page shared: within one [Compile.run], which none
+    of the three interrupts, compiled code may keep using the payload. *)
 type t = private {
   top : bytes array array;  (** chunk -> page payloads, {!no_page} if unmapped *)
   privs : Bytes.t array;  (** chunk -> one privacy byte per page *)

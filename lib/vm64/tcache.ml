@@ -135,7 +135,7 @@ let note_miss t = t.xstats.misses <- t.xstats.misses + 1
 let note_compile t = t.xstats.compiles <- t.xstats.compiles + 1
 let note_chain t = t.xstats.chains <- t.xstats.chains + 1
 let note_superblock t = t.xstats.superblocks <- t.xstats.superblocks + 1
-let note_chain_hop t = t.xstats.chain_hops <- t.xstats.chain_hops + 1
+let note_chain_hops t n = t.xstats.chain_hops <- t.xstats.chain_hops + n
 
 let add t block = Blocks.replace t.blocks block.bb_start block
 

@@ -65,9 +65,10 @@ val note_chain : t -> unit
 val note_superblock : t -> unit
 (** Record one hot chain fused into a superblock translation. *)
 
-val note_chain_hop : t -> unit
-(** Record one block-to-block transfer served by a chain link (a return
-    to the dispatch loop avoided). *)
+val note_chain_hops : t -> int -> unit
+(** Record [n] block-to-block transfers served by chain links (returns
+    to the dispatch loop avoided); {!Compile.run} adds its run's count
+    once, when the run settles. *)
 
 val add : t -> block -> unit
 (** Insert a block into the family's table, replacing any entry at its

@@ -766,31 +766,121 @@ let words_per_insn cpu mem ~warm_up ~measure =
   let retired = go 0 in
   (Gc.minor_words () -. w0) /. float_of_int retired
 
+(* Pages the access tests probe: [window_page] (data, followed by an
+   unmapped page) and the layout's last page, both filled with bytes
+   of their own, and one more page in each chunk they touch (0 and
+   255): a write there owns the chunk and leaves the other pages
+   shared. The stack's two pages are filled too. *)
+let window_page = data_base
+let layout_top = Int64.sub Layout.address_limit 4096L
+let scratch_pages = [ 0x30000L; Int64.sub layout_top 4096L ]
+let window_fill = Util.Prng.bytes (Util.Prng.create 0x9A6EL) 4096
+let stack_fill = Util.Prng.bytes (Util.Prng.create 0x57ACL) stack_len
+let callee = block_b
+
+(* Run to a stop like the OS would, serving the builtins [env] may
+   inline: the interpreter stops at such a call with rip past it, and
+   the builtin's core then runs and returns in rax, as inlined. *)
+let rec run_os env cpu mem ~max_insns =
+  match Exec.run ~max_insns env cpu mem with
+  | Exec.Stopped (Exec.Builtin name) as r -> (
+    match Os.Glibc.inline_core name with
+    | Some core ->
+      Cpu.set cpu Reg.RAX (core cpu mem);
+      run_os env cpu mem ~max_insns
+    | None -> r)
+  | r -> r
+
+(* [prog], then hlt, run from [regs] (rcx preset) in one of three
+   states of the address space: fresh, where every chunk is owned and
+   every written page private; right after [Memory.clone], where no
+   chunk is owned; and on owned chunks whose pages are still shared
+   with the relative (a write to a scratch page owned them). [warm_up]
+   runs the program once from other registers before the state is set
+   up, so its blocks are cached and the measured run stays in one
+   [Compile.run] across its block ends. Fails when the run wrote
+   through to the fork relative's bytes; returns the machine after the
+   run and the run's cow_breaks delta. *)
+let run_in_state ?(env = env) ?warm_up ~compiled ~state prog regs =
+  with_compiled compiled @@ fun () ->
+  let cpu, mem = fresh () in
+  List.iter
+    (fun a -> Memory.map mem ~addr:a ~len:4096)
+    ([ window_page; layout_top ] @ scratch_pages);
+  Memory.write_bytes mem window_page window_fill;
+  Memory.write_bytes mem layout_top window_fill;
+  Memory.write_bytes mem stack_base stack_fill;
+  load_program mem (prog @ [ Insn.Hlt ]);
+  Memory.write_bytes mem callee (Encode.list_to_bytes [ Insn.Hlt ]);
+  seal_text mem;
+  let start regs =
+    Cpu.set_rip cpu text_base;
+    Cpu.set cpu Reg.RCX 0x1122334455667788L;
+    List.iter (fun (r, v) -> Cpu.set cpu r v) regs
+  in
+  Option.iter
+    (fun regs ->
+      start regs;
+      ignore (run_os env cpu mem ~max_insns:10))
+    warm_up;
+  let regions m =
+    List.map (fun a -> Memory.read_bytes m a 4096) [ text_base; window_page; layout_top ]
+    @ [ Memory.read_bytes m stack_base stack_len ]
+  in
+  let relative, mem =
+    match state with
+    | `Fresh -> (None, mem)
+    | `Cloned -> (Some mem, Memory.clone mem)
+    | `Owned_shared ->
+      let child = Memory.clone mem in
+      List.iter (fun a -> Memory.write_u8 child a 0x5A) scratch_pages;
+      (Some mem, child)
+  in
+  let before = Option.map regions relative in
+  start regs;
+  let cow () = (Memory.family_stats mem).Memory.cow_breaks in
+  let cow0 = cow () in
+  let result = run_os env cpu mem ~max_insns:10 in
+  let moved = cow () - cow0 in
+  if Option.map regions relative <> before then
+    Alcotest.failf "compiled=%b wrote through to the fork relative's bytes" compiled;
+  let data =
+    Bytes.cat (Memory.read_bytes mem window_page 4096) (Memory.read_bytes mem layout_top 4096)
+  in
+  (capture result cpu mem ~data, moved)
+
+let states =
+  [ (`Fresh, "fresh"); (`Cloned, "after clone"); (`Owned_shared, "owned chunk, shared page") ]
+
+(* [run_in_state] compiled and interpreted: the same machine, memory,
+   fault, cycles and cow_breaks delta. *)
+let check_in_state ?env ?warm_up ~trial ~what ~state prog regs =
+  let interp, moved0 = run_in_state ?env ?warm_up ~compiled:false ~state prog regs in
+  let got, moved = run_in_state ?env ?warm_up ~compiled:true ~state prog regs in
+  compare_snapshots ~trial ~what interp got;
+  if moved <> moved0 then
+    Alcotest.failf "%s: cow_breaks +%d; the interpreter: +%d" what moved moved0
+
 (* The page windows: every 8-byte access shape, at addresses on both
    sides of each guard — the last offsets of a mapped page followed by
    an unmapped one, the top of the 128 MiB layout (its last page
    mapped), addresses whose top bit [Int64.to_int] drops (one aliases
    the mapped text page), the sealed text page itself, inside and at
    its edge, and plain junk — must leave the interpreter's full machine
-   state, memory, fault and cycles when compiled.
-   Each runs in three states of the address space: fresh, where every
-   chunk is owned and every data page private; right after
-   [Memory.clone], where no chunk is owned; and on owned chunks whose
-   pages are still shared with the relative (a write to another page of
-   the chunk owned it). A compiled store must break copy-on-write
-   exactly as the interpreter does — the same cow_breaks delta — fault
-   on the text page, and never reach the relative's bytes. An in-page
-   access at the last window offset must also stay on the
-   allocation-free path. *)
+   state, memory, fault and cycles when compiled, in each of
+   [run_in_state]'s three states of the address space. A compiled store
+   must break copy-on-write exactly as the interpreter does — the same
+   cow_breaks delta — fault on the text page, and never reach the
+   relative's bytes. An in-page access at the last window offset must
+   also stay on the allocation-free path. *)
 let test_page_window_guard () =
-  let page = data_base and top = Int64.sub Layout.address_limit 4096L in
+  let page = window_page in
   let addrs =
     List.init 8 (fun j -> Int64.add page (Int64.of_int (4088 + j)))
     @ List.init 8 (fun j -> Int64.sub Layout.address_limit (Int64.of_int (8 - j)))
     @ [ -8L; Int64.logor Int64.min_int text_base; 0x4141414141414141L ]
     @ List.map (Int64.add text_base) [ 0x800L; 4088L; 4092L ]
   in
-  let callee = Int64.add text_base 0x40L in
   let at_rbx = Operand.mem ~base:Reg.RBX 0L in
   (* (name, program, register setup for address a) *)
   let shapes =
@@ -807,46 +897,6 @@ let test_page_window_guard () =
       ("leave", [ Insn.Leave ], fun a -> [ (Reg.RBP, a) ]);
     ]
   in
-  let fill = Util.Prng.bytes (Util.Prng.create 0x9A6EL) 4096 in
-  (* one more page in each chunk the shapes touch (0 and 255): a write
-     there owns the chunk and leaves the other pages shared *)
-  let scratch = [ 0x30000L; Int64.sub top 4096L ] in
-  let run ~compiled ~state prog regs =
-    with_compiled compiled @@ fun () ->
-    let cpu, mem = fresh () in
-    Memory.map mem ~addr:page ~len:4096;
-    Memory.map mem ~addr:top ~len:4096;
-    List.iter (fun a -> Memory.map mem ~addr:a ~len:4096) scratch;
-    Memory.write_bytes mem page fill;
-    Memory.write_bytes mem top fill;
-    load_program mem (prog @ [ Insn.Hlt ]);
-    Memory.write_bytes mem callee (Encode.list_to_bytes [ Insn.Hlt ]);
-    seal_text mem;
-    let regions m =
-      List.map (fun a -> Memory.read_bytes m a 4096) [ text_base; page; top ]
-      @ [ Memory.read_bytes m stack_base stack_len ]
-    in
-    let relative, mem =
-      match state with
-      | `Fresh -> (None, mem)
-      | `Cloned -> (Some mem, Memory.clone mem)
-      | `Owned_shared ->
-        let child = Memory.clone mem in
-        List.iter (fun a -> Memory.write_u8 child a 0x5A) scratch;
-        (Some mem, child)
-    in
-    let before = Option.map regions relative in
-    Cpu.set cpu Reg.RCX 0x1122334455667788L;
-    List.iter (fun (r, v) -> Cpu.set cpu r v) regs;
-    let cow () = (Memory.family_stats mem).Memory.cow_breaks in
-    let cow0 = cow () in
-    let result = Exec.run ~max_insns:10 env cpu mem in
-    let moved = cow () - cow0 in
-    if Option.map regions relative <> before then
-      Alcotest.failf "compiled=%b wrote through to the fork relative's bytes" compiled;
-    let data = Bytes.cat (Memory.read_bytes mem page 4096) (Memory.read_bytes mem top 4096) in
-    (capture result cpu mem ~data, moved)
-  in
   let trial = ref 0 in
   List.iter
     (fun (state, state_name) ->
@@ -854,16 +904,12 @@ let test_page_window_guard () =
         (fun (name, prog, regs) ->
           List.iter
             (fun a ->
-              let interp, moved0 = run ~compiled:false ~state prog (regs a) in
               let what = Printf.sprintf "compiled (%s at 0x%Lx, %s)" name a state_name in
-              let got, moved = run ~compiled:true ~state prog (regs a) in
-              compare_snapshots ~trial:!trial ~what interp got;
-              if moved <> moved0 then
-                Alcotest.failf "%s: cow_breaks +%d; the interpreter: +%d" what moved moved0;
+              check_in_state ~trial:!trial ~what ~state prog (regs a);
               incr trial)
             addrs)
         shapes)
-    [ (`Fresh, "fresh"); (`Cloned, "after clone"); (`Owned_shared, "owned chunk, shared page") ];
+    states;
   (* the last window offset is in the window: 16 loads and stores there
      per turn stay allocation-free *)
   let cpu, mem = fresh () in
@@ -891,6 +937,163 @@ let test_page_window_guard () =
   let w = words_per_insn cpu mem ~warm_up:(set_up 4L) ~measure:(set_up 1000L) in
   if w >= 0.5 then
     Alcotest.failf "loads and stores at page offset 4088 allocate %.2f words per insn" w
+
+(* The stack page: compiled code keeps one page, private to the space
+   in an owned chunk, for its rsp- and rbp-relative 8-byte accesses,
+   filled by a load from such a page or by a store, which makes its page
+   so. Each case runs compiled and interpreted in [run_in_state]'s three
+   states and must leave the same machine, memory, fault, cycles and
+   cow_breaks delta, with the fork relative's bytes untouched:
+   - warm shapes: each stack-shaped access (mov to and from [rbp+d] and
+     [rsp+d], push, pop, call, indirect call, ret, leave, the fused
+     shuffle's push and its [rbp+d] read, the shuffle with its binop),
+     at each offset 4088..4095 of a page, after a load or a store at the
+     page's offset 0 in the same run — once for a page followed by an
+     unmapped one, once for one followed by a mapped one;
+   - alias: after a fill, an rbp-relative load at the page's address
+     with bit 63 set faults as interpreted;
+   - across runs: one run's store fills the entry, the space is cloned,
+     and the next run's push into the page, in either space, breaks
+     copy-on-write once;
+   - inline builtin: an inlined memcpy into the page sits between two
+     stack loads of one run. *)
+let test_stack_page () =
+  let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX in
+  let at r d = Operand.mem ~base:r (Int64.of_int d) in
+  let shuffle s = [ Insn.Push rax; Insn.Mov (rax, s); Insn.Mov (rcx, rax); Insn.Pop rax ] in
+  let trial = ref 0 in
+  let check ?env ?warm_up ~what prog regs =
+    List.iter
+      (fun (state, state_name) ->
+        let what = Printf.sprintf "compiled (%s, %s)" what state_name in
+        check_in_state ?env ?warm_up ~trial:!trial ~what ~state prog regs;
+        incr trial)
+      states
+  in
+  (* (name, program, registers for address a): the first register is
+     the base the touch at the page's offset 0 goes through *)
+  let shapes =
+    [
+      ( "mov load [rbp+d]",
+        [ Insn.Mov (rax, at Reg.RBP 8) ],
+        fun a -> [ (Reg.RBP, Int64.sub a 8L) ] );
+      ( "mov store [rbp+d]",
+        [ Insn.Mov (at Reg.RBP (-16), rcx) ],
+        fun a -> [ (Reg.RBP, Int64.add a 16L) ] );
+      ( "mov load [rsp+d]",
+        [ Insn.Mov (rax, at Reg.RSP 24) ],
+        fun a -> [ (Reg.RSP, Int64.sub a 24L) ] );
+      ("mov store [rsp+d]", [ Insn.Mov (at Reg.RSP 0, rcx) ], fun a -> [ (Reg.RSP, a) ]);
+      ("push", [ Insn.Push rcx ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
+      ("push imm", [ Insn.Push (Operand.imm 0x5EL) ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
+      ("pop", [ Insn.Pop rax ], fun a -> [ (Reg.RSP, a) ]);
+      ("call", [ Insn.Call (Insn.Abs callee) ], fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
+      ( "indirect call",
+        [ Insn.Call_ind (Operand.reg Reg.RBX) ],
+        fun a -> [ (Reg.RSP, Int64.add a 8L); (Reg.RBX, callee) ] );
+      ("ret", [ Insn.Ret ], fun a -> [ (Reg.RSP, a) ]);
+      ("leave", [ Insn.Leave ], fun a -> [ (Reg.RBP, a) ]);
+      ("shuffle push", shuffle (Operand.imm 5L), fun a -> [ (Reg.RSP, Int64.add a 8L) ]);
+      ( "shuffle [rbp+d] read",
+        shuffle (at Reg.RBP 0),
+        fun a -> [ (Reg.RBP, a); (Reg.RSP, Int64.add (Int64.logand a (-4096L)) 2048L) ] );
+      ( "shuffle [rbp+d] read, add",
+        shuffle (at Reg.RBP 0) @ [ Insn.Bin (Insn.Add, rax, rcx) ],
+        fun a -> [ (Reg.RBP, a); (Reg.RSP, Int64.add (Int64.logand a (-4096L)) 2048L) ] );
+    ]
+  in
+  List.iter
+    (fun page ->
+      List.iter
+        (fun (name, prog, regs) ->
+          for j = 0 to 7 do
+            let a = Int64.add page (Int64.of_int (4088 + j)) in
+            let regs = regs a in
+            let r, v = List.hd regs in
+            let base = Operand.mem ~base:r (Int64.sub page v) in
+            List.iter
+              (fun (touch, first) ->
+                check
+                  ~what:(Printf.sprintf "%s at 0x%Lx after a %s at 0x%Lx" name a touch page)
+                  (first :: prog) regs)
+              [ ("load", Insn.Mov (rax, base)); ("store", Insn.Mov (base, rcx)) ]
+          done)
+        shapes)
+    [ window_page; stack_base ];
+  (* alias: rbp moves to the filled page's address with bit 63 set *)
+  let page = window_page in
+  let alias = Int64.logor Int64.min_int page in
+  List.iter
+    (fun (touch, first) ->
+      check
+        ~what:(Printf.sprintf "[rbp] at 0x%Lx after a %s at 0x%Lx" alias touch page)
+        [
+          first;
+          Insn.Bin (Insn.Xor, Operand.reg Reg.RBP, Operand.reg Reg.RDX);
+          Insn.Mov (rax, at Reg.RBP 0);
+        ]
+        [ (Reg.RBP, page); (Reg.RDX, Int64.min_int) ])
+    [ ("load", Insn.Mov (rax, at Reg.RBP 0)); ("store", Insn.Mov (at Reg.RBP 0, rcx)) ];
+  (* inline builtin: memcpy copies 16 bytes from the layout's last page
+     to [rbp+8], between the loads of [rbp] and [rbp+8]; the warm-up
+     copies nothing, and caches both blocks and the link between them *)
+  let memcpy_addr = 0xC00L in
+  let memcpy_env =
+    Exec.create_env ~inline_builtin:Os.Glibc.inline_core
+      ~is_builtin:(fun a -> if a = memcpy_addr then Some "memcpy" else None)
+      ()
+  in
+  let regs n =
+    [
+      (Reg.RBP, page);
+      (Reg.RDI, Int64.add page 8L);
+      (Reg.RSI, Int64.add layout_top 0x100L);
+      (Reg.RDX, n);
+    ]
+  in
+  check ~env:memcpy_env ~warm_up:(regs 0L) ~what:"memcpy into the stack page between two loads"
+    [
+      Insn.Mov (rax, at Reg.RBP 0);
+      Insn.Call (Insn.Abs memcpy_addr);
+      Insn.Mov (rcx, at Reg.RBP 8);
+    ]
+    (regs 16L);
+  (* across runs: a store fills the entry, the space forks, and the next
+     run pushes into the page in the parent or in the child *)
+  List.iter
+    (fun pusher ->
+      let run ~compiled =
+        with_compiled compiled @@ fun () ->
+        let cpu, mem = fresh () in
+        Memory.write_bytes mem stack_base stack_fill;
+        load_program mem [ Insn.Mov (at Reg.RBP 0, rcx); Insn.Hlt ];
+        Memory.write_bytes mem block_b (Encode.list_to_bytes [ Insn.Push rcx; Insn.Hlt ]);
+        seal_text mem;
+        Cpu.set cpu Reg.RBP stack_base;
+        Cpu.set cpu Reg.RCX 0x1122334455667788L;
+        run_to_halt cpu mem;
+        let child = Memory.clone mem in
+        let mem, relative = if pusher = "parent" then (mem, child) else (child, mem) in
+        let before = Memory.read_bytes relative stack_base stack_len in
+        let cow0 = (Memory.family_stats mem).Memory.cow_breaks in
+        Cpu.set cpu Reg.RSP (Int64.add stack_base 16L);
+        Cpu.set_rip cpu block_b;
+        let result = Exec.run env cpu mem in
+        if not (Bytes.equal before (Memory.read_bytes relative stack_base stack_len)) then
+          Alcotest.failf "compiled=%b: the push wrote through to the fork relative's bytes"
+            compiled;
+        let moved = (Memory.family_stats mem).Memory.cow_breaks - cow0 in
+        (capture result cpu mem ~data:Bytes.empty, moved)
+      in
+      let what =
+        Printf.sprintf "compiled (a push in the %s, in the run after a fill and a fork)" pusher
+      in
+      let interp, moved0 = run ~compiled:false in
+      let got, moved = run ~compiled:true in
+      compare_snapshots ~trial:!trial ~what interp got;
+      Alcotest.(check int) (what ^ ": cow_breaks") 1 moved0;
+      Alcotest.(check int) (what ^ ": cow_breaks") moved0 moved)
+    [ "parent"; "child" ]
 
 (* The chain allocates nothing per instruction, nor per hop: a loop of
    the shape the Mini-C compiler emits (rbp-relative locals, push/pop
@@ -1358,6 +1561,7 @@ let () =
             test_fault_exact_mid_superblock;
           Alcotest.test_case "page windows match the interpreter" `Quick
             test_page_window_guard;
+          Alcotest.test_case "stack page matches the interpreter" `Quick test_stack_page;
           Alcotest.test_case "chain allocates < 0.5 words/insn" `Quick
             test_chain_allocation;
           Alcotest.test_case "fused operand shuffle matches the interpreter" `Quick
