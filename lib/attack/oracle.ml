@@ -128,3 +128,4 @@ let query t payload =
 let queries t = t.queries
 let server_alive t = t.alive
 let respawns t = t.respawns
+let kernel t = t.kernel

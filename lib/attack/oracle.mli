@@ -41,6 +41,11 @@ val restart_victim : t -> bool
 val respawns : t -> int
 (** Victim replacements served by {!restart_victim} so far. *)
 
+val kernel : t -> Os.Kernel.t
+(** The kernel the victim runs in now; {!restart_victim} replaces it
+    under [Cold] and [Zygote]. For drivers that inspect it between
+    queries, such as {!Os.Kernel.check_invariants}. *)
+
 type response =
   | Survived of string
       (** child exited normally; the bytes it sent on the connection *)

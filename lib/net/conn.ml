@@ -100,6 +100,7 @@ let touch t ~now =
 (* ---- server side ------------------------------------------------------ *)
 
 let retain t = t.server_refs <- t.server_refs + 1
+let server_refs t = t.server_refs
 
 type read_result = Data of bytes | Would_block | Eof | Closed
 

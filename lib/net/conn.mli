@@ -61,6 +61,9 @@ val retain : t -> unit
 (** One more server fd references this conn (fd install, fd-table
     clone at fork/pthread_create). *)
 
+val server_refs : t -> int
+(** Server fds currently counted as holding this conn. *)
+
 type read_result =
   | Data of bytes  (** 1..max bytes *)
   | Would_block  (** no data yet; stream still open *)

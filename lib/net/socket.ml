@@ -68,6 +68,7 @@ let rec accept_opt t =
     end
 
 let retain t = t.refs <- t.refs + 1
+let refs t = t.refs
 
 let release t ~now =
   if t.refs > 0 then t.refs <- t.refs - 1;

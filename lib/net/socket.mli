@@ -42,3 +42,6 @@ val accept_opt : t -> Conn.t option
 
 val retain : t -> unit
 val release : t -> now:int64 -> unit
+
+val refs : t -> int
+(** Fds currently counted as holding this socket. *)

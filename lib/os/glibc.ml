@@ -23,15 +23,40 @@ type fd_obj = Fd_conn of Net.Conn.t | Fd_listener of Net.Socket.t
 
 type fd_entry = { obj : fd_obj; mutable nonblock : bool }
 
-(* Tables keyed by an fd, pid or port: monomorphic, with the
-   polymorphic table's own hash, so their buckets, and so the order
-   [iter] and [fold] visit them in, are the polymorphic table's. *)
-module Int_table = Hashtbl.Make (struct
-  type t = int
+(* [Hashtbl.hash] on an int, in OCaml: the runtime's MurmurHash3 mix of
+   the tagged word [2v+1], folded to 32 bits as its high half ([v asr
+   31]) xor its sign ([v asr 62]) xor itself, then the final mix, masked
+   to 30 bits. Every step is on 32-bit values held in a 63-bit int, and
+   the low 32 bits of a product survive its wrap, so no step needs
+   Int32. *)
+let () = assert (Sys.int_size = 63)
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+let hash_int v =
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land 0xFFFF_FFFF in
+  let d = ((v asr 31) lxor (v asr 62) lxor ((v lsl 1) lor 1)) land 0xFFFF_FFFF in
+  let d = (d * 0xcc9e2d51) land 0xFFFF_FFFF in
+  let d = (rotl d 15 * 0x1b873593) land 0xFFFF_FFFF in
+  let h = ((rotl d 13 * 5) + 0xe6546b64) land 0xFFFF_FFFF in
+  let h = h lxor (h lsr 16) in
+  let h = (h * 0x85ebca6b) land 0xFFFF_FFFF in
+  let h = h lxor (h lsr 13) in
+  let h = (h * 0xc2b2ae35) land 0xFFFF_FFFF in
+  (h lxor (h lsr 16)) land 0x3FFF_FFFF
+
+(* Tables keyed by a pid or port: monomorphic, with the polymorphic
+   table's own hash, so their buckets, and so the order [iter] and
+   [fold] visit them in, are the polymorphic table's; no lookup calls
+   [caml_hash]. *)
+module Int_table = struct
+  include Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = hash_int
+  end)
+
+  let hash = hash_int
+end
 
 (* EAGAIN/EWOULDBLOCK sentinel returned by non-blocking accept/read/
    write (-1 stays "error/closed", 0 stays "EOF"/"wrote nothing"). *)
@@ -43,7 +68,7 @@ type io = {
   output : Buffer.t;
   errout : Buffer.t;
   mutable brk : int64;
-  fds : fd_entry Int_table.t;
+  mutable fds : fd_entry option array;  (* indexed by fd, [None] when closed *)
   mutable free_fds : int list;  (* closed fds below next_fd, ascending *)
   mutable next_fd : int;
   mutable listener : Net.Socket.t option;
@@ -57,7 +82,7 @@ let make_io ~input =
     output = Buffer.create 64;
     errout = Buffer.create 64;
     brk = Layout.heap_base;
-    fds = Int_table.create 16;
+    fds = Array.make 8 None;
     free_fds = [];
     next_fd = 3;
     listener = None;
@@ -69,14 +94,16 @@ let clone_io io =
      every connection (and the listener) gains one more holder. Status
      flags (O_NONBLOCK) are per-entry and copied, like dup'd
      descriptors sharing an open file description. *)
-  let fds = Int_table.create (Int_table.length io.fds) in
-  Int_table.iter
-    (fun fd e ->
+  let fds = Array.make (Array.length io.fds) None in
+  for fd = 0 to Array.length fds - 1 do
+    match io.fds.(fd) with
+    | None -> ()
+    | Some e ->
       (match e.obj with
       | Fd_conn c -> Net.Conn.retain c
       | Fd_listener s -> Net.Socket.retain s);
-      Int_table.replace fds fd { obj = e.obj; nonblock = e.nonblock })
-    io.fds;
+      fds.(fd) <- Some { obj = e.obj; nonblock = e.nonblock }
+  done;
   {
     input = Bytes.copy io.input;
     input_pos = io.input_pos;
@@ -115,18 +142,16 @@ let snapshot_io io =
       s'
     | None -> build_sock s
   in
-  let fds = Int_table.create (max 16 (Int_table.length io.fds)) in
-  Int_table.iter
-    (fun fd e ->
-      match e.obj with
-      | Fd_conn _ ->
-        invalid_arg
-          "Glibc.snapshot_io: open connection fd (snapshot a quiescent \
-           process)"
-      | Fd_listener s ->
-        Int_table.replace fds fd
-          { obj = Fd_listener (rebuild_sock s); nonblock = e.nonblock })
-    io.fds;
+  let fds = Array.make (Array.length io.fds) None in
+  for fd = 0 to Array.length fds - 1 do
+    match io.fds.(fd) with
+    | None -> ()
+    | Some { obj = Fd_conn _; _ } ->
+      invalid_arg
+        "Glibc.snapshot_io: open connection fd (snapshot a quiescent process)"
+    | Some { obj = Fd_listener s; nonblock } ->
+      fds.(fd) <- Some { obj = Fd_listener (rebuild_sock s); nonblock }
+  done;
   let copy_buf b =
     let b' = Buffer.create (max 64 (Buffer.length b)) in
     Buffer.add_string b' (Buffer.contents b);
@@ -152,7 +177,9 @@ let snapshot_io io =
 
 (* ---- fd table --------------------------------------------------------- *)
 
-let fd_entry_of io fd = Int_table.find_opt io.fds fd
+(* A negative or huge guest fd reads as closed. *)
+let fd_entry_of io fd =
+  if fd >= 0 && fd < Array.length io.fds then Array.unsafe_get io.fds fd else None
 
 let fd_obj_of io fd =
   match fd_entry_of io fd with Some e -> Some e.obj | None -> None
@@ -174,11 +201,17 @@ let set_fd_nonblock io fd v =
   | None -> false
 
 let open_fds io =
-  List.sort Int.compare (Int_table.fold (fun fd _ acc -> fd :: acc) io.fds [])
+  let acc = ref [] in
+  for fd = Array.length io.fds - 1 downto 0 do
+    if Option.is_some io.fds.(fd) then acc := fd :: !acc
+  done;
+  !acc
 
 (* Lowest closed fd first, like a real per-process table. Reuse keeps
    fd values small and dense, so a long-lived event-loop process can
-   index flat per-fd state arrays by fd. *)
+   index flat per-fd state arrays by fd, and so can the table itself: a
+   fresh fd is one past the highest ever used, and only one past the
+   table's end grows it, by doubling. *)
 let install_fd io obj =
   let fd =
     match io.free_fds with
@@ -190,7 +223,13 @@ let install_fd io obj =
       io.next_fd <- fd + 1;
       fd
   in
-  Int_table.replace io.fds fd { obj; nonblock = false };
+  let n = Array.length io.fds in
+  if fd = n then begin
+    let grown = Array.make (2 * n) None in
+    Array.blit io.fds 0 grown 0 n;
+    io.fds <- grown
+  end;
+  io.fds.(fd) <- Some { obj; nonblock = false };
   fd
 
 let install_conn io conn =
@@ -216,7 +255,7 @@ let close_fd io fd ~now =
   match fd_entry_of io fd with
   | None -> false
   | Some e ->
-    Int_table.remove io.fds fd;
+    io.fds.(fd) <- None;
     io.free_fds <- insert_free fd io.free_fds;
     (match e.obj with
     | Fd_conn c -> Net.Conn.server_close c ~now
@@ -229,16 +268,20 @@ let close_fd io fd ~now =
       | _ -> ()));
     true
 
+(* In ascending fd order. A crash resets a conn before dropping its
+   hold, so the drop sends no FIN. *)
 let close_all io ~now ~graceful =
-  Int_table.iter
-    (fun _ e ->
+  for fd = 0 to Array.length io.fds - 1 do
+    match io.fds.(fd) with
+    | None -> ()
+    | Some e -> (
+      io.fds.(fd) <- None;
       match e.obj with
       | Fd_conn c ->
-        if graceful then Net.Conn.server_close c ~now
-        else Net.Conn.abort c ~now
+        if not graceful then Net.Conn.abort c ~now;
+        Net.Conn.server_close c ~now
       | Fd_listener s -> Net.Socket.release s ~now)
-    io.fds;
-  Int_table.reset io.fds;
+  done;
   io.free_fds <- [];
   io.listener <- None;
   io.listener_fd <- -1

@@ -58,9 +58,18 @@ val eagain : int64
 (** Per-process standard I/O, the heap break, and the fd table. *)
 type fd_entry = { obj : fd_obj; mutable nonblock : bool }
 
-(** Tables keyed by an fd, pid or port: [Hashtbl.Make] over [int] with
-    [Hashtbl.hash], so they iterate in the polymorphic table's order. *)
-module Int_table : Hashtbl.S with type key = int
+(** The kernel's tables keyed by a pid or port: [Hashtbl.Make] over
+    [int] with {!Int_table.hash}, so they iterate in the polymorphic
+    table's order. *)
+module Int_table : sig
+  include Hashtbl.S with type key = int
+
+  val hash : int -> int
+  (** [Hashtbl.hash] on an int, written in OCaml (the runtime's
+      MurmurHash3 mix of the tagged word, masked to 30 bits), so a
+      lookup never calls [caml_hash]. Assumes 63-bit ints, which the
+      module asserts at initialisation. *)
+end
 
 type io = {
   mutable input : bytes;
@@ -68,7 +77,9 @@ type io = {
   output : Buffer.t;
   errout : Buffer.t;
   mutable brk : int64;
-  fds : fd_entry Int_table.t;
+  mutable fds : fd_entry option array;
+      (** indexed by fd, [None] when closed; grown by doubling when a
+          fresh fd lands past its end *)
   mutable free_fds : int list;
       (** closed fds below [next_fd], ascending — install reuses the
           lowest first, keeping fd values dense under churn *)
@@ -98,6 +109,8 @@ val snapshot_io : io -> io
     processes parked in [accept]/[epoll_wait]. *)
 
 val fd_obj_of : io -> int -> fd_obj option
+(** One bounds-checked index: a negative or huge fd reads as closed. *)
+
 val conn_of_fd : io -> int -> Net.Conn.t option
 val listener_of : io -> Net.Socket.t option
 val listener_fd : io -> int
@@ -122,9 +135,11 @@ val close_fd : io -> int -> now:int64 -> bool
     [false] if the fd was not open. *)
 
 val close_all : io -> now:int64 -> graceful:bool -> unit
-(** Process-death cleanup: graceful (exit) half-closes connections so
-    buffered responses still reach the client; non-graceful (crash)
-    aborts them — the reset the attacker's client observes. *)
+(** Process-death cleanup, in ascending fd order: graceful (exit)
+    half-closes connections so buffered responses still reach the
+    client; non-graceful (crash) aborts them — the reset the attacker's
+    client observes. Either way every fd's hold on its conn or
+    listener is dropped. *)
 
 val names : string list
 (** Every entry point, in slot order. *)

@@ -9,11 +9,16 @@ module Int_table = Glibc.Int_table
    process in [Blocked call], registering a one-shot waiter on the exact
    object it waits for — conn RX/TX, a socket's accept queue, or
    (implicitly) a child's death — and the event that may let it
-   complete pushes its pid onto a wake queue. Waiters fire in pid order
-   within one event and FIFO across events, so scheduling stays
+   complete pushes the process onto a wake queue. Waiters fire in pid
+   order within one event and FIFO across events, so scheduling stays
    deterministic for a deterministic workload. Virtual time ([now]) is
    the cycles retired across all processes — one simulated core — and
-   drives connection timeouts and the load generator's clocks. *)
+   drives connection timeouts and the load generator's clocks.
+
+   The queues, a process's parent and its pending children hold
+   processes by reference. A reaped process is flagged ([reaped]) and
+   leaves the process table; an entry left behind in the ready or wake
+   queue is skipped when it comes up. *)
 
 (* Listeners sharing a port, SO_REUSEPORT-style: [listen] registers the
    socket here and the kernel round-robins incoming connects across the
@@ -21,19 +26,19 @@ module Int_table = Glibc.Int_table
 type port_entry = { mutable socks : Net.Socket.t list; mutable rr : int }
 
 type t = {
-  procs : Process.t Int_table.t;
+  procs : Process.t Int_table.t;  (* every unreaped process, by pid *)
   env : Exec.env;
   master_rng : Util.Prng.t;
   mutable next_pid : int;
   mutable last_reaped : Process.t option;
   mutable forks : int;  (* fork_child calls served by this kernel *)
-  ready : int Queue.t;
-  wake : int Queue.t;
-      (* pids whose blocked condition may now hold (an event fired);
-         drained before each dispatch, FIFO *)
-  blocked_io : unit Int_table.t;
-      (* pids parked in a conn read or write — the only calls
-         connection timeouts apply to *)
+  ready : Process.t Queue.t;
+  wake : Process.t Queue.t;
+      (* processes whose blocked condition may now hold (an event
+         fired); drained before each dispatch, FIFO *)
+  blocked_io : Process.t Int_table.t;
+      (* processes parked in a conn read or write, by pid — the only
+         calls connection timeouts apply to *)
   mutable next_timeout_check : int64 option;
       (* earliest deadline at which some blocked conn op could time
          out; the sweep runs only when [now] passes this *)
@@ -78,19 +83,17 @@ let mark_ready t (p : Process.t) =
   | Process.Blocked _ when not p.Process.wake_pending ->
     p.Process.wake_pending <- true;
     Telemetry.Registry.incr g_wakeups;
-    Queue.push p.Process.pid t.wake
+    Queue.push p t.wake
   | _ -> ()
 
 (* A dying child is the event a parent parked in waitpid sleeps on. *)
 let mark_parent_of_dead t (p : Process.t) =
   match p.Process.parent with
-  | None -> ()
-  | Some ppid -> (
-    match Int_table.find_opt t.procs ppid with
-    | Some ({ Process.status = Process.Blocked Glibc.Wait_child; _ } as parent)
-      ->
-      mark_ready t parent
-    | _ -> ())
+  | Some
+      ({ Process.status = Process.Blocked Glibc.Wait_child; reaped = false; _ }
+       as parent) ->
+    mark_ready t parent
+  | _ -> ()
 
 (* Every transition to a dead status funnels through these two, so the
    registry counts match the statuses processes end up with. Death also
@@ -151,8 +154,6 @@ let create ?(seed = 0xC0FFEEL) ?on_retire () =
     next_conn_id = 1;
   }
 
-let find t pid = Int_table.find_opt t.procs pid
-
 let fresh_pid t =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
@@ -162,7 +163,7 @@ let enqueue t (p : Process.t) =
   if (not p.Process.queued) && not (Process.status_is_dead p.Process.status)
   then begin
     p.Process.queued <- true;
-    Queue.push p.Process.pid t.ready
+    Queue.push p t.ready
   end
 
 (* Every process — spawned, forked or resumed from a snapshot — starts
@@ -181,6 +182,7 @@ let new_process t ~parent ~image ~mem ~cpu ~io ~preload =
       pending_children = Queue.create ();
       queued = false;
       wake_pending = false;
+      reaped = false;
     }
   in
   Int_table.add t.procs p.Process.pid p;
@@ -317,7 +319,7 @@ let fork_child t (parent : Process.t) =
   Preload.on_fork_child parent.Process.preload cpu.Cpu.rng mem
     ~fs_base:cpu.Cpu.fs_base;
   let child =
-    new_process t ~parent:(Some parent.Process.pid)
+    new_process t ~parent:(Some parent)
       ~image:parent.Process.image ~mem ~cpu
       ~io:(Glibc.clone_io parent.Process.io) ~preload:parent.Process.preload
   in
@@ -333,7 +335,7 @@ let fork_child t (parent : Process.t) =
   Cpu.set parent.Process.cpu Isa.Reg.RAX (Int64.of_int child_pid);
   (* O(1) append (oldest child stays at the head) — a list-append here
      goes quadratic for a fork-per-connection server reaping lazily *)
-  Queue.push child_pid parent.Process.pending_children;
+  Queue.push child parent.Process.pending_children;
   enqueue t child;
   child
 
@@ -467,11 +469,15 @@ let accept_socket (p : Process.t) =
 let release (p : Process.t) = Memory.release p.Process.mem
 
 (* The previous [last_reaped] stops being exposed here, so its private
-   frames go back to the free list. *)
+   frames go back to the free list. A process that died parked in a
+   conn read or write leaves [blocked_io] with it. *)
 let do_reap t (child : Process.t) =
   Option.iter release t.last_reaped;
   t.last_reaped <- Some child;
-  Int_table.remove t.procs child.Process.pid
+  child.Process.reaped <- true;
+  Int_table.remove t.procs child.Process.pid;
+  if Int_table.length t.blocked_io > 0 then
+    Int_table.remove t.blocked_io child.Process.pid
 
 (* One rotation of p's pending children, which keeps their order: drop
    the children already gone and reap the dead ones — only the first
@@ -480,15 +486,16 @@ let reap_dead t (p : Process.t) ~first =
   let q = p.Process.pending_children in
   let reaped = ref None in
   for _ = 1 to Queue.length q do
-    let child_pid = Queue.pop q in
-    match find t child_pid with
-    | None -> ()
-    | Some child
-      when Process.status_is_dead child.Process.status
-           && not (first && Option.is_some !reaped) ->
+    let child = Queue.pop q in
+    if child.Process.reaped then ()
+    else if
+      Process.status_is_dead child.Process.status
+      && not (first && Option.is_some !reaped)
+    then begin
       do_reap t child;
-      reaped := Some child_pid
-    | Some _ -> Queue.push child_pid q
+      reaped := Some child.Process.pid
+    end
+    else Queue.push child q
   done;
   !reaped
 
@@ -587,16 +594,14 @@ let attempt t (p : Process.t) (call : Glibc.call) =
        child's death wakes the parent only to park it again *)
     match Queue.peek_opt p.Process.pending_children with
     | None -> `Done (-1L)
-    | Some child_pid -> (
-      match find t child_pid with
-      | None ->
-        ignore (Queue.pop p.Process.pending_children);
-        `Done (-1L)
-      | Some child when Process.status_is_dead child.Process.status ->
-        ignore (Queue.pop p.Process.pending_children);
-        do_reap t child;
-        `Done (encode_wait_status child)
-      | Some _ -> `Again call))
+    | Some child when child.Process.reaped ->
+      ignore (Queue.pop p.Process.pending_children);
+      `Done (-1L)
+    | Some child when Process.status_is_dead child.Process.status ->
+      ignore (Queue.pop p.Process.pending_children);
+      do_reap t child;
+      `Done (encode_wait_status child)
+    | Some _ -> `Again call)
 
 (* What a call on a non-blocking fd returns instead of parking: EAGAIN,
    or the count a short write already moved. *)
@@ -635,7 +640,7 @@ let park t (p : Process.t) (call : Glibc.call) =
     match Glibc.conn_of_fd io fd with
     | None -> ()
     | Some conn ->
-      Int_table.replace t.blocked_io pid ();
+      Int_table.replace t.blocked_io pid p;
       add_waiter conn ~key:pid wake;
       note_io_deadline t conn
   in
@@ -784,20 +789,19 @@ let retry_blocked t (p : Process.t) =
     end
   | Process.Runnable | Process.Exited _ | Process.Killed _ -> ()
 
-(* Drain the wake queue: each pid retried once per queued event, FIFO.
-   Events fire their waiters in pid order (Conn/Socket sort by key), so
-   the composite order — FIFO across events, pid order within one — is
-   deterministic for a deterministic workload. *)
+(* Drain the wake queue: each process retried once per queued event,
+   FIFO. Events fire their waiters in pid order (Conn/Socket sort by
+   key), so the composite order — FIFO across events, pid order within
+   one — is deterministic for a deterministic workload. *)
 let service_wake t =
   let rec go () =
     match Queue.take_opt t.wake with
     | None -> ()
-    | Some pid ->
-      (match find t pid with
-      | None -> ()
-      | Some p ->
+    | Some p ->
+      if not p.Process.reaped then begin
         p.Process.wake_pending <- false;
-        retry_blocked t p);
+        retry_blocked t p
+      end;
       go ()
   in
   go ()
@@ -805,7 +809,8 @@ let service_wake t =
 (* The conn a process parked in a read or write waits on. *)
 let io_conn (p : Process.t) =
   match p.Process.status with
-  | Process.Blocked (Glibc.Read { fd; _ } | Glibc.Write { fd; _ }) ->
+  | Process.Blocked (Glibc.Read { fd; _ } | Glibc.Write { fd; _ })
+    when not p.Process.reaped ->
     Glibc.conn_of_fd p.Process.io fd
   | _ -> None
 
@@ -820,8 +825,8 @@ let sweep_timeouts t =
     t.next_timeout_check <- None;
     let stale = ref [] in
     Int_table.iter
-      (fun pid () ->
-        match Option.bind (find t pid) io_conn with
+      (fun pid p ->
+        match io_conn p with
         | None -> stale := pid :: !stale
         | Some conn ->
           if Int64.compare (Net.Conn.idle_cycles conn ~now:t.now) tmo >= 0
@@ -841,20 +846,18 @@ let schedule ?(fuel = 50_000_000) t =
     else
       match Queue.take_opt t.ready with
       | None -> continue_ := false
-      | Some pid -> (
-        match find t pid with
-        | None -> ()
-        | Some p -> (
-          p.Process.queued <- false;
-          match p.Process.status with
-          | Process.Runnable ->
-            run_slice t p fuel;
-            (* round-robin: a process still runnable after its slice
-               goes to the back of the queue *)
-            (match p.Process.status with
-            | Process.Runnable -> enqueue t p
-            | _ -> ())
-          | _ -> ()))
+      | Some p when p.Process.reaped -> ()
+      | Some p -> (
+        p.Process.queued <- false;
+        match p.Process.status with
+        | Process.Runnable ->
+          run_slice t p fuel;
+          (* round-robin: a process still runnable after its slice
+             goes to the back of the queue *)
+          (match p.Process.status with
+          | Process.Runnable -> enqueue t p
+          | _ -> ())
+        | _ -> ())
   done
 
 (* Earliest cycle at which a blocked conn operation would time out —
@@ -865,8 +868,8 @@ let next_deadline t =
   | None -> None
   | Some tmo ->
     Int_table.fold
-      (fun pid () acc ->
-        match Option.bind (find t pid) io_conn with
+      (fun _ p acc ->
+        match io_conn p with
         | None -> acc
         | Some conn -> (
           let d = Int64.add (Net.Conn.last_activity conn) tmo in
@@ -911,10 +914,95 @@ let deliver_request t (p : Process.t) request =
 let last_reaped t = t.last_reaped
 let fork_count t = t.forks
 
+(* ---- the invariant sweep ---------------------------------------------- *)
+
+exception Broken of string
+
+let check_invariants t =
+  let broken fmt = Printf.ksprintf (fun msg -> raise (Broken msg)) fmt in
+  (* fds per held object, by physical identity *)
+  let conns = ref [] and socks = ref [] in
+  let count tally x =
+    match List.assq_opt x !tally with
+    | Some n -> incr n
+    | None -> tally := (x, ref 1) :: !tally
+  in
+  let check_fds (p : Process.t) =
+    let fds = Glibc.open_fds p.Process.io in
+    if Process.status_is_dead p.Process.status && fds <> [] then
+      broken "pid %d is %s with %d open fd(s)" p.Process.pid
+        (Process.status_to_string p.Process.status)
+        (List.length fds);
+    List.iter
+      (fun fd ->
+        match Glibc.fd_obj_of p.Process.io fd with
+        | Some (Glibc.Fd_conn c) -> count conns c
+        | Some (Glibc.Fd_listener s) -> count socks s
+        | None -> ())
+      fds;
+    fds
+  in
+  let check_wakeable (p : Process.t) fds =
+    let pid = p.Process.pid in
+    match p.Process.status with
+    | Process.Blocked Glibc.Wait_child ->
+      if Queue.is_empty p.Process.pending_children then
+        broken "pid %d waits in waitpid with no pending child" pid
+    | Process.Blocked Glibc.Accept ->
+      if Option.is_none (accept_socket p) then
+        broken "pid %d waits in accept with no listening socket" pid
+    | Process.Blocked (Glibc.Read { fd; _ } | Glibc.Write { fd; _ }) -> (
+      if Option.is_none (Glibc.conn_of_fd p.Process.io fd) then
+        broken "pid %d waits on fd %d, which holds no conn" pid fd;
+      match Int_table.find_opt t.blocked_io pid with
+      | Some q when q == p -> ()
+      | _ -> broken "pid %d waits on conn fd %d but is not in blocked_io" pid fd)
+    | Process.Blocked (Glibc.Poll _) ->
+      if fds = [] then broken "pid %d waits in epoll_wait with no open fd" pid
+    | Process.Runnable | Process.Exited _ | Process.Killed _ -> ()
+  in
+  match
+    Int_table.iter
+      (fun pid (p : Process.t) ->
+        if p.Process.reaped then broken "pid %d is reaped but in the process table" pid;
+        check_wakeable p (check_fds p))
+      t.procs;
+    Option.iter
+      (fun (p : Process.t) ->
+        if not (p.Process.reaped && Process.status_is_dead p.Process.status) then
+          broken "last reaped pid %d is %s%s" p.Process.pid
+            (Process.status_to_string p.Process.status)
+            (if p.Process.reaped then "" else ", not reaped");
+        ignore (check_fds p))
+      t.last_reaped;
+    Int_table.iter
+      (fun pid (p : Process.t) ->
+        if p.Process.reaped then broken "reaped pid %d is in blocked_io" pid)
+      t.blocked_io;
+    List.iter
+      (fun (c, n) ->
+        if Net.Conn.server_refs c <> !n then
+          broken "conn %d has %d server refs but %d fd(s) hold it" (Net.Conn.id c)
+            (Net.Conn.server_refs c) !n)
+      !conns;
+    List.iter
+      (fun (s, n) ->
+        if Net.Socket.refs s <> !n then
+          broken "socket on port %d has %d refs but %d fd(s) hold it"
+            (Net.Socket.port s) (Net.Socket.refs s) !n)
+      !socks
+  with
+  | () -> Ok ()
+  | exception Broken msg -> Error msg
+
 let shutdown t =
   Option.iter release t.last_reaped;
   t.last_reaped <- None;
-  Int_table.iter (fun _ p -> release p) t.procs;
+  Int_table.iter
+    (fun _ (p : Process.t) ->
+      p.Process.reaped <- true;
+      release p)
+    t.procs;
   Int_table.reset t.procs
 
 let run_to_exit ?fuel t p =

@@ -10,8 +10,10 @@
     that cannot complete parks the process in [Process.Blocked call]
     and registers a one-shot waiter on the object being waited on
     (conn, socket, child); the event fires the waiter, which queues
-    the pid on a FIFO wake queue the scheduler drains before
-    dispatching — no per-dispatch scan over blocked processes. A
+    the process on a FIFO wake queue the scheduler drains before
+    dispatching — no per-dispatch scan over blocked processes. The
+    queues hold processes by reference; one reaped since it was queued
+    is skipped. A
     parked write's call carries the bytes it has moved, so its retry
     continues from there. Wakeups are FIFO across events and pid-ordered
     within one event, so for a deterministic workload the interleaving
@@ -48,8 +50,6 @@ val spawn :
     server's requests arrive as connections ({!deliver_request},
     {!connect}). [insn_tax] models dynamic-binary-translation overhead
     (cycles added to every instruction). *)
-
-val find : t -> int -> Process.t option
 
 type stop =
   | Stop_exit of int
@@ -129,6 +129,22 @@ val shutdown : t -> unit
 (** The kernel is being discarded: release the memory of every process
     it holds and of {!last_reaped}, returning their private frames to
     the free list. Nothing of the kernel may run or be read after. *)
+
+val check_invariants : t -> (unit, string) result
+(** Sweep the kernel's bookkeeping; [Error] names the first broken
+    rule and the process or object it found broken:
+    - every process in the process table is unreaped;
+    - {!last_reaped}, when set, is reaped and dead;
+    - no reaped process is parked on conn I/O ([blocked_io]); a stale
+      ready- or wake-queue entry is legal, since dispatch skips it;
+    - a dead process (a zombie, or {!last_reaped}) holds no fd;
+    - each connection's and listening socket's server refcount equals
+      the number of live fds that hold it;
+    - every parked process can wake: a blocking [waitpid] has a
+      pending child, an [accept] a listening socket, a conn read or
+      write its conn and a [blocked_io] entry, an [epoll_wait] an open
+      fd.
+    Reads only; a driver may call it between any two kernel calls. *)
 
 val fork_count : t -> int
 (** Forks (and thread spawns, which clone an address space) this kernel

@@ -36,16 +36,17 @@ let status_to_string = function
 
 type t = {
   pid : int;
-  parent : int option;
+  parent : t option;
   image : Image.t;
   mem : Vm64.Memory.t;
   cpu : Vm64.Cpu.t;
   io : Glibc.io;
   preload : Preload.mode;
   mutable status : status;
-  pending_children : int Queue.t;  (* oldest first; O(1) append at fork *)
+  pending_children : t Queue.t;  (* oldest first; O(1) append at fork *)
   mutable queued : bool;  (* already sitting in the kernel's ready queue *)
   mutable wake_pending : bool;  (* already sitting in the kernel's wake queue *)
+  mutable reaped : bool;  (* gone from the kernel's process table *)
 }
 
 let crashed t = match t.status with Killed _ -> true | _ -> false

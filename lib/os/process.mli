@@ -30,14 +30,14 @@ val status_to_string : status -> string
 
 type t = {
   pid : int;
-  parent : int option;
+  parent : t option;  (** the forking process; [None] when spawned or resumed *)
   image : Image.t;
   mem : Vm64.Memory.t;
   cpu : Vm64.Cpu.t;
   io : Glibc.io;
   preload : Preload.mode;
   mutable status : status;
-  pending_children : int Queue.t;
+  pending_children : t Queue.t;
       (** oldest first, not yet waited; a queue so fork's append is O(1)
           even for a fork-per-connection server that reaps lazily *)
   mutable queued : bool;
@@ -45,6 +45,12 @@ type t = {
   mutable wake_pending : bool;
       (** scheduler-internal: already in the wake queue (a readiness
           event fired for this blocked process, retry not yet run) *)
+  mutable reaped : bool;
+      (** reaped (by a guest [waitpid] or [Kernel.reap_zombies]) or
+          dropped by [Kernel.shutdown]: no longer in its kernel's
+          process table. The kernel's queues hold processes by
+          reference, so an entry may outlive its process in the table;
+          dispatch skips a reaped one. *)
 }
 
 val crashed : t -> bool

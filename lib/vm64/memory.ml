@@ -70,7 +70,9 @@ let () =
    never-written [zero_frame]; the first write copies it like any CoW
    break, uncounted since no relative's data moves. Every frame copy
    takes a frame from this domain's free list when it has one.
-   [release] hands a dead space's private frames back. A page a space
+   [release] hands a dead space's private frames back, walking only the
+   chunks the space owns: beside the ownership bytes, which compiled
+   code reads, each space lists its owned chunks. A page a space
    CoW-breaks after its first clone is hot: each later clone copies it
    into the child up front, and the parent keeps it private, so neither
    side breaks sharing on it and no frame is orphaned.
@@ -95,6 +97,9 @@ let () =
      released.
    - A sealed page is mapped and never private: no write reaches it and
      [release] never frees it.
+   - [owned_chunks] lists exactly the chunks whose ownership byte is
+     set, each once: [own_chunk] adds a chunk as it sets the byte, and
+     [clone] sets both sides' lists and bytes to the chunks it keeps.
    - A free-list frame is reachable from no space.
    - [no_page], [zero_frame], [empty_chunk], [no_privs] and [no_exec]
      are immutable sentinels, shared by all spaces and domains. *)
@@ -136,12 +141,15 @@ type t = {
   top : bytes array array;  (* chunk -> page payloads, [no_page] if unmapped *)
   privs : Bytes.t array;  (* chunk -> privacy byte per page *)
   owned : Bytes.t;  (* '\001' per chunk: its payload array and privacy bytes are ours *)
+  mutable owned_chunks : int list;  (* the chunks [owned] marks, each once *)
   exec : string array;  (* chunk -> '\001' per sealed page; [no_exec] if none *)
   mutable mapped_pages : int;
   family : family_stats;
   mutable forked : bool;  (* cloned at least once: CoW breaks mark pages hot *)
   mutable hot : int list;  (* page numbers CoW-broken since the first clone *)
 }
+
+let all_chunks = List.init chunks Fun.id
 
 let create () =
   let family = { clones = 0; pages_aliased = 0; cow_breaks = 0 } in
@@ -152,6 +160,7 @@ let create () =
     top = Array.make chunks empty_chunk;
     privs = Array.make chunks no_privs;
     owned = Bytes.make chunks '\001';
+    owned_chunks = all_chunks;
     exec = Array.make chunks no_exec;
     mapped_pages = 0;
     family;
@@ -169,7 +178,10 @@ let own_chunk t c =
   let ch = Array.unsafe_get t.top c in
   t.top.(c) <- (if ch == empty_chunk then Array.make chunk_pages no_page else Array.copy ch);
   t.privs.(c) <- Bytes.make chunk_pages '\000';
-  Bytes.unsafe_set t.owned c '\001'
+  if Bytes.unsafe_get t.owned c <> '\001' then begin
+    Bytes.unsafe_set t.owned c '\001';
+    t.owned_chunks <- c :: t.owned_chunks
+  end
 
 let map t ~addr ~len =
   if len <= 0 then invalid_arg "Memory.map: nonpositive length";
@@ -381,6 +393,7 @@ let clone t =
       top = Array.copy t.top;
       privs = Array.copy t.privs;
       owned = Bytes.make chunks '\000';
+      owned_chunks = [];
       exec = t.exec;
       mapped_pages = n;
       family = t.family;
@@ -412,21 +425,27 @@ let clone t =
       Bytes.set t.owned c '\001';
       Bytes.blit child.privs.(c) 0 t.privs.(c) 0 chunk_pages)
     !kept;
+  t.owned_chunks <- !kept;
+  child.owned_chunks <- !kept;
   child
 
-(* [f i] for each set byte ('\001') of [b], testing eight bytes at a
-   time: few ownership or privacy bytes are set. *)
-let iter_set b f =
-  for w = 0 to (Bytes.length b / 8) - 1 do
-    if Bytes.get_int64_ne b (8 * w) <> 0L then
-      for i = 8 * w to (8 * w) + 7 do
-        if Bytes.get b i = '\001' then f i
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* [f s] for each set byte ('\001') of a chunk's privacy bytes, testing
+   eight bytes at a time: few are set. Every privacy string is
+   [chunk_pages] long. *)
+let iter_set pv f =
+  for w = 0 to (chunk_pages / 8) - 1 do
+    if get64u pv (8 * w) <> 0L then
+      for s = 8 * w to (8 * w) + 7 do
+        if Bytes.unsafe_get pv s = '\001' then f s
       done
   done
 
 let release t =
   let fl = Domain.DLS.get free_list in
-  iter_set t.owned (fun c ->
+  List.iter
+    (fun c ->
       let ch = t.top.(c) and pv = t.privs.(c) in
       iter_set pv (fun s ->
           let p = ch.(s) in
@@ -437,12 +456,13 @@ let release t =
             fl.frames.(fl.n) <- p;
             fl.n <- fl.n + 1
           end))
+    t.owned_chunks
 
 let mapped_bytes t = t.mapped_pages * page_size
 
 let resident_bytes t =
   let n = ref 0 in
-  iter_set t.owned (fun c -> iter_set t.privs.(c) (fun _ -> incr n));
+  List.iter (fun c -> iter_set t.privs.(c) (fun _ -> incr n)) t.owned_chunks;
   !n * page_size
 
 let shared_bytes t = mapped_bytes t - resident_bytes t

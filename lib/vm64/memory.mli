@@ -59,6 +59,9 @@ type t = private {
   top : bytes array array;  (** chunk -> page payloads, {!no_page} if unmapped *)
   privs : Bytes.t array;  (** chunk -> one privacy byte per page *)
   owned : Bytes.t;  (** one ownership byte per chunk, ['\001'] if owned *)
+  mutable owned_chunks : int list;
+      (** exactly the chunks whose [owned] byte is set, each once, in no
+          particular order: what {!release} and {!resident_bytes} walk *)
   exec : string array;
       (** chunk -> one byte per page, ['\001'] if sealed; one string,
           shared by the fork family *)
@@ -159,7 +162,9 @@ val release : t -> unit
 (** The space is dead: return its private frames to this domain's free
     list and empty their slots, so a later access to them through [t]
     faults. Shared and sealed pages (and the zero frame) stay mapped
-    and untouched. *)
+    and untouched. Walks [owned_chunks] only, so a forked child that
+    owns a few chunks costs a few chunks. A second call frees
+    nothing. *)
 
 val free_frames : unit -> bytes list
 (** This domain's free list, for tests. *)

@@ -807,6 +807,193 @@ let test_objfile_save_load () =
   ignore (kernel_run k p);
   Alcotest.(check string) "runs after reload" "persisted" (Os.Process.stdout p)
 
+(* ---- kernel bookkeeping ------------------------------------------------------ *)
+
+let qcheck_int_hash =
+  QCheck.Test.make ~name:"Int_table.hash is Hashtbl.hash" ~count:100_000
+    QCheck.(oneof [ int; small_signed_int; int_range (-(1 lsl 33)) (1 lsl 33) ])
+    (fun v -> Os.Glibc.Int_table.hash v = Hashtbl.hash v)
+
+let test_int_hash_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (string_of_int v) (Hashtbl.hash v) (Os.Glibc.Int_table.hash v))
+    [ 0; 1; -1; 2; 1 lsl 31; -(1 lsl 31); 1 lsl 32; -(1 lsl 32); min_int; max_int ]
+
+let sweep what k =
+  match Os.Kernel.check_invariants k with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+(* The byte-by-byte attack's trial loop (Attack.Byte_by_byte.run's
+   shape): sweep the 256 guesses for the next canary byte, keep a
+   survivor's byte, try a hijack once the canary is complete, and
+   restart the victim when a sweep finds no survivor or the hijack
+   fails. The kernel is swept after every query and restart. *)
+let attack_with_sweeps ~scheme ~respawn ~trials =
+  let image = compile ~scheme (Workload.Vuln.fork_server_net ~buffer_size:16) in
+  let o =
+    Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme) ~respawn image
+  in
+  let layout = Harness.Layouts.compiler_layout scheme ~buffer_size:16 in
+  let known = ref Bytes.empty and guess = ref 0 in
+  let restart () =
+    known := Bytes.empty;
+    guess := 0;
+    ignore (Attack.Oracle.restart_victim o)
+  in
+  for trial = 1 to trials do
+    let complete = Bytes.length !known = layout.Attack.Payload.canary_len in
+    let payload =
+      if complete then Attack.Payload.hijack layout ~canary:!known
+      else Attack.Payload.guess_prefix layout ~known:!known ~guess:!guess
+    in
+    (match Attack.Oracle.query o payload with
+    | Attack.Oracle.Server_down detail -> Alcotest.failf "trial %d: %s" trial detail
+    | Attack.Oracle.Survived _ when not complete ->
+      known := Bytes.cat !known (Bytes.make 1 (Char.chr !guess));
+      guess := 0
+    | _ -> if complete || !guess = 255 then restart () else incr guess);
+    sweep (Printf.sprintf "after trial %d" trial) (Attack.Oracle.kernel o)
+  done;
+  o
+
+let test_sweep_pssp_attack () =
+  let o =
+    attack_with_sweeps ~scheme:Pssp.Scheme.Pssp ~respawn:Attack.Oracle.No_respawn
+      ~trials:2000
+  in
+  Alcotest.(check int) "one kernel throughout" 0 (Attack.Oracle.respawns o)
+
+let test_sweep_shadow_zygote_attack () =
+  (* no canary to guess: every trial is a failed hijack and a restart *)
+  let o =
+    attack_with_sweeps ~scheme:Pssp.Scheme.Shadow_compact
+      ~respawn:Attack.Oracle.Zygote ~trials:2000
+  in
+  Alcotest.(check int) "a zygote restart per trial" 2000 (Attack.Oracle.respawns o)
+
+(* Harness.Runner.run_load's pump, with a sweep after every kernel turn
+   and after the drain. *)
+let load_with_sweeps profile =
+  let built =
+    Harness.Runner.build (Harness.Runner.Compiler Pssp.Scheme.Pssp)
+      (Minic.Parser.parse profile.Workload.Servers.source)
+  in
+  let k = Os.Kernel.create ~seed:0x5E44EL () in
+  let server =
+    Os.Kernel.spawn k ~preload:built.Harness.Runner.preload built.Harness.Runner.image
+  in
+  Os.Kernel.enqueue k server;
+  Os.Kernel.schedule k;
+  sweep "at boot" k;
+  Os.Kernel.set_conn_timeout k (Some 2_000_000L);
+  let lg =
+    Net.Loadgen.create ~seed:0x10AD6E4L ~slow_every:17 ~abort_every:97
+      ~mode:Net.Loadgen.Closed ~clients:8 ~keepalive:4 ~total:200
+      ~mix:profile.Workload.Servers.requests ()
+  in
+  let turn = ref 0 in
+  while not (Net.Loadgen.finished lg) do
+    let now0 = Os.Kernel.now k in
+    let moved =
+      Net.Loadgen.step lg ~now:now0 ~try_connect:(fun () -> Os.Kernel.connect k server)
+    in
+    Os.Kernel.schedule k ~fuel:262_144;
+    incr turn;
+    sweep (Printf.sprintf "after turn %d" !turn) k;
+    if (not moved) && Os.Kernel.now k = now0 && not (Net.Loadgen.finished lg) then
+      match
+        List.filter_map Fun.id [ Net.Loadgen.next_event lg; Os.Kernel.next_deadline k ]
+      with
+      | [] -> Alcotest.failf "wedged after turn %d" !turn
+      | ds -> Os.Kernel.advance_to k (List.fold_left min Int64.max_int ds)
+  done;
+  Os.Kernel.schedule k;
+  Option.iter
+    (fun d ->
+      Os.Kernel.advance_to k d;
+      Os.Kernel.schedule k)
+    (Os.Kernel.next_deadline k);
+  Os.Kernel.reap_zombies k server;
+  sweep "after the drain" k;
+  let r = Net.Loadgen.report lg in
+  Alcotest.(check bool) "requests completed" true (r.Net.Loadgen.completed > 100)
+
+(* A child parked in a conn read whose retry faults (its buffer is
+   unmapped) dies still registered for the conn timeout sweep; its
+   reap must take it out of that registry too. *)
+let test_sweep_killed_in_read () =
+  let src =
+    {|
+int main() {
+  int lfd;
+  int fd;
+  int *p = malloc(8);
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 4);
+  if (fork() == 0) {
+    fd = accept();
+    p = p + 90000000;
+    read(fd, p, 8);
+    return 0;
+  }
+  return waitpid();
+}
+|}
+  in
+  let k = Os.Kernel.create () in
+  let p = Os.Kernel.spawn k (compile src) in
+  Alcotest.(check bool) "parent waits" true (kernel_run k p = Os.Kernel.Stop_io);
+  let conn = Option.get (Os.Kernel.connect k p) in
+  Os.Kernel.schedule k;
+  sweep "child parked in read" k;
+  ignore (Net.Conn.client_send conn ~now:(Os.Kernel.now k) "hello");
+  Os.Kernel.schedule k;
+  (match Os.Kernel.last_reaped k with
+  | Some { Os.Process.status = Os.Process.Killed (Os.Process.Sigsegv, _); _ } -> ()
+  | _ -> Alcotest.fail "the child did not die of its read");
+  Alcotest.(check bool) "parent exited" true
+    (match Os.Kernel.stop_of p with Os.Kernel.Stop_exit _ -> true | _ -> false);
+  sweep "after the reap" k
+
+(* A child that crashes while its parent still holds the conn they
+   share drops its own hold: the parent's fd is the conn's only one. *)
+let test_sweep_crash_on_shared_conn () =
+  let src =
+    {|
+int main() {
+  int lfd;
+  int fd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 4);
+  fd = accept();
+  if (fork() == 0) {
+    abort();
+  }
+  waitpid();
+  accept();
+  return 0;
+}
+|}
+  in
+  let k = Os.Kernel.create () in
+  let p = Os.Kernel.spawn k (compile src) in
+  ignore (kernel_run k p);
+  let conn = Option.get (Os.Kernel.connect k p) in
+  Os.Kernel.schedule k;
+  Alcotest.(check bool) "parent back in accept" true
+    (Os.Kernel.stop_of p = Os.Kernel.Stop_accept);
+  Alcotest.(check bool) "the crash reset the conn" true (Net.Conn.is_reset conn);
+  Alcotest.(check int) "one hold left" 1 (Net.Conn.server_refs conn);
+  sweep "after the crash" k
+
+let test_sweep_fork_load () = load_with_sweeps Workload.Servers.nginx
+let test_sweep_event_load () =
+  load_with_sweeps (Workload.Servers.event_loop Workload.Servers.nginx)
+
 let () =
   Alcotest.run "os"
     [
@@ -880,6 +1067,22 @@ let () =
           Alcotest.test_case "canary abort" `Quick test_autopsy_canary_abort;
           Alcotest.test_case "hijack classified" `Quick test_autopsy_hijack;
           Alcotest.test_case "wild fault classified" `Quick test_autopsy_wild_fault;
+        ] );
+      ( "invariant",
+        [
+          QCheck_alcotest.to_alcotest qcheck_int_hash;
+          Alcotest.test_case "Int_table.hash edge values" `Quick test_int_hash_edges;
+          Alcotest.test_case "sweep after every P-SSP trial" `Quick test_sweep_pssp_attack;
+          Alcotest.test_case "sweep after every shadow-compact zygote trial" `Quick
+            test_sweep_shadow_zygote_attack;
+          Alcotest.test_case "a child killed in a conn read is swept clean" `Quick
+            test_sweep_killed_in_read;
+          Alcotest.test_case "a crash drops its hold on a shared conn" `Quick
+            test_sweep_crash_on_shared_conn;
+          Alcotest.test_case "sweep after every fork-server pump turn" `Quick
+            test_sweep_fork_load;
+          Alcotest.test_case "sweep after every event-loop pump turn" `Quick
+            test_sweep_event_load;
         ] );
       ( "objfile",
         [

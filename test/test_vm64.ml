@@ -273,13 +273,17 @@ let test_map_outside_layout () =
    - a page written after its space's first clone is hot: each later
      clone copies it into the child (a counted break) and the parent
      keeps it private, while every other page becomes shared;
-   - [Release i] kills space i: its private pages fault from then on.
+   - [Release i] kills space i: its private pages fault from then on,
+     and the release hands back to the free list exactly the private
+     frames of the chunks it owns (none on a second release).
    After every op three frame invariants hold: no frame private to one
    live space is reachable from another; no free-list frame is
-   reachable from a live space; the zero frame is never private. Frames
-   and privacy are read through [Memory.t]'s private record. Addresses
-   cluster around the chunk boundary at page 128 and the top of the
-   layout, at page ends. *)
+   reachable from a live space; the zero frame is never private. And
+   in every space, [owned_chunks] lists exactly the chunks whose
+   ownership byte is set, once each. Frames, privacy and ownership are
+   read through [Memory.t]'s private record. Addresses cluster around
+   the chunk boundary at page 128 and the top of the layout, at page
+   ends. *)
 type mem_op =
   | Map of int * int64 * int
   | Seal of int * int64 * int
@@ -360,222 +364,300 @@ let zero_frame =
   Memory.map m ~addr:0L ~len:1;
   Option.get (frame m 0)
 
+let chunk_ids (m : Memory.t) = List.init (Bytes.length m.Memory.owned) Fun.id
+
+(* The frames a release must hand back: every private page of every
+   owned chunk, wherever the ops put it. *)
+let owned_private_frames (m : Memory.t) =
+  List.concat_map
+    (fun c ->
+      if Bytes.get m.Memory.owned c <> '\001' then []
+      else
+        List.filter_map
+          (fun s ->
+            if Bytes.get m.Memory.privs.(c) s = '\001' then Some m.Memory.top.(c).(s)
+            else None)
+          (List.init Memory.chunk_pages Fun.id))
+    (chunk_ids m)
+
+(* Empty this domain's free list into a throwaway space: every first
+   write to a zero page takes a frame from it. *)
+let drain_free_list () =
+  let n = List.length (Memory.free_frames ()) in
+  if n > 0 then begin
+    let m = Memory.create () in
+    Memory.map m ~addr:0L ~len:(n * 4096);
+    for p = 0 to n - 1 do
+      Memory.write_u8 m (Int64.of_int (p * 4096)) 1
+    done
+  end
+
+(* Run [ops] on a family of real spaces and on the model, checking
+   every op; true, or a QCheck failure naming the op. *)
+let page_table_matches_model ops =
+  let pg a = Int64.to_int (Int64.shift_right_logical a 12) in
+  let off a = Int64.to_int (Int64.logand a 0xFFFL) in
+  let breaks = ref 0 in
+  let cloned = ref false in
+  let m_read8 s a =
+    match Hashtbl.find_opt s.pages (pg a) with
+    | Some p -> Char.code (Bytes.get p (off a))
+    | None -> raise (Fault.Trap (Fault.Segfault a))
+  in
+  let m_write8 s a v =
+    match Hashtbl.find_opt s.pages (pg a) with
+    | None -> raise (Fault.Trap (Fault.Segfault a))
+    | Some _ when Hashtbl.mem s.sealed (pg a) -> raise (Fault.Trap (Fault.Segfault a))
+    | Some p ->
+      if not (Hashtbl.mem s.priv (pg a)) then begin
+        if Hashtbl.mem s.zero (pg a) then Hashtbl.remove s.zero (pg a) else incr breaks;
+        Hashtbl.replace s.priv (pg a) ();
+        if s.forked then Hashtbl.replace s.hot (pg a) ()
+      end;
+      Bytes.set p (off a) (Char.chr (v land 0xFF))
+  in
+  let byte v i = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
+  let model_op s = function
+    | Map (_, a, n) ->
+      let first = pg a and last = pg (Int64.add a (Int64.of_int (n - 1))) in
+      if last >= Int64.to_int Layout.address_limit / 4096 then Refused
+      else begin
+        for p = first to last do
+          if not (Hashtbl.mem s.pages p) then begin
+            Hashtbl.replace s.pages p (Bytes.make 4096 '\000');
+            Hashtbl.replace s.zero p ()
+          end
+        done;
+        Value 0L
+      end
+    | Seal (_, a, n) ->
+      if !cloned then Refused
+      else begin
+        for p = pg a to pg (Int64.add a (Int64.of_int (n - 1))) do
+          if Hashtbl.mem s.pages p then begin
+            Hashtbl.replace s.sealed p ();
+            Hashtbl.remove s.priv p
+          end
+        done;
+        Value 0L
+      end
+    | W8 (_, a, v) ->
+      m_write8 s a v;
+      Value 0L
+    | W64 (_, a, v) ->
+      (* byte order: a spanning write leaves the prefix before a fault *)
+      for i = 0 to 7 do m_write8 s (Int64.add a (Int64.of_int i)) (byte v i) done;
+      Value 0L
+    | R8 (_, a) -> Value (Int64.of_int (m_read8 s a))
+    | R64 (_, a) ->
+      (* an in-page load faults at its address, a spanning one at
+         its highest unmapped byte (the slow path reads high to low) *)
+      if off a + 8 <= 4096 && not (Hashtbl.mem s.pages (pg a)) then
+        raise (Fault.Trap (Fault.Segfault a));
+      let v = ref 0L in
+      for i = 7 downto 0 do
+        let b = m_read8 s (Int64.add a (Int64.of_int i)) in
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+      done;
+      Value !v
+    | Clone _ | Release _ -> Value 0L
+  in
+  let real_op m = function
+    | Map (_, a, n) -> (
+      match Memory.map m ~addr:a ~len:n with
+      | () -> Value 0L
+      | exception Invalid_argument _ -> Refused)
+    | Seal (_, a, n) -> (
+      match Memory.seal m ~addr:a ~len:n with
+      | () -> Value 0L
+      | exception Invalid_argument _ -> Refused)
+    | W8 (_, a, v) ->
+      Memory.write_u8 m a v;
+      Value 0L
+    | W64 (_, a, v) ->
+      Memory.write_u64 m a v;
+      Value 0L
+    | R8 (_, a) -> Value (Int64.of_int (Memory.read_u8 m a))
+    | R64 (_, a) -> Value (Memory.read_u64 m a)
+    | Clone _ | Release _ -> Value 0L
+  in
+  let catch f = try f () with Fault.Trap (Fault.Segfault a) -> Fault_at a in
+  let cow_total () = Telemetry.Registry.read_int Memory.metric_cow_breaks in
+  let cow_before = cow_total () in
+  let real = ref [| Memory.create () |] in
+  let model = ref [| fresh_model () |] in
+  let check_pages i m s =
+    (not s.alive)
+    || Memory.mapped_bytes m = 4096 * Hashtbl.length s.pages
+       && Memory.resident_bytes m = 4096 * Hashtbl.length s.priv
+       && Memory.mapped_bytes m = Memory.resident_bytes m + Memory.shared_bytes m
+       && List.for_all
+            (fun p ->
+              let a = Int64.of_int (p * 4096) in
+              Memory.is_mapped m a = Hashtbl.mem s.pages p
+              && held_privately m p = Hashtbl.mem s.priv p
+              && Option.is_some (Memory.code_window m a) = Hashtbl.mem s.sealed p
+              &&
+              match (frame m p, Hashtbl.find_opt s.pages p) with
+              | Some f, Some b ->
+                Bytes.equal f b && f == zero_frame = Hashtbl.mem s.zero p
+              | None, None -> true
+              | _ -> false)
+            model_pages
+    || QCheck.Test.fail_reportf "contents or accounting of space %d" i
+  in
+  (* the frames a live space holds privately, and all it reaches *)
+  let live () =
+    List.filter (fun i -> !model.(i).alive) (List.init (Array.length !real) Fun.id)
+  in
+  let private_frames i =
+    List.filter_map
+      (fun p -> if held_privately !real.(i) p then frame !real.(i) p else None)
+      model_pages
+  in
+  let reachable i = List.filter_map (frame !real.(i)) model_pages in
+  let owned_list_ok i (m : Memory.t) =
+    List.sort Int.compare m.Memory.owned_chunks
+    = List.filter (fun c -> Bytes.get m.Memory.owned c = '\001') (chunk_ids m)
+    || QCheck.Test.fail_reportf "space %d: owned_chunks lists %d chunk(s), %d owned" i
+         (List.length m.Memory.owned_chunks)
+         (List.length
+            (List.filter (fun c -> Bytes.get m.Memory.owned c = '\001') (chunk_ids m)))
+  in
+  let frame_invariants op =
+    let free = Memory.free_frames () in
+    List.for_all
+      (fun i ->
+        let mine = private_frames i in
+        (not (List.memq zero_frame mine))
+        && List.for_all
+             (fun j ->
+               i = j || not (List.exists (fun f -> List.memq f mine) (reachable j)))
+             (live ())
+        && not (List.exists (fun f -> List.memq f free) (reachable i)))
+      (live ())
+    || QCheck.Test.fail_reportf "%s: frame invariant broken" (show_mem_op op)
+  in
+  List.for_all
+    (fun op ->
+      let n = Array.length !real in
+      let ok =
+        match op with
+        | Clone (src, _) when not !model.(src mod n).alive -> true
+        | Clone (src, dst) ->
+          let src = src mod n in
+          let c = Memory.clone !real.(src) in
+          cloned := true;
+          let mc =
+            let s = !model.(src) in
+            let pre = Hashtbl.create 8 in
+            Hashtbl.iter
+              (fun p () -> if Hashtbl.mem s.priv p then Hashtbl.replace pre p ())
+              s.hot;
+            breaks := !breaks + Hashtbl.length pre;
+            Hashtbl.reset s.priv;
+            Hashtbl.iter (fun p () -> Hashtbl.replace s.priv p ()) pre;
+            s.forked <- true;
+            let pages = Hashtbl.create 8 in
+            Hashtbl.iter (fun p b -> Hashtbl.replace pages p (Bytes.copy b)) s.pages;
+            {
+              (fresh_model ()) with
+              pages;
+              priv = Hashtbl.copy pre;
+              zero = Hashtbl.copy s.zero;
+              sealed = Hashtbl.copy s.sealed;
+            }
+          in
+          if n < 4 then begin
+            real := Array.append !real [| c |];
+            model := Array.append !model [| mc |]
+          end
+          else begin
+            !real.(dst) <- c;
+            !model.(dst) <- mc
+          end;
+          true
+        | Release s ->
+          let i = s mod n in
+          let ms = !model.(i) in
+          let expect = owned_private_frames !real.(i) in
+          drain_free_list ();
+          Memory.release !real.(i);
+          let freed = Memory.free_frames () in
+          (List.length freed = List.length expect
+           && List.for_all (fun f -> List.memq f expect) freed
+           && List.for_all (fun f -> List.memq f freed) expect
+          || QCheck.Test.fail_reportf "%s: freed %d frame(s), %d owned private"
+               (show_mem_op op) (List.length freed) (List.length expect))
+          && ((not ms.alive)
+             ||
+             (ms.alive <- false;
+              (* written pages fault from now on; shared and sealed
+                 ones stay *)
+              List.for_all
+                (fun p ->
+                  Memory.is_mapped !real.(i) (Int64.of_int (p * 4096))
+                  = (Hashtbl.mem ms.pages p && not (Hashtbl.mem ms.priv p)))
+                model_pages
+              || QCheck.Test.fail_reportf "%s: released pages still mapped"
+                   (show_mem_op op)))
+        | Map (s, _, _)
+        | Seal (s, _, _)
+        | W8 (s, _, _)
+        | W64 (s, _, _)
+        | R8 (s, _)
+        | R64 (s, _) ->
+          let i = s mod n in
+          (not !model.(i).alive)
+          ||
+          let r = catch (fun () -> real_op !real.(i) op) in
+          let e = catch (fun () -> model_op !model.(i) op) in
+          r = e || QCheck.Test.fail_reportf "%s: results differ" (show_mem_op op)
+      in
+      ok
+      && Array.for_all Fun.id (Array.mapi (fun i m -> check_pages i m !model.(i)) !real)
+      && Array.for_all Fun.id (Array.mapi owned_list_ok !real)
+      && frame_invariants op
+      && (cow_total () - cow_before = !breaks
+         || QCheck.Test.fail_reportf "%s: vm.mem.cow_breaks +%d, model %d"
+              (show_mem_op op) (cow_total () - cow_before) !breaks))
+    ops
+
 let prop_page_table_model =
   QCheck.Test.make ~name:"page table matches a deep-copy model" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
        QCheck.Gen.(list_size (int_range 1 60) gen_mem_op))
-    (fun ops ->
-      let pg a = Int64.to_int (Int64.shift_right_logical a 12) in
-      let off a = Int64.to_int (Int64.logand a 0xFFFL) in
-      let breaks = ref 0 in
-      let cloned = ref false in
-      let m_read8 s a =
-        match Hashtbl.find_opt s.pages (pg a) with
-        | Some p -> Char.code (Bytes.get p (off a))
-        | None -> raise (Fault.Trap (Fault.Segfault a))
-      in
-      let m_write8 s a v =
-        match Hashtbl.find_opt s.pages (pg a) with
-        | None -> raise (Fault.Trap (Fault.Segfault a))
-        | Some _ when Hashtbl.mem s.sealed (pg a) -> raise (Fault.Trap (Fault.Segfault a))
-        | Some p ->
-          if not (Hashtbl.mem s.priv (pg a)) then begin
-            if Hashtbl.mem s.zero (pg a) then Hashtbl.remove s.zero (pg a) else incr breaks;
-            Hashtbl.replace s.priv (pg a) ();
-            if s.forked then Hashtbl.replace s.hot (pg a) ()
-          end;
-          Bytes.set p (off a) (Char.chr (v land 0xFF))
-      in
-      let byte v i = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
-      let model_op s = function
-        | Map (_, a, n) ->
-          let first = pg a and last = pg (Int64.add a (Int64.of_int (n - 1))) in
-          if last >= Int64.to_int Layout.address_limit / 4096 then Refused
-          else begin
-            for p = first to last do
-              if not (Hashtbl.mem s.pages p) then begin
-                Hashtbl.replace s.pages p (Bytes.make 4096 '\000');
-                Hashtbl.replace s.zero p ()
-              end
-            done;
-            Value 0L
-          end
-        | Seal (_, a, n) ->
-          if !cloned then Refused
-          else begin
-            for p = pg a to pg (Int64.add a (Int64.of_int (n - 1))) do
-              if Hashtbl.mem s.pages p then begin
-                Hashtbl.replace s.sealed p ();
-                Hashtbl.remove s.priv p
-              end
-            done;
-            Value 0L
-          end
-        | W8 (_, a, v) ->
-          m_write8 s a v;
-          Value 0L
-        | W64 (_, a, v) ->
-          (* byte order: a spanning write leaves the prefix before a fault *)
-          for i = 0 to 7 do m_write8 s (Int64.add a (Int64.of_int i)) (byte v i) done;
-          Value 0L
-        | R8 (_, a) -> Value (Int64.of_int (m_read8 s a))
-        | R64 (_, a) ->
-          (* an in-page load faults at its address, a spanning one at
-             its highest unmapped byte (the slow path reads high to low) *)
-          if off a + 8 <= 4096 && not (Hashtbl.mem s.pages (pg a)) then
-            raise (Fault.Trap (Fault.Segfault a));
-          let v = ref 0L in
-          for i = 7 downto 0 do
-            let b = m_read8 s (Int64.add a (Int64.of_int i)) in
-            v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
-          done;
-          Value !v
-        | Clone _ | Release _ -> Value 0L
-      in
-      let real_op m = function
-        | Map (_, a, n) -> (
-          match Memory.map m ~addr:a ~len:n with
-          | () -> Value 0L
-          | exception Invalid_argument _ -> Refused)
-        | Seal (_, a, n) -> (
-          match Memory.seal m ~addr:a ~len:n with
-          | () -> Value 0L
-          | exception Invalid_argument _ -> Refused)
-        | W8 (_, a, v) ->
-          Memory.write_u8 m a v;
-          Value 0L
-        | W64 (_, a, v) ->
-          Memory.write_u64 m a v;
-          Value 0L
-        | R8 (_, a) -> Value (Int64.of_int (Memory.read_u8 m a))
-        | R64 (_, a) -> Value (Memory.read_u64 m a)
-        | Clone _ | Release _ -> Value 0L
-      in
-      let catch f = try f () with Fault.Trap (Fault.Segfault a) -> Fault_at a in
-      let cow_total () = Telemetry.Registry.read_int Memory.metric_cow_breaks in
-      let cow_before = cow_total () in
-      let real = ref [| Memory.create () |] in
-      let model = ref [| fresh_model () |] in
-      let check_pages i m s =
-        (not s.alive)
-        || Memory.mapped_bytes m = 4096 * Hashtbl.length s.pages
-           && Memory.resident_bytes m = 4096 * Hashtbl.length s.priv
-           && Memory.mapped_bytes m = Memory.resident_bytes m + Memory.shared_bytes m
-           && List.for_all
-                (fun p ->
-                  let a = Int64.of_int (p * 4096) in
-                  Memory.is_mapped m a = Hashtbl.mem s.pages p
-                  && held_privately m p = Hashtbl.mem s.priv p
-                  && Option.is_some (Memory.code_window m a) = Hashtbl.mem s.sealed p
-                  &&
-                  match (frame m p, Hashtbl.find_opt s.pages p) with
-                  | Some f, Some b ->
-                    Bytes.equal f b && f == zero_frame = Hashtbl.mem s.zero p
-                  | None, None -> true
-                  | _ -> false)
-                model_pages
-        || QCheck.Test.fail_reportf "contents or accounting of space %d" i
-      in
-      (* the frames a live space holds privately, and all it reaches *)
-      let live () =
-        List.filter (fun i -> !model.(i).alive) (List.init (Array.length !real) Fun.id)
-      in
-      let private_frames i =
-        List.filter_map
-          (fun p -> if held_privately !real.(i) p then frame !real.(i) p else None)
-          model_pages
-      in
-      let reachable i = List.filter_map (frame !real.(i)) model_pages in
-      let frame_invariants op =
-        let free = Memory.free_frames () in
-        List.for_all
-          (fun i ->
-            let mine = private_frames i in
-            (not (List.memq zero_frame mine))
-            && List.for_all
-                 (fun j ->
-                   i = j || not (List.exists (fun f -> List.memq f mine) (reachable j)))
-                 (live ())
-            && not (List.exists (fun f -> List.memq f free) (reachable i)))
-          (live ())
-        || QCheck.Test.fail_reportf "%s: frame invariant broken" (show_mem_op op)
-      in
-      List.for_all
-        (fun op ->
-          let n = Array.length !real in
-          let ok =
-            match op with
-            | Clone (src, _) when not !model.(src mod n).alive -> true
-            | Clone (src, dst) ->
-              let src = src mod n in
-              let c = Memory.clone !real.(src) in
-              cloned := true;
-              let mc =
-                let s = !model.(src) in
-                let pre = Hashtbl.create 8 in
-                Hashtbl.iter
-                  (fun p () -> if Hashtbl.mem s.priv p then Hashtbl.replace pre p ())
-                  s.hot;
-                breaks := !breaks + Hashtbl.length pre;
-                Hashtbl.reset s.priv;
-                Hashtbl.iter (fun p () -> Hashtbl.replace s.priv p ()) pre;
-                s.forked <- true;
-                let pages = Hashtbl.create 8 in
-                Hashtbl.iter (fun p b -> Hashtbl.replace pages p (Bytes.copy b)) s.pages;
-                {
-                  (fresh_model ()) with
-                  pages;
-                  priv = Hashtbl.copy pre;
-                  zero = Hashtbl.copy s.zero;
-                  sealed = Hashtbl.copy s.sealed;
-                }
-              in
-              if n < 4 then begin
-                real := Array.append !real [| c |];
-                model := Array.append !model [| mc |]
-              end
-              else begin
-                !real.(dst) <- c;
-                !model.(dst) <- mc
-              end;
-              true
-            | Release s ->
-              let i = s mod n in
-              let ms = !model.(i) in
-              if ms.alive then begin
-                Memory.release !real.(i);
-                ms.alive <- false;
-                (* written pages fault from now on; shared and sealed
-                   ones stay *)
-                List.for_all
-                  (fun p ->
-                    Memory.is_mapped !real.(i) (Int64.of_int (p * 4096))
-                    = (Hashtbl.mem ms.pages p && not (Hashtbl.mem ms.priv p)))
-                  model_pages
-                || QCheck.Test.fail_reportf "%s: released pages still mapped" (show_mem_op op)
-              end
-              else true
-            | Map (s, _, _)
-            | Seal (s, _, _)
-            | W8 (s, _, _)
-            | W64 (s, _, _)
-            | R8 (s, _)
-            | R64 (s, _) ->
-              let i = s mod n in
-              (not !model.(i).alive)
-              ||
-              let r = catch (fun () -> real_op !real.(i) op) in
-              let e = catch (fun () -> model_op !model.(i) op) in
-              r = e || QCheck.Test.fail_reportf "%s: results differ" (show_mem_op op)
-          in
-          ok
-          && Array.for_all Fun.id (Array.mapi (fun i m -> check_pages i m !model.(i)) !real)
-          && frame_invariants op
-          && (cow_total () - cow_before = !breaks
-             || QCheck.Test.fail_reportf "%s: vm.mem.cow_breaks +%d, model %d"
-                  (show_mem_op op) (cow_total () - cow_before) !breaks))
-        ops)
+    page_table_matches_model
+
+(* One fixed family history through every release case: sealed text,
+   a page made hot by a write after the first clone, a second clone
+   that pre-copies it, the released child released again, then the
+   parent and the first child. *)
+let test_release_walks_owned_chunks () =
+  let a p o = Int64.of_int ((p * 4096) + o) in
+  let ops =
+    [
+      Map (0, a 126 0, 5 * 4096);
+      W64 (0, a 126 8, 0x90909090L);
+      Seal (0, a 126 0, 4096);
+      W8 (0, a 126 9, 1);
+      W8 (0, a 128 1, 1);
+      Clone (0, 0);
+      W8 (0, a 129 2, 2);
+      W64 (0, a 127 4090, 0x1122334455667788L);
+      Clone (0, 0);
+      W8 (2, a 130 3, 3);
+      Release 2;
+      Release 2;
+      R8 (0, a 129 2);
+      Release 0;
+      W8 (1, a 128 1, 4);
+      Release 1;
+      Release 1;
+    ]
+  in
+  Alcotest.(check bool) "every op matches the model" true (page_table_matches_model ops)
 
 (* ---- execution harness ----------------------------------------------------- *)
 
@@ -1239,6 +1321,8 @@ let () =
           Alcotest.test_case "sealed pages" `Quick test_seal;
           qc prop_mem_roundtrip;
           qc prop_page_table_model;
+          Alcotest.test_case "release walks owned chunks" `Quick
+            test_release_walks_owned_chunks;
         ] );
       ( "cow",
         [
