@@ -48,7 +48,8 @@ let segv_addr = function
     | None -> None)
   | Oracle.Survived _ | Oracle.Crashed _ | Oracle.Server_down _ -> None
 
-let hijacked response = segv_addr response = Some magic_ret
+let hijacked response =
+  match segv_addr response with Some a -> Int64.equal a magic_ret | None -> false
 
 (* The caller's first frame access after [leave; ret] goes through the
    planted rbp: a fault within a page of it means the corruption got

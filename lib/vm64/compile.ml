@@ -1,5 +1,5 @@
 (* Closure compilation of Tcache blocks, lowered from the explicit
-   {!Ir} in passes (lift -> normalize -> fuse -> emit): every decision
+   {!Ir} in passes (lift -> fuse -> emit): every decision
    that depends only on the instruction encoding — operand shape,
    immediate values, addressing mode, builtin resolution for direct
    calls — is taken once here. Cycle charging and rip updates are
@@ -466,436 +466,433 @@ type env = {
    destination write, register writes before a store that can fault —
    so a fault mid-instruction leaves identical partial state. A step
    that can raise or end the run sets [m.at <- i] first. *)
-let lower env ~i (st : Ir.step) (k : step) : step =
-  let addr = st.Ir.addr and next = st.Ir.next in
-  match st.Ir.uop with
-  | Ir.Nop_cost -> k
-  | Ir.Zero r ->
-    (* normalized [xor r, r]: no operand reads, constant flag settle *)
-    let r = r lsl 3 in
+let lower env ~i (st : Tcache.step) (k : step) : step =
+  let addr = st.Tcache.addr and next = st.Tcache.next in
+  match st.Tcache.insn with
+  | I.Nop -> k
+  (* mov, the stack machine's shapes first *)
+  | I.Mov (O.Reg d, O.Imm v) ->
+    let d = ro d in
     fun m ->
-      rset m r 0L;
+      rset m d v;
+      k m
+  | I.Mov (O.Reg d, O.Reg s) ->
+    let d = ro d and s = ro s in
+    fun m ->
+      rset m d (rget m s);
+      k m
+  (* a local or a stack slot: through the stack page *)
+  | I.Mov
+      (O.Reg d, O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }) ->
+    let d = ro d and b = ro b in
+    fun m ->
+      m.at <- i;
+      rset m d (stack_load m (Int64.add (rget m b) disp));
+      k m
+  | I.Mov
+      (O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }, O.Reg s) ->
+    let b = ro b and s = ro s in
+    fun m ->
+      m.at <- i;
+      stack_store m (Int64.add (rget m b) disp) (rget m s);
+      k m
+  | I.Mov (O.Reg d, O.Mem { O.seg_fs = false; base = Some b; index = None; disp }) ->
+    let d = ro d and b = ro b in
+    fun m ->
+      m.at <- i;
+      rset m d (load m (Int64.add (rget m b) disp));
+      k m
+  | I.Mov (O.Mem { O.seg_fs = false; base = Some b; index = None; disp }, O.Reg s) ->
+    let b = ro b and s = ro s in
+    fun m ->
+      m.at <- i;
+      store m (Int64.add (rget m b) disp) (rget m s);
+      k m
+  | I.Mov (dst, src) ->
+    let dst = opnd dst and src = opnd src in
+    fun m ->
+      m.at <- i;
+      (* source read faults before a store-to-immediate traps *)
+      let v = read m src in
+      write m addr dst v;
+      k m
+  | I.Movb (dst, src) ->
+    let dst = opnd dst and src = opnd src in
+    fun m ->
+      m.at <- i;
+      let v = read8 m src in
+      write8 m addr dst v;
+      k m
+  | I.Movl (dst, src) ->
+    let dst = opnd dst and src = opnd src in
+    fun m ->
+      m.at <- i;
+      let v = read32 m src in
+      write32 m addr dst v;
+      k m
+  | I.Lea (r, e) ->
+    let r = ro r and e = ea_of e in
+    fun m ->
+      rset m r (ea_val m e);
+      k m
+  | I.Push (O.Reg s) ->
+    let s = ro s in
+    fun m ->
+      m.at <- i;
+      (* value read before rsp moves: push rsp stores the old rsp *)
+      push_m m (rget m s);
+      k m
+  | I.Push src ->
+    let src = opnd src in
+    fun m ->
+      m.at <- i;
+      push_m m (read m src);
+      k m
+  | I.Pop (O.Reg d) ->
+    let d = ro d in
+    fun m ->
+      m.at <- i;
+      (* rsp bump before the destination write: pop rsp ends at v *)
+      let v = pop_m m in
+      rset m d v;
+      k m
+  | I.Pop dst ->
+    let dst = opnd dst in
+    fun m ->
+      m.at <- i;
+      let v = pop_m m in
+      write m addr dst v;
+      k m
+  (* binops: the zero and compare idioms, then the general shape *)
+  | I.Bin (I.Xor, O.Reg d, O.Reg s) when Isa.Reg.equal d s ->
+    (* [xor r, r]: no operand reads, constant flag settle *)
+    let d = ro d in
+    fun m ->
+      rset m d 0L;
       zero_flags m.flags;
       k m
-  | Ir.Exec insn -> (
-    match insn with
-    | I.Nop -> k
-    (* mov, the stack machine's shapes first *)
-    | I.Mov (O.Reg d, O.Imm v) ->
-      let d = ro d in
-      fun m ->
-        rset m d v;
-        k m
-    | I.Mov (O.Reg d, O.Reg s) ->
-      let d = ro d and s = ro s in
-      fun m ->
-        rset m d (rget m s);
-        k m
-    (* a local or a stack slot: through the stack page *)
-    | I.Mov
-        (O.Reg d, O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }) ->
-      let d = ro d and b = ro b in
-      fun m ->
-        m.at <- i;
-        rset m d (stack_load m (Int64.add (rget m b) disp));
-        k m
-    | I.Mov
-        (O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }, O.Reg s) ->
-      let b = ro b and s = ro s in
-      fun m ->
-        m.at <- i;
-        stack_store m (Int64.add (rget m b) disp) (rget m s);
-        k m
-    | I.Mov (O.Reg d, O.Mem { O.seg_fs = false; base = Some b; index = None; disp }) ->
-      let d = ro d and b = ro b in
-      fun m ->
-        m.at <- i;
-        rset m d (load m (Int64.add (rget m b) disp));
-        k m
-    | I.Mov (O.Mem { O.seg_fs = false; base = Some b; index = None; disp }, O.Reg s) ->
-      let b = ro b and s = ro s in
-      fun m ->
-        m.at <- i;
-        store m (Int64.add (rget m b) disp) (rget m s);
-        k m
-    | I.Mov (dst, src) ->
-      let dst = opnd dst and src = opnd src in
-      fun m ->
-        m.at <- i;
-        (* source read faults before a store-to-immediate traps *)
-        let v = read m src in
-        write m addr dst v;
-        k m
-    | I.Movb (dst, src) ->
-      let dst = opnd dst and src = opnd src in
-      fun m ->
-        m.at <- i;
-        let v = read8 m src in
-        write8 m addr dst v;
-        k m
-    | I.Movl (dst, src) ->
-      let dst = opnd dst and src = opnd src in
-      fun m ->
-        m.at <- i;
-        let v = read32 m src in
-        write32 m addr dst v;
-        k m
-    | I.Lea (r, e) ->
-      let r = ro r and e = ea_of e in
-      fun m ->
-        rset m r (ea_val m e);
-        k m
-    | I.Push (O.Reg s) ->
-      let s = ro s in
-      fun m ->
-        m.at <- i;
-        (* value read before rsp moves: push rsp stores the old rsp *)
-        push_m m (rget m s);
-        k m
-    | I.Push src ->
-      let src = opnd src in
-      fun m ->
-        m.at <- i;
-        push_m m (read m src);
-        k m
-    | I.Pop (O.Reg d) ->
-      let d = ro d in
-      fun m ->
-        m.at <- i;
-        (* rsp bump before the destination write: pop rsp ends at v *)
-        let v = pop_m m in
-        rset m d v;
-        k m
-    | I.Pop dst ->
+  | I.Bin (I.Add, O.Reg d, O.Imm v) ->
+    let d = ro d in
+    fun m ->
+      let a = rget m d in
+      let r = Int64.add a v in
+      set_add_flags m.flags a v r;
+      rset m d r;
+      k m
+  | I.Bin (I.Sub, O.Reg d, O.Imm v) ->
+    let d = ro d in
+    fun m ->
+      let a = rget m d in
+      let r = Int64.sub a v in
+      set_sub_flags m.flags a v r;
+      rset m d r;
+      k m
+  | I.Bin (I.Cmp, O.Reg d, O.Imm v) ->
+    let d = ro d in
+    fun m ->
+      let a = rget m d in
+      set_sub_flags m.flags a v (Int64.sub a v);
+      k m
+  | I.Bin (I.Cmp, O.Reg d, O.Reg s) ->
+    let d = ro d and s = ro s in
+    fun m ->
+      let a = rget m d and b = rget m s in
+      set_sub_flags m.flags a b (Int64.sub a b);
+      k m
+  | I.Bin (I.Cmp, dst, src) ->
+    let dst = opnd dst and src = opnd src in
+    fun m ->
+      m.at <- i;
+      let a = read m dst in
+      let b = read m src in
+      set_sub_flags m.flags a b (Int64.sub a b);
+      k m
+  | I.Bin (I.Test, dst, src) ->
+    let dst = opnd dst and src = opnd src in
+    fun m ->
+      m.at <- i;
+      let a = read m dst in
+      let b = read m src in
+      set_logic_flags m.flags (Int64.logand a b);
+      k m
+  | I.Bin (bop, dst, src) ->
+    let dst = opnd dst and src = opnd src in
+    fun m ->
+      m.at <- i;
+      let a = read m dst in
+      let b = read m src in
+      (* flags settle before the destination write, so a faulting
+         mem-dst store still leaves them updated (as interpreted) *)
+      let r = alu m.flags addr bop a b in
+      write m addr dst r;
+      k m
+  | I.Shift (sop, dst, n) -> (
+    match n land 63 with
+    (* masked count 0: no read, no flag or destination change *)
+    | 0 -> k
+    | n ->
       let dst = opnd dst in
       fun m ->
         m.at <- i;
-        let v = pop_m m in
-        write m addr dst v;
-        k m
-    (* binops: the compare idioms, then the general shape *)
-    | I.Bin (I.Add, O.Reg d, O.Imm v) ->
-      let d = ro d in
-      fun m ->
-        let a = rget m d in
-        let r = Int64.add a v in
-        set_add_flags m.flags a v r;
-        rset m d r;
-        k m
-    | I.Bin (I.Sub, O.Reg d, O.Imm v) ->
-      let d = ro d in
-      fun m ->
-        let a = rget m d in
-        let r = Int64.sub a v in
-        set_sub_flags m.flags a v r;
-        rset m d r;
-        k m
-    | I.Bin (I.Cmp, O.Reg d, O.Imm v) ->
-      let d = ro d in
-      fun m ->
-        let a = rget m d in
-        set_sub_flags m.flags a v (Int64.sub a v);
-        k m
-    | I.Bin (I.Cmp, O.Reg d, O.Reg s) ->
-      let d = ro d and s = ro s in
-      fun m ->
-        let a = rget m d and b = rget m s in
-        set_sub_flags m.flags a b (Int64.sub a b);
-        k m
-    | I.Bin (I.Cmp, dst, src) ->
-      let dst = opnd dst and src = opnd src in
-      fun m ->
-        m.at <- i;
         let a = read m dst in
-        let b = read m src in
-        set_sub_flags m.flags a b (Int64.sub a b);
-        k m
-    | I.Bin (I.Test, dst, src) ->
-      let dst = opnd dst and src = opnd src in
-      fun m ->
-        m.at <- i;
-        let a = read m dst in
-        let b = read m src in
-        set_logic_flags m.flags (Int64.logand a b);
-        k m
-    | I.Bin (bop, dst, src) ->
-      let dst = opnd dst and src = opnd src in
-      fun m ->
-        m.at <- i;
-        let a = read m dst in
-        let b = read m src in
-        (* flags settle before the destination write, so a faulting
-           mem-dst store still leaves them updated (as interpreted) *)
-        let r = alu m.flags addr bop a b in
+        let r =
+          match sop with
+          | I.Shl -> Int64.shift_left a n
+          | I.Shr -> Int64.shift_right_logical a n
+          | I.Sar -> Int64.shift_right a n
+        in
+        set_logic_flags m.flags r;
         write m addr dst r;
-        k m
-    | I.Shift (sop, dst, n) -> (
-      match n land 63 with
-      (* masked count 0: no read, no flag or destination change *)
-      | 0 -> k
-      | n ->
-        let dst = opnd dst in
-        fun m ->
-          m.at <- i;
-          let a = read m dst in
-          let r =
-            match sop with
-            | I.Shl -> Int64.shift_left a n
-            | I.Shr -> Int64.shift_right_logical a n
-            | I.Sar -> Int64.shift_right a n
-          in
-          set_logic_flags m.flags r;
-          write m addr dst r;
-          k m)
-    | I.Neg op ->
-      let op = opnd op in
-      fun m ->
-        m.at <- i;
-        let (a : int64) = read m op in
-        let r = Int64.neg a in
-        let f = m.flags in
-        set_logic_flags f r;
-        f.cf <- a <> 0L;
-        f.of_ <- a = Int64.min_int;
-        write m addr op r;
-        k m
-    | I.Not op ->
-      let op = opnd op in
-      fun m ->
-        m.at <- i;
-        let v = Int64.lognot (read m op) in
-        write m addr op v;
-        k m
-    | I.Setcc (c, r) ->
-      let r = ro r in
-      fun m ->
-        rset m r (if cond_holds m.flags c then 1L else 0L);
-        k m
-    (* control transfers: the only steps that write rip *)
-    | I.Jmp (I.Abs a) ->
-      fun m ->
-        rset m rip_o a;
-        k m
-    | I.Jcc (c, I.Abs a) ->
-      fun m ->
-        rset m rip_o (if cond_holds m.flags c then a else next);
-        k m
-    | I.Jcc (c, I.Sym s) ->
-      fun m ->
-        (* symbolic target only resolves (and faults) when taken *)
-        if cond_holds m.flags c then begin
-          m.at <- i;
-          raise (Isa.Encode.Unresolved_symbol s)
-        end
-        else begin
-          rset m rip_o next;
-          k m
-        end
-    | I.Jmp (I.Sym s) | I.Call (I.Sym s) ->
-      fun m ->
+        k m)
+  | I.Neg op ->
+    let op = opnd op in
+    fun m ->
+      m.at <- i;
+      let (a : int64) = read m op in
+      let r = Int64.neg a in
+      let f = m.flags in
+      set_logic_flags f r;
+      f.cf <- a <> 0L;
+      f.of_ <- a = Int64.min_int;
+      write m addr op r;
+      k m
+  | I.Not op ->
+    let op = opnd op in
+    fun m ->
+      m.at <- i;
+      let v = Int64.lognot (read m op) in
+      write m addr op v;
+      k m
+  | I.Setcc (c, r) ->
+    let r = ro r in
+    fun m ->
+      rset m r (if cond_holds m.flags c then 1L else 0L);
+      k m
+  (* control transfers: the only steps that write rip *)
+  | I.Jmp (I.Abs a) ->
+    fun m ->
+      rset m rip_o a;
+      k m
+  | I.Jcc (c, I.Abs a) ->
+    fun m ->
+      rset m rip_o (if cond_holds m.flags c then a else next);
+      k m
+  | I.Jcc (c, I.Sym s) ->
+    fun m ->
+      (* symbolic target only resolves (and faults) when taken *)
+      if cond_holds m.flags c then begin
         m.at <- i;
         raise (Isa.Encode.Unresolved_symbol s)
-    | I.Call (I.Abs a) -> (
-      (* direct calls look the builtin table up once, here; [code.key]
-         guards against running under a different environment *)
-      match env.is_builtin a with
-      | Some name -> (
-        match env.inline name with
-        | Some f -> (
-          (* builtin inlining: the pure core runs inside the block and
-             control falls through, so chains and superblocks continue
-             straight across the call. Protocol match with the OS path:
-             rip advances past the call before the body runs (the kernel
-             dispatches after the call retired), the return value lands
-             in rax, and a fault inside the body kills with rip already
-             past the call — which is why the Trap is consumed here, not
-             left to the runner (that would rewind rip to the call
-             itself). Cycle charges happen inside [f], exactly as the OS
-             dispatch would have charged them. *)
-          fun m ->
-            rset m rip_o next;
-            match f m.cpu m.mem with
-            | v ->
-              rset m rax_o v;
-              k m
-            | exception Fault.Trap fault ->
-              m.at <- i;
-              Faulted fault)
-        | None ->
-          fun m ->
-            rset m rip_o next;
+      end
+      else begin
+        rset m rip_o next;
+        k m
+      end
+  | I.Jmp (I.Sym s) | I.Call (I.Sym s) ->
+    fun m ->
+      m.at <- i;
+      raise (Isa.Encode.Unresolved_symbol s)
+  | I.Call (I.Abs a) -> (
+    (* direct calls look the builtin table up once, here; [code.key]
+       guards against running under a different environment *)
+    match env.is_builtin a with
+    | Some name -> (
+      match env.inline name with
+      | Some f -> (
+        (* builtin inlining: the pure core runs inside the block and
+           control falls through, so chains and superblocks continue
+           straight across the call. Protocol match with the OS path:
+           rip advances past the call before the body runs (the kernel
+           dispatches after the call retired), the return value lands
+           in rax, and a fault inside the body kills with rip already
+           past the call — which is why the Trap is consumed here, not
+           left to the runner (that would rewind rip to the call
+           itself). Cycle charges happen inside [f], exactly as the OS
+           dispatch would have charged them. *)
+        fun m ->
+          rset m rip_o next;
+          match f m.cpu m.mem with
+          | v ->
+            rset m rax_o v;
+            k m
+          | exception Fault.Trap fault ->
             m.at <- i;
-            Builtin name)
+            Faulted fault)
       | None ->
         fun m ->
-          m.at <- i;
-          push_m m next;
-          rset m rip_o a;
-          k m)
-    | I.Call_ind op ->
-      let op = opnd op and is_builtin = env.is_builtin in
-      fun m -> (
-        m.at <- i;
-        let a = read m op in
-        match is_builtin a with
-        | Some name ->
           rset m rip_o next;
-          Builtin name
-        | None ->
-          push_m m next;
-          rset m rip_o a;
-          k m)
-    | I.Ret ->
+          m.at <- i;
+          Builtin name)
+    | None ->
       fun m ->
         m.at <- i;
-        let a = pop_m m in
+        push_m m next;
         rset m rip_o a;
-        k m
-    | I.Leave ->
-      fun m ->
-        m.at <- i;
-        (* rsp := rbp first, so a faulting pop leaves rsp = rbp *)
-        rset m rsp_o (rget m rbp_o);
-        let v = pop_m m in
-        rset m rbp_o v;
-        k m
-    | I.Rdrand r ->
-      let r = ro r in
-      fun m ->
-        rset m r (Util.Prng.next64 m.cpu.Cpu.rng);
-        m.flags.Cpu.cf <- true;
-        m.flags.Cpu.zf <- false;
-        k m
-    | I.Pac (d, md) ->
-      let d = ro d and md = ro md in
-      fun m ->
-        let value = rget m d and modifier = rget m md in
-        rset m d (Cpu.pac_sign m.cpu ~value ~modifier);
-        k m
-    | I.Aut (d, md) ->
-      let d = ro d and md = ro md in
-      fun m ->
-        let value = rget m d and modifier = rget m md in
-        let f = m.flags in
-        f.zf <- Cpu.pac_auth m.cpu ~value ~modifier;
-        f.sf <- false;
-        f.cf <- false;
-        f.of_ <- false;
-        rset m d (Cpu.pac_strip value);
-        k m
-    | I.Rdtsc ->
-      (* Deferred charging leaves the cycle count at the translation-entry
-         value while compiled code runs, but the interpreter charges
-         instruction [i] before executing it — so the tsc it would read
-         here is the entry cycles plus the retired prefix's static
-         charge, all known at translation time. *)
-      let static = env.csum.(i + 1) and calls = env.crsum.(i + 1) and retired = i + 1 in
-      fun m ->
-        let cpu = m.cpu in
-        let tsc =
-          Int64.add (rget m cycles_o)
-            (Int64.of_int
-               (static + (retired * cpu.Cpu.insn_tax) + (calls * cpu.Cpu.call_tax)))
-        in
-        rset m rax_o (Int64.logand tsc 0xFFFFFFFFL);
-        rset m rdx_o (Int64.shift_right_logical tsc 32);
-        k m
-    | I.Syscall ->
-      fun m ->
-        rset m rip_o next;
-        m.at <- i;
-        Syscall_trap
-    | I.Hlt ->
-      fun m ->
-        (* the interpreter leaves rip at the hlt itself *)
-        rset m rip_o addr;
-        m.at <- i;
-        Halted
-    | I.Movq_to_xmm (x, r) ->
-      let x = Isa.Reg.Xmm.index x and r = ro r in
-      fun m ->
-        Array.unsafe_set m.cpu.Cpu.xmms x (rget m r, 0L);
-        k m
-    | I.Movq_from_xmm (r, x) ->
-      let r = ro r and x = Isa.Reg.Xmm.index x in
-      fun m ->
-        let lo, _ = Array.unsafe_get m.cpu.Cpu.xmms x in
-        rset m r lo;
-        k m
-    | I.Pinsrq_high (x, r) ->
-      let x = Isa.Reg.Xmm.index x and r = ro r in
-      fun m ->
-        let xmms = m.cpu.Cpu.xmms in
-        let lo, _ = Array.unsafe_get xmms x in
-        Array.unsafe_set xmms x (lo, rget m r);
-        k m
-    | I.Movhps_load (x, e) ->
-      let x = Isa.Reg.Xmm.index x and e = ea_of e in
-      fun m ->
-        m.at <- i;
-        let xmms = m.cpu.Cpu.xmms in
-        let lo, _ = Array.unsafe_get xmms x in
-        let hi = load m (ea_val m e) in
-        Array.unsafe_set xmms x (lo, hi);
-        k m
-    | I.Movq_store (e, x) ->
-      let e = ea_of e and x = Isa.Reg.Xmm.index x in
-      fun m ->
-        m.at <- i;
-        let lo, _ = Array.unsafe_get m.cpu.Cpu.xmms x in
-        store m (ea_val m e) lo;
-        k m
-    | I.Movdqu_load (x, e) ->
-      let x = Isa.Reg.Xmm.index x and e = ea_of e in
-      fun m ->
-        m.at <- i;
-        let a = ea_val m e in
-        (* high qword first, matching the interpreter's read order, so a
-           half-unmapped access faults at the same address *)
-        let hi = load m (Int64.add a 8L) in
-        let lo = load m a in
-        Array.unsafe_set m.cpu.Cpu.xmms x (lo, hi);
-        k m
-    | I.Movdqu_store (e, x) ->
-      let e = ea_of e and x = Isa.Reg.Xmm.index x in
-      fun m ->
-        m.at <- i;
-        let a = ea_val m e in
-        let lo, hi = Array.unsafe_get m.cpu.Cpu.xmms x in
-        store m a lo;
-        store m (Int64.add a 8L) hi;
-        k m
-    | I.Aesenc (dst, src) ->
-      let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
-      fun m ->
-        let xmms = m.cpu.Cpu.xmms in
-        let state = xmm_to_bytes (Array.unsafe_get xmms d) in
-        let round_key = xmm_to_bytes (Array.unsafe_get xmms s) in
-        Array.unsafe_set xmms d (xmm_of_bytes (Crypto.Aes128.aesenc ~state ~round_key));
-        k m
-    | I.Aesenclast (dst, src) ->
-      let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
-      fun m ->
-        let xmms = m.cpu.Cpu.xmms in
-        let state = xmm_to_bytes (Array.unsafe_get xmms d) in
-        let round_key = xmm_to_bytes (Array.unsafe_get xmms s) in
-        Array.unsafe_set xmms d
-          (xmm_of_bytes (Crypto.Aes128.aesenclast ~state ~round_key));
-        k m
-    | I.Pcmpeq128 (x, e) ->
-      let x = Isa.Reg.Xmm.index x and e = ea_of e in
-      fun m ->
-        m.at <- i;
-        let (lo : int64), (hi : int64) = Array.unsafe_get m.cpu.Cpu.xmms x in
-        let a = ea_val m e in
-        let mlo = load m a in
-        let mhi = load m (Int64.add a 8L) in
-        let f = m.flags in
-        f.zf <- lo = mlo && hi = mhi;
-        f.sf <- false;
-        f.cf <- false;
-        f.of_ <- false;
         k m)
+  | I.Call_ind op ->
+    let op = opnd op and is_builtin = env.is_builtin in
+    fun m -> (
+      m.at <- i;
+      let a = read m op in
+      match is_builtin a with
+      | Some name ->
+        rset m rip_o next;
+        Builtin name
+      | None ->
+        push_m m next;
+        rset m rip_o a;
+        k m)
+  | I.Ret ->
+    fun m ->
+      m.at <- i;
+      let a = pop_m m in
+      rset m rip_o a;
+      k m
+  | I.Leave ->
+    fun m ->
+      m.at <- i;
+      (* rsp := rbp first, so a faulting pop leaves rsp = rbp *)
+      rset m rsp_o (rget m rbp_o);
+      let v = pop_m m in
+      rset m rbp_o v;
+      k m
+  | I.Rdrand r ->
+    let r = ro r in
+    fun m ->
+      rset m r (Util.Prng.next64 m.cpu.Cpu.rng);
+      m.flags.Cpu.cf <- true;
+      m.flags.Cpu.zf <- false;
+      k m
+  | I.Pac (d, md) ->
+    let d = ro d and md = ro md in
+    fun m ->
+      let value = rget m d and modifier = rget m md in
+      rset m d (Cpu.pac_sign m.cpu ~value ~modifier);
+      k m
+  | I.Aut (d, md) ->
+    let d = ro d and md = ro md in
+    fun m ->
+      let value = rget m d and modifier = rget m md in
+      let f = m.flags in
+      f.zf <- Cpu.pac_auth m.cpu ~value ~modifier;
+      f.sf <- false;
+      f.cf <- false;
+      f.of_ <- false;
+      rset m d (Cpu.pac_strip value);
+      k m
+  | I.Rdtsc ->
+    (* Deferred charging leaves the cycle count at the translation-entry
+       value while compiled code runs, but the interpreter charges
+       instruction [i] before executing it — so the tsc it would read
+       here is the entry cycles plus the retired prefix's static
+       charge, all known at translation time. *)
+    let static = env.csum.(i + 1) and calls = env.crsum.(i + 1) and retired = i + 1 in
+    fun m ->
+      let cpu = m.cpu in
+      let tsc =
+        Int64.add (rget m cycles_o)
+          (Int64.of_int
+             (static + (retired * cpu.Cpu.insn_tax) + (calls * cpu.Cpu.call_tax)))
+      in
+      rset m rax_o (Int64.logand tsc 0xFFFFFFFFL);
+      rset m rdx_o (Int64.shift_right_logical tsc 32);
+      k m
+  | I.Syscall ->
+    fun m ->
+      rset m rip_o next;
+      m.at <- i;
+      Syscall_trap
+  | I.Hlt ->
+    fun m ->
+      (* the interpreter leaves rip at the hlt itself *)
+      rset m rip_o addr;
+      m.at <- i;
+      Halted
+  | I.Movq_to_xmm (x, r) ->
+    let x = Isa.Reg.Xmm.index x and r = ro r in
+    fun m ->
+      Array.unsafe_set m.cpu.Cpu.xmms x (rget m r, 0L);
+      k m
+  | I.Movq_from_xmm (r, x) ->
+    let r = ro r and x = Isa.Reg.Xmm.index x in
+    fun m ->
+      let lo, _ = Array.unsafe_get m.cpu.Cpu.xmms x in
+      rset m r lo;
+      k m
+  | I.Pinsrq_high (x, r) ->
+    let x = Isa.Reg.Xmm.index x and r = ro r in
+    fun m ->
+      let xmms = m.cpu.Cpu.xmms in
+      let lo, _ = Array.unsafe_get xmms x in
+      Array.unsafe_set xmms x (lo, rget m r);
+      k m
+  | I.Movhps_load (x, e) ->
+    let x = Isa.Reg.Xmm.index x and e = ea_of e in
+    fun m ->
+      m.at <- i;
+      let xmms = m.cpu.Cpu.xmms in
+      let lo, _ = Array.unsafe_get xmms x in
+      let hi = load m (ea_val m e) in
+      Array.unsafe_set xmms x (lo, hi);
+      k m
+  | I.Movq_store (e, x) ->
+    let e = ea_of e and x = Isa.Reg.Xmm.index x in
+    fun m ->
+      m.at <- i;
+      let lo, _ = Array.unsafe_get m.cpu.Cpu.xmms x in
+      store m (ea_val m e) lo;
+      k m
+  | I.Movdqu_load (x, e) ->
+    let x = Isa.Reg.Xmm.index x and e = ea_of e in
+    fun m ->
+      m.at <- i;
+      let a = ea_val m e in
+      (* high qword first, matching the interpreter's read order, so a
+         half-unmapped access faults at the same address *)
+      let hi = load m (Int64.add a 8L) in
+      let lo = load m a in
+      Array.unsafe_set m.cpu.Cpu.xmms x (lo, hi);
+      k m
+  | I.Movdqu_store (e, x) ->
+    let e = ea_of e and x = Isa.Reg.Xmm.index x in
+    fun m ->
+      m.at <- i;
+      let a = ea_val m e in
+      let lo, hi = Array.unsafe_get m.cpu.Cpu.xmms x in
+      store m a lo;
+      store m (Int64.add a 8L) hi;
+      k m
+  | I.Aesenc (dst, src) ->
+    let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
+    fun m ->
+      let xmms = m.cpu.Cpu.xmms in
+      let state = xmm_to_bytes (Array.unsafe_get xmms d) in
+      let round_key = xmm_to_bytes (Array.unsafe_get xmms s) in
+      Array.unsafe_set xmms d (xmm_of_bytes (Crypto.Aes128.aesenc ~state ~round_key));
+      k m
+  | I.Aesenclast (dst, src) ->
+    let d = Isa.Reg.Xmm.index dst and s = Isa.Reg.Xmm.index src in
+    fun m ->
+      let xmms = m.cpu.Cpu.xmms in
+      let state = xmm_to_bytes (Array.unsafe_get xmms d) in
+      let round_key = xmm_to_bytes (Array.unsafe_get xmms s) in
+      Array.unsafe_set xmms d
+        (xmm_of_bytes (Crypto.Aes128.aesenclast ~state ~round_key));
+      k m
+  | I.Pcmpeq128 (x, e) ->
+    let x = Isa.Reg.Xmm.index x and e = ea_of e in
+    fun m ->
+      m.at <- i;
+      let (lo : int64), (hi : int64) = Array.unsafe_get m.cpu.Cpu.xmms x in
+      let a = ea_val m e in
+      let mlo = load m a in
+      let mhi = load m (Int64.add a 8L) in
+      let f = m.flags in
+      f.zf <- lo = mlo && hi = mhi;
+      f.sf <- false;
+      f.cf <- false;
+      f.of_ <- false;
+      k m
 
 (* ---- Charging, links and the exit's transfers ---------------------- *)
 
@@ -962,7 +959,7 @@ let[@inline] hop m n (l : link) rip =
     t.chain m
   | _ -> !transfer_ref m n l
 
-(* ---- Block translation: lift -> normalize -> emit -------------------- *)
+(* ---- Block translation: lift -> emit ---------------------------------- *)
 
 let running : step = fun _ -> Running
 
@@ -985,11 +982,9 @@ let shuffle_window (ir : Ir.t) i =
   (* the pop is not the last step, and no constituent starts inside *)
   if i + 3 >= n - 1 || Array.exists starts_inside ir.Ir.parts then None
   else
-    match (st.(i).Ir.uop, st.(i + 1).Ir.uop, st.(i + 2).Ir.uop, st.(i + 3).Ir.uop) with
-    | ( Ir.Exec (I.Push (O.Reg a)),
-        Ir.Exec (I.Mov (O.Reg a1, src)),
-        Ir.Exec (I.Mov (O.Reg b, O.Reg a2)),
-        Ir.Exec (I.Pop (O.Reg a3)) )
+    let insn k = st.(i + k).Tcache.insn in
+    match (insn 0, insn 1, insn 2, insn 3) with
+    | I.Push (O.Reg a), I.Mov (O.Reg a1, src), I.Mov (O.Reg b, O.Reg a2), I.Pop (O.Reg a3)
       when reg a1 a && reg a2 a && reg a3 a && (not (reg b a))
            && (not (reg a Isa.Reg.RSP)) && not (reg b Isa.Reg.RSP) ->
       Some (a, b, src)
@@ -1003,9 +998,8 @@ let alu_consumer (ir : Ir.t) i a b =
   if j >= Array.length st - 1 || Array.exists (fun (p : Ir.part) -> p.Ir.start = j) ir.Ir.parts
   then None
   else
-    match st.(j).Ir.uop with
-    | Ir.Exec (I.Bin (bop, O.Reg a', O.Reg b')) when Isa.Reg.equal a a' && Isa.Reg.equal b b'
-      ->
+    match st.(j).Tcache.insn with
+    | I.Bin (bop, O.Reg a', O.Reg b') when Isa.Reg.equal a a' && Isa.Reg.equal b b' ->
       Some bop
     | _ -> None
 
@@ -1124,12 +1118,12 @@ let alu_window ~i ~addr a b src bop (k : step) : step =
    then makes the transfer: a direct [hop] into the successor, or
    [transfer]. Inside the chain a jmp's or direct call's rip write is
    dead — every later way out (a fault, a kernel-visible stop, the
-   exit) writes rip itself — so the chain drops the jmp and keeps only
-   the call's push. An operand
-   shuffle becomes one step ([shuffle]), and so does a shuffle with its
-   consuming binop ([alu_window]). These are emission details of the
-   chain: the IR keeps one step per instruction, and so do the fuel
-   tail's per-step [ops]. *)
+   exit) writes rip itself — so the chain skips the jmp's step and
+   keeps only the call's push. An operand shuffle becomes one step
+   ([shuffle]), and so does a shuffle with its consuming binop
+   ([alu_window]). These are emission details of the chain: the IR
+   keeps one step per instruction, and so do the fuel tail's per-step
+   [ops]. *)
 let emit_chain env (ir : Ir.t) =
   let steps = ir.Ir.steps in
   let n = Array.length steps in
@@ -1142,23 +1136,16 @@ let emit_chain env (ir : Ir.t) =
         m.at <- n - 1;
         let rip = rget m rip_o in
         hop m n (if rip = (taken : int64) then m.cur.link_a else m.cur.link_b) rip
-    | _ when last.Ir.sets_rip ->
+    | _ when last.Tcache.sets_rip ->
       fun m ->
         m.at <- n - 1;
         hop m n m.cur.link_a (rget m rip_o)
     | _ ->
-      let fall = last.Ir.next in
+      let fall = last.Tcache.next in
       fun m ->
         rset m rip_o fall;
         m.at <- n - 1;
         hop m n m.cur.link_a fall
-  in
-  let inner (st : Ir.step) =
-    match st.Ir.uop with
-    | Ir.Exec (I.Jmp (I.Abs _)) -> { st with Ir.uop = Ir.Nop_cost }
-    | Ir.Exec (I.Call (I.Abs a)) when Option.is_none (env.is_builtin a) ->
-      { st with Ir.uop = Ir.Exec (I.Push (O.Imm st.Ir.next)) }
-    | _ -> st
   in
   let rec build i =
     if i = n - 1 then lower env ~i last exit_
@@ -1166,9 +1153,17 @@ let emit_chain env (ir : Ir.t) =
       match shuffle_window ir i with
       | Some (a, b, src) -> (
         match alu_consumer ir i a b with
-        | Some bop -> alu_window ~i ~addr:steps.(i + 4).Ir.addr a b src bop (build (i + 5))
+        | Some bop ->
+          alu_window ~i ~addr:steps.(i + 4).Tcache.addr a b src bop (build (i + 5))
         | None -> shuffle ~i a b src (build (i + 4)))
-      | None -> lower env ~i (inner steps.(i)) (build (i + 1))
+      | None -> (
+        let st = steps.(i) in
+        match st.Tcache.insn with
+        | I.Jmp (I.Abs _) -> build (i + 1)
+        | I.Call (I.Abs a) when Option.is_none (env.is_builtin a) ->
+          let push = { st with Tcache.insn = I.Push (O.Imm st.Tcache.next) } in
+          lower env ~i push (build (i + 1))
+        | _ -> lower env ~i st (build (i + 1)))
   in
   build 0
 
@@ -1178,8 +1173,8 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
   let csum = Array.make (n + 1) 0 in
   let crsum = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    csum.(i + 1) <- csum.(i) + steps.(i).Ir.cost;
-    crsum.(i + 1) <- crsum.(i) + Bool.to_int steps.(i).Ir.callret
+    csum.(i + 1) <- csum.(i) + steps.(i).Tcache.cost;
+    crsum.(i + 1) <- crsum.(i) + Bool.to_int steps.(i).Tcache.callret
   done;
   let env = { is_builtin; inline; csum; crsum } in
   {
@@ -1198,14 +1193,14 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
 
 let block_ir ~is_builtin ~inline (b : Tcache.block) =
   let inlinable name = Option.is_some (inline name) in
-  Ir.normalize (Ir.lift ~is_builtin ~inlinable b)
+  Ir.lift ~is_builtin ~inlinable b
 
 (* ---- Execution ------------------------------------------------------ *)
 
 (* A step raised: the interpreter leaves rip at the faulting
    instruction, step [m.at] of the running translation. *)
 let fault_exit m e =
-  let a = (Array.unsafe_get m.cur.ir.Ir.steps m.at).Ir.addr in
+  let a = (Array.unsafe_get m.cur.ir.Ir.steps m.at).Tcache.addr in
   rset m rip_o a;
   match e with
   | Fault.Trap f -> Faulted f
@@ -1222,7 +1217,7 @@ let rec steps_from (code : code) m i limit =
        fall-through unless this step already wrote it — in a
        superblock, jmp/call steps sit mid-array too *)
     let st = Array.unsafe_get code.ir.Ir.steps i in
-    if not st.Ir.sets_rip then rset m rip_o st.Ir.next;
+    if not st.Tcache.sets_rip then rset m rip_o st.Tcache.next;
     m.at <- i;
     Running
   | outcome ->
@@ -1271,7 +1266,6 @@ let max_super_insns = 256
 let try_fuse tc ~is_builtin ~inline (c : code) =
   c.fuse_tried <- true;
   let head = c.ir.Ir.parts.(0).Ir.block in
-  let entry_of (b : Tcache.block) = b.Tcache.bb_start in
   let rec grow ir parts =
     if List.length parts >= max_super_parts || Ir.length ir >= max_super_insns
     then ir
@@ -1279,10 +1273,10 @@ let try_fuse tc ~is_builtin ~inline (c : code) =
       match Ir.jump_target ir with
       | None -> ir
       | Some a ->
-        if List.exists (fun b -> Int64.equal (entry_of b) a) parts then ir
+        if List.exists (fun b -> Int64.equal (Tcache.start b) a) parts then ir
         else begin
           match Tcache.find tc a with
-          | Some b when Ir.length ir + Array.length b.Tcache.insns <= max_super_insns ->
+          | Some b when Ir.length ir + Array.length b.Tcache.steps <= max_super_insns ->
             grow (Ir.fuse ir (block_ir ~is_builtin ~inline b)) (b :: parts)
           | _ -> ir
         end
@@ -1310,7 +1304,7 @@ let note_profile (c : code) cpu k =
   Array.iteri
     (fun j (p : Ir.part) ->
       if p.Ir.start < k then
-        Telemetry.Profile.note ~addr:p.Ir.block.Tcache.bb_start
+        Telemetry.Profile.note ~addr:(Tcache.start p.Ir.block)
           ~cycles:(charge (Int.min k (ends j)) - charge p.Ir.start))
     parts
 

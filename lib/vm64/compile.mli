@@ -1,7 +1,7 @@
 (** Closure compilation of {!Tcache} blocks — the compiled half of the
     execution stack; {!Exec}'s interpreter is the other half.
 
-    A block is lowered through the explicit {!Ir} (lift -> normalize ->
+    A block is lowered through the explicit {!Ir} (lift -> fuse ->
     emit) into one step per instruction, with everything resolvable at
     translation time already resolved: operand shapes and addressing
     modes specialized, immediates captured, direct-call builtin targets

@@ -448,13 +448,14 @@ let execute env cpu mem insn next_rip =
    straight-line by construction, so as long as [execute] returns
    [Running] the next array slot is the instruction at the new rip. *)
 let interp_block env cpu mem b ~max_insns =
-  let limit = Stdlib.min (Array.length b.Tcache.insns) max_insns in
+  let steps = b.Tcache.steps in
+  let limit = Stdlib.min (Array.length steps) max_insns in
   let rec go i =
-    let insn = b.Tcache.insns.(i) in
-    (match env.on_retire with Some f -> f cpu insn | None -> ());
-    let call_extra = if b.Tcache.callret.(i) then cpu.Cpu.call_tax else 0 in
-    Cpu.add_cycles cpu (b.Tcache.costs.(i) + cpu.Cpu.insn_tax + call_extra);
-    match execute env cpu mem insn b.Tcache.nexts.(i) with
+    let st = steps.(i) in
+    (match env.on_retire with Some f -> f cpu st.Tcache.insn | None -> ());
+    let call_extra = if st.Tcache.callret then cpu.Cpu.call_tax else 0 in
+    Cpu.add_cycles cpu (st.Tcache.cost + cpu.Cpu.insn_tax + call_extra);
+    match execute env cpu mem st.Tcache.insn st.Tcache.next with
     | Running when i + 1 < limit -> go (i + 1)
     | outcome -> (outcome, i + 1)
     | exception Fault.Trap fault -> (Faulted fault, i + 1)
@@ -477,7 +478,7 @@ let dispatch_block env cpu mem b ~max_insns =
     let c0 = Cpu.cycles cpu in
     let r = interp_block env cpu mem b ~max_insns in
     if Telemetry.Profile.enabled () then
-      Telemetry.Profile.note ~addr:b.Tcache.bb_start
+      Telemetry.Profile.note ~addr:(Tcache.start b)
         ~cycles:(Int64.to_int (Int64.sub (Cpu.cycles cpu) c0));
     r
   end

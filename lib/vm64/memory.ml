@@ -57,25 +57,24 @@ let () =
    so address translation is two array loads and [clone] — the fork
    primitive — copies two 256-entry directories: 256 words is OCaml's
    minor-heap object limit, so the clone allocates only in the minor
-   heap. A chunk is a
-   payload array plus one privacy byte per page ('\001': sole owner of
-   the payload, safe to write in place). After a clone neither side
-   owns any chunk, except those holding the parent's hot pages (below);
-   the first mutating access to a chunk copies its payload array whole
-   and starts it with every privacy byte clear. Payloads stay
-   copy-on-write: a write to a page whose payload may be aliased first
-   replaces it with a private copy.
+   heap. A chunk is a payload array plus one privacy byte per page
+   ('\001': sole owner of the payload, safe to write in place). After a
+   clone neither side owns any chunk, except those holding pages the
+   parent keeps private (below); the first mutating access to a chunk
+   copies its payload array whole and starts it with every privacy byte
+   clear. Payloads stay copy-on-write: a write to a page whose payload
+   may be aliased first replaces it with a private copy.
 
    Frames (page payloads) have a lifecycle. [map] installs the shared,
    never-written [zero_frame]; the first write copies it like any CoW
    break, uncounted since no relative's data moves. Every frame copy
    takes a frame from this domain's free list when it has one.
-   [release] hands a dead space's private frames back, walking only the
-   chunks the space owns: beside the ownership bytes, which compiled
-   code reads, each space lists its owned chunks. A page a space
-   CoW-breaks after its first clone is hot: each later clone copies it
-   into the child up front, and the parent keeps it private, so neither
-   side breaks sharing on it and no frame is orphaned.
+   Beside the privacy bytes, which compiled code reads, each space
+   lists its private pages, so [release] hands a dead space's frames
+   back without searching for them. After a space's first clone, each
+   page it CoW-breaks stays private through every later clone: that
+   clone copies it into the child up front and the parent keeps it, so
+   neither side breaks sharing on it and no frame is orphaned.
 
    Memory is W^X: [seal], before the first clone, marks mapped pages
    read-only and executable in [exec], whose per-chunk strings the fork
@@ -89,17 +88,19 @@ let () =
    - An aliased payload is never written in place.
    - In an owned chunk, a '\001' privacy byte means the page is mapped
      and this space alone holds its payload: only [break_cow] and a
-     hot-page copy in [clone] set the byte, each on a page it just gave
-     a fresh frame, [own_chunk] starts every byte clear, and [release]
+     pre-copy in [clone] set the byte, each on a page it just gave a
+     fresh frame, [own_chunk] starts every byte clear, and [release]
      and [seal] clear the bytes of the slots they empty or seal.
      [Compile.store] writes such a page in place without calling in
      here. The zero frame is never private, so it is never written or
      released.
+   - [private_pages] lists exactly the pages whose privacy byte is set
+     in an owned chunk, each once: [break_cow] and the pre-copy push
+     the page whose byte they set, [seal] removes the pages it seals,
+     [release] empties the list, and a first [clone], which leaves the
+     parent no owned chunk, empties it too.
    - A sealed page is mapped and never private: no write reaches it and
      [release] never frees it.
-   - [owned_chunks] lists exactly the chunks whose ownership byte is
-     set, each once: [own_chunk] adds a chunk as it sets the byte, and
-     [clone] sets both sides' lists and bytes to the chunks it keeps.
    - A free-list frame is reachable from no space.
    - [no_page], [zero_frame], [empty_chunk], [no_privs] and [no_exec]
      are immutable sentinels, shared by all spaces and domains. *)
@@ -141,15 +142,12 @@ type t = {
   top : bytes array array;  (* chunk -> page payloads, [no_page] if unmapped *)
   privs : Bytes.t array;  (* chunk -> privacy byte per page *)
   owned : Bytes.t;  (* '\001' per chunk: its payload array and privacy bytes are ours *)
-  mutable owned_chunks : int list;  (* the chunks [owned] marks, each once *)
   exec : string array;  (* chunk -> '\001' per sealed page; [no_exec] if none *)
   mutable mapped_pages : int;
   family : family_stats;
-  mutable forked : bool;  (* cloned at least once: CoW breaks mark pages hot *)
-  mutable hot : int list;  (* page numbers CoW-broken since the first clone *)
+  mutable forked : bool;  (* cloned at least once: a clone pre-copies [private_pages] *)
+  mutable private_pages : int list;  (* page numbers private in an owned chunk *)
 }
-
-let all_chunks = List.init chunks Fun.id
 
 let create () =
   let family = { clones = 0; pages_aliased = 0; cow_breaks = 0 } in
@@ -160,12 +158,11 @@ let create () =
     top = Array.make chunks empty_chunk;
     privs = Array.make chunks no_privs;
     owned = Bytes.make chunks '\001';
-    owned_chunks = all_chunks;
     exec = Array.make chunks no_exec;
     mapped_pages = 0;
     family;
     forked = false;
-    hot = [];
+    private_pages = [];
   }
 
 let[@inline] page_of addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
@@ -178,10 +175,7 @@ let own_chunk t c =
   let ch = Array.unsafe_get t.top c in
   t.top.(c) <- (if ch == empty_chunk then Array.make chunk_pages no_page else Array.copy ch);
   t.privs.(c) <- Bytes.make chunk_pages '\000';
-  if Bytes.unsafe_get t.owned c <> '\001' then begin
-    Bytes.unsafe_set t.owned c '\001';
-    t.owned_chunks <- c :: t.owned_chunks
-  end
+  Bytes.unsafe_set t.owned c '\001'
 
 let map t ~addr ~len =
   if len <= 0 then invalid_arg "Memory.map: nonpositive length";
@@ -215,7 +209,9 @@ let seal t ~addr ~len =
       t.exec.(c) <- Bytes.unsafe_to_string x;
       Bytes.set t.privs.(c) s '\000'
     end
-  done
+  done;
+  (* a private page is mapped, so each one in the range was sealed *)
+  t.private_pages <- List.filter (fun idx -> idx < first || idx > last) t.private_pages
 
 (* Payload of page number [idx] (any nonnegative int), or [no_page] if
    unmapped or above the layout — never raises. *)
@@ -235,15 +231,13 @@ let[@inline] ro_page t addr =
   p
 
 (* First write to a page whose payload may be aliased: replace it with a
-   private copy. Out of line, off the hot write path. A page stays
-   private from here until [release] (a clone keeps hot pages private),
-   so it joins [hot] at most once. *)
+   private copy. Out of line, off the hot write path. *)
 let break_cow t c s p =
   let d = copy_frame p in
   Array.unsafe_set (Array.unsafe_get t.top c) s d;
   Bytes.unsafe_set (Array.unsafe_get t.privs c) s '\001';
   if p != zero_frame then t.family.cow_breaks <- t.family.cow_breaks + 1;
-  if t.forked then t.hot <- (c lsl chunk_bits) lor s :: t.hot;
+  t.private_pages <- (c lsl chunk_bits) lor s :: t.private_pages;
   d
 
 (* Write path on page number [idx]: own the chunk, then break payload
@@ -293,50 +287,44 @@ let read_u8 t addr = Char.code (Bytes.get (ro_page t addr) (offset_of addr))
 let write_u8 t addr v =
   Bytes.set (rw_page t addr) (offset_of addr) (Char.chr (v land 0xFF))
 
+(* A multi-byte access that crosses a page goes a byte at a time: a
+   load gathers from the highest byte down, a store scatters from the
+   lowest up, so each faults at the byte such a loop reaches first. *)
+let gather t addr n =
+  let v = ref 0L in
+  for i = n - 1 downto 0 do
+    let b = read_u8 t (Int64.add addr (Int64.of_int i)) in
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+  done;
+  !v
+
+let scatter t addr n v =
+  for i = 0 to n - 1 do
+    let b = Int64.to_int (Int64.shift_right_logical v (8 * i)) in
+    write_u8 t (Int64.add addr (Int64.of_int i)) b
+  done
+
 (* Multi-byte accesses take the fast path when they fit in one page. *)
 let read_u64 t addr =
   let off = offset_of addr in
-  if off + 8 <= page_size then Bytes.get_int64_le (ro_page t addr) off
-  else begin
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      let b = read_u8 t (Int64.add addr (Int64.of_int i)) in
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
-    done;
-    !v
-  end
+  if off + 8 <= page_size then Bytes.get_int64_le (ro_page t addr) off else gather t addr 8
 
 let write_u64 t addr v =
   let off = offset_of addr in
   if off + 8 <= page_size then Bytes.set_int64_le (rw_page t addr) off v
-  else
-    for i = 0 to 7 do
-      let b = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
-      write_u8 t (Int64.add addr (Int64.of_int i)) b
-    done
+  else scatter t addr 8 v
 
 let read_u32 t addr =
   let off = offset_of addr in
   if off + 4 <= page_size then
     Int64.logand (Int64.of_int32 (Bytes.get_int32_le (ro_page t addr) off)) 0xFFFFFFFFL
-  else begin
-    let v = ref 0L in
-    for i = 3 downto 0 do
-      let b = read_u8 t (Int64.add addr (Int64.of_int i)) in
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
-    done;
-    !v
-  end
+  else gather t addr 4
 
 let write_u32 t addr v =
   let off = offset_of addr in
   if off + 4 <= page_size then
     Bytes.set_int32_le (rw_page t addr) off (Int64.to_int32 v)
-  else
-    for i = 0 to 3 do
-      let b = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
-      write_u8 t (Int64.add addr (Int64.of_int i)) b
-    done
+  else scatter t addr 4 v
 
 let read_bytes t addr len =
   let out = Bytes.create len in
@@ -379,13 +367,14 @@ let cstr_len t addr =
 
 (* A fork copies the 256-word directories and drops both sides'
    ownership, so chunk and payload copies happen lazily on first write
-   in either space. Hot pages the parent still holds privately are the
-   exception: the child gets its own copy now, and the parent keeps
-   those pages private and their chunks owned. The family shares one
-   executable map, which [seal] no longer changes. *)
+   in either space. At a space's first clone its private pages, written
+   while loading, become shared like the rest. At every later clone its
+   private pages, all broken since the first, are the exception: the
+   child gets its own copy of each now, and the parent keeps them
+   private and their chunks owned. The family shares one executable
+   map, which [seal] no longer changes. *)
 let clone t =
   let n = t.mapped_pages in
-  t.forked <- true;
   t.family.clones <- t.family.clones + 1;
   t.family.pages_aliased <- t.family.pages_aliased + n;
   let child =
@@ -393,78 +382,53 @@ let clone t =
       top = Array.copy t.top;
       privs = Array.copy t.privs;
       owned = Bytes.make chunks '\000';
-      owned_chunks = [];
       exec = t.exec;
       mapped_pages = n;
       family = t.family;
       forked = false;
-      hot = [];
+      private_pages = [];
     }
   in
-  let kept = ref [] in
+  Bytes.fill t.owned 0 chunks '\000';
+  if not t.forked then begin
+    t.forked <- true;
+    t.private_pages <- []
+  end;
   List.iter
     (fun idx ->
       let c = idx lsr chunk_bits and s = idx land (chunk_pages - 1) in
-      if Bytes.get t.owned c = '\001' && Bytes.get t.privs.(c) s = '\001' then begin
-        if Bytes.get child.owned c <> '\001' then begin
-          child.top.(c) <- Array.copy t.top.(c);
-          child.privs.(c) <- Bytes.make chunk_pages '\000';
-          Bytes.set child.owned c '\001';
-          kept := c :: !kept
-        end;
-        child.top.(c).(s) <- copy_frame t.top.(c).(s);
-        Bytes.set child.privs.(c) s '\001';
-        t.family.cow_breaks <- t.family.cow_breaks + 1
-      end)
-    t.hot;
-  (* every other page is now shared: in the chunks the parent keeps,
-     its privacy bytes become the child's *)
-  Bytes.fill t.owned 0 chunks '\000';
-  List.iter
-    (fun c ->
-      Bytes.set t.owned c '\001';
-      Bytes.blit child.privs.(c) 0 t.privs.(c) 0 chunk_pages)
-    !kept;
-  t.owned_chunks <- !kept;
-  child.owned_chunks <- !kept;
+      if Bytes.get child.owned c <> '\001' then begin
+        Bytes.set t.owned c '\001';
+        Bytes.set child.owned c '\001';
+        child.top.(c) <- Array.copy t.top.(c);
+        child.privs.(c) <- Bytes.make chunk_pages '\000'
+      end;
+      child.top.(c).(s) <- copy_frame t.top.(c).(s);
+      Bytes.set child.privs.(c) s '\001';
+      child.private_pages <- idx :: child.private_pages;
+      t.family.cow_breaks <- t.family.cow_breaks + 1)
+    t.private_pages;
   child
-
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-
-(* [f s] for each set byte ('\001') of a chunk's privacy bytes, testing
-   eight bytes at a time: few are set. Every privacy string is
-   [chunk_pages] long. *)
-let iter_set pv f =
-  for w = 0 to (chunk_pages / 8) - 1 do
-    if get64u pv (8 * w) <> 0L then
-      for s = 8 * w to (8 * w) + 7 do
-        if Bytes.unsafe_get pv s = '\001' then f s
-      done
-  done
 
 let release t =
   let fl = Domain.DLS.get free_list in
   List.iter
-    (fun c ->
-      let ch = t.top.(c) and pv = t.privs.(c) in
-      iter_set pv (fun s ->
-          let p = ch.(s) in
-          ch.(s) <- no_page;
-          Bytes.set pv s '\000';
-          t.mapped_pages <- t.mapped_pages - 1;
-          if fl.n < free_cap then begin
-            fl.frames.(fl.n) <- p;
-            fl.n <- fl.n + 1
-          end))
-    t.owned_chunks
+    (fun idx ->
+      let c = idx lsr chunk_bits and s = idx land (chunk_pages - 1) in
+      let ch = t.top.(c) in
+      let p = ch.(s) in
+      ch.(s) <- no_page;
+      Bytes.set t.privs.(c) s '\000';
+      t.mapped_pages <- t.mapped_pages - 1;
+      if fl.n < free_cap then begin
+        fl.frames.(fl.n) <- p;
+        fl.n <- fl.n + 1
+      end)
+    t.private_pages;
+  t.private_pages <- []
 
 let mapped_bytes t = t.mapped_pages * page_size
-
-let resident_bytes t =
-  let n = ref 0 in
-  List.iter (fun c -> iter_set t.privs.(c) (fun _ -> incr n)) t.owned_chunks;
-  !n * page_size
-
+let resident_bytes t = List.length t.private_pages * page_size
 let shared_bytes t = mapped_bytes t - resident_bytes t
 
 let family_stats t =

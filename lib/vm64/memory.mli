@@ -19,14 +19,15 @@
     one shared, never-written zero frame, and a page gets its own frame
     on its first write. Every frame copy (a CoW break, a zero fill, a
     fork pre-copy) reuses a frame from a per-domain free list of at
-    most 256 when it can. {!release} hands a dead space's private
-    frames back to that list. A page a space CoW-breaks after its first
-    {!clone} is {e hot}: every later clone copies it into the child up
-    front while the parent keeps it private, so a fork server's
-    rewritten stack page is copied once per fork instead of broken on
-    both sides, and the pre-fork frame is never orphaned. Writes made
-    before the first clone (loading text and data at spawn) are never
-    hot: counting them copied text into every child. The invariants:
+    most 256 when it can. Each space lists its private pages, and
+    {!release} hands a dead space's frames back to that list. A page a
+    space CoW-breaks after its first {!clone} stays private through
+    every later clone, which copies it into the child up front while
+    the parent keeps it, so a fork server's rewritten stack page is
+    copied once per fork instead of broken on both sides, and the
+    pre-fork frame is never orphaned. Pages written before the first
+    clone (loading text and data at spawn) become shared at it:
+    pre-copying them copied text into every child. The invariants:
     a frame private to one space is reachable from no other space; a
     free-list frame is reachable from no space; the zero frame is never
     private. DESIGN.md §5 gives the measurements. Memory is W^X: see
@@ -59,16 +60,16 @@ type t = private {
   top : bytes array array;  (** chunk -> page payloads, {!no_page} if unmapped *)
   privs : Bytes.t array;  (** chunk -> one privacy byte per page *)
   owned : Bytes.t;  (** one ownership byte per chunk, ['\001'] if owned *)
-  mutable owned_chunks : int list;
-      (** exactly the chunks whose [owned] byte is set, each once, in no
-          particular order: what {!release} and {!resident_bytes} walk *)
   exec : string array;
       (** chunk -> one byte per page, ['\001'] if sealed; one string,
           shared by the fork family *)
   mutable mapped_pages : int;
   family : family_stats;
-  mutable forked : bool;  (** cloned at least once: CoW breaks mark pages hot *)
-  mutable hot : int list;  (** page numbers CoW-broken since the first clone *)
+  mutable forked : bool;  (** cloned at least once: {!clone} pre-copies [private_pages] *)
+  mutable private_pages : int list;
+      (** exactly the page numbers whose privacy byte is set in an owned
+          chunk, each once, in no particular order: what {!clone}
+          pre-copies, {!release} frees and {!resident_bytes} counts *)
 }
 
 val no_page : bytes
@@ -151,9 +152,10 @@ val clone : t -> t
 (** The [fork] primitive's address-space clone. Copy-on-write at two
     levels: the child aliases the parent's chunks (one 256-entry
     directory copied, no page touched), and page payloads stay shared
-    until first write in either space. Hot pages the parent still holds
-    privately are copied into the child now (each counted as a CoW
-    break); the parent keeps them private and their chunks owned. The
+    until first write in either space. From the parent's second clone
+    on, its private pages are copied into the child now (each counted
+    as a CoW break); the parent keeps them private and their chunks
+    owned. At its first clone they become shared like the rest. The
     child shares the parent's sealed pages and executable map.
     Observable behaviour is identical to a deep copy — writes in either
     space never become visible in the other. *)
@@ -162,8 +164,8 @@ val release : t -> unit
 (** The space is dead: return its private frames to this domain's free
     list and empty their slots, so a later access to them through [t]
     faults. Shared and sealed pages (and the zero frame) stay mapped
-    and untouched. Walks [owned_chunks] only, so a forked child that
-    owns a few chunks costs a few chunks. A second call frees
+    and untouched. Walks [private_pages] only, so a forked child that
+    wrote a few pages costs a few pages. A second call frees
     nothing. *)
 
 val free_frames : unit -> bytes list

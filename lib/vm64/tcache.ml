@@ -1,11 +1,13 @@
-type block = {
-  bb_start : int64;
-  insns : Isa.Insn.t array;
-  costs : int array;
-  callret : bool array;
-  nexts : int64 array;
-  mutable compiled : Compiled.slot;
+type step = {
+  addr : int64;
+  next : int64;
+  cost : int;
+  callret : bool;
+  sets_rip : bool;
+  insn : Isa.Insn.t;
 }
+
+type block = { steps : step array; mutable compiled : Compiled.slot }
 
 let max_block_insns = 64
 
@@ -13,19 +15,30 @@ let is_callret = function
   | Isa.Insn.Call _ | Isa.Insn.Call_ind _ | Isa.Insn.Ret -> true
   | _ -> false
 
+let sets_rip = function
+  | Isa.Insn.Jmp _ | Jcc _ | Call _ | Call_ind _ | Ret -> true
+  | _ -> false
+
 let make_block ~start pairs =
-  let n = Array.length pairs in
-  if n = 0 then invalid_arg "Tcache.make_block: empty block";
-  let insns = Array.map fst pairs in
-  let costs = Array.map Cost.cycles insns in
-  let callret = Array.map is_callret insns in
-  let nexts = Array.make n 0L in
+  if Array.length pairs = 0 then invalid_arg "Tcache.make_block: empty block";
   let addr = ref start in
-  for i = 0 to n - 1 do
-    addr := Int64.add !addr (Int64.of_int (snd pairs.(i)));
-    nexts.(i) <- !addr
-  done;
-  { bb_start = start; insns; costs; callret; nexts; compiled = Compiled.Not_compiled }
+  let steps =
+    Array.init (Array.length pairs) (fun i ->
+        let insn, len = pairs.(i) in
+        let a = !addr in
+        addr := Int64.add a (Int64.of_int len);
+        {
+          addr = a;
+          next = !addr;
+          cost = Cost.cycles insn;
+          callret = is_callret insn;
+          sets_rip = sets_rip insn;
+          insn;
+        })
+  in
+  { steps; compiled = Compiled.Not_compiled }
+
+let start b = b.steps.(0).addr
 
 (* Execution-path telemetry: one record per fork family (the numbers
    survive the relatives' reaping), mirroring [Memory.family_stats]. *)
@@ -137,7 +150,7 @@ let note_chain t = t.xstats.chains <- t.xstats.chains + 1
 let note_superblock t = t.xstats.superblocks <- t.xstats.superblocks + 1
 let note_chain_hops t n = t.xstats.chain_hops <- t.xstats.chain_hops + n
 
-let add t block = Blocks.replace t.blocks block.bb_start block
+let add t block = Blocks.replace t.blocks (start block) block
 
 let exec_stats t =
   {

@@ -1,9 +1,10 @@
 (** Basic-block translation cache.
 
     The interpreter decodes straight-line instruction runs once and
-    stores them as flat arrays with precomputed byte lengths and cycle
+    stores them as arrays of steps with precomputed addresses and cycle
     costs; {!Exec} then dispatches through the arrays instead of
-    re-hashing the rip on every instruction.
+    re-hashing the rip on every instruction, and {!Compile} lowers a
+    block from the same array.
 
     A block starts at the address execution first entered it (jump
     target, call target, or fall-through from a fuel boundary) and ends
@@ -19,12 +20,20 @@
     [clone] (the fork primitive) returns the parent's table, and a
     block any relative decodes is valid, and a hit, for all of them. *)
 
+(** One decoded instruction, with what dispatch needs of it. *)
+type step = {
+  addr : int64;  (** the instruction's own address *)
+  next : int64;  (** fall-through rip *)
+  cost : int;  (** {!Cost.cycles} *)
+  callret : bool;  (** charged the per-call tax *)
+  sets_rip : bool;
+      (** a control transfer (jmp, jcc, call, ret): compiled code writes
+          rip when it retires [Running] *)
+  insn : Isa.Insn.t;
+}
+
 type block = {
-  bb_start : int64;  (** address of the first instruction *)
-  insns : Isa.Insn.t array;
-  costs : int array;  (** {!Cost.cycles} per instruction *)
-  callret : bool array;  (** instruction is charged the per-call tax *)
-  nexts : int64 array;  (** fall-through rip per instruction *)
+  steps : step array;  (** in address order; never empty *)
   mutable compiled : Compiled.slot;
       (** compiled translation, written by {!Compile}; deterministic,
           so every relative reaching this record shares the compiled
@@ -36,8 +45,12 @@ type block = {
 val max_block_insns : int
 
 val make_block : start:int64 -> (Isa.Insn.t * int) array -> block
-(** [make_block ~start pairs] precomputes the dispatch arrays from
-    decoded [(insn, byte_length)] pairs. [pairs] must be non-empty. *)
+(** [make_block ~start pairs] builds the steps of decoded
+    [(insn, byte_length)] pairs laid out from [start]. [pairs] must be
+    non-empty. *)
+
+val start : block -> int64
+(** The address of the block's first instruction. *)
 
 type t
 

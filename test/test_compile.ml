@@ -14,9 +14,10 @@
    hops from chain to chain, and the fuel tail's step loop) — and
    compare the complete machine state. Two programs in three also carry
    the Mini-C compiler's idioms that the chain runs as single fused
-   steps, which random draws would not line up. Text is sealed, as the
-   loader seals it, so stores into it and jumps into data fault on both
-   sides.
+   steps, which random draws would not line up, and any program may
+   carry the zero idiom [xor r, r] and the self-move [mov r, r]. Text
+   is sealed, as the loader seals it, so stores into it and jumps into
+   data fault on both sides.
 
    The "tier-2" and "tier-3" groups keep the names of the execution
    modes their tests were written for: chaining and superblocks, and the
@@ -220,10 +221,22 @@ let rand_idiom p =
         [ "S = imm"; name; "#DE on INT64_MIN / -1" ] )
     | _ -> (shuffle s @ consumer, [ shape; name ])
 
+(* The zero idiom [xor r, r], which mcc emits, and the self-move
+   [mov r, r]: compiled code lowers the first on its own and the second
+   as any move, and independent draws of the two registers rarely
+   match. *)
+let self_kinds = [ "xor r, r"; "mov r, r" ]
+
+let rand_self p =
+  let r = Operand.reg (rand_reg p) in
+  if Util.Prng.bool p then ([ Insn.Bin (Insn.Xor, r, r) ], [ "xor r, r" ])
+  else ([ Insn.Mov (r, r) ], [ "mov r, r" ])
+
 (* Not every generated shape is encodable (e.g. mem-to-mem moves);
    resample deterministically until the whole sequence encodes. Two
-   programs in three mix mcc's idioms in with the random instructions.
-   Returns the program and the kinds of idiom window it holds. *)
+   programs in three mix mcc's idioms in with the random instructions,
+   and one piece in 32 is a self-form. Returns the program and the
+   kinds of idiom window and self-form it holds. *)
 let rand_program p =
   let idioms = Util.Prng.int p 3 > 0 in
   let rec gen attempts =
@@ -232,7 +245,9 @@ let rand_program p =
       let n = 1 + Util.Prng.int p 24 in
       let pieces =
         List.init n (fun _ ->
-            if idioms && Util.Prng.bool p then rand_idiom p else ([ rand_insn p ], []))
+            if Util.Prng.int p 32 = 0 then rand_self p
+            else if idioms && Util.Prng.bool p then rand_idiom p
+            else ([ rand_insn p ], []))
       in
       let insns = List.concat_map fst pieces @ [ Insn.Hlt ] in
       match Encode.list_to_bytes insns with
@@ -393,12 +408,13 @@ let test_differential_fuzz () =
   Alcotest.(check bool) "saw builtin/syscall exits" true (!other > 10);
   Alcotest.(check bool) "saw stores into text" true (!text_stores > 20);
   Alcotest.(check bool) "saw fetches from data" true (!data_fetches > 10);
-  (* and every fused step, in each of its shapes and faults *)
+  (* and every fused step, in each of its shapes and faults, and both
+     self-forms *)
   List.iter
     (fun k ->
       let n = Option.value ~default:0 (Hashtbl.find_opt windows k) in
-      if n <= 100 then Alcotest.failf "the corpus holds %d windows of kind %s, want > 100" n k)
-    window_kinds
+      if n <= 100 then Alcotest.failf "the corpus holds %d of kind %s, want > 100" n k)
+    (window_kinds @ self_kinds)
 
 (* ---- flag setters and condition tests against the reference ---------------- *)
 
@@ -622,35 +638,6 @@ let test_superblock_profile_attribution () =
     ]
 
 (* ---- the threaded chain ------------------------------------------------------ *)
-
-let mk_block ~start insns =
-  Tcache.make_block ~start
-    (Array.of_list
-       (List.map (fun i -> (i, Bytes.length (Encode.list_to_bytes [ i ]))) insns))
-
-let no_builtin _ = None
-
-(* The self-move peephole: [mov r, r] normalizes to the cost-only no-op
-   while a real register move stays executable, and neither rewrite
-   loses the decoded cycle cost. *)
-let test_normalize_self_move () =
-  let b =
-    mk_block ~start:text_base
-      [
-        Insn.Mov (Operand.reg Reg.RCX, Operand.reg Reg.RCX);
-        Insn.Mov (Operand.reg Reg.RCX, Operand.reg Reg.RDX);
-        Insn.Hlt;
-      ]
-  in
-  let ir = Ir.normalize (Ir.lift ~is_builtin:no_builtin ~inlinable:(fun _ -> false) b) in
-  (match ir.Ir.steps.(0).Ir.uop with
-  | Ir.Nop_cost -> ()
-  | _ -> Alcotest.fail "mov rcx, rcx must normalize to Nop_cost");
-  (match ir.Ir.steps.(1).Ir.uop with
-  | Ir.Exec (Insn.Mov _) -> ()
-  | _ -> Alcotest.fail "mov rcx, rdx must stay a real move");
-  Alcotest.(check int) "self-move keeps the move's decoded cost"
-    ir.Ir.steps.(1).Ir.cost ir.Ir.steps.(0).Ir.cost
 
 (* rdtsc compiles: mid-block, compiled code reads the counter as
    entry cycles plus the retired prefix's static charge, taxes included,
@@ -1554,8 +1541,6 @@ let () =
         ] );
       ( "tier-3",
         [
-          Alcotest.test_case "normalize rewrites mov r,r to Nop_cost" `Quick
-            test_normalize_self_move;
           Alcotest.test_case "rdtsc compiles mid-block" `Quick test_rdtsc_compiles;
           Alcotest.test_case "faults are exact mid-superblock" `Quick
             test_fault_exact_mid_superblock;

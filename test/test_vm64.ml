@@ -274,16 +274,17 @@ let test_map_outside_layout () =
      clone copies it into the child (a counted break) and the parent
      keeps it private, while every other page becomes shared;
    - [Release i] kills space i: its private pages fault from then on,
-     and the release hands back to the free list exactly the private
-     frames of the chunks it owns (none on a second release).
+     and the release hands back to the free list exactly the frames of
+     the pages the model holds private (none on a second release).
    After every op three frame invariants hold: no frame private to one
    live space is reachable from another; no free-list frame is
    reachable from a live space; the zero frame is never private. And
-   in every space, [owned_chunks] lists exactly the chunks whose
-   ownership byte is set, once each. Frames, privacy and ownership are
-   read through [Memory.t]'s private record. Addresses cluster around
-   the chunk boundary at page 128 and the top of the layout, at page
-   ends. *)
+   each live space's [private_pages] lists exactly the pages the model
+   holds private, once each, and a released space's lists none; so do
+   the space's own privacy bytes in owned chunks. Frames,
+   privacy and ownership are read through [Memory.t]'s private record.
+   Addresses cluster around the chunk boundary at page 128 and the top
+   of the layout, at page ends. *)
 type mem_op =
   | Map of int * int64 * int
   | Seal of int * int64 * int
@@ -364,21 +365,15 @@ let zero_frame =
   Memory.map m ~addr:0L ~len:1;
   Option.get (frame m 0)
 
-let chunk_ids (m : Memory.t) = List.init (Bytes.length m.Memory.owned) Fun.id
+(* Every page an op can write: the model pages, and the page after
+   page 130, which a write spanning its end reaches. *)
+let written_pages = List.sort Int.compare (131 :: model_pages)
 
-(* The frames a release must hand back: every private page of every
-   owned chunk, wherever the ops put it. *)
-let owned_private_frames (m : Memory.t) =
-  List.concat_map
-    (fun c ->
-      if Bytes.get m.Memory.owned c <> '\001' then []
-      else
-        List.filter_map
-          (fun s ->
-            if Bytes.get m.Memory.privs.(c) s = '\001' then Some m.Memory.top.(c).(s)
-            else None)
-          (List.init Memory.chunk_pages Fun.id))
-    (chunk_ids m)
+(* The pages a model space holds privately, in order: none once
+   released. *)
+let model_private s =
+  if s.alive then List.sort Int.compare (Hashtbl.fold (fun p () acc -> p :: acc) s.priv [])
+  else []
 
 (* Empty this domain's free list into a throwaway space: every first
    write to a zero page takes a frame from it. *)
@@ -516,13 +511,14 @@ let page_table_matches_model ops =
       model_pages
   in
   let reachable i = List.filter_map (frame !real.(i)) model_pages in
-  let owned_list_ok i (m : Memory.t) =
-    List.sort Int.compare m.Memory.owned_chunks
-    = List.filter (fun c -> Bytes.get m.Memory.owned c = '\001') (chunk_ids m)
-    || QCheck.Test.fail_reportf "space %d: owned_chunks lists %d chunk(s), %d owned" i
-         (List.length m.Memory.owned_chunks)
-         (List.length
-            (List.filter (fun c -> Bytes.get m.Memory.owned c = '\001') (chunk_ids m)))
+  let private_list_ok op i (m : Memory.t) =
+    let listed = List.sort Int.compare m.Memory.private_pages in
+    let expect = model_private !model.(i) in
+    (listed = expect && listed = List.filter (held_privately m) written_pages)
+    || QCheck.Test.fail_reportf
+         "%s: space %d lists %d private page(s), the model holds %d, its bytes mark %d"
+         (show_mem_op op) i (List.length listed) (List.length expect)
+         (List.length (List.filter (held_privately m) written_pages))
   in
   let frame_invariants op =
     let free = Memory.free_frames () in
@@ -580,14 +576,14 @@ let page_table_matches_model ops =
         | Release s ->
           let i = s mod n in
           let ms = !model.(i) in
-          let expect = owned_private_frames !real.(i) in
+          let expect = List.filter_map (frame !real.(i)) (model_private ms) in
           drain_free_list ();
           Memory.release !real.(i);
           let freed = Memory.free_frames () in
           (List.length freed = List.length expect
            && List.for_all (fun f -> List.memq f expect) freed
            && List.for_all (fun f -> List.memq f freed) expect
-          || QCheck.Test.fail_reportf "%s: freed %d frame(s), %d owned private"
+          || QCheck.Test.fail_reportf "%s: freed %d frame(s), %d private"
                (show_mem_op op) (List.length freed) (List.length expect))
           && ((not ms.alive)
              ||
@@ -615,8 +611,8 @@ let page_table_matches_model ops =
           r = e || QCheck.Test.fail_reportf "%s: results differ" (show_mem_op op)
       in
       ok
+      && Array.for_all Fun.id (Array.mapi (private_list_ok op) !real)
       && Array.for_all Fun.id (Array.mapi (fun i m -> check_pages i m !model.(i)) !real)
-      && Array.for_all Fun.id (Array.mapi owned_list_ok !real)
       && frame_invariants op
       && (cow_total () - cow_before = !breaks
          || QCheck.Test.fail_reportf "%s: vm.mem.cow_breaks +%d, model %d"
@@ -634,7 +630,7 @@ let prop_page_table_model =
    a page made hot by a write after the first clone, a second clone
    that pre-copies it, the released child released again, then the
    parent and the first child. *)
-let test_release_walks_owned_chunks () =
+let test_release_walks_private_pages () =
   let a p o = Int64.of_int ((p * 4096) + o) in
   let ops =
     [
@@ -1321,8 +1317,8 @@ let () =
           Alcotest.test_case "sealed pages" `Quick test_seal;
           qc prop_mem_roundtrip;
           qc prop_page_table_model;
-          Alcotest.test_case "release walks owned chunks" `Quick
-            test_release_walks_owned_chunks;
+          Alcotest.test_case "release walks private pages" `Quick
+            test_release_walks_private_pages;
         ] );
       ( "cow",
         [
