@@ -20,7 +20,12 @@
    file, an 8-byte guest access inside one page reads the page table in
    place ([load]/[store]) rather than calling into [Memory], and one at
    rsp or rbp plus a constant skips even that while it stays in the
-   run's stack page ([stack_load]/[stack_store]).
+   run's stack page ([stack_load]/[stack_store]). The steps that make
+   such accesses keep a common arm that calls nothing: the closure
+   tests the stack page (or the page window), makes a hit's access in
+   line and tail-calls its continuation, and tail-calls an out-of-line
+   finisher on a miss, so OCaml gives it no stack-limit check and no
+   spills ([finish_load_local] and the rest).
 
    Translations also hand control to each other without leaving
    compiled code: a chain's exit makes every transfer itself. Its
@@ -260,8 +265,13 @@ let[@inline] store_payload mem ai =
    would make the compiler box the window arm's value too. *)
 let[@inline never] load_slow m a = Cpu.set64u m.tmp 0 (Memory.read_u64 m.mem a)
 
+(* The payload a load at [a] reads in place, or [Memory.no_page] when
+   the access is outside the window or its page unmapped. *)
+let[@inline] load_page m a =
+  if in_window a then slot m.mem (Int64.to_int a) else Memory.no_page
+
 let[@inline] load m a =
-  let p = if in_window a then slot m.mem (Int64.to_int a) else Memory.no_page in
+  let p = load_page m a in
   if p != Memory.no_page then Cpu.get64u p (Int64.to_int a land page_mask)
   else begin
     load_slow m a;
@@ -280,10 +290,13 @@ let[@inline] store m a v =
    every 8-byte access at rsp or rbp plus a constant goes. A hit — the
    address inside the layout (so [Int64.to_int] drops no bit, and no
    address with bit 63 set aliases the page) and 0..4088 bytes above
-   the base — reads or writes the payload with no page-table walk. A
-   miss takes [load]'s and [store]'s paths, and inside the window does
-   so out of line, with the int address, so it allocates nothing: a
-   load fills the entry when the page it reads is private in an owned
+   the base — reads or writes the payload with no page-table walk. The
+   leaf steps (below) test a hit in their own closures and come here
+   only from their finishers, where the test misses again; rarer steps,
+   such as a push from memory or an indirect call, come here directly.
+   A miss takes [load]'s and [store]'s paths, and inside the window
+   does so out of line, with the int address, so it allocates nothing:
+   a load fills the entry when the page it reads is private in an owned
    chunk, a store once [store_payload] has made it so. A run starts
    with no page ([no_stack_page] lies 4096 below address 0, so no
    address of the layout hits it), and the entry needs no invalidation:
@@ -449,6 +462,69 @@ let[@inline] zero_flags (f : Cpu.flags) =
   f.cf <- false;
   f.of_ <- false
 
+(* ---- Leaf steps and their finishers --------------------------------- *)
+
+(* A step whose only call is a rare slow path keeps a common arm that is
+   a leaf: mov to and from [rbp|rsp + d] and through the page window,
+   push of a register or an immediate, pop of a register, ret, leave,
+   and the operand-shuffle windows further down. Its closure computes
+   the address and tests the stack page (or the page window); on a hit
+   it makes the access in line and tail-calls its continuation, and
+   otherwise it tail-calls the step's finisher: the whole step, out of
+   line, then [k m]. OCaml spills at a function's entry whatever lives
+   across any call in it, and checks the stack limit there when it
+   makes one, so a closure that only tail-calls gets neither. It writes
+   nothing but [m.at] before its test, so a finisher starts from the
+   step's entry state: its own test misses again and takes the slow
+   path, which leaves the interpreter's partial state on a fault. *)
+
+let[@inline never] finish_load_local m i d b disp (k : step) =
+  m.at <- i;
+  rset m d (stack_load m (Int64.add (rget m b) disp));
+  k m
+
+let[@inline never] finish_store_local m i b s disp (k : step) =
+  m.at <- i;
+  stack_store m (Int64.add (rget m b) disp) (rget m s);
+  k m
+
+let[@inline never] finish_load m i d b disp (k : step) =
+  m.at <- i;
+  rset m d (load m (Int64.add (rget m b) disp));
+  k m
+
+let[@inline never] finish_store m i b s disp (k : step) =
+  m.at <- i;
+  store m (Int64.add (rget m b) disp) (rget m s);
+  k m
+
+let[@inline never] finish_push_reg m i s (k : step) =
+  m.at <- i;
+  (* value read before rsp moves: push rsp stores the old rsp *)
+  push_m m (rget m s);
+  k m
+
+let[@inline never] finish_push_imm m i v (k : step) =
+  m.at <- i;
+  push_m m v;
+  k m
+
+(* [d] is a gpr's offset, or rip's for a ret *)
+let[@inline never] finish_pop m i d (k : step) =
+  m.at <- i;
+  (* rsp bump before the destination write: pop rsp ends at v *)
+  let v = pop_m m in
+  rset m d v;
+  k m
+
+let[@inline never] finish_leave m i (k : step) =
+  m.at <- i;
+  (* rsp := rbp first, so a faulting pop leaves rsp = rbp *)
+  rset m rsp_o (rget m rbp_o);
+  let v = pop_m m in
+  rset m rbp_o v;
+  k m
+
 (* ---- Lowering: one step per instruction ----------------------------- *)
 
 type env = {
@@ -487,27 +563,47 @@ let lower env ~i (st : Tcache.step) (k : step) : step =
     let d = ro d and b = ro b in
     fun m ->
       m.at <- i;
-      rset m d (stack_load m (Int64.add (rget m b) disp));
-      k m
+      let a = Int64.add (rget m b) disp in
+      let off = Int64.to_int a - m.sp_base in
+      if stack_hit a off then begin
+        rset m d (Cpu.get64u m.sp_page off);
+        k m
+      end
+      else finish_load_local m i d b disp k
   | I.Mov
       (O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as b); index = None; disp }, O.Reg s) ->
     let b = ro b and s = ro s in
     fun m ->
       m.at <- i;
-      stack_store m (Int64.add (rget m b) disp) (rget m s);
-      k m
+      let a = Int64.add (rget m b) disp in
+      let off = Int64.to_int a - m.sp_base in
+      if stack_hit a off then begin
+        Cpu.set64u m.sp_page off (rget m s);
+        k m
+      end
+      else finish_store_local m i b s disp k
   | I.Mov (O.Reg d, O.Mem { O.seg_fs = false; base = Some b; index = None; disp }) ->
     let d = ro d and b = ro b in
     fun m ->
       m.at <- i;
-      rset m d (load m (Int64.add (rget m b) disp));
-      k m
+      let a = Int64.add (rget m b) disp in
+      let p = load_page m a in
+      if p != Memory.no_page then begin
+        rset m d (Cpu.get64u p (Int64.to_int a land page_mask));
+        k m
+      end
+      else finish_load m i d b disp k
   | I.Mov (O.Mem { O.seg_fs = false; base = Some b; index = None; disp }, O.Reg s) ->
     let b = ro b and s = ro s in
     fun m ->
       m.at <- i;
-      store m (Int64.add (rget m b) disp) (rget m s);
-      k m
+      let a = Int64.add (rget m b) disp in
+      if in_window a && private_page m.mem (Int64.to_int a) then begin
+        let ai = Int64.to_int a in
+        Cpu.set64u (slot m.mem ai) (ai land page_mask) (rget m s);
+        k m
+      end
+      else finish_store m i b s disp k
   | I.Mov (dst, src) ->
     let dst = opnd dst and src = opnd src in
     fun m ->
@@ -535,27 +631,53 @@ let lower env ~i (st : Tcache.step) (k : step) : step =
     fun m ->
       rset m r (ea_val m e);
       k m
+  (* push, pop, ret and leave test the stack page at rsp - 8, rsp or
+     rbp before moving rsp *)
   | I.Push (O.Reg s) ->
     let s = ro s in
     fun m ->
       m.at <- i;
-      (* value read before rsp moves: push rsp stores the old rsp *)
-      push_m m (rget m s);
-      k m
+      let sp = Int64.sub (rget m rsp_o) 8L in
+      let off = Int64.to_int sp - m.sp_base in
+      if stack_hit sp off then begin
+        (* value read before rsp moves: push rsp stores the old rsp *)
+        let v = rget m s in
+        rset m rsp_o sp;
+        Cpu.set64u m.sp_page off v;
+        k m
+      end
+      else finish_push_reg m i s k
+  | I.Push (O.Imm v) ->
+    fun m ->
+      m.at <- i;
+      let sp = Int64.sub (rget m rsp_o) 8L in
+      let off = Int64.to_int sp - m.sp_base in
+      if stack_hit sp off then begin
+        rset m rsp_o sp;
+        Cpu.set64u m.sp_page off v;
+        k m
+      end
+      else finish_push_imm m i v k
   | I.Push src ->
     let src = opnd src in
     fun m ->
       m.at <- i;
       push_m m (read m src);
       k m
-  | I.Pop (O.Reg d) ->
-    let d = ro d in
+  | (I.Pop (O.Reg _) | I.Ret) as insn ->
+    (* a ret pops into rip *)
+    let d = match insn with I.Pop (O.Reg d) -> ro d | _ -> rip_o in
     fun m ->
       m.at <- i;
-      (* rsp bump before the destination write: pop rsp ends at v *)
-      let v = pop_m m in
-      rset m d v;
-      k m
+      let rsp = rget m rsp_o in
+      let off = Int64.to_int rsp - m.sp_base in
+      if stack_hit rsp off then begin
+        let v = Cpu.get64u m.sp_page off in
+        rset m rsp_o (Int64.add rsp 8L);
+        rset m d v;
+        k m
+      end
+      else finish_pop m i d k
   | I.Pop dst ->
     let dst = opnd dst in
     fun m ->
@@ -742,20 +864,18 @@ let lower env ~i (st : Tcache.step) (k : step) : step =
         push_m m next;
         rset m rip_o a;
         k m)
-  | I.Ret ->
-    fun m ->
-      m.at <- i;
-      let a = pop_m m in
-      rset m rip_o a;
-      k m
   | I.Leave ->
     fun m ->
       m.at <- i;
-      (* rsp := rbp first, so a faulting pop leaves rsp = rbp *)
-      rset m rsp_o (rget m rbp_o);
-      let v = pop_m m in
-      rset m rbp_o v;
-      k m
+      let rbp = rget m rbp_o in
+      let off = Int64.to_int rbp - m.sp_base in
+      if stack_hit rbp off then begin
+        let v = Cpu.get64u m.sp_page off in
+        rset m rsp_o (Int64.add rbp 8L);
+        rset m rbp_o v;
+        k m
+      end
+      else finish_leave m i k
   | I.Rdrand r ->
     let r = ro r in
     fun m ->
@@ -1034,24 +1154,6 @@ let[@inline] shuffle_any m i a b src =
   rset m b (read m src);
   rset m rsp_o rsp
 
-let shuffle ~i a b src (k : step) : step =
-  let a = ro a and b = ro b in
-  match src with
-  | O.Imm v ->
-    fun m ->
-      shuffle_imm m i a b v;
-      k m
-  | O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as r); index = None; disp } ->
-    let r = ro r in
-    fun m ->
-      shuffle_local m i a b r disp;
-      k m
-  | src ->
-    let src = opnd src in
-    fun m ->
-      shuffle_any m i a b src;
-      k m
-
 (* [OP a, b], step [i + 4] at [addr], after the shuffle set b. Flags
    settle through the steps' own setters; only idiv and irem can fault
    (#DE), and they name the OP. *)
@@ -1065,6 +1167,90 @@ let[@inline] consume m i addr a b bop =
     rset m a (alu m.flags addr bop x y)
   | _ -> rset m a (alu m.flags addr bop x y)
 
+(* The finishers of the two leaf shapes of S, bare and with the OP. *)
+let[@inline never] finish_shuffle_imm m i a b v (k : step) =
+  shuffle_imm m i a b v;
+  k m
+
+let[@inline never] finish_shuffle_local m i a b r disp (k : step) =
+  shuffle_local m i a b r disp;
+  k m
+
+let[@inline never] finish_alu_imm m i addr a b v bop (k : step) =
+  shuffle_imm m i a b v;
+  consume m i addr a b bop;
+  k m
+
+let[@inline never] finish_alu_local m i addr a b r disp bop (k : step) =
+  shuffle_local m i a b r disp;
+  consume m i addr a b bop;
+  k m
+
+(* The leaf shapes' closures. The push at rsp - 8 must hit, and so must
+   a local S, both tested before anything is written; S is read after
+   the push's store, and through the lowered rsp when its base is rsp.
+   The push and the pop leave rsp as it was, so a hit arm never writes
+   it. The bare shuffle's arms are these without the OP. *)
+let[@inline] alu_imm m i addr a b v bop k =
+  m.at <- i;
+  let sp = Int64.sub (rget m rsp_o) 8L in
+  let off = Int64.to_int sp - m.sp_base in
+  if stack_hit sp off then begin
+    Cpu.set64u m.sp_page off (rget m a);
+    rset m b v;
+    consume m i addr a b bop;
+    k m
+  end
+  else finish_alu_imm m i addr a b v bop k
+
+let[@inline] alu_local m i addr a b r disp bop k =
+  m.at <- i;
+  let sp = Int64.sub (rget m rsp_o) 8L in
+  let s = Int64.add (if r = rsp_o then sp else rget m r) disp in
+  let off = Int64.to_int sp - m.sp_base and soff = Int64.to_int s - m.sp_base in
+  if stack_hit sp off && stack_hit s soff then begin
+    Cpu.set64u m.sp_page off (rget m a);
+    m.at <- i + 1;
+    rset m b (Cpu.get64u m.sp_page soff);
+    consume m i addr a b bop;
+    k m
+  end
+  else finish_alu_local m i addr a b r disp bop k
+
+let shuffle ~i a b src (k : step) : step =
+  let a = ro a and b = ro b in
+  match src with
+  | O.Imm v ->
+    fun m ->
+      m.at <- i;
+      let sp = Int64.sub (rget m rsp_o) 8L in
+      let off = Int64.to_int sp - m.sp_base in
+      if stack_hit sp off then begin
+        Cpu.set64u m.sp_page off (rget m a);
+        rset m b v;
+        k m
+      end
+      else finish_shuffle_imm m i a b v k
+  | O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as r); index = None; disp } ->
+    let r = ro r in
+    fun m ->
+      m.at <- i;
+      let sp = Int64.sub (rget m rsp_o) 8L in
+      let s = Int64.add (if r = rsp_o then sp else rget m r) disp in
+      let off = Int64.to_int sp - m.sp_base and soff = Int64.to_int s - m.sp_base in
+      if stack_hit sp off && stack_hit s soff then begin
+        Cpu.set64u m.sp_page off (rget m a);
+        m.at <- i + 1;
+        rset m b (Cpu.get64u m.sp_page soff);
+        k m
+      end
+      else finish_shuffle_local m i a b r disp k
+  | src ->
+    let src = opnd src in
+    fun m ->
+      shuffle_any m i a b src;
+      k m
+
 (* mcc's binary-expression idiom, [push a; mov a, S; mov b, a; pop a;
    OP a, b], as one chain step at steps [i..i+4]: the shuffle, then the
    OP. Each (OP, shape of S) pair gets a closure of its own, so [consume]
@@ -1074,29 +1260,29 @@ let alu_window ~i ~addr a b src bop (k : step) : step =
   match src with
   | O.Imm v -> (
     match bop with
-    | I.Add -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Add; k m
-    | I.Sub -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Sub; k m
-    | I.Xor -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Xor; k m
-    | I.And -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.And; k m
-    | I.Or -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Or; k m
-    | I.Cmp -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Cmp; k m
-    | I.Test -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Test; k m
-    | I.Imul -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Imul; k m
-    | I.Idiv -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Idiv; k m
-    | I.Irem -> fun m -> shuffle_imm m i a b v; consume m i addr a b I.Irem; k m)
+    | I.Add -> fun m -> alu_imm m i addr a b v I.Add k
+    | I.Sub -> fun m -> alu_imm m i addr a b v I.Sub k
+    | I.Xor -> fun m -> alu_imm m i addr a b v I.Xor k
+    | I.And -> fun m -> alu_imm m i addr a b v I.And k
+    | I.Or -> fun m -> alu_imm m i addr a b v I.Or k
+    | I.Cmp -> fun m -> alu_imm m i addr a b v I.Cmp k
+    | I.Test -> fun m -> alu_imm m i addr a b v I.Test k
+    | I.Imul -> fun m -> alu_imm m i addr a b v I.Imul k
+    | I.Idiv -> fun m -> alu_imm m i addr a b v I.Idiv k
+    | I.Irem -> fun m -> alu_imm m i addr a b v I.Irem k)
   | O.Mem { O.seg_fs = false; base = Some ((RBP | RSP) as r); index = None; disp } -> (
     let r = ro r in
     match bop with
-    | I.Add -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Add; k m
-    | I.Sub -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Sub; k m
-    | I.Xor -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Xor; k m
-    | I.And -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.And; k m
-    | I.Or -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Or; k m
-    | I.Cmp -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Cmp; k m
-    | I.Test -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Test; k m
-    | I.Imul -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Imul; k m
-    | I.Idiv -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Idiv; k m
-    | I.Irem -> fun m -> shuffle_local m i a b r disp; consume m i addr a b I.Irem; k m)
+    | I.Add -> fun m -> alu_local m i addr a b r disp I.Add k
+    | I.Sub -> fun m -> alu_local m i addr a b r disp I.Sub k
+    | I.Xor -> fun m -> alu_local m i addr a b r disp I.Xor k
+    | I.And -> fun m -> alu_local m i addr a b r disp I.And k
+    | I.Or -> fun m -> alu_local m i addr a b r disp I.Or k
+    | I.Cmp -> fun m -> alu_local m i addr a b r disp I.Cmp k
+    | I.Test -> fun m -> alu_local m i addr a b r disp I.Test k
+    | I.Imul -> fun m -> alu_local m i addr a b r disp I.Imul k
+    | I.Idiv -> fun m -> alu_local m i addr a b r disp I.Idiv k
+    | I.Irem -> fun m -> alu_local m i addr a b r disp I.Irem k)
   | src -> (
     let src = opnd src in
     match bop with

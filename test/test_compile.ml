@@ -232,11 +232,21 @@ let rand_self p =
   if Util.Prng.bool p then ([ Insn.Bin (Insn.Xor, r, r) ], [ "xor r, r" ])
   else ([ Insn.Mov (r, r) ], [ "mov r, r" ])
 
+(* A jmp or a direct call into the data region, whose fetch faults on
+   both sides. [rand_target] sends only one random control transfer in
+   eight there, and few of those are reached. *)
+let data_kind = "jmp or call into data"
+
+let rand_into_data p =
+  let target = Insn.Abs (Int64.add data_base (Int64.of_int (Util.Prng.int p data_len))) in
+  ([ (if Util.Prng.bool p then Insn.Jmp target else Insn.Call target) ], [ data_kind ])
+
 (* Not every generated shape is encodable (e.g. mem-to-mem moves);
    resample deterministically until the whole sequence encodes. Two
    programs in three mix mcc's idioms in with the random instructions,
-   and one piece in 32 is a self-form. Returns the program and the
-   kinds of idiom window and self-form it holds. *)
+   one piece in 32 is a self-form and one in 64 a jump into data.
+   Returns the program and the kinds of idiom window, self-form and
+   jump into data it holds. *)
 let rand_program p =
   let idioms = Util.Prng.int p 3 > 0 in
   let rec gen attempts =
@@ -245,9 +255,10 @@ let rand_program p =
       let n = 1 + Util.Prng.int p 24 in
       let pieces =
         List.init n (fun _ ->
-            if Util.Prng.int p 32 = 0 then rand_self p
-            else if idioms && Util.Prng.bool p then rand_idiom p
-            else ([ rand_insn p ], []))
+            match Util.Prng.int p 64 with
+            | 0 | 1 -> rand_self p
+            | 2 -> rand_into_data p
+            | _ -> if idioms && Util.Prng.bool p then rand_idiom p else ([ rand_insn p ], []))
       in
       let insns = List.concat_map fst pieces @ [ Insn.Hlt ] in
       match Encode.list_to_bytes insns with
@@ -408,13 +419,13 @@ let test_differential_fuzz () =
   Alcotest.(check bool) "saw builtin/syscall exits" true (!other > 10);
   Alcotest.(check bool) "saw stores into text" true (!text_stores > 20);
   Alcotest.(check bool) "saw fetches from data" true (!data_fetches > 10);
-  (* and every fused step, in each of its shapes and faults, and both
-     self-forms *)
+  (* and every fused step, in each of its shapes and faults, both
+     self-forms and the jumps into data *)
   List.iter
     (fun k ->
       let n = Option.value ~default:0 (Hashtbl.find_opt windows k) in
       if n <= 100 then Alcotest.failf "the corpus holds %d of kind %s, want > 100" n k)
-    (window_kinds @ self_kinds)
+    (window_kinds @ self_kinds @ [ data_kind ])
 
 (* ---- flag setters and condition tests against the reference ---------------- *)
 
@@ -936,7 +947,11 @@ let test_page_window_guard () =
      shuffle's push and its [rbp+d] read, the shuffle with its binop),
      at each offset 4088..4095 of a page, after a load or a store at the
      page's offset 0 in the same run — once for a page followed by an
-     unmapped one, once for one followed by a mapped one;
+     unmapped one, once for one followed by a mapped one. The shuffle,
+     bare and with a binop, also puts its push and its [rbp+d] read on
+     different pages (the read on the next page, or the push on the
+     stack's upper page), and reads a [rsp+d] S through the lowered rsp,
+     with the push or S at the offset under test;
    - alias: after a fill, an rbp-relative load at the page's address
      with bit 63 set faults as interpreted;
    - across runs: one run's store fills the entry, the space is cloned,
@@ -948,6 +963,8 @@ let test_stack_page () =
   let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX in
   let at r d = Operand.mem ~base:r (Int64.of_int d) in
   let shuffle s = [ Insn.Push rax; Insn.Mov (rax, s); Insn.Mov (rcx, rax); Insn.Pop rax ] in
+  let next_page a = Int64.add (Int64.logand a (-4096L)) 4104L in
+  let other_rsp = Int64.add stack_base 6144L in
   let trial = ref 0 in
   let check ?env ?warm_up ~what prog regs =
     List.iter
@@ -987,6 +1004,30 @@ let test_stack_page () =
       ( "shuffle [rbp+d] read, add",
         shuffle (at Reg.RBP 0) @ [ Insn.Bin (Insn.Add, rax, rcx) ],
         fun a -> [ (Reg.RBP, a); (Reg.RSP, Int64.add (Int64.logand a (-4096L)) 2048L) ] );
+      (* the push and the [rbp+d] read on different pages, each way *)
+      ( "shuffle push, [rbp+d] read on the next page",
+        shuffle (at Reg.RBP 0),
+        fun a -> [ (Reg.RSP, Int64.add a 8L); (Reg.RBP, next_page a) ] );
+      ( "shuffle push, [rbp+d] read on the next page, and",
+        shuffle (at Reg.RBP 0) @ [ Insn.Bin (Insn.And, rax, rcx) ],
+        fun a -> [ (Reg.RSP, Int64.add a 8L); (Reg.RBP, next_page a) ] );
+      ( "shuffle [rbp+d] read, push on another page",
+        shuffle (at Reg.RBP 0),
+        fun a -> [ (Reg.RBP, a); (Reg.RSP, other_rsp) ] );
+      ( "shuffle [rbp+d] read, push on another page, imul",
+        shuffle (at Reg.RBP 0) @ [ Insn.Bin (Insn.Imul, rax, rcx) ],
+        fun a -> [ (Reg.RBP, a); (Reg.RSP, other_rsp) ] );
+      (* S through the lowered rsp: the push at a and S mid-page, then
+         the push mid-page and S at a *)
+      ( "shuffle push, [rsp+d] read",
+        shuffle (at Reg.RSP (-2040)),
+        fun a -> [ (Reg.RSP, Int64.add a 8L) ] );
+      ( "shuffle push, [rsp+d] read, sub",
+        shuffle (at Reg.RSP (-2040)) @ [ Insn.Bin (Insn.Sub, rax, rcx) ],
+        fun a -> [ (Reg.RSP, Int64.add a 8L) ] );
+      ( "shuffle [rsp+d] read, or",
+        shuffle (at Reg.RSP 2056) @ [ Insn.Bin (Insn.Or, rax, rcx) ],
+        fun a -> [ (Reg.RSP, Int64.sub a 2048L) ] );
     ]
   in
   List.iter
@@ -1177,7 +1218,14 @@ let run_counted cpu mem ~max_insns =
    must leave the interpreter's full state, memory, fault, cycles and
    retire count. The stack is filled with a pattern, so S = [rsp]
    (the pushed value) tells a store made after S is read; S unmapped
-   tells a fault charged to the push instead of the mov. *)
+   tells a fault charged to the push instead of the mov. Windows with
+   the binop that consumes them run as one step too. Each case runs
+   cold, where the run's stack page is empty and the window's accesses
+   miss it, and again warm, after a store of rdx to rsp's page (the
+   push's, when rsp's is unmapped) earlier in the same run: there a
+   push on that page hits it, and S = [rsp-8] and S = [rsp] tell a read
+   through the unlowered rsp, and S = [rbp+d], on the page below, tells
+   a hit arm that tests only the push. *)
 let test_fused_shuffle () =
   let rax = Operand.reg Reg.RAX and rcx = Operand.reg Reg.RCX and rsp = Operand.reg Reg.RSP in
   let window ?(a = Reg.RAX) ?(b = Reg.RCX) ?(third = fun a b -> Insn.Mov (b, a)) s =
@@ -1188,6 +1236,7 @@ let test_fused_shuffle () =
   let nops k = List.init k (fun _ -> Insn.Nop) in
   let stack_top = Int64.add stack_base (Int64.of_int stack_len) in
   let fused s = window s @ after in
+  let consumed bop s = window s @ (Insn.Bin (bop, rax, rcx) :: after) in
   (* (name, program, rsp, runs) *)
   let cases =
     [
@@ -1212,6 +1261,15 @@ let test_fused_shuffle () =
         window ~a:Reg.RDX ~b:Reg.RBX (Operand.mem ~base:Reg.RBP (-24L)) @ after,
         0x71800L,
         1 );
+      (* with the binop consuming the window, as one step *)
+      ("S = imm, irem a, b", consumed Insn.Irem (Operand.imm 0x3039L), 0x71800L, 1);
+      ("S = [rbp+d], xor a, b", consumed Insn.Xor (Operand.mem ~base:Reg.RBP (-16L)), 0x71800L, 1);
+      ("S = [rsp-8], sub a, b", consumed Insn.Sub (Operand.mem ~base:Reg.RSP (-8L)), 0x71800L, 1);
+      ( "S = [rsp] (the pushed value), cmp a, b",
+        consumed Insn.Cmp (Operand.mem ~base:Reg.RSP 0L),
+        0x71800L,
+        1 );
+      ("push store faults, add a, b", consumed Insn.Add (Operand.imm 5L), stack_base, 1);
       (* near-misses *)
       ("a = rsp", window ~a:Reg.RSP (Operand.imm 0x71400L) @ after, 0x71800L, 1);
       ("b = rsp", window ~b:Reg.RSP (Operand.imm 0x71400L) @ after, 0x71800L, 1);
@@ -1257,16 +1315,26 @@ let test_fused_shuffle () =
       retired,
       (Tcache.exec_stats cpu.Cpu.tcache).Tcache.superblocks )
   in
+  (* the warm store takes the place of a leading nop, so the nop-padded
+     cases keep their block geometry *)
+  let warm rsp prog =
+    let d = if Int64.compare rsp stack_top >= 0 then -16L else 0L in
+    let store = Insn.Mov (Operand.mem ~base:Reg.RSP d, Operand.reg Reg.RDX) in
+    match prog with Insn.Nop :: rest -> store :: rest | prog -> store :: prog
+  in
   with_fuse_threshold 1 @@ fun () ->
   List.iteri
     (fun trial (name, prog, rsp, runs) ->
-      let interp, retired0, _ = run ~compiled:false prog ~rsp ~runs in
-      let what = Printf.sprintf "compiled (%s)" name in
-      let got, retired, superblocks = run ~compiled:true prog ~rsp ~runs in
-      compare_snapshots ~trial ~what interp got;
-      Alcotest.(check int) (what ^ ": retired") retired0 retired;
-      if runs > 1 then
-        Alcotest.(check bool) (what ^ ": superblock formed") true (superblocks >= 1))
+      List.iter
+        (fun (temp, prog) ->
+          let interp, retired0, _ = run ~compiled:false prog ~rsp ~runs in
+          let what = Printf.sprintf "compiled (%s, %s)" name temp in
+          let got, retired, superblocks = run ~compiled:true prog ~rsp ~runs in
+          compare_snapshots ~trial ~what interp got;
+          Alcotest.(check int) (what ^ ": retired") retired0 retired;
+          if runs > 1 then
+            Alcotest.(check bool) (what ^ ": superblock formed") true (superblocks >= 1))
+        [ ("cold", prog); ("warm", warm rsp prog) ])
     cases
 
 (* ---- the fuel tail ----------------------------------------------------------- *)
