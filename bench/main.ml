@@ -105,8 +105,7 @@ let run_campaign ~jobs (c : Harness.Campaign.t) =
     let t0 = Unix.gettimeofday () in
     let rows = Harness.Campaign.run_shard ~jobs ~shards:n ~shard:k c in
     let wall = Unix.gettimeofday () -. t0 in
-    record ~context:c.Harness.Campaign.context
-      ~cells:(List.map (fun (i, row) -> (i, Util.Hex.of_string row)) rows)
+    record ~context:c.Harness.Campaign.context ~cells:rows
       ~name:c.Harness.Campaign.name ~wall_s:wall
       (Telemetry.Registry.snapshot ())
   | None ->
@@ -147,13 +146,12 @@ let die fmt =
       exit 1)
     fmt
 
-(* Read the shard files, check that they tile a single run (same shard
-   count, every shard index present exactly once, campaign lists and
-   contexts agree), then render each campaign's body from the union of
-   rows and write the merged record. Output is byte-identical to
-   running the same experiments unsharded. *)
+(* Read the shard files, check that they tile a single run
+   ([Benchfile.tile]), then render each campaign's body from the union
+   of rows and write the merged record. Output is byte-identical to
+   running the same experiments unsharded. A damaged row never reaches
+   [Campaign.unpack]: the reader refuses it by its digest. *)
 let run_merge ~config files =
-  if files = [] then die "merge: no shard files given";
   let records =
     List.map
       (fun file ->
@@ -162,83 +160,41 @@ let run_merge ~config files =
         | Error msg -> die "merge: %s: %s" file msg)
       files
   in
-  let first_file, first = List.hd records in
-  let n = first.Util.Benchfile.shards in
-  let campaign_names (t : Util.Benchfile.t) =
-    List.map
-      (fun (c : Util.Benchfile.campaign) -> c.Util.Benchfile.name)
-      t.Util.Benchfile.campaigns
+  let campaigns =
+    match Util.Benchfile.tile records with
+    | Ok campaigns -> campaigns
+    | Error msg -> die "merge: %s" msg
   in
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (file, (t : Util.Benchfile.t)) ->
-      if t.Util.Benchfile.shards <> n then
-        die "merge: %s has %d shard(s), expected %d" file
-          t.Util.Benchfile.shards n;
-      (match t.Util.Benchfile.shard with
-      | None -> die "merge: %s is not a shard file (no \"shard\" index)" file
-      | Some k ->
-        if Hashtbl.mem seen k then
-          die "merge: duplicate shard %d/%d (%s)" k n file;
-        Hashtbl.add seen k ());
-      if campaign_names t <> campaign_names first then
-        die "merge: %s lists different campaigns than %s" file first_file)
-    records;
-  if Hashtbl.length seen <> n then
-    die "merge: have %d of %d shard file(s)" (Hashtbl.length seen) n;
   let merged =
-    List.mapi
-      (fun idx (c : Util.Benchfile.campaign) ->
-        let name = c.Util.Benchfile.name in
-        let parts =
-          List.map
-            (fun (file, (t : Util.Benchfile.t)) ->
-              let part = List.nth t.Util.Benchfile.campaigns idx in
-              if
-                not
-                  (String.equal part.Util.Benchfile.context
-                     c.Util.Benchfile.context)
-              then
-                die
-                  "merge: %s: campaign %s ran under a different configuration\n\
-                  \  %s\n\
-                  \  vs %s"
-                  file name part.Util.Benchfile.context c.Util.Benchfile.context;
-              part)
-            records
-        in
-        let rows =
-          List.concat_map
-            (fun (p : Util.Benchfile.campaign) ->
-              List.map
-                (fun (i, hex) -> (i, Bytes.to_string (Util.Hex.to_bytes hex)))
-                p.Util.Benchfile.cells)
-            parts
-        in
+    List.map
+      (fun parts ->
+        let c = List.hd parts in
+        let name = c.Util.Benchfile.name and context = c.Util.Benchfile.context in
+        let rows = List.concat_map (fun (p : Util.Benchfile.campaign) -> p.cells) parts in
         (match Harness.Campaigns.find config name with
-        | Some campaign ->
-          Harness.Campaign.render ~context:c.Util.Benchfile.context campaign rows
+        | Some campaign -> (
+          (* a missing or duplicated cell *)
+          try Harness.Campaign.render ~context campaign rows
+          with Failure msg -> die "merge: %s" msg)
         | None -> die "merge: unknown campaign %s" name);
         let metrics =
           Telemetry.Registry.merge
-            (List.map
-               (fun (p : Util.Benchfile.campaign) -> p.Util.Benchfile.metrics)
-               parts)
+            (List.map (fun (p : Util.Benchfile.campaign) -> p.metrics) parts)
         in
         if !mem_stats_enabled then print_mem_stats name metrics;
-        Util.Benchfile.campaign ~context:c.Util.Benchfile.context ~name
+        Util.Benchfile.campaign ~context ~name
           ~wall_s:
             (List.fold_left
-               (fun acc (p : Util.Benchfile.campaign) ->
-                 acc +. p.Util.Benchfile.wall_s)
+               (fun acc (p : Util.Benchfile.campaign) -> acc +. p.wall_s)
                0.0 parts)
           metrics)
-      first.Util.Benchfile.campaigns
+      campaigns
   in
+  let _, first = List.hd records in
   Option.iter
     (fun file ->
       Util.Benchfile.write file
-        (Util.Benchfile.make ~shards:n ~merged_from:files
+        (Util.Benchfile.make ~shards:first.Util.Benchfile.shards ~merged_from:files
            ~pr:first.Util.Benchfile.pr ~jobs:first.Util.Benchfile.jobs
            ~compile_tier:first.Util.Benchfile.compile_tier merged))
     !bench_out

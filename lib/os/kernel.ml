@@ -961,11 +961,31 @@ let check_invariants t =
       if fds = [] then broken "pid %d waits in epoll_wait with no open fd" pid
     | Process.Runnable | Process.Exited _ | Process.Killed _ -> ()
   in
+  (* a zombie stays reapable while its parent lives: it sits in the
+     parent's queue, and the queue holds the parent's children only *)
+  let check_family (p : Process.t) =
+    let pid = p.Process.pid in
+    Queue.iter
+      (fun (c : Process.t) ->
+        match c.Process.parent with
+        | Some q when q == p -> ()
+        | _ -> broken "pid %d is queued by pid %d, which is not its parent" c.Process.pid pid)
+      p.Process.pending_children;
+    match p.Process.parent with
+    | Some q
+      when Process.status_is_dead p.Process.status
+           && (not q.Process.reaped)
+           && not (Queue.fold (fun found c -> found || c == p) false q.Process.pending_children)
+      ->
+      broken "zombie pid %d is not queued by its parent %d" pid q.Process.pid
+    | _ -> ()
+  in
   match
     Int_table.iter
       (fun pid (p : Process.t) ->
         if p.Process.reaped then broken "pid %d is reaped but in the process table" pid;
-        check_wakeable p (check_fds p))
+        check_wakeable p (check_fds p);
+        check_family p)
       t.procs;
     Option.iter
       (fun (p : Process.t) ->

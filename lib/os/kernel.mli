@@ -143,7 +143,10 @@ val check_invariants : t -> (unit, string) result
     - every parked process can wake: a blocking [waitpid] has a
       pending child, an [accept] a listening socket, a conn read or
       write its conn and a [blocked_io] entry, an [epoll_wait] an open
-      fd.
+      fd;
+    - every zombie can be reaped: each [pending_children] entry names
+      the queue's owner as its parent, and a dead, unreaped process
+      whose parent is unreaped sits in that parent's queue.
     Reads only; a driver may call it between any two kernel calls. *)
 
 val fork_count : t -> int

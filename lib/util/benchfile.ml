@@ -4,9 +4,12 @@
    {"metric-name": int} object. Schema 3 records shard provenance —
    shard index/count on files written by `--shard K/N`, merged-from on
    files produced by `bench merge` — and optional per-campaign cell
-   rows (hex-encoded marshalled cells a shard file carries so the merge
-   step can render the combined body). The reader accepts schema 3
-   only. *)
+   rows (the marshalled cells a shard file carries so the merge step
+   can render the combined body). A row is written as hex with the hex
+   MD5 digest of its bytes, and the reader refuses one whose text is
+   not hex or whose bytes do not match the digest: the merge step
+   unmarshals rows, and unmarshalling damaged bytes can crash the
+   process. The reader accepts schema 3 only. *)
 
 let schema_version = 3
 
@@ -17,8 +20,7 @@ type campaign = {
   context : string;
       (* campaign-config fingerprint (e.g. the loadbench header line);
          shards must agree on it before their rows may merge *)
-  cells : (int * string) list;
-      (* (cell index, hex-encoded marshalled row) — only in shard files *)
+  cells : (int * string) list;  (* (cell index, marshalled row) — only in shard files *)
 }
 
 type t = {
@@ -59,7 +61,13 @@ let campaign_to_json c =
         ( "cells",
           Json.List
             (List.map
-               (fun (i, row) -> Json.List [ Json.Int i; Json.String row ])
+               (fun (i, row) ->
+                 Json.List
+                   [
+                     Json.Int i;
+                     Json.String (Hex.of_string row);
+                     Json.String (Digest.to_hex (Digest.string row));
+                   ])
                cells) );
       ])
 
@@ -107,6 +115,19 @@ let metrics_of_json what j =
     (Ok []) fields
   |> Result.map List.rev
 
+let cell_of_json e =
+  match Json.to_list_opt e with
+  | Some [ i; hex; digest ] -> (
+    match (Json.to_int_opt i, Json.to_string_opt hex, Json.to_string_opt digest) with
+    | Some i, Some hex, Some digest -> (
+      match Bytes.to_string (Hex.to_bytes hex) with
+      | exception Invalid_argument _ -> Error (Printf.sprintf "cell %d: row is not hex" i)
+      | row ->
+        if String.equal (Digest.to_hex (Digest.string row)) digest then Ok (i, row)
+        else Error (Printf.sprintf "cell %d: row does not match its digest" i))
+    | _ -> Error "ill-typed cell entry")
+  | _ -> Error "ill-typed cell entry"
+
 let cells_of_json j =
   match Json.to_list_opt j with
   | None -> Error "campaign \"cells\" is not a list"
@@ -114,12 +135,8 @@ let cells_of_json j =
     List.fold_left
       (fun acc e ->
         let* acc = acc in
-        match Json.to_list_opt e with
-        | Some [ i; row ] -> (
-          match (Json.to_int_opt i, Json.to_string_opt row) with
-          | Some i, Some row -> Ok ((i, row) :: acc)
-          | _ -> Error "ill-typed cell entry")
-        | _ -> Error "ill-typed cell entry")
+        let* cell = cell_of_json e in
+        Ok (cell :: acc))
       (Ok []) entries
     |> Result.map List.rev
 
@@ -139,7 +156,8 @@ let campaign_of_json j =
   let* cells =
     match Json.member "cells" j with
     | None -> Ok []
-    | Some c -> cells_of_json c
+    | Some c ->
+      Result.map_error (Printf.sprintf "campaign %s: %s" name) (cells_of_json c)
   in
   Ok { name; wall_s; metrics; context; cells }
 
@@ -182,6 +200,53 @@ let read path =
   let* s = read_file path in
   let* j = Json.parse s in
   of_json j
+
+(* ---- shard files ---------------------------------------------------------- *)
+
+let tile files =
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  match files with
+  | [] -> Error "no shard files given"
+  | (first_file, first) :: _ ->
+    let n = first.shards in
+    let names t = List.map (fun c -> c.name) t.campaigns in
+    (* a part ran under the first file's configuration and holds only
+       cells shard [k] owns *)
+    let check_part file k acc (c, f) =
+      let* () = acc in
+      if not (String.equal c.context f.context) then
+        fail "%s: campaign %s ran under a different configuration\n  %s\n  vs %s" file
+          c.name c.context f.context
+      else
+        match List.find_opt (fun (i, _) -> i mod n <> k) c.cells with
+        | Some (i, _) -> fail "%s: campaign %s: cell %d is not shard %d/%d's" file c.name i k n
+        | None -> Ok ()
+    in
+    let check_file acc (file, t) =
+      let* seen = acc in
+      if t.shards <> n then fail "%s has %d shard(s), expected %d" file t.shards n
+      else
+        match t.shard with
+        | None -> fail "%s is not a shard file (no \"shard\" index)" file
+        | Some k when k < 0 || k >= n -> fail "%s: shard %d is not in 0..%d" file k (n - 1)
+        | Some k when List.mem k seen -> fail "duplicate shard %d/%d (%s)" k n file
+        | Some k ->
+          if names t <> names first then
+            fail "%s lists different campaigns than %s" file first_file
+          else
+            let* () =
+              List.fold_left (check_part file k) (Ok ())
+                (List.combine t.campaigns first.campaigns)
+            in
+            Ok (k :: seen)
+    in
+    let* seen = List.fold_left check_file (Ok []) files in
+    if List.length seen <> n then fail "have %d of %d shard file(s)" (List.length seen) n
+    else
+      Ok
+        (List.mapi
+           (fun idx _ -> List.map (fun (_, t) -> List.nth t.campaigns idx) files)
+           first.campaigns)
 
 (* A --metrics-out snapshot: {"schema": 3, "metrics": {...}}. *)
 

@@ -6,12 +6,13 @@
       [{"schema": 3, "pr": .., "jobs": .., "compile_tier": ..,
       "shards": .., "shard"?: .., "merged_from"?: [..],
       "campaigns": [{"name", "wall_s", "metrics": {..},
-      "context"?: .., "cells"?: [[i, hex], ..]}]}]
+      "context"?: .., "cells"?: [[i, hex, digest], ..]}]}]
     - the bare metrics snapshot ([--metrics-out]):
       [{"schema": 3, "metrics": {..}}]
 
     Schema 3 carries shard provenance (shard index/count, merged-from)
-    and optional per-campaign cell rows; the readers accept schema 3
+    and optional per-campaign cell rows, each written as hex with the
+    hex MD5 digest of its bytes; the readers accept schema 3
     only (the schema-2 records BENCH_pr5, pr7 and pr8 were rewritten
     as schema 3). Metrics objects
     map registry metric names to integers (histograms are
@@ -30,9 +31,9 @@ type campaign = {
           line); shards must agree on it before their rows may merge.
           [""] when the campaign takes no configuration. *)
   cells : (int * string) list;
-      (** (cell index, hex-encoded marshalled row) pairs — present
-          only in shard files, where they carry the shard's computed
-          rows to the merge step *)
+      (** (cell index, marshalled row) pairs — present only in shard
+          files, where they carry the shard's computed rows to the
+          merge step *)
 }
 
 type t = {
@@ -69,9 +70,24 @@ val make :
   t
 
 val to_json : t -> Json.t
+
 val of_json : Json.t -> (t, string) result
+(** [Error] names the first missing or ill-typed field, or a cell row
+    whose text is not hex or whose bytes do not match its digest, so
+    a row it returns is the one written. *)
+
 val write : string -> t -> unit
 val read : string -> (t, string) result
+
+val tile : (string * t) list -> (campaign list list, string) result
+(** [tile [(path, record); ..]] checks that the shard files tile one
+    sharded run: each has the first file's shard count and a shard
+    index in range, every index appears exactly once, every file lists
+    the same campaigns in the same order, and each campaign ran under
+    the first file's context and holds only cells its shard owns
+    (index [i] with [i mod shards = k]). [Ok] gives, for each campaign
+    in order, its part from every file, in file order; [Error] names
+    the first broken rule and the file that broke it. *)
 
 val metrics_snapshot_to_json : (string * int) list -> Json.t
 val write_metrics : string -> (string * int) list -> unit

@@ -71,10 +71,13 @@ let () =
    takes a frame from this domain's free list when it has one.
    Beside the privacy bytes, which compiled code reads, each space
    lists its private pages, so [release] hands a dead space's frames
-   back without searching for them. After a space's first clone, each
-   page it CoW-breaks stays private through every later clone: that
-   clone copies it into the child up front and the parent keeps it, so
-   neither side breaks sharing on it and no frame is orphaned.
+   back without searching for them. Once its family has cloned, each
+   page a space CoW-breaks stays private through every clone of it:
+   that clone copies it into the child up front and the parent keeps
+   it, so neither side breaks sharing on it and no frame is orphaned.
+   Only the family's first clone, of the space [create] made, drops
+   the list instead: pre-copying the pages written while loading would
+   copy load-time data into every child of a fork server.
 
    Memory is W^X: [seal], before the first clone, marks mapped pages
    read-only and executable in [exec], whose per-chunk strings the fork
@@ -97,8 +100,9 @@ let () =
    - [private_pages] lists exactly the pages whose privacy byte is set
      in an owned chunk, each once: [break_cow] and the pre-copy push
      the page whose byte they set, [seal] removes the pages it seals,
-     [release] empties the list, and a first [clone], which leaves the
-     parent no owned chunk, empties it too.
+     [release] empties the list, and the family's first [clone], which
+     leaves the parent no owned chunk, empties it too. A space born
+     from a clone starts with the pages pre-copied into it.
    - A sealed page is mapped and never private: no write reaches it and
      [release] never frees it.
    - A free-list frame is reachable from no space.
@@ -145,7 +149,6 @@ type t = {
   exec : string array;  (* chunk -> '\001' per sealed page; [no_exec] if none *)
   mutable mapped_pages : int;
   family : family_stats;
-  mutable forked : bool;  (* cloned at least once: a clone pre-copies [private_pages] *)
   mutable private_pages : int list;  (* page numbers private in an owned chunk *)
 }
 
@@ -161,7 +164,6 @@ let create () =
     exec = Array.make chunks no_exec;
     mapped_pages = 0;
     family;
-    forked = false;
     private_pages = [];
   }
 
@@ -367,14 +369,17 @@ let cstr_len t addr =
 
 (* A fork copies the 256-word directories and drops both sides'
    ownership, so chunk and payload copies happen lazily on first write
-   in either space. At a space's first clone its private pages, written
-   while loading, become shared like the rest. At every later clone its
-   private pages, all broken since the first, are the exception: the
-   child gets its own copy of each now, and the parent keeps them
-   private and their chunks owned. The family shares one executable
-   map, which [seal] no longer changes. *)
+   in either space. A family's first clone is of the space [create]
+   made, whose private pages, written while loading, become shared like
+   the rest. Every later clone, of that space or of a space born from a
+   clone (a fork child, a snapshot, a resumed server), pre-copies the
+   space's private pages: the child gets its own copy of each now, and
+   the parent keeps them private and their chunks owned. So a resumed
+   server's first fork keeps the stack page it broke. The family shares
+   one executable map, which [seal] no longer changes. *)
 let clone t =
   let n = t.mapped_pages in
+  if t.family.clones = 0 then t.private_pages <- [];
   t.family.clones <- t.family.clones + 1;
   t.family.pages_aliased <- t.family.pages_aliased + n;
   let child =
@@ -385,15 +390,10 @@ let clone t =
       exec = t.exec;
       mapped_pages = n;
       family = t.family;
-      forked = false;
       private_pages = [];
     }
   in
   Bytes.fill t.owned 0 chunks '\000';
-  if not t.forked then begin
-    t.forked <- true;
-    t.private_pages <- []
-  end;
   List.iter
     (fun idx ->
       let c = idx lsr chunk_bits and s = idx land (chunk_pages - 1) in

@@ -20,13 +20,15 @@
     on its first write. Every frame copy (a CoW break, a zero fill, a
     fork pre-copy) reuses a frame from a per-domain free list of at
     most 256 when it can. Each space lists its private pages, and
-    {!release} hands a dead space's frames back to that list. A page a
-    space CoW-breaks after its first {!clone} stays private through
-    every later clone, which copies it into the child up front while
+    {!release} hands a dead space's frames back to that list. Once its
+    family has cloned, a page a space CoW-breaks stays private through
+    every {!clone} of it, which copies it into the child up front while
     the parent keeps it, so a fork server's rewritten stack page is
     copied once per fork instead of broken on both sides, and the
-    pre-fork frame is never orphaned. Pages written before the first
-    clone (loading text and data at spawn) become shared at it:
+    pre-fork frame is never orphaned. That holds from birth for a space
+    born from a clone (a fork child, a snapshot, a server resumed from
+    one). Only the pages a {!create}d space wrote before the family's
+    first clone (loading text and data at spawn) become shared at it:
     pre-copying them copied text into every child. The invariants:
     a frame private to one space is reachable from no other space; a
     free-list frame is reachable from no space; the zero frame is never
@@ -65,11 +67,12 @@ type t = private {
           shared by the fork family *)
   mutable mapped_pages : int;
   family : family_stats;
-  mutable forked : bool;  (** cloned at least once: {!clone} pre-copies [private_pages] *)
   mutable private_pages : int list;
       (** exactly the page numbers whose privacy byte is set in an owned
           chunk, each once, in no particular order: what {!clone}
-          pre-copies, {!release} frees and {!resident_bytes} counts *)
+          pre-copies (except at the family's first clone, which drops
+          them), {!release} frees and {!resident_bytes} counts. A space
+          born from a clone starts with the pages pre-copied into it. *)
 }
 
 val no_page : bytes
@@ -152,11 +155,12 @@ val clone : t -> t
 (** The [fork] primitive's address-space clone. Copy-on-write at two
     levels: the child aliases the parent's chunks (one 256-entry
     directory copied, no page touched), and page payloads stay shared
-    until first write in either space. From the parent's second clone
-    on, its private pages are copied into the child now (each counted
-    as a CoW break); the parent keeps them private and their chunks
-    owned. At its first clone they become shared like the rest. The
-    child shares the parent's sealed pages and executable map.
+    until first write in either space. The parent's private pages are
+    copied into the child now (each counted as a CoW break); the parent
+    keeps them private and their chunks owned. The exception is the
+    family's first clone, of the {!create}d space: its private pages
+    become shared like the rest. The child shares the parent's sealed
+    pages and executable map.
     Observable behaviour is identical to a deep copy — writes in either
     space never become visible in the other. *)
 

@@ -607,6 +607,40 @@ let test_victim_major_heap_quiet () =
     (Printf.sprintf "%.1f major-heap words a trial, under 100" per_trial)
     true (per_trial < 100.)
 
+(* A shadow-compact victim thawed from a zygote snapshot: there is no
+   canary to guess, so every trial is a failed hijack and a restart. *)
+let zygote_victim () =
+  let scheme = Pssp.Scheme.Shadow_compact in
+  let image = compile ~scheme (Workload.Vuln.fork_server_net ~buffer_size:16) in
+  let o =
+    Attack.Oracle.create ~preload:(Mcc.Driver.preload_for scheme)
+      ~respawn:Attack.Oracle.Zygote image
+  in
+  let layout = Harness.Layouts.compiler_layout scheme ~buffer_size:16 in
+  let payload = Attack.Payload.hijack layout ~canary:Bytes.empty in
+  let trial () =
+    (match Attack.Oracle.query o payload with
+    | Attack.Oracle.Server_down detail -> Alcotest.failf "server down: %s" detail
+    | Attack.Oracle.Survived _ | Attack.Oracle.Crashed _ -> ());
+    ignore (Attack.Oracle.restart_victim o)
+  in
+  for _ = 1 to 200 do trial () done;
+  (o, trial)
+
+let test_zygote_restart_major_heap_quiet () =
+  (* a resumed server's first fork pre-copies the stack page it broke
+     and keeps it, so the restart's shutdown recycles that frame; a
+     frame orphaned at each restart adds about 500 words a trial *)
+  let o, trial = zygote_victim () in
+  let respawns0 = Attack.Oracle.respawns o in
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to 1000 do trial () done;
+  let per_trial = ((Gc.quick_stat ()).Gc.major_words -. w0) /. 1000. in
+  Alcotest.(check int) "a restart per trial" 1000 (Attack.Oracle.respawns o - respawns0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major-heap words a trial, under 100" per_trial)
+    true (per_trial < 100.)
+
 (* ---- accept without a listener --------------------------------------------------- *)
 
 let test_accept_without_listener () =
@@ -883,5 +917,7 @@ let () =
             test_last_reaped_readable_until_next_reap;
           Alcotest.test_case "fork victim major heap quiet" `Quick
             test_victim_major_heap_quiet;
+          Alcotest.test_case "zygote restart major heap quiet" `Quick
+            test_zygote_restart_major_heap_quiet;
         ] );
     ]

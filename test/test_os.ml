@@ -958,6 +958,53 @@ int main() {
     (match Os.Kernel.stop_of p with Os.Kernel.Stop_exit _ -> true | _ -> false);
   sweep "after the reap" k
 
+(* A zombie is reapable only from its parent's queue: the sweep names
+   one missing from it, and a queue entry that is not the owner's
+   child. *)
+let test_sweep_zombie_queued () =
+  let src =
+    {|
+int main() {
+  int lfd;
+  lfd = socket();
+  bind(lfd, 8080);
+  listen(lfd, 4);
+  if (fork() == 0) {
+    return 0;
+  }
+  accept();
+  return 0;
+}
+|}
+  in
+  let k = Os.Kernel.create () in
+  let p = Os.Kernel.spawn k (compile src) in
+  Alcotest.(check bool) "parent in accept" true (kernel_run k p = Os.Kernel.Stop_accept);
+  let q = p.Os.Process.pending_children in
+  let zombie = Queue.peek q in
+  Alcotest.(check bool) "an unreaped zombie" true
+    (Os.Process.status_is_dead zombie.Os.Process.status && not zombie.Os.Process.reaped);
+  sweep "zombie in its parent's queue" k;
+  let expect what msg =
+    Alcotest.(check (result unit string)) what (Error msg) (Os.Kernel.check_invariants k)
+  in
+  Queue.clear q;
+  expect "dropped from the queue"
+    (Printf.sprintf "zombie pid %d is not queued by its parent %d" zombie.Os.Process.pid
+       p.Os.Process.pid);
+  Queue.push zombie q;
+  let stranger = Os.Kernel.spawn k (compile src) in
+  Queue.push stranger q;
+  expect "a stranger in the queue"
+    (Printf.sprintf "pid %d is queued by pid %d, which is not its parent"
+       stranger.Os.Process.pid p.Os.Process.pid);
+  ignore (Queue.pop q);
+  ignore (Queue.pop q);
+  Queue.push zombie q;
+  sweep "queue restored" k;
+  Os.Kernel.reap_zombies k p;
+  sweep "after the reap" k
+
 (* A child that crashes while its parent still holds the conn they
    share drops its own hold: the parent's fd is the conn's only one. *)
 let test_sweep_crash_on_shared_conn () =
@@ -1079,6 +1126,8 @@ let () =
             test_sweep_killed_in_read;
           Alcotest.test_case "a crash drops its hold on a shared conn" `Quick
             test_sweep_crash_on_shared_conn;
+          Alcotest.test_case "a zombie stays in its parent's queue" `Quick
+            test_sweep_zombie_queued;
           Alcotest.test_case "sweep after every fork-server pump turn" `Quick
             test_sweep_fork_load;
           Alcotest.test_case "sweep after every event-loop pump turn" `Quick

@@ -234,7 +234,7 @@ let test_benchfile_roundtrip () =
   | Ok t' -> Alcotest.(check bool) "campaign record round-trips" true (t = t')
   | Error e -> Alcotest.failf "read failed: %s" e);
   Sys.remove file;
-  (* a shard file: provenance and hex-encoded cell rows survive *)
+  (* a shard file: provenance and cell rows survive *)
   let sharded =
     Util.Benchfile.make ~shards:4 ~shard:1 ~pr:9 ~jobs:1 ~compile_tier:3
       [

@@ -270,9 +270,12 @@ let test_map_outside_layout () =
    - [seal] makes mapped pages read-only and executable, and is refused
      once the family has been cloned; a write to a sealed page faults at
      the written byte, as one to an unmapped page does;
-   - a page written after its space's first clone is hot: each later
-     clone copies it into the child (a counted break) and the parent
-     keeps it private, while every other page becomes shared;
+   - a space is forked once it has been cloned, and a clone is born
+     forked; a page a forked space writes is hot: each later clone
+     copies it into the child (a counted break), where it starts hot,
+     and the parent keeps it private, while every other page becomes
+     shared (so only a [Memory.create] space's load-time pages are
+     dropped, at its first clone);
    - [Release i] kills space i: its private pages fault from then on,
      and the release hands back to the free list exactly the frames of
      the pages the model holds private (none on a second release).
@@ -331,7 +334,7 @@ type space_model = {
   pages : (int, Bytes.t) Hashtbl.t;
   priv : (int, unit) Hashtbl.t;  (* pages holding a frame of their own *)
   zero : (int, unit) Hashtbl.t;  (* pages still on the shared zero frame *)
-  hot : (int, unit) Hashtbl.t;  (* pages written since the first clone *)
+  hot : (int, unit) Hashtbl.t;  (* pages written while forked *)
   sealed : (int, unit) Hashtbl.t;  (* read-only, executable pages *)
   mutable forked : bool;
   mutable alive : bool;
@@ -556,12 +559,15 @@ let page_table_matches_model ops =
             s.forked <- true;
             let pages = Hashtbl.create 8 in
             Hashtbl.iter (fun p b -> Hashtbl.replace pages p (Bytes.copy b)) s.pages;
+            (* born forked: its pre-copied pages are hot already *)
             {
               (fresh_model ()) with
               pages;
               priv = Hashtbl.copy pre;
               zero = Hashtbl.copy s.zero;
+              hot = Hashtbl.copy pre;
               sealed = Hashtbl.copy s.sealed;
+              forked = true;
             }
           in
           if n < 4 then begin
@@ -651,6 +657,28 @@ let test_release_walks_private_pages () =
       W8 (1, a 128 1, 4);
       Release 1;
       Release 1;
+    ]
+  in
+  Alcotest.(check bool) "every op matches the model" true (page_table_matches_model ops)
+
+(* A resumed zygote's history: a child cloned from a clone (the
+   snapshot), which breaks a page and forks. Born forked, it pre-copies
+   that page into its own child and keeps it, so its release hands the
+   frame back. *)
+let test_clone_born_forked () =
+  let a p o = Int64.of_int ((p * 4096) + o) in
+  let ops =
+    [
+      Map (0, a 127 0, 3 * 4096);
+      W8 (0, a 127 1, 1);
+      Clone (0, 0);
+      Clone (1, 0);
+      W64 (2, a 128 8, 0x1122334455667788L);
+      Clone (2, 0);
+      W8 (2, a 128 9, 2);
+      R8 (3, a 128 9);
+      Release 2;
+      Release 3;
     ]
   in
   Alcotest.(check bool) "every op matches the model" true (page_table_matches_model ops)
@@ -1319,6 +1347,7 @@ let () =
           qc prop_page_table_model;
           Alcotest.test_case "release walks private pages" `Quick
             test_release_walks_private_pages;
+          Alcotest.test_case "a clone is born forked" `Quick test_clone_born_forked;
         ] );
       ( "cow",
         [
